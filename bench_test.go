@@ -348,7 +348,7 @@ func BenchmarkInferBatch(b *testing.B) {
 	b.ReportMetric(batch, "images/op")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.InferBatch(xs); err != nil {
+		if _, err := e.InferBatchCtx(nil, xs, nil, nil, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,6 +1,7 @@
 #!/bin/sh
 # CI gate: the tier-1 checks (build + test) plus vet, the race detector
-# (the serve/faults packages are exercised concurrently), short fuzz
+# (the serve/faults packages are exercised concurrently), the nested
+# benchmark module's own vet and tests (bench/), short fuzz
 # smokes over the two untrusted deserializers (engine plans and timing
 # caches), the shared-timing-cache fleet-convergence audit (warm rebuilds
 # must be byte-identical), the chaos smoke (a short replica-fleet soak
@@ -32,6 +33,10 @@ set -eux
 go vet ./...
 go build ./...
 go test -race -timeout 20m ./...
+# bench/ is a module of its own that ./... neither builds nor tests, yet
+# it compiles against core and serve entry points: vet and test it here
+# so a deletion that breaks the benchmark fails this gate first.
+(cd bench && go vet ./... && go test ./...)
 go test -run='^$' -fuzz='^FuzzLoad$' -fuzztime=10s ./internal/core
 go test -run='^$' -fuzz='^FuzzLoadTimingCache$' -fuzztime=5s ./internal/core
 go run ./cmd/fleetcheck -model resnet18 -sharedCache

@@ -103,6 +103,29 @@ func TestFixtureFindingsMatchMarkers(t *testing.T) {
 	}
 }
 
+// TestSeededEntryPointsResolve runs over the real module: panicpath
+// silently skips a root it cannot resolve and lockorder a blocking name
+// nothing declares, so deleting or renaming an entry point would shrink
+// rtlint's coverage without a finding. Every seeded name must be a
+// declared function.
+func TestSeededEntryPointsResolve(t *testing.T) {
+	m, err := LoadModule(filepath.Join("..", ".."))
+	if err != nil {
+		t.Fatal(err)
+	}
+	decls := moduleFuncDecls(m)
+	for list, ids := range map[string][]string{
+		"DefaultPanicRoots":    DefaultPanicRoots,
+		"DefaultBlockingFuncs": DefaultBlockingFuncs,
+	} {
+		for _, id := range ids {
+			if decls[id] == nil {
+				t.Errorf("%s names %s, which the module does not declare", list, id)
+			}
+		}
+	}
+}
+
 // TestDeadlineFlowReportsOncePerCall: the fixture's Run has BOTH a
 // RunCtx and a RunDeadline sibling, so a dropped budget could
 // double-report; the analyzer must emit exactly one finding per call

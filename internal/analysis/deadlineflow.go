@@ -11,16 +11,16 @@ import (
 // was handed a request budget — an *rtctx.Request, a context.Context,
 // or a parameter named like deadlineSec/timeout/budget — calling a
 // module function that has a budget-aware sibling, discarding the
-// budget at the call. The canonical miss: calling Pool.DoBatch from a
-// path that was handed an rtctx.Request when Pool.DoBatchCtx exists.
+// budget at the call. The canonical miss: calling Pipeline.Run from a
+// path that was handed an rtctx.Request when Pipeline.RunCtx exists.
 // The request then runs with no budget at all and the caller's
 // deadline accounting silently lies.
 //
 // A sibling is the same function name with a "Ctx" or "Deadline"
-// suffix on the same receiver (DoBatch -> DoBatchCtx, Run ->
-// RunDeadline). Calls already targeting a *Ctx or *Deadline function
-// are never flagged, and a call is reported at most once even when
-// both sibling spellings exist. Goroutine launches are skipped: work
+// suffix on the same receiver (Run -> RunCtx, Run -> RunDeadline).
+// Calls already targeting a *Ctx or *Deadline function are never
+// flagged, and a call is reported at most once even when both sibling
+// spellings exist. Goroutine launches are skipped: work
 // intentionally detached from the request outlives its budget by
 // design and is goleak's jurisdiction.
 //

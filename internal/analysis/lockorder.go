@@ -25,17 +25,10 @@ import (
 // simulated inference, so holding any lock across them stalls the
 // process for a full request.
 var DefaultBlockingFuncs = []string{
-	"(*edgeinfer/internal/serve.Executor).Do",
 	"(*edgeinfer/internal/serve.Executor).DoCtx",
-	"(*edgeinfer/internal/serve.Executor).DoDeadline",
-	"(*edgeinfer/internal/serve.Executor).DoBatch",
 	"(*edgeinfer/internal/serve.Executor).DoBatchCtx",
-	"(*edgeinfer/internal/serve.Executor).DoBatchDeadline",
-	"(*edgeinfer/internal/serve.Pool).Do",
 	"(*edgeinfer/internal/serve.Pool).DoCtx",
-	"(*edgeinfer/internal/serve.Pool).DoBatch",
 	"(*edgeinfer/internal/serve.Pool).DoBatchCtx",
-	"(*edgeinfer/internal/serve.Pool).DoBatchDeadline",
 	// The cluster pipeline executor serializes a whole partitioned
 	// stream — frames × stages of simulated inference per call.
 	"(*edgeinfer/internal/cluster.Pipeline).Run",

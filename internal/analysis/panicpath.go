@@ -15,16 +15,11 @@ import (
 var DefaultPanicRoots = []string{
 	"edgeinfer/internal/core.Load",
 	"(*edgeinfer/internal/core.Engine).Infer",
-	"(*edgeinfer/internal/core.Engine).InferFaulty",
-	"(*edgeinfer/internal/serve.Executor).Do",
+	"(*edgeinfer/internal/core.Engine).InferBatchCtx",
+	"(*edgeinfer/internal/core.Engine).InferRangeCtx",
 	"(*edgeinfer/internal/serve.Executor).DoCtx",
-	"(*edgeinfer/internal/serve.Executor).DoDeadline",
-	"(*edgeinfer/internal/serve.Executor).DoBatch",
 	"(*edgeinfer/internal/serve.Executor).DoBatchCtx",
-	"(*edgeinfer/internal/serve.Executor).DoBatchDeadline",
-	"(*edgeinfer/internal/serve.Pool).Do",
 	"(*edgeinfer/internal/serve.Pool).DoCtx",
-	"(*edgeinfer/internal/serve.Pool).DoBatch",
 	"(*edgeinfer/internal/serve.Pool).DoBatchCtx",
 	// The network front-end: the HTTP handler parses untrusted request
 	// bodies and the batcher goroutine serves them.

@@ -1,5 +1,5 @@
 // Package core is a panicpath fixture: Load, (*Engine).Infer and
-// (*Engine).InferFaulty match the default entry-point roots, so panics
+// (*Engine).InferBatchCtx match the default entry-point roots, so panics
 // in their call graphs are flagged — except behind recover barriers,
 // behind allow directives, or in unreachable functions.
 package core
@@ -76,8 +76,8 @@ func guarded(x float64) float64 {
 	return x
 }
 
-// InferFaulty is also a root; it reaches no panic.
-func (e *Engine) InferFaulty(x float64) (float64, error) { return x, nil }
+// InferBatchCtx is also a root; it reaches no panic.
+func (e *Engine) InferBatchCtx(x float64) (float64, error) { return x, nil }
 
 // unreachablePanic is not called from any root: no finding.
 func unreachablePanic() {

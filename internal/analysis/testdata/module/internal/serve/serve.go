@@ -1,4 +1,4 @@
-// Package serve is a lockorder and deadlineflow fixture. Executor.Do
+// Package serve is a lockorder and deadlineflow fixture. Executor.DoCtx
 // matches the seeded blocking entry points (DefaultBlockingFuncs), so
 // holding a mutex across it is flagged without any call-graph proof;
 // the other cases exercise direct blocking operations, transitive
@@ -18,8 +18,8 @@ import (
 // list resolves against this module.
 type Executor struct{ n int }
 
-// Do matches "(*edgeinfer/internal/serve.Executor).Do".
-func (ex *Executor) Do(x int) int { return x + ex.n }
+// DoCtx matches "(*edgeinfer/internal/serve.Executor).DoCtx".
+func (ex *Executor) DoCtx(x int) int { return x + ex.n }
 
 // Queue is the lock-discipline specimen.
 type Queue struct {
@@ -46,7 +46,7 @@ func (q *Queue) SleepUnderLock() {
 func (q *Queue) InferUnderLock(x int) int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return q.ex.Do(x) // want:lockorder
+	return q.ex.DoCtx(x) // want:lockorder
 }
 
 // DrainUnderLock blocks transitively: drain receives from a channel.

@@ -181,7 +181,7 @@ func TestPartitionPrefersFewerStagesOverSlowLinks(t *testing.T) {
 // oracle runs the frames through the engine in one shot.
 func oracle(t *testing.T, e *core.Engine, xs []*tensor.Tensor) [][]*tensor.Tensor {
 	t.Helper()
-	want, err := e.InferBatch(xs)
+	want, err := e.InferBatchCtx(nil, xs, nil, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

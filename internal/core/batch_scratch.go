@@ -6,7 +6,7 @@ import (
 	"edgeinfer/internal/tensor"
 )
 
-// batchScratch is the reusable bookkeeping of one InferBatchFaulty call:
+// batchScratch is the reusable bookkeeping of one inferBatchRange call:
 // per-image activation maps, the owned-buffer ledger the arena release
 // walks, the keep set, and the per-layer input slice. Scratches are
 // pooled so steady-state batched inference performs no bookkeeping

@@ -53,7 +53,7 @@ func TestInferBatchMatchesInfer(t *testing.T) {
 		t.Fatal(err)
 	}
 	xs := batchInputs(t, "infer-batch-x", 5)
-	batch, err := e.InferBatch(xs)
+	batch, err := e.InferBatchCtx(nil, xs, nil, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,12 +75,15 @@ func TestInferBatchValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	outs, err := e.InferBatch(nil)
+	outs, err := e.InferBatchCtx(nil, nil, nil, nil, 0)
 	if err != nil || outs != nil {
 		t.Fatalf("empty batch: got (%v, %v), want (nil, nil)", outs, err)
 	}
+	if _, err := e.Infer(nil); err == nil || !strings.Contains(err.Error(), "input 0 is nil") {
+		t.Fatalf("nil single image: got %v", err)
+	}
 	xs := batchInputs(t, "batch-validate", 1)
-	if _, err := e.InferBatch([]*tensor.Tensor{xs[0], nil}); err == nil || !strings.Contains(err.Error(), "input 1 is nil") {
+	if _, err := e.InferBatchCtx(nil, []*tensor.Tensor{xs[0], nil}, nil, nil, 0); err == nil || !strings.Contains(err.Error(), "input 1 is nil") {
 		t.Fatalf("nil input: got %v", err)
 	}
 	timed, err := Build(models.MustBuild("resnet18"), nxCfg(1)) // no weights materialized
@@ -90,7 +93,7 @@ func TestInferBatchValidation(t *testing.T) {
 	if timed.Numeric {
 		t.Fatal("full-scale graph should build timing-only")
 	}
-	if _, err := timed.InferBatch(xs); err == nil || !strings.Contains(err.Error(), "timing-only") {
+	if _, err := timed.InferBatchCtx(nil, xs, nil, nil, 0); err == nil || !strings.Contains(err.Error(), "timing-only") {
 		t.Fatalf("timing-only engine: got %v", err)
 	}
 }
@@ -136,7 +139,7 @@ func TestInferBatchFaultyDrawsOncePerLayer(t *testing.T) {
 	}
 	xs := batchInputs(t, "batch-faulty", 4)
 	fi := newCountingFaults()
-	if _, err := e.InferBatchFaulty(xs, fi); err != nil {
+	if _, err := e.InferBatchCtx(nil, xs, fi, nil, 0); err != nil {
 		t.Fatal(err)
 	}
 	for _, l := range e.Graph.Layers {
@@ -163,7 +166,7 @@ func TestInferBatchFaultyDrawsOncePerLayer(t *testing.T) {
 
 	fail := newCountingFaults()
 	fail.failLayer = e.Graph.Layers[len(e.Graph.Layers)-1].Name
-	if _, err := e.InferBatchFaulty(xs, fail); !errors.Is(err, ErrLaunchFailed) {
+	if _, err := e.InferBatchCtx(nil, xs, fail, nil, 0); !errors.Is(err, ErrLaunchFailed) {
 		t.Fatalf("failed launch: got %v, want ErrLaunchFailed", err)
 	}
 }
@@ -186,7 +189,7 @@ func TestInferOutputsSurviveArenaRecycling(t *testing.T) {
 		if _, err := e.Infer(x); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := e.InferBatch(xs); err != nil {
+		if _, err := e.InferBatchCtx(nil, xs, nil, nil, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -253,7 +256,7 @@ func TestConcurrentInferSharedEngine(t *testing.T) {
 					got, err = e.Infer(xs[gi])
 				} else {
 					var outs [][]*tensor.Tensor
-					outs, err = e.InferBatch(xs[gi : gi+1])
+					outs, err = e.InferBatchCtx(nil, xs[gi:gi+1], nil, nil, 0)
 					if err == nil {
 						got = outs[0]
 					}

@@ -36,8 +36,8 @@ func (e *Engine) layerCostsSec(dev *gpusim.Device) map[string]float64 {
 	return costs
 }
 
-// InferBatchCtx is InferBatchFaulty under a request context: the
-// single budget-carrying inference path the serving tiers dispatch
+// InferBatchCtx is batched numeric inference under a fault injector and
+// a request context: the one inference path the serving tiers dispatch
 // through. burnedSec is the simulated latency the request has already
 // paid (failed attempts, backoff, this attempt's timed pass) before
 // this inference runs. When the context aborts (rtctx.Request.Aborts)
@@ -49,11 +49,11 @@ func (e *Engine) layerCostsSec(dev *gpusim.Device) map[string]float64 {
 // jittered run latency, so the abort is deterministic for a given
 // engine and device.
 //
-// With a nil context, an unarmed one, or a nil device it is exactly
-// InferBatchFaulty: same results, same injector draw order, no
-// allocation added to the hot path.
+// With a nil context, an unarmed one, or a nil device no guard is armed:
+// same results, same injector draw order, no allocation added to the hot
+// path. An empty batch returns (nil, nil); a nil input is an error.
 func (e *Engine) InferBatchCtx(ctx *rtctx.Request, xs []*tensor.Tensor, fi FaultInjector, dev *gpusim.Device, burnedSec float64) ([][]*tensor.Tensor, error) {
-	return e.inferBatchGuarded(xs, fi, e.budgetGuard(ctx, dev, burnedSec))
+	return e.inferBatchRange(xs, fi, e.budgetGuard(ctx, dev, burnedSec), 0, -1, nil)
 }
 
 // budgetGuard builds the layer-boundary charging guard InferBatchCtx

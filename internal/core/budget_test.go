@@ -76,7 +76,7 @@ func TestInferBatchCtxUnarmedMatchesFaulty(t *testing.T) {
 	dev := testDevice()
 	xs := batchInputs(t, "budget-pristine-x", 2)
 
-	want, err := e.InferBatchFaulty(xs, nil)
+	want, err := e.InferBatchCtx(nil, xs, nil, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

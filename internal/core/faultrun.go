@@ -6,12 +6,12 @@ import (
 	"math"
 
 	"edgeinfer/internal/fixrand"
-	"edgeinfer/internal/graph"
 	"edgeinfer/internal/tensor"
 )
 
-// Fault-aware execution. RunFaulty and InferFaulty are the injectable
-// twins of Run and Infer: they consult a FaultInjector (implemented by
+// Fault-aware execution. RunFaulty (the timed pass; Run is RunFaulty
+// without an injector) and the numeric interpreter behind
+// InferBatchCtx/InferRangeCtx consult a FaultInjector (implemented by
 // internal/faults) at every point where a real deployment can go wrong —
 // the H2D weight copy, each kernel launch, and the numeric path's weights
 // and activations. A nil injector reproduces Run/Infer bit-for-bit: the
@@ -41,7 +41,8 @@ type LaunchFault struct {
 	ClockScale float64
 }
 
-// FaultInjector is the hook surface RunFaulty/InferFaulty consult.
+// FaultInjector is the hook surface RunFaulty and the numeric
+// interpreter (inferBatchRange) consult.
 // internal/faults provides the deterministic, seeded implementation.
 type FaultInjector interface {
 	// MemcpyH2D is consulted once per weight copy. It returns how many
@@ -109,69 +110,4 @@ func (e *Engine) RunFaulty(cfg RunConfig, fi FaultInjector) (RunResult, error) {
 	}
 	res.LatencySec = total
 	return res, nil
-}
-
-// InferFaulty runs the engine numerically like Infer while consulting
-// the injector: transient launch failures abort the inference with
-// ErrLaunchFailed, and bit-flip corruption is applied to weights (on a
-// copy) and activations (in place) as the plan dictates.
-func (e *Engine) InferFaulty(x *tensor.Tensor, fi FaultInjector) ([]*tensor.Tensor, error) {
-	if !e.Numeric {
-		return nil, fmt.Errorf("core: engine %s is timing-only (no weights materialized)", e.Key())
-	}
-	g := e.Graph
-	ar := e.bufArena()
-	acts := make(map[string]*tensor.Tensor, len(g.Layers))
-	// Every non-input activation is recycled through the arena once the
-	// inference ends — except the graph outputs (the caller owns those)
-	// and anything aliasing the caller's input.
-	owned := make([]*tensor.Tensor, 0, len(g.Layers))
-	defer func() {
-		keep := make(map[*tensor.Tensor]bool, len(g.Outputs)+1)
-		keep[x] = true
-		for _, name := range g.Outputs {
-			keep[acts[name]] = true
-		}
-		ar.releaseActs(owned, keep)
-	}()
-	for i, l := range g.Layers {
-		if fi != nil && l.Op != graph.OpInput {
-			if lf := fi.Launch(i, l.Name); lf.Fail {
-				return nil, fmt.Errorf("core: infer %s layer %s: %w", e.Key(), l.Name, ErrLaunchFailed)
-			}
-		}
-		var y *tensor.Tensor
-		var err error
-		switch {
-		case l.Op == graph.OpInput:
-			y = x
-		case l.Op == graph.OpConv:
-			y, err = e.inferConv(l, acts, fi, ar)
-		case l.Op == graph.OpFC:
-			y, err = e.inferFC(l, acts, fi, ar)
-		default:
-			ins := make([]*tensor.Tensor, len(l.Inputs))
-			for i, name := range l.Inputs {
-				ins[i] = acts[name]
-			}
-			y, err = graph.EvalLayer(l, ins)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("core: infer %s layer %s: %w", e.Key(), l.Name, err)
-		}
-		// Activation corruption: never on the caller's input tensor (it
-		// outlives this request); pass-through ops alias it directly.
-		if fi != nil && l.Op != graph.OpInput && y != x {
-			fi.CorruptActivation(l.Name, y)
-		}
-		acts[l.Name] = y
-		if l.Op != graph.OpInput {
-			owned = append(owned, y)
-		}
-	}
-	outs := make([]*tensor.Tensor, len(g.Outputs))
-	for i, name := range g.Outputs {
-		outs[i] = acts[name]
-	}
-	return outs, nil
 }

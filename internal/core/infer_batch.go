@@ -7,58 +7,38 @@ import (
 	"edgeinfer/internal/tensor"
 )
 
-// Batched numeric inference. InferBatch pipelines the layer plan across a
-// batch of images: layers run in plan order, and within each layer every
-// image executes back to back — the software analogue of one batched
-// kernel launch. That keeps each layer's weights hot in cache across the
-// whole batch, resolves kernel variants and fusion metadata once per
-// layer instead of once per image, and (on the fault path) draws launch
-// and weight-corruption verdicts once per layer, the way a single batched
-// launch would fail or corrupt.
+// Numeric inference. inferBatchRange is the one interpreter loop: every
+// numeric entry point — Infer (a batch of one on a pristine device),
+// InferBatchCtx (the serving path) and InferRangeCtx (a pipeline stage)
+// — is an adapter over it. It pipelines the layer plan across a batch of
+// images: layers run in plan order, and within each layer every image
+// executes back to back — the software analogue of one batched kernel
+// launch. That keeps each layer's weights hot in cache across the whole
+// batch, resolves kernel variants and fusion metadata once per layer
+// instead of once per image, and (on the fault path) draws launch and
+// weight-corruption verdicts once per layer, the way a single batched
+// launch would fail or corrupt, while activation corruption still draws
+// per image (each image's activation is a distinct tensor).
 //
-// Per-image numerics are untouched: each image's activations flow through
-// the exact same convApply/fcApply/EvalLayer calls Infer performs, so on
-// a pristine device InferBatch(xs)[i] is bit-identical to Infer(xs[i]).
+// Per-image numerics do not depend on the batch: each image's activations
+// flow through the same convApply/fcApply/EvalLayer calls whatever rides
+// beside it, so N batches of one are bit-identical to one batch of N.
 
-// InferBatch runs the engine numerically on a batch of inputs and
-// returns one output slice per input, in input order. It is
-// InferBatchFaulty on a pristine device.
-//
-//rt:hotpath
-func (e *Engine) InferBatch(xs []*tensor.Tensor) ([][]*tensor.Tensor, error) {
-	return e.InferBatchFaulty(xs, nil)
-}
-
-// InferBatchFaulty is InferBatch consulting a fault injector. Unlike the
-// per-image path, the injector is consulted once per layer — one Launch
-// verdict and one weight-corruption draw cover the whole batch, modeling
-// one batched kernel launch — while activation corruption still applies
-// per image (each image's activation is a distinct tensor). Budget-
-// carrying callers go through InferBatchCtx, which is this path with a
-// layer-boundary guard armed.
-func (e *Engine) InferBatchFaulty(xs []*tensor.Tensor, fi FaultInjector) ([][]*tensor.Tensor, error) {
-	return e.inferBatchGuarded(xs, fi, nil)
-}
-
-// inferBatchGuarded is the whole-graph batched-inference body. The
-// guard, when non-nil, is consulted at each layer boundary before the
-// layer's launch verdict; its error aborts the batch mid-graph without
-// drawing for the aborted layer. The nil-guard path is byte-for-byte
-// InferBatchFaulty: identical injector draw order, no extra allocation.
-func (e *Engine) inferBatchGuarded(xs []*tensor.Tensor, fi FaultInjector, guard layerGuard) ([][]*tensor.Tensor, error) {
-	return e.inferBatchRange(xs, fi, guard, 0, -1, nil)
-}
-
-// inferBatchRange is the one batched-inference body, generalized to the
-// half-open layer range [from, to) so a pipeline stage can run its
-// slice of the graph on its own node (internal/cluster). from==0 with
-// to<0 covers the whole graph and is exactly the pre-range body: same
-// draw order, no allocation added. For from>0 each input tensor is
+// inferBatchRange runs the half-open layer range [from, to) over a batch,
+// so a pipeline stage can run its slice of the graph on its own node
+// (internal/cluster); from==0 with to<0 covers the whole graph. fi, when
+// non-nil, is consulted per layer in the order Launch → CorruptWeights →
+// CorruptActivation (once per image). guard, when non-nil, is consulted
+// at each layer boundary before the layer's launch verdict; its error
+// aborts the batch mid-graph without drawing for the aborted layer. A nil
+// guard is free: no extra allocation. For from>0 each input tensor is
 // bound as the boundary activation — the output of layer from-1 — so
 // quantInput and consumer lookups resolve it by the producer's name.
 // outNames, when non-nil, overrides the graph outputs as both the
 // returned tensors and the arena keep set; stage callers pass the
 // boundary layer's name so the hand-off tensor survives release.
+//
+//rt:hotpath
 func (e *Engine) inferBatchRange(xs []*tensor.Tensor, fi FaultInjector, guard layerGuard, from, to int, outNames []string) ([][]*tensor.Tensor, error) {
 	if !e.Numeric {
 		return nil, fmt.Errorf("core: engine %s is timing-only (no weights materialized)", e.Key())

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"edgeinfer/internal/gpusim"
 	"edgeinfer/internal/graph"
 	"edgeinfer/internal/kernels"
@@ -147,27 +145,18 @@ func (e *Engine) StreamLoad(dev *gpusim.Device) gpusim.StreamLoad {
 	}
 }
 
-// Infer runs the engine numerically on an input tensor, using each
+// Infer runs the engine numerically on one input tensor, using each
 // layer's selected kernel variant so that accumulation order and rounding
 // match the tuned plan. Only numeric engines (built from proxies with
-// materialized weights) support this. It is InferFaulty on a pristine
-// device (no injector).
+// materialized weights) support this. A single image is a batch of one
+// through the one interpreter loop (inferBatchRange) on a pristine
+// device: no injector, no budget guard.
 func (e *Engine) Infer(x *tensor.Tensor) ([]*tensor.Tensor, error) {
-	return e.InferFaulty(x, nil)
-}
-
-// inferConv executes a conv layer for one image, drawing weight
-// corruption from the injector. The batch path corrupts once per layer
-// and calls convApply directly.
-func (e *Engine) inferConv(l *graph.Layer, acts map[string]*tensor.Tensor, fi FaultInjector, ar *tensorArena) (*tensor.Tensor, error) {
-	w, b := l.Weights["w"], l.Weights["b"]
-	if w == nil {
-		return nil, fmt.Errorf("conv %s has no weights", l.Name)
+	outs, err := e.inferBatchRange([]*tensor.Tensor{x}, nil, nil, 0, -1, nil)
+	if err != nil {
+		return nil, err
 	}
-	if fi != nil {
-		w = fi.CorruptWeights(l.Name, "w", w)
-	}
-	return e.convApply(l, acts, w, b, ar)
+	return outs[0], nil
 }
 
 // convApply runs a conv layer with already-resolved (possibly corrupted)
@@ -220,18 +209,6 @@ func convOutShape(in *tensor.Tensor, p tensor.ConvParams) (oh, ow int, ok bool) 
 	oh = tensor.ConvOutDim(in.H, p.Kernel, p.Stride, p.Pad)
 	ow = tensor.ConvOutDim(in.W, p.Kernel, p.Stride, p.Pad)
 	return oh, ow, oh >= 1 && ow >= 1
-}
-
-// inferFC executes an FC layer for one image; see inferConv.
-func (e *Engine) inferFC(l *graph.Layer, acts map[string]*tensor.Tensor, fi FaultInjector, ar *tensorArena) (*tensor.Tensor, error) {
-	w, b := l.Weights["w"], l.Weights["b"]
-	if w == nil {
-		return nil, fmt.Errorf("fc %s has no weights", l.Name)
-	}
-	if fi != nil {
-		w = fi.CorruptWeights(l.Name, "w", w)
-	}
-	return e.fcApply(l, acts, w, b, ar)
 }
 
 // fcApply runs an FC layer with already-resolved weights; see convApply.

@@ -68,7 +68,7 @@ func TestInferRangeChainMatchesInferBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	xs := batchInputs(t, "stage-chain-x", 3)
-	want, err := e.InferBatch(xs)
+	want, err := e.InferBatchCtx(nil, xs, nil, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestInferRangeThreeStageChain(t *testing.T) {
 		t.Skip("tinynet yielded fewer than two cuts")
 	}
 	xs := batchInputs(t, "stage-chain3-x", 2)
-	want, err := e.InferBatch(xs)
+	want, err := e.InferBatchCtx(nil, xs, nil, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -158,7 +158,7 @@ func (l *Lab) chaosScenario(model string, sc chaosScenario, images []*tensor.Ten
 	}
 	row := ChaosRow{Scenario: sc.name, Requests: len(images)}
 	for i, x := range images {
-		res, err := pool.Do(x, i)
+		res, err := pool.DoCtx(nil, x, i)
 		if err != nil {
 			return ChaosRow{}, fmt.Errorf("experiments: chaos %s request %d: %w", sc.name, i, err)
 		}

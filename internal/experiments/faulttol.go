@@ -94,7 +94,7 @@ func (l *Lab) FaultTolerance(model string, rates []float64, requests int) ([]Fau
 			preds := make([]int, requests)
 			lats := make([]float64, requests)
 			for i, img := range images {
-				res, err := ex.Do(img, i)
+				res, err := ex.DoCtx(nil, img, i)
 				if err != nil {
 					return nil, fmt.Errorf("experiments: fault sweep %s rate %.3f request %d: %w", platform, rate, i, err)
 				}

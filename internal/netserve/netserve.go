@@ -3,7 +3,7 @@
 // headline property is staying correct and bounded under hostile load.
 //
 // Per model it runs one bounded coalescing queue: concurrent requests
-// pack into Engine.InferBatch windows triggered by batch size or a
+// pack into Engine.InferBatchCtx windows triggered by batch size or a
 // deadline window, and a single batcher goroutine serves each window
 // through a Backend (a self-healing replica fleet or a resilient
 // executor). Admission control is explicit — a full queue sheds with

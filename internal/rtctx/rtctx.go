@@ -8,7 +8,7 @@
 // The package is a leaf — it imports only time and math — so every
 // layer can depend on it without cycles. A nil *Request means "no
 // real-time context": every accessor is nil-safe and reads as the zero
-// value, so legacy callers (Do/DoBatch) simply pass nil.
+// value, so callers without a deadline simply pass nil.
 package rtctx
 
 import (
@@ -66,9 +66,8 @@ type Request struct {
 // explicit spelling of "serve this whenever".
 func Background() *Request { return &Request{} }
 
-// WithBudget returns a budget-carrying context that aborts on expiry —
-// the context the DoDeadline/DoBatchDeadline compatibility wrappers
-// build at the API edge.
+// WithBudget returns a budget-carrying context that aborts on expiry:
+// the one-call spelling of a per-request deadline at the API edge.
 func WithBudget(sec float64) *Request {
 	return &Request{BudgetSec: sec, Abort: true}
 }

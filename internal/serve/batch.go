@@ -1,10 +1,14 @@
-// Batched serving. DoBatch is the batch twin of Executor.Do/Pool.Do,
-// built on Engine.InferBatchFaulty: one timed pass and one batched
-// numeric inference per attempt instead of one of each per image, so the
-// replica fleet amortizes launch, retry and voting overhead across the
-// batch. Per-image numerics are untouched — on a pristine executor or
-// fleet, the batch outputs are bit-identical to serving each image
-// individually.
+// The serving bodies. The executor's degradation chain (doBatch) and the
+// fleet's dispatch (Pool.dispatch) are written once, over a batch, on
+// core.Engine.InferBatchCtx: one timed pass and one batched numeric
+// inference per attempt instead of one of each per image, so launch,
+// retry and voting overhead amortize across the batch. The four entry
+// points are adapters over them: DoBatchCtx requires at least one image;
+// DoCtx hands over one image as a batch of one, or no image at all for a
+// timed-only request — no numeric pass, one reference pass priced if the
+// FP32 tier serves, quorum as hedging without a vote. Per-image numerics
+// do not depend on the batch: on a pristine executor or fleet the batch
+// outputs are bit-identical to serving each image individually.
 package serve
 
 import (
@@ -34,51 +38,55 @@ type BatchResult struct {
 	DeadlineMiss bool
 }
 
-// DoBatch serves one batched numeric request through the same
-// degradation chain as Do. Each tier attempt is a single timed pass over
-// the engine plan plus one batched inference; a fault anywhere in the
-// batch fails the whole attempt (the batch rides one launch sequence).
-// On a pristine executor, Outputs[i] is bit-identical to Do(xs[i]).
-// It is DoBatchCtx without a request context.
-func (ex *Executor) DoBatch(xs []*tensor.Tensor, runIndex int) (*BatchResult, error) {
-	return ex.DoBatchCtx(nil, xs, runIndex)
-}
-
-// DoBatchDeadline is DoBatch under a per-request deadline (clamped with
-// the configured DeadlineSec): a batch whose deadline expires before
-// any tier has served is abandoned with a wrapped ErrDeadlineExceeded
-// instead of paying the per-image FP32 reference passes. It is a
-// compatibility wrapper over DoBatchCtx.
-func (ex *Executor) DoBatchDeadline(xs []*tensor.Tensor, runIndex int, deadlineSec float64) (*BatchResult, error) {
-	return ex.DoBatchCtx(rtctx.WithBudget(deadlineSec), xs, runIndex)
-}
-
-// DoBatchCtx is the single budget-carrying batch path: the coalescing
-// front-end's serving route, where the batch context carries the
-// tightest member deadline. The context's budget clamps through the
-// configured DeadlineSec; an aborting context additionally arms the
+// DoBatchCtx serves one batched numeric request down the degradation
+// chain: the coalescing front-end's serving route, where the batch
+// context carries the tightest member deadline. Each tier attempt is a
+// single timed pass over the engine plan plus one batched inference; a
+// fault anywhere in the batch fails the whole attempt (the batch rides
+// one launch sequence). The context's budget clamps through the
+// configured DeadlineSec; an aborting context (rtctx.Request.Aborts)
+// abandons an expired batch with a wrapped ErrDeadlineExceeded before
+// the FP32 tier instead of answering late, and additionally arms the
 // layer-boundary guard (core.InferBatchCtx), so a batch whose burned
 // latency plus remaining expected schedule proves it hopeless stops
-// mid-graph with a wrapped ErrDeadlineExceeded instead of finishing a
-// late answer or paying the FP32 tier.
+// mid-graph with the same error. A nil context serves unbounded. On a
+// pristine executor, Outputs[i] is bit-identical to DoCtx on xs[i].
 func (ex *Executor) DoBatchCtx(ctx *rtctx.Request, xs []*tensor.Tensor, runIndex int) (*BatchResult, error) {
-	return ex.doBatch(xs, runIndex, ex.effectiveDeadline(ctx.Budget()), ctx.Aborts())
-}
-
-func (ex *Executor) doBatch(xs []*tensor.Tensor, runIndex int, deadlineSec float64, abort bool) (*BatchResult, error) {
 	if len(xs) == 0 {
-		return nil, fmt.Errorf("serve: DoBatch needs at least one input")
+		return nil, fmt.Errorf("serve: DoBatchCtx needs at least one input")
 	}
 	for i, x := range xs {
 		if x == nil {
-			return nil, fmt.Errorf("serve: DoBatch input %d is nil", i)
+			return nil, fmt.Errorf("serve: DoBatchCtx input %d is nil", i)
 		}
 	}
+	res, outs, err := ex.doBatch(ctx, xs, runIndex)
+	if err != nil {
+		return nil, err
+	}
+	return &BatchResult{
+		Outputs:      outs,
+		LatencySec:   res.LatencySec,
+		Tier:         res.Tier,
+		Retries:      res.Retries,
+		Degraded:     res.Degraded,
+		DeadlineMiss: res.DeadlineMiss,
+	}, nil
+}
+
+// doBatch is the one degradation chain. An empty xs is a timed-only
+// request: every tier is eligible (numeric or not), no inference runs,
+// and the FP32 tier prices a single reference pass. The request-level
+// verdicts come back in the Result (by value, so the batch path keeps it
+// off the heap); the per-image outputs ride beside it for the entry
+// point to shape.
+func (ex *Executor) doBatch(ctx *rtctx.Request, xs []*tensor.Tensor, runIndex int) (Result, [][]*tensor.Tensor, error) {
+	deadlineSec, abort := ex.effectiveDeadline(ctx.Budget()), ctx.Aborts()
 	ex.count(func(s *Stats) { s.Requests++ })
 	res := &Result{Tier: TierFP32, deadlineSec: deadlineSec}
 
 	// The normalized context the accelerated tiers dispatch through:
-	// armed only on the abort paths, so Do/DoBatch callers keep their
+	// armed only on the abort paths, so every other caller keeps its
 	// exact injector draw order and answer-late contract.
 	var cctx *rtctx.Request
 	if abort && deadlineSec > 0 {
@@ -97,19 +105,23 @@ func (ex *Executor) doBatch(xs []*tensor.Tensor, runIndex int, deadlineSec float
 		if eng == nil || (tier == TierTuned && !tryTuned) {
 			continue
 		}
-		if !eng.Numeric {
+		// A numeric request needs a numeric engine; a timing-only tier
+		// cannot serve it (configuration mismatch, not a device fault).
+		if len(xs) > 0 && !eng.Numeric {
 			continue
 		}
 		if ex.deadlineExceeded(res) {
 			break
 		}
+		// Memory-pressure admission: reserve the engine's per-thread
+		// footprint for the attempt window.
 		if alloc != nil {
 			if err := alloc.Alloc(eng.PerThreadMemBytes()); err != nil {
 				ex.count(func(s *Stats) { s.AllocRejects++ })
 				if tier == TierTuned {
 					ex.recordPrimary(false)
 				}
-				continue
+				continue // engine needs memory it cannot get: degrade
 			}
 		}
 		var outs [][]*tensor.Tensor
@@ -133,7 +145,7 @@ func (ex *Executor) doBatch(xs []*tensor.Tensor, runIndex int, deadlineSec float
 			res.Degraded = tier != TierTuned
 			ex.count(func(s *Stats) { s.TierServed[tier]++ })
 			ex.setLastTier(tier)
-			return batchResult(res, outs), nil
+			return *res, outs, nil
 		}
 		ex.count(func(s *Stats) { s.TierFailures[tier]++ })
 	}
@@ -144,22 +156,24 @@ func (ex *Executor) doBatch(xs []*tensor.Tensor, runIndex int, deadlineSec float
 			ex.count(func(s *Stats) { s.DeadlineMisses++ })
 		}
 		ex.count(func(s *Stats) { s.DeadlineAborts++ })
-		return nil, fmt.Errorf("serve: batch abandoned mid-graph at %.3gs of a %.3gs budget: %w",
+		return Result{}, nil, fmt.Errorf("serve: batch abandoned mid-graph at %.3gs of a %.3gs budget: %w",
 			res.LatencySec, res.deadlineSec, ErrDeadlineExceeded)
 	}
 
-	// Terminal tier: the FP32 host path has no batched kernels — every
-	// image pays the full reference pass.
+	// Terminal tier: the FP32 host path, outside the accelerator fault
+	// domain. UnoptimizedRun prices the framework's reference execution;
+	// it has no batched kernels — every image pays the full reference
+	// pass, and a timed-only request prices one.
 	if err := ex.abortLate(res, abort); err != nil {
-		return nil, err
+		return Result{}, nil, err
 	}
-	res.LatencySec += float64(len(xs)) * core.UnoptimizedRun(ex.cfg.Fallback, ex.cfg.Device)
-	ex.deadlineExceeded(res)
+	res.LatencySec += float64(max(len(xs), 1)) * core.UnoptimizedRun(ex.cfg.Fallback, ex.cfg.Device)
+	ex.deadlineExceeded(res) // count the miss if the fallback pushed us over
 	outs := make([][]*tensor.Tensor, len(xs))
 	for i, x := range xs {
 		o, err := core.UnoptimizedInfer(ex.cfg.Fallback, x)
 		if err != nil {
-			return nil, fmt.Errorf("serve: FP32 fallback failed: %w", err)
+			return Result{}, nil, fmt.Errorf("serve: FP32 fallback failed: %w", err)
 		}
 		outs[i] = o
 	}
@@ -167,27 +181,19 @@ func (ex *Executor) doBatch(xs []*tensor.Tensor, runIndex int, deadlineSec float
 	res.Degraded = true
 	ex.count(func(s *Stats) { s.TierServed[TierFP32]++ })
 	ex.setLastTier(TierFP32)
-	return batchResult(res, outs), nil
+	return *res, outs, nil
 }
 
-func batchResult(res *Result, outs [][]*tensor.Tensor) *BatchResult {
-	return &BatchResult{
-		Outputs:      outs,
-		LatencySec:   res.LatencySec,
-		Tier:         res.Tier,
-		Retries:      res.Retries,
-		Degraded:     res.Degraded,
-		DeadlineMiss: res.DeadlineMiss,
-	}
-}
-
-// tryTierBatch is tryTier with one batched inference per attempt, run
-// under the normalized request context. The third result reports a
-// mid-graph budget abort: the layer-boundary guard proved the budget
-// unmeetable, so retrying (or degrading) cannot help. The aborted
-// attempt still books its timed-pass latency — the abort saves the
-// remaining host-side numeric work, the other tiers and the FP32
-// reference pass, not the already-priced launch schedule.
+// tryTierBatch makes up to MaxRetries+1 attempts on one engine — a timed
+// pass and, for a numeric request, one batched inference under the
+// normalized request context — accumulating latency (including failed
+// attempts and backoff) into res. ok reports whether the tier served the
+// request. The third result reports a mid-graph budget abort: the
+// layer-boundary guard proved the budget unmeetable, so retrying (or
+// degrading) cannot help. The aborted attempt still books its timed-pass
+// latency — the abort saves the remaining host-side numeric work, the
+// other tiers and the FP32 reference pass, not the already-priced launch
+// schedule.
 func (ex *Executor) tryTierBatch(eng *core.Engine, ctx *rtctx.Request, xs []*tensor.Tensor, runIndex int, res *Result) (outs [][]*tensor.Tensor, ok, exhausted bool) {
 	cfg := core.RunConfig{
 		Device:        ex.cfg.Device,
@@ -201,14 +207,14 @@ func (ex *Executor) tryTierBatch(eng *core.Engine, ctx *rtctx.Request, xs []*ten
 		burned := res.LatencySec
 		run, err := eng.RunFaulty(cfg, ex.cfg.Injector)
 		res.LatencySec += run.LatencySec
-		if err == nil {
+		if err == nil && len(xs) > 0 {
 			outs, err = eng.InferBatchCtx(ctx, xs, ex.cfg.Injector, ex.cfg.Device, burned)
 			if errors.Is(err, core.ErrBudgetExhausted) {
 				return nil, false, true
 			}
 		}
 		if err == nil {
-			ex.deadlineExceeded(res)
+			ex.deadlineExceeded(res) // served, but maybe late: keep the answer, record the miss
 			return outs, true, false
 		}
 	}
@@ -217,54 +223,49 @@ func (ex *Executor) tryTierBatch(eng *core.Engine, ctx *rtctx.Request, xs []*ten
 
 // PoolBatchResult is one batched fleet request.
 type PoolBatchResult struct {
-	// Results[i] is the per-image outcome — the same verdicts Do would
+	// Results[i] is the per-image outcome — the same verdicts DoCtx would
 	// produce for xs[i] given identical replica answers.
 	Results []*PoolResult
 	// LatencySec is the batch release time: the latest per-image release.
 	LatencySec float64
 	// DeadlineMiss reports the batch release time overran the request
 	// context's budget: the fleet's own verdict, computed centrally in
-	// DoBatchCtx so every backend reports misses identically.
+	// dispatch so every backend reports misses identically.
 	DeadlineMiss bool
 }
 
-// DoBatch serves one batch through the fleet. Each replica runs once and
-// answers with one batched inference; under quorum, majority voting then
-// happens per image over the batched outputs. With no injected faults
-// the per-image winners and outputs are bit-identical to serving each
-// image with Do. The supervisor folds one latency observation per
-// replica (one run happened) and one divergence vote per image. It is
-// DoBatchCtx without a request context.
-func (p *Pool) DoBatch(xs []*tensor.Tensor, runIndex int) (*PoolBatchResult, error) {
-	return p.DoBatchCtx(nil, xs, runIndex)
-}
-
-// DoBatchDeadline is DoBatch under a simulated-seconds budget: a
-// compatibility wrapper over DoBatchCtx.
-func (p *Pool) DoBatchDeadline(xs []*tensor.Tensor, runIndex int, deadlineSec float64) (*PoolBatchResult, error) {
-	return p.DoBatchCtx(rtctx.WithBudget(deadlineSec), xs, runIndex)
-}
-
-// DoBatchCtx is the fleet's single budget-carrying batch path and the
-// serving route the network front-end's pool backend threads its batch
-// budget through (the deadlineflow analyzer enforces that choice).
+// DoBatchCtx serves one batch through the fleet: the serving route the
+// network front-end's pool backend threads its batch budget through (the
+// deadlineflow analyzer enforces that choice). Each replica runs once
+// and answers with one batched inference; under quorum, majority voting
+// then happens per image over the batched outputs. With no injected
+// faults the per-image winners and outputs are bit-identical to serving
+// each image with DoCtx. The supervisor folds one latency observation
+// per replica (one run happened) and one divergence vote per image.
 // Under round-robin dispatch the context arms core.InferBatchCtx's
 // layer-boundary guard on every replica attempt, so a hopeless batch
 // aborts mid-graph; when the latency burned by failed replica attempts
 // already exceeds the budget, the batch is abandoned with a wrapped
 // ErrDeadlineExceeded instead of paying the per-image FP32 reference
-// passes nobody is waiting for. The batch's DeadlineMiss verdict is
-// computed here — once, against the context budget — so executor- and
-// pool-backed front-ends report misses identically.
+// passes nobody is waiting for. A nil context serves unbounded.
 func (p *Pool) DoBatchCtx(ctx *rtctx.Request, xs []*tensor.Tensor, runIndex int) (*PoolBatchResult, error) {
 	if len(xs) == 0 {
-		return nil, fmt.Errorf("serve: pool DoBatch needs at least one input")
+		return nil, fmt.Errorf("serve: pool DoBatchCtx needs at least one input")
 	}
 	for i, x := range xs {
 		if x == nil {
-			return nil, fmt.Errorf("serve: pool DoBatch input %d is nil", i)
+			return nil, fmt.Errorf("serve: pool DoBatchCtx input %d is nil", i)
 		}
 	}
+	return p.dispatch(ctx, xs, runIndex)
+}
+
+// dispatch is the one fleet serving body. An empty xs is a timed-only
+// request: replicas run their timed pass only and the result has a
+// single slot without outputs (see slots). The DeadlineMiss verdict is
+// computed here — once, against the context budget — so executor- and
+// pool-backed front-ends report misses identically.
+func (p *Pool) dispatch(ctx *rtctx.Request, xs []*tensor.Tensor, runIndex int) (*PoolBatchResult, error) {
 	<-p.turn
 	defer func() { p.turn <- struct{}{} }()
 	var req uint64
@@ -290,6 +291,31 @@ func (p *Pool) DoBatchCtx(ctx *rtctx.Request, xs []*tensor.Tensor, runIndex int)
 	return br, nil
 }
 
+// slots is the per-result view of a request: its images, or — for a
+// timed-only request — one slot with no image.
+func slots(xs []*tensor.Tensor) []*tensor.Tensor {
+	if len(xs) == 0 {
+		return make([]*tensor.Tensor, 1)
+	}
+	return xs
+}
+
+// attempt is one replica's run of the request: the timed pass and, for a
+// numeric request, one batched inference under ctx's layer-boundary
+// guard (a nil ctx leaves it unarmed). outs holds one entry per slot; a
+// timed-only request's single slot has no outputs.
+func (p *Pool) attempt(r *replica, ctx *rtctx.Request, xs []*tensor.Tensor, runIndex int, burnedSec float64) (latSec float64, outs [][]*tensor.Tensor, err error) {
+	run, err := r.eng.RunFaulty(p.runCfg(runIndex), r.inj)
+	switch {
+	case err != nil:
+	case len(xs) == 0:
+		outs = make([][]*tensor.Tensor, 1)
+	default:
+		outs, err = r.eng.InferBatchCtx(ctx, xs, r.inj, p.cfg.Device, burnedSec)
+	}
+	return run.LatencySec, outs, err
+}
+
 // batchBudgetExpired decides the pre-FP32 abort: a deadline-carrying
 // batch whose burned latency has already consumed the budget is
 // abandoned rather than degraded.
@@ -302,12 +328,14 @@ func (p *Pool) batchBudgetExpired(burnedSec float64, ctx *rtctx.Request) error {
 		burnedSec, ctx.BudgetSec, ErrDeadlineExceeded)
 }
 
-// serveRRBatch dispatches the whole batch to the next active replica,
-// failing over like serveRR. The request context gates the terminal
-// FP32 tier (an already-blown budget abandons the batch) and arms the
-// layer-boundary guard inside each replica's batched inference, so a
-// hopeless batch aborts mid-graph without trying further replicas —
-// every replica runs the same schedule against the same spent budget.
+// serveRRBatch dispatches the whole batch to the next active replica in
+// rotation, failing over to each remaining active replica once (their
+// burned latency accumulates) and finally to the FP32 tier. The request
+// context gates the terminal FP32 tier (an already-blown budget abandons
+// the batch) and arms the layer-boundary guard inside each replica's
+// batched inference, so a hopeless batch aborts mid-graph without trying
+// further replicas — every replica runs the same schedule against the
+// same spent budget.
 func (p *Pool) serveRRBatch(req uint64, xs []*tensor.Tensor, runIndex int, ctx *rtctx.Request) (*PoolBatchResult, error) {
 	active := p.sup.active()
 	if len(active) == 0 {
@@ -322,39 +350,32 @@ func (p *Pool) serveRRBatch(req uint64, xs []*tensor.Tensor, runIndex int, ctx *
 	for i := 0; i < len(active); i++ {
 		r := active[(start+i)%len(active)]
 		if !r.activeState() {
+			// Quarantined by its own observation earlier this request.
 			continue
 		}
-		burned := total
-		run, runErr := r.eng.RunFaulty(p.runCfg(runIndex), r.inj)
-		total += run.LatencySec
-		var outs [][]*tensor.Tensor
-		var inferErr error
-		if runErr == nil {
-			outs, inferErr = r.eng.InferBatchCtx(ctx, xs, r.inj, p.cfg.Device, burned)
-			if errors.Is(inferErr, core.ErrBudgetExhausted) {
-				// The replica behaved — the budget ran out. Fold its
-				// latency observation without an error mark, then abandon.
-				p.locked(func() {
-					p.countObservation(p.sup.observe(req, r, run.LatencySec, false))
-					p.stats.DeadlineAborts++
-					p.stats.DeadlineMisses++
-				})
-				return nil, fmt.Errorf("serve: pool batch abandoned mid-graph at %.3gs of a %.3gs budget: %w",
-					total, ctx.BudgetSec, ErrDeadlineExceeded)
-			}
+		lat, outs, err := p.attempt(r, ctx, xs, runIndex, total)
+		total += lat
+		if errors.Is(err, core.ErrBudgetExhausted) {
+			// The replica behaved — the budget ran out. Fold its
+			// latency observation without an error mark, then abandon.
+			p.locked(func() {
+				p.countObservation(p.sup.observe(req, r, lat, false))
+				p.stats.DeadlineAborts++
+				p.stats.DeadlineMisses++
+			})
+			return nil, fmt.Errorf("serve: pool batch abandoned mid-graph at %.3gs of a %.3gs budget: %w",
+				total, ctx.BudgetSec, ErrDeadlineExceeded)
 		}
-		errored := runErr != nil || inferErr != nil
-		served := false
+		errored := err != nil
 		p.locked(func() {
-			p.countObservation(p.sup.observe(req, r, run.LatencySec, errored))
+			p.countObservation(p.sup.observe(req, r, lat, errored))
 			if errored {
 				p.stats.ReplicaFails++
-				return
+			} else {
+				p.stats.RoundRobin++
 			}
-			p.stats.RoundRobin++
-			served = true
 		})
-		if served {
+		if !errored {
 			br := &PoolBatchResult{LatencySec: total}
 			for _, o := range outs {
 				br.Results = append(br.Results, &PoolResult{
@@ -373,20 +394,26 @@ func (p *Pool) serveRRBatch(req uint64, xs []*tensor.Tensor, runIndex int, ctx *
 	return p.serveFP32Batch(xs, total)
 }
 
-// bvote is one replica's answer to a batched quorum request.
+// bvote is one replica's answer to a quorum request.
 type bvote struct {
 	r       *replica
 	lat     float64
 	outs    [][]*tensor.Tensor
 	errored bool
+	arg     int // argmax on the image being voted on (-1 = none)
 }
 
 // serveQuorumBatch runs every active replica once over the batch, then
-// applies serveQuorum's majority rule image by image. The request
-// context gates the whole-fleet-errored FP32 fallback; the per-image
-// no-majority fallback still runs (the majority images already paid for
-// their answers, abandoning the stragglers would discard served work).
-// The layer-boundary guard is deliberately NOT armed inside the voters'
+// votes image by image on the argmax of the first output and serves the
+// lowest-slot member of the strict majority. An image's latency is the
+// majority-confirmation time: the second-smallest latency among the
+// majority (the moment a second replica corroborates the answer). With
+// no strict majority the FP32 reference serves the image, after the
+// slowest voter has answered. The request context gates the
+// whole-fleet-errored FP32 fallback; the per-image no-majority fallback
+// still runs (the majority images already paid for their answers,
+// abandoning the stragglers would discard served work). The
+// layer-boundary guard is deliberately NOT armed inside the voters'
 // inferences: majority voting needs every replica's complete answer, so
 // the budget gates dispatch and the terminal tier instead of truncating
 // a ballot mid-graph.
@@ -395,32 +422,29 @@ func (p *Pool) serveQuorumBatch(req uint64, xs []*tensor.Tensor, runIndex int, c
 	if len(active) == 0 {
 		return p.serveFP32Batch(xs, 0)
 	}
+	imgs := slots(xs)
 	votes := make([]bvote, 0, len(active))
-	voterCount := 0
 	var maxLat, burned float64
 	for _, r := range active {
-		run, runErr := r.eng.RunFaulty(p.runCfg(runIndex), r.inj)
-		v := bvote{r: r, lat: run.LatencySec, errored: runErr != nil}
-		if !v.errored {
-			outs, err := r.eng.InferBatchFaulty(xs, r.inj)
-			if err != nil || len(outs) != len(xs) {
-				v.errored = true
-			} else {
-				v.outs = outs
-			}
-		}
+		lat, outs, err := p.attempt(r, nil, xs, runIndex, 0)
+		v := bvote{r: r, lat: lat, outs: outs, errored: err != nil || len(outs) != len(imgs)}
 		if v.errored {
 			p.locked(func() { p.stats.ReplicaFails++ })
 			burned += v.lat
-		} else {
-			voterCount++
-			if v.lat > maxLat {
-				maxLat = v.lat
-			}
+		} else if v.lat > maxLat {
+			maxLat = v.lat
 		}
 		votes = append(votes, v)
 	}
-	if voterCount == 0 {
+	// Errored-ness is per replica, so the same voters (slot order) vote
+	// on every image.
+	voters := make([]*bvote, 0, len(votes))
+	for i := range votes {
+		if !votes[i].errored {
+			voters = append(voters, &votes[i])
+		}
+	}
+	if len(voters) == 0 {
 		// Every replica errored: the batch is headed for the FP32 tier
 		// with nothing but burned hedge latency to show for it.
 		if err := p.batchBudgetExpired(burned, ctx); err != nil {
@@ -434,23 +458,19 @@ func (p *Pool) serveQuorumBatch(req uint64, xs []*tensor.Tensor, runIndex int, c
 		}
 	}
 
-	br := &PoolBatchResult{Results: make([]*PoolResult, len(xs))}
-	for img, x := range xs {
-		voters := make([]vote, 0, len(votes))
-		for _, v := range votes {
-			if v.errored {
-				continue
+	br := &PoolBatchResult{Results: make([]*PoolResult, len(imgs))}
+	for img, x := range imgs {
+		for _, v := range voters {
+			v.arg = -1
+			if o := v.outs[img]; len(o) > 0 {
+				v.arg = argmax(o[0])
 			}
-			o := v.outs[img]
-			arg := -1
-			if len(o) > 0 {
-				arg = argmax(o[0])
-			}
-			voters = append(voters, vote{r: v.r, lat: v.lat, outs: o, arg: arg})
 		}
 
-		// Strict-majority argmax; at most one can hold it.
-		majArg, majority := -1, []vote(nil)
+		// Strict-majority argmax; at most one can hold it, so first-found
+		// is the answer. With no numeric payload every voter's -1 agrees
+		// (hedging without voting).
+		majArg, majority := -1, []*bvote(nil)
 		for _, v := range voters {
 			n := 0
 			for _, w := range voters {
@@ -470,10 +490,12 @@ func (p *Pool) serveQuorumBatch(req uint64, xs []*tensor.Tensor, runIndex int, c
 		}
 
 		// Divergence signal, per image in slot order (each image of the
-		// batch is one quorum vote's worth of evidence).
+		// batch is one quorum vote's worth of evidence). Disagreement is
+		// measured against the majority when one exists, else against
+		// the FP32 reference.
 		var refArg = -1
 		var refOuts []*tensor.Tensor
-		if majArg < 0 && len(voters) > 0 {
+		if x != nil && majArg < 0 && len(voters) > 0 {
 			outs, err := core.UnoptimizedInfer(p.fallback, x)
 			if err == nil && len(outs) > 0 {
 				refOuts = outs
@@ -493,6 +515,8 @@ func (p *Pool) serveQuorumBatch(req uint64, xs []*tensor.Tensor, runIndex int, c
 
 		if len(majority) == 0 {
 			p.locked(func() { p.stats.NoMajority++ })
+			// The hedge failed: the fallback starts once the slowest
+			// voter has answered.
 			res, err := p.serveFP32(x, maxLat)
 			if err != nil {
 				return nil, err
@@ -503,6 +527,8 @@ func (p *Pool) serveQuorumBatch(req uint64, xs []*tensor.Tensor, runIndex int, c
 			res.Voters = len(voters)
 			br.Results[img] = res
 		} else {
+			// Winner: the lowest slot in the majority (voters are in slot
+			// order). Released at the majority-confirmation time.
 			winner := majority[0]
 			lats := make([]float64, len(majority))
 			for i, v := range majority {
@@ -515,7 +541,7 @@ func (p *Pool) serveQuorumBatch(req uint64, xs []*tensor.Tensor, runIndex int, c
 			}
 			p.locked(func() { p.stats.QuorumServed++ })
 			br.Results[img] = &PoolResult{
-				Outputs:    winner.outs,
+				Outputs:    winner.outs[img],
 				LatencySec: release,
 				Replica:    winner.r.slot,
 				BuildID:    winner.r.eng.BuildID,
@@ -538,10 +564,10 @@ func (p *Pool) serveQuorumBatch(req uint64, xs []*tensor.Tensor, runIndex int, c
 	return br, nil
 }
 
-// serveFP32Batch serves every image of the batch from the FP32 tier.
+// serveFP32Batch serves every slot of the request from the FP32 tier.
 func (p *Pool) serveFP32Batch(xs []*tensor.Tensor, baseLat float64) (*PoolBatchResult, error) {
 	br := &PoolBatchResult{}
-	for _, x := range xs {
+	for _, x := range slots(xs) {
 		res, err := p.serveFP32(x, baseLat)
 		if err != nil {
 			return nil, err

@@ -10,14 +10,14 @@ import (
 	"edgeinfer/internal/tensor"
 )
 
-// Executor.DoBatch on a pristine executor must be bit-identical to direct
+// Executor.DoBatchCtx on a pristine executor must be bit-identical to direct
 // Engine.Infer per image, pay exactly one timed run for the whole batch,
 // and stay on the tuned tier.
 func TestExecutorBatchMatchesDirect(t *testing.T) {
 	eng, _, dev, inputs := fixture(t)
 	ex := newExec(t, nil, nil)
 	xs := inputs[:5]
-	br, err := ex.DoBatch(xs, 3)
+	br, err := ex.DoBatchCtx(nil, xs, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestExecutorBatchTotalFaultServesFP32(t *testing.T) {
 	_, g, _, inputs := fixture(t)
 	ex := newExec(t, faults.Scenario("batch-total", 1).New("nx"), nil)
 	xs := inputs[:4]
-	br, err := ex.DoBatch(xs, 0)
+	br, err := ex.DoBatchCtx(nil, xs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,17 +69,17 @@ func TestExecutorBatchTotalFaultServesFP32(t *testing.T) {
 func TestBatchValidation(t *testing.T) {
 	_, _, _, inputs := fixture(t)
 	ex := newExec(t, nil, nil)
-	if _, err := ex.DoBatch(nil, 0); err == nil {
+	if _, err := ex.DoBatchCtx(nil, nil, 0); err == nil {
 		t.Fatal("empty executor batch accepted")
 	}
-	if _, err := ex.DoBatch([]*tensor.Tensor{inputs[0], nil}, 0); err == nil {
+	if _, err := ex.DoBatchCtx(nil, []*tensor.Tensor{inputs[0], nil}, 0); err == nil {
 		t.Fatal("nil executor batch input accepted")
 	}
 	p := newPool(t, nil)
-	if _, err := p.DoBatch(nil, 0); err == nil {
+	if _, err := p.DoBatchCtx(nil, nil, 0); err == nil {
 		t.Fatal("empty pool batch accepted")
 	}
-	if _, err := p.DoBatch([]*tensor.Tensor{nil}, 0); err == nil {
+	if _, err := p.DoBatchCtx(nil, []*tensor.Tensor{nil}, 0); err == nil {
 		t.Fatal("nil pool batch input accepted")
 	}
 }
@@ -93,7 +93,7 @@ func TestPoolBatchQuorumMatchesPerImage(t *testing.T) {
 	xs := inputs[:6]
 	batch := newPool(t, func(c *serve.PoolConfig) { c.Quorum = true })
 	single := newPool(t, func(c *serve.PoolConfig) { c.Quorum = true })
-	br, err := batch.DoBatch(xs, 0)
+	br, err := batch.DoBatchCtx(nil, xs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestPoolBatchQuorumMatchesPerImage(t *testing.T) {
 		t.Fatalf("batch results %d, want %d", len(br.Results), len(xs))
 	}
 	for i, x := range xs {
-		res, err := single.Do(x, 0)
+		res, err := single.DoCtx(nil, x, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -136,7 +136,7 @@ func TestPoolBatchRoundRobin(t *testing.T) {
 	xs := inputs[:4]
 	p := newPool(t, nil)
 	engines := p.Engines()
-	br, err := p.DoBatch(xs, 0)
+	br, err := p.DoBatchCtx(nil, xs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestPoolBatchRoundRobin(t *testing.T) {
 	if slot < 0 {
 		t.Fatalf("round-robin batch fell back with zero faults: %+v", br.Results[0])
 	}
-	want, err := engines[slot].InferBatch(xs)
+	want, err := engines[slot].InferBatchCtx(nil, xs, nil, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestPoolBatchUnderHavoc(t *testing.T) {
 		}
 	})
 	for req := 0; req < 6; req++ {
-		br, err := p.DoBatch(inputs[:3], req)
+		br, err := p.DoBatchCtx(nil, inputs[:3], req)
 		if err != nil {
 			t.Fatalf("batch %d errored under havoc: %v", req, err)
 		}

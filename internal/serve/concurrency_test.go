@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"edgeinfer/internal/core"
+	"edgeinfer/internal/rtctx"
 	"edgeinfer/internal/serve"
 	"edgeinfer/internal/tensor"
 )
@@ -59,7 +60,7 @@ func TestPoolHealthNotBlockedDuringInference(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		_, err := p.Do(inputs[0], 0)
+		_, err := p.DoCtx(nil, inputs[0], 0)
 		done <- err
 	}()
 
@@ -99,14 +100,21 @@ func TestPoolDoBatchDeadlineAborts(t *testing.T) {
 			c.Quorum = quorum
 			c.ReplicaInjector = func(int, *core.Engine) core.FaultInjector { return failInjector{} }
 		})
-		_, err := p.DoBatchDeadline(inputs[:2], 0, 1e-12)
+		_, err := p.DoBatchCtx(rtctx.WithBudget(1e-12), inputs[:2], 0)
 		if !errors.Is(err, serve.ErrDeadlineExceeded) {
 			t.Fatalf("quorum=%v error %v is not serve.ErrDeadlineExceeded", quorum, err)
 		}
 		if st := p.Stats(); st.DeadlineAborts != 1 {
 			t.Fatalf("quorum=%v DeadlineAborts = %d, want 1", quorum, st.DeadlineAborts)
 		}
-		br, err := p.DoBatch(inputs[:2], 1)
+		// A single request is a batch of one: same abandon, same count.
+		if _, err := p.DoCtx(rtctx.WithBudget(1e-12), inputs[0], 1); !errors.Is(err, serve.ErrDeadlineExceeded) {
+			t.Fatalf("quorum=%v single-request error %v is not serve.ErrDeadlineExceeded", quorum, err)
+		}
+		if st := p.Stats(); st.DeadlineAborts != 2 {
+			t.Fatalf("quorum=%v DeadlineAborts = %d after the single request, want 2", quorum, st.DeadlineAborts)
+		}
+		br, err := p.DoBatchCtx(nil, inputs[:2], 2)
 		if err != nil {
 			t.Fatalf("quorum=%v deadline-free batch errored: %v", quorum, err)
 		}

@@ -6,9 +6,11 @@ package serve_test
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"edgeinfer/internal/faults"
+	"edgeinfer/internal/rtctx"
 	"edgeinfer/internal/serve"
 )
 
@@ -31,7 +33,7 @@ func stallPlan(seed string) faults.Plan {
 func TestDoDeadlineAbortsWithTypedError(t *testing.T) {
 	_, _, _, inputs := fixture(t)
 	ex := newExec(t, stallPlan("dl-abort").New("nx"), nil)
-	res, err := ex.DoDeadline(inputs[0], 0, 1e-6)
+	res, err := ex.DoCtx(rtctx.WithBudget(1e-6), inputs[0], 0)
 	if err == nil {
 		t.Fatalf("expected deadline abort, got result %+v", res)
 	}
@@ -47,11 +49,11 @@ func TestDoDeadlineAbortsWithTypedError(t *testing.T) {
 	}
 }
 
-// DoBatchDeadline shares the abort contract.
+// DoBatchCtx shares the abort contract.
 func TestDoBatchDeadlineAbortsWithTypedError(t *testing.T) {
 	_, _, _, inputs := fixture(t)
 	ex := newExec(t, stallPlan("dl-batch-abort").New("nx"), nil)
-	_, err := ex.DoBatchDeadline(inputs[:4], 0, 1e-6)
+	_, err := ex.DoBatchCtx(rtctx.WithBudget(1e-6), inputs[:4], 0)
 	if !errors.Is(err, serve.ErrDeadlineExceeded) {
 		t.Fatalf("error %v is not serve.ErrDeadlineExceeded", err)
 	}
@@ -61,36 +63,36 @@ func TestDoBatchDeadlineAbortsWithTypedError(t *testing.T) {
 }
 
 // With a generous per-request deadline on a pristine executor, the
-// deadline variants are bit-identical to Do/DoBatch: same tier, same
+// budgeted calls are bit-identical to the unbudgeted ones: same tier, same
 // latency, same outputs, no misses, no error.
 func TestDoDeadlinePristineMatchesDo(t *testing.T) {
 	_, _, _, inputs := fixture(t)
 	ex := newExec(t, nil, nil)
-	want, err := ex.Do(inputs[0], 7)
+	want, err := ex.DoCtx(nil, inputs[0], 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ex.DoDeadline(inputs[0], 7, 10)
+	got, err := ex.DoCtx(rtctx.WithBudget(10), inputs[0], 7)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Tier != want.Tier || got.LatencySec != want.LatencySec || got.DeadlineMiss {
-		t.Fatalf("DoDeadline %+v differs from Do %+v", got, want)
+		t.Fatalf("budgeted DoCtx %+v differs from unbudgeted %+v", got, want)
 	}
 	if !sameOutputs(got.Outputs, want.Outputs) {
-		t.Fatal("DoDeadline outputs differ from Do")
+		t.Fatal("budgeted DoCtx outputs differ from unbudgeted")
 	}
 
-	wb, err := ex.DoBatch(inputs[:3], 8)
+	wb, err := ex.DoBatchCtx(nil, inputs[:3], 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gb, err := ex.DoBatchDeadline(inputs[:3], 8, 10)
+	gb, err := ex.DoBatchCtx(rtctx.WithBudget(10), inputs[:3], 8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if gb.LatencySec != wb.LatencySec || gb.Tier != wb.Tier || gb.DeadlineMiss {
-		t.Fatalf("DoBatchDeadline %+v differs from DoBatch %+v", gb, wb)
+		t.Fatalf("budgeted DoBatchCtx %+v differs from unbudgeted %+v", gb, wb)
 	}
 	for i := range wb.Outputs {
 		if !sameOutputs(gb.Outputs[i], wb.Outputs[i]) {
@@ -105,25 +107,62 @@ func TestDoDeadlinePristineMatchesDo(t *testing.T) {
 func TestDoDeadlineClampsAgainstConfig(t *testing.T) {
 	_, _, _, inputs := fixture(t)
 	ex := newExec(t, stallPlan("dl-clamp").New("nx"), func(c *serve.Config) { c.DeadlineSec = 1e-6 })
-	if _, err := ex.DoDeadline(inputs[0], 0, 10); !errors.Is(err, serve.ErrDeadlineExceeded) {
+	if _, err := ex.DoCtx(rtctx.WithBudget(10), inputs[0], 0); !errors.Is(err, serve.ErrDeadlineExceeded) {
 		t.Fatalf("config deadline did not clamp the request budget: err=%v", err)
 	}
 }
 
-// Do keeps the historical answer-late contract even when the same
-// scenario would abort DoDeadline: every request is answered, via FP32,
+// A nil context keeps the answer-late contract even when the same
+// scenario would abort a budgeted request: every request is answered, via FP32,
 // with the miss recorded — never ErrDeadlineExceeded.
 func TestDoStillAnswersLate(t *testing.T) {
 	_, _, _, inputs := fixture(t)
 	ex := newExec(t, stallPlan("dl-late").New("nx"), func(c *serve.Config) { c.DeadlineSec = 1e-6 })
-	res, err := ex.Do(inputs[0], 0)
+	res, err := ex.DoCtx(nil, inputs[0], 0)
 	if err != nil {
-		t.Fatalf("Do must not return deadline errors: %v", err)
+		t.Fatalf("an unbudgeted request must not return deadline errors: %v", err)
 	}
 	if res.Tier != serve.TierFP32 || !res.DeadlineMiss || res.Outputs == nil {
 		t.Fatalf("late request not answered by FP32 with a recorded miss: %+v", res)
 	}
 	if got := ex.Stats().DeadlineAborts; got != 0 {
-		t.Fatalf("Do counted %d deadline aborts", got)
+		t.Fatalf("unbudgeted request counted %d deadline aborts", got)
+	}
+}
+
+// A budget the expected launch schedule cannot meet stops a request at a
+// layer boundary — for a single image exactly as for a batch, since it
+// is a batch of one: the typed error, one abort counted per request, and
+// nothing booked against an engine or replica that did not fault.
+func TestBudgetAbortsMidGraph(t *testing.T) {
+	eng, _, dev, inputs := fixture(t)
+	ctx := rtctx.WithBudget(eng.ExpectedLatencySec(dev, false) / 2)
+	midGraph := func(label string, err error) {
+		t.Helper()
+		if !errors.Is(err, serve.ErrDeadlineExceeded) || !strings.Contains(err.Error(), "mid-graph") {
+			t.Fatalf("%s: error %v is not a mid-graph serve.ErrDeadlineExceeded", label, err)
+		}
+	}
+
+	ex := newExec(t, nil, nil)
+	_, err := ex.DoCtx(ctx, inputs[0], 0)
+	midGraph("executor DoCtx", err)
+	_, err = ex.DoBatchCtx(ctx, inputs[:1], 0)
+	midGraph("executor DoBatchCtx", err)
+	st := ex.Stats()
+	if st.DeadlineAborts != 2 || st.DeadlineMisses != 2 || st.TierFailures[serve.TierTuned] != 0 || st.TierServed[serve.TierFP32] != 0 {
+		t.Fatalf("executor stats after two mid-graph aborts: %+v", st)
+	}
+	if h := ex.Health(); h.ConsecutiveFailures != 0 {
+		t.Fatalf("budget exhaustion counted against the breaker: %+v", h)
+	}
+
+	p := newPool(t, nil) // round-robin: quorum never truncates a ballot
+	_, err = p.DoCtx(ctx, inputs[0], 0)
+	midGraph("pool DoCtx", err)
+	_, err = p.DoBatchCtx(ctx, inputs[:1], 0)
+	midGraph("pool DoBatchCtx", err)
+	if pst := p.Stats(); pst.DeadlineAborts != 2 || pst.ReplicaFails != 0 || pst.FP32Served != 0 {
+		t.Fatalf("pool stats after two mid-graph aborts: %+v", pst)
 	}
 }

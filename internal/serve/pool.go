@@ -22,7 +22,6 @@ package serve
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"edgeinfer/internal/core"
@@ -313,7 +312,8 @@ type PoolResult struct {
 	// Fallback reports the FP32 reference tier served the request.
 	Fallback bool
 	// DeadlineMiss reports the release time overran the request
-	// context's budget (DoCtx with a budget-carrying context only).
+	// context's budget (DoCtx with a budget-carrying context only; a
+	// batch reports it once, on PoolBatchResult).
 	DeadlineMiss bool
 }
 
@@ -459,47 +459,28 @@ func (p *Pool) Transcript() []string {
 	return append([]string(nil), p.sup.transcript...)
 }
 
-// Do serves one request through the fleet: hedged quorum dispatch with
+// DoCtx serves one request through the fleet: hedged quorum dispatch with
 // majority voting when cfg.Quorum is set, round-robin with failover
-// otherwise; the FP32 reference tier serves when no replica can. With
-// no injected faults the outputs are bit-identical to calling the
-// serving replica's Engine.Infer directly. An error is only possible
-// from the FP32 reference path itself (a configuration bug, not a
-// device fault). It is DoCtx without a request context.
-func (p *Pool) Do(x *tensor.Tensor, runIndex int) (*PoolResult, error) {
-	return p.DoCtx(nil, x, runIndex)
-}
-
-// DoCtx is Do under a request context: the single-request twin of
-// DoBatchCtx. The context's budget records a DeadlineMiss verdict on
-// the result when the release time overruns it; single-request fleet
-// dispatch never aborts (the hedged/failover answer is already paid
-// for by the time the budget can be judged) — the batch path is where
-// mid-graph abort lives, and it is the only path the network front-end
-// serves through.
+// otherwise; the FP32 reference tier serves when no replica can. A nil
+// image is a timed-only request; one image is a batch of one through the
+// same dispatch as DoBatchCtx, so the budget, abort and
+// layer-boundary-guard rules are DoBatchCtx's, and the context's budget
+// records a DeadlineMiss verdict on the result when the release time
+// overruns it. With no injected faults the outputs are bit-identical to
+// calling the serving replica's Engine.Infer directly. Apart from a
+// deadline abort, an error is only possible from the FP32 reference
+// path itself (a configuration bug, not a device fault).
 func (p *Pool) DoCtx(ctx *rtctx.Request, x *tensor.Tensor, runIndex int) (*PoolResult, error) {
-	<-p.turn
-	defer func() { p.turn <- struct{}{} }()
-	var req uint64
-	p.locked(func() {
-		p.stats.Requests++
-		req = p.stats.Requests
-	})
-	p.advanceRebuilds(req)
-	var res *PoolResult
-	var err error
-	if p.cfg.Quorum {
-		res, err = p.serveQuorum(req, x, runIndex)
-	} else {
-		res, err = p.serveRR(req, x, runIndex)
+	var xs []*tensor.Tensor
+	if x != nil {
+		xs = []*tensor.Tensor{x}
 	}
+	br, err := p.dispatch(ctx, xs, runIndex)
 	if err != nil {
 		return nil, err
 	}
-	if b := ctx.Budget(); b > 0 && res.LatencySec > b {
-		res.DeadlineMiss = true
-		p.locked(func() { p.stats.DeadlineMisses++ })
-	}
+	res := br.Results[0]
+	res.DeadlineMiss = br.DeadlineMiss
 	return res, nil
 }
 
@@ -509,195 +490,6 @@ func (p *Pool) runCfg(runIndex int) core.RunConfig {
 		IncludeMemcpy: p.cfg.IncludeMemcpy,
 		RunIndex:      runIndex,
 	}
-}
-
-// serveRR dispatches to the next active replica in rotation, failing
-// over to each remaining active replica once (their burned latency
-// accumulates) and finally to the FP32 tier.
-func (p *Pool) serveRR(req uint64, x *tensor.Tensor, runIndex int) (*PoolResult, error) {
-	active := p.sup.active()
-	if len(active) == 0 {
-		return p.serveFP32(x, 0)
-	}
-	var start int
-	p.locked(func() {
-		start = p.rr
-		p.rr++
-	})
-	var total float64
-	for i := 0; i < len(active); i++ {
-		r := active[(start+i)%len(active)]
-		if !r.activeState() {
-			// Quarantined by its own observation earlier this request.
-			continue
-		}
-		run, runErr := r.eng.RunFaulty(p.runCfg(runIndex), r.inj)
-		total += run.LatencySec
-		var outs []*tensor.Tensor
-		var inferErr error
-		if runErr == nil && x != nil {
-			outs, inferErr = r.eng.InferFaulty(x, r.inj)
-		}
-		errored := runErr != nil || inferErr != nil
-		served := false
-		p.locked(func() {
-			p.countObservation(p.sup.observe(req, r, run.LatencySec, errored))
-			if errored {
-				p.stats.ReplicaFails++
-				return
-			}
-			p.stats.RoundRobin++
-			served = true
-		})
-		if served {
-			return &PoolResult{
-				Outputs:    outs,
-				LatencySec: total,
-				Replica:    r.slot,
-				BuildID:    r.eng.BuildID,
-			}, nil
-		}
-	}
-	return p.serveFP32(x, total)
-}
-
-// vote is one replica's answer to a hedged quorum request.
-type vote struct {
-	r       *replica
-	lat     float64
-	outs    []*tensor.Tensor
-	arg     int
-	errored bool
-}
-
-// serveQuorum dispatches to every active replica, votes on the argmax
-// of the first output, and serves the lowest-slot member of the strict
-// majority. The request's latency is the majority-confirmation time:
-// the second-smallest latency among the majority (the moment a second
-// replica corroborates the answer). With no strict majority the FP32
-// reference serves, after the slowest voter has answered.
-func (p *Pool) serveQuorum(req uint64, x *tensor.Tensor, runIndex int) (*PoolResult, error) {
-	active := p.sup.active()
-	if len(active) == 0 {
-		return p.serveFP32(x, 0)
-	}
-	votes := make([]vote, 0, len(active))
-	var maxLat float64
-	for _, r := range active {
-		run, runErr := r.eng.RunFaulty(p.runCfg(runIndex), r.inj)
-		v := vote{r: r, lat: run.LatencySec, arg: -1, errored: runErr != nil}
-		if !v.errored && x != nil {
-			outs, err := r.eng.InferFaulty(x, r.inj)
-			if err != nil || len(outs) == 0 {
-				v.errored = true
-			} else {
-				v.outs = outs
-				v.arg = argmax(outs[0])
-			}
-		}
-		if v.errored {
-			p.locked(func() { p.stats.ReplicaFails++ })
-		} else if v.lat > maxLat {
-			maxLat = v.lat
-		}
-		votes = append(votes, v)
-	}
-
-	voters := make([]vote, 0, len(votes))
-	for _, v := range votes {
-		if !v.errored {
-			voters = append(voters, v)
-		}
-	}
-
-	// Find the strict majority answer. With no numeric payload every
-	// voter implicitly agrees (hedging without voting). At most one
-	// argmax can hold a strict majority, so first-found is the answer.
-	majArg, majority := -1, []vote(nil)
-	if x == nil {
-		majority = voters
-	} else {
-		for _, v := range voters {
-			n := 0
-			for _, w := range voters {
-				if w.arg == v.arg {
-					n++
-				}
-			}
-			if 2*n > len(voters) {
-				majArg = v.arg
-				for _, w := range voters {
-					if w.arg == majArg {
-						majority = append(majority, w)
-					}
-				}
-				break
-			}
-		}
-	}
-
-	// Fold the divergence signal and advance every replica's state
-	// machine, in slot order. Disagreement is measured against the
-	// majority when one exists, else against the FP32 reference below.
-	var refArg int = -1
-	var refOuts []*tensor.Tensor
-	if x != nil && majArg < 0 && len(voters) > 0 {
-		outs, err := core.UnoptimizedInfer(p.fallback, x)
-		if err == nil && len(outs) > 0 {
-			refOuts = outs
-			refArg = argmax(outs[0])
-		}
-	}
-	p.locked(func() {
-		for i := range votes {
-			v := &votes[i]
-			if !v.errored && x != nil {
-				switch {
-				case majArg >= 0:
-					p.sup.noteDivergence(v.r, v.arg != majArg)
-				case refArg >= 0:
-					p.sup.noteDivergence(v.r, v.arg != refArg)
-				}
-			}
-			p.countObservation(p.sup.observe(req, v.r, v.lat, v.errored))
-		}
-	})
-
-	if len(majority) == 0 {
-		p.locked(func() { p.stats.NoMajority++ })
-		// The hedge failed: the fallback starts once the slowest voter
-		// has answered.
-		res, err := p.serveFP32(x, maxLat)
-		if err == nil && res.Outputs == nil && refOuts != nil {
-			res.Outputs = refOuts
-		}
-		if err == nil {
-			res.Voters = len(voters)
-		}
-		return res, err
-	}
-
-	// Winner: the lowest slot in the majority (voters are in slot
-	// order). Released at the majority-confirmation time.
-	winner := majority[0]
-	lats := make([]float64, len(majority))
-	for i, v := range majority {
-		lats[i] = v.lat
-	}
-	sort.Float64s(lats)
-	release := lats[0]
-	if len(lats) > 1 {
-		release = lats[1]
-	}
-	p.locked(func() { p.stats.QuorumServed++ })
-	return &PoolResult{
-		Outputs:    winner.outs,
-		LatencySec: release,
-		Replica:    winner.r.slot,
-		BuildID:    winner.r.eng.BuildID,
-		Voters:     len(voters),
-		Majority:   len(majority),
-	}, nil
 }
 
 // serveFP32 is the terminal tier: the un-optimized host path, outside
@@ -795,11 +587,11 @@ func (p *Pool) canary(r *replica) (agree, total int) {
 			continue // reference path broken for this input: not the replica's fault
 		}
 		total++
-		outs, err := r.eng.InferFaulty(x, r.inj)
-		if err != nil || len(outs) == 0 {
+		outs, err := r.eng.InferBatchCtx(nil, []*tensor.Tensor{x}, r.inj, nil, 0)
+		if err != nil || len(outs[0]) == 0 {
 			continue
 		}
-		if argmax(outs[0]) == argmax(ref[0]) {
+		if argmax(outs[0][0]) == argmax(ref[0]) {
 			agree++
 		}
 	}

@@ -2,6 +2,7 @@ package serve_test
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -47,7 +48,7 @@ func TestPoolZeroFaultBitIdentity(t *testing.T) {
 		engines := p.Engines()
 		for i := 0; i < 6; i++ {
 			x := inputs[i]
-			res, err := p.Do(x, i)
+			res, err := p.DoCtx(nil, x, i)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -124,7 +125,7 @@ func TestPoolQuarantineRebuildReadmit(t *testing.T) {
 	}
 	for i := 0; i < 24; i++ {
 		x := inputs[i%len(inputs)]
-		res, err := p.Do(x, i)
+		res, err := p.DoCtx(nil, x, i)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -181,7 +182,7 @@ func TestPoolDeterministicTranscript(t *testing.T) {
 			c.Canary = inputs[:4]
 		})
 		for i := 0; i < 20; i++ {
-			if _, err := p.Do(inputs[i%len(inputs)], i); err != nil {
+			if _, err := p.DoCtx(nil, inputs[i%len(inputs)], i); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -215,7 +216,7 @@ func TestPoolDrainsToFP32WhenAllQuarantined(t *testing.T) {
 	sawFP32 := false
 	for i := 0; i < 16; i++ {
 		x := inputs[i%len(inputs)]
-		res, err := p.Do(x, i)
+		res, err := p.DoCtx(nil, x, i)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -247,7 +248,7 @@ func TestPoolRoundRobinWatchdog(t *testing.T) {
 		c.Canary = inputs[:2]
 	})
 	for i := 0; i < 36; i++ {
-		if _, err := p.Do(inputs[i%len(inputs)], i); err != nil {
+		if _, err := p.DoCtx(nil, inputs[i%len(inputs)], i); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -267,18 +268,91 @@ func TestPoolRoundRobinWatchdog(t *testing.T) {
 	}
 }
 
-// Timed-only requests (nil input) hedge without voting.
+// A nil image is a timed-only request on every serving path: no numeric
+// pass and no outputs; the executor serves it from the tuned tier, a
+// round-robin fleet from the next replica, a quorum fleet hedges across
+// every replica without a vote (all voters form the majority, released
+// at the second-fastest), and a fleet with no active replica prices one
+// FP32 reference pass. Latencies, verdicts and counter movements are the
+// values the per-request serving chains produced before they were folded
+// into the batch bodies.
 func TestPoolTimedOnlyRequests(t *testing.T) {
-	p := newPool(t, func(c *serve.PoolConfig) { c.Quorum = true })
-	res, err := p.Do(nil, 0)
-	if err != nil {
-		t.Fatal(err)
+	type outcome struct {
+		latencySec       float64
+		served           string // executor tier, or fleet replica slot
+		voters, majority int
 	}
-	if res.Outputs != nil || res.Fallback || res.Voters != 3 {
-		t.Fatalf("timed-only quorum result: %+v", res)
+	// fleet serves one timed-only request; bump names the one counter
+	// that must move besides Requests.
+	fleet := func(p *serve.Pool, bump func(*serve.PoolStats)) outcome {
+		want := p.Stats()
+		want.Requests++
+		bump(&want)
+		res, err := p.DoCtx(nil, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Outputs != nil || res.DeadlineMiss || res.Fallback != (res.Replica < 0) {
+			t.Fatalf("timed-only fleet result: %+v", res)
+		}
+		if got := p.Stats(); got != want {
+			t.Fatalf("timed-only fleet stats %+v, want %+v", got, want)
+		}
+		return outcome{res.LatencySec, fmt.Sprintf("replica %d", res.Replica), res.Voters, res.Majority}
 	}
-	if res.LatencySec <= 0 {
-		t.Fatal("no latency modeled")
+	cases := []struct {
+		name string
+		run  func() outcome
+		want outcome
+	}{
+		{"executor", func() outcome {
+			ex := newExec(t, nil, nil)
+			res, err := ex.DoCtx(nil, nil, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Outputs != nil || res.Degraded || res.DeadlineMiss || res.Retries != 0 {
+				t.Fatalf("timed-only executor result: %+v", res)
+			}
+			if got, want := ex.Stats(), (serve.Stats{Requests: 1, TierServed: [3]uint64{serve.TierTuned: 1}}); got != want {
+				t.Fatalf("timed-only executor stats %+v, want %+v", got, want)
+			}
+			return outcome{res.LatencySec, res.Tier.String(), 0, 0}
+		}, outcome{6.8950788353384901e-05, "tuned", 0, 0}},
+		{"round-robin", func() outcome {
+			return fleet(newPool(t, nil), func(s *serve.PoolStats) { s.RoundRobin++ })
+		}, outcome{6.8950788353384901e-05, "replica 0", 0, 0}},
+		{"quorum", func() outcome {
+			p := newPool(t, func(c *serve.PoolConfig) { c.Quorum = true })
+			return fleet(p, func(s *serve.PoolStats) { s.QuorumServed++ })
+		}, outcome{6.8958767864964741e-05, "replica 0", 3, 3}},
+		{"no-active-replica", func() outcome {
+			p := newPool(t, func(c *serve.PoolConfig) {
+				c.RebuildDelay = 1000 // quarantine forever within the test window
+				c.ReplicaInjector = func(slot int, e *core.Engine) core.FaultInjector {
+					return faults.ReplicaHavoc("timed-only-drain", "").New(fmt.Sprintf("replica%d", slot))
+				}
+			})
+			for i := 0; p.Health().Active > 0; i++ {
+				if i == 64 {
+					t.Fatalf("fleet never drained:\n%s", strings.Join(p.Transcript(), "\n"))
+				}
+				if _, err := p.DoCtx(nil, nil, i); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return fleet(p, func(s *serve.PoolStats) { s.FP32Served++ })
+		}, outcome{0.0097917235423622701, "replica -1", 0, 0}},
+	}
+	for _, c := range cases {
+		got := c.run()
+		if math.Abs(got.latencySec-c.want.latencySec) > 1e-9*c.want.latencySec {
+			t.Errorf("%s: latency %.17g, want %.17g", c.name, got.latencySec, c.want.latencySec)
+		}
+		got.latencySec = c.want.latencySec
+		if got != c.want {
+			t.Errorf("%s: got %+v, want %+v", c.name, got, c.want)
+		}
 	}
 }
 

@@ -67,7 +67,7 @@ func TestRegistryConcurrentEngineRebuild(t *testing.T) {
 	}
 }
 
-// Executor.Do hammered from parallel goroutines under a mid-rate fault
+// Executor.DoCtx hammered from parallel goroutines under a mid-rate fault
 // plan while Stats/Health are polled concurrently.
 func TestExecutorConcurrentDoWithPolling(t *testing.T) {
 	_, _, _, inputs := fixture(t)
@@ -94,7 +94,7 @@ func TestExecutorConcurrentDoWithPolling(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
 				x := inputs[(w+i)%len(inputs)]
-				if _, err := ex.Do(x, w*perWorker+i); err != nil {
+				if _, err := ex.DoCtx(nil, x, w*perWorker+i); err != nil {
 					errs <- err
 				}
 			}
@@ -111,7 +111,7 @@ func TestExecutorConcurrentDoWithPolling(t *testing.T) {
 	}
 }
 
-// Pool.Do hammered in parallel under replica havoc while health and
+// Pool.DoCtx hammered in parallel under replica havoc while health and
 // transcript are polled: the supervisor's bookkeeping must stay
 // consistent (requests serialize on the pool lock, pollers race it).
 func TestPoolConcurrentDo(t *testing.T) {
@@ -147,7 +147,7 @@ func TestPoolConcurrentDo(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				if _, err := p.Do(inputs[(w+i)%len(inputs)], w*perWorker+i); err != nil {
+				if _, err := p.DoCtx(nil, inputs[(w+i)%len(inputs)], w*perWorker+i); err != nil {
 					errs <- err
 				}
 			}
@@ -240,7 +240,7 @@ func TestPoolHealthInvariantsUnderChurn(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				if _, err := p.Do(inputs[(w+i)%len(inputs)], w*perWorker+i); err != nil {
+				if _, err := p.DoCtx(nil, inputs[(w+i)%len(inputs)], w*perWorker+i); err != nil {
 					errs <- err
 				}
 			}

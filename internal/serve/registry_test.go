@@ -109,7 +109,7 @@ func TestRegistryExecutorServes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ex.Do(nil, 0)
+	res, err := ex.DoCtx(nil, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestRegistryExecutorServes(t *testing.T) {
 	e, _ := r.ProxyEngine("vgg16")
 	shape := e.Graph.InputShape
 	x := tensor.New(shape[0], shape[1], shape[2], shape[3])
-	nres, err := ex.Do(x, 1)
+	nres, err := ex.DoCtx(nil, x, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,6 +14,12 @@
 // every request — at degraded latency and baseline accuracy — even under
 // a 100%-fault plan. Every fault seen, retry issued, deadline missed and
 // fallback taken is counted.
+//
+// There are four serving entry points — Executor.DoCtx/DoBatchCtx and
+// Pool.DoCtx/DoBatchCtx — over one degradation chain and one fleet
+// dispatch (batch.go), each written once over a batch: DoCtx with a nil
+// image is a timed-only request, with one image a batch of one. All take
+// a request context (nil = no deadline).
 package serve
 
 import (
@@ -29,12 +35,14 @@ import (
 	"edgeinfer/internal/tensor"
 )
 
-// ErrDeadlineExceeded is the typed deadline error: DoDeadline and
-// DoBatchDeadline return it (wrapped, test with errors.Is) when a
-// request's deadline expires before any tier has produced an answer, so
-// a serving front-end can map deadline misses to a distinct status code
-// and metric instead of string-matching. Do and DoBatch never return it:
-// they keep the historical answer-late-rather-than-never contract.
+// ErrDeadlineExceeded is the typed deadline error: the four entry points
+// (Executor/Pool DoCtx and DoBatchCtx) return it (wrapped, test with
+// errors.Is) under an aborting request context (rtctx.Request.Aborts)
+// when the deadline expires before any tier has produced an answer, so a
+// serving front-end can map deadline misses to a distinct status code
+// and metric instead of string-matching. Without an aborting context —
+// nil, or a budget that only records misses — they never return it and
+// keep the answer-late-rather-than-never contract.
 var ErrDeadlineExceeded = errors.New("serve: request deadline exceeded")
 
 // Tier identifies which stage of the degradation chain served a request.
@@ -147,8 +155,8 @@ type Result struct {
 	DeadlineMiss bool
 
 	// deadlineSec is this request's effective deadline: the config
-	// deadline for Do/DoBatch, clamped with the per-request budget for
-	// DoDeadline/DoBatchDeadline. Zero means none.
+	// deadline clamped with the request context's budget, when it carries
+	// one. Zero means none.
 	deadlineSec float64
 }
 
@@ -166,7 +174,7 @@ type Stats struct {
 	// jittered wait would have overshot the request deadline.
 	BackoffClamps uint64
 	// DeadlineAborts counts requests abandoned with ErrDeadlineExceeded
-	// (DoDeadline/DoBatchDeadline only; Do always answers).
+	// (aborting request contexts only; any other request is answered).
 	DeadlineAborts uint64
 }
 
@@ -309,10 +317,9 @@ func (ex *Executor) effectiveDeadline(deadlineSec float64) float64 {
 }
 
 // abortLate decides the terminal-tier fate of a deadline-expired request:
-// answer-late (Do/DoBatch) or abandon with the typed error
-// (DoDeadline/DoBatchDeadline). It must be called before the FP32 tier
-// pays its reference pass, so an abandoned request never burns the
-// fallback's latency.
+// answer late, or — under an aborting context — abandon with the typed
+// error. It must be called before the FP32 tier pays its reference pass,
+// so an abandoned request never burns the fallback's latency.
 func (ex *Executor) abortLate(res *Result, abort bool) error {
 	if !abort || !ex.deadlineExceeded(res) {
 		return nil
@@ -322,141 +329,29 @@ func (ex *Executor) abortLate(res *Result, abort bool) error {
 		res.LatencySec, res.deadlineSec, ErrDeadlineExceeded)
 }
 
-// Do serves one request: a timed pass over the engine plan and — when x
-// is non-nil and the serving tier is numeric — a numeric inference whose
-// outputs are returned. With a nil or zero-rate injector the result is
-// bit-identical to calling Engine.Run and Engine.Infer directly. Under
-// faults it degrades down the chain; it returns an error only if the
+// DoCtx serves one request: a timed pass over the engine plan and — when
+// x is non-nil — a numeric inference whose outputs are returned. A nil
+// image is a timed-only request; one image is a batch of one through the
+// same degradation chain as DoBatchCtx (doBatch), so the budget, abort
+// and layer-boundary-guard rules are DoBatchCtx's. With a nil context
+// and a nil or zero-rate injector the result is bit-identical to calling
+// Engine.Run and Engine.Infer directly. Under faults it degrades down
+// the chain; apart from a deadline abort it returns an error only if the
 // FP32 reference path itself cannot serve (a configuration bug, not a
-// device fault). It is DoCtx without a request context.
-func (ex *Executor) Do(x *tensor.Tensor, runIndex int) (*Result, error) {
-	return ex.DoCtx(nil, x, runIndex)
-}
-
-// DoDeadline is Do under a per-request deadline (clamped with the
-// configured DeadlineSec). Unlike Do, a request whose deadline expires
-// before any tier has served is abandoned with a wrapped
-// ErrDeadlineExceeded instead of falling through to the FP32 tier — the
-// answer could only arrive after the client stopped caring, so the
-// reference pass is not paid. A request served late by the tier that was
-// already running still gets its answer, with DeadlineMiss set. It is a
-// compatibility wrapper over DoCtx.
-func (ex *Executor) DoDeadline(x *tensor.Tensor, runIndex int, deadlineSec float64) (*Result, error) {
-	return ex.DoCtx(rtctx.WithBudget(deadlineSec), x, runIndex)
-}
-
-// DoCtx is the single budget-carrying serving path: the context's
-// budget clamps through the configured DeadlineSec, and an aborting
-// context (rtctx.Request.Aborts) abandons an expired request with a
-// wrapped ErrDeadlineExceeded before the FP32 tier instead of
-// answering late. A nil context serves unbounded — exactly Do.
+// device fault).
 func (ex *Executor) DoCtx(ctx *rtctx.Request, x *tensor.Tensor, runIndex int) (*Result, error) {
-	return ex.do(x, runIndex, ex.effectiveDeadline(ctx.Budget()), ctx.Aborts())
-}
-
-func (ex *Executor) do(x *tensor.Tensor, runIndex int, deadlineSec float64, abort bool) (*Result, error) {
-	ex.count(func(s *Stats) { s.Requests++ })
-	res := &Result{Tier: TierFP32, deadlineSec: deadlineSec}
-
-	tryTuned := ex.admitTuned()
-	alloc, _ := ex.cfg.Injector.(Allocator)
-
-	for tier := TierTuned; tier < TierFP32; tier++ {
-		eng := ex.cfg.Engine
-		if tier == TierLowBatch {
-			eng = ex.cfg.LowBatch
-		}
-		if eng == nil || (tier == TierTuned && !tryTuned) {
-			continue
-		}
-		// A numeric request needs a numeric engine; a timing-only tier
-		// cannot serve it (configuration mismatch, not a device fault).
-		if x != nil && !eng.Numeric {
-			continue
-		}
-		if ex.deadlineExceeded(res) {
-			break
-		}
-		// Memory-pressure admission: reserve the engine's per-thread
-		// footprint for the attempt window.
-		if alloc != nil {
-			if err := alloc.Alloc(eng.PerThreadMemBytes()); err != nil {
-				ex.count(func(s *Stats) { s.AllocRejects++ })
-				if tier == TierTuned {
-					ex.recordPrimary(false)
-				}
-				continue // engine needs memory it cannot get: degrade
-			}
-		}
-		ok := ex.tryTier(eng, tier, x, runIndex, res)
-		if alloc != nil {
-			alloc.Free(eng.PerThreadMemBytes())
-		}
-		if tier == TierTuned {
-			ex.recordPrimary(ok)
-		}
-		if ok {
-			res.Tier = tier
-			res.Degraded = tier != TierTuned
-			ex.count(func(s *Stats) { s.TierServed[tier]++ })
-			ex.setLastTier(tier)
-			return res, nil
-		}
-		ex.count(func(s *Stats) { s.TierFailures[tier]++ })
+	var xs []*tensor.Tensor
+	if x != nil {
+		xs = []*tensor.Tensor{x}
 	}
-
-	// Terminal tier: the FP32 host path, outside the accelerator fault
-	// domain. UnoptimizedRun prices the framework's reference execution.
-	if err := ex.abortLate(res, abort); err != nil {
+	res, outs, err := ex.doBatch(ctx, xs, runIndex)
+	if err != nil {
 		return nil, err
 	}
-	res.LatencySec += core.UnoptimizedRun(ex.cfg.Fallback, ex.cfg.Device)
-	ex.deadlineExceeded(res) // count the miss if the fallback pushed us over
-	if x != nil {
-		outs, err := core.UnoptimizedInfer(ex.cfg.Fallback, x)
-		if err != nil {
-			return nil, fmt.Errorf("serve: FP32 fallback failed: %w", err)
-		}
-		res.Outputs = outs
+	if len(outs) > 0 {
+		res.Outputs = outs[0]
 	}
-	res.Tier = TierFP32
-	res.Degraded = true
-	ex.count(func(s *Stats) { s.TierServed[TierFP32]++ })
-	ex.setLastTier(TierFP32)
-	return res, nil
-}
-
-// tryTier makes up to MaxRetries+1 attempts on one engine, accumulating
-// latency (including failed attempts and backoff) into res. Returns
-// whether the tier served the request, leaving outputs in res on success.
-func (ex *Executor) tryTier(eng *core.Engine, tier Tier, x *tensor.Tensor, runIndex int, res *Result) bool {
-	cfg := core.RunConfig{
-		Device:        ex.cfg.Device,
-		IncludeMemcpy: ex.cfg.IncludeMemcpy,
-		RunIndex:      runIndex,
-	}
-	for attempt := 0; attempt <= ex.cfg.MaxRetries; attempt++ {
-		if attempt > 0 && !ex.retryWait(attempt, res) {
-			return false
-		}
-		run, err := eng.RunFaulty(cfg, ex.cfg.Injector)
-		res.LatencySec += run.LatencySec
-		if err == nil && x != nil && eng.Numeric {
-			var outs []*tensor.Tensor
-			outs, err = eng.InferFaulty(x, ex.cfg.Injector)
-			if err == nil {
-				res.Outputs = outs
-			}
-		}
-		if err == nil {
-			if ex.deadlineExceeded(res) {
-				// Served, but too late: keep the answer, record the miss.
-				return true
-			}
-			return true
-		}
-	}
-	return false
+	return &res, nil
 }
 
 // retryWait accounts one retry's backoff into res. The modeled wait

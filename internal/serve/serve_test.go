@@ -84,7 +84,7 @@ func TestZeroRateBitIdentical(t *testing.T) {
 		ex := newExec(t, inj, nil)
 		for run := 0; run < 3; run++ {
 			x := inputs[run]
-			got, err := ex.Do(x, run)
+			got, err := ex.DoCtx(nil, x, run)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -114,7 +114,7 @@ func TestTotalFaultAlwaysServesFP32(t *testing.T) {
 	inj := faults.Scenario("total", 1).New("nx")
 	ex := newExec(t, inj, nil)
 	for i, x := range inputs {
-		res, err := ex.Do(x, i)
+		res, err := ex.DoCtx(nil, x, i)
 		if err != nil {
 			t.Fatalf("request %d errored under total faults: %v", i, err)
 		}
@@ -152,7 +152,7 @@ func TestCountersAccountForEveryFault(t *testing.T) {
 	})
 	const n = 40
 	for i := 0; i < n; i++ {
-		if _, err := ex.Do(nil, i); err != nil {
+		if _, err := ex.DoCtx(nil, nil, i); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -192,7 +192,7 @@ func TestCircuitBreakerLifecycle(t *testing.T) {
 	})
 	// Two failing requests trip the breaker.
 	for i := 0; i < 2; i++ {
-		if _, err := ex.Do(nil, i); err != nil {
+		if _, err := ex.DoCtx(nil, nil, i); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -206,7 +206,7 @@ func TestCircuitBreakerLifecycle(t *testing.T) {
 	// launch faults are drawn for the tuned tier.
 	before := inj.Counters().Get(faults.KindLaunchFail)
 	for i := 0; i < 3; i++ {
-		if _, err := ex.Do(nil, 10+i); err != nil {
+		if _, err := ex.DoCtx(nil, nil, 10+i); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -218,7 +218,7 @@ func TestCircuitBreakerLifecycle(t *testing.T) {
 	}
 	// Cooldown spent: the next request is a half-open probe that reaches
 	// the (still failing) engine and re-arms the cooldown.
-	if _, err := ex.Do(nil, 20); err != nil {
+	if _, err := ex.DoCtx(nil, nil, 20); err != nil {
 		t.Fatal(err)
 	}
 	if got := inj.Counters().Get(faults.KindLaunchFail); got == before {
@@ -245,7 +245,7 @@ func TestLowBatchTier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ex.Do(inputs[0], 0)
+	res, err := ex.DoCtx(nil, inputs[0], 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +255,7 @@ func TestLowBatchTier(t *testing.T) {
 }
 
 // failingEngine returns a timing-only engine: numeric requests cannot be
-// served by it (InferFaulty errors), forcing degradation without faults.
+// served by it (the numeric pass errors), forcing degradation without faults.
 func failingEngine(t *testing.T) *core.Engine {
 	t.Helper()
 	g := models.MustBuild("resnet18")
@@ -270,7 +270,7 @@ func failingEngine(t *testing.T) *core.Engine {
 func TestDeadlineMissStillServes(t *testing.T) {
 	ex := newExec(t, nil, func(c *serve.Config) { c.DeadlineSec = 1e-9 })
 	_, _, _, inputs := fixture(t)
-	res, err := ex.Do(inputs[0], 0)
+	res, err := ex.DoCtx(nil, inputs[0], 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +291,7 @@ func TestAllocPressureDegrades(t *testing.T) {
 	eng, _, _, inputs := fixture(t)
 	inj := faults.Plan{Seed: "mem", CapacityBytes: eng.PerThreadMemBytes() / 2}.New("nx")
 	ex := newExec(t, inj, nil)
-	res, err := ex.Do(inputs[0], 0)
+	res, err := ex.DoCtx(nil, inputs[0], 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +318,7 @@ func TestConcurrentRequests(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
 				x := inputs[(w*perWorker+i)%len(inputs)]
-				if _, err := ex.Do(x, w*perWorker+i); err != nil {
+				if _, err := ex.DoCtx(nil, x, w*perWorker+i); err != nil {
 					errs <- err
 				}
 			}
@@ -359,7 +359,7 @@ func TestBackoffClampedByDeadline(t *testing.T) {
 			})
 	}
 	clamped := mk(deadline)
-	res, err := clamped.Do(nil, 0)
+	res, err := clamped.DoCtx(nil, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,7 +379,7 @@ func TestBackoffClampedByDeadline(t *testing.T) {
 	// Without a deadline the same fault sequence pays the full ladder,
 	// and the clamp counter must stay untouched.
 	free := mk(0)
-	res2, err := free.Do(nil, 0)
+	res2, err := free.DoCtx(nil, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
