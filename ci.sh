@@ -2,8 +2,9 @@
 # CI gate: the tier-1 checks (build + test) plus vet, the race detector
 # (the serve/faults packages are exercised concurrently), the nested
 # benchmark module's own vet and tests (bench/), short fuzz
-# smokes over the two untrusted deserializers (engine plans and timing
-# caches), the shared-timing-cache fleet-convergence audit (warm rebuilds
+# smokes over every untrusted decoder (engine plans, timing caches and
+# their keys, predictor files, framework arch text and weight payloads),
+# the shared-timing-cache fleet-convergence audit (warm rebuilds
 # must be byte-identical), the chaos smoke (a short replica-fleet soak
 # that must show zero wrong-answer escapes and zero leaked quarantines),
 # the rtlint static-analysis suite — all eight source analyzers over
@@ -37,8 +38,13 @@ go test -race -timeout 20m ./...
 # it compiles against core and serve entry points: vet and test it here
 # so a deletion that breaks the benchmark fails this gate first.
 (cd bench && go vet ./... && go test ./...)
-go test -run='^$' -fuzz='^FuzzLoad$' -fuzztime=10s ./internal/core
-go test -run='^$' -fuzz='^FuzzLoadTimingCache$' -fuzztime=5s ./internal/core
+# One fuzz smoke per untrusted decoder: package:fuzzer:seconds.
+for f in core:FuzzLoad:10 core:FuzzLoadTimingCache:5 core:FuzzParseTimingKey:5 \
+  latpred:FuzzLoadModel:5 frameworks:FuzzImportWeights:5 \
+  frameworks:FuzzImportCaffe:5 frameworks:FuzzImportDarknet:5; do
+  pkg=${f%%:*} rest=${f#*:}
+  go test -run='^$' -fuzz="^${rest%:*}\$" -fuzztime="${rest#*:}s" "./internal/$pkg"
+done
 go run ./cmd/fleetcheck -model resnet18 -sharedCache
 go run ./cmd/chaosbench -smoke -requests 30 -out ''
 go run ./cmd/rtlint -json -baseline rtlint_baseline.json ./...

@@ -2,64 +2,46 @@ package main
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
+	"io"
 
 	"edgeinfer/internal/atomicfile"
+	"edgeinfer/internal/framed"
 	"edgeinfer/internal/frameworks"
 )
 
 // Framework model files on disk: a tiny container holding the format
-// tag, the architecture text and the weight payload.
+// tag, the architecture text and the weight payload, each as
+// length-prefixed bytes after the magic.
 
 const modelMagic = "EDGEMDL1"
 
 // writeModel serializes a frameworks.Model to path.
 func writeModel(path string, m frameworks.Model) error {
-	var b bytes.Buffer
-	b.WriteString(modelMagic)
-	writeChunk := func(data []byte) {
-		binary.Write(&b, binary.LittleEndian, uint32(len(data)))
-		b.Write(data)
-	}
-	writeChunk([]byte(m.Format))
-	writeChunk(m.Arch)
-	writeChunk(m.Weights)
-	return writeFile(path, b.Bytes())
+	return framed.SaveFile(path, func(w io.Writer) error {
+		fw := framed.NewWriter(w)
+		fw.Magic(modelMagic)
+		fw.String(string(m.Format))
+		fw.Bytes(m.Arch)
+		fw.Bytes(m.Weights)
+		return fw.Flush()
+	})
 }
 
-// readModel parses a container written by writeModel.
+// readModel parses a container written by writeModel. No chunk can be
+// longer than the file it came in.
 func readModel(data []byte) (frameworks.Model, error) {
-	if len(data) < len(modelMagic) || string(data[:len(modelMagic)]) != modelMagic {
-		return frameworks.Model{}, fmt.Errorf("not an edgeinfer model file")
+	fr := framed.NewReader(bytes.NewReader(data))
+	fr.Magic(modelMagic)
+	m := frameworks.Model{
+		Format:  frameworks.Format(fr.Bytes("format tag", len(data))),
+		Arch:    fr.Bytes("arch", len(data)),
+		Weights: fr.Bytes("weights", len(data)),
 	}
-	rest := data[len(modelMagic):]
-	next := func() ([]byte, error) {
-		if len(rest) < 4 {
-			return nil, fmt.Errorf("truncated model file")
-		}
-		n := binary.LittleEndian.Uint32(rest)
-		rest = rest[4:]
-		if len(rest) < int(n) {
-			return nil, fmt.Errorf("truncated model chunk")
-		}
-		chunk := rest[:n]
-		rest = rest[n:]
-		return chunk, nil
+	if err := fr.Err(); err != nil {
+		return frameworks.Model{}, fmt.Errorf("not an edgeinfer model file: %w", err)
 	}
-	format, err := next()
-	if err != nil {
-		return frameworks.Model{}, err
-	}
-	arch, err := next()
-	if err != nil {
-		return frameworks.Model{}, err
-	}
-	weights, err := next()
-	if err != nil {
-		return frameworks.Model{}, err
-	}
-	return frameworks.Model{Format: frameworks.Format(format), Arch: arch, Weights: weights}, nil
+	return m, nil
 }
 
 // writeFile writes artifacts crash-safely (temp file + rename) with

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -69,5 +71,29 @@ func TestReadModelRejectsCorruption(t *testing.T) {
 		if _, err := readModel(data[:n]); err == nil {
 			t.Fatalf("truncation at %d accepted", n)
 		}
+	}
+}
+
+// TestFormatBytesPinned holds the EDGEMDL1 container to the bytes it had
+// before its codec moved onto the shared framing layer; the digest was
+// captured at the commit preceding that refactor (the repo-root test of
+// the same name pins the three magic-tagged formats).
+func TestFormatBytesPinned(t *testing.T) {
+	m := frameworks.Model{
+		Format:  frameworks.Darknet,
+		Arch:    []byte("[net]\nbatch=1\nchannels=3\nheight=8\nwidth=8\n\n[convolutional]\n# name=c1\nfilters=4\nsize=3\nstride=1\npad=1\n"),
+		Weights: []byte{0, 1, 2, 3, 0xfe, 0xff},
+	}
+	path := filepath.Join(t.TempDir(), "pinned.model")
+	if err := writeModel(path, m); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "f29dc1408f9b9b4ddb869a34973cbb7a68877ab7b800f7f0ccdbcd60f49a4cd9"
+	if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != want {
+		t.Errorf("EDGEMDL1 container: sha256 %s, want %s", got, want)
 	}
 }

@@ -12,9 +12,10 @@
 //	rtlint -plancheck             build + serialize + verify every classifier plan
 //
 // Findings are suppressed per line with
-// `//rtlint:allow <analyzer>[, ...] -- <justification>` or the compact
-// `//rt:allow <analyzer> <justification>`; every suppression is printed
-// with its justification so directives stay auditable.
+// `//rt:allow <analyzer> <justification>` (or, for several analyzers,
+// `//rt:allow <analyzer>, <analyzer> -- <justification>`); every
+// suppression is printed with its justification so directives stay
+// auditable.
 package main
 
 import (

@@ -5,8 +5,8 @@
 // and reports Findings with exact positions. Findings can be suppressed
 // at a specific line with a
 //
-//	//rtlint:allow <analyzer>[, <analyzer>...] -- <justification>
 //	//rt:allow <analyzer> <justification>
+//	//rt:allow <analyzer>[, <analyzer>...] -- <justification>
 //
 // directive placed on the flagged line or on the line directly above it.
 // Suppressions are recorded (with their justifications) and surfaced by

@@ -126,10 +126,9 @@ func TestSeededEntryPointsResolve(t *testing.T) {
 	}
 }
 
-// TestDeadlineFlowReportsOncePerCall: the fixture's Run has BOTH a
-// RunCtx and a RunDeadline sibling, so a dropped budget could
-// double-report; the analyzer must emit exactly one finding per call
-// site, suggesting the canonical Ctx sibling.
+// TestDeadlineFlowReportsOncePerCall: the analyzer must emit exactly one
+// finding per call site that drops a request context, suggesting the
+// Ctx sibling.
 func TestDeadlineFlowReportsOncePerCall(t *testing.T) {
 	m := loadFixture(t)
 	findings := RunAnalyzers(m, []*Analyzer{DeadlineFlow()})
@@ -171,7 +170,7 @@ func TestSeededViolationsFailDriver(t *testing.T) {
 }
 
 // TestAllowDirectiveSuppresses is the negative fixture: every line
-// carrying an rtlint:allow directive (and the line after an own-line
+// carrying an rt:allow directive (and the line after an own-line
 // directive) yields no finding, while the same constructs without a
 // directive do (checked by the golden test above).
 func TestAllowDirectiveSuppresses(t *testing.T) {
@@ -187,7 +186,7 @@ func TestAllowDirectiveSuppresses(t *testing.T) {
 			return err
 		}
 		for i, line := range strings.Split(string(data), "\n") {
-			if strings.Contains(line, "rtlint:allow") || strings.Contains(line, "rt:allow") {
+			if strings.Contains(line, "rt:allow") {
 				directiveLines[fmt.Sprintf("%s:%d", path, i+1)] = true
 				directiveLines[fmt.Sprintf("%s:%d", path, i+2)] = true
 			}
@@ -198,7 +197,7 @@ func TestAllowDirectiveSuppresses(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(directiveLines) == 0 {
-		t.Fatal("no rtlint:allow directives in fixtures")
+		t.Fatal("no rt:allow directives in fixtures")
 	}
 	for _, f := range findings {
 		if directiveLines[fmt.Sprintf("%s:%d", f.Pos.Filename, f.Pos.Line)] {
@@ -208,8 +207,8 @@ func TestAllowDirectiveSuppresses(t *testing.T) {
 }
 
 // TestSuppressionsCarryReasons: RunAll's suppression records surface
-// each directive's analyzer and justification, for both the legacy
-// `//rtlint:allow a -- why` and the compact `//rt:allow a why` grammar.
+// each directive's analyzer and justification, for both the
+// `//rt:allow a[, b] -- why` and the `//rt:allow a why` spelling.
 func TestSuppressionsCarryReasons(t *testing.T) {
 	m := loadFixture(t)
 	_, suppressed := RunAll(m, fixtureAnalyzers())
@@ -233,25 +232,23 @@ func TestSuppressionsCarryReasons(t *testing.T) {
 	}
 }
 
-// TestParseAllowGrammars pins the two directive grammars side by side.
+// TestParseAllowGrammars pins the two spellings of the directive body.
 func TestParseAllowGrammars(t *testing.T) {
 	cases := []struct {
-		text    string
-		compact bool
-		names   []string
-		reason  string
+		text   string
+		names  []string
+		reason string
 	}{
-		{"determinism -- seeded fixture", false, []string{"determinism"}, "seeded fixture"},
-		{"lockorder, goleak -- drain owns both", false, []string{"lockorder", "goleak"}, "drain owns both"},
-		{"hotalloc warm-up only", true, []string{"hotalloc"}, "warm-up only"},
-		{"deadlineflow -- explicit separator still works", true, []string{"deadlineflow"}, "explicit separator still works"},
-		{"Prose, not a directive body", true, nil, ""},
+		{"lockorder, goleak -- drain owns both", []string{"lockorder", "goleak"}, "drain owns both"},
+		{"hotalloc warm-up only", []string{"hotalloc"}, "warm-up only"},
+		{"deadlineflow -- explicit separator still works", []string{"deadlineflow"}, "explicit separator still works"},
+		{"Prose, not a directive body", nil, ""},
 	}
 	for _, c := range cases {
-		names, reason := parseAllow(c.text, c.compact)
+		names, reason := parseAllow(c.text)
 		if strings.Join(names, ",") != strings.Join(c.names, ",") || reason != c.reason {
-			t.Errorf("parseAllow(%q, compact=%v) = %v, %q; want %v, %q",
-				c.text, c.compact, names, reason, c.names, c.reason)
+			t.Errorf("parseAllow(%q) = %v, %q; want %v, %q",
+				c.text, names, reason, c.names, c.reason)
 		}
 	}
 }

@@ -10,13 +10,19 @@ import (
 
 // DefaultRestricted lists the packages whose output must be bit-for-bit
 // reproducible: the engine builder, the IR, the kernel library and the
-// GPU timing model. Tables in the paper are regenerated from these, so
-// any nondeterminism shows up as diffs between runs.
+// GPU timing model — tables in the paper are regenerated from these, so
+// any nondeterminism shows up as diffs between runs — and every other
+// package that serializes an artefact (the framing layer, the predictor
+// file, the framework exporters), where it shows up as two saves of one
+// value differing byte for byte.
 var DefaultRestricted = []string{
 	"edgeinfer/internal/core",
 	"edgeinfer/internal/graph",
 	"edgeinfer/internal/kernels",
 	"edgeinfer/internal/gpusim",
+	"edgeinfer/internal/framed",
+	"edgeinfer/internal/frameworks",
+	"edgeinfer/internal/latpred",
 }
 
 // Determinism returns the analyzer that forbids nondeterminism sources

@@ -27,8 +27,7 @@ type Module struct {
 	Packages []*Package
 
 	// allow maps file -> line -> analyzer name -> justification for
-	// findings suppressed by an `//rtlint:allow` or `//rt:allow`
-	// directive on that line.
+	// findings suppressed by an `//rt:allow` directive on that line.
 	allow map[string]map[int]map[string]string
 }
 
@@ -267,10 +266,8 @@ func (m *moduleImporter) Import(path string) (*types.Package, error) {
 	return m.std.Import(path)
 }
 
-// recordDirectives scans a file's comments for suppression directives.
-// Two grammars are accepted:
+// recordDirectives scans a file's comments for suppression directives:
 //
-//	//rtlint:allow <analyzer>[, <analyzer>...] -- <justification>
 //	//rt:allow <analyzer> <justification>
 //	//rt:allow <analyzer>[, <analyzer>...] -- <justification>
 //
@@ -282,16 +279,11 @@ func (m *Module) recordDirectives(file *ast.File) {
 	for _, cg := range file.Comments {
 		for _, c := range cg.List {
 			body := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-			var text string
-			var compact bool
-			if t, ok := strings.CutPrefix(body, "rtlint:allow"); ok {
-				text = t
-			} else if t, ok := strings.CutPrefix(body, "rt:allow"); ok {
-				text, compact = t, true
-			} else {
+			text, ok := strings.CutPrefix(body, "rt:allow")
+			if !ok {
 				continue
 			}
-			names, reason := parseAllow(text, compact)
+			names, reason := parseAllow(text)
 			if len(names) == 0 {
 				continue
 			}
@@ -314,31 +306,25 @@ func (m *Module) recordDirectives(file *ast.File) {
 }
 
 // parseAllow splits a directive body into analyzer names and the
-// justification. A `--` separates the name list from free-form text; in
-// the compact `//rt:allow <analyzer> <reason>` form (no `--`) the first
-// token is the one analyzer and everything after it is the reason.
-func parseAllow(text string, compact bool) (names []string, reason string) {
-	if before, after, ok := strings.Cut(text, "--"); ok {
-		reason = strings.TrimSpace(after)
-		text = before
-	} else if compact {
+// justification. A `--` separates a name list from free-form text;
+// without one the first token is the one analyzer and everything after
+// it is the reason.
+func parseAllow(text string) (names []string, reason string) {
+	before, after, ok := strings.Cut(text, "--")
+	if !ok {
 		fields := strings.Fields(text)
 		if len(fields) == 0 || !isAnalyzerName(fields[0]) {
 			return nil, ""
 		}
-		rest := strings.TrimSpace(text)
-		return fields[:1], strings.TrimSpace(strings.TrimPrefix(rest, fields[0]))
+		return fields[:1], strings.TrimSpace(strings.TrimPrefix(strings.TrimSpace(text), fields[0]))
 	}
-	for _, f := range strings.FieldsFunc(text, func(r rune) bool { return r == ',' || r == ' ' || r == '\t' }) {
-		if f == "" {
-			continue
-		}
+	for _, f := range strings.FieldsFunc(before, func(r rune) bool { return r == ',' || r == ' ' || r == '\t' }) {
 		if !isAnalyzerName(f) {
 			break // start of untagged justification text
 		}
 		names = append(names, f)
 	}
-	return names, reason
+	return names, strings.TrimSpace(after)
 }
 
 // isAnalyzerName reports whether s looks like an analyzer identifier

@@ -14,6 +14,8 @@ import (
 // so every failure on these paths must be a returned error.
 var DefaultPanicRoots = []string{
 	"edgeinfer/internal/core.Load",
+	"edgeinfer/internal/core.LoadTimingCache",
+	"edgeinfer/internal/core.VerifyPlanData",
 	"(*edgeinfer/internal/core.Engine).Infer",
 	"(*edgeinfer/internal/core.Engine).InferBatchCtx",
 	"(*edgeinfer/internal/core.Engine).InferRangeCtx",

@@ -71,7 +71,7 @@ func riskyEval(x float64) float64 {
 // suppresses the finding.
 func guarded(x float64) float64 {
 	if x > 1e308 {
-		panic("overflow") //rtlint:allow panicpath -- fixture proves suppression on a reachable panic
+		panic("overflow") //rt:allow panicpath -- fixture proves suppression on a reachable panic
 	}
 	return x
 }

@@ -137,11 +137,11 @@ func ResetPerIteration(xs []float32) []float32 {
 
 // Allowed is suppressed by a trailing directive: no finding.
 func Allowed() int64 {
-	return time.Now().UnixNano() //rtlint:allow determinism -- fixture proves trailing-directive suppression
+	return time.Now().UnixNano() //rt:allow determinism -- fixture proves trailing-directive suppression
 }
 
 // AllowedAbove is suppressed by a directive on the preceding line.
 func AllowedAbove() int64 {
-	//rtlint:allow determinism -- fixture proves own-line directive covers the next line
+	//rt:allow determinism -- fixture proves own-line directive covers the next line
 	return time.Now().UnixNano()
 }

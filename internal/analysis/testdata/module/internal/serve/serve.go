@@ -2,7 +2,7 @@
 // matches the seeded blocking entry points (DefaultBlockingFuncs), so
 // holding a mutex across it is flagged without any call-graph proof;
 // the other cases exercise direct blocking operations, transitive
-// blocking through a module callee, and the deadline-sibling rule. A
+// blocking through a module callee, and the context-sibling rule. A
 // marker comment naming an analyzer means the line must produce exactly
 // one finding of it.
 package serve
@@ -85,9 +85,7 @@ func (q *Queue) AllowedSend(v int) {
 	q.ch <- v //rt:allow lockorder fixture proves compact-directive suppression
 }
 
-// Run, RunCtx and RunDeadline are the budget-sibling family: both
-// suffix spellings exist, so a dropped budget must still report
-// exactly once per call.
+// Run and RunCtx are the context-sibling pair.
 func (q *Queue) Run(x int) int { return x }
 
 // RunCtx is Run under a request context.
@@ -96,26 +94,10 @@ func (q *Queue) RunCtx(ctx *rtctx.Request, x int) int {
 	return x
 }
 
-// RunDeadline is Run under a scalar budget.
-func (q *Queue) RunDeadline(x int, deadlineSec float64) int {
-	_ = deadlineSec
-	return x
-}
-
-// Serve drops its deadline: Run has budget-aware siblings.
-func (q *Queue) Serve(x int, deadlineSec float64) int {
-	return q.Run(x) // want:deadlineflow
-}
-
-// ServeRequest drops its request context: the rtctx.Request parameter
-// marks it a budget carrier even without a deadline-flavored name.
+// ServeRequest drops its request context: Run has a context-aware
+// sibling.
 func (q *Queue) ServeRequest(ctx *rtctx.Request, x int) int {
 	return q.Run(x) // want:deadlineflow
-}
-
-// ServeBudget threads the budget into the Deadline sibling: no finding.
-func (q *Queue) ServeBudget(x int, deadlineSec float64) int {
-	return q.RunDeadline(x, deadlineSec)
 }
 
 // ServeThreaded threads the context into the Ctx sibling: no finding.

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"edgeinfer/internal/gpusim"
+	"edgeinfer/internal/graph"
 	"edgeinfer/internal/models"
 	"edgeinfer/internal/tensor"
 )
@@ -105,8 +106,8 @@ func TestLoadBitFlippedAtEveryBoundary(t *testing.T) {
 		mustError bool
 	}{
 		{"magic", 0, true},
-		{"hlen", 8, false},       // may grow or shrink the claimed header
-		{"header", 12, true},     // JSON with a flipped first byte
+		{"hlen", 8, false},   // may grow or shrink the claimed header
+		{"header", 12, true}, // JSON with a flipped first byte
 		{"wcount", 12 + hlen, false},
 		{"rlen", 12 + hlen + 4, false},
 		{"record", 12 + hlen + 8, false},
@@ -165,13 +166,33 @@ func TestLoadHostileLengthFields(t *testing.T) {
 	}
 }
 
+// appendWeight returns the plan with one more weight record — of a
+// single element — at the end of its weight section.
+func appendWeight(tb testing.TB, plan []byte, hlen int, rec graph.WeightRecord) []byte {
+	tb.Helper()
+	rec.Shape = [4]int{1, 1, 1, 1}
+	rb, err := json.Marshal(rec)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	out := append([]byte(nil), plan...)
+	wcount := binary.LittleEndian.Uint32(out[12+hlen:])
+	binary.LittleEndian.PutUint32(out[12+hlen:], wcount+1)
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(rb)))
+	out = append(out, rb...)
+	return binary.LittleEndian.AppendUint32(out, 0) // one float32
+}
+
 // hostileHeaders are malformed topologies that graph.Add/Finalize would
-// panic on if the loader passed them through unvalidated.
+// panic on if the loader passed them through unvalidated — plus the one
+// hostile weight record with the same contract: a well-formed plan whose
+// extra record names the input layer, which holds no weight map.
 func hostileHeaders(tb testing.TB, plan []byte, hlen int) map[string][]byte {
 	first := func(h map[string]any) map[string]any {
 		return h["Layers"].([]any)[0].(map[string]any)
 	}
 	return map[string][]byte{
+		"weight-for-data-layer": appendWeight(tb, plan, hlen, graph.WeightRecord{Layer: "data", Key: "w"}),
 		"duplicate-layer": mutateHeader(tb, plan, hlen, func(h map[string]any) {
 			ls := h["Layers"].([]any)
 			ls[1].(map[string]any)["Name"] = first(h)["Name"]
@@ -218,7 +239,7 @@ func TestLoadHostileWeightShape(t *testing.T) {
 	wcountOff := 12 + hlen
 	rlenOff := wcountOff + 4
 	rlen := int(binary.LittleEndian.Uint32(plan[rlenOff : rlenOff+4]))
-	var rec weightRecord
+	var rec graph.WeightRecord
 	if err := json.Unmarshal(plan[rlenOff+4:rlenOff+4+rlen], &rec); err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,9 @@ import (
 	"testing"
 
 	"edgeinfer/internal/gpusim"
+	"edgeinfer/internal/kernels"
 	"edgeinfer/internal/models"
+	"edgeinfer/internal/tensor"
 )
 
 // FuzzLoad throws arbitrary bytes (seeded with real plan prefixes) at the
@@ -36,10 +38,11 @@ func FuzzLoad(f *testing.F) {
 		bad[8], bad[9] = 0xff, 0xff
 	}
 	f.Add(bad)
-	// Hostile topologies and length fields (the crashers the corruption
-	// tests pin down: duplicate layers, unknown input refs, a layer
-	// shadowing "data", zero-stride convs, giant shapes over truncated
-	// streams) seed the mutator near the interesting paths.
+	// Hostile topologies, weight records and length fields (the crashers
+	// the corruption tests pin down: duplicate layers, unknown input refs,
+	// a layer shadowing "data", a weight for the input layer, zero-stride
+	// convs, giant shapes over truncated streams) seed the mutator near
+	// the interesting paths.
 	smallPlan, hlen := savedPlan(f)
 	f.Add(smallPlan)
 	for _, hostile := range hostileHeaders(f, smallPlan, hlen) {
@@ -93,6 +96,39 @@ func FuzzLoadTimingCache(f *testing.F) {
 		c, err := LoadTimingCache(bytes.NewReader(data))
 		if err == nil && c == nil {
 			t.Fatal("nil cache without error")
+		}
+	})
+}
+
+// FuzzParseTimingKey: cache keys arrive from files on disk. Any string
+// either fails to parse or parses to fields whose rendering is a fixed
+// point — TimingKey of the parse re-parses to the same fields and
+// renders to itself — and never panics.
+func FuzzParseTimingKey(f *testing.F) {
+	d := kernels.ConvDims{Batch: 1, InC: 64, H: 56, W: 56, OutC: 64, OutH: 56, OutW: 56, Kernel: 3, Stride: 1, Groups: 1}
+	hmma := kernels.Variant{Family: kernels.FamHMMAConv, TileM: 64, TileN: 64, TileK: 32, FusedAct: true, Precision: tensor.FP16}
+	cuda := kernels.Variant{Family: kernels.FamCUDAConv, TileM: 32, TileN: 32, TileK: 8, SplitK: 2, NHWC: true}
+	f.Add(TimingKey("NX@1109MHz", hmma, d, tensor.FP16))
+	f.Add(TimingKey("AGX@1377MHz", cuda, d, tensor.INT8))
+	f.Add(TimingKey("a|b", cuda, d, tensor.FP32))                                      // a '|' inside the device segment
+	f.Add("NX@1109MHz|gemm.t007x1x1.sk0.nchw.a0.p0|b1.ic1.s1x1-oc1.o1x1-k1.st1.g1|p0") // non-canonical digits
+	f.Add("||||")
+	f.Add("")
+	f.Fuzz(func(t *testing.T, key string) {
+		dev, v, d, prec, err := ParseTimingKey(key)
+		if err != nil {
+			return
+		}
+		canon := TimingKey(dev, v, d, prec)
+		dev2, v2, d2, prec2, err := ParseTimingKey(canon)
+		if err != nil {
+			t.Fatalf("key %q renders to %q, which does not parse: %v", key, canon, err)
+		}
+		if dev2 != dev || v2 != v || d2 != d || prec2 != prec {
+			t.Fatalf("key %q: fields changed across a round trip through %q", key, canon)
+		}
+		if again := TimingKey(dev2, v2, d2, prec2); again != canon {
+			t.Fatalf("key %q: rendering is not a fixed point: %q then %q", key, canon, again)
 		}
 	})
 }

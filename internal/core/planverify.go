@@ -64,52 +64,21 @@ func firstErrors(issues []planlint.Issue, n int) string {
 // verdict instead of an exception — the static twin of Load's dynamic
 // rejection.
 func VerifyPlanData(r io.Reader) []planlint.Issue {
-	h, weights, err := decodePlan(r)
+	h, g, weights, err := decodePlan(r)
 	if err != nil {
 		return []planlint.Issue{{Check: "decode", Severity: planlint.Error, Message: err.Error()}}
 	}
 	var issues []planlint.Issue
-	if err := validateInputShape(h.InputShape); err != nil {
-		issues = append(issues, planlint.Issue{Check: "decode", Severity: planlint.Error, Message: err.Error()})
-	}
-	if err := validatePlanLayers(h.Layers); err != nil {
-		// The graph below is assembled tolerantly, so record the precise
-		// structural defect here and let planlint confirm it.
-		issues = append(issues, planlint.Issue{Check: "topology", Severity: planlint.Error, Message: err.Error()})
-	}
-	g, err := graphFromHeader(h)
-	if err != nil {
-		// Assembly failed mid-way; verify whatever structure the header
-		// declares by rebuilding without validation short-circuits.
-		return append(issues, planlint.Issue{Check: "topology", Severity: planlint.Error, Message: err.Error()})
-	}
-	known := map[string]bool{}
-	for _, l := range g.Layers {
-		known[l.Name] = true
-	}
 	for _, w := range weights {
-		if !known[w.rec.Layer] {
+		if err := g.AttachWeight(w); err != nil {
 			issues = append(issues, planlint.Issue{Check: "weights", Severity: planlint.Error,
-				Layer: w.rec.Layer, Message: "weight record references a layer missing from the plan"})
+				Layer: w.Layer, Message: err.Error()})
 		}
 	}
-	fusions := make(map[string][]string, len(h.Fusions))
-	for primary, f := range h.Fusions {
-		fusions[primary] = f.Absorbed
-	}
-	launches := make([][]string, len(h.Launches))
-	for i, l := range h.Launches {
-		launches[i] = l.Layers
-	}
-	issues = append(issues, planlint.Check(planlint.Plan{
-		Graph:      g,
-		Precision:  h.Precision,
-		Numeric:    h.Numeric,
-		Fusions:    fusions,
-		Int8Ranges: h.Int8Ranges,
-		Launches:   launches,
-	})...)
-	return issues
+	// The plan IR is all VerifyPlan reads: this engine is never run.
+	ir := Engine{Graph: g, Precision: h.Precision, Numeric: h.Numeric,
+		Fusions: h.Fusions, Int8Ranges: h.Int8Ranges, Launches: h.Launches}
+	return append(issues, ir.VerifyPlan()...)
 }
 
 // VerifyPlanFile runs VerifyPlanData over a plan file on disk.

@@ -1,17 +1,11 @@
 package core
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
-	"os"
-	"sort"
 
-	"edgeinfer/internal/atomicfile"
+	"edgeinfer/internal/framed"
 	"edgeinfer/internal/graph"
 	"edgeinfer/internal/kernels"
 	"edgeinfer/internal/planlint"
@@ -25,14 +19,9 @@ import (
 
 const planMagic = "EDGERT01"
 
-// Deserialization limits: plan files are untrusted input, so header and
-// tensor sizes are bounded before allocation (the largest real tensor in
-// the zoo, VGG-16's fc6, is ~103M elements).
-const (
-	maxHeaderBytes = 64 << 20
-	maxRecordBytes = 1 << 20
-	maxTensorElems = 256 << 20
-)
+// maxHeaderBytes bounds the header JSON of an untrusted plan; the weight
+// section's record and tensor bounds live with its codec in graph.
+const maxHeaderBytes = 64 << 20
 
 type planHeader struct {
 	ModelName      string
@@ -48,32 +37,13 @@ type planHeader struct {
 	Task       string
 	InputShape [4]int
 	Outputs    []string
-	Layers     []planLayer
+	Layers     []graph.LayerRecord
 
 	Choices    map[string]kernels.Variant
 	Fusions    map[string]Fusion
 	Int8Ranges map[string]float32 `json:",omitempty"`
 	Launches   []Launch
 	Report     *BuildReport `json:",omitempty"`
-}
-
-type planLayer struct {
-	Name     string
-	Op       graph.OpType
-	Inputs   []string
-	Conv     tensor.ConvParams `json:",omitempty"`
-	Pool     tensor.PoolParams `json:",omitempty"`
-	OutUnits int               `json:",omitempty"`
-	Alpha    float32           `json:",omitempty"`
-	LRNSize  int               `json:",omitempty"`
-	LRNBeta  float32           `json:",omitempty"`
-	LRNK     float32           `json:",omitempty"`
-}
-
-type weightRecord struct {
-	Layer string
-	Key   string
-	Shape [4]int
 }
 
 // Save serializes the engine to a writer. Before emitting a single byte
@@ -84,272 +54,70 @@ func (e *Engine) Save(w io.Writer) error {
 		return fmt.Errorf("core: refusing to serialize %s: plan fails IR verification: %s",
 			e.Key(), firstErrors(issues, 3))
 	}
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(planMagic); err != nil {
-		return err
-	}
-	h := planHeader{
+	layers, weights := e.Graph.Records()
+	hb, err := json.Marshal(planHeader{
 		ModelName: e.ModelName, Platform: e.Platform, BuildID: e.BuildID,
 		Precision: e.Precision, Numeric: e.Numeric,
 		RemovedLayers: e.RemovedLayers, FusedLayers: e.FusedLayers,
 		MergedLaunches: e.MergedLaunches,
 		Framework:      e.Graph.Framework, Task: e.Graph.Task,
-		InputShape: e.Graph.InputShape, Outputs: e.Graph.Outputs,
+		InputShape: e.Graph.InputShape, Outputs: e.Graph.Outputs, Layers: layers,
 		Choices: e.Choices, Fusions: e.Fusions, Launches: e.Launches,
 		Int8Ranges: e.Int8Ranges, Report: e.Report,
-	}
-	for _, l := range e.Graph.Layers {
-		if l.Op == graph.OpInput {
-			continue
-		}
-		h.Layers = append(h.Layers, planLayer{
-			Name: l.Name, Op: l.Op, Inputs: l.Inputs, Conv: l.Conv, Pool: l.Pool,
-			OutUnits: l.OutUnits, Alpha: l.Alpha, LRNSize: l.LRNSize,
-			LRNBeta: l.LRNBeta, LRNK: l.LRNK,
-		})
-	}
-	hb, err := json.Marshal(h)
+	})
 	if err != nil {
 		return fmt.Errorf("core: marshal plan header: %w", err)
 	}
-	if err := binary.Write(bw, binary.LittleEndian, uint32(len(hb))); err != nil {
+	fw := framed.NewWriter(w)
+	fw.Magic(planMagic)
+	fw.Bytes(hb)
+	if err := graph.WriteWeights(fw, weights); err != nil {
 		return err
 	}
-	if _, err := bw.Write(hb); err != nil {
-		return err
-	}
-	// Weight section. Keys are emitted in sorted order: ranging over the
-	// weight map directly would leak map iteration order into the
-	// serialized bytes, making byte-identical engines differ run to run.
-	var weights []struct {
-		rec weightRecord
-		t   *tensor.Tensor
-	}
-	for _, l := range e.Graph.Layers {
-		keys := make([]string, 0, len(l.Weights))
-		for key := range l.Weights {
-			keys = append(keys, key)
-		}
-		sort.Strings(keys)
-		for _, key := range keys {
-			if t := l.Weights[key]; t != nil {
-				weights = append(weights, struct {
-					rec weightRecord
-					t   *tensor.Tensor
-				}{weightRecord{Layer: l.Name, Key: key, Shape: t.Shape()}, t})
-			}
-		}
-	}
-	if err := binary.Write(bw, binary.LittleEndian, uint32(len(weights))); err != nil {
-		return err
-	}
-	for _, wr := range weights {
-		rb, err := json.Marshal(wr.rec)
-		if err != nil {
-			return err
-		}
-		if err := binary.Write(bw, binary.LittleEndian, uint32(len(rb))); err != nil {
-			return err
-		}
-		if _, err := bw.Write(rb); err != nil {
-			return err
-		}
-		if err := binary.Write(bw, binary.LittleEndian, wr.t.Data); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
+	return fw.Flush()
 }
 
-// readBounded reads exactly n bytes in fixed-size chunks. Unlike a
-// single make(n)+ReadFull, memory grows with the bytes actually present
-// in the stream, so a hostile length field over a truncated file fails
-// after a small allocation instead of reserving the full claimed size.
-func readBounded(r io.Reader, n int64) ([]byte, error) {
-	const chunk = 256 << 10
-	buf := make([]byte, 0, min64(n, chunk))
-	scratch := make([]byte, chunk)
-	for int64(len(buf)) < n {
-		want := min64(n-int64(len(buf)), chunk)
-		if _, err := io.ReadFull(r, scratch[:want]); err != nil {
-			return nil, err
-		}
-		buf = append(buf, scratch[:want]...)
-	}
-	return buf, nil
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// validatePlanLayers checks a deserialized header's layer list against
-// everything graph.Add would panic on: plans are untrusted input, so a
-// malformed topology must surface as an error.
-func validatePlanLayers(layers []planLayer) error {
-	seen := map[string]bool{"data": true} // graph.New pre-adds the input layer
-	for _, pl := range layers {
-		if pl.Name == "" {
-			return fmt.Errorf("core: plan layer with empty name")
-		}
-		if seen[pl.Name] {
-			return fmt.Errorf("core: duplicate plan layer %q", pl.Name)
-		}
-		if pl.Op == graph.OpInput {
-			return fmt.Errorf("core: plan layer %q redeclares the input", pl.Name)
-		}
-		if len(pl.Inputs) == 0 {
-			return fmt.Errorf("core: plan layer %q has no inputs", pl.Name)
-		}
-		for _, in := range pl.Inputs {
-			if !seen[in] {
-				return fmt.Errorf("core: plan layer %q references unknown input %q", pl.Name, in)
-			}
-		}
-		seen[pl.Name] = true
-	}
-	return nil
-}
-
-// validateInputShape bounds a deserialized input shape.
-func validateInputShape(s [4]int) error {
-	elems := int64(1)
-	for _, d := range s {
-		if d < 1 || int64(d) > maxTensorElems {
-			return fmt.Errorf("core: plan input shape %v invalid", s)
-		}
-		elems *= int64(d)
-		if elems > maxTensorElems {
-			return fmt.Errorf("core: plan input shape %v too large", s)
-		}
-	}
-	return nil
-}
-
-// decodedWeight is one weight tensor lifted out of the binary section.
-type decodedWeight struct {
-	rec  weightRecord
-	data []float32
-}
-
-// decodePlan reads the structural sections of a plan stream — magic,
-// header JSON, weight records — enforcing every length/shape bound, but
-// without assembling a graph. Both the strict loader and the static plan
-// verifier build on it.
-func decodePlan(r io.Reader) (*planHeader, []decodedWeight, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, len(planMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, nil, fmt.Errorf("core: read plan magic: %w", err)
-	}
-	if string(magic) != planMagic {
-		return nil, nil, fmt.Errorf("core: bad plan magic %q", magic)
-	}
-	var hlen uint32
-	if err := binary.Read(br, binary.LittleEndian, &hlen); err != nil {
-		return nil, nil, err
-	}
-	if hlen > maxHeaderBytes {
-		return nil, nil, fmt.Errorf("core: plan header %d bytes exceeds limit", hlen)
-	}
-	hb, err := readBounded(br, int64(hlen))
-	if err != nil {
-		return nil, nil, fmt.Errorf("core: read plan header: %w", err)
+// decodePlan reads a plan stream — magic, header JSON, weight section —
+// enforcing every length and shape bound, and assembles the header's
+// graph through the error-returning record constructor; a malformed
+// topology surfaces as an error, never a panic. Weights are returned
+// unattached: the strict loader and the static verifier differ only in
+// what they do with a bad one.
+func decodePlan(r io.Reader) (*planHeader, *graph.Graph, []graph.WeightRecord, error) {
+	fr := framed.NewReader(r)
+	fr.Magic(planMagic)
+	hb := fr.Bytes("plan header", maxHeaderBytes)
+	if err := fr.Err(); err != nil {
+		return nil, nil, nil, fmt.Errorf("core: read plan: %w", err)
 	}
 	var h planHeader
 	if err := json.Unmarshal(hb, &h); err != nil {
-		return nil, nil, fmt.Errorf("core: unmarshal plan header: %w", err)
+		return nil, nil, nil, fmt.Errorf("core: unmarshal plan header: %w", err)
 	}
-	var wcount uint32
-	if err := binary.Read(br, binary.LittleEndian, &wcount); err != nil {
-		return nil, nil, err
+	g, err := graph.FromRecords(h.ModelName, h.InputShape, h.Layers)
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("core: plan topology: %w", err)
 	}
-	var weights []decodedWeight
-	for i := uint32(0); i < wcount; i++ {
-		var rlen uint32
-		if err := binary.Read(br, binary.LittleEndian, &rlen); err != nil {
-			return nil, nil, err
-		}
-		if rlen > maxRecordBytes {
-			return nil, nil, fmt.Errorf("core: weight record %d bytes exceeds limit", rlen)
-		}
-		rb, err := readBounded(br, int64(rlen))
-		if err != nil {
-			return nil, nil, err
-		}
-		var rec weightRecord
-		if err := json.Unmarshal(rb, &rec); err != nil {
-			return nil, nil, err
-		}
-		elems := int64(1)
-		for _, d := range rec.Shape {
-			if d < 1 || int64(d) > maxTensorElems {
-				return nil, nil, fmt.Errorf("core: weight shape %v invalid", rec.Shape)
-			}
-			elems *= int64(d)
-			if elems > maxTensorElems {
-				return nil, nil, fmt.Errorf("core: weight shape %v too large", rec.Shape)
-			}
-		}
-		data, err := readFloat32s(br, elems)
-		if err != nil {
-			return nil, nil, fmt.Errorf("core: read weight %s/%s: %w", rec.Layer, rec.Key, err)
-		}
-		weights = append(weights, decodedWeight{rec: rec, data: data})
+	g.Framework, g.Task, g.Outputs = h.Framework, h.Task, h.Outputs
+	weights, err := graph.ReadWeights(fr)
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("core: read plan: %w", err)
 	}
-	return &h, weights, nil
-}
-
-// graphFromHeader assembles the optimized graph from a decoded header
-// through the error-returning graph API — a malformed topology surfaces
-// as an error, never a panic.
-func graphFromHeader(h *planHeader) (*graph.Graph, error) {
-	g := graph.New(h.ModelName, h.InputShape)
-	g.Framework, g.Task = h.Framework, h.Task
-	for _, pl := range h.Layers {
-		err := g.AddLayer(&graph.Layer{
-			Name: pl.Name, Op: pl.Op, Inputs: pl.Inputs, Conv: pl.Conv, Pool: pl.Pool,
-			OutUnits: pl.OutUnits, Alpha: pl.Alpha, LRNSize: pl.LRNSize,
-			LRNBeta: pl.LRNBeta, LRNK: pl.LRNK,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("core: plan layer %q: %w", pl.Name, err)
-		}
-	}
-	g.Outputs = h.Outputs
-	return g, nil
+	return &h, g, weights, nil
 }
 
 // Load deserializes an engine plan. Plan files are untrusted input:
 // truncated, bit-flipped or hostile plans return an error — never a
 // panic, and never an allocation driven by an unvalidated length field.
 func Load(r io.Reader) (*Engine, error) {
-	h, weights, err := decodePlan(r)
-	if err != nil {
-		return nil, err
-	}
-	if err := validateInputShape(h.InputShape); err != nil {
-		return nil, err
-	}
-	if err := validatePlanLayers(h.Layers); err != nil {
-		return nil, err
-	}
-	g, err := graphFromHeader(h)
+	h, g, weights, err := decodePlan(r)
 	if err != nil {
 		return nil, err
 	}
 	// Weights are attached before Finalize so BN shape checks see them.
 	for _, w := range weights {
-		l := g.Layer(w.rec.Layer)
-		if l == nil {
-			return nil, fmt.Errorf("core: weight for unknown layer %q", w.rec.Layer)
-		}
-		l.Weights[w.rec.Key] = &tensor.Tensor{
-			N: w.rec.Shape[0], C: w.rec.Shape[1], H: w.rec.Shape[2], W: w.rec.Shape[3],
-			Data: w.data,
+		if err := g.AttachWeight(w); err != nil {
+			return nil, fmt.Errorf("core: plan weights: %w", err)
 		}
 	}
 	if err := g.Finalize(); err != nil {
@@ -365,43 +133,8 @@ func Load(r io.Reader) (*Engine, error) {
 	}, nil
 }
 
-// readFloat32s decodes elems little-endian float32 values, growing the
-// result with the data actually read (see readBounded for the rationale).
-func readFloat32s(r io.Reader, elems int64) ([]float32, error) {
-	const chunkElems = 64 << 10
-	data := make([]float32, 0, min64(elems, chunkElems))
-	buf := make([]byte, chunkElems*4)
-	for int64(len(data)) < elems {
-		n := min64(elems-int64(len(data)), chunkElems)
-		b := buf[:n*4]
-		if _, err := io.ReadFull(r, b); err != nil {
-			return nil, err
-		}
-		for i := int64(0); i < n; i++ {
-			data = append(data, math.Float32frombits(binary.LittleEndian.Uint32(b[i*4:])))
-		}
-	}
-	return data, nil
-}
-
-// SaveFile writes the engine plan to a file path. The write is
-// crash-safe: the plan is serialized to memory first and published with
-// an atomic rename, so an interrupted save never leaves a truncated
-// plan for the hardened loader to reject.
-func (e *Engine) SaveFile(path string) error {
-	var buf bytes.Buffer
-	if err := e.Save(&buf); err != nil {
-		return err
-	}
-	return atomicfile.WriteFile(path, buf.Bytes(), 0o644)
-}
+// SaveFile writes the engine plan to a file path, crash-safely.
+func (e *Engine) SaveFile(path string) error { return framed.SaveFile(path, e.Save) }
 
 // LoadFile reads an engine plan from a file path.
-func LoadFile(path string) (*Engine, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return Load(f)
-}
+func LoadFile(path string) (*Engine, error) { return framed.LoadFile(path, Load) }

@@ -1,19 +1,15 @@
 package core
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
-	"os"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
 
-	"edgeinfer/internal/atomicfile"
+	"edgeinfer/internal/framed"
 	"edgeinfer/internal/kernels"
 	"edgeinfer/internal/tensor"
 )
@@ -272,97 +268,53 @@ func (c *TimingCache) Save(w io.Writer) error {
 	keys := c.Keys()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(timingCacheMagic); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, uint32(len(keys))); err != nil {
-		return err
-	}
+	fw := framed.NewWriter(w)
+	fw.Magic(timingCacheMagic)
+	fw.U32(uint32(len(keys)))
 	for _, k := range keys {
 		if len(k) > maxCacheKeyBytes {
 			return fmt.Errorf("core: timing-cache key %d bytes exceeds limit", len(k))
 		}
-		if err := binary.Write(bw, binary.LittleEndian, uint32(len(k))); err != nil {
-			return err
-		}
-		if _, err := bw.WriteString(k); err != nil {
-			return err
-		}
-		if err := binary.Write(bw, binary.LittleEndian, math.Float64bits(c.entries[k])); err != nil {
-			return err
-		}
+		fw.String(k)
+		fw.F64(c.entries[k])
 	}
-	return bw.Flush()
+	return fw.Flush()
 }
 
 // LoadTimingCache deserializes a cache. Cache files are untrusted input:
 // truncated, bit-flipped or hostile streams return an error — never a
 // panic, and never an allocation driven by an unvalidated length field.
 func LoadTimingCache(r io.Reader) (*TimingCache, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, len(timingCacheMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("core: read timing-cache magic: %w", err)
-	}
-	if string(magic) != timingCacheMagic {
-		return nil, fmt.Errorf("core: bad timing-cache magic %q", magic)
-	}
-	var count uint32
-	if err := binary.Read(br, binary.LittleEndian, &count); err != nil {
-		return nil, err
-	}
-	if count > maxCacheEntries {
-		return nil, fmt.Errorf("core: timing cache claims %d entries, limit %d", count, maxCacheEntries)
-	}
+	fr := framed.NewReader(r)
+	fr.Magic(timingCacheMagic)
 	c := NewTimingCache()
-	for i := uint32(0); i < count; i++ {
-		var klen uint32
-		if err := binary.Read(br, binary.LittleEndian, &klen); err != nil {
-			return nil, fmt.Errorf("core: timing-cache entry %d: %w", i, err)
+	for n := fr.Count("timing-cache entries", maxCacheEntries); n > 0; n-- {
+		key := string(fr.Bytes("timing-cache key", maxCacheKeyBytes))
+		secs := fr.F64()
+		if fr.Err() != nil {
+			break
 		}
-		if klen == 0 || klen > maxCacheKeyBytes {
-			return nil, fmt.Errorf("core: timing-cache key length %d out of range", klen)
+		if key == "" {
+			return nil, fmt.Errorf("core: timing cache has an empty key")
 		}
-		kb, err := readBounded(br, int64(klen))
-		if err != nil {
-			return nil, fmt.Errorf("core: timing-cache entry %d key: %w", i, err)
-		}
-		var bits uint64
-		if err := binary.Read(br, binary.LittleEndian, &bits); err != nil {
-			return nil, fmt.Errorf("core: timing-cache entry %d value: %w", i, err)
-		}
-		secs := math.Float64frombits(bits)
 		if math.IsNaN(secs) || math.IsInf(secs, 0) || secs <= 0 {
-			return nil, fmt.Errorf("core: timing-cache entry %q has invalid time %v", kb, secs)
+			return nil, fmt.Errorf("core: timing-cache entry %q has invalid time %v", key, secs)
 		}
-		key := string(kb)
 		if _, dup := c.entries[key]; dup {
 			return nil, fmt.Errorf("core: timing cache has duplicate key %q", key)
 		}
 		c.entries[key] = secs
 	}
+	if err := fr.Err(); err != nil {
+		return nil, fmt.Errorf("core: read timing cache: %w", err)
+	}
 	return c, nil
 }
 
-// SaveFile writes the cache to a file path. The write is crash-safe
-// (serialize to memory, publish with an atomic rename), so an
-// interrupted save never leaves a truncated cache that the hardened
-// loader would then reject.
-func (c *TimingCache) SaveFile(path string) error {
-	var buf bytes.Buffer
-	if err := c.Save(&buf); err != nil {
-		return err
-	}
-	return atomicfile.WriteFile(path, buf.Bytes(), 0o644)
-}
+// SaveFile writes the cache to a file path, crash-safely.
+func (c *TimingCache) SaveFile(path string) error { return framed.SaveFile(path, c.Save) }
 
 // LoadTimingCacheFile reads a cache from a file path.
 func LoadTimingCacheFile(path string) (*TimingCache, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return LoadTimingCache(f)
+	return framed.LoadFile(path, LoadTimingCache)
 }

@@ -64,7 +64,7 @@ func (s *Source) Float64() float64 {
 // Intn returns a uniform int in [0, n). It panics if n <= 0.
 func (s *Source) Intn(n int) int {
 	if n <= 0 {
-		panic("fixrand: Intn with non-positive n") //rtlint:allow panicpath -- caller-contract bug as in math/rand; fault injectors only pass len(t.Data) > 0 (tensors reject empty shapes)
+		panic("fixrand: Intn with non-positive n") //rt:allow panicpath -- caller-contract bug as in math/rand; fault injectors only pass len(t.Data) > 0 (tensors reject empty shapes)
 	}
 	return int(s.Uint64() % uint64(n))
 }

@@ -22,8 +22,7 @@ var caffeTypes = map[graph.OpType]string{
 	graph.OpDropout: "Dropout", graph.OpScale: "Scale", graph.OpFlatten: "Flatten",
 }
 
-func exportCaffe(g *graph.Graph) (Model, error) {
-	h, rs := toRecs(g)
+func caffeArch(h header, rs []graph.LayerRecord) ([]byte, error) {
 	var b strings.Builder
 	fmt.Fprintf(&b, "name: %q\n", h.Name)
 	fmt.Fprintf(&b, "# task: %s\n", h.Task)
@@ -35,7 +34,7 @@ func exportCaffe(g *graph.Graph) (Model, error) {
 	for _, r := range rs {
 		typ, ok := caffeTypes[r.Op]
 		if !ok {
-			return Model{}, fmt.Errorf("frameworks: caffe cannot express op %v (layer %s)", r.Op, r.Name)
+			return nil, fmt.Errorf("frameworks: caffe cannot express op %v (layer %s)", r.Op, r.Name)
 		}
 		fmt.Fprintf(&b, "layer {\n  name: %q\n  type: %q\n", r.Name, typ)
 		for _, in := range r.Inputs {
@@ -66,18 +65,14 @@ func exportCaffe(g *graph.Graph) (Model, error) {
 		}
 		b.WriteString("}\n")
 	}
-	weights, err := encodeWeights(g)
-	if err != nil {
-		return Model{}, err
-	}
-	return Model{Format: Caffe, Arch: []byte(b.String()), Weights: weights}, nil
+	return []byte(b.String()), nil
 }
 
-// importCaffe parses the prototxt subset emitted above.
-func importCaffe(m Model) (*graph.Graph, error) {
-	p := &protoParser{lines: strings.Split(string(m.Arch), "\n")}
+// parseCaffe parses the prototxt subset emitted above.
+func parseCaffe(arch []byte) (header, []graph.LayerRecord, error) {
+	p := &protoParser{lines: strings.Split(string(arch), "\n")}
 	h := header{InputShape: [4]int{1, 3, 224, 224}}
-	var rs []rec
+	var rs []graph.LayerRecord
 	dims := 0
 	for !p.done() {
 		line := strings.TrimSpace(p.next())
@@ -97,19 +92,12 @@ func importCaffe(m Model) (*graph.Graph, error) {
 		case line == "layer {":
 			r, err := p.parseLayer()
 			if err != nil {
-				return nil, err
+				return h, nil, err
 			}
 			rs = append(rs, r)
 		}
 	}
-	g, err := fromRecs(h, rs)
-	if err != nil {
-		return nil, err
-	}
-	if err := decodeWeights(g, m.Weights); err != nil {
-		return nil, err
-	}
-	return g, nil
+	return h, rs, nil
 }
 
 type protoParser struct {
@@ -120,8 +108,8 @@ type protoParser struct {
 func (p *protoParser) done() bool   { return p.pos >= len(p.lines) }
 func (p *protoParser) next() string { s := p.lines[p.pos]; p.pos++; return s }
 
-func (p *protoParser) parseLayer() (rec, error) {
-	var r rec
+func (p *protoParser) parseLayer() (graph.LayerRecord, error) {
+	var r graph.LayerRecord
 	var typ string
 	pooling := ""
 	globalPool := false
@@ -165,7 +153,7 @@ func (p *protoParser) parseLayer() (rec, error) {
 	return r, fmt.Errorf("frameworks: unterminated caffe layer %q", r.Name)
 }
 
-func finishCaffeLayer(r rec, typ, pooling string, globalPool bool) (rec, error) {
+func finishCaffeLayer(r graph.LayerRecord, typ, pooling string, globalPool bool) (graph.LayerRecord, error) {
 	switch typ {
 	case "Convolution":
 		r.Op = graph.OpConv

@@ -13,8 +13,7 @@ import (
 // the shared weight payload. Faithful to Darknet's quirk that the graph
 // is a numbered list, not a named DAG.
 
-func exportDarknet(g *graph.Graph) (Model, error) {
-	h, rs := toRecs(g)
+func darknetArch(h header, rs []graph.LayerRecord) ([]byte, error) {
 	// name -> section index ("data" is -1, sections are 0-based).
 	index := map[string]int{"data": -1}
 	var b strings.Builder
@@ -43,7 +42,7 @@ func exportDarknet(g *graph.Graph) (Model, error) {
 		if len(r.Inputs) == 1 {
 			in, err := ref(r.Inputs[0])
 			if err != nil {
-				return Model{}, err
+				return nil, err
 			}
 			if in != sec-1 && r.Op != graph.OpAdd && r.Op != graph.OpConcat {
 				emit("route", fmt.Sprintf("layers=%d", in), "# redirect")
@@ -103,7 +102,7 @@ func exportDarknet(g *graph.Graph) (Model, error) {
 			for i, in := range r.Inputs {
 				v, err := ref(in)
 				if err != nil {
-					return Model{}, err
+					return nil, err
 				}
 				idxs[i] = strconv.Itoa(v)
 			}
@@ -111,15 +110,15 @@ func exportDarknet(g *graph.Graph) (Model, error) {
 				"layers="+strings.Join(idxs, ","))
 		case graph.OpAdd:
 			if len(r.Inputs) != 2 {
-				return Model{}, fmt.Errorf("frameworks: darknet shortcut needs 2 inputs, layer %s has %d", r.Name, len(r.Inputs))
+				return nil, fmt.Errorf("frameworks: darknet shortcut needs 2 inputs, layer %s has %d", r.Name, len(r.Inputs))
 			}
 			a, err := ref(r.Inputs[0])
 			if err != nil {
-				return Model{}, err
+				return nil, err
 			}
 			c, err := ref(r.Inputs[1])
 			if err != nil {
-				return Model{}, err
+				return nil, err
 			}
 			// shortcut consumes the previous section and references `from`.
 			if a != sec-1 && c != sec-1 {
@@ -134,25 +133,21 @@ func exportDarknet(g *graph.Graph) (Model, error) {
 			emit("shortcut", fmt.Sprintf("# name=%s", r.Name),
 				fmt.Sprintf("from=%d", from), "activation=linear")
 		default:
-			return Model{}, fmt.Errorf("frameworks: darknet cannot express op %v", r.Op)
+			return nil, fmt.Errorf("frameworks: darknet cannot express op %v", r.Op)
 		}
 		index[r.Name] = sec
 		sec++
 	}
-	weights, err := encodeWeights(g)
-	if err != nil {
-		return Model{}, err
-	}
-	return Model{Format: Darknet, Arch: []byte(b.String()), Weights: weights}, nil
+	return []byte(b.String()), nil
 }
 
-// importDarknet parses the cfg back. Section names come from the
+// parseDarknet parses the cfg back. Section names come from the
 // "# name=" comments the exporter writes; unnamed redirect routes are
 // skipped as pure wiring.
-func importDarknet(m Model) (*graph.Graph, error) {
-	sections, net, err := splitCfg(string(m.Arch))
+func parseDarknet(arch []byte) (header, []graph.LayerRecord, error) {
+	sections, net, err := splitCfg(string(arch))
 	if err != nil {
-		return nil, err
+		return header{}, nil, err
 	}
 	h := header{
 		Name: net["# name"], Task: net["# task"],
@@ -164,7 +159,7 @@ func importDarknet(m Model) (*graph.Graph, error) {
 		}
 	}
 	nameOf := map[int]string{-1: "data"}
-	var rs []rec
+	var rs []graph.LayerRecord
 	prevName := "data"
 	for i, s := range sections {
 		name := s.kv["# name"]
@@ -180,32 +175,25 @@ func importDarknet(m Model) (*graph.Graph, error) {
 				prevName = inputs[0]
 				continue
 			}
-			rs = append(rs, rec{Name: name, Op: graph.OpConcat, Inputs: inputs})
+			rs = append(rs, graph.LayerRecord{Name: name, Op: graph.OpConcat, Inputs: inputs})
 		case "shortcut":
 			from := nameOf[atoi(s.kv["from"])]
-			rs = append(rs, rec{Name: name, Op: graph.OpAdd, Inputs: []string{prevName, from}})
+			rs = append(rs, graph.LayerRecord{Name: name, Op: graph.OpAdd, Inputs: []string{prevName, from}})
 		default:
 			r, err := darknetRec(s, name, prevName)
 			if err != nil {
-				return nil, err
+				return h, nil, err
 			}
 			rs = append(rs, r)
 		}
 		nameOf[i] = name
 		prevName = name
 	}
-	g, err := fromRecs(h, rs)
-	if err != nil {
-		return nil, err
-	}
-	if err := decodeWeights(g, m.Weights); err != nil {
-		return nil, err
-	}
-	return g, nil
+	return h, rs, nil
 }
 
-func darknetRec(s cfgSection, name, prev string) (rec, error) {
-	r := rec{Name: name, Inputs: []string{prev}}
+func darknetRec(s cfgSection, name, prev string) (graph.LayerRecord, error) {
+	r := graph.LayerRecord{Name: name, Inputs: []string{prev}}
 	switch s.kind {
 	case "convolutional":
 		r.Op = graph.OpConv

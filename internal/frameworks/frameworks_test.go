@@ -1,9 +1,12 @@
 package frameworks
 
 import (
+	"bytes"
+	"strings"
 	"testing"
 
 	"edgeinfer/internal/dataset"
+	"edgeinfer/internal/framed"
 	"edgeinfer/internal/graph"
 	"edgeinfer/internal/models"
 	"edgeinfer/internal/tensor"
@@ -157,6 +160,45 @@ func TestCorruptWeightPayloadRejected(t *testing.T) {
 	short := Model{Format: TensorFlow, Arch: m.Arch, Weights: []byte{1, 2}}
 	if _, err := Import(short); err == nil {
 		t.Fatal("tiny weight payload accepted")
+	}
+	// A record for the input layer, which holds no weights: an error from
+	// the shared attach step, not a nil-map panic behind Import's recover.
+	var payload bytes.Buffer
+	fw := framed.NewWriter(&payload)
+	forData := graph.WeightRecord{Layer: "data", Key: "w", Shape: [4]int{1, 1, 1, 1}, Data: []float32{0}}
+	if err := graph.WriteWeights(fw, []graph.WeightRecord{forData}); err != nil {
+		t.Fatal(err)
+	}
+	if err := fw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	_, err = Import(Model{Format: TensorFlow, Arch: m.Arch, Weights: payload.Bytes()})
+	if err == nil || !strings.Contains(err.Error(), "input layer") {
+		t.Fatalf("weight for the input layer: %v", err)
+	}
+}
+
+// TestExportByteStable: one graph always exports to the same bytes —
+// the weights are walked in sorted order, never in map order.
+func TestExportByteStable(t *testing.T) {
+	g, err := models.BuildProxy("resnet18", models.DefaultProxyOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []Format{Caffe, TensorFlow, Darknet, PyTorch} {
+		first, err := Export(g, f)
+		if err != nil {
+			t.Fatalf("%s: %v", f, err)
+		}
+		for i := 1; i < 50; i++ {
+			m, err := Export(g, f)
+			if err != nil {
+				t.Fatalf("%s: %v", f, err)
+			}
+			if !bytes.Equal(m.Arch, first.Arch) || !bytes.Equal(m.Weights, first.Weights) {
+				t.Fatalf("%s: export %d differs from the first", f, i)
+			}
+		}
 	}
 }
 

@@ -47,3 +47,32 @@ func FuzzImportDarknet(f *testing.F) {
 		}
 	})
 }
+
+// FuzzImportWeights mutates the binary weight payload of a real export
+// under its own, fixed arch text — the half of Import the two arch
+// fuzzers never reach: the importer must error or produce a finalized
+// graph, never panic.
+func FuzzImportWeights(f *testing.F) {
+	g, err := models.BuildProxy("resnet18", models.DefaultProxyOptions())
+	if err != nil {
+		f.Fatal(err)
+	}
+	m, err := Export(g, PyTorch)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(m.Weights)
+	f.Add(m.Weights[:len(m.Weights)/2])
+	f.Add(m.Weights[:4])
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, weights []byte) {
+		if len(weights) > 1<<20 {
+			t.Skip()
+		}
+		g, err := Import(Model{Format: PyTorch, Arch: m.Arch, Weights: weights})
+		if err == nil && !g.Finalized() {
+			t.Fatal("unfinalized graph returned without error")
+		}
+	})
+}

@@ -44,13 +44,12 @@ var ptTypesBack = func() map[string]graph.OpType {
 	return m
 }()
 
-func exportPyTorch(g *graph.Graph) (Model, error) {
-	h, rs := toRecs(g)
+func pyTorchArch(h header, rs []graph.LayerRecord) ([]byte, error) {
 	man := ptManifest{ModelName: h.Name, Task: h.Task, InputShape: h.InputShape, Outputs: h.Outputs}
 	for _, r := range rs {
 		typ, ok := ptTypes[r.Op]
 		if !ok {
-			return Model{}, fmt.Errorf("frameworks: pytorch cannot express op %v", r.Op)
+			return nil, fmt.Errorf("frameworks: pytorch cannot express op %v", r.Op)
 		}
 		mod := ptModule{Name: r.Name, Type: typ, Inputs: r.Inputs, Args: map[string]float64{}}
 		switch r.Op {
@@ -76,30 +75,22 @@ func exportPyTorch(g *graph.Graph) (Model, error) {
 		}
 		man.Modules = append(man.Modules, mod)
 	}
-	arch, err := json.MarshalIndent(man, "", " ")
-	if err != nil {
-		return Model{}, err
-	}
-	weights, err := encodeWeights(g)
-	if err != nil {
-		return Model{}, err
-	}
-	return Model{Format: PyTorch, Arch: arch, Weights: weights}, nil
+	return json.MarshalIndent(man, "", " ")
 }
 
-func importPyTorch(m Model) (*graph.Graph, error) {
+func parsePyTorch(arch []byte) (header, []graph.LayerRecord, error) {
 	var man ptManifest
-	if err := json.Unmarshal(m.Arch, &man); err != nil {
-		return nil, fmt.Errorf("frameworks: bad pytorch manifest: %w", err)
+	if err := json.Unmarshal(arch, &man); err != nil {
+		return header{}, nil, fmt.Errorf("frameworks: bad pytorch manifest: %w", err)
 	}
 	h := header{Name: man.ModelName, Task: man.Task, InputShape: man.InputShape, Outputs: man.Outputs}
-	var rs []rec
+	var rs []graph.LayerRecord
 	for _, mod := range man.Modules {
 		op, ok := ptTypesBack[mod.Type]
 		if !ok {
-			return nil, fmt.Errorf("frameworks: unknown pytorch module %q", mod.Type)
+			return h, nil, fmt.Errorf("frameworks: unknown pytorch module %q", mod.Type)
 		}
-		r := rec{Name: mod.Name, Op: op, Inputs: mod.Inputs}
+		r := graph.LayerRecord{Name: mod.Name, Op: op, Inputs: mod.Inputs}
 		a := func(k string) float64 { return mod.Args[k] }
 		switch op {
 		case graph.OpConv:
@@ -124,12 +115,5 @@ func importPyTorch(m Model) (*graph.Graph, error) {
 		}
 		rs = append(rs, r)
 	}
-	g, err := fromRecs(h, rs)
-	if err != nil {
-		return nil, err
-	}
-	if err := decodeWeights(g, m.Weights); err != nil {
-		return nil, err
-	}
-	return g, nil
+	return h, rs, nil
 }

@@ -43,13 +43,12 @@ var tfOpsBack = func() map[string]graph.OpType {
 	return m
 }()
 
-func exportTF(g *graph.Graph) (Model, error) {
-	h, rs := toRecs(g)
+func tfArch(h header, rs []graph.LayerRecord) ([]byte, error) {
 	def := tfGraphDef{Name: h.Name, Task: h.Task, InputShape: h.InputShape, Outputs: h.Outputs}
 	for _, r := range rs {
 		op, ok := tfOps[r.Op]
 		if !ok {
-			return Model{}, fmt.Errorf("frameworks: tensorflow cannot express op %v", r.Op)
+			return nil, fmt.Errorf("frameworks: tensorflow cannot express op %v", r.Op)
 		}
 		n := tfNode{Name: r.Name, Op: op, Input: r.Inputs, Attr: map[string]float64{}}
 		switch r.Op {
@@ -75,30 +74,22 @@ func exportTF(g *graph.Graph) (Model, error) {
 		}
 		def.Node = append(def.Node, n)
 	}
-	arch, err := json.MarshalIndent(def, "", " ")
-	if err != nil {
-		return Model{}, err
-	}
-	weights, err := encodeWeights(g)
-	if err != nil {
-		return Model{}, err
-	}
-	return Model{Format: TensorFlow, Arch: arch, Weights: weights}, nil
+	return json.MarshalIndent(def, "", " ")
 }
 
-func importTF(m Model) (*graph.Graph, error) {
+func parseTF(arch []byte) (header, []graph.LayerRecord, error) {
 	var def tfGraphDef
-	if err := json.Unmarshal(m.Arch, &def); err != nil {
-		return nil, fmt.Errorf("frameworks: bad tensorflow graphdef: %w", err)
+	if err := json.Unmarshal(arch, &def); err != nil {
+		return header{}, nil, fmt.Errorf("frameworks: bad tensorflow graphdef: %w", err)
 	}
 	h := header{Name: def.Name, Task: def.Task, InputShape: def.InputShape, Outputs: def.Outputs}
-	var rs []rec
+	var rs []graph.LayerRecord
 	for _, n := range def.Node {
 		op, ok := tfOpsBack[n.Op]
 		if !ok {
-			return nil, fmt.Errorf("frameworks: unknown tensorflow op %q", n.Op)
+			return h, nil, fmt.Errorf("frameworks: unknown tensorflow op %q", n.Op)
 		}
-		r := rec{Name: n.Name, Op: op, Inputs: n.Input}
+		r := graph.LayerRecord{Name: n.Name, Op: op, Inputs: n.Input}
 		a := func(k string) float64 { return n.Attr[k] }
 		switch op {
 		case graph.OpConv:
@@ -123,12 +114,5 @@ func importTF(m Model) (*graph.Graph, error) {
 		}
 		rs = append(rs, r)
 	}
-	g, err := fromRecs(h, rs)
-	if err != nil {
-		return nil, err
-	}
-	if err := decodeWeights(g, m.Weights); err != nil {
-		return nil, err
-	}
-	return g, nil
+	return h, rs, nil
 }

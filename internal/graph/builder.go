@@ -154,7 +154,7 @@ func (b *Builder) Finish() (*Graph, error) {
 func (b *Builder) Done() *Graph {
 	g, err := b.Finish()
 	if err != nil {
-		panic(err) //rtlint:allow panicpath -- static model definitions only; external input uses Finish
+		panic(err) //rt:allow panicpath -- static model definitions only; external input uses Finish
 	}
 	return g
 }

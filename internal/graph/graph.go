@@ -108,7 +108,8 @@ func New(name string, inputShape [4]int) *Graph {
 }
 
 // AddLayer appends a layer, validating the topology invariants every
-// other method relies on. It is the entry point for layers that originate
+// other method relies on (New made the graph's only input layer; a
+// second one is rejected). It is the entry point for layers that originate
 // outside the process — deserialized engine plans, framework imports —
 // where a malformed layer must surface as an error, never a panic.
 func (g *Graph) AddLayer(l *Layer) error {
@@ -118,7 +119,10 @@ func (g *Graph) AddLayer(l *Layer) error {
 	if _, dup := g.byName[l.Name]; dup {
 		return fmt.Errorf("graph: duplicate layer %q", l.Name)
 	}
-	if l.Op != OpInput && len(l.Inputs) == 0 {
+	if l.Op == OpInput {
+		return fmt.Errorf("graph: layer %q redeclares the input", l.Name)
+	}
+	if len(l.Inputs) == 0 {
 		return fmt.Errorf("graph: layer %q has no inputs", l.Name)
 	}
 	for _, in := range l.Inputs {
@@ -141,7 +145,7 @@ func (g *Graph) AddLayer(l *Layer) error {
 // Add is only reachable from static model definitions.
 func (g *Graph) Add(l *Layer) *Layer {
 	if err := g.AddLayer(l); err != nil {
-		panic(err) //rtlint:allow panicpath -- static model definitions only; plan loaders use AddLayer
+		panic(err) //rt:allow panicpath -- static model definitions only; plan loaders use AddLayer
 	}
 	return l
 }
@@ -316,6 +320,6 @@ func (g *Graph) RemoveLayer(name string) error {
 // built itself, where a splice failure is a programming bug.
 func (g *Graph) Remove(name string) {
 	if err := g.RemoveLayer(name); err != nil {
-		panic(err) //rtlint:allow panicpath -- pass-authored graphs only; plan paths use RemoveLayer
+		panic(err) //rt:allow panicpath -- pass-authored graphs only; plan paths use RemoveLayer
 	}
 }

@@ -16,7 +16,7 @@ import (
 
 // seedCache builds every zoo model once on a device and returns the
 // populated timing cache — the predictor's training corpus.
-func seedCache(t *testing.T, spec gpusim.DeviceSpec) *core.TimingCache {
+func seedCache(t testing.TB, spec gpusim.DeviceSpec) *core.TimingCache {
 	t.Helper()
 	cache := core.NewTimingCache()
 	for _, name := range models.List() {
@@ -29,7 +29,7 @@ func seedCache(t *testing.T, spec gpusim.DeviceSpec) *core.TimingCache {
 	return cache
 }
 
-func trainNX(t *testing.T) *Model {
+func trainNX(t testing.TB) *Model {
 	t.Helper()
 	m, stats, err := Train(seedCache(t, gpusim.XavierNX()), DefaultTrainOptions())
 	if err != nil {
@@ -297,22 +297,28 @@ func TestModelFileRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLoadHostileInput: model files are untrusted; malformed bytes must
-// error without panics or length-driven allocations.
-func TestLoadHostileInput(t *testing.T) {
-	valid := func() []byte {
-		fams := map[kernels.Family]*FamilyModel{}
-		fm := &FamilyModel{ResidualLog: 0.1, Rows: 50}
-		for i := range fm.Std {
-			fm.Std[i] = 1
-		}
-		fams[kernels.FamGEMM] = fm
-		var buf bytes.Buffer
-		if err := NewModel(0.25, fams).Save(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}()
+// hostileStream is one malformed predictor file.
+type hostileStream struct {
+	name string
+	data []byte
+}
+
+// hostileModelStreams returns a valid single-family predictor file and
+// the malformed variants of it that Load must reject — the shared corpus
+// of TestLoadHostileInput and FuzzLoadModel's seeds.
+func hostileModelStreams(t testing.TB) (valid []byte, cases []hostileStream) {
+	t.Helper()
+	fams := map[kernels.Family]*FamilyModel{}
+	fm := &FamilyModel{ResidualLog: 0.1, Rows: 50}
+	for i := range fm.Std {
+		fm.Std[i] = 1
+	}
+	fams[kernels.FamGEMM] = fm
+	var buf bytes.Buffer
+	if err := NewModel(0.25, fams).Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	valid = buf.Bytes()
 
 	u32 := func(v uint32) []byte {
 		b := make([]byte, 4)
@@ -338,24 +344,32 @@ func TestLoadHostileInput(t *testing.T) {
 		offWidth = offRes + 8
 		offVecs  = offWidth + 4
 	)
-	cases := []struct {
-		name string
-		data []byte
-	}{
+	// A duplicated family entry must be rejected too.
+	dup := append([]byte(nil), valid...)
+	dup = append(dup, valid[offFam:]...)
+	copy(dup[offCount:], u32(2))
+	return valid, []hostileStream{
 		{"empty", nil},
 		{"bad magic", mutate(0, []byte("EDGETC01"))},
 		{"nan gate", mutate(offGate, f64(math.NaN()))},
 		{"negative gate", mutate(offGate, f64(-1))},
-		{"huge family count", mutate(offCount, u32(1 << 30))},
+		{"huge family count", mutate(offCount, u32(1<<30))},
 		{"count without families", mutate(offCount, u32(7))},
 		{"unknown family id", mutate(offFam, []byte{0xEE})},
 		{"nan residual", mutate(offRes, f64(math.NaN()))},
 		{"negative residual", mutate(offRes, f64(-0.5))},
-		{"foreign feature width", mutate(offWidth, u32(NumFeatures + 3))},
+		{"foreign feature width", mutate(offWidth, u32(NumFeatures+3))},
 		{"nan weight", mutate(offVecs, f64(math.NaN()))},
 		{"inf mean", mutate(offVecs+8*NumFeatures, f64(math.Inf(1)))},
 		{"zero std", mutate(offVecs+16*NumFeatures, f64(0))},
+		{"duplicate family", dup},
 	}
+}
+
+// TestLoadHostileInput: model files are untrusted; malformed bytes must
+// error without panics or length-driven allocations.
+func TestLoadHostileInput(t *testing.T) {
+	valid, cases := hostileModelStreams(t)
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			if _, err := Load(bytes.NewReader(tc.data)); err == nil {
@@ -371,14 +385,42 @@ func TestLoadHostileInput(t *testing.T) {
 	if _, err := Load(bytes.NewReader(valid)); err != nil {
 		t.Fatalf("valid stream rejected: %v", err)
 	}
+}
 
-	// A duplicated family entry must be rejected too.
-	dup := append([]byte(nil), valid...)
-	dup = append(dup, valid[offFam:]...)
-	copy(dup[offCount:], u32(2))
-	if _, err := Load(bytes.NewReader(dup)); err == nil {
-		t.Fatal("duplicate family accepted")
+// FuzzLoadModel throws arbitrary bytes (seeded with a trained model, its
+// prefixes and the hostile corpus) at the predictor loader: it must
+// return an error or a model that predicts without panicking, and a
+// model it accepts must re-serialize to a stream it accepts again.
+func FuzzLoadModel(f *testing.F) {
+	var trained bytes.Buffer
+	if err := trainNX(f).Save(&trained); err != nil {
+		f.Fatal(err)
 	}
+	f.Add(trained.Bytes())
+	f.Add(trained.Bytes()[:trained.Len()/2])
+	valid, cases := hostileModelStreams(f)
+	f.Add(valid)
+	for _, tc := range cases {
+		f.Add(tc.data)
+	}
+	dev := gpusim.NewDevice(gpusim.XavierNX(), 0)
+	d := testDims()[0]
+	ls := kernels.PlanConv(kernels.ConvCandidates(d, tensor.FP16)[0], d)
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := Load(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		m.PredictSec(dev, ls)
+		var again bytes.Buffer
+		if err := m.Save(&again); err != nil {
+			t.Fatalf("accepted model does not re-serialize: %v", err)
+		}
+		if _, err := Load(bytes.NewReader(again.Bytes())); err != nil {
+			t.Fatalf("re-serialized model rejected: %v", err)
+		}
+	})
 }
 
 // TestTransferToUnseenDevice: a model trained purely on NX entries must

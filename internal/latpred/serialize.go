@@ -1,15 +1,11 @@
 package latpred
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
-	"os"
 
-	"edgeinfer/internal/atomicfile"
+	"edgeinfer/internal/framed"
 	"edgeinfer/internal/kernels"
 )
 
@@ -27,119 +23,72 @@ const maxModelFamilies = 64
 
 // Save serializes the model.
 func (m *Model) Save(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(modelMagic); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, math.Float64bits(m.MaxResidualLog)); err != nil {
-		return err
-	}
+	fw := framed.NewWriter(w)
+	fw.Magic(modelMagic)
+	fw.F64(m.MaxResidualLog)
 	fams := m.Families()
-	if err := binary.Write(bw, binary.LittleEndian, uint32(len(fams))); err != nil {
-		return err
-	}
+	fw.U32(uint32(len(fams)))
 	for _, fam := range fams {
 		fm := m.families[fam]
-		if err := bw.WriteByte(byte(fam)); err != nil {
-			return err
-		}
-		if err := binary.Write(bw, binary.LittleEndian, uint32(fm.Rows)); err != nil {
-			return err
-		}
-		if err := binary.Write(bw, binary.LittleEndian, math.Float64bits(fm.ResidualLog)); err != nil {
-			return err
-		}
-		if err := binary.Write(bw, binary.LittleEndian, uint32(NumFeatures)); err != nil {
-			return err
-		}
+		fw.U8(uint8(fam))
+		fw.U32(uint32(fm.Rows))
+		fw.F64(fm.ResidualLog)
+		fw.U32(NumFeatures)
 		for _, vec := range [3]*[NumFeatures]float64{&fm.Weights, &fm.Mean, &fm.Std} {
 			for _, v := range vec {
-				if err := binary.Write(bw, binary.LittleEndian, math.Float64bits(v)); err != nil {
-					return err
-				}
+				fw.F64(v)
 			}
 		}
 	}
-	return bw.Flush()
+	return fw.Flush()
 }
 
 // Load deserializes a model. Predictor files are untrusted input:
 // truncated, bit-flipped or hostile streams return an error — never a
 // panic, and never an allocation driven by an unvalidated length field.
 func Load(r io.Reader) (*Model, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, len(modelMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("latpred: read model magic: %w", err)
+	fr := framed.NewReader(r)
+	fr.Magic(modelMagic)
+	m := &Model{MaxResidualLog: fr.F64(), families: map[kernels.Family]*FamilyModel{}}
+	count := fr.Count("model families", maxModelFamilies)
+	if err := fr.Err(); err != nil {
+		return nil, fmt.Errorf("latpred: read model: %w", err)
 	}
-	if string(magic) != modelMagic {
-		return nil, fmt.Errorf("latpred: bad model magic %q", magic)
+	if !finite(m.MaxResidualLog) || m.MaxResidualLog < 0 {
+		return nil, fmt.Errorf("latpred: model has invalid confidence gate %v", m.MaxResidualLog)
 	}
-	var gateBits uint64
-	if err := binary.Read(br, binary.LittleEndian, &gateBits); err != nil {
-		return nil, err
-	}
-	gate := math.Float64frombits(gateBits)
-	if math.IsNaN(gate) || math.IsInf(gate, 0) || gate < 0 {
-		return nil, fmt.Errorf("latpred: model has invalid confidence gate %v", gate)
-	}
-	var count uint32
-	if err := binary.Read(br, binary.LittleEndian, &count); err != nil {
-		return nil, err
-	}
-	if count > maxModelFamilies {
-		return nil, fmt.Errorf("latpred: model claims %d families, limit %d", count, maxModelFamilies)
-	}
-	m := &Model{MaxResidualLog: gate, families: map[kernels.Family]*FamilyModel{}}
-	for i := uint32(0); i < count; i++ {
-		famByte, err := br.ReadByte()
-		if err != nil {
-			return nil, fmt.Errorf("latpred: model family %d: %w", i, err)
+	for ; count > 0; count-- {
+		fam := kernels.Family(fr.U8())
+		fm := &FamilyModel{Rows: int(fr.U32()), ResidualLog: fr.F64()}
+		width := fr.U32()
+		if err := fr.Err(); err != nil {
+			return nil, fmt.Errorf("latpred: read model family: %w", err)
 		}
-		fam := kernels.Family(famByte)
 		if _, ok := kernels.ParseFamily(fam.String()); !ok {
-			return nil, fmt.Errorf("latpred: model family %d has unknown id %d", i, famByte)
+			return nil, fmt.Errorf("latpred: model has unknown family id %d", uint8(fam))
 		}
 		if _, dup := m.families[fam]; dup {
 			return nil, fmt.Errorf("latpred: model has duplicate family %s", fam)
 		}
-		fm := &FamilyModel{}
-		var rows uint32
-		if err := binary.Read(br, binary.LittleEndian, &rows); err != nil {
-			return nil, fmt.Errorf("latpred: model family %s rows: %w", fam, err)
-		}
-		fm.Rows = int(rows)
-		var resBits uint64
-		if err := binary.Read(br, binary.LittleEndian, &resBits); err != nil {
-			return nil, fmt.Errorf("latpred: model family %s residual: %w", fam, err)
-		}
-		fm.ResidualLog = math.Float64frombits(resBits)
-		if math.IsNaN(fm.ResidualLog) || math.IsInf(fm.ResidualLog, 0) || fm.ResidualLog < 0 {
+		if !finite(fm.ResidualLog) || fm.ResidualLog < 0 {
 			return nil, fmt.Errorf("latpred: model family %s has invalid residual %v", fam, fm.ResidualLog)
-		}
-		var width uint32
-		if err := binary.Read(br, binary.LittleEndian, &width); err != nil {
-			return nil, fmt.Errorf("latpred: model family %s width: %w", fam, err)
 		}
 		if width != NumFeatures {
 			return nil, fmt.Errorf("latpred: model family %s has feature width %d, this build expects %d",
 				fam, width, NumFeatures)
 		}
-		for vi, vec := range [3]*[NumFeatures]float64{&fm.Weights, &fm.Mean, &fm.Std} {
-			for j := 0; j < NumFeatures; j++ {
-				var bits uint64
-				if err := binary.Read(br, binary.LittleEndian, &bits); err != nil {
-					return nil, fmt.Errorf("latpred: model family %s vector %d: %w", fam, vi, err)
-				}
-				v := math.Float64frombits(bits)
-				if math.IsNaN(v) || math.IsInf(v, 0) {
+		for _, vec := range [3]*[NumFeatures]float64{&fm.Weights, &fm.Mean, &fm.Std} {
+			for j := range vec {
+				if vec[j] = fr.F64(); !finite(vec[j]) {
 					return nil, fmt.Errorf("latpred: model family %s has non-finite coefficient", fam)
 				}
-				vec[j] = v
 			}
 		}
-		for j := 0; j < NumFeatures; j++ {
-			if fm.Std[j] <= 0 {
+		if err := fr.Err(); err != nil {
+			return nil, fmt.Errorf("latpred: read model family %s: %w", fam, err)
+		}
+		for _, std := range fm.Std {
+			if std <= 0 {
 				return nil, fmt.Errorf("latpred: model family %s has non-positive std", fam)
 			}
 		}
@@ -148,22 +97,10 @@ func Load(r io.Reader) (*Model, error) {
 	return m, nil
 }
 
-// SaveFile writes the model crash-safely (serialize to memory, publish
-// with an atomic rename), matching TimingCache.SaveFile.
-func (m *Model) SaveFile(path string) error {
-	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
-		return err
-	}
-	return atomicfile.WriteFile(path, buf.Bytes(), 0o644)
-}
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+
+// SaveFile writes the model to a file path, crash-safely.
+func (m *Model) SaveFile(path string) error { return framed.SaveFile(path, m.Save) }
 
 // LoadFile reads a model from a file path.
-func LoadFile(path string) (*Model, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return Load(f)
-}
+func LoadFile(path string) (*Model, error) { return framed.LoadFile(path, Load) }

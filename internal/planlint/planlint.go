@@ -63,10 +63,6 @@ func HasErrors(issues []Issue) bool {
 	return false
 }
 
-// MaxTensorElems bounds any declared tensor shape (the largest real
-// tensor in the model zoo is ~103M elements).
-const MaxTensorElems = 256 << 20
-
 // Plan is the neutral view of an engine plan that planlint verifies.
 // internal/core adapts both built Engines and raw deserialized headers
 // into it.
@@ -130,9 +126,9 @@ func checkInputShape(g *graph.Graph) []Issue {
 				Message: fmt.Sprintf("input shape %v has non-positive dimension", g.InputShape)}}
 		}
 		elems *= int64(d)
-		if elems > MaxTensorElems {
+		if elems > graph.MaxTensorElems {
 			return []Issue{{Check: "topology", Severity: Error,
-				Message: fmt.Sprintf("input shape %v exceeds %d elements", g.InputShape, int64(MaxTensorElems))}}
+				Message: fmt.Sprintf("input shape %v exceeds %d elements", g.InputShape, int64(graph.MaxTensorElems))}}
 		}
 	}
 	return issues

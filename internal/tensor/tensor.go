@@ -26,7 +26,7 @@ type Tensor struct {
 // non-positive dimensions.
 func New(n, c, h, w int) *Tensor {
 	if n <= 0 || c <= 0 || h <= 0 || w <= 0 {
-		panic(fmt.Sprintf("tensor: invalid shape [%d %d %d %d]", n, c, h, w)) //rtlint:allow panicpath -- allocation-contract bug, not data-driven: loaders and kernels validate shapes before allocating
+		panic(fmt.Sprintf("tensor: invalid shape [%d %d %d %d]", n, c, h, w)) //rt:allow panicpath -- allocation-contract bug, not data-driven: loaders and kernels validate shapes before allocating
 	}
 	return &Tensor{N: n, C: c, H: h, W: w, Data: make([]float32, n*c*h*w)}
 }
