@@ -3,7 +3,8 @@
 # (the serve/faults packages are exercised concurrently), the nested
 # benchmark module's own vet and tests (bench/), short fuzz
 # smokes over every untrusted decoder (engine plans, timing caches and
-# their keys, predictor files, framework arch text and weight payloads),
+# their keys, predictor files, framework arch text and weight payloads,
+# and the serving front door's request body and headers),
 # the shared-timing-cache fleet-convergence audit (warm rebuilds
 # must be byte-identical), the chaos smoke (a short replica-fleet soak
 # that must show zero wrong-answer escapes and zero leaked quarantines),
@@ -41,7 +42,8 @@ go test -race -timeout 20m ./...
 # One fuzz smoke per untrusted decoder: package:fuzzer:seconds.
 for f in core:FuzzLoad:10 core:FuzzLoadTimingCache:5 core:FuzzParseTimingKey:5 \
   latpred:FuzzLoadModel:5 frameworks:FuzzImportWeights:5 \
-  frameworks:FuzzImportCaffe:5 frameworks:FuzzImportDarknet:5; do
+  frameworks:FuzzImportCaffe:5 frameworks:FuzzImportDarknet:5 \
+  netserve:FuzzDecodeRequest:5 netserve:FuzzHandleInfer:5; do
   pkg=${f%%:*} rest=${f#*:}
   go test -run='^$' -fuzz="^${rest%:*}\$" -fuzztime="${rest#*:}s" "./internal/$pkg"
 done

@@ -62,7 +62,7 @@ func TestParseDeadlineRejectsGarbage(t *testing.T) {
 func edfReq(remSec float64, band rtctx.Band) *request {
 	now := time.Now()
 	return &request{
-		ctx: &rtctx.Request{
+		ctx: rtctx.Request{
 			BudgetSec: remSec,
 			Abort:     true,
 			Band:      band,
@@ -164,7 +164,7 @@ func TestEDFBandBreaksDeadlineTies(t *testing.T) {
 	dl := now.Add(time.Second)
 	mk := func(band rtctx.Band) *request {
 		return &request{
-			ctx:  &rtctx.Request{BudgetSec: 1, Abort: true, Band: band, Arrival: now, Deadline: dl},
+			ctx:  rtctx.Request{BudgetSec: 1, Abort: true, Band: band, Arrival: now, Deadline: dl},
 			resp: make(chan response, 1),
 		}
 	}
@@ -229,7 +229,7 @@ func TestWCETGateAppliesToFIFOToo(t *testing.T) {
 func TestBatchCtxTightestDeadlineWins(t *testing.T) {
 	start := time.Now()
 	mk := func(remSec float64, band rtctx.Band, tenant string) *request {
-		return &request{ctx: &rtctx.Request{
+		return &request{ctx: rtctx.Request{
 			BudgetSec: remSec, Abort: true, Band: band, Tenant: tenant,
 			Arrival: start, Deadline: start.Add(time.Duration(remSec * float64(time.Second))),
 		}}
@@ -261,8 +261,8 @@ func TestBatchCtxMixedTenantAndExpiredFloor(t *testing.T) {
 	start := time.Now()
 	past := start.Add(-time.Second)
 	batch := []*request{
-		{ctx: &rtctx.Request{BudgetSec: 1, Abort: true, Tenant: "a", Arrival: past, Deadline: start.Add(-time.Millisecond)}},
-		{ctx: &rtctx.Request{BudgetSec: 1, Abort: true, Tenant: "b", Arrival: past, Deadline: start.Add(time.Second)}},
+		{ctx: rtctx.Request{BudgetSec: 1, Abort: true, Tenant: "a", Arrival: past, Deadline: start.Add(-time.Millisecond)}},
+		{ctx: rtctx.Request{BudgetSec: 1, Abort: true, Tenant: "b", Arrival: past, Deadline: start.Add(time.Second)}},
 	}
 	b := batchCtx(batch, start)
 	if b.Tenant != "" {
@@ -283,7 +283,7 @@ func TestBatchCtxMixedTenantAndExpiredFloor(t *testing.T) {
 // sequence can.
 func tiedReq(now time.Time, remSec float64) *request {
 	return &request{
-		ctx: &rtctx.Request{
+		ctx: rtctx.Request{
 			BudgetSec: remSec,
 			Abort:     true,
 			Band:      rtctx.BandLow,
@@ -399,5 +399,35 @@ func TestAdmitGateOrderInvariant(t *testing.T) {
 	}
 	if got := q2.popLive(); got != occupant {
 		t.Fatal("feasible occupant missing after hopeless admit attempt")
+	}
+}
+
+// A header too large for a Duration in nanoseconds used to overflow into
+// a negative budget — a deadline before the arrival — instead of
+// clamping: every accepted value must land in (0, MaxDeadline].
+func TestParseDeadlineClampsBeforeConverting(t *testing.T) {
+	s := deadlineServer(0, 0) // defaults: 250ms / 5s
+	max := s.cfg.MaxDeadline
+	for _, tc := range []struct {
+		header string
+		want   time.Duration // 0: rejected
+	}{
+		{"1", time.Millisecond},
+		{"5000", max},
+		{"5001", max},
+		{"9223372036854", max}, // the largest ms count whose product still fits
+		{"9223372036855", max}, // the smallest that wraps negative
+		{"9223372036854775807", max},
+		{"9223372036854775808", 0}, // not an int
+	} {
+		r := httptest.NewRequest("POST", "/v1/models/m/infer", nil)
+		r.Header.Set("X-Deadline-Ms", tc.header)
+		d, err := s.parseDeadline(r)
+		switch {
+		case tc.want == 0 && err == nil:
+			t.Errorf("header %s: accepted as %v, want an error", tc.header, d)
+		case tc.want != 0 && (err != nil || d != tc.want || d <= 0 || d > max):
+			t.Errorf("header %s: got %v, %v; want %v", tc.header, d, err, tc.want)
+		}
 	}
 }

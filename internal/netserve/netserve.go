@@ -378,15 +378,19 @@ type inferRequest struct {
 	Shape [4]int    `json:"shape"`
 }
 
-func writeJSON(w http.ResponseWriter, status int, body any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
+// writeJSON marshals before it commits the status: a body that cannot be
+// encoded (a NaN latency out of a faulty backend) is answered 500
+// "backend", not status over no body. It reports whether body went out.
+func writeJSON(w http.ResponseWriter, status int, body any) bool {
 	data, err := json.Marshal(body)
 	if err != nil {
-		return
+		writeErr(w, http.StatusInternalServerError, "backend", "unencodable reply: "+err.Error())
+		return false
 	}
-	data = append(data, '\n')
-	_, _ = w.Write(data)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	_, _ = w.Write(append(data, '\n'))
+	return true
 }
 
 func writeErr(w http.ResponseWriter, status int, reason, msg string) {
@@ -428,11 +432,11 @@ func (s *Server) parseDeadline(r *http.Request) (time.Duration, error) {
 	if err != nil || ms <= 0 {
 		return 0, fmt.Errorf("X-Deadline-Ms %q is not a positive integer", h)
 	}
-	d := time.Duration(ms) * time.Millisecond
-	if d > s.cfg.MaxDeadline {
-		d = s.cfg.MaxDeadline
+	// Clamp before converting: near MaxInt64 the product wraps negative.
+	if int64(ms) > int64(s.cfg.MaxDeadline/time.Millisecond) {
+		return s.cfg.MaxDeadline, nil
 	}
-	return d, nil
+	return time.Duration(ms) * time.Millisecond, nil
 }
 
 // parsePriority reads X-Priority ("high", "low" or absent).
@@ -516,9 +520,9 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	var body inferRequest
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
+	shape := q.be.InputShape()
+	body, err := s.decodeBody(w, r, shape)
+	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			writeErr(w, http.StatusRequestEntityTooLarge, "bad-request",
@@ -528,7 +532,7 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "bad-request", "malformed JSON body: "+err.Error())
 		return
 	}
-	x, reason := s.decodeInput(&body, q.be.InputShape())
+	x, reason := s.decodeInput(&body, shape)
 	if reason != "" {
 		writeErr(w, http.StatusBadRequest, "bad-request", reason)
 		return
@@ -540,7 +544,7 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	now := time.Now()
 	req := &request{
 		x: x,
-		ctx: &rtctx.Request{
+		ctx: rtctx.Request{
 			BudgetSec: budget.Seconds(),
 			Abort:     true,
 			Band:      band,
@@ -551,12 +555,12 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 		resp: make(chan response, 1),
 	}
 	if shed := q.admit(req); shed != nil {
-		s.writeResponse(w, *shed)
+		writeResponse(w, q, *shed)
 		return
 	}
 	select {
 	case resp := <-req.resp:
-		s.writeResponse(w, resp)
+		writeResponse(w, q, resp)
 	case <-r.Context().Done():
 		// Client gone mid-request: mark it so the batcher skips the
 		// corpse instead of wasting a batch slot, and count it once.
@@ -565,9 +569,13 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-func (s *Server) writeResponse(w http.ResponseWriter, resp response) {
+func writeResponse(w http.ResponseWriter, q *modelQueue, resp response) {
 	if resp.retryAfter {
 		w.Header().Set("Retry-After", "1")
 	}
-	writeJSON(w, resp.status, resp.reply)
+	if !writeJSON(w, resp.status, resp.reply) {
+		q.mu.Lock()
+		q.stats.Errors++
+		q.mu.Unlock()
+	}
 }

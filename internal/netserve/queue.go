@@ -15,12 +15,12 @@ import (
 
 // request is one admitted inference request waiting for its batch. Its
 // real-time identity — budget, priority band, tenant, arrival and
-// wall-clock deadline — lives in one rtctx.Request stamped by the
-// handler, which is also what the queue orders by in EDF mode and what
-// the backend threads down to the layer-boundary guard.
+// wall-clock deadline — lives in one rtctx.Request the handler stamps
+// in place (one allocation an arrival), which the queue orders by in EDF
+// mode and the backend threads down to the layer-boundary guard.
 type request struct {
 	x   *tensor.Tensor
-	ctx *rtctx.Request
+	ctx rtctx.Request
 	// seq is the admission sequence number, stamped under the queue
 	// lock. It breaks EDF ties that rtctx.EarlierThan cannot: two
 	// requests with identical (deadline, band, arrival) compare false
@@ -143,10 +143,10 @@ func shedResp(reason string) response {
 // is deterministically the latest-admitted member of the latest-
 // deadline tie (see TestEDFEvictionTieBreakIsDeterministic).
 func edfBefore(a, b *request) bool {
-	if a.ctx.EarlierThan(b.ctx) {
+	if a.ctx.EarlierThan(&b.ctx) {
 		return true
 	}
-	if b.ctx.EarlierThan(a.ctx) {
+	if b.ctx.EarlierThan(&a.ctx) {
 		return false
 	}
 	return a.seq < b.seq
