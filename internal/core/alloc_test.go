@@ -4,80 +4,76 @@ import (
 	"testing"
 
 	"edgeinfer/internal/gpusim"
+	"edgeinfer/internal/graph"
 	"edgeinfer/internal/kernels"
 	"edgeinfer/internal/models"
 	"edgeinfer/internal/tensor"
 )
 
 // TestInferBatchSteadyStateAllocs is the dynamic cross-check of the
-// hotalloc analyzer's static verdict on the interpreter loop
-// (inferBatchRange): once the arena and the pooled batch scratch are
-// warm, per-call allocation is a small constant owned by the
-// caller-visible results (the outs slices and the reference-executed
-// non-conv layers, whose outputs flow to the caller by design) — never
-// proportional to plan length times batch in bookkeeping. The old
-// implementation allocated four ledgers plus one activation map per
-// image per call, and the deleted per-image interpreter two ledgers and
-// a map per call.
+// hotalloc analyzer's static verdict on execute: once an engine's
+// execution contexts exist, a call allocates only what the caller
+// receives — the outs slices and each image's graph outputs (tensor
+// header + data) — and nothing per layer: intermediates live in context
+// slots. The interpreter this replaced allocated 10 objects per Infer
+// and, because a batch of 8 overflowed its per-shape arena as soon as
+// two convs shared a shape, 73 (vgg16) to 105 (alexnet) per batch of 8.
 func TestInferBatchSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; counts only hold without it")
 	}
 	defer kernels.SetWorkers(kernels.SetWorkers(1))
-	tiny, err := Build(tinyNet(t), nxCfg(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	xs := batchInputs(t, "steady-alloc-x", 4)
-	vg, err := models.BuildProxy("vgg16", models.DefaultProxyOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	vgg, err := Build(vg, DefaultConfig(gpusim.XavierNX(), 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := vg.Layers[0].OutShape
-	x := tensor.New(1, in[1], in[2], in[3])
-
-	// Batch budget: 1 outs slice + len(xs) inner output slices, plus 2
-	// allocs (tensor header + data) per reference-executed layer
-	// instance. The optimized tinynet plan retains 2 non-conv/FC layers
-	// (measured 21 total for a batch of 4); one layer of headroom keeps
-	// the pin from flaking on pass-pipeline changes while still failing
-	// if per-call ledger allocation ever comes back.
-	const perImageRefLayers = 3
-	cases := []struct {
-		name   string
-		budget float64
-		call   func() error
-	}{
-		{"InferBatchCtx", float64(1 + len(xs) + 2*perImageRefLayers*len(xs)), func() error {
-			_, err := tiny.InferBatchCtx(nil, xs, nil, nil, 0)
-			return err
-		}},
-		// Single-image Infer on the vgg16 proxy, pinned at its measured
-		// value: the one-image batch, the two outs slices and the
-		// reference-executed layers. It was 14 through the per-image
-		// interpreter; anything above 10 is bookkeeping creeping back.
-		{"Infer", 10, func() error {
-			_, err := vgg.Infer(x)
-			return err
-		}},
-	}
-	for _, c := range cases {
-		for i := 0; i < 3; i++ { // warm the arena and scratch pools
-			if err := c.call(); err != nil {
-				t.Fatal(err)
-			}
+	// vgg16 and alexnet are the arena-overflow cases; tinynet adds the
+	// multi-input and view steps (concat, dropout) the proxies lack.
+	graphs := map[string]*graph.Graph{"tinynet": tinyNet(t)}
+	for _, model := range []string{"vgg16", "alexnet"} {
+		g, err := models.BuildProxy(model, models.DefaultProxyOptions())
+		if err != nil {
+			t.Fatal(err)
 		}
-		allocs := testing.AllocsPerRun(20, func() {
-			if err := c.call(); err != nil {
-				t.Fatal(err)
+		graphs[model] = g
+	}
+	for model, g := range graphs {
+		e, err := Build(g, DefaultConfig(gpusim.XavierNX(), 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		in := g.Layers[0].OutShape
+		xs := make([]*tensor.Tensor, ctxCap)
+		for i := range xs {
+			xs[i] = tensor.New(1, in[1], in[2], in[3])
+		}
+		cases := []struct {
+			name   string
+			budget float64
+			call   func() error
+		}{
+			// The two outs slices and the softmax output.
+			{"Infer", 4, func() error {
+				_, err := e.Infer(xs[0])
+				return err
+			}},
+			// One outer slice, then an inner slice and an output per image.
+			{"InferBatchCtx", float64(1 + 3*len(xs)), func() error {
+				_, err := e.InferBatchCtx(nil, xs, nil, nil, 0)
+				return err
+			}},
+		}
+		for _, c := range cases {
+			for i := 0; i < 3; i++ { // create the contexts
+				if err := c.call(); err != nil {
+					t.Fatal(err)
+				}
 			}
-		})
-		if allocs > c.budget {
-			t.Errorf("%s allocates %.1f objects per call in steady state, budget %.0f", c.name, allocs, c.budget)
+			allocs := testing.AllocsPerRun(20, func() {
+				if err := c.call(); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs > c.budget {
+				t.Errorf("%s %s allocates %.1f objects per call in steady state, budget %.0f", model, c.name, allocs, c.budget)
+			}
+			t.Logf("%s %s: %.1f allocs per call", model, c.name, allocs)
 		}
 	}
 }

@@ -200,31 +200,6 @@ func TestInferOutputsSurviveArenaRecycling(t *testing.T) {
 	}
 }
 
-func TestTensorArenaRecycling(t *testing.T) {
-	a := newTensorArena()
-	t1 := a.get(1, 2, 3, 4)
-	a.put(t1)
-	if t2 := a.get(1, 2, 3, 4); t2 != t1 {
-		t.Fatal("arena did not recycle the freed buffer")
-	}
-	if t3 := a.get(1, 2, 3, 4); t3 == t1 {
-		t.Fatal("arena handed the same buffer out twice")
-	}
-	// The free list is capped per shape.
-	for i := 0; i < arenaMaxPerShape+3; i++ {
-		a.put(tensor.New(2, 2, 2, 2))
-	}
-	if n := len(a.free[[4]int{2, 2, 2, 2}]); n != arenaMaxPerShape {
-		t.Fatalf("free list holds %d buffers, want cap %d", n, arenaMaxPerShape)
-	}
-	// A nil arena degrades to plain allocation.
-	var nilArena *tensorArena
-	if x := nilArena.get(1, 1, 2, 2); x == nil || len(x.Data) != 4 {
-		t.Fatal("nil arena get failed")
-	}
-	nilArena.put(tensor.New(1, 1, 1, 1))
-}
-
 func TestConcurrentInferSharedEngine(t *testing.T) {
 	// One engine, many goroutines: the arena must never hand the same
 	// buffer to two in-flight inferences, so every result stays

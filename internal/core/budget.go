@@ -53,7 +53,7 @@ func (e *Engine) layerCostsSec(dev *gpusim.Device) map[string]float64 {
 // same results, same injector draw order, no allocation added to the hot
 // path. An empty batch returns (nil, nil); a nil input is an error.
 func (e *Engine) InferBatchCtx(ctx *rtctx.Request, xs []*tensor.Tensor, fi FaultInjector, dev *gpusim.Device, burnedSec float64) ([][]*tensor.Tensor, error) {
-	return e.inferBatchRange(xs, fi, e.budgetGuard(ctx, dev, burnedSec), 0, -1, nil)
+	return e.execute(xs, execOpts{fi: fi, guard: e.budgetGuard(ctx, dev, burnedSec), to: -1})
 }
 
 // budgetGuard builds the layer-boundary charging guard InferBatchCtx

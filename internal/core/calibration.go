@@ -125,12 +125,17 @@ func fakeQuantActivation(t *tensor.Tensor, rangeMax float32) *tensor.Tensor {
 	if rangeMax <= 0 {
 		return t
 	}
-	scale := rangeMax / 127
-	out := t.Clone()
-	for i, v := range out.Data {
-		out.Data[i] = tensor.DequantizeINT8(tensor.QuantizeINT8(v, scale), scale)
-	}
+	out := new(tensor.Tensor)
+	fakeQuantInto(t, rangeMax/127, out)
 	return out
+}
+
+// fakeQuantInto writes t's INT8 round trip at scale into q (resized, every element overwritten).
+func fakeQuantInto(t *tensor.Tensor, scale float32, q *tensor.Tensor) {
+	q.Resize(t.N, t.C, t.H, t.W)
+	for i, v := range t.Data {
+		q.Data[i] = tensor.DequantizeINT8(tensor.QuantizeINT8(v, scale), scale)
+	}
 }
 
 func abs32(v float32) float32 {

@@ -13,11 +13,15 @@
 // non-deterministic across builds — exactly the behaviour the paper
 // observes (Findings 2 and 6). Determinism is recovered for experiments
 // by seeding the noise with (model, platform, build-id).
+//
+// The runtime replays what the build resolved: a numeric engine is
+// compiled once, at the end of Build or Load, into a flat schedule with
+// planned activation memory (schedule.go), and Infer, InferBatchCtx and
+// InferRangeCtx execute it in per-image execution contexts.
 package core
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"edgeinfer/internal/graph"
 	"edgeinfer/internal/kernels"
@@ -89,23 +93,10 @@ type Engine struct {
 	// loaded from plans written before the report existed).
 	Report *BuildReport
 
-	// arena recycles activation buffers across inferences (lazily
-	// created; not serialized — a loaded engine starts with an empty
-	// arena).
-	arena atomic.Pointer[tensorArena]
-}
-
-// bufArena returns the engine's activation arena, creating it on first
-// use. Safe under concurrent inference.
-func (e *Engine) bufArena() *tensorArena {
-	if a := e.arena.Load(); a != nil {
-		return a
-	}
-	a := newTensorArena()
-	if e.arena.CompareAndSwap(nil, a) {
-		return a
-	}
-	return e.arena.Load()
+	// plan is the compiled schedule numeric inference replays, with its
+	// execution contexts (schedule.go): derived by Build and Load from the
+	// fields above, never serialized, nil on timing-only engines.
+	plan *schedule
 }
 
 // WeightBytes returns the total engine-resident weight size in bytes.

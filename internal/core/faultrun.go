@@ -10,7 +10,7 @@ import (
 )
 
 // Fault-aware execution. RunFaulty (the timed pass; Run is RunFaulty
-// without an injector) and the numeric interpreter behind
+// without an injector) and the compiled schedule behind
 // InferBatchCtx/InferRangeCtx consult a FaultInjector (implemented by
 // internal/faults) at every point where a real deployment can go wrong —
 // the H2D weight copy, each kernel launch, and the numeric path's weights
@@ -41,9 +41,9 @@ type LaunchFault struct {
 	ClockScale float64
 }
 
-// FaultInjector is the hook surface RunFaulty and the numeric
-// interpreter (inferBatchRange) consult.
-// internal/faults provides the deterministic, seeded implementation.
+// FaultInjector is the hook surface RunFaulty and numeric inference
+// (execute) consult; internal/faults provides the deterministic, seeded
+// implementation.
 type FaultInjector interface {
 	// MemcpyH2D is consulted once per weight copy. It returns how many
 	// times the copy had to be retried (each retry pays the full copy

@@ -4,43 +4,46 @@ import (
 	"fmt"
 
 	"edgeinfer/internal/graph"
+	"edgeinfer/internal/kernels"
 	"edgeinfer/internal/tensor"
 )
 
-// Numeric inference. inferBatchRange is the one interpreter loop: every
-// numeric entry point — Infer (a batch of one on a pristine device),
+// Numeric inference. execute is the one loop over the compiled schedule
+// (schedule.go); Infer (a batch of one on a pristine device),
 // InferBatchCtx (the serving path) and InferRangeCtx (a pipeline stage)
-// — is an adapter over it. It pipelines the layer plan across a batch of
-// images: layers run in plan order, and within each layer every image
-// executes back to back — the software analogue of one batched kernel
-// launch. That keeps each layer's weights hot in cache across the whole
-// batch, resolves kernel variants and fusion metadata once per layer
-// instead of once per image, and (on the fault path) draws launch and
-// weight-corruption verdicts once per layer, the way a single batched
-// launch would fail or corrupt, while activation corruption still draws
-// per image (each image's activation is a distinct tensor).
-//
-// Per-image numerics do not depend on the batch: each image's activations
-// flow through the same convApply/fcApply/EvalLayer calls whatever rides
-// beside it, so N batches of one are bit-identical to one batch of N.
+// are adapters over it. Steps run in plan order and within a step every
+// image executes back to back — the software analogue of one batched
+// kernel launch: a layer's weights stay hot across the batch, and on the
+// fault path launch and weight-corruption verdicts are drawn once per
+// layer, the way one batched launch fails or corrupts, while activation
+// corruption draws per image. Each image runs in its own execution
+// context, so N batches of one are bit-identical to one batch of N.
 
-// inferBatchRange runs the half-open layer range [from, to) over a batch,
-// so a pipeline stage can run its slice of the graph on its own node
-// (internal/cluster); from==0 with to<0 covers the whole graph. fi, when
-// non-nil, is consulted per layer in the order Launch → CorruptWeights →
-// CorruptActivation (once per image). guard, when non-nil, is consulted
-// at each layer boundary before the layer's launch verdict; its error
-// aborts the batch mid-graph without drawing for the aborted layer. A nil
-// guard is free: no extra allocation. For from>0 each input tensor is
-// bound as the boundary activation — the output of layer from-1 — so
-// quantInput and consumer lookups resolve it by the producer's name.
-// outNames, when non-nil, overrides the graph outputs as both the
-// returned tensors and the arena keep set; stage callers pass the
-// boundary layer's name so the hand-off tensor survives release.
+// execOpts is what an entry point asks of execute beyond the inputs.
+type execOpts struct {
+	// fi, when non-nil, is consulted per step in the order Launch →
+	// CorruptWeights → CorruptActivation (once per image).
+	fi FaultInjector
+	// guard, when non-nil, is consulted before each step's launch
+	// verdict; its error aborts the batch mid-graph without a draw for
+	// the aborted step. A nil guard is free.
+	guard layerGuard
+	// [from, to) is the layer range to run, to < 0 meaning the end of the
+	// graph, so a pipeline stage can run its slice on its own node
+	// (internal/cluster). For from > 0 each input is bound as layer
+	// from-1's activation; a range that stops short of the graph returns
+	// layer to-1's activation instead of the graph outputs.
+	from, to int
+}
+
+// execute runs the schedule over a batch. Everything it returns is the
+// caller's: graph outputs and a stage's boundary activation are written
+// to fresh tensors, never to a context slot.
 //
 //rt:hotpath
-func (e *Engine) inferBatchRange(xs []*tensor.Tensor, fi FaultInjector, guard layerGuard, from, to int, outNames []string) ([][]*tensor.Tensor, error) {
-	if !e.Numeric {
+func (e *Engine) execute(xs []*tensor.Tensor, o execOpts) ([][]*tensor.Tensor, error) {
+	p := e.plan
+	if !e.Numeric || p == nil {
 		return nil, fmt.Errorf("core: engine %s is timing-only (no weights materialized)", e.Key())
 	}
 	if len(xs) == 0 {
@@ -51,102 +54,153 @@ func (e *Engine) inferBatchRange(xs []*tensor.Tensor, fi FaultInjector, guard la
 			return nil, fmt.Errorf("core: infer batch %s: input %d is nil", e.Key(), i)
 		}
 	}
-	g := e.Graph
+	from, to := o.from, o.to
 	if to < 0 {
-		to = len(g.Layers)
+		to = len(p.steps)
 	}
-	if from < 0 || from > to || to > len(g.Layers) {
-		return nil, fmt.Errorf("core: infer %s: bad layer range [%d,%d) of %d", e.Key(), from, to, len(g.Layers))
+	if from < 0 || from > to || to > len(p.steps) {
+		return nil, fmt.Errorf("core: infer %s: bad layer range [%d,%d) of %d", e.Key(), from, to, len(p.steps))
 	}
-	if outNames == nil {
-		outNames = g.Outputs
+	last := -1 // the boundary layer a short range hands to the next stage
+	if to < len(p.steps) {
+		last = to - 1
 	}
-	ar := e.bufArena()
-	bs := batchScratchPool.Get().(*batchScratch)
-	acts := bs.actMaps(len(xs))
-	owned := bs.ownedBuf()
-	defer func() {
-		keep := bs.keepSet()
-		for _, x := range xs {
-			keep[x] = true
-		}
-		for _, am := range acts {
-			for _, name := range outNames {
-				keep[am[name]] = true
-			}
-		}
-		ar.releaseActs(owned, keep)
-		bs.release(owned)
-	}()
+	head := p.checkout(len(xs))
+	defer p.checkin(head)
 	if from > 0 {
-		bname := g.Layers[from-1].Name
-		for img, x := range xs {
-			acts[img][bname] = x
+		c := head
+		for _, x := range xs {
+			c.acts[from-1] = x
+			c = c.next
 		}
 	}
 	for li := from; li < to; li++ {
-		l := g.Layers[li]
-		if guard != nil && l.Op != graph.OpInput {
-			if err := guard(li, l.Name); err != nil {
+		s := &p.steps[li]
+		isInput := s.l.Op == graph.OpInput
+		if o.guard != nil && !isInput {
+			if err := o.guard(li, s.l.Name); err != nil {
 				return nil, fmt.Errorf("core: infer %s: %w", e.Key(), err)
 			}
 		}
-		if fi != nil && l.Op != graph.OpInput {
-			if lf := fi.Launch(li, l.Name); lf.Fail {
-				return nil, fmt.Errorf("core: infer %s layer %s: %w", e.Key(), l.Name, ErrLaunchFailed)
+		if o.fi != nil && !isInput {
+			if lf := o.fi.Launch(li, s.l.Name); lf.Fail {
+				return nil, fmt.Errorf("core: infer %s layer %s: %w", e.Key(), s.l.Name, ErrLaunchFailed)
 			}
 		}
-		isConv := l.Op == graph.OpConv
-		isFC := l.Op == graph.OpFC
-		var w, b *tensor.Tensor
-		if isConv || isFC {
-			w, b = l.Weights["w"], l.Weights["b"]
+		w := s.w
+		if s.l.Op == graph.OpConv || s.l.Op == graph.OpFC {
 			if w == nil {
-				kind := "conv"
-				if isFC {
-					kind = "fc"
-				}
-				return nil, fmt.Errorf("core: infer %s layer %s: %s %s has no weights", e.Key(), l.Name, kind, l.Name)
+				return nil, fmt.Errorf("core: infer %s layer %s: %s %s has no weights", e.Key(), s.l.Name, s.l.Op, s.l.Name)
 			}
-			if fi != nil {
-				w = fi.CorruptWeights(l.Name, "w", w)
+			if o.fi != nil {
+				w = o.fi.CorruptWeights(s.l.Name, "w", w)
 			}
 		}
-		for img, x := range xs {
-			var y *tensor.Tensor
-			var err error
-			switch {
-			case l.Op == graph.OpInput:
-				y = x
-			case isConv:
-				y, err = e.convApply(l, acts[img], w, b, ar)
-			case isFC:
-				y, err = e.fcApply(l, acts[img], w, b, ar)
-			default:
-				ins := bs.inputs(len(l.Inputs))
-				for i, name := range l.Inputs {
-					ins[i] = acts[img][name]
-				}
-				y, err = graph.EvalLayer(l, ins)
-			}
+		c := head
+		for _, x := range xs {
+			y, err := s.run(c, x, w, s.escapes || li == last)
 			if err != nil {
-				return nil, fmt.Errorf("core: infer %s layer %s: %w", e.Key(), l.Name, err)
+				return nil, fmt.Errorf("core: infer %s layer %s: %w", e.Key(), s.l.Name, err)
 			}
-			if fi != nil && l.Op != graph.OpInput && y != x {
-				fi.CorruptActivation(l.Name, y)
+			if o.fi != nil && !isInput && y != x {
+				o.fi.CorruptActivation(s.l.Name, y)
 			}
-			acts[img][l.Name] = y
-			if l.Op != graph.OpInput {
-				owned = append(owned, y)
-			}
+			c.acts[li] = y
+			c = c.next
 		}
+	}
+	// The boundary activation or the graph outputs: run wrote both fresh.
+	one := [1]int{last}
+	ret := p.outs
+	if last >= 0 {
+		ret = one[:]
 	}
 	outs := make([][]*tensor.Tensor, len(xs))
-	for img := range xs {
-		outs[img] = make([]*tensor.Tensor, len(outNames))
-		for i, name := range outNames {
-			outs[img][i] = acts[img][name]
+	c := head
+	for img := range outs {
+		outs[img] = make([]*tensor.Tensor, len(ret))
+		for i, li := range ret {
+			outs[img][i] = c.acts[li]
 		}
+		c = c.next
 	}
 	return outs, nil
+}
+
+// run executes the step for one image: x is the image's input tensor, w
+// the step's (possibly corrupted) weights, c the image's context.
+// escapes says the output leaves the call, so no slot may hold it.
+func (s *step) run(c *execCtx, x, w *tensor.Tensor, escapes bool) (*tensor.Tensor, error) {
+	switch s.l.Op {
+	case graph.OpInput:
+		return x, nil
+	case graph.OpConv, graph.OpFC:
+		return s.kernel(c, w, escapes)
+	}
+	ins := c.ins[:len(s.ins)]
+	for k, j := range s.ins {
+		ins[k] = c.acts[j]
+	}
+	var y *tensor.Tensor
+	switch {
+	case s.l.Op == graph.OpDropout && ins[0] != nil && !(escapes && c.owns(ins[0])):
+		return ins[0], nil // inference-time identity: the producer's tensor itself
+	case s.view && !escapes && ins[0] == &c.bufs[s.out]:
+		y = ins[0] // the producer's buffer dies here: reshape it in place
+	default: // including a dropout that would hand a slot to the caller: it copies
+		y = c.output(s, escapes)
+	}
+	if err := graph.EvalLayerInto(s.l, ins, y); err != nil {
+		return nil, err
+	}
+	return y, nil
+}
+
+// kernel runs a conv or fc step with its tuned variant, so accumulation
+// order and rounding match the plan; INT8 engines first fake-quantize
+// the input into the step's tmp slot. Parameters the kernel cannot run
+// (a corrupted plan, an input of the wrong shape) leave y nil, and the
+// kernel's own validation reports the canonical error.
+func (s *step) kernel(c *execCtx, w *tensor.Tensor, escapes bool) (*tensor.Tensor, error) {
+	in := c.acts[s.ins[0]]
+	if s.quant && in != nil {
+		fakeQuantInto(in, s.qscale, &c.bufs[s.tmp])
+		in = &c.bufs[s.tmp]
+	}
+	var y *tensor.Tensor
+	var err error
+	if s.l.Op == graph.OpConv {
+		if oh, ow, ok := convOutShape(in, s.l.Conv); ok {
+			y = c.output(s, escapes)
+			y.Resize(in.N, s.l.Conv.OutC, oh, ow)
+		}
+		err = kernels.ExecConvInto(s.v, in, w, s.b, s.l.Conv, y)
+	} else {
+		if in != nil && s.l.OutUnits >= 1 {
+			y = c.output(s, escapes)
+			y.Resize(in.N, s.l.OutUnits, 1, 1)
+		}
+		err = kernels.ExecFCInto(s.v, in, w, s.b, s.l.OutUnits, y)
+	}
+	if err != nil {
+		return nil, err
+	}
+	switch s.f.Act { // non-ReLU fused activations, in place
+	case ActLeaky:
+		tensor.LeakyReLUInto(y, s.f.LeakyAlpha, y)
+	case ActSigmoid:
+		tensor.SigmoidInto(y, y)
+	}
+	return y, nil
+}
+
+// convOutShape sizes a conv output, reporting false for degenerate
+// parameters (which the kernel rejects with the canonical error).
+func convOutShape(in *tensor.Tensor, p tensor.ConvParams) (oh, ow int, ok bool) {
+	if in == nil || p.Kernel < 1 || p.Stride < 1 || p.Pad < 0 || p.OutC < 1 {
+		return 0, 0, false
+	}
+	oh = tensor.ConvOutDim(in.H, p.Kernel, p.Stride, p.Pad)
+	ow = tensor.ConvOutDim(in.W, p.Kernel, p.Stride, p.Pad)
+	return oh, ow, oh >= 1 && ow >= 1
 }

@@ -244,6 +244,7 @@ func (pm *PassManager) Build(src *graph.Graph, cfg BuildConfig) (*Engine, error)
 		}
 	}
 	e.Report = report
+	e.plan = compile(e)
 	return e, nil
 }
 

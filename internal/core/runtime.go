@@ -148,135 +148,14 @@ func (e *Engine) StreamLoad(dev *gpusim.Device) gpusim.StreamLoad {
 // Infer runs the engine numerically on one input tensor, using each
 // layer's selected kernel variant so that accumulation order and rounding
 // match the tuned plan. Only numeric engines (built from proxies with
-// materialized weights) support this. A single image is a batch of one
-// through the one interpreter loop (inferBatchRange) on a pristine
-// device: no injector, no budget guard.
+// materialized weights) support this. It is a batch of one through
+// execute on a pristine device; the returned tensors are the caller's.
 func (e *Engine) Infer(x *tensor.Tensor) ([]*tensor.Tensor, error) {
-	outs, err := e.inferBatchRange([]*tensor.Tensor{x}, nil, nil, 0, -1, nil)
+	outs, err := e.execute([]*tensor.Tensor{x}, execOpts{to: -1})
 	if err != nil {
 		return nil, err
 	}
 	return outs[0], nil
-}
-
-// convApply runs a conv layer with already-resolved (possibly corrupted)
-// weights. The output and the INT8 fake-quant copy come from the arena;
-// the quant copy goes back as soon as the kernel has consumed it.
-func (e *Engine) convApply(l *graph.Layer, acts map[string]*tensor.Tensor, w, b *tensor.Tensor, ar *tensorArena) (*tensor.Tensor, error) {
-	src := acts[l.Inputs[0]]
-	in := e.quantInput(l.Inputs[0], acts, ar)
-	v, ok := e.Choices[l.Name]
-	if !ok {
-		v = kernels.UnoptimizedConv()
-	}
-	f := e.Fusions[l.Name]
-	// The kernel's fused epilogue handles plain ReLU; other activations
-	// are applied after (still one launch — epilogue code).
-	execV := v
-	execV.FusedAct = f.Act == ActReLU
-	var y *tensor.Tensor
-	var err error
-	if oh, ow, ok := convOutShape(in, l.Conv); ok {
-		y = ar.get(in.N, l.Conv.OutC, oh, ow)
-		if err = kernels.ExecConvInto(execV, in, w, b, l.Conv, y); err != nil {
-			ar.put(y)
-			y = nil
-		}
-	} else {
-		// Degenerate geometry: let the validating path produce the
-		// canonical error (it cannot succeed).
-		y, err = kernels.ExecConv(execV, in, w, b, l.Conv)
-	}
-	if in != src {
-		ar.put(in)
-	}
-	if err != nil {
-		return nil, err
-	}
-	out := applyEpilogue(y, f)
-	if out != y {
-		ar.put(y)
-	}
-	return out, nil
-}
-
-// convOutShape sizes a conv output, reporting false for degenerate
-// parameters (which the exec path rejects with the canonical error).
-func convOutShape(in *tensor.Tensor, p tensor.ConvParams) (oh, ow int, ok bool) {
-	if in == nil || p.Kernel < 1 || p.Stride < 1 || p.Pad < 0 || p.OutC < 1 {
-		return 0, 0, false
-	}
-	oh = tensor.ConvOutDim(in.H, p.Kernel, p.Stride, p.Pad)
-	ow = tensor.ConvOutDim(in.W, p.Kernel, p.Stride, p.Pad)
-	return oh, ow, oh >= 1 && ow >= 1
-}
-
-// fcApply runs an FC layer with already-resolved weights; see convApply.
-func (e *Engine) fcApply(l *graph.Layer, acts map[string]*tensor.Tensor, w, b *tensor.Tensor, ar *tensorArena) (*tensor.Tensor, error) {
-	src := acts[l.Inputs[0]]
-	in := e.quantInput(l.Inputs[0], acts, ar)
-	v, ok := e.Choices[l.Name]
-	if !ok {
-		v = kernels.Variant{Family: kernels.FamGEMM, TileM: 128, TileN: 64, TileK: 32, Precision: tensor.FP32}
-	}
-	f := e.Fusions[l.Name]
-	execV := v
-	execV.FusedAct = f.Act == ActReLU
-	var y *tensor.Tensor
-	var err error
-	if in != nil && l.OutUnits >= 1 {
-		y = ar.get(in.N, l.OutUnits, 1, 1)
-		if err = kernels.ExecFCInto(execV, in, w, b, l.OutUnits, y); err != nil {
-			ar.put(y)
-			y = nil
-		}
-	} else {
-		y, err = kernels.ExecFC(execV, in, w, b, l.OutUnits)
-	}
-	if in != src {
-		ar.put(in)
-	}
-	if err != nil {
-		return nil, err
-	}
-	out := applyEpilogue(y, f)
-	if out != y {
-		ar.put(y)
-	}
-	return out, nil
-}
-
-// quantInput applies INT8 fake-quantization to a kernel's input
-// activation using the calibrated range of its producer layer. The
-// quantized copy is drawn from the arena (every element is overwritten);
-// the caller releases it once the kernel has consumed it.
-func (e *Engine) quantInput(producer string, acts map[string]*tensor.Tensor, ar *tensorArena) *tensor.Tensor {
-	in := acts[producer]
-	if e.Precision != tensor.INT8 || e.Int8Ranges == nil || in == nil {
-		return in
-	}
-	rangeMax := e.Int8Ranges[producer]
-	if rangeMax <= 0 {
-		return in
-	}
-	scale := rangeMax / 127
-	out := ar.get(in.N, in.C, in.H, in.W)
-	for i, v := range in.Data {
-		out.Data[i] = tensor.DequantizeINT8(tensor.QuantizeINT8(v, scale), scale)
-	}
-	return out
-}
-
-// applyEpilogue applies non-ReLU fused activations.
-func applyEpilogue(y *tensor.Tensor, f Fusion) *tensor.Tensor {
-	switch f.Act {
-	case ActLeaky:
-		return tensor.LeakyReLU(y, f.LeakyAlpha)
-	case ActSigmoid:
-		return tensor.Sigmoid(y)
-	default:
-		return y
-	}
 }
 
 // --- un-optimized baseline -------------------------------------------------

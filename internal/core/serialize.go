@@ -123,14 +123,16 @@ func Load(r io.Reader) (*Engine, error) {
 	if err := g.Finalize(); err != nil {
 		return nil, fmt.Errorf("core: finalize loaded plan: %w", err)
 	}
-	return &Engine{
+	e := &Engine{
 		ModelName: h.ModelName, Platform: h.Platform, BuildID: h.BuildID,
 		Precision: h.Precision, Numeric: h.Numeric, Graph: g,
 		Choices: h.Choices, Fusions: h.Fusions, Launches: h.Launches,
 		Int8Ranges:    h.Int8Ranges,
 		RemovedLayers: h.RemovedLayers, FusedLayers: h.FusedLayers,
 		MergedLaunches: h.MergedLaunches, Report: h.Report,
-	}, nil
+	}
+	e.plan = compile(e)
+	return e, nil
 }
 
 // SaveFile writes the engine plan to a file path, crash-safely.

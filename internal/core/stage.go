@@ -26,7 +26,8 @@ import (
 // half. Cuts whose boundary layer is an input are excluded: a front
 // stage that does no compute is not a stage. Chained stage runs over
 // consecutive cuts reproduce Infer bit-for-bit (the per-image numeric
-// path is unchanged; only the arena hand-off differs).
+// path is unchanged; the boundary activation is handed over in a tensor
+// of its own instead of a context slot).
 func (e *Engine) StageCuts() []int {
 	g := e.Graph
 	if g == nil {
@@ -144,9 +145,5 @@ func (e *Engine) InferRangeCtx(ctx *rtctx.Request, xs []*tensor.Tensor, from, to
 		}
 		return nil, fmt.Errorf("core: infer range %s: bad layer range [%d,%d) of %d", e.Key(), from, to, n)
 	}
-	var outNames []string
-	if to < len(g.Layers) {
-		outNames = []string{g.Layers[to-1].Name}
-	}
-	return e.inferBatchRange(xs, fi, e.budgetGuard(ctx, dev, burnedSec), from, to, outNames)
+	return e.execute(xs, execOpts{fi: fi, guard: e.budgetGuard(ctx, dev, burnedSec), from: from, to: to})
 }

@@ -32,9 +32,9 @@ func (l *Lab) Table3() []Table3Row {
 	out := make([]Table3Row, len(classifierModels))
 	l.fanModels(len(classifierModels), func(mi int) {
 		m := classifierModels[mi]
-		agx := l.classify("t3/"+m+"/agx", l.proxyEngine(m, "AGX", 1), images)
-		nx := l.classify("t3/"+m+"/nx", l.proxyEngine(m, "NX", 1), images)
-		un := l.classifyUnopt("t3/"+m+"/unopt", m, images)
+		agx := l.classify(l.proxyEngine(m, "AGX", 1), images)
+		nx := l.classify(l.proxyEngine(m, "NX", 1), images)
+		un := l.classifyUnopt(m, images)
 		out[mi] = Table3Row{
 			Model:      m,
 			AGXError:   metrics.Top1Error(agx, labels),
@@ -87,9 +87,9 @@ func (l *Lab) Table4() []Table4Row {
 	out := make([]Table4Row, len(classifierModels)*len(sevs))
 	l.fanModels(len(classifierModels), func(mi int) {
 		m := classifierModels[mi]
-		agx := l.classify("t4/"+m+"/agx", l.proxyEngine(m, "AGX", 1), images)
-		nx := l.classify("t4/"+m+"/nx", l.proxyEngine(m, "NX", 1), images)
-		un := l.classifyUnopt("t4/"+m+"/unopt", m, images)
+		agx := l.classify(l.proxyEngine(m, "AGX", 1), images)
+		nx := l.classify(l.proxyEngine(m, "NX", 1), images)
+		un := l.classifyUnopt(m, images)
 		for si, sev := range sevs {
 			idx := bySev[sev]
 			pa, la := sub(agx, idx)
@@ -152,8 +152,8 @@ func (l *Lab) Table5() []Table5Row {
 		row.Total = len(images)
 		var nxPreds, agxPreds [3][]int
 		for i := 0; i < n; i++ {
-			nxPreds[i] = l.classify(fmt.Sprintf("cons/%s/nx%d", m, i+1), l.proxyEngine(m, "NX", i+1), images)
-			agxPreds[i] = l.classify(fmt.Sprintf("cons/%s/agx%d", m, i+1), l.proxyEngine(m, "AGX", i+1), images)
+			nxPreds[i] = l.classify(l.proxyEngine(m, "NX", i+1), images)
+			agxPreds[i] = l.classify(l.proxyEngine(m, "AGX", i+1), images)
 		}
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
@@ -207,8 +207,7 @@ func (l *Lab) Table6() []Table6Row {
 		c := cases[ci]
 		var preds [3][]int
 		for i := 0; i < 3; i++ {
-			preds[i] = l.classify(fmt.Sprintf("cons/%s/%s%d", c.model, map[string]string{"NX": "nx", "AGX": "agx"}[c.platform], i+1),
-				l.proxyEngine(c.model, c.platform, i+1), images)
+			preds[i] = l.classify(l.proxyEngine(c.model, c.platform, i+1), images)
 		}
 		out[ci] = Table6Row{
 			Platform: c.platform, Model: c.model,

@@ -15,6 +15,7 @@ import (
 	"edgeinfer/internal/core"
 	"edgeinfer/internal/dataset"
 	"edgeinfer/internal/gpusim"
+	"edgeinfer/internal/graph"
 	"edgeinfer/internal/models"
 	"edgeinfer/internal/tensor"
 )
@@ -67,9 +68,26 @@ type Lab struct {
 	engines  map[string]*core.Engine
 	building map[string]*buildCell
 	tcaches  map[int]*core.TimingCache
-	preds    map[string][]int
+	preds    map[predKey][]int
 	benign   []dataset.Sample
 	adv      []dataset.AdversarialSample
+
+	proxyMu sync.Mutex // held across a proxy build, so each model builds once
+	proxies map[string]*graph.Graph
+}
+
+// predKey names a cached prediction vector by what was computed: which
+// model ran — a Lab engine, or the un-optimized proxy of a model — over
+// which images. An image set is identified by its first tensor and its
+// length: the Lab synthesizes each dataset once and every table slices
+// it in order, so equal keys are equal inputs. Tables that classify the
+// same engine over the same set (IV and V/VI do, six times) share one
+// run whatever they call it.
+type predKey struct {
+	engine *core.Engine
+	unopt  string
+	first  *tensor.Tensor
+	n      int
 }
 
 // NewLab creates a lab with the given options.
@@ -79,7 +97,8 @@ func NewLab(opts Options) *Lab {
 		engines:  map[string]*core.Engine{},
 		building: map[string]*buildCell{},
 		tcaches:  map[int]*core.TimingCache{},
-		preds:    map[string][]int{},
+		preds:    map[predKey][]int{},
+		proxies:  map[string]*graph.Graph{},
 	}
 }
 
@@ -291,12 +310,29 @@ func (l *Lab) engine(model, platform string, build int) *core.Engine {
 	return e
 }
 
+// proxyGraph returns the model's numeric proxy, built once per Lab:
+// BuildProxy embeds every class template through the extractor, and its
+// callers only read the result (core.Build clones its input).
+func (l *Lab) proxyGraph(model string) (*graph.Graph, error) {
+	l.proxyMu.Lock()
+	defer l.proxyMu.Unlock()
+	if g, ok := l.proxies[model]; ok {
+		return g, nil
+	}
+	g, err := models.BuildProxy(model, models.DefaultProxyOptions())
+	if err != nil {
+		return nil, err
+	}
+	l.proxies[model] = g
+	return g, nil
+}
+
 // proxyEngineE builds (or returns cached) a numeric proxy engine,
 // surfacing build failures as errors.
 func (l *Lab) proxyEngineE(model, platform string, build int) (*core.Engine, error) {
 	key := fmt.Sprintf("proxy/%s/%s/%d", model, platform, build)
 	return l.cachedEngine(key, func() (*core.Engine, error) {
-		g, err := models.BuildProxy(model, models.DefaultProxyOptions())
+		g, err := l.proxyGraph(model)
 		if err != nil {
 			return nil, err
 		}
@@ -342,32 +378,36 @@ func (l *Lab) advSet() []dataset.AdversarialSample {
 	return l.adv
 }
 
-func (l *Lab) cachedPred(key string) ([]int, bool) {
+func (l *Lab) cachedPred(key predKey) ([]int, bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	p, ok := l.preds[key]
 	return p, ok
 }
 
-func (l *Lab) setPred(key string, p []int) {
+func (l *Lab) setPred(key predKey, p []int) {
 	l.mu.Lock()
 	l.preds[key] = p
 	l.mu.Unlock()
 }
 
-// classifyE runs an engine over images, caching predictions under key
-// and surfacing inference failures as errors. Images fan out across the
-// lab's workers; predictions land by index and the surfaced error is the
-// lowest-indexed failure, so the result is identical to the serial loop.
-func (l *Lab) classifyE(key string, e *core.Engine, images []*tensor.Tensor) ([]int, error) {
+// predict returns infer's argmax over images, cached under key. Images
+// fan out across the lab's workers; predictions land by index and the
+// surfaced error is the lowest-indexed failure, so the result is
+// identical to the serial loop.
+func (l *Lab) predict(key predKey, images []*tensor.Tensor, infer func(*tensor.Tensor) ([]*tensor.Tensor, error)) ([]int, error) {
+	if len(images) == 0 {
+		return nil, nil
+	}
+	key.first, key.n = images[0], len(images)
 	if p, ok := l.cachedPred(key); ok {
 		return p, nil
 	}
 	out := make([]int, len(images))
 	err := forEach(l.workers(), len(images), func(i int) error {
-		o, err := e.Infer(images[i])
+		o, err := infer(images[i])
 		if err != nil {
-			return fmt.Errorf("experiments: %s: image %d: %w", key, i, err)
+			return fmt.Errorf("image %d: %w", i, err)
 		}
 		out[i] = o[0].Argmax()
 		return nil
@@ -379,10 +419,20 @@ func (l *Lab) classifyE(key string, e *core.Engine, images []*tensor.Tensor) ([]
 	return out, nil
 }
 
+// classifyE runs an engine over images, surfacing inference failures as
+// errors. Predictions are cached per (engine, image set).
+func (l *Lab) classifyE(e *core.Engine, images []*tensor.Tensor) ([]int, error) {
+	p, err := l.predict(predKey{engine: e}, images, e.Infer)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: %s: %w", e.Key(), err)
+	}
+	return p, nil
+}
+
 // classify is classifyE for the paper-table generators, whose static
 // model/dataset combinations cannot fail inference.
-func (l *Lab) classify(key string, e *core.Engine, images []*tensor.Tensor) []int {
-	p, err := l.classifyE(key, e, images)
+func (l *Lab) classify(e *core.Engine, images []*tensor.Tensor) []int {
+	p, err := l.classifyE(e, images)
 	if err != nil {
 		panic(err)
 	}
@@ -390,34 +440,24 @@ func (l *Lab) classify(key string, e *core.Engine, images []*tensor.Tensor) []in
 }
 
 // classifyUnoptE runs the un-optimized proxy over images, surfacing
-// build and inference failures as errors. Fans out like classifyE.
-func (l *Lab) classifyUnoptE(key, model string, images []*tensor.Tensor) ([]int, error) {
-	if p, ok := l.cachedPred(key); ok {
-		return p, nil
-	}
-	g, err := models.BuildProxy(model, models.DefaultProxyOptions())
+// build and inference failures as errors. Cached per (model, image set).
+func (l *Lab) classifyUnoptE(model string, images []*tensor.Tensor) ([]int, error) {
+	g, err := l.proxyGraph(model)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]int, len(images))
-	err = forEach(l.workers(), len(images), func(i int) error {
-		o, err := core.UnoptimizedInfer(g, images[i])
-		if err != nil {
-			return fmt.Errorf("experiments: %s: image %d: %w", key, i, err)
-		}
-		out[i] = o[0].Argmax()
-		return nil
+	p, err := l.predict(predKey{unopt: model}, images, func(x *tensor.Tensor) ([]*tensor.Tensor, error) {
+		return core.UnoptimizedInfer(g, x)
 	})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("experiments: unoptimized %s: %w", model, err)
 	}
-	l.setPred(key, out)
-	return out, nil
+	return p, nil
 }
 
 // classifyUnopt is classifyUnoptE for the paper-table generators.
-func (l *Lab) classifyUnopt(key, model string, images []*tensor.Tensor) []int {
-	p, err := l.classifyUnoptE(key, model, images)
+func (l *Lab) classifyUnopt(model string, images []*tensor.Tensor) []int {
+	p, err := l.classifyUnoptE(model, images)
 	if err != nil {
 		panic(err)
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -481,5 +482,56 @@ func TestNumericRenderersNonEmpty(t *testing.T) {
 	}
 	if len(precision) < 80 {
 		t.Errorf("precision render too short")
+	}
+}
+
+// Tables IV, V and VI classify the same adversarial set, and V/VI reuse
+// six of IV's engines (alexnet, resnet18, vgg16 × NX1/AGX1) plus each
+// other's: predictions are keyed by (engine, image set), so every pair
+// is classified once whichever table asks first and whatever it would
+// have called the run. 27 = IV's 6 engines + 3 un-optimized models, plus
+// V's 4 models × 3 builds × 2 platforms, minus the 6 shared with IV; VI
+// adds none.
+func TestPredictionsKeyedByEngineAndSet(t *testing.T) {
+	orders := [][]func(*Lab) string{
+		{(*Lab).RenderTable4, (*Lab).RenderTable5, (*Lab).RenderTable6},
+		{(*Lab).RenderTable6, (*Lab).RenderTable5, (*Lab).RenderTable4},
+	}
+	var first []string
+	for oi, order := range orders {
+		l := NewLab(tinyOpts())
+		out := make([]string, 3)
+		for i, render := range order {
+			out[i] = render(l)
+		}
+		if oi == 1 {
+			out[0], out[2] = out[2], out[0]
+		}
+		if got := len(l.preds); got != 27 {
+			t.Errorf("order %d: %d prediction runs cached, want 27 (one per engine and image set)", oi, got)
+		}
+		adv := l.advSet()
+		for k := range l.preds {
+			if k.first != adv[0].Image || k.n != len(adv) {
+				t.Errorf("order %d: run keyed to %d images from %p, want the adversarial set", oi, k.n, k.first)
+			}
+			if (k.engine == nil) == (k.unopt == "") {
+				t.Errorf("order %d: key %+v names neither or both of engine and un-optimized model", oi, k)
+			}
+		}
+		if got := len(l.proxies); got != 4 {
+			t.Errorf("order %d: %d proxy graphs built, want one per model (4)", oi, got)
+		}
+		for _, render := range order { // a second reading computes nothing new
+			render(l)
+		}
+		if got := len(l.preds); got != 27 {
+			t.Errorf("order %d: re-rendering grew the cache to %d", oi, got)
+		}
+		if first == nil {
+			first = out
+		} else if !reflect.DeepEqual(out, first) {
+			t.Error("table text depends on the order the tables were rendered in")
+		}
 	}
 }

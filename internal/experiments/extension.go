@@ -41,7 +41,7 @@ func (l *Lab) PrecisionStudy() ([]PrecisionRow, error) {
 	dev := latencyDevice("NX")
 	var out []PrecisionRow
 	for _, m := range classifierModels {
-		proxy, err := models.BuildProxy(m, models.DefaultProxyOptions())
+		proxy, err := l.proxyGraph(m)
 		if err != nil {
 			return nil, err
 		}
@@ -56,12 +56,15 @@ func (l *Lab) PrecisionStudy() ([]PrecisionRow, error) {
 			if prec == tensor.INT8 {
 				cfg.Calibrator = core.PercentileCalibrator{Images: calib, Pct: 99.9}
 			}
-			pe, err := core.Build(proxy, cfg)
+			// Lab-cached like every engine whose predictions are: a second
+			// study reuses both instead of pinning nine more engines.
+			pe, err := l.cachedEngine(fmt.Sprintf("prec/%s/%s", m, prec), func() (*core.Engine, error) {
+				return core.Build(proxy, cfg)
+			})
 			if err != nil {
 				return nil, fmt.Errorf("experiments: build %s proxy at %s: %w", m, prec, err)
 			}
-			key := fmt.Sprintf("prec/%s/%s", m, prec)
-			pred, err := l.classifyE(key, pe, images)
+			pred, err := l.classifyE(pe, images)
 			if err != nil {
 				return nil, err
 			}

@@ -7,7 +7,6 @@ import (
 	"edgeinfer/internal/core"
 	"edgeinfer/internal/faults"
 	"edgeinfer/internal/metrics"
-	"edgeinfer/internal/models"
 	"edgeinfer/internal/serve"
 	"edgeinfer/internal/tensor"
 )
@@ -61,11 +60,11 @@ func (l *Lab) FaultTolerance(model string, rates []float64, requests int) ([]Fau
 	var out []FaultTolRow
 	for _, platform := range faultTolPlatforms {
 		dev := latencyDevice(platform)
-		unoptPred, err := l.classifyUnoptE(fmt.Sprintf("ft/%s/unopt/%d", model, requests), model, images)
+		unoptPred, err := l.classifyUnoptE(model, images)
 		if err != nil {
 			return nil, err
 		}
-		g, err := models.BuildProxy(model, models.DefaultProxyOptions())
+		g, err := l.proxyGraph(model)
 		if err != nil {
 			return nil, err
 		}

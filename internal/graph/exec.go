@@ -6,8 +6,8 @@ import (
 	"edgeinfer/internal/tensor"
 )
 
-// batchNormKeys is hoisted: EvalLayer sits on the batched-inference hot
-// path and may not allocate the key list per call.
+// batchNormKeys is hoisted: EvalLayerInto sits on the batched-inference
+// hot path and may not allocate the key list per call.
 var batchNormKeys = []string{"gamma", "beta", "mean", "var"}
 
 // Execute runs the graph numerically on input x using the bit-exact
@@ -50,27 +50,45 @@ func (g *Graph) Execute(x *tensor.Tensor) ([]*tensor.Tensor, error) {
 }
 
 // EvalLayer evaluates a single layer on the given input tensors with the
-// reference operators. It is exported so that the engine runtime can fall
-// back to reference math for ops without specialized kernels.
+// reference operators, into a fresh tensor — except dropout, the
+// inference-time identity, which returns its input itself.
+func EvalLayer(l *Layer, ins []*tensor.Tensor) (*tensor.Tensor, error) {
+	if l.Op == OpDropout && len(ins) > 0 && ins[0] != nil {
+		return ins[0], nil
+	}
+	y := new(tensor.Tensor)
+	if err := EvalLayerInto(l, ins, y); err != nil {
+		return nil, err
+	}
+	return y, nil
+}
+
+// EvalLayerInto is EvalLayer writing into y, which is resized to the
+// layer's output shape and overwritten in full — the form the engine's
+// compiled schedule calls with an execution context's slot buffer. y
+// must not be an input, except for flatten, where y == ins[0] makes the
+// flatten a view (tensor.FlattenInto).
 //
 // The reference operators in internal/tensor panic on malformed
 // shapes/parameters — appropriate for model-construction bugs, but this
 // entry point is also reachable from deserialized (untrusted) engine
-// plans via Engine.Infer, so EvalLayer validates the hostile cases up
-// front and converts any residual operator panic into an error: a
-// corrupted engine must degrade, not crash the process.
-func EvalLayer(l *Layer, ins []*tensor.Tensor) (y *tensor.Tensor, err error) {
+// plans via Engine.Infer, so it validates the hostile cases up front and
+// converts any residual operator panic into an error: a corrupted engine
+// must degrade, not crash the process.
+//
+//rt:hotpath
+func EvalLayerInto(l *Layer, ins []*tensor.Tensor, y *tensor.Tensor) (err error) {
 	if len(ins) == 0 {
-		return nil, fmt.Errorf("layer has no inputs")
+		return fmt.Errorf("layer has no inputs")
 	}
 	for i, t := range ins {
 		if t == nil {
-			return nil, fmt.Errorf("input %d not materialized", i)
+			return fmt.Errorf("input %d not materialized", i)
 		}
 	}
 	defer func() {
 		if r := recover(); r != nil {
-			y, err = nil, fmt.Errorf("eval %s(%s): %v", l.Name, l.Op, r)
+			err = fmt.Errorf("eval %s(%s): %v", l.Name, l.Op, r)
 		}
 	}()
 	in := ins[0]
@@ -78,92 +96,73 @@ func EvalLayer(l *Layer, ins []*tensor.Tensor) (y *tensor.Tensor, err error) {
 	case OpConv:
 		w, b := l.Weights["w"], l.Weights["b"]
 		if w == nil {
-			return nil, fmt.Errorf("conv has no weights materialized")
+			return fmt.Errorf("conv has no weights materialized")
 		}
 		if err := checkConv(in, w, b, l.Conv); err != nil {
-			return nil, err
+			return err
 		}
-		return tensor.Conv2D(in, w, b, l.Conv), nil
+		tensor.Conv2DInto(in, w, b, l.Conv, y)
 	case OpMaxPool:
-		return tensor.MaxPool2D(in, l.Pool), nil
+		tensor.MaxPool2DInto(in, l.Pool, y)
 	case OpAvgPool:
-		return tensor.AvgPool2D(in, l.Pool), nil
+		tensor.AvgPool2DInto(in, l.Pool, y)
 	case OpGlobalAvgPool:
-		return tensor.GlobalAvgPool2D(in), nil
+		tensor.GlobalAvgPool2DInto(in, y)
 	case OpReLU:
-		return tensor.ReLU(in), nil
+		tensor.ReLUInto(in, y)
 	case OpLeakyReLU:
-		return tensor.LeakyReLU(in, l.Alpha), nil
+		tensor.LeakyReLUInto(in, l.Alpha, y)
 	case OpSigmoid:
-		return tensor.Sigmoid(in), nil
+		tensor.SigmoidInto(in, y)
 	case OpFC:
 		w, b := l.Weights["w"], l.Weights["b"]
 		if w == nil {
-			return nil, fmt.Errorf("fc has no weights materialized")
+			return fmt.Errorf("fc has no weights materialized")
 		}
 		if l.OutUnits < 1 {
-			return nil, fmt.Errorf("fc with OutUnits=%d", l.OutUnits)
+			return fmt.Errorf("fc with OutUnits=%d", l.OutUnits)
 		}
 		if want := l.OutUnits * in.C * in.H * in.W; w.Len() != want {
-			return nil, fmt.Errorf("fc weight len %d, want %d", w.Len(), want)
+			return fmt.Errorf("fc weight len %d, want %d", w.Len(), want)
 		}
 		if b != nil && b.Len() < l.OutUnits {
-			return nil, fmt.Errorf("fc bias len %d, want %d", b.Len(), l.OutUnits)
+			return fmt.Errorf("fc bias len %d, want %d", b.Len(), l.OutUnits)
 		}
-		return tensor.FC(in, w, b, l.OutUnits), nil
+		tensor.FCInto(in, w, b, l.OutUnits, y)
 	case OpBatchNorm:
 		for _, k := range batchNormKeys {
 			if t := l.Weights[k]; t != nil && t.Len() < in.C {
-				return nil, fmt.Errorf("batchnorm %s len %d, want %d", k, t.Len(), in.C)
+				return fmt.Errorf("batchnorm %s len %d, want %d", k, t.Len(), in.C)
 			}
 		}
-		return tensor.BatchNorm(in, l.Weights["gamma"], l.Weights["beta"], l.Weights["mean"], l.Weights["var"], 1e-5), nil
+		tensor.BatchNormInto(in, l.Weights["gamma"], l.Weights["beta"], l.Weights["mean"], l.Weights["var"], 1e-5, y)
 	case OpLRN:
-		return tensor.LRN(in, l.LRNSize, l.Alpha, l.LRNBeta, l.LRNK), nil
+		tensor.LRNInto(in, l.LRNSize, l.Alpha, l.LRNBeta, l.LRNK, y)
 	case OpSoftmax:
-		return tensor.Softmax(in), nil
+		tensor.SoftmaxInto(in, y)
 	case OpAdd:
-		y := ins[0]
 		for _, t := range ins[1:] {
-			if !y.SameShape(t) {
-				return nil, fmt.Errorf("add shape mismatch %v vs %v", y.Shape(), t.Shape())
+			if !in.SameShape(t) {
+				return fmt.Errorf("add shape mismatch %v vs %v", in.Shape(), t.Shape())
 			}
-			y = tensor.Add(y, t)
+			tensor.AddInto(in, t, y)
+			in = y // later inputs accumulate in place
 		}
-		return y, nil
 	case OpConcat:
-		return tensor.Concat(ins...), nil
+		tensor.ConcatInto(ins, y)
 	case OpUpsample:
-		return tensor.Upsample2x(in), nil
-	case OpDropout:
-		return in, nil // inference-time identity
+		tensor.Upsample2xInto(in, y)
+	case OpDropout: // inference-time identity
+		y.Resize(in.N, in.C, in.H, in.W)
+		copy(y.Data, in.Data)
 	case OpScale:
-		gamma, beta := l.Weights["gamma"], l.Weights["beta"]
-		y := in.Clone()
-		for c := 0; c < y.C; c++ {
-			var sc, sh float32 = 1, 0
-			if gamma != nil {
-				sc = gamma.Data[c]
-			}
-			if beta != nil {
-				sh = beta.Data[c]
-			}
-			for n := 0; n < y.N; n++ {
-				for h := 0; h < y.H; h++ {
-					for w := 0; w < y.W; w++ {
-						y.Set(n, c, h, w, sc*in.At(n, c, h, w)+sh)
-					}
-				}
-			}
-		}
-		return y, nil
+		tensor.ScaleInto(in, l.Weights["gamma"], l.Weights["beta"], y)
 	case OpFlatten:
-		y := in.Clone()
-		y.C, y.H, y.W = in.C*in.H*in.W, 1, 1
-		return y, nil
+		tensor.FlattenInto(in, y)
 	default:
-		return nil, fmt.Errorf("EvalLayer: unsupported op %v", l.Op)
+		return fmt.Errorf("EvalLayer: unsupported op %v", l.Op)
 	}
+	return nil
 }
 
 // checkConv validates the conditions tensor.Conv2D would panic on, so a

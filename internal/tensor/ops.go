@@ -17,11 +17,27 @@ func ConvOutDim(in, kernel, stride, pad int) int {
 	return (in+2*pad-kernel)/stride + 1
 }
 
+// Every operator below has two forms. The ...Into form writes into a
+// caller-provided y: it Resizes y to the output shape and overwrites
+// every element, so y may be a recycled buffer with stale contents (an
+// execution context's slot). The allocating form is the Into form on a
+// fresh tensor, so both compute the same bits by construction. Where
+// noted, y may be the input itself (elementwise operators).
+
 // Conv2D computes a grouped 2-D convolution of x with weights w and
 // per-output-channel bias b (b may be nil). w has logical shape
 // [outC, inC/groups, k, k] flattened into w.Data. This is the bit-exact
 // reference: accumulation runs in row-major (c, kh, kw) order in float32.
 func Conv2D(x, w, b *Tensor, p ConvParams) *Tensor {
+	y := new(Tensor)
+	Conv2DInto(x, w, b, p, y)
+	return y
+}
+
+// Conv2DInto is Conv2D writing into y.
+//
+//rt:hotpath
+func Conv2DInto(x, w, b *Tensor, p ConvParams, y *Tensor) {
 	if p.Groups <= 0 {
 		p.Groups = 1
 	}
@@ -38,7 +54,7 @@ func Conv2D(x, w, b *Tensor, p ConvParams) *Tensor {
 	if oh <= 0 || ow <= 0 {
 		panic(fmt.Sprintf("tensor: conv output %dx%d not positive (in %dx%d k=%d s=%d p=%d)", oh, ow, x.H, x.W, p.Kernel, p.Stride, p.Pad))
 	}
-	y := New(x.N, p.OutC, oh, ow)
+	y.Resize(x.N, p.OutC, oh, ow)
 	for n := 0; n < x.N; n++ {
 		for oc := 0; oc < p.OutC; oc++ {
 			g := oc / ocg
@@ -71,7 +87,6 @@ func Conv2D(x, w, b *Tensor, p ConvParams) *Tensor {
 			}
 		}
 	}
-	return y
 }
 
 // PoolParams describes a pooling window.
@@ -82,9 +97,18 @@ type PoolParams struct {
 // MaxPool2D computes max pooling. Padded positions are ignored (treated as
 // -inf), matching cuDNN semantics.
 func MaxPool2D(x *Tensor, p PoolParams) *Tensor {
+	y := new(Tensor)
+	MaxPool2DInto(x, p, y)
+	return y
+}
+
+// MaxPool2DInto is MaxPool2D writing into y.
+//
+//rt:hotpath
+func MaxPool2DInto(x *Tensor, p PoolParams, y *Tensor) {
 	oh := ConvOutDim(x.H, p.Kernel, p.Stride, p.Pad)
 	ow := ConvOutDim(x.W, p.Kernel, p.Stride, p.Pad)
-	y := New(x.N, x.C, oh, ow)
+	y.Resize(x.N, x.C, oh, ow)
 	for n := 0; n < x.N; n++ {
 		for c := 0; c < x.C; c++ {
 			for i := 0; i < oh; i++ {
@@ -110,14 +134,24 @@ func MaxPool2D(x *Tensor, p PoolParams) *Tensor {
 			}
 		}
 	}
-	return y
 }
 
 // AvgPool2D computes average pooling over valid (unpadded) positions.
 func AvgPool2D(x *Tensor, p PoolParams) *Tensor {
+	y := new(Tensor)
+	AvgPool2DInto(x, p, y)
+	return y
+}
+
+// AvgPool2DInto is AvgPool2D writing into y. A window with no valid tap
+// (padding at least as wide as the kernel) stores an explicit zero: on a
+// recycled y, skipping the store would leave a stale value behind.
+//
+//rt:hotpath
+func AvgPool2DInto(x *Tensor, p PoolParams, y *Tensor) {
 	oh := ConvOutDim(x.H, p.Kernel, p.Stride, p.Pad)
 	ow := ConvOutDim(x.W, p.Kernel, p.Stride, p.Pad)
-	y := New(x.N, x.C, oh, ow)
+	y.Resize(x.N, x.C, oh, ow)
 	for n := 0; n < x.N; n++ {
 		for c := 0; c < x.C; c++ {
 			for i := 0; i < oh; i++ {
@@ -138,20 +172,30 @@ func AvgPool2D(x *Tensor, p PoolParams) *Tensor {
 							count++
 						}
 					}
+					var avg float32
 					if count > 0 {
-						y.Set(n, c, i, j, sum/float32(count))
+						avg = sum / float32(count)
 					}
+					y.Set(n, c, i, j, avg)
 				}
 			}
 		}
 	}
-	return y
 }
 
 // GlobalAvgPool2D reduces each channel's spatial plane to its mean,
 // producing an [N, C, 1, 1] tensor.
 func GlobalAvgPool2D(x *Tensor) *Tensor {
-	y := New(x.N, x.C, 1, 1)
+	y := new(Tensor)
+	GlobalAvgPool2DInto(x, y)
+	return y
+}
+
+// GlobalAvgPool2DInto is GlobalAvgPool2D writing into y.
+//
+//rt:hotpath
+func GlobalAvgPool2DInto(x, y *Tensor) {
+	y.Resize(x.N, x.C, 1, 1)
 	inv := 1 / float32(x.H*x.W)
 	for n := 0; n < x.N; n++ {
 		for c := 0; c < x.C; c++ {
@@ -164,49 +208,83 @@ func GlobalAvgPool2D(x *Tensor) *Tensor {
 			y.Set(n, c, 0, 0, sum*inv)
 		}
 	}
-	return y
 }
 
 // ReLU applies max(0, x) elementwise, returning a new tensor.
 func ReLU(x *Tensor) *Tensor {
-	y := x.Clone()
-	for i, v := range y.Data {
-		if v < 0 {
-			y.Data[i] = 0
-		}
-	}
+	y := new(Tensor)
+	ReLUInto(x, y)
 	return y
+}
+
+// ReLUInto is ReLU writing into y; y may be x.
+//
+//rt:hotpath
+func ReLUInto(x, y *Tensor) {
+	y.Resize(x.N, x.C, x.H, x.W)
+	for i, v := range x.Data {
+		if v < 0 {
+			v = 0
+		}
+		y.Data[i] = v
+	}
 }
 
 // LeakyReLU applies x>=0 ? x : alpha*x elementwise.
 func LeakyReLU(x *Tensor, alpha float32) *Tensor {
-	y := x.Clone()
-	for i, v := range y.Data {
-		if v < 0 {
-			y.Data[i] = alpha * v
-		}
-	}
+	y := new(Tensor)
+	LeakyReLUInto(x, alpha, y)
 	return y
+}
+
+// LeakyReLUInto is LeakyReLU writing into y; y may be x.
+//
+//rt:hotpath
+func LeakyReLUInto(x *Tensor, alpha float32, y *Tensor) {
+	y.Resize(x.N, x.C, x.H, x.W)
+	for i, v := range x.Data {
+		if v < 0 {
+			v = alpha * v
+		}
+		y.Data[i] = v
+	}
 }
 
 // Sigmoid applies the logistic function elementwise.
 func Sigmoid(x *Tensor) *Tensor {
-	y := x.Clone()
-	for i, v := range y.Data {
+	y := new(Tensor)
+	SigmoidInto(x, y)
+	return y
+}
+
+// SigmoidInto is Sigmoid writing into y; y may be x.
+//
+//rt:hotpath
+func SigmoidInto(x, y *Tensor) {
+	y.Resize(x.N, x.C, x.H, x.W)
+	for i, v := range x.Data {
 		y.Data[i] = float32(1 / (1 + math.Exp(-float64(v))))
 	}
-	return y
 }
 
 // FC computes a fully-connected layer y = W·flatten(x) + b for each batch
 // element. w has logical shape [out, in] with in == C*H*W of x; b may be
 // nil. Output shape is [N, out, 1, 1].
 func FC(x, w, b *Tensor, out int) *Tensor {
+	y := new(Tensor)
+	FCInto(x, w, b, out, y)
+	return y
+}
+
+// FCInto is FC writing into y.
+//
+//rt:hotpath
+func FCInto(x, w, b *Tensor, out int, y *Tensor) {
 	in := x.C * x.H * x.W
 	if w.Len() != out*in {
 		panic(fmt.Sprintf("tensor: fc weight len %d, want %d (out=%d in=%d)", w.Len(), out*in, out, in))
 	}
-	y := New(x.N, out, 1, 1)
+	y.Resize(x.N, out, 1, 1)
 	for n := 0; n < x.N; n++ {
 		xoff := n * in
 		for o := 0; o < out; o++ {
@@ -221,13 +299,21 @@ func FC(x, w, b *Tensor, out int) *Tensor {
 			y.Set(n, o, 0, 0, acc)
 		}
 	}
-	return y
 }
 
 // BatchNorm applies per-channel affine normalization using precomputed
 // inference statistics: y = gamma*(x-mean)/sqrt(var+eps) + beta.
 func BatchNorm(x, gamma, beta, mean, variance *Tensor, eps float32) *Tensor {
-	y := New(x.N, x.C, x.H, x.W)
+	y := new(Tensor)
+	BatchNormInto(x, gamma, beta, mean, variance, eps, y)
+	return y
+}
+
+// BatchNormInto is BatchNorm writing into y; y may be x.
+//
+//rt:hotpath
+func BatchNormInto(x, gamma, beta, mean, variance *Tensor, eps float32, y *Tensor) {
+	y.Resize(x.N, x.C, x.H, x.W)
 	for c := 0; c < x.C; c++ {
 		scale := gamma.Data[c] / float32(math.Sqrt(float64(variance.Data[c]+eps)))
 		shift := beta.Data[c] - scale*mean.Data[c]
@@ -239,14 +325,46 @@ func BatchNorm(x, gamma, beta, mean, variance *Tensor, eps float32) *Tensor {
 			}
 		}
 	}
-	return y
+}
+
+// ScaleInto applies the per-channel affine y = gamma*x + beta, where a
+// nil gamma is 1 and a nil beta is 0; y may be x.
+//
+//rt:hotpath
+func ScaleInto(x, gamma, beta, y *Tensor) {
+	y.Resize(x.N, x.C, x.H, x.W)
+	for c := 0; c < x.C; c++ {
+		var sc, sh float32 = 1, 0
+		if gamma != nil {
+			sc = gamma.Data[c]
+		}
+		if beta != nil {
+			sh = beta.Data[c]
+		}
+		for n := 0; n < x.N; n++ {
+			for h := 0; h < x.H; h++ {
+				for w := 0; w < x.W; w++ {
+					y.Set(n, c, h, w, sc*x.At(n, c, h, w)+sh)
+				}
+			}
+		}
+	}
 }
 
 // LRN applies local response normalization across channels with window
 // size, alpha, beta and k as in AlexNet/GoogLeNet (Caffe semantics: alpha
 // is divided by the window size).
 func LRN(x *Tensor, size int, alpha, beta, k float32) *Tensor {
-	y := New(x.N, x.C, x.H, x.W)
+	y := new(Tensor)
+	LRNInto(x, size, alpha, beta, k, y)
+	return y
+}
+
+// LRNInto is LRN writing into y.
+//
+//rt:hotpath
+func LRNInto(x *Tensor, size int, alpha, beta, k float32, y *Tensor) {
+	y.Resize(x.N, x.C, x.H, x.W)
 	half := size / 2
 	for n := 0; n < x.N; n++ {
 		for c := 0; c < x.C; c++ {
@@ -270,13 +388,21 @@ func LRN(x *Tensor, size int, alpha, beta, k float32) *Tensor {
 			}
 		}
 	}
-	return y
 }
 
 // Softmax applies channelwise softmax per batch element (over C, at each
 // spatial position).
 func Softmax(x *Tensor) *Tensor {
-	y := New(x.N, x.C, x.H, x.W)
+	y := new(Tensor)
+	SoftmaxInto(x, y)
+	return y
+}
+
+// SoftmaxInto is Softmax writing into y.
+//
+//rt:hotpath
+func SoftmaxInto(x, y *Tensor) {
+	y.Resize(x.N, x.C, x.H, x.W)
 	for n := 0; n < x.N; n++ {
 		for h := 0; h < x.H; h++ {
 			for w := 0; w < x.W; w++ {
@@ -296,25 +422,42 @@ func Softmax(x *Tensor) *Tensor {
 			}
 		}
 	}
-	return y
 }
 
 // Add returns the elementwise sum of two same-shaped tensors (residual
 // connections).
 func Add(a, b *Tensor) *Tensor {
+	y := new(Tensor)
+	AddInto(a, b, y)
+	return y
+}
+
+// AddInto is Add writing into y; y may be a, so a chain of residual
+// inputs accumulates in place.
+//
+//rt:hotpath
+func AddInto(a, b, y *Tensor) {
 	if !a.SameShape(b) {
 		panic(fmt.Sprintf("tensor: add shape mismatch %v vs %v", a.Shape(), b.Shape()))
 	}
-	y := a.Clone()
+	y.Resize(a.N, a.C, a.H, a.W)
 	for i, v := range b.Data {
-		y.Data[i] += v
+		y.Data[i] = a.Data[i] + v
 	}
-	return y
 }
 
 // Concat concatenates tensors along the channel dimension. All inputs
 // must agree on N, H, W.
 func Concat(ts ...*Tensor) *Tensor {
+	y := new(Tensor)
+	ConcatInto(ts, y)
+	return y
+}
+
+// ConcatInto is Concat writing into y.
+//
+//rt:hotpath
+func ConcatInto(ts []*Tensor, y *Tensor) {
 	if len(ts) == 0 {
 		panic("tensor: concat of zero tensors")
 	}
@@ -326,7 +469,7 @@ func Concat(ts ...*Tensor) *Tensor {
 		}
 		totalC += t.C
 	}
-	y := New(n, totalC, h, w)
+	y.Resize(n, totalC, h, w)
 	for ni := 0; ni < n; ni++ {
 		coff := 0
 		for _, t := range ts {
@@ -340,13 +483,21 @@ func Concat(ts ...*Tensor) *Tensor {
 			coff += t.C
 		}
 	}
-	return y
 }
 
 // Upsample2x nearest-neighbour upsamples the spatial dims by 2 (used by
 // Tiny-YOLOv3 and FCN decoders).
 func Upsample2x(x *Tensor) *Tensor {
-	y := New(x.N, x.C, x.H*2, x.W*2)
+	y := new(Tensor)
+	Upsample2xInto(x, y)
+	return y
+}
+
+// Upsample2xInto is Upsample2x writing into y.
+//
+//rt:hotpath
+func Upsample2xInto(x, y *Tensor) {
+	y.Resize(x.N, x.C, x.H*2, x.W*2)
 	for n := 0; n < x.N; n++ {
 		for c := 0; c < x.C; c++ {
 			for h := 0; h < y.H; h++ {
@@ -356,5 +507,17 @@ func Upsample2x(x *Tensor) *Tensor {
 			}
 		}
 	}
-	return y
+}
+
+// FlattenInto makes y the [N, C*H*W, 1, 1] reshape of x. With y == x it
+// is a view — the header is reshaped over the same data, nothing is
+// copied; otherwise y receives a copy.
+//
+//rt:hotpath
+func FlattenInto(x, y *Tensor) {
+	if y != x {
+		y.Resize(x.N, x.C, x.H, x.W)
+		copy(y.Data, x.Data)
+	}
+	y.C, y.H, y.W = x.C*x.H*x.W, 1, 1
 }

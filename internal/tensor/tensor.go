@@ -25,10 +25,26 @@ type Tensor struct {
 // New allocates a zero tensor with the given shape. It panics on
 // non-positive dimensions.
 func New(n, c, h, w int) *Tensor {
+	t := new(Tensor)
+	t.Resize(n, c, h, w)
+	return t
+}
+
+// Resize gives t the shape [n, c, h, w] in place: its backing array is
+// kept when it is large enough — the contents are then stale, and every
+// ...Into operator overwrites every element — and replaced by a zeroed
+// one otherwise. This is how an execution context's slot buffers follow
+// the shapes of the activations they hold. It panics on non-positive
+// dimensions.
+func (t *Tensor) Resize(n, c, h, w int) {
 	if n <= 0 || c <= 0 || h <= 0 || w <= 0 {
 		panic(fmt.Sprintf("tensor: invalid shape [%d %d %d %d]", n, c, h, w)) //rt:allow panicpath -- allocation-contract bug, not data-driven: loaders and kernels validate shapes before allocating
 	}
-	return &Tensor{N: n, C: c, H: h, W: w, Data: make([]float32, n*c*h*w)}
+	size := n * c * h * w
+	if cap(t.Data) < size {
+		t.Data = make([]float32, size)
+	}
+	t.N, t.C, t.H, t.W, t.Data = n, c, h, w, t.Data[:size]
 }
 
 // NewVec allocates a [1, k, 1, 1] tensor, the conventional shape for

@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -397,4 +398,121 @@ func TestConvSamePaddingProperty(t *testing.T) {
 	}, nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// Every ...Into operator must overwrite every element of y: execution
+// contexts hand them recycled buffers. Each runs here into an oversized
+// NaN-filled y and must equal its allocating form bit for bit — which
+// AvgPool2D would not if it still skipped the store for a window with no
+// valid tap (the 1x1 kernel under pad 1 below has four of them).
+func TestIntoOverwritesStaleOutput(t *testing.T) {
+	src := fixrand.NewKeyed("into-stale")
+	rnd := func(n, c, h, w int) *Tensor {
+		x := New(n, c, h, w)
+		for i := range x.Data {
+			x.Data[i] = float32(src.NormFloat64())
+		}
+		return x
+	}
+	x, x2 := rnd(2, 3, 6, 6), rnd(2, 3, 6, 6)
+	vec := func() *Tensor { v := rnd(1, 3, 1, 1); v.Data[0] = 1.5; return v }
+	gamma, beta, mean, variance := vec(), vec(), vec(), vec()
+	for i := range variance.Data {
+		variance.Data[i] = 1 + variance.Data[i]*variance.Data[i]
+	}
+	cw, cb := rnd(4, 3, 3, 3), rnd(1, 4, 1, 1)
+	cp := ConvParams{OutC: 4, Kernel: 3, Stride: 2, Pad: 1}
+	fw, fb := rnd(1, 5*3*6*6, 1, 1), rnd(1, 5, 1, 1)
+	cases := []struct {
+		name  string
+		alloc func() *Tensor
+		into  func(y *Tensor)
+	}{
+		{"conv", func() *Tensor { return Conv2D(x, cw, cb, cp) }, func(y *Tensor) { Conv2DInto(x, cw, cb, cp, y) }},
+		{"maxpool", func() *Tensor { return MaxPool2D(x, PoolParams{3, 2, 1}) }, func(y *Tensor) { MaxPool2DInto(x, PoolParams{3, 2, 1}, y) }},
+		{"avgpool", func() *Tensor { return AvgPool2D(x, PoolParams{2, 2, 0}) }, func(y *Tensor) { AvgPool2DInto(x, PoolParams{2, 2, 0}, y) }},
+		{"avgpool-empty-windows", func() *Tensor { return AvgPool2D(x, PoolParams{1, 1, 1}) }, func(y *Tensor) { AvgPool2DInto(x, PoolParams{1, 1, 1}, y) }},
+		{"gap", func() *Tensor { return GlobalAvgPool2D(x) }, func(y *Tensor) { GlobalAvgPool2DInto(x, y) }},
+		{"relu", func() *Tensor { return ReLU(x) }, func(y *Tensor) { ReLUInto(x, y) }},
+		{"leaky", func() *Tensor { return LeakyReLU(x, 0.1) }, func(y *Tensor) { LeakyReLUInto(x, 0.1, y) }},
+		{"sigmoid", func() *Tensor { return Sigmoid(x) }, func(y *Tensor) { SigmoidInto(x, y) }},
+		{"fc", func() *Tensor { return FC(x, fw, fb, 5) }, func(y *Tensor) { FCInto(x, fw, fb, 5, y) }},
+		{"batchnorm", func() *Tensor { return BatchNorm(x, gamma, beta, mean, variance, 1e-5) },
+			func(y *Tensor) { BatchNormInto(x, gamma, beta, mean, variance, 1e-5, y) }},
+		{"lrn", func() *Tensor { return LRN(x, 3, 1e-2, 0.75, 1) }, func(y *Tensor) { LRNInto(x, 3, 1e-2, 0.75, 1, y) }},
+		{"softmax", func() *Tensor { return Softmax(x) }, func(y *Tensor) { SoftmaxInto(x, y) }},
+		{"add", func() *Tensor { return Add(x, x2) }, func(y *Tensor) { AddInto(x, x2, y) }},
+		{"concat", func() *Tensor { return Concat(x, x2, x) }, func(y *Tensor) { ConcatInto([]*Tensor{x, x2, x}, y) }},
+		{"upsample", func() *Tensor { return Upsample2x(x) }, func(y *Tensor) { Upsample2xInto(x, y) }},
+		{"scale", func() *Tensor {
+			y := x.Clone()
+			for i := range y.Data {
+				c := i / 36 % 3
+				y.Data[i] = gamma.Data[c]*x.Data[i] + beta.Data[c]
+			}
+			return y
+		}, func(y *Tensor) { ScaleInto(x, gamma, beta, y) }},
+		{"flatten", func() *Tensor { y := x.Clone(); y.C, y.H, y.W = 3*6*6, 1, 1; return y }, func(y *Tensor) { FlattenInto(x, y) }},
+	}
+	nan := float32(math.NaN())
+	for _, c := range cases {
+		want := c.alloc()
+		y := New(1, 1, 1, 4096) // larger than any output: Resize must reuse it
+		y.Fill(nan)
+		backing := &y.Data[0]
+		c.into(y)
+		if y.Shape() != want.Shape() {
+			t.Errorf("%s: Into shape %v, allocating form %v", c.name, y.Shape(), want.Shape())
+			continue
+		}
+		if &y.Data[0] != backing {
+			t.Errorf("%s: Into replaced a backing array that was large enough", c.name)
+		}
+		for i := range want.Data {
+			if math.Float32bits(y.Data[i]) != math.Float32bits(want.Data[i]) {
+				t.Errorf("%s: element %d is %v on a recycled buffer, %v on a fresh one", c.name, i, y.Data[i], want.Data[i])
+				break
+			}
+		}
+	}
+	// Elementwise operators may run in place; flatten in place is a view.
+	inplace := x.Clone()
+	ReLUInto(inplace, inplace)
+	if want := ReLU(x); !reflect.DeepEqual(inplace.Data, want.Data) {
+		t.Error("ReLUInto in place differs from ReLU")
+	}
+	view := x.Clone()
+	data := &view.Data[0]
+	FlattenInto(view, view)
+	if view.Shape() != [4]int{2, 108, 1, 1} || &view.Data[0] != data {
+		t.Errorf("FlattenInto in place: shape %v, copied=%v", view.Shape(), &view.Data[0] != data)
+	}
+}
+
+func TestResize(t *testing.T) {
+	y := New(1, 2, 3, 4)
+	backing := &y.Data[0]
+	y.Resize(2, 3, 2, 1)
+	if y.Shape() != [4]int{2, 3, 2, 1} || len(y.Data) != 12 || &y.Data[0] != backing {
+		t.Fatalf("shrinking Resize: shape %v len %d moved=%v", y.Shape(), len(y.Data), &y.Data[0] != backing)
+	}
+	y.Resize(1, 2, 3, 4)
+	if len(y.Data) != 24 || &y.Data[0] != backing {
+		t.Fatal("Resize back within capacity must reuse the backing array")
+	}
+	y.Resize(5, 5, 5, 5)
+	if len(y.Data) != 625 {
+		t.Fatalf("growing Resize: len %d", len(y.Data))
+	}
+	for _, v := range y.Data {
+		if v != 0 {
+			t.Fatal("a grown buffer must be zeroed")
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Resize accepted a non-positive dimension")
+		}
+	}()
+	y.Resize(1, 0, 1, 1)
 }
