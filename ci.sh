@@ -11,7 +11,8 @@
 # the rtlint static-analysis suite — all eight source analyzers over
 # the module, diffed against the checked-in rtlint_baseline.json ledger
 # (any finding not in the ledger fails the gate; the ledger is currently
-# empty, so the tree must stay clean), then static plan-IR verification
+# empty, so the tree must stay clean), the byte comparison of
+# benchtables -all / -ext with results/, then static plan-IR verification
 # of every classifier engine the results are generated from — a
 # benchmark smoke over the hot
 # numeric paths, archived as BENCH_numeric.json so ns/op and allocs/op
@@ -47,6 +48,12 @@ for f in core:FuzzLoad:10 core:FuzzLoadTimingCache:5 core:FuzzParseTimingKey:5 \
   pkg=${f%%:*} rest=${f#*:}
   go test -run='^$' -fuzz="^${rest%:*}\$" -fuzztime="${rest#*:}s" "./internal/$pkg"
 done
+# The paper's tables and the extension studies, byte for byte against
+# the committed renderings: bench/quick_test.go skips exactly the heavy
+# numeric artifacts (Tables III-VI), and nothing else reads
+# results/extensions.txt.
+go run ./cmd/benchtables -all | cmp - results/alltables.txt
+go run ./cmd/benchtables -ext | cmp - results/extensions.txt
 go run ./cmd/fleetcheck -model resnet18 -sharedCache
 go run ./cmd/chaosbench -smoke -requests 30 -out ''
 go run ./cmd/rtlint -json -baseline rtlint_baseline.json ./...

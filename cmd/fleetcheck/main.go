@@ -19,6 +19,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"edgeinfer/internal/core"
 	"edgeinfer/internal/dataset"
@@ -210,8 +211,11 @@ func sameKernelCounts(a, b *core.Engine) bool {
 	return true
 }
 
-// outputDisagreement runs all fleet engines of the proxy over evidence
-// images and counts pairwise prediction differences.
+// outputDisagreement runs the fleet's proxy engines over evidence images
+// and counts pairwise prediction differences. Units that are the same
+// numeric program (core.Engine.SameNumerics) can never disagree: one of
+// each group is classified, and the grouping is printed so the operator
+// sees which units those are.
 func outputDisagreement(model string, engines, images int) (int, int) {
 	proxy, err := models.BuildProxy(model, models.DefaultProxyOptions())
 	if err != nil {
@@ -222,28 +226,47 @@ func outputDisagreement(model string, engines, images int) (int, int) {
 	if len(set) > images {
 		set = set[:images]
 	}
-	var preds [][]int
+	type program struct {
+		rep   *core.Engine
+		units []string
+	}
+	var programs []*program
+	var unitProgram []int // per unit, in fleet order
 	for _, spec := range gpusim.Platforms() {
 		for b := 1; b <= engines; b++ {
 			e, err := core.Build(proxy, core.DefaultConfig(spec, b))
 			if err != nil {
 				fail(err)
 			}
-			p := make([]int, len(set))
-			for i, s := range set {
-				o, err := e.Infer(s.Image)
-				if err != nil {
-					fail(err)
-				}
-				p[i] = o[0].Argmax()
+			pi := 0
+			for pi < len(programs) && !programs[pi].rep.SameNumerics(e) {
+				pi++
 			}
-			preds = append(preds, p)
+			if pi == len(programs) {
+				programs = append(programs, &program{rep: e})
+			}
+			programs[pi].units = append(programs[pi].units, fmt.Sprintf("%s#%d", spec.Short(), b))
+			unitProgram = append(unitProgram, pi)
 		}
 	}
+	fmt.Printf("numeric programs: %d distinct among %d units —", len(programs), len(unitProgram))
+	preds := make([][]int, len(programs))
+	for pi, pr := range programs {
+		fmt.Printf(" {%s}", strings.Join(pr.units, " "))
+		preds[pi] = make([]int, len(set))
+		for i, s := range set {
+			o, err := pr.rep.Infer(s.Image)
+			if err != nil {
+				fail(err)
+			}
+			preds[pi][i] = o[0].Argmax()
+		}
+	}
+	fmt.Println()
 	disagree, total := 0, 0
-	for i := 0; i < len(preds); i++ {
-		for j := i + 1; j < len(preds); j++ {
-			disagree += metrics.Mismatches(preds[i], preds[j])
+	for i := range unitProgram {
+		for j := i + 1; j < len(unitProgram); j++ {
+			disagree += metrics.Mismatches(preds[unitProgram[i]], preds[unitProgram[j]])
 			total += len(set)
 		}
 	}

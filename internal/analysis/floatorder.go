@@ -179,7 +179,7 @@ func reportUnroundedLoops(pkg *Package, fd *ast.FuncDecl, r *Reporter) {
 				continue // loop-local accumulator feeding nothing outside
 			}
 			r.Report(Error, as.Pos(),
-				"float accumulation into %s in %s bypasses the kernel rounding discipline; fold partial sums through Variant.roundTo/combine", id.Name, fd.Name.Name)
+				"float accumulation into %s in %s bypasses the kernel rounding discipline; fold partial sums through Numerics.roundTo/combine", id.Name, fd.Name.Name)
 		}
 		return true
 	})

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"math"
+	"slices"
+
 	"edgeinfer/internal/graph"
 	"edgeinfer/internal/kernels"
 	"edgeinfer/internal/tensor"
@@ -242,4 +245,89 @@ func (c *execCtx) output(s *step, escapes bool) *tensor.Tensor {
 		return new(tensor.Tensor)
 	}
 	return &c.bufs[s.out]
+}
+
+// SameNumerics reports whether e and o are the same numeric program:
+// whether their schedules compute bit-identical outputs on every input,
+// so an answer of one is an answer of the other (DESIGN §5, "Program
+// identity"). It compares, exactly and without hashing, everything
+// execute reads on a pristine device — per step the op, the operator
+// parameters, the producer positions, the variant's kernels.Numerics,
+// the fused epilogue, the INT8 input scale and the weights by shape and
+// bit pattern; then the graph outputs and the declared input shape.
+// Layer names, kernel family, TileM/TileN, layout, platform and build id
+// are not read by a reduction and are not compared. It errs only towards
+// false (the raw TileK is compared, not its clamp to the reduction
+// length), and is false for a timing-only engine, which computes nothing.
+func (e *Engine) SameNumerics(o *Engine) bool {
+	p, q := e.plan, o.plan
+	if p == nil || q == nil {
+		return false
+	}
+	if p == q {
+		return true
+	}
+	if len(p.steps) != len(q.steps) || e.Graph.InputShape != o.Graph.InputShape || !slices.Equal(p.outs, q.outs) {
+		return false
+	}
+	for i := range p.steps { // structure first: it is cheap and differs early
+		if !p.steps[i].sameOp(&q.steps[i]) {
+			return false
+		}
+	}
+	for i := range p.steps {
+		if !p.steps[i].sameWeights(&q.steps[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// sameOp compares everything a step runs with except its weights.
+// Float parameters compare by bit pattern, so a NaN equals itself.
+func (s *step) sameOp(t *step) bool {
+	a, b := s.l, t.l
+	bits := math.Float32bits
+	return a.Op == b.Op && slices.Equal(s.ins, t.ins) &&
+		a.Conv == b.Conv && a.Pool == b.Pool && a.OutUnits == b.OutUnits && a.LRNSize == b.LRNSize &&
+		bits(a.Alpha) == bits(b.Alpha) && bits(a.LRNBeta) == bits(b.LRNBeta) && bits(a.LRNK) == bits(b.LRNK) &&
+		s.v.Numerics() == t.v.Numerics() &&
+		s.f.Act == t.f.Act && bits(s.f.LeakyAlpha) == bits(t.f.LeakyAlpha) &&
+		s.quant == t.quant && bits(s.qscale) == bits(t.qscale)
+}
+
+// sameWeights compares the tensors the step reads: the w/b a conv or fc
+// resolved at compile time, every named parameter of any other layer
+// (graph.EvalLayerInto looks them up by name; absent and nil are alike).
+func (s *step) sameWeights(t *step) bool {
+	if s.l.Op == graph.OpConv || s.l.Op == graph.OpFC {
+		return sameTensor(s.w, t.w) && sameTensor(s.b, t.b)
+	}
+	for k, w := range s.l.Weights {
+		if !sameTensor(w, t.l.Weights[k]) {
+			return false
+		}
+	}
+	for k, w := range t.l.Weights {
+		if _, ok := s.l.Weights[k]; !ok && w != nil {
+			return false
+		}
+	}
+	return true
+}
+
+// sameTensor reports equal shape and bit-identical data.
+func sameTensor(a, b *tensor.Tensor) bool {
+	if a == b {
+		return true
+	}
+	if a == nil || b == nil || !a.SameShape(b) || len(a.Data) != len(b.Data) {
+		return false
+	}
+	for i, v := range a.Data {
+		if math.Float32bits(v) != math.Float32bits(b.Data[i]) {
+			return false
+		}
+	}
+	return true
 }

@@ -69,6 +69,7 @@ type Lab struct {
 	building map[string]*buildCell
 	tcaches  map[int]*core.TimingCache
 	preds    map[predKey][]int
+	programs []*core.Engine // one representative per distinct numeric program classified
 	benign   []dataset.Sample
 	adv      []dataset.AdversarialSample
 
@@ -77,14 +78,16 @@ type Lab struct {
 }
 
 // predKey names a cached prediction vector by what was computed: which
-// model ran — a Lab engine, or the un-optimized proxy of a model — over
-// which images. An image set is identified by its first tensor and its
-// length: the Lab synthesizes each dataset once and every table slices
-// it in order, so equal keys are equal inputs. Tables that classify the
-// same engine over the same set (IV and V/VI do, six times) share one
-// run whatever they call it.
+// numeric program ran — the representative of an engine's program (see
+// Lab.program), or the un-optimized proxy of a model — over which
+// images. An image set is identified by its first tensor and its length:
+// the Lab synthesizes each dataset once and every table slices it in
+// order, so equal keys are equal inputs. Tables that classify the same
+// program over the same set share one run whatever engine, platform or
+// build id they ask through: the six engines Tables V/VI build per model
+// are two programs (EXPERIMENTS.md, "Tables V & VI").
 type predKey struct {
-	engine *core.Engine
+	engine *core.Engine // the program's representative
 	unopt  string
 	first  *tensor.Tensor
 	n      int
@@ -419,10 +422,25 @@ func (l *Lab) predict(key predKey, images []*tensor.Tensor, infer func(*tensor.T
 	return out, nil
 }
 
+// program returns the representative of e's numeric program: the first
+// engine this Lab classified that computes exactly what e computes
+// (core.Engine.SameNumerics), e itself when none has.
+func (l *Lab) program(e *core.Engine) *core.Engine {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for _, r := range l.programs {
+		if r == e || r.SameNumerics(e) {
+			return r
+		}
+	}
+	l.programs = append(l.programs, e)
+	return e
+}
+
 // classifyE runs an engine over images, surfacing inference failures as
-// errors. Predictions are cached per (engine, image set).
+// errors. Predictions are cached per (numeric program, image set).
 func (l *Lab) classifyE(e *core.Engine, images []*tensor.Tensor) ([]int, error) {
-	p, err := l.predict(predKey{engine: e}, images, e.Infer)
+	p, err := l.predict(predKey{engine: l.program(e)}, images, e.Infer)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %s: %w", e.Key(), err)
 	}

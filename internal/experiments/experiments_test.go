@@ -2,10 +2,14 @@ package experiments
 
 import (
 	"reflect"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
+	"edgeinfer/internal/core"
 	"edgeinfer/internal/dataset"
+	"edgeinfer/internal/tensor"
 )
 
 // tinyOpts keeps the numeric experiments fast in unit tests.
@@ -485,19 +489,49 @@ func TestNumericRenderersNonEmpty(t *testing.T) {
 	}
 }
 
+// labPrograms partitions the Lab's numeric proxy engines — every engine a
+// table classified — into numeric programs by core.Engine.SameNumerics,
+// independently of the Lab's own bookkeeping.
+func labPrograms(l *Lab) (engines []*core.Engine, programs [][]*core.Engine) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	keys := make([]string, 0, len(l.engines))
+	for k := range l.engines {
+		if strings.HasPrefix(k, "proxy/") || strings.HasPrefix(k, "prec/") {
+			keys = append(keys, k)
+		}
+	}
+	sort.Strings(keys)
+next:
+	for _, k := range keys {
+		e := l.engines[k]
+		engines = append(engines, e)
+		for i, p := range programs {
+			if p[0].SameNumerics(e) {
+				programs[i] = append(p, e)
+				continue next
+			}
+		}
+		programs = append(programs, []*core.Engine{e})
+	}
+	return engines, programs
+}
+
 // Tables IV, V and VI classify the same adversarial set, and V/VI reuse
 // six of IV's engines (alexnet, resnet18, vgg16 × NX1/AGX1) plus each
-// other's: predictions are keyed by (engine, image set), so every pair
-// is classified once whichever table asks first and whatever it would
-// have called the run. 27 = IV's 6 engines + 3 un-optimized models, plus
-// V's 4 models × 3 builds × 2 platforms, minus the 6 shared with IV; VI
-// adds none.
+// other's: 4 models × 3 builds × 2 platforms = 24 engines. Predictions
+// are keyed by (numeric program, image set), so the cache holds one run
+// per distinct program among those 24 — counted here with SameNumerics,
+// not pinned — plus IV's three un-optimized models, whichever table asks
+// first and whatever engine, platform or build id it asks through. Keyed
+// by engine it held 27.
 func TestPredictionsKeyedByEngineAndSet(t *testing.T) {
 	orders := [][]func(*Lab) string{
 		{(*Lab).RenderTable4, (*Lab).RenderTable5, (*Lab).RenderTable6},
 		{(*Lab).RenderTable6, (*Lab).RenderTable5, (*Lab).RenderTable4},
 	}
 	var first []string
+	var firstRuns int
 	for oi, order := range orders {
 		l := NewLab(tinyOpts())
 		out := make([]string, 3)
@@ -507,8 +541,20 @@ func TestPredictionsKeyedByEngineAndSet(t *testing.T) {
 		if oi == 1 {
 			out[0], out[2] = out[2], out[0]
 		}
-		if got := len(l.preds); got != 27 {
-			t.Errorf("order %d: %d prediction runs cached, want 27 (one per engine and image set)", oi, got)
+		engines, programs := labPrograms(l)
+		if len(engines) != 24 {
+			t.Fatalf("order %d: the tables built %d proxy engines, want 24", oi, len(engines))
+		}
+		want := len(programs) + len(classifierModels)
+		if got := len(l.preds); got != want {
+			t.Errorf("order %d: %d prediction runs cached, want %d (one per distinct program of %d, plus %d un-optimized models)",
+				oi, got, want, len(programs), len(classifierModels))
+		}
+		if want >= 27 {
+			t.Errorf("order %d: %d engines are %d distinct programs: program identity shares nothing", oi, len(engines), len(programs))
+		}
+		if len(l.programs) != len(programs) {
+			t.Errorf("order %d: the Lab holds %d representatives for %d distinct programs", oi, len(l.programs), len(programs))
 		}
 		adv := l.advSet()
 		for k := range l.preds {
@@ -518,6 +564,9 @@ func TestPredictionsKeyedByEngineAndSet(t *testing.T) {
 			if (k.engine == nil) == (k.unopt == "") {
 				t.Errorf("order %d: key %+v names neither or both of engine and un-optimized model", oi, k)
 			}
+			if k.engine != nil && !slices.Contains(l.programs, k.engine) {
+				t.Errorf("order %d: run keyed to engine %s, which represents no program", oi, k.engine.Key())
+			}
 		}
 		if got := len(l.proxies); got != 4 {
 			t.Errorf("order %d: %d proxy graphs built, want one per model (4)", oi, got)
@@ -525,13 +574,71 @@ func TestPredictionsKeyedByEngineAndSet(t *testing.T) {
 		for _, render := range order { // a second reading computes nothing new
 			render(l)
 		}
-		if got := len(l.preds); got != 27 {
+		if got := len(l.preds); got != want {
 			t.Errorf("order %d: re-rendering grew the cache to %d", oi, got)
 		}
 		if first == nil {
-			first = out
+			first, firstRuns = out, want
 		} else if !reflect.DeepEqual(out, first) {
 			t.Error("table text depends on the order the tables were rendered in")
+		} else if want != firstRuns {
+			t.Errorf("%d runs in one render order, %d in the other", firstRuns, want)
 		}
 	}
+}
+
+// An engine the Lab answers through another's run must have computed
+// exactly that had it run itself: every such proxy engine of Tables
+// III–VI and the precision study is re-run, outside the cache, over each
+// image set its program was classified on, and compared with what the
+// Lab reports for it.
+func TestProgramSharedPredictionsEqualOwnRun(t *testing.T) {
+	l := NewLab(tinyOpts())
+	l.RenderTable3()
+	l.RenderTable4()
+	l.RenderTable5()
+	l.RenderTable6()
+	if _, err := l.RenderPrecisionStudy(); err != nil {
+		t.Fatal(err)
+	}
+	benign := make([]*tensor.Tensor, 0, len(l.benignSet()))
+	for _, s := range l.benignSet() {
+		benign = append(benign, s.Image)
+	}
+	engines, programs := labPrograms(l)
+	if len(programs) >= len(engines) {
+		t.Fatalf("%d engines, %d programs: nothing was shared", len(engines), len(programs))
+	}
+	shared, reruns := 0, 0
+	stride := 1
+	if testing.Short() {
+		stride = 4 // every fourth image: the race detector makes Infer ≈ 15× slower
+	}
+	for _, e := range engines {
+		if l.program(e) == e {
+			continue
+		}
+		shared++
+		for _, images := range [][]*tensor.Tensor{l.consistencyImages(), benign} {
+			cached, ok := l.cachedPred(predKey{engine: l.program(e), first: images[0], n: len(images)})
+			if !ok {
+				continue
+			}
+			reruns++
+			for i := 0; i < len(images); i += stride {
+				o, err := e.Infer(images[i])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := o[0].Argmax(); got != cached[i] {
+					t.Fatalf("%s image %d: the Lab reports class %d through %s, its own run says %d",
+						e.Key(), i, cached[i], l.program(e).Key(), got)
+				}
+			}
+		}
+	}
+	if shared == 0 || reruns < shared {
+		t.Fatalf("%d engines answered through a representative, %d runs repeated", shared, reruns)
+	}
+	t.Logf("%d engines, %d programs, %d answered through a representative, %d runs repeated", len(engines), len(programs), shared, reruns)
 }

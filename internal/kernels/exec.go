@@ -10,23 +10,48 @@ import (
 // Numeric execution of conv/FC variants. Each variant accumulates in a
 // different order and rounds partial sums to its precision at its own
 // tile boundaries, exactly as real kernels with different tile shapes and
-// reduction splits do. Two engines that picked different variants for the
-// same layer therefore produce (slightly) different outputs on the same
-// input — the mechanism behind the paper's Tables V and VI.
+// reduction splits do. Two engines whose variants for the same layer
+// differ in that (see Numerics) therefore produce (slightly) different
+// outputs on the same input — the mechanism behind the paper's Tables V
+// and VI.
 //
 // Execution is parallel and allocation-free in the steady state: the
 // output space is partitioned into contiguous row/unit ranges across the
 // shared worker pool (pool.go), workers write disjoint output regions,
 // and every output element's reduction runs in exactly the serial order —
 // tile partials in ascending channel order through dotTile/reduceEdge,
-// folded by Variant.combine — so outputs are bit-identical to serial
+// folded by Numerics.combine — so outputs are bit-identical to serial
 // execution for every variant, worker count and chunk placement.
 
-// roundTo rounds a partial sum to the variant's compute precision.
-func (v Variant) roundTo(x float32) float32 {
-	if v.Precision == tensor.FP16 || v.Precision == tensor.INT8 {
-		// INT8 kernels accumulate in FP16-equivalent precision here; the
-		// weight quantization itself is applied by the builder.
+// Numerics is the projection of a Variant that reaches an add or a
+// rounding. Everything below ExecConv[Into]/ExecFC[Into] takes it in
+// place of the Variant, so the compiler proves that Family, TileM, TileN
+// and NHWC cannot influence an output bit: two variants with equal
+// Numerics compute bit-identical results on equal operands. Comparable
+// with ==; core.Engine.SameNumerics is built on that, and a tactic family
+// with numerics of its own (ROADMAP item 3) has to enter through here.
+type Numerics struct {
+	TileK    int  // reduction tile: where partial sums are rounded
+	SplitK   bool // tile partials fold through two independent accumulators
+	Half     bool // partials, folds and the epilogue round to FP16
+	FusedAct bool // ReLU in the epilogue
+}
+
+// Numerics projects the variant onto what its numeric execution reads.
+// INT8 kernels accumulate in FP16-equivalent precision here; the weight
+// quantization itself is applied by the builder.
+func (v Variant) Numerics() Numerics {
+	return Numerics{
+		TileK:    v.TileK,
+		SplitK:   v.SplitK > 1,
+		Half:     v.Precision == tensor.FP16 || v.Precision == tensor.INT8,
+		FusedAct: v.FusedAct,
+	}
+}
+
+// roundTo rounds a partial sum to the compute precision.
+func (nu Numerics) roundTo(x float32) float32 {
+	if nu.Half {
 		return tensor.RoundFP16(x)
 	}
 	return x
@@ -34,8 +59,8 @@ func (v Variant) roundTo(x float32) float32 {
 
 // tileChannels converts the reduction tile (in GEMM-K units) to input
 // channels for a kxk convolution.
-func (v Variant) tileChannels(kernel int) int {
-	tc := v.TileK / (kernel * kernel)
+func (nu Numerics) tileChannels(kernel int) int {
+	tc := nu.TileK / (kernel * kernel)
 	if tc < 1 {
 		tc = 1
 	}
@@ -97,7 +122,7 @@ func ExecConv(v Variant, x, w, b *tensor.Tensor, p tensor.ConvParams) (*tensor.T
 		return nil, err
 	}
 	y := tensor.New(x.N, p.OutC, oh, ow)
-	execConv(v, x, w, b, p, y, oh, ow, groups, icg)
+	execConv(v.Numerics(), x, w, b, p, y, oh, ow, groups, icg)
 	return y, nil
 }
 
@@ -115,13 +140,13 @@ func ExecConvInto(v Variant, x, w, b *tensor.Tensor, p tensor.ConvParams, y *ten
 	if y == nil || y.N != x.N || y.C != p.OutC || y.H != oh || y.W != ow {
 		return fmt.Errorf("kernels: conv output buffer %v, want [%d %d %d %d]", y, x.N, p.OutC, oh, ow)
 	}
-	execConv(v, x, w, b, p, y, oh, ow, groups, icg)
+	execConv(v.Numerics(), x, w, b, p, y, oh, ow, groups, icg)
 	return nil
 }
 
 // convExec carries the validated geometry of one conv execution.
 type convExec struct {
-	v       Variant
+	nu      Numerics
 	x, w, b *tensor.Tensor
 	p       tensor.ConvParams
 	y       *tensor.Tensor
@@ -140,13 +165,13 @@ var convExecPool = sync.Pool{New: func() any { return new(convExec) }}
 // so the im2col patch gathered for one output pixel is reused across all
 // channels of its group. The descriptor is pooled: dispatching a conv
 // allocates nothing in the steady state.
-func execConv(v Variant, x, w, b *tensor.Tensor, p tensor.ConvParams, y *tensor.Tensor, oh, ow, groups, icg int) {
+func execConv(nu Numerics, x, w, b *tensor.Tensor, p tensor.ConvParams, y *tensor.Tensor, oh, ow, groups, icg int) {
 	c := convExecPool.Get().(*convExec)
 	*c = convExec{
-		v: v, x: x, w: w, b: b, p: p, y: y,
+		nu: nu, x: x, w: w, b: b, p: p, y: y,
 		oh: oh, ow: ow, groups: groups, icg: icg,
 		ocg: p.OutC / groups, kk: p.Kernel * p.Kernel,
-		tileC: v.tileChannels(p.Kernel),
+		tileC: nu.tileChannels(p.Kernel),
 	}
 	rows := x.N * oh
 	rowMACs := ow * p.OutC * icg * c.kk
@@ -198,7 +223,7 @@ func (c *convExec) row(s *execScratch, n, i int) {
 				patch := c.gather(s, n, g, ih0, iw0)
 				for oc := oc0; oc < oc0+c.ocg; oc++ {
 					wrow := c.w.Data[oc*c.icg*c.kk : (oc+1)*c.icg*c.kk]
-					c.store(n, oc, i, j, c.v.reducePatch(s, patch, wrow, c.tileC, c.kk, c.icg))
+					c.store(n, oc, i, j, c.nu.reducePatch(s, patch, wrow, c.tileC, c.kk, c.icg))
 				}
 			} else {
 				for oc := oc0; oc < oc0+c.ocg; oc++ {
@@ -217,8 +242,8 @@ func (c *convExec) store(n, oc, i, j int, val float32) {
 	if c.b != nil {
 		bias = c.b.Data[oc]
 	}
-	val = c.v.roundTo(val + bias)
-	if c.v.FusedAct && val < 0 {
+	val = c.nu.roundTo(val + bias)
+	if c.nu.FusedAct && val < 0 {
 		val = 0
 	}
 	c.y.Data[((n*c.y.C+oc)*c.oh+i)*c.ow+j] = val
@@ -246,29 +271,29 @@ func (c *convExec) gather(s *execScratch, n, g, ih0, iw0 int) []float32 {
 // reducePatch accumulates one output element from a gathered patch:
 // channel tiles of tileC, each tile's partial rounded by dotTile, folded
 // by combine — the exact serial reduction order.
-func (v Variant) reducePatch(s *execScratch, patch, wrow []float32, tileC, kk, icg int) float32 {
+func (nu Numerics) reducePatch(s *execScratch, patch, wrow []float32, tileC, kk, icg int) float32 {
 	partials := s.tiles((icg + tileC - 1) / tileC)
 	for c0 := 0; c0 < icg; c0 += tileC {
 		c1 := c0 + tileC
 		if c1 > icg {
 			c1 = icg
 		}
-		partials = append(partials, v.dotTile(patch[c0*kk:c1*kk], wrow[c0*kk:c1*kk]))
+		partials = append(partials, nu.dotTile(patch[c0*kk:c1*kk], wrow[c0*kk:c1*kk]))
 	}
 	s.partials = partials
-	return v.combine(partials)
+	return nu.combine(partials)
 }
 
 // dotTile computes one reduction tile's partial sum and rounds it to the
 // variant precision. Every multiply-accumulate of the patch path flows
 // through here, in ascending index order with w*x operand order — the
 // same sequence the per-element serial loop produced.
-func (v Variant) dotTile(x, w []float32) float32 {
+func (nu Numerics) dotTile(x, w []float32) float32 {
 	var acc float32
 	for i, xv := range x {
 		acc += w[i] * xv
 	}
-	return v.roundTo(acc)
+	return nu.roundTo(acc)
 }
 
 // reduceEdge accumulates one output element the general way, iterating
@@ -297,32 +322,32 @@ func (c *convExec) reduceEdge(s *execScratch, n, oc, g, ih0, iw0, khLo, khHi, kw
 				}
 			}
 		}
-		partials = append(partials, c.v.roundTo(acc))
+		partials = append(partials, c.nu.roundTo(acc))
 	}
 	s.partials = partials
-	return c.v.combine(partials)
+	return c.nu.combine(partials)
 }
 
 // combine folds tile partials into the final sum in the variant's order.
-func (v Variant) combine(partials []float32) float32 {
+func (nu Numerics) combine(partials []float32) float32 {
 	if len(partials) == 0 {
 		return 0
 	}
-	if v.SplitK > 1 && len(partials) > 1 {
+	if nu.SplitK && len(partials) > 1 {
 		// Split-K: independent accumulators per half, combined at the end.
 		mid := len(partials) / 2
 		var lo, hi float32
 		for _, p := range partials[:mid] {
-			lo = v.roundTo(lo + p)
+			lo = nu.roundTo(lo + p)
 		}
 		for _, p := range partials[mid:] {
-			hi = v.roundTo(hi + p)
+			hi = nu.roundTo(hi + p)
 		}
-		return v.roundTo(lo + hi)
+		return nu.roundTo(lo + hi)
 	}
 	var acc float32
 	for _, p := range partials {
-		acc = v.roundTo(acc + p)
+		acc = nu.roundTo(acc + p)
 	}
 	return acc
 }
@@ -353,7 +378,7 @@ func ExecFC(v Variant, x, w, b *tensor.Tensor, out int) (*tensor.Tensor, error) 
 		return nil, err
 	}
 	y := tensor.New(x.N, out, 1, 1)
-	execFC(v, x, w, b, out, in, y)
+	execFC(v.Numerics(), x, w, b, out, in, y)
 	return y, nil
 }
 
@@ -369,13 +394,13 @@ func ExecFCInto(v Variant, x, w, b *tensor.Tensor, out int, y *tensor.Tensor) er
 	if y == nil || y.N != x.N || y.C != out || y.H != 1 || y.W != 1 {
 		return fmt.Errorf("kernels: fc output buffer %v, want [%d %d 1 1]", y, x.N, out)
 	}
-	execFC(v, x, w, b, out, in, y)
+	execFC(v.Numerics(), x, w, b, out, in, y)
 	return nil
 }
 
 // fcExec carries the validated geometry of one FC execution.
 type fcExec struct {
-	v           Variant
+	nu          Numerics
 	x, w, b     *tensor.Tensor
 	y           *tensor.Tensor
 	out, in     int
@@ -387,14 +412,14 @@ var fcExecPool = sync.Pool{New: func() any { return new(fcExec) }}
 // execFC partitions the output by (batch, output unit) across the worker
 // pool; each unit's reduction tiles accumulate through dotTile in the
 // serial order. Like execConv, the descriptor is pooled.
-func execFC(v Variant, x, w, b *tensor.Tensor, out, in int, y *tensor.Tensor) {
-	tile := v.TileK
+func execFC(nu Numerics, x, w, b *tensor.Tensor, out, in int, y *tensor.Tensor) {
+	tile := nu.TileK
 	if tile < 1 {
 		tile = in
 	}
 	f := fcExecPool.Get().(*fcExec)
 	*f = fcExec{
-		v: v, x: x, w: w, b: b, y: y,
+		nu: nu, x: x, w: w, b: b, y: y,
 		out: out, in: in, tile: tile, tiles: (in + tile - 1) / tile,
 	}
 	parallelFor(x.N*out, grainFor(in), f)
@@ -417,14 +442,14 @@ func (f *fcExec) chunk(s *execScratch, lo, hi int) {
 			if k1 > f.in {
 				k1 = f.in
 			}
-			partials = append(partials, f.v.dotTile(xrow[k0:k1], wrow[k0:k1]))
+			partials = append(partials, f.nu.dotTile(xrow[k0:k1], wrow[k0:k1]))
 		}
 		s.partials = partials
-		val := f.v.combine(partials)
+		val := f.nu.combine(partials)
 		if f.b != nil {
-			val = f.v.roundTo(val + f.b.Data[o])
+			val = f.nu.roundTo(val + f.b.Data[o])
 		}
-		if f.v.FusedAct && val < 0 {
+		if f.nu.FusedAct && val < 0 {
 			val = 0
 		}
 		f.y.Data[n*f.out+o] = val

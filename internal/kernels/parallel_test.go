@@ -31,7 +31,8 @@ func refExecConv(v Variant, x, w, b *tensor.Tensor, p tensor.ConvParams) *tensor
 	oh := tensor.ConvOutDim(x.H, p.Kernel, p.Stride, p.Pad)
 	ow := tensor.ConvOutDim(x.W, p.Kernel, p.Stride, p.Pad)
 	y := tensor.New(x.N, p.OutC, oh, ow)
-	tileC := v.tileChannels(p.Kernel)
+	nu := v.Numerics()
+	tileC := nu.tileChannels(p.Kernel)
 	for n := 0; n < x.N; n++ {
 		for oc := 0; oc < p.OutC; oc++ {
 			g := oc / ocg
@@ -41,8 +42,8 @@ func refExecConv(v Variant, x, w, b *tensor.Tensor, p tensor.ConvParams) *tensor
 			}
 			for i := 0; i < oh; i++ {
 				for j := 0; j < ow; j++ {
-					val := refReduceConv(v, x, w, n, oc, g, icg, i, j, p, tileC)
-					val = v.roundTo(val + bias)
+					val := refReduceConv(nu, x, w, n, oc, g, icg, i, j, p, tileC)
+					val = nu.roundTo(val + bias)
 					if v.FusedAct && val < 0 {
 						val = 0
 					}
@@ -54,7 +55,7 @@ func refExecConv(v Variant, x, w, b *tensor.Tensor, p tensor.ConvParams) *tensor
 	return y
 }
 
-func refReduceConv(v Variant, x, w *tensor.Tensor, n, oc, g, icg, i, j int, p tensor.ConvParams, tileC int) float32 {
+func refReduceConv(v Numerics, x, w *tensor.Tensor, n, oc, g, icg, i, j int, p tensor.ConvParams, tileC int) float32 {
 	var partials []float32
 	for c0 := 0; c0 < icg; c0 += tileC {
 		c1 := c0 + tileC
@@ -92,6 +93,7 @@ func refExecFC(v Variant, x, w, b *tensor.Tensor, out int) *tensor.Tensor {
 		tile = in
 	}
 	y := tensor.New(x.N, out, 1, 1)
+	nu := v.Numerics()
 	for n := 0; n < x.N; n++ {
 		xoff := n * in
 		for o := 0; o < out; o++ {
@@ -106,11 +108,11 @@ func refExecFC(v Variant, x, w, b *tensor.Tensor, out int) *tensor.Tensor {
 				for k := k0; k < k1; k++ {
 					acc += w.Data[woff+k] * x.Data[xoff+k]
 				}
-				partials = append(partials, v.roundTo(acc))
+				partials = append(partials, nu.roundTo(acc))
 			}
-			val := v.combine(partials)
+			val := nu.combine(partials)
 			if b != nil {
-				val = v.roundTo(val + b.Data[o])
+				val = nu.roundTo(val + b.Data[o])
 			}
 			if v.FusedAct && val < 0 {
 				val = 0

@@ -3,10 +3,16 @@
 // Each operator has several variants — tensor-core HMMA tiles of
 // different shapes, Winograd transforms, plain FP32 CUDA-core kernels,
 // depthwise specializations — with (a) an analytic latency on a simulated
-// device and (b) a numeric implementation whose accumulation order and
-// rounding points differ per variant. (a) drives the tuner and all
-// performance tables; (b) makes independently tuned engines genuinely
-// produce different outputs on the same input, the paper's Finding 2.
+// device and (b) a numeric implementation. (a) depends on the whole
+// Variant and drives the tuner and all performance tables. (b) depends on
+// the variant's Numerics projection alone (exec.go): the reduction tile,
+// split-K, half-precision rounding and the fused ReLU decide where
+// partial sums are cut, rounded and folded, while Family, TileM, TileN
+// and layout change a latency and a kernel name, not an output bit.
+// Differing reduction tiles are what make independently tuned engines
+// produce different outputs on the same input, the paper's Finding 2;
+// per-family numerics (Winograd's transformed-tile rounding, NHWC's
+// reduction order) are ROADMAP item 3, and enter through Numerics.
 package kernels
 
 import (

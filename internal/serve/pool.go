@@ -381,11 +381,11 @@ func NewPool(reg *Registry, cfg PoolConfig) (*Pool, error) {
 	if c.Device == nil {
 		c.Device = gpusim.NewDevice(reg.spec, gpusim.PaperLatencyClock(reg.spec))
 	}
-	engines, err := reg.ReplicaEngines(c.Model, c.Replicas)
+	fb, err := reg.Fallback(c.Model) // first: the replica builds borrow its graph
 	if err != nil {
 		return nil, err
 	}
-	fb, err := reg.Fallback(c.Model)
+	engines, err := reg.ReplicaEngines(c.Model, c.Replicas)
 	if err != nil {
 		return nil, err
 	}

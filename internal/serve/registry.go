@@ -28,6 +28,9 @@ type Registry struct {
 	fallbacks map[string]*graph.Graph
 	nextBuild int
 	stats     RegistryStats
+	// proxyBuilds counts models.BuildProxy calls (≈ 27 ms each: every
+	// class template goes through the reference extractor).
+	proxyBuilds int
 }
 
 // RegistryStats aggregates the build reports of every engine the
@@ -100,12 +103,12 @@ func (r *Registry) ReplicaEngines(model string, k int) ([]*core.Engine, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("serve: replica fleet of %s needs k >= 1, got %d", model, k)
 	}
-	g, err := models.BuildProxy(model, models.DefaultProxyOptions())
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	g, err := r.proxyGraph(model, false)
 	if err != nil {
 		return nil, fmt.Errorf("serve: registry replica model %s: %w", model, err)
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	fleet := make([]*core.Engine, 0, k)
 	for slot := 0; slot < k; slot++ {
 		cfg := core.DefaultConfig(r.spec, r.nextBuild)
@@ -142,7 +145,7 @@ func (r *Registry) engine(key, model string, proxy bool) (*core.Engine, error) {
 	var g *graph.Graph
 	var err error
 	if proxy {
-		g, err = models.BuildProxy(model, models.DefaultProxyOptions())
+		g, err = r.proxyGraph(model, false)
 	} else {
 		g, err = models.Build(model)
 	}
@@ -192,14 +195,31 @@ func (r *Registry) WCETBound(model string, runs int, margin float64) (float64, e
 func (r *Registry) Fallback(model string) (*graph.Graph, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	g, err := r.proxyGraph(model, true)
+	if err != nil {
+		return nil, fmt.Errorf("serve: registry fallback %s: %w", model, err)
+	}
+	return g, nil
+}
+
+// proxyGraph returns the model's pristine proxy graph; r.mu is held. The
+// fallback tier memoizes it (keep), and an engine build borrows that
+// graph when it is there — core.Build clones its input — so a served
+// model's Rebuild costs the sub-millisecond warm build alone. A build
+// with no fallback to borrow makes a graph and lets it go: a registry
+// that only builds engines retains none.
+func (r *Registry) proxyGraph(model string, keep bool) (*graph.Graph, error) {
 	if g, ok := r.fallbacks[model]; ok {
 		return g, nil
 	}
 	g, err := models.BuildProxy(model, models.DefaultProxyOptions())
 	if err != nil {
-		return nil, fmt.Errorf("serve: registry fallback %s: %w", model, err)
+		return nil, err
 	}
-	r.fallbacks[model] = g
+	r.proxyBuilds++
+	if keep {
+		r.fallbacks[model] = g
+	}
 	return g, nil
 }
 
@@ -210,11 +230,11 @@ func (r *Registry) Fallback(model string) (*graph.Graph, error) {
 // are preserved; a nil Device defaults to the platform at its paper
 // latency clock.
 func (r *Registry) Executor(model string, cfg Config) (*Executor, error) {
-	e, err := r.ProxyEngine(model)
+	fb, err := r.Fallback(model) // first: the engine build borrows its graph
 	if err != nil {
 		return nil, err
 	}
-	fb, err := r.Fallback(model)
+	e, err := r.ProxyEngine(model)
 	if err != nil {
 		return nil, err
 	}

@@ -86,6 +86,80 @@ func TestRegistryRebuildIsWarmAndCanonical(t *testing.T) {
 	}
 }
 
+// A served model's proxy graph — 100 class templates through the
+// reference extractor — is built once: the fallback tier memoizes it and
+// every engine build of the model borrows it (core.Build clones its
+// input), so Rebuild, which a Pool calls under its dispatch turn, costs
+// the warm core.Build alone. A registry that only builds engines has no
+// fallback to borrow, makes a graph per build and retains none — the
+// path whose plan bytes the borrowed build must reproduce.
+func TestRegistryBuildsProxyGraphOnce(t *testing.T) {
+	const model = "resnet18"
+	proxyBuilds := func(r *Registry) int {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		return r.proxyBuilds
+	}
+	plan := func(r *Registry) []byte {
+		e, err := r.Rebuild(model)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b bytes.Buffer
+		if err := e.Save(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
+	}
+
+	bare := NewRegistry(gpusim.XavierNX(), nil)
+	if _, err := bare.ProxyEngine(model); err != nil {
+		t.Fatal(err)
+	}
+	want := plan(bare)
+	if got := proxyBuilds(bare); got != 2 || len(bare.fallbacks) != 0 {
+		t.Fatalf("engine-only registry: %d proxy graphs built (want one per build, 2), %d retained (want 0)", got, len(bare.fallbacks))
+	}
+
+	r := NewRegistry(gpusim.XavierNX(), nil)
+	if _, err := r.Executor(model, Config{}); err != nil {
+		t.Fatal(err)
+	}
+	if got := proxyBuilds(r); got != 1 {
+		t.Fatalf("registry-built Executor built %d proxy graphs, want 1", got)
+	}
+	fb, err := r.Fallback(model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.mu.Lock()
+	in, err := r.proxyGraph(model, false)
+	r.mu.Unlock()
+	if err != nil || in != fb {
+		t.Fatalf("engine builds start from %p (err %v), want the memoized fallback %p", in, err, fb)
+	}
+	if got := plan(r); !bytes.Equal(got, want) {
+		t.Fatal("Rebuild from the borrowed fallback graph differs from a rebuild from a fresh proxy graph")
+	}
+	if got := proxyBuilds(r); got != 1 {
+		t.Fatalf("Rebuild of a served model built a proxy graph (%d total, want 1)", got)
+	}
+
+	pr := NewRegistry(gpusim.XavierNX(), nil)
+	if _, err := NewPool(pr, PoolConfig{Model: model, Replicas: 3}); err != nil {
+		t.Fatal(err)
+	}
+	if got := proxyBuilds(pr); got != 1 {
+		t.Fatalf("registry-built 3-replica Pool built %d proxy graphs, want 1", got)
+	}
+	if got := plan(pr); !bytes.Equal(got, want) {
+		t.Fatal("a Pool's Rebuild differs from a rebuild from a fresh proxy graph")
+	}
+	if got := proxyBuilds(pr); got != 1 {
+		t.Fatalf("a Pool's Rebuild built a proxy graph (%d total, want 1)", got)
+	}
+}
+
 func TestRegistryPreloadedCacheMakesFirstBuildWarm(t *testing.T) {
 	seed := NewRegistry(gpusim.XavierNX(), nil)
 	if _, err := seed.ProxyEngine("resnet18"); err != nil {
