@@ -20,7 +20,6 @@ import (
 	"edgeinfer/internal/gpusim"
 	"edgeinfer/internal/metrics"
 	"edgeinfer/internal/models"
-	"edgeinfer/internal/tensor"
 )
 
 // benchOpts keeps numeric experiments tractable under -bench.
@@ -294,64 +293,6 @@ func BenchmarkAblationL2Contention(b *testing.B) {
 	}
 	b.ReportMetric(bigRatio, "AGX-penalty-73KB-ws")
 	b.ReportMetric(smallRatio, "AGX-penalty-32KB-ws")
-}
-
-// BenchmarkEngineBuild times the optimizer+tuner pipeline itself on the
-// heaviest model.
-func BenchmarkEngineBuild(b *testing.B) {
-	g := models.MustBuild("inceptionv4")
-	for i := 0; i < b.N; i++ {
-		if _, err := core.Build(g, core.DefaultConfig(gpusim.XavierNX(), i)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkNumericInference times one proxy inference through tuned
-// kernel variants (the unit of work behind Tables III-VI).
-func BenchmarkNumericInference(b *testing.B) {
-	proxy, err := models.BuildProxy("vgg16", models.DefaultProxyOptions())
-	if err != nil {
-		b.Fatal(err)
-	}
-	e, err := core.Build(proxy, core.DefaultConfig(gpusim.XavierNX(), 1))
-	if err != nil {
-		b.Fatal(err)
-	}
-	img := dataset.Benign(dataset.DefaultBenign(1))[0].Image
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := e.Infer(img); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkInferBatch times the layer-major batched inference path on
-// the same engine as BenchmarkNumericInference; divide ns/op by the
-// batch size to compare per-image cost against the per-image path.
-func BenchmarkInferBatch(b *testing.B) {
-	proxy, err := models.BuildProxy("vgg16", models.DefaultProxyOptions())
-	if err != nil {
-		b.Fatal(err)
-	}
-	e, err := core.Build(proxy, core.DefaultConfig(gpusim.XavierNX(), 1))
-	if err != nil {
-		b.Fatal(err)
-	}
-	const batch = 8
-	set := dataset.Benign(dataset.DefaultBenign(1))
-	xs := make([]*tensor.Tensor, batch)
-	for i := range xs {
-		xs[i] = set[i%len(set)].Image
-	}
-	b.ReportMetric(batch, "images/op")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := e.InferBatchCtx(nil, xs, nil, nil, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // BenchmarkExtensionPrecisionStudy runs the FP32/FP16/INT8 extension

@@ -5,22 +5,23 @@
 # smokes over every untrusted decoder (engine plans, timing caches and
 # their keys, predictor files, framework arch text and weight payloads,
 # and the serving front door's request body and headers),
-# the shared-timing-cache fleet-convergence audit (warm rebuilds
+# the byte comparison of benchtables -all / -ext with results/, the
+# shared-timing-cache fleet-convergence audit (warm rebuilds
 # must be byte-identical), the chaos smoke (a short replica-fleet soak
 # that must show zero wrong-answer escapes and zero leaked quarantines),
 # the rtlint static-analysis suite — all eight source analyzers over
 # the module, diffed against the checked-in rtlint_baseline.json ledger
 # (any finding not in the ledger fails the gate; the ledger is currently
-# empty, so the tree must stay clean), the byte comparison of
-# benchtables -all / -ext with results/, then static plan-IR verification
-# of every classifier engine the results are generated from — a
-# benchmark smoke over the hot
-# numeric paths, archived as BENCH_numeric.json so ns/op and allocs/op
-# regressions are diffable across commits, and the serving soak (an
-# open-loop 2x-overload run against the netserve front-end that must
-# shed explicitly, answer every request, and drain cleanly — run under
-# both the FIFO baseline and the EDF + WCET-admission discipline, the
-# latter gated on deadline-miss rate), archived as BENCH_serve.json.
+# empty, so the tree must stay clean), then static plan-IR verification
+# of every classifier engine the results are generated from. Then the
+# serving soak on a virtual clock (testing/synctest, behind
+# GOEXPERIMENT=synctest): a 2x-overload open-loop run of the netserve
+# front end over a real resnet18 executor, under both the FIFO baseline
+# and the EDF + WCET-admission discipline, whose exact outcome is
+# pinned and whose invariants (one terminal answer per request, Retry-
+# After on every shed, bounded depth, discipline order, clean drain,
+# same-seed determinism) are checked on every run — in full, and short
+# under the race detector.
 # Finally the cluster chaos soak: a partitioned NX/AGX pipeline under a
 # seeded mid-stream stage kill plus link noise, run under the race
 # detector, gated on zero lost frames, bit-identical answered outputs
@@ -58,20 +59,14 @@ go run ./cmd/fleetcheck -model resnet18 -sharedCache
 go run ./cmd/chaosbench -smoke -requests 30 -out ''
 go run ./cmd/rtlint -json -baseline rtlint_baseline.json ./...
 go run ./cmd/rtlint -plancheck
-go test -run='^$' -bench='^(BenchmarkNumericInference|BenchmarkEngineBuild|BenchmarkInferBatch)$' \
-  -benchmem -benchtime=1x . | go run ./cmd/benchjson -out BENCH_numeric.json
-# Serving soak, twice over the same 2x-overload tight-deadline mix: the
-# FIFO baseline, then the EDF + WCET-admission discipline whose smoke
-# additionally gates the deadline-miss rate (admission sheds hopeless
-# budgets at the door instead of letting them expire in the queue).
-# Both result lines land in BENCH_serve.json so the miss-rate reduction
-# is diffable across commits.
-{
-  go run ./cmd/loadgen -smoke -name BenchmarkServeLoadFIFO \
-    -deadline 250 -tightFrac 0.25 -spread 3
-  go run ./cmd/loadgen -smoke -name BenchmarkServeLoadEDF \
-    -deadline 250 -tightFrac 0.25 -spread 3 -edf -wcet -missGate 0.05
-} | go run ./cmd/benchjson -out BENCH_serve.json
+# Serving soak on a virtual clock: the synctest build of netserve must
+# vet, pass in full, and pass short under the race detector.
+(
+  export GOEXPERIMENT=synctest GODEBUG=asynctimerchan=0
+  go vet ./internal/netserve
+  go test -count=1 -run '^TestVirtualSoak$' ./internal/netserve
+  go test -race -short -count=1 -run '^TestVirtualSoak$' ./internal/netserve
+)
 # Cluster chaos soak: mid-stream stage death must recover with zero
 # lost frames and bit-identical answers (see cmd/clusterbench).
 go run -race ./cmd/clusterbench -smoke | go run ./cmd/benchjson -out BENCH_cluster.json

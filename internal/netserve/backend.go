@@ -38,9 +38,10 @@ type BatchAnswer struct {
 // path (the deadlineflow analyzer enforces that) and return an error
 // wrapping serve.ErrDeadlineExceeded when the budget expired — or a
 // layer-boundary check proved it unmeetable — before any tier
-// answered, a nil error with len(Results) == len(xs) otherwise; it is
-// called from a single batcher goroutine per model. Ready feeds the
-// readiness probe.
+// answered, a nil error with len(Results) == len(xs) otherwise (the
+// queue answers a batch that breaks this 500 "backend"); it is called
+// from a single batcher goroutine per model. Ready feeds the readiness
+// probe.
 type Backend interface {
 	ServeBatch(ctx *rtctx.Request, xs []*tensor.Tensor, runIndex int) (*BatchAnswer, error)
 	Ready() (ok bool, detail string)
@@ -70,9 +71,9 @@ func (b *executorBackend) ServeBatch(ctx *rtctx.Request, xs []*tensor.Tensor, ru
 		return nil, err
 	}
 	ba := &BatchAnswer{LatencySec: br.LatencySec, DeadlineMiss: br.DeadlineMiss}
-	ba.Results = make([]Answer, len(xs))
-	for i := range xs {
-		ba.Results[i] = Answer{Outputs: br.Outputs[i], Tier: br.Tier.String(), Degraded: br.Degraded}
+	ba.Results = make([]Answer, len(br.Outputs))
+	for i, out := range br.Outputs {
+		ba.Results[i] = Answer{Outputs: out, Tier: br.Tier.String(), Degraded: br.Degraded}
 	}
 	return ba, nil
 }
@@ -113,14 +114,11 @@ func (b *poolBackend) ServeBatch(ctx *rtctx.Request, xs []*tensor.Tensor, runInd
 	if err != nil {
 		return nil, err
 	}
-	if len(br.Results) != len(xs) {
-		return nil, fmt.Errorf("netserve: pool answered %d of %d inputs", len(br.Results), len(xs))
-	}
 	ba := &BatchAnswer{
 		LatencySec:   br.LatencySec,
 		DeadlineMiss: br.DeadlineMiss,
 	}
-	ba.Results = make([]Answer, len(xs))
+	ba.Results = make([]Answer, len(br.Results))
 	for i, pr := range br.Results {
 		tier := fmt.Sprintf("replica-%d", pr.Replica)
 		if pr.Fallback {

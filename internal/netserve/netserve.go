@@ -6,26 +6,28 @@
 // pack into Engine.InferBatchCtx windows triggered by batch size or a
 // deadline window, and a single batcher goroutine serves each window
 // through a Backend (a self-healing replica fleet or a resilient
-// executor). Admission control is explicit — a full queue sheds with
-// 503 + Retry-After (low priority first: a high-priority arrival evicts
-// the youngest queued low-priority request), a draining server sheds
-// everything, and a request whose client deadline expires in the queue
-// is answered 504 on the spot. Client deadlines arrive in an
-// X-Deadline-Ms header, are clamped to the server's bounds, and are
-// stamped — with the X-Priority band and X-Tenant id — into one
-// rtctx.Request per arrival that every layer below reads: the batch's
-// serving budget flows through the executor's deadline machinery down
-// to core's layer-boundary guard, so a hopeless batch is abandoned with
-// serve.ErrDeadlineExceeded mid-graph instead of burning fallback
-// latency. Config.EDF swaps the two-band FIFO for an
-// earliest-deadline-first queue with drop-late eviction, and
-// Config.WCETAdmission sheds any request whose budget a certified
+// executor). The queue is one ordered list whose sort key is the
+// discipline. Admission control is explicit — a full queue evicts its
+// tail for a newcomer that sorts before it and otherwise sheds the
+// newcomer, with 503 + Retry-After (under the default FIFO key, low
+// priority first: a high-priority arrival evicts the youngest queued
+// low-priority request), a draining server sheds everything, and a
+// request whose client deadline expires in the queue is answered 504 on
+// the spot. Client deadlines arrive in an X-Deadline-Ms header, are
+// clamped to the server's bounds, and are stamped — with the X-Priority
+// band and X-Tenant id — into one rtctx.Request per arrival that every
+// layer below reads: the batch's serving budget flows through the
+// executor's deadline machinery down to core's layer-boundary guard, so
+// a hopeless batch is abandoned with serve.ErrDeadlineExceeded mid-graph
+// instead of burning fallback latency. Config.EDF swaps the key for
+// earliest deadline first, which makes the same eviction rule drop-late,
+// and Config.WCETAdmission sheds any request whose budget a certified
 // worst-case bound proves unmeetable. Liveness (/healthz), readiness
-// (/readyz, wired to Pool.Health / Executor.Health) and a stats
-// endpoint (/statsz) make the server probeable, and Drain performs the
-// graceful exit: stop admitting, flush every in-flight batch, then
-// shut the listener down. Every admitted request is answered exactly
-// once — a result, a 503, or a 504 — never a hang.
+// (/readyz, wired to Pool.Health / Executor.Health) and a stats endpoint
+// (/statsz) make the server probeable, and Drain performs the graceful
+// exit: stop admitting, flush every in-flight batch, then shut the
+// listener down. Every admitted request is answered exactly once — a
+// result, a 503, or a 504 — never a hang.
 package netserve
 
 import (
@@ -70,10 +72,12 @@ type Config struct {
 	MaxDeadline     time.Duration
 	// MaxBodyBytes bounds a request body (default 1MiB).
 	MaxBodyBytes int64
-	// EDF selects the earliest-deadline-first queue discipline: one
-	// deadline-ordered queue per model with drop-late eviction (a full
-	// queue evicts its latest-deadline member for a more urgent
-	// arrival), instead of the default two-band FIFO.
+	// EDF orders each model's queue earliest deadline first (then
+	// band, arrival and admission order) instead of the default FIFO
+	// key, high band first and then admission order. A full queue
+	// evicts its tail for a newcomer that sorts before it, so under EDF
+	// the latest-deadline member goes for a more urgent arrival
+	// (drop-late).
 	EDF bool
 	// WCETAdmission gates admission on each model's certified
 	// worst-case-execution-time bound: a request whose whole budget is

@@ -754,3 +754,39 @@ func TestIntegrationPoolBackend(t *testing.T) {
 		t.Fatalf("readyz %+v", rep)
 	}
 }
+
+// shortBackend breaks the Backend contract with a nil error: its first
+// batch gets a nil answer, its second one result too few, the rest the
+// fake backend's answer.
+type shortBackend struct {
+	*fakeBackend
+	calls atomic.Int32
+}
+
+func (b *shortBackend) ServeBatch(ctx *rtctx.Request, xs []*tensor.Tensor, runIndex int) (*netserve.BatchAnswer, error) {
+	switch b.calls.Add(1) {
+	case 1:
+		return nil, nil
+	case 2:
+		ba, err := b.fakeBackend.ServeBatch(ctx, xs, runIndex)
+		ba.Results = ba.Results[:len(ba.Results)-1]
+		return ba, err
+	}
+	return b.fakeBackend.ServeBatch(ctx, xs, runIndex)
+}
+
+// A short answer fails its batch 500 "backend" and counts in Errors; the
+// batcher survives it and serves the next batch.
+func TestShortAnswerIs500(t *testing.T) {
+	be := &shortBackend{fakeBackend: newFakeBackend()}
+	s, ts := newFakeServer(t, be, func(c *netserve.Config) { c.MaxBatch = 1 })
+	for i, want := range []int{500, 500, 200} {
+		r := post(t, ts.URL, rawBody(t, be.shape, 2), nil)
+		if r.status != want || want == 500 && r.errRep.Reason != "backend" {
+			t.Fatalf("request %d: %+v, want %d", i, r, want)
+		}
+	}
+	if st := s.Stats().Models["m"]; st.Errors != 2 || st.Served != 1 {
+		t.Fatalf("stats %+v, want 2 errors and 1 served", st)
+	}
+}

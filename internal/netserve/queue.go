@@ -2,6 +2,7 @@ package netserve
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"sort"
 	"sync"
@@ -16,18 +17,18 @@ import (
 // request is one admitted inference request waiting for its batch. Its
 // real-time identity — budget, priority band, tenant, arrival and
 // wall-clock deadline — lives in one rtctx.Request the handler stamps
-// in place (one allocation an arrival), which the queue orders by in EDF
-// mode and the backend threads down to the layer-boundary guard.
+// in place (one allocation an arrival), which the queue orders by and
+// the backend threads down to the layer-boundary guard.
 type request struct {
 	x   *tensor.Tensor
 	ctx rtctx.Request
 	// seq is the admission sequence number, stamped under the queue
-	// lock. It breaks EDF ties that rtctx.EarlierThan cannot: two
-	// requests with identical (deadline, band, arrival) compare false
-	// both ways, so without seq their queue order — and therefore which
-	// one a full queue evicts — would depend on incidental insertion
-	// mechanics. With seq, edfBefore is a strict total order and ties
-	// serve in admission order (FIFO among equals).
+	// lock: the last key of both disciplines. It breaks the ties band
+	// and rtctx.EarlierThan leave (two requests with identical deadline,
+	// band and arrival compare false both ways), so the queue is a
+	// strict total order: equals serve in admission order, and a full
+	// queue's tail — its eviction candidate — never depends on how an
+	// insertion happened to place incomparable elements.
 	seq uint64
 	// resp receives exactly one response (buffered so the batcher never
 	// blocks on a handler that stopped listening).
@@ -62,14 +63,16 @@ type response struct {
 // happen under mu; the batcher packs admitted requests into
 // size-or-window-triggered batches and serves them through the backend.
 //
-// Two queue disciplines: the default two-band FIFO (high band first,
-// a high arrival evicts the youngest queued low when full), or EDF —
-// one queue ordered by wall-clock deadline (earliest first, band
-// breaking ties), where a full queue evicts the latest-deadline member
-// if the newcomer is more urgent (drop-late) and sheds the newcomer
-// otherwise. A positive wcetSec arms WCET admission: a request whose
-// whole budget is below the certified worst-case service bound is shed
-// at the door — it would only be queued to miss.
+// One ordered queue; the discipline is its key (before). The head is
+// served first, and a full queue evicts its tail for a newcomer that
+// sorts before it and sheds the newcomer otherwise. Under the default
+// FIFO the key is (band, seq): high band first, a high arrival evicts
+// the youngest queued low. Under EDF it is (deadline, band, arrival,
+// seq): earliest deadline first, and a more urgent arrival evicts the
+// latest-deadline member (drop-late). A positive wcetSec arms WCET
+// admission: a request whose whole budget is below the certified
+// worst-case service bound is shed at the door — it would only be
+// queued to miss.
 type modelQueue struct {
 	model    string
 	be       Backend
@@ -80,10 +83,8 @@ type modelQueue struct {
 	wcetSec  float64
 
 	mu       sync.Mutex
-	high     []*request
-	low      []*request
-	edfq     []*request // EDF mode: ordered by edfBefore, most urgent first
-	nextSeq  uint64     // admission sequence for EDF tie-breaking
+	queued   []*request // ordered by before: served from the head, evicted from the tail
+	nextSeq  uint64
 	draining bool
 	stats    ModelStats
 	runIndex int
@@ -133,21 +134,19 @@ func shedResp(reason string) response {
 	}
 }
 
-// edfBefore is the EDF queue's strict total order: rtctx.EarlierThan
-// (deadline, then band, then arrival) with the admission sequence as
-// the final tie-break. EarlierThan alone is only a partial order —
-// fully-equal contexts compare false both ways — and the queue's
-// insertion position and eviction victim must not depend on how a sort
-// happens to arrange incomparable elements. Under edfBefore, equal-
-// deadline requests serve in admission order and a full queue's victim
-// is deterministically the latest-admitted member of the latest-
-// deadline tie (see TestEDFEvictionTieBreakIsDeterministic).
-func edfBefore(a, b *request) bool {
-	if a.ctx.EarlierThan(&b.ctx) {
-		return true
-	}
-	if b.ctx.EarlierThan(&a.ctx) {
-		return false
+// before is the discipline: the queue's strict total order. FIFO
+// compares (band, seq), EDF rtctx.EarlierThan (deadline, then band,
+// then arrival) and then seq.
+func (q *modelQueue) before(a, b *request) bool {
+	if q.edf {
+		if a.ctx.EarlierThan(&b.ctx) {
+			return true
+		}
+		if b.ctx.EarlierThan(&a.ctx) {
+			return false
+		}
+	} else if a.high() != b.high() {
+		return a.high()
 	}
 	return a.seq < b.seq
 }
@@ -164,8 +163,9 @@ func edfBefore(a, b *request) bool {
 //     proves unmeetable (the 503 arrives in microseconds instead of a
 //     504 after the budget burned) — before the full-queue policy, so
 //     a hopeless request can never evict a feasible one;
-//  3. the full-queue policy of the active discipline runs last, and
-//     only over requests that could still meet their deadlines.
+//  3. the full-queue rule runs last, and only over requests that could
+//     still meet their deadlines: evict the tail iff the newcomer sorts
+//     before it, else shed the newcomer.
 //
 // Every shed is an explicit 503 with Retry-After, never a hang.
 func (q *modelQueue) admit(req *request) *response {
@@ -183,54 +183,33 @@ func (q *modelQueue) admit(req *request) *response {
 		r := shedResp("wcet")
 		return &r
 	}
+	req.seq = q.nextSeq
+	q.nextSeq++
 	var victim *request
-	if q.edf {
-		req.seq = q.nextSeq
-		q.nextSeq++
-		if len(q.edfq) >= q.depth {
-			last := q.edfq[len(q.edfq)-1]
-			if !edfBefore(req, last) {
-				q.countShed(req.high())
-				q.mu.Unlock()
-				r := shedResp("queue-full")
-				return &r
-			}
-			// Drop-late: the queued request with the latest deadline is
-			// the one most likely already hopeless; among equal
-			// deadlines, the latest-admitted (edfBefore keeps the queue
-			// a strict total order, so the tail is the unique maximum).
-			victim = last
-			q.edfq = q.edfq[:len(q.edfq)-1]
-			q.stats.Evicted++
+	if n := len(q.queued); n >= q.depth {
+		// The tail is the unique maximum and the member most likely
+		// already hopeless: the youngest low under FIFO, the latest
+		// deadline under EDF (see TestEDFEvictionTieBreakIsDeterministic).
+		if victim = q.queued[n-1]; !q.before(req, victim) {
+			q.countShed(req.high())
+			q.mu.Unlock()
+			r := shedResp("queue-full")
+			return &r
+		}
+		q.queued = q.queued[:n-1]
+		q.stats.Evicted++
+		if q.edf {
 			q.stats.EDFEvictions++
-			q.countShed(victim.high())
 		}
-		i := sort.Search(len(q.edfq), func(i int) bool {
-			return edfBefore(req, q.edfq[i])
-		})
-		q.edfq = append(q.edfq, nil)
-		copy(q.edfq[i+1:], q.edfq[i:])
-		q.edfq[i] = req
-	} else {
-		if len(q.high)+len(q.low) >= q.depth {
-			if !req.high() || len(q.low) == 0 {
-				q.countShed(req.high())
-				q.mu.Unlock()
-				r := shedResp("queue-full")
-				return &r
-			}
-			victim = q.low[len(q.low)-1]
-			q.low = q.low[:len(q.low)-1]
-			q.stats.Evicted++
-			q.countShed(false)
-		}
-		if req.high() {
-			q.high = append(q.high, req)
-		} else {
-			q.low = append(q.low, req)
-		}
+		q.countShed(victim.high())
 	}
-	if d := q.depthLocked(); d > q.stats.MaxQueueDepth {
+	i := sort.Search(len(q.queued), func(i int) bool {
+		return q.before(req, q.queued[i])
+	})
+	q.queued = append(q.queued, nil)
+	copy(q.queued[i+1:], q.queued[i:])
+	q.queued[i] = req
+	if d := len(q.queued); d > q.stats.MaxQueueDepth {
 		q.stats.MaxQueueDepth = d
 	}
 	q.stats.Accepted++
@@ -251,48 +230,27 @@ func (q *modelQueue) countShed(high bool) {
 	}
 }
 
-func (q *modelQueue) depthLocked() int {
-	return len(q.high) + len(q.low) + len(q.edfq)
-}
-
 func (q *modelQueue) empty() bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return q.depthLocked() == 0
+	return len(q.queued) == 0
 }
 
-// popLive pops the next serviceable request (earliest deadline in EDF
-// mode, high band first in FIFO mode). Canceled requests are dropped
-// silently (the handler already counted the disconnect); requests whose
-// deadline has already expired are answered 504 on the spot — a queue
-// must never spend a batch slot on an answer nobody can use.
+// popLive pops the queue's head, the next serviceable request.
+// Canceled requests are dropped silently (the handler already counted
+// the disconnect); requests whose deadline has already expired are
+// answered 504 on the spot — a queue must never spend a batch slot on
+// an answer nobody can use.
 func (q *modelQueue) popLive() *request {
 	for {
 		q.mu.Lock()
-		var r *request
-		switch {
-		case len(q.edfq) > 0:
-			r = q.edfq[0]
-			q.edfq = q.edfq[1:]
-			if len(q.edfq) == 0 {
-				q.edfq = nil
-			}
-		case len(q.high) > 0:
-			r = q.high[0]
-			q.high = q.high[1:]
-			if len(q.high) == 0 {
-				q.high = nil
-			}
-		case len(q.low) > 0:
-			r = q.low[0]
-			q.low = q.low[1:]
-			if len(q.low) == 0 {
-				q.low = nil
-			}
-		}
-		if r == nil {
+		if len(q.queued) == 0 {
 			q.mu.Unlock()
 			return nil
+		}
+		r := q.queued[0]
+		if q.queued = q.queued[1:]; len(q.queued) == 0 {
+			q.queued = nil
 		}
 		if r.canceled.Load() {
 			q.mu.Unlock()
@@ -430,6 +388,11 @@ func (q *modelQueue) serveBatch(batch []*request) {
 	q.mu.Unlock()
 
 	ans, err := q.be.ServeBatch(bctx, xs, idx)
+	if err == nil && (ans == nil || len(ans.Results) != len(batch)) {
+		// A backend that breaks its contract fails the batch, not the
+		// batcher goroutine.
+		err = fmt.Errorf("netserve: backend did not answer each of %d inputs once", len(batch))
+	}
 	switch {
 	case err != nil && errors.Is(err, serve.ErrDeadlineExceeded):
 		q.mu.Lock()
@@ -484,7 +447,7 @@ func (q *modelQueue) snapshot() ModelStats {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	s := q.stats
-	s.QueueDepth = q.depthLocked()
+	s.QueueDepth = len(q.queued)
 	return s
 }
 
