@@ -4,7 +4,8 @@
 # benchmark module's own vet and tests (bench/), short fuzz
 # smokes over every untrusted decoder (engine plans, timing caches and
 # their keys, predictor files, framework arch text and weight payloads,
-# and the serving front door's request body and headers),
+# and the serving front door's request body and headers) plus one over
+# the FP32 reference convolution against its frozen per-element loop,
 # the byte comparison of benchtables -all / -ext with results/, the
 # shared-timing-cache fleet-convergence audit (warm rebuilds
 # must be byte-identical), the chaos smoke (a short replica-fleet soak
@@ -41,11 +42,13 @@ go test -race -timeout 20m ./...
 # it compiles against core and serve entry points: vet and test it here
 # so a deletion that breaks the benchmark fails this gate first.
 (cd bench && go vet ./... && go test ./...)
-# One fuzz smoke per untrusted decoder: package:fuzzer:seconds.
+# One fuzz smoke per untrusted decoder, and the reference conv against
+# its frozen loop: package:fuzzer:seconds.
 for f in core:FuzzLoad:10 core:FuzzLoadTimingCache:5 core:FuzzParseTimingKey:5 \
   latpred:FuzzLoadModel:5 frameworks:FuzzImportWeights:5 \
   frameworks:FuzzImportCaffe:5 frameworks:FuzzImportDarknet:5 \
-  netserve:FuzzDecodeRequest:5 netserve:FuzzHandleInfer:5; do
+  netserve:FuzzDecodeRequest:5 netserve:FuzzHandleInfer:5 \
+  tensor:FuzzConv2DReference:5; do
   pkg=${f%%:*} rest=${f#*:}
   go test -run='^$' -fuzz="^${rest%:*}\$" -fuzztime="${rest#*:}s" "./internal/$pkg"
 done

@@ -38,6 +38,11 @@ func NewTimingCache() *TimingCache {
 // neither); the variant is encoded in full because rendered kernel
 // symbols do not distinguish split-K siblings. Build id and tuner noise
 // deliberately do not appear: entries must be shareable across builds.
+//
+// The grammar is
+// "device|family.tMxNxK.skS.layout.aA.pP|bB.icC.sHxW-ocOC.oOHxOW-kK.stST.gG|pP";
+// the key is appended field by field into a stack buffer rather than
+// formatted, since the tuner renders one per tactic it considers.
 func TimingKey(device string, v kernels.Variant, d kernels.ConvDims, prec tensor.Precision) string {
 	layout := "nchw"
 	if v.NHWC {
@@ -47,11 +52,33 @@ func TimingKey(device string, v kernels.Variant, d kernels.ConvDims, prec tensor
 	if v.FusedAct {
 		act = 1
 	}
-	return fmt.Sprintf("%s|%s.t%dx%dx%d.sk%d.%s.a%d.p%d|b%d.ic%d.s%dx%d-oc%d.o%dx%d-k%d.st%d.g%d|p%d",
-		device,
-		v.Family, v.TileM, v.TileN, v.TileK, v.SplitK, layout, act, v.Precision,
-		d.Batch, d.InC, d.H, d.W, d.OutC, d.OutH, d.OutW, d.Kernel, d.Stride, d.Groups,
-		prec)
+	var buf [160]byte
+	b := append(append(buf[:0], device...), '|')
+	b = append(b, v.Family.String()...)
+	b = appendTag(b, ".t", v.TileM)
+	b = appendTag(b, "x", v.TileN)
+	b = appendTag(b, "x", v.TileK)
+	b = appendTag(b, ".sk", v.SplitK)
+	b = append(append(b, '.'), layout...)
+	b = appendTag(b, ".a", act)
+	b = appendTag(b, ".p", int(v.Precision))
+	b = appendTag(b, "|b", d.Batch)
+	b = appendTag(b, ".ic", d.InC)
+	b = appendTag(b, ".s", d.H)
+	b = appendTag(b, "x", d.W)
+	b = appendTag(b, "-oc", d.OutC)
+	b = appendTag(b, ".o", d.OutH)
+	b = appendTag(b, "x", d.OutW)
+	b = appendTag(b, "-k", d.Kernel)
+	b = appendTag(b, ".st", d.Stride)
+	b = appendTag(b, ".g", d.Groups)
+	b = appendTag(b, "|p", int(prec))
+	return string(b)
+}
+
+// appendTag appends tag and then n in decimal.
+func appendTag(b []byte, tag string, n int) []byte {
+	return strconv.AppendInt(append(b, tag...), int64(n), 10)
 }
 
 // ParseTimingKey is the inverse of TimingKey: it recovers the device

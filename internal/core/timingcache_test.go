@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -124,6 +125,59 @@ func TestTimingKeyDistinguishesSplitK(t *testing.T) {
 	}
 	if TimingKey("NX@1109MHz", v, d, tensor.INT8) == k1 {
 		t.Fatal("build precision does not separate keys")
+	}
+}
+
+// TestZooTimingKeysMatchFormatted holds the appended TimingKey to the
+// fmt rendering it replaced: every key cold zoo builds write — both
+// platforms, all three precisions — must equal that rendering byte for
+// byte (cache files are keyed by it) and round-trip through
+// ParseTimingKey.
+func TestZooTimingKeysMatchFormatted(t *testing.T) {
+	formatted := func(device string, v kernels.Variant, d kernels.ConvDims, prec tensor.Precision) string {
+		layout := "nchw"
+		if v.NHWC {
+			layout = "nhwc"
+		}
+		act := 0
+		if v.FusedAct {
+			act = 1
+		}
+		return fmt.Sprintf("%s|%s.t%dx%dx%d.sk%d.%s.a%d.p%d|b%d.ic%d.s%dx%d-oc%d.o%dx%d-k%d.st%d.g%d|p%d",
+			device,
+			v.Family, v.TileM, v.TileN, v.TileK, v.SplitK, layout, act, v.Precision,
+			d.Batch, d.InC, d.H, d.W, d.OutC, d.OutH, d.OutW, d.Kernel, d.Stride, d.Groups,
+			prec)
+	}
+	cache := NewTimingCache()
+	for _, name := range models.List() {
+		g, err := models.Build(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, cfg := range []BuildConfig{nxCfg(1), agxCfg(2)} {
+			for _, prec := range []tensor.Precision{tensor.FP32, tensor.FP16, tensor.INT8} {
+				cfg.Precision, cfg.TimingCache = prec, cache
+				if _, err := Build(g, cfg); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+			}
+		}
+	}
+	if cache.Len() < 1000 {
+		t.Fatalf("cold zoo builds wrote only %d keys", cache.Len())
+	}
+	for _, key := range cache.Keys() {
+		dev, v, d, prec, err := ParseTimingKey(key)
+		if err != nil {
+			t.Fatalf("key %q: %v", key, err)
+		}
+		if f := formatted(dev, v, d, prec); f != key {
+			t.Fatalf("key %q, fmt renders its fields as %q", key, f)
+		}
+		if again := TimingKey(dev, v, d, prec); again != key {
+			t.Fatalf("key %q re-renders as %q", key, again)
+		}
 	}
 }
 

@@ -120,12 +120,12 @@ func Corrupt(img *tensor.Tensor, c Corruption, severity int, key string) *tensor
 			}
 		}
 	case Fog:
-		fog := template("fogfield/" + key)
+		fog := template("fogfield/"+key, nil)
 		for i := range out.Data {
 			out.Data[i] = out.Data[i]*(1-float32(0.6*s)) + fog.Data[i]*float32(2.5*s)
 		}
 	case Frost:
-		frost := template("frostfield")
+		frost := template("frostfield", nil)
 		for i := range out.Data {
 			out.Data[i] += frost.Data[i] * float32(2.2*s)
 		}

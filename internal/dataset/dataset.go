@@ -38,25 +38,31 @@ const templateCorrelation = 0.94
 // The same seed always yields byte-identical templates; classifier
 // proxies embed these in their final layer.
 func Templates(seed string, classes int) []*tensor.Tensor {
+	// Every class mixes in the same base grid, so it is drawn once.
+	src := fixrand.NewKeyed(seed + "/base")
+	base := make([]float64, ImgC*grid*grid)
+	for i := range base {
+		base[i] = src.NormFloat64()
+	}
 	ts := make([]*tensor.Tensor, classes)
 	for c := 0; c < classes; c++ {
-		ts[c] = template(fmt.Sprintf("%s/class%d", seed, c), seed+"/base")
+		ts[c] = template(fmt.Sprintf("%s/class%d", seed, c), base)
 	}
 	return ts
 }
 
-// template builds one smooth pattern: a 4x4 random grid per channel
-// (mixed with the shared base grid), bilinearly upsampled to ImgHW,
-// normalized to unit RMS.
-func template(key string, baseKey ...string) *tensor.Tensor {
+// grid is the side of the coarse random grid a template is upsampled
+// from.
+const grid = 4
+
+// template builds one smooth pattern: a grid x grid random grid per
+// channel (mixed with the shared base grid when base is not nil; base
+// holds one standard normal per cell in channel, row, column order),
+// bilinearly upsampled to ImgHW, normalized to unit RMS.
+func template(key string, base []float64) *tensor.Tensor {
 	src := fixrand.NewKeyed(key)
-	var base *fixrand.Source
-	rho := 0.0
-	if len(baseKey) > 0 {
-		base = fixrand.NewKeyed(baseKey[0])
-		rho = templateCorrelation
-	}
-	const grid = 4
+	rho := float64(templateCorrelation)
+	ownWeight := sqrt64(1 - rho*rho)
 	coarse := make([][][]float64, ImgC)
 	for ch := range coarse {
 		coarse[ch] = make([][]float64, grid)
@@ -66,16 +72,16 @@ func template(key string, baseKey ...string) *tensor.Tensor {
 				// The class-distinctive component is sparse: only some
 				// grid cells differ from the shared base (real object
 				// classes differ in localized structure, not everywhere).
-				own := src.NormFloat64()
+				v := src.NormFloat64()
 				if src.Float64() > 0.4 {
-					own = 0
+					v = 0
 				} else {
-					own *= 1.58 // restore unit variance of the sparse part
+					v *= 1.58 // restore unit variance of the sparse part
 				}
 				if base != nil {
-					own = rho*base.NormFloat64() + sqrt64(1-rho*rho)*own
+					v = rho*base[(ch*grid+i)*grid+j] + ownWeight*v
 				}
-				coarse[ch][i][j] = own
+				coarse[ch][i][j] = v
 			}
 		}
 	}

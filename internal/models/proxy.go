@@ -83,16 +83,24 @@ func BuildProxy(name string, opts ProxyOptions) (*graph.Graph, error) {
 	if opts.Seed == "" {
 		opts.Seed = "imagenet-proxy"
 	}
-	templates := dataset.Templates(opts.Seed, opts.Classes)
-
 	// Extractor graph (shared weights for template embedding and the
-	// final proxy).
-	extractor := buildExtractor(name+"-extractor", spec)
+	// final proxy), taking every class template at once: images of a
+	// batch never mix, so each embedding has the bits a batch of one
+	// would give it.
+	extractor := buildExtractor(name+"-extractor", spec, opts.Classes)
 	if err := extractor.Finalize(); err != nil {
 		return nil, err
 	}
-	featShape := extractor.OutputShapes()[0]
-	featDim := featShape[1] * featShape[2] * featShape[3]
+	templates := tensor.New(opts.Classes, dataset.ImgC, dataset.ImgHW, dataset.ImgHW)
+	for c, tpl := range dataset.Templates(opts.Seed, opts.Classes) {
+		copy(templates.Data[c*len(tpl.Data):], tpl.Data)
+	}
+	outs, err := extractor.Execute(templates)
+	if err != nil {
+		return nil, fmt.Errorf("models: embedding templates: %w", err)
+	}
+	feat := outs[0]
+	featDim := feat.C
 
 	// Head weights: embedded class templates, centered by the mean
 	// embedding. Centering never changes the argmax (it shifts every
@@ -100,14 +108,10 @@ func BuildProxy(name string, opts ProxyOptions) (*graph.Graph, error) {
 	// component, leaving sparse discriminative weights — the structure
 	// magnitude pruning exploits.
 	w := tensor.New(1, opts.Classes*featDim, 1, 1)
+	copy(w.Data, feat.Data)
 	mean := make([]float32, featDim)
-	for c, tpl := range templates {
-		outs, err := extractor.Execute(tpl)
-		if err != nil {
-			return nil, fmt.Errorf("models: embedding template %d: %w", c, err)
-		}
-		copy(w.Data[c*featDim:(c+1)*featDim], outs[0].Data)
-		for i, v := range outs[0].Data {
+	for c := 0; c < opts.Classes; c++ {
+		for i, v := range feat.Data[c*featDim : (c+1)*featDim] {
 			mean[i] += v / float32(opts.Classes)
 		}
 	}
@@ -156,7 +160,7 @@ func BuildProxy(name string, opts ProxyOptions) (*graph.Graph, error) {
 	}
 
 	// Full proxy: extractor + FC head + softmax.
-	g := buildExtractor(name, spec)
+	g := buildExtractor(name, spec, 1)
 	fc := &graph.Layer{Name: "fc_head", Op: graph.OpFC, Inputs: []string{"feat"},
 		OutUnits: opts.Classes, Weights: map[string]*tensor.Tensor{"w": w, "b": tensor.NewVec(opts.Classes)}}
 	g.Add(fc)
@@ -188,9 +192,9 @@ func sqrtf(v float64) float32 {
 // buildExtractor constructs the smoothing feature extractor: depthwise
 // binomial 3x3 convolutions (plus ReLU-free linear chain so templates
 // embed linearly) with the spec's pooling cadence, ending in a layer
-// named "feat".
-func buildExtractor(name string, spec proxySpec) *graph.Graph {
-	g := graph.New(name, [4]int{1, dataset.ImgC, dataset.ImgHW, dataset.ImgHW})
+// named "feat", over a batch of n images.
+func buildExtractor(name string, spec proxySpec, n int) *graph.Graph {
+	g := graph.New(name, [4]int{n, dataset.ImgC, dataset.ImgHW, dataset.ImgHW})
 	prev := "data"
 	for i := 1; i <= spec.convs; i++ {
 		conv := fmt.Sprintf("smooth%d", i)

@@ -1,10 +1,73 @@
 package models
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
+	"hash"
+	"math"
+	"sort"
 	"testing"
 
 	"edgeinfer/internal/dataset"
+	"edgeinfer/internal/tensor"
 )
+
+// hashTensor feeds a tensor's shape and every element's bits to h.
+func hashTensor(h hash.Hash, t *tensor.Tensor) {
+	fmt.Fprintf(h, "%v:", t.Shape())
+	var b [4]byte
+	for _, v := range t.Data {
+		binary.LittleEndian.PutUint32(b[:], math.Float32bits(v))
+		h.Write(b[:])
+	}
+}
+
+// TestProxyBitsPinned pins every float of the five classifier proxies —
+// structure, the extractor's convolution weights, the embedded-template
+// head — and of the class templates, as digests captured before template
+// embedding was batched and the reference conv restructured. Proxy
+// construction may get faster; it may not change a bit.
+func TestProxyBitsPinned(t *testing.T) {
+	opts := DefaultProxyOptions()
+	h := sha256.New()
+	for _, tpl := range dataset.Templates(opts.Seed, opts.Classes) {
+		hashTensor(h, tpl)
+	}
+	if got, want := fmt.Sprintf("%x", h.Sum(nil)), "d4efc24acfa0f6aa89d96b97a5179a658719c4451c8cf26dc23d99ebb463d556"; got != want {
+		t.Errorf("dataset.Templates digest %s, want %s", got, want)
+	}
+	want := map[string]string{
+		"alexnet":     "c1b919e1024eae3647285b453e32334f33a10182c3910f26ac2b2decd04cdd9b",
+		"googlenet":   "85e6ce34b27fa8ef88675a6841cd6176b7726c0ed89b179f0c97cc5f2c805d36",
+		"resnet18":    "e969026c314dfe43a744c29c681742073898ae074419065d770dc375cd1f194b",
+		"inceptionv4": "5d138f2e7b223a86246119b86955af5db0ac0d8dffd118873308fc6345b7bab4",
+		"vgg16":       "c49a5bc9e9e21eec2d1aeb072f269c22abb755097e872d50ad590d3ea0a2b574",
+	}
+	for _, name := range []string{"alexnet", "googlenet", "resnet18", "inceptionv4", "vgg16"} {
+		g, err := BuildProxy(name, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := sha256.New()
+		fmt.Fprintf(h, "%s %v %v %s %s|", g.Name, g.InputShape, g.Outputs, g.Task, g.Framework)
+		for _, l := range g.Layers {
+			fmt.Fprintf(h, "%s %v %v %+v %+v %d %v|", l.Name, l.Op, l.Inputs, l.Conv, l.Pool, l.OutUnits, l.OutShape)
+			keys := make([]string, 0, len(l.Weights))
+			for k := range l.Weights {
+				keys = append(keys, k)
+			}
+			sort.Strings(keys)
+			for _, k := range keys {
+				fmt.Fprintf(h, "%s=", k)
+				hashTensor(h, l.Weights[k])
+			}
+		}
+		if got := fmt.Sprintf("%x", h.Sum(nil)); got != want[name] {
+			t.Errorf("%s proxy digest %s, want %s", name, got, want[name])
+		}
+	}
+}
 
 func TestProxyBuilds(t *testing.T) {
 	for name := range proxySpecs {

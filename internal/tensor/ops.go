@@ -27,14 +27,23 @@ func ConvOutDim(in, kernel, stride, pad int) int {
 // Conv2D computes a grouped 2-D convolution of x with weights w and
 // per-output-channel bias b (b may be nil). w has logical shape
 // [outC, inC/groups, k, k] flattened into w.Data. This is the bit-exact
-// reference: accumulation runs in row-major (c, kh, kw) order in float32.
+// reference: each output element starts from +0, adds wv*x for every
+// tap inside the input in row-major (c, kh, kw) order in float32, and
+// adds the bias last. Taps in the padding are skipped, never multiplied
+// by zero (0·Inf is NaN, and a +0 product would flip a -0 sum).
+//
+// The loop nest runs a whole output row at a time — each tap is added
+// into the span of columns it reaches, with the span computed once per
+// tap — which changes which element is worked on when, never the order
+// of the operations any one element receives.
 func Conv2D(x, w, b *Tensor, p ConvParams) *Tensor {
 	y := new(Tensor)
 	Conv2DInto(x, w, b, p, y)
 	return y
 }
 
-// Conv2DInto is Conv2D writing into y.
+// Conv2DInto is Conv2D writing into y; the output rows are its
+// accumulators.
 //
 //rt:hotpath
 func Conv2DInto(x, w, b *Tensor, p ConvParams, y *Tensor) {
@@ -55,34 +64,58 @@ func Conv2DInto(x, w, b *Tensor, p ConvParams, y *Tensor) {
 		panic(fmt.Sprintf("tensor: conv output %dx%d not positive (in %dx%d k=%d s=%d p=%d)", oh, ow, x.H, x.W, p.Kernel, p.Stride, p.Pad))
 	}
 	y.Resize(x.N, p.OutC, oh, ow)
+	k, s, pad := p.Kernel, p.Stride, p.Pad
+	plane, taps := x.H*x.W, icg*k*k
 	for n := 0; n < x.N; n++ {
 		for oc := 0; oc < p.OutC; oc++ {
-			g := oc / ocg
+			xg := x.Data[(n*x.C+oc/ocg*icg)*plane:][:icg*plane]
+			wo := w.Data[oc*taps:][:taps]
 			var bias float32
 			if b != nil {
 				bias = b.Data[oc]
 			}
 			for i := 0; i < oh; i++ {
-				for j := 0; j < ow; j++ {
-					var acc float32
-					for c := 0; c < icg; c++ {
-						ic := g*icg + c
-						for kh := 0; kh < p.Kernel; kh++ {
-							ih := i*p.Stride + kh - p.Pad
-							if ih < 0 || ih >= x.H {
+				row := y.Data[((n*p.OutC+oc)*oh+i)*ow:][:ow]
+				clear(row)
+				top := i*s - pad // input row of tap kh = 0
+				khLo, khHi := max(0, -top), min(k, x.H-top)
+				for c := 0; c < icg; c++ {
+					for kh := khLo; kh < khHi; kh++ {
+						xrow := xg[c*plane+(top+kh)*x.W:][:x.W]
+						for kw, wv := range wo[(c*k+kh)*k:][:k] {
+							// Output columns [jlo, jhi) have their input
+							// column j*s+kw-pad in [0, W). The last is
+							// floor(last/s): Go's / truncates a negative
+							// last toward zero and would admit column 0.
+							jlo, last := 0, x.W-1+pad-kw
+							if last < 0 {
 								continue
 							}
-							for kw := 0; kw < p.Kernel; kw++ {
-								iw := j*p.Stride + kw - p.Pad
-								if iw < 0 || iw >= x.W {
-									continue
+							if pad > kw {
+								jlo = (pad - kw + s - 1) / s
+							}
+							jhi := min(ow, last/s+1)
+							if jlo >= jhi {
+								continue
+							}
+							iw := jlo*s + kw - pad
+							if s == 1 {
+								ys := row[jlo:jhi]
+								xs := xrow[iw:][:len(ys)]
+								for t, xv := range xs {
+									ys[t] += wv * xv
 								}
-								wv := w.Data[((oc*icg+c)*p.Kernel+kh)*p.Kernel+kw]
-								acc += wv * x.At(n, ic, ih, iw)
+								continue
+							}
+							for j := jlo; j < jhi; j++ {
+								row[j] += wv * xrow[iw]
+								iw += s
 							}
 						}
 					}
-					y.Set(n, oc, i, j, acc+bias)
+				}
+				for j := range row {
+					row[j] += bias
 				}
 			}
 		}
@@ -109,28 +142,26 @@ func MaxPool2DInto(x *Tensor, p PoolParams, y *Tensor) {
 	oh := ConvOutDim(x.H, p.Kernel, p.Stride, p.Pad)
 	ow := ConvOutDim(x.W, p.Kernel, p.Stride, p.Pad)
 	y.Resize(x.N, x.C, oh, ow)
-	for n := 0; n < x.N; n++ {
-		for c := 0; c < x.C; c++ {
-			for i := 0; i < oh; i++ {
-				for j := 0; j < ow; j++ {
-					best := float32(math.Inf(-1))
-					for kh := 0; kh < p.Kernel; kh++ {
-						ih := i*p.Stride + kh - p.Pad
-						if ih < 0 || ih >= x.H {
-							continue
-						}
-						for kw := 0; kw < p.Kernel; kw++ {
-							iw := j*p.Stride + kw - p.Pad
-							if iw < 0 || iw >= x.W {
-								continue
-							}
-							if v := x.At(n, c, ih, iw); v > best {
-								best = v
-							}
+	plane := x.H * x.W
+	for nc := 0; nc < x.N*x.C; nc++ {
+		xp := x.Data[nc*plane:][:plane]
+		for i := 0; i < oh; i++ {
+			row := y.Data[(nc*oh+i)*ow:][:ow]
+			top := i*p.Stride - p.Pad
+			khLo, khHi := max(0, -top), min(p.Kernel, x.H-top)
+			for j := range row {
+				left := j*p.Stride - p.Pad
+				kwLo, kwHi := max(0, -left), min(p.Kernel, x.W-left)
+				best := float32(math.Inf(-1))
+				for kh := khLo; kh < khHi; kh++ {
+					xrow := xp[(top+kh)*x.W:][:x.W]
+					for kw := kwLo; kw < kwHi; kw++ {
+						if v := xrow[left+kw]; v > best {
+							best = v
 						}
 					}
-					y.Set(n, c, i, j, best)
 				}
+				row[j] = best
 			}
 		}
 	}
@@ -152,32 +183,28 @@ func AvgPool2DInto(x *Tensor, p PoolParams, y *Tensor) {
 	oh := ConvOutDim(x.H, p.Kernel, p.Stride, p.Pad)
 	ow := ConvOutDim(x.W, p.Kernel, p.Stride, p.Pad)
 	y.Resize(x.N, x.C, oh, ow)
-	for n := 0; n < x.N; n++ {
-		for c := 0; c < x.C; c++ {
-			for i := 0; i < oh; i++ {
-				for j := 0; j < ow; j++ {
-					var sum float32
-					count := 0
-					for kh := 0; kh < p.Kernel; kh++ {
-						ih := i*p.Stride + kh - p.Pad
-						if ih < 0 || ih >= x.H {
-							continue
-						}
-						for kw := 0; kw < p.Kernel; kw++ {
-							iw := j*p.Stride + kw - p.Pad
-							if iw < 0 || iw >= x.W {
-								continue
-							}
-							sum += x.At(n, c, ih, iw)
-							count++
-						}
+	plane := x.H * x.W
+	for nc := 0; nc < x.N*x.C; nc++ {
+		xp := x.Data[nc*plane:][:plane]
+		for i := 0; i < oh; i++ {
+			row := y.Data[(nc*oh+i)*ow:][:ow]
+			top := i*p.Stride - p.Pad
+			khLo, khHi := max(0, -top), min(p.Kernel, x.H-top)
+			for j := range row {
+				left := j*p.Stride - p.Pad
+				kwLo, kwHi := max(0, -left), min(p.Kernel, x.W-left)
+				var sum float32
+				for kh := khLo; kh < khHi; kh++ {
+					xrow := xp[(top+kh)*x.W:][:x.W]
+					for kw := kwLo; kw < kwHi; kw++ {
+						sum += xrow[left+kw]
 					}
-					var avg float32
-					if count > 0 {
-						avg = sum / float32(count)
-					}
-					y.Set(n, c, i, j, avg)
 				}
+				var avg float32
+				if count := max(0, khHi-khLo) * max(0, kwHi-kwLo); count > 0 {
+					avg = sum / float32(count)
+				}
+				row[j] = avg
 			}
 		}
 	}
