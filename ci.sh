@@ -6,10 +6,11 @@
 # their keys, predictor files, framework arch text and weight payloads,
 # and the serving front door's request body and headers) plus one over
 # the FP32 reference convolution against its frozen per-element loop,
-# the byte comparison of benchtables -all / -ext with results/, the
-# shared-timing-cache fleet-convergence audit (warm rebuilds
-# must be byte-identical), the chaos smoke (a short replica-fleet soak
-# that must show zero wrong-answer escapes and zero leaked quarantines),
+# the byte comparison of benchtables -all / -ext, chaosbench and
+# faultbench with results/, the shared-timing-cache fleet-convergence
+# audit (warm rebuilds must be byte-identical), the chaos smoke (a
+# short replica-fleet soak that must show zero wrong-answer escapes and
+# zero leaked quarantines),
 # the rtlint static-analysis suite — all eight source analyzers over
 # the module, diffed against the checked-in rtlint_baseline.json ledger
 # (any finding not in the ledger fails the gate; the ledger is currently
@@ -58,6 +59,10 @@ done
 # results/extensions.txt.
 go run ./cmd/benchtables -all | cmp - results/alltables.txt
 go run ./cmd/benchtables -ext | cmp - results/extensions.txt
+# The serving goldens: the replica-fleet chaos soak (its supervisor
+# transcripts included) and the fault-tolerance sweep, byte for byte.
+go run ./cmd/chaosbench -out '' | cmp - results/chaos.txt
+go run ./cmd/faultbench -out '' | cmp - results/faulttol.txt
 go run ./cmd/fleetcheck -model resnet18 -sharedCache
 go run ./cmd/chaosbench -smoke -requests 30 -out ''
 go run ./cmd/rtlint -json -baseline rtlint_baseline.json ./...

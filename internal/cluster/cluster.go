@@ -14,8 +14,9 @@
 // downstream stage completes, so failover re-executes from retained
 // state and recovered outputs are bit-identical to a fault-free run
 // (numerics run on the host either way; only the timing model is
-// per-device). Stage heartbeats feed a cluster supervisor that reuses
-// serve's healthy→suspect→quarantined→rebuilding state machine, and
+// per-device). Stage heartbeats and a stage watchdog feed the replica
+// fleet's own serve.Supervisor, which walks each node through the
+// healthy→suspect→quarantined→rebuilding→readmitted lattice, and
 // failover promotes a standby node or merges the dead stage into a
 // neighbor — re-partitioning the remaining graph — before degrading
 // to explicit sheds when no viable cut is left.

@@ -89,8 +89,7 @@ func PartitionEngine(eng *core.Engine, nodes []Node, links []gpusim.Link) (*Part
 	if len(links) < len(nodes)-1 {
 		return nil, fmt.Errorf("cluster: %d nodes need %d links, have %d", len(nodes), len(nodes)-1, len(links))
 	}
-	layers := eng.Graph.Layers
-	n := len(layers)
+	n := len(eng.Graph.Layers)
 	if n == 0 {
 		return nil, ErrNoViableCut
 	}
@@ -105,27 +104,15 @@ func PartitionEngine(eng *core.Engine, nodes []Node, links []gpusim.Link) (*Part
 	for ni, node := range nodes {
 		costs := eng.LayerCostsSec(node.Device)
 		ps := make([]float64, n+1)
-		for li, l := range layers {
-			ps[li+1] = ps[li] + costs[l.Name]
+		for li, c := range costs {
+			ps[li+1] = ps[li] + c
 		}
 		prefix[ni] = ps
-	}
-	linkAt := func(ni int) gpusim.Link {
-		// The last node's outbound link is never used in a final answer
-		// (its stage always ends at n), but the DP prices intermediate
-		// table entries for it; clamp rather than index past the edge.
-		if ni >= len(links) {
-			if len(links) == 0 {
-				return gpusim.Link{}
-			}
-			ni = len(links) - 1
-		}
-		return links[ni]
 	}
 	stageCost := func(ni, a, b int) float64 {
 		c := prefix[ni][b] - prefix[ni][a]
 		if b < n {
-			c += linkAt(ni).TransferSec(eng.BoundaryBytes(b))
+			c += linkAt(links, ni).TransferSec(eng.BoundaryBytes(b))
 		}
 		return c
 	}
@@ -214,4 +201,16 @@ func PartitionEngine(eng *core.Engine, nodes []Node, links []gpusim.Link) (*Part
 		from = to
 	}
 	return part, nil
+}
+
+// linkAt is link i of links, clamped: the zero Link when there are none,
+// the last one past the end. The last node's outbound link is never used
+// in a final answer (its stage always ends the plan), but the
+// partitioner's DP prices intermediate entries for it, and failover
+// stages a replacement over stage i-1's inbound link.
+func linkAt(links []gpusim.Link, i int) gpusim.Link {
+	if len(links) == 0 {
+		return gpusim.Link{}
+	}
+	return links[min(i, len(links)-1)]
 }

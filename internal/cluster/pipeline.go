@@ -66,9 +66,6 @@ func (c *PipelineConfig) withDefaults() PipelineConfig {
 	if d.HeartbeatTimeoutSec <= 0 {
 		d.HeartbeatTimeoutSec = 5e-3
 	}
-	if d.SuspectConfirm <= 0 {
-		d.SuspectConfirm = 2
-	}
 	if d.LatencyThreshold <= 0 {
 		d.LatencyThreshold = 1.4
 	}
@@ -129,7 +126,7 @@ type Pipeline struct {
 	nodes []Node // pipeline nodes then standbys; supervisor indexes this
 	links []gpusim.Link
 	part  *Partition
-	sup   *supervisor
+	sup   *serve.Supervisor
 
 	stages    []Stage // mutable copy; Node reassigned on failover
 	origOwner []int
@@ -150,24 +147,23 @@ func New(cfg PipelineConfig) (*Pipeline, error) {
 	}
 	links := c.Links
 	if links == nil {
-		links = UniformLinks(maxInt(len(c.Nodes)-1, 0), gpusim.GigabitEthernet())
+		links = UniformLinks(max(len(c.Nodes)-1, 0), gpusim.GigabitEthernet())
 	}
 	part, err := PartitionEngine(c.Engine, c.Nodes, links)
 	if err != nil {
 		return nil, err
 	}
 	nodes := append(append([]Node{}, c.Nodes...), c.Standby...)
-	names := make([]string, len(nodes))
-	for i, nd := range nodes {
-		names[i] = nd.Name
-	}
+	sup := serve.NewSupervisor("frame", len(nodes), c.SuspectConfirm, func(m int) string {
+		return fmt.Sprintf("node %d (%s)", m, nodes[m].Name)
+	})
 	p := &Pipeline{
 		cfg:         c,
 		eng:         c.Engine,
 		nodes:       nodes,
 		links:       links,
 		part:        part,
-		sup:         newSupervisor(names, c.SuspectConfirm),
+		sup:         sup,
 		stages:      append([]Stage{}, part.Stages...),
 		nodeFree:    make([]float64, len(nodes)),
 		inj:         c.Injector,
@@ -183,8 +179,8 @@ func New(cfg PipelineConfig) (*Pipeline, error) {
 // Partition returns the chosen partition.
 func (p *Pipeline) Partition() *Partition { return p.part }
 
-// Transcript returns the supervisor transcript so far.
-func (p *Pipeline) Transcript() []string { return p.sup.transcript }
+// Transcript returns a copy of the supervisor transcript so far.
+func (p *Pipeline) Transcript() []string { return p.sup.Transcript() }
 
 // Run streams the frames through the pipeline with no per-frame
 // budget beyond PipelineConfig.FrameBudgetSec.
@@ -233,7 +229,7 @@ func (p *Pipeline) RunCtx(ctx *rtctx.Request, xs []*tensor.Tensor) (*Report, err
 	if rep.CrashDetectFrame >= 0 && firstClean >= 0 {
 		rep.RecoveryFrames = firstClean - rep.CrashDetectFrame
 	}
-	rep.Transcript = append([]string{}, p.sup.transcript...)
+	rep.Transcript = p.sup.Transcript()
 	if p.inj != nil {
 		rep.Counters = p.inj.Counters()
 	}
@@ -272,7 +268,7 @@ func (p *Pipeline) runFrame(ctx *rtctx.Request, f int, arrival float64, x *tenso
 				p.crashedNode = st.Node
 				p.detectT = t - p.cfg.HeartbeatTimeoutSec
 			}
-			if ev := p.sup.observe(f, st.Node, true, "heartbeat-miss"); ev == serve.FSMQuarantined {
+			if _, q := p.sup.Observe(uint64(f), st.Node, true, "heartbeat-miss"); q {
 				if !p.failover(f, si, t) {
 					p.deadReason = "no-capacity"
 					return shed(t, p.deadReason)
@@ -305,7 +301,7 @@ func (p *Pipeline) runFrame(ctx *rtctx.Request, f int, arrival float64, x *tenso
 		if anomalous {
 			signal = fmt.Sprintf("stage-lat=%.2fx", (st.ComputeSec+hang)/st.ComputeSec)
 		}
-		if ev := p.sup.observe(f, st.Node, anomalous, signal); ev == serve.FSMQuarantined {
+		if _, q := p.sup.Observe(uint64(f), st.Node, anomalous, signal); q {
 			// The hung node still answered this frame (late); future
 			// frames move to a replacement.
 			if !p.failover(f, si, t) {
@@ -342,7 +338,7 @@ func (p *Pipeline) runFrame(ctx *rtctx.Request, f int, arrival float64, x *tenso
 func (p *Pipeline) transfer(ctx *rtctx.Request, v *FrameVerdict, si, f int, arrival, t float64) (bool, float64) {
 	st := p.stages[si]
 	for attempt := 0; ; attempt++ {
-		t += p.linkOf(si).TransferSec(st.OutBytes)
+		t += linkAt(p.links, si).TransferSec(st.OutBytes)
 		if p.inj == nil {
 			return true, t
 		}
@@ -379,7 +375,7 @@ func (p *Pipeline) failover(f, si int, now float64) bool {
 		if !p.fitsExtra(nb, st.WeightBytes) {
 			continue
 		}
-		staging := p.linkOf(maxInt(si-1, 0)).TransferSec(st.WeightBytes)
+		staging := linkAt(p.links, max(si-1, 0)).TransferSec(st.WeightBytes)
 		st.Node = nb
 		st.ComputeSec = p.costRange(nb, st.From, st.To)
 		if p.nodeFree[nb] < now {
@@ -388,16 +384,16 @@ func (p *Pipeline) failover(f, si int, now float64) bool {
 		p.nodeFree[nb] += staging
 		if p.isActiveOwner(nb, si) {
 			p.report.Merges++
-			p.sup.transition(f, nb, p.sup.state(nb), fmt.Sprintf("absorbs stage %d [%d:%d)", si, st.From, st.To))
+			p.sup.Move(uint64(f), nb, p.sup.State(nb), fmt.Sprintf("absorbs stage %d [%d:%d)", si, st.From, st.To))
 		} else {
 			p.report.Failovers++
-			p.sup.transition(f, nb, serve.StateHealthy, fmt.Sprintf("takes over stage %d [%d:%d)", si, st.From, st.To))
+			p.sup.Move(uint64(f), nb, serve.StateHealthy, fmt.Sprintf("takes over stage %d [%d:%d)", si, st.From, st.To))
 		}
 		if p.report.RecoverySec == 0 && p.report.CrashDetectFrame >= 0 {
 			p.report.RecoverySec = p.nodeFree[nb] - p.detectT
 		}
 		if p.inj != nil && old == p.crashedNode && p.inj.Plan().RestartAfterFrames > 0 {
-			p.sup.transition(f, old, serve.StateRebuilding, "restart pending")
+			p.sup.Move(uint64(f), old, serve.StateRebuilding, "restart pending")
 		}
 		return true
 	}
@@ -438,7 +434,7 @@ func (p *Pipeline) candidates(si int) []int {
 // available reports whether a node can take work: healthy or on
 // post-restart probation.
 func (p *Pipeline) available(ni int) bool {
-	switch p.sup.state(ni) {
+	switch p.sup.State(ni) {
 	case serve.StateHealthy, serve.StateReadmitted:
 		return true
 	}
@@ -473,10 +469,9 @@ func (p *Pipeline) fitsExtra(nb int, extra int64) bool {
 
 // costRange prices layers [from,to) on node nb's device.
 func (p *Pipeline) costRange(nb, from, to int) float64 {
-	costs := p.eng.LayerCostsSec(p.nodes[nb].Device)
 	var sum float64
-	for _, l := range p.eng.Graph.Layers[from:to] {
-		sum += costs[l.Name]
+	for _, c := range p.eng.LayerCostsSec(p.nodes[nb].Device)[from:to] {
+		sum += c
 	}
 	return sum
 }
@@ -487,26 +482,9 @@ func (p *Pipeline) maybeReadmit(f int) {
 	if p.inj == nil || p.crashedNode < 0 {
 		return
 	}
-	if p.sup.state(p.crashedNode) == serve.StateRebuilding && p.inj.NodeRestarted(f) {
-		p.sup.transition(f, p.crashedNode, serve.StateReadmitted, "restarted as standby")
+	if p.sup.State(p.crashedNode) == serve.StateRebuilding && p.inj.NodeRestarted(f) {
+		p.sup.Move(uint64(f), p.crashedNode, serve.StateReadmitted, "restarted as standby")
 	}
-}
-
-func (p *Pipeline) linkOf(si int) gpusim.Link {
-	if len(p.links) == 0 {
-		return gpusim.Link{}
-	}
-	if si >= len(p.links) {
-		si = len(p.links) - 1
-	}
-	return p.links[si]
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 func absInt(a int) int {

@@ -7,6 +7,7 @@ import (
 	"edgeinfer/internal/graph"
 	"edgeinfer/internal/kernels"
 	"edgeinfer/internal/models"
+	"edgeinfer/internal/rtctx"
 	"edgeinfer/internal/tensor"
 )
 
@@ -38,6 +39,8 @@ func TestInferBatchSteadyStateAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		dev := testDevice()
+		generous := rtctx.WithBudget(e.ExpectedLatencySec(dev, false) * 100)
 		in := g.Layers[0].OutShape
 		xs := make([]*tensor.Tensor, ctxCap)
 		for i := range xs {
@@ -56,6 +59,13 @@ func TestInferBatchSteadyStateAllocs(t *testing.T) {
 			// One outer slice, then an inner slice and an output per image.
 			{"InferBatchCtx", float64(1 + 3*len(xs)), func() error {
 				_, err := e.InferBatchCtx(nil, xs, nil, nil, 0)
+				return err
+			}},
+			// The serving path: an armed budget and a device price every
+			// layer, which adds the cost table, the guard closure and its
+			// running charge.
+			{"InferBatchCtx/armed", float64(1 + 3*len(xs) + 3), func() error {
+				_, err := e.InferBatchCtx(generous, xs, nil, dev, 0)
 				return err
 			}},
 		}

@@ -20,18 +20,39 @@ var ErrBudgetExhausted = errors.New("core: request budget exhausted mid-graph")
 // batch there. A nil guard is free: the hot path never pays for it.
 type layerGuard func(li int, name string) error
 
-// layerCostsSec prices each graph layer on a device from the engine's
-// kernel plan: every launch's modeled time (with the steady-state
-// overlap factor) plus launch overhead is attributed to the last of its
-// source layers, so a horizontally merged group charges when the group
-// completes. Layers without a launch (inputs, folded ops) cost zero.
-func (e *Engine) layerCostsSec(dev *gpusim.Device) map[string]float64 {
-	costs := make(map[string]float64, len(e.Launches))
-	for _, l := range e.Launches {
-		if len(l.Layers) == 0 {
-			continue
+// chargeLayers attributes each launch of the plan to the graph position
+// of its charging layer: the last of its source layers, so a
+// horizontally merged group charges when the group completes (-1 when
+// that layer is not in the graph). Build and Load store it as
+// Engine.charge, the one attribution LayerCostsSec and StageWeightBytes
+// read.
+func chargeLayers(e *Engine) []int {
+	idx := layerIndex(e.Graph)
+	charge := make([]int, len(e.Launches))
+	for i, l := range e.Launches {
+		charge[i] = -1
+		if len(l.Layers) > 0 {
+			if li, ok := idx[l.Layers[len(l.Layers)-1]]; ok {
+				charge[i] = li
+			}
 		}
-		costs[l.Layers[len(l.Layers)-1]] += l.Spec.TimeSec(dev)*overlapFactor + dev.LaunchOverheadSec()
+	}
+	return charge
+}
+
+// LayerCostsSec is the noise-free per-layer schedule on a device,
+// indexed by graph position (the compiled step index): every launch's
+// modeled time (with the steady-state overlap factor) plus launch
+// overhead, added in launch order to its charging layer. Layers without
+// a launch (inputs, folded ops) cost zero. The budget guard charges it,
+// and the cluster partitioner prices candidate stages with it, so
+// admission math and the mid-graph abort agree on what a stage costs.
+func (e *Engine) LayerCostsSec(dev *gpusim.Device) []float64 {
+	costs := make([]float64, len(e.Graph.Layers))
+	for i, li := range e.charge {
+		if li >= 0 {
+			costs[li] += e.Launches[i].Spec.TimeSec(dev)*overlapFactor + dev.LaunchOverheadSec()
+		}
 	}
 	return costs
 }
@@ -63,11 +84,11 @@ func (e *Engine) budgetGuard(ctx *rtctx.Request, dev *gpusim.Device, burnedSec f
 	if !ctx.Aborts() || dev == nil {
 		return nil
 	}
-	costs := e.layerCostsSec(dev)
+	costs := e.LayerCostsSec(dev)
 	budget := ctx.Budget()
 	charged := burnedSec
 	return func(li int, name string) error {
-		charged += costs[name]
+		charged += costs[li]
 		if charged > budget {
 			return fmt.Errorf("layer %d (%s) would end at %.3gs of a %.3gs budget: %w",
 				li, name, charged, budget, ErrBudgetExhausted)

@@ -97,6 +97,10 @@ type Engine struct {
 	// execution contexts (schedule.go): derived by Build and Load from the
 	// fields above, never serialized, nil on timing-only engines.
 	plan *schedule
+	// charge[i] is the graph position Launches[i] is attributed to
+	// (chargeLayers, budget.go): derived by Build and Load, never
+	// serialized.
+	charge []int
 }
 
 // WeightBytes returns the total engine-resident weight size in bytes.

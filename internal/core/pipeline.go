@@ -244,7 +244,7 @@ func (pm *PassManager) Build(src *graph.Graph, cfg BuildConfig) (*Engine, error)
 		}
 	}
 	e.Report = report
-	e.plan = compile(e)
+	e.plan, e.charge = compile(e), chargeLayers(e)
 	return e, nil
 }
 

@@ -67,6 +67,19 @@ type execCtx struct {
 	next *execCtx         // the batch's next image
 }
 
+// layerIndex maps each layer name of g to its position (nil for a nil
+// graph).
+func layerIndex(g *graph.Graph) map[string]int {
+	if g == nil {
+		return nil
+	}
+	idx := make(map[string]int, len(g.Layers))
+	for i, l := range g.Layers {
+		idx[l.Name] = i
+	}
+	return idx
+}
+
 // compile builds the schedule of a numeric engine (nil for a
 // timing-only one). It cannot fail: a step the plan cannot run (no weights, weights of the wrong length)
 // reports the canonical error when it executes, so Load accepts and
@@ -78,10 +91,10 @@ func compile(e *Engine) *schedule {
 	g := e.Graph
 	n := len(g.Layers)
 	p := &schedule{steps: make([]step, n), fanIn: 1, free: make(chan *execCtx, ctxCap)}
-	idx := make(map[string]int, n)
+	idx := layerIndex(g)
 	lastUse := make([]int, n) // last step reading layer i's activation
 	for i, l := range g.Layers {
-		idx[l.Name], lastUse[i] = i, i
+		lastUse[i] = i
 		s := &p.steps[i]
 		s.l, s.ins, s.out = l, make([]int, len(l.Inputs)), -1
 		for k, name := range l.Inputs { // producers precede consumers: Finalize sorted them

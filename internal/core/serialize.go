@@ -131,7 +131,7 @@ func Load(r io.Reader) (*Engine, error) {
 		RemovedLayers: h.RemovedLayers, FusedLayers: h.FusedLayers,
 		MergedLaunches: h.MergedLaunches, Report: h.Report,
 	}
-	e.plan = compile(e)
+	e.plan, e.charge = compile(e), chargeLayers(e)
 	return e, nil
 }
 

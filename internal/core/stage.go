@@ -12,10 +12,10 @@ import (
 // Stage-ranged execution: internal/cluster slices an engine's layer
 // plan into contiguous stages and runs each stage on a different
 // simulated node, streaming the single boundary activation between
-// them. The APIs here expose what the partitioner needs — the legal
-// cut positions, the analytic per-layer schedule, and the bytes a cut
-// moves or a stage holds — plus InferRangeCtx, the stage analogue of
-// InferBatchCtx.
+// them. The APIs here expose what the partitioner needs beside the
+// per-layer schedule (LayerCostsSec, budget.go) — the legal cut
+// positions and the bytes a cut moves or a stage holds — plus
+// InferRangeCtx, the stage analogue of InferBatchCtx.
 
 // StageCuts returns the valid pipeline cut positions of the engine's
 // layer graph, ascending. A cut at position c splits the plan into
@@ -34,10 +34,7 @@ func (e *Engine) StageCuts() []int {
 		return nil
 	}
 	n := len(g.Layers)
-	idx := make(map[string]int, n)
-	for i, l := range g.Layers {
-		idx[l.Name] = i
-	}
+	idx := layerIndex(g)
 	// lastUse[i] is the last layer index reading layer i's activation.
 	lastUse := make([]int, n)
 	for i := range lastUse {
@@ -76,16 +73,6 @@ func (e *Engine) StageCuts() []int {
 	return cuts
 }
 
-// LayerCostsSec exposes the noise-free per-layer schedule the budget
-// guard charges: each launch's modeled time (with the steady-state
-// overlap factor) plus launch overhead, attributed to the last of its
-// source layers. The cluster partitioner prices candidate stages with
-// it, so admission math and the mid-graph abort agree on what a stage
-// costs.
-func (e *Engine) LayerCostsSec(dev *gpusim.Device) map[string]float64 {
-	return e.layerCostsSec(dev)
-}
-
 // BoundaryBytes returns the activation bytes one frame moves across cut
 // position c: the FP32 size of layer c-1's output tensor. This is the
 // per-frame payload the partitioner prices against link bandwidth.
@@ -104,21 +91,10 @@ func (e *Engine) BoundaryBytes(c int) int64 {
 // inside the range. The partitioner checks it against each node's
 // memory capacity.
 func (e *Engine) StageWeightBytes(from, to int) int64 {
-	g := e.Graph
-	if g == nil {
-		return 0
-	}
-	idx := make(map[string]int, len(g.Layers))
-	for i, l := range g.Layers {
-		idx[l.Name] = i
-	}
 	var total int64
-	for _, l := range e.Launches {
-		if len(l.Layers) == 0 {
-			continue
-		}
-		if i, ok := idx[l.Layers[len(l.Layers)-1]]; ok && i >= from && i < to {
-			total += l.Spec.WeightBytes
+	for i, li := range e.charge {
+		if li >= from && li < to {
+			total += e.Launches[i].Spec.WeightBytes
 		}
 	}
 	return total

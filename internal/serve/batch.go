@@ -337,7 +337,7 @@ func (p *Pool) batchBudgetExpired(burnedSec float64, ctx *rtctx.Request) error {
 // further replicas — every replica runs the same schedule against the
 // same spent budget.
 func (p *Pool) serveRRBatch(req uint64, xs []*tensor.Tensor, runIndex int, ctx *rtctx.Request) (*PoolBatchResult, error) {
-	active := p.sup.active()
+	active := p.active()
 	if len(active) == 0 {
 		return p.serveFP32Batch(xs, 0)
 	}
@@ -349,7 +349,7 @@ func (p *Pool) serveRRBatch(req uint64, xs []*tensor.Tensor, runIndex int, ctx *
 	var total float64
 	for i := 0; i < len(active); i++ {
 		r := active[(start+i)%len(active)]
-		if !r.activeState() {
+		if !p.isActive(r) {
 			// Quarantined by its own observation earlier this request.
 			continue
 		}
@@ -359,7 +359,7 @@ func (p *Pool) serveRRBatch(req uint64, xs []*tensor.Tensor, runIndex int, ctx *
 			// The replica behaved — the budget ran out. Fold its
 			// latency observation without an error mark, then abandon.
 			p.locked(func() {
-				p.countObservation(p.sup.observe(req, r, lat, false))
+				p.observe(req, r, lat, false)
 				p.stats.DeadlineAborts++
 				p.stats.DeadlineMisses++
 			})
@@ -368,7 +368,7 @@ func (p *Pool) serveRRBatch(req uint64, xs []*tensor.Tensor, runIndex int, ctx *
 		}
 		errored := err != nil
 		p.locked(func() {
-			p.countObservation(p.sup.observe(req, r, lat, errored))
+			p.observe(req, r, lat, errored)
 			if errored {
 				p.stats.ReplicaFails++
 			} else {
@@ -418,7 +418,7 @@ type bvote struct {
 // the budget gates dispatch and the terminal tier instead of truncating
 // a ballot mid-graph.
 func (p *Pool) serveQuorumBatch(req uint64, xs []*tensor.Tensor, runIndex int, ctx *rtctx.Request) (*PoolBatchResult, error) {
-	active := p.sup.active()
+	active := p.active()
 	if len(active) == 0 {
 		return p.serveFP32Batch(xs, 0)
 	}
@@ -451,7 +451,7 @@ func (p *Pool) serveQuorumBatch(req uint64, xs []*tensor.Tensor, runIndex int, c
 			p.locked(func() {
 				for i := range votes {
 					v := &votes[i]
-					p.countObservation(p.sup.observe(req, v.r, v.lat, v.errored))
+					p.observe(req, v.r, v.lat, v.errored)
 				}
 			})
 			return nil, err
@@ -506,9 +506,9 @@ func (p *Pool) serveQuorumBatch(req uint64, xs []*tensor.Tensor, runIndex int, c
 			for _, v := range voters {
 				switch {
 				case majArg >= 0:
-					p.sup.noteDivergence(v.r, v.arg != majArg)
+					p.noteDivergence(v.r, v.arg != majArg)
 				case refArg >= 0:
-					p.sup.noteDivergence(v.r, v.arg != refArg)
+					p.noteDivergence(v.r, v.arg != refArg)
 				}
 			}
 		})
@@ -558,7 +558,7 @@ func (p *Pool) serveQuorumBatch(req uint64, xs []*tensor.Tensor, runIndex int, c
 	p.locked(func() {
 		for i := range votes {
 			v := &votes[i]
-			p.countObservation(p.sup.observe(req, v.r, v.lat, v.errored))
+			p.observe(req, v.r, v.lat, v.errored)
 		}
 	})
 	return br, nil

@@ -3,14 +3,11 @@
 // different tactic choices, different rounding, occasionally different
 // argmaxes. A Pool turns that liability into a fault detector: K
 // replicas with distinct build ids serve together, a quorum dispatcher
-// votes on their argmaxes, and a Supervisor watches two health signals
-// per replica — a latency watchdog (observed run latency vs the
-// replica's own build-time plan expectation, EWMA-smoothed) and a
-// divergence score (EWMA of quorum disagreements). Replicas that go bad
-// walk a state machine
-//
-//	healthy → suspect → quarantined → rebuilding → readmitted → healthy
-//
+// votes on their argmaxes, and the pool watches two health signals per
+// replica — a latency watchdog (observed run latency vs the replica's
+// own build-time plan expectation, EWMA-smoothed) and a divergence
+// score (EWMA of quorum disagreements). Their verdicts drive each
+// replica through the Supervisor's lattice (supervisor.go):
 // quarantined replicas leave the dispatch set (traffic drains to the
 // remaining replicas, or to the FP32 reference tier when none remain),
 // are rebuilt in the background through the registry's shared timing
@@ -27,44 +24,9 @@ import (
 	"edgeinfer/internal/core"
 	"edgeinfer/internal/gpusim"
 	"edgeinfer/internal/graph"
-	"edgeinfer/internal/metrics"
 	"edgeinfer/internal/rtctx"
 	"edgeinfer/internal/tensor"
 )
-
-// ReplicaState is one stage of the supervisor's per-replica state
-// machine.
-type ReplicaState int
-
-const (
-	// StateHealthy replicas serve traffic with no live anomaly signal.
-	StateHealthy ReplicaState = iota
-	// StateSuspect replicas serve traffic while an anomaly signal is
-	// being confirmed.
-	StateSuspect
-	// StateQuarantined replicas are out of the dispatch set, waiting for
-	// the background rebuild to land.
-	StateQuarantined
-	// StateRebuilding replicas are being rebuilt and canary-validated.
-	StateRebuilding
-	// StateReadmitted replicas are back in the dispatch set on
-	// probation: one clean observation away from healthy.
-	StateReadmitted
-
-	numStates
-)
-
-var stateNames = [numStates]string{
-	"healthy", "suspect", "quarantined", "rebuilding", "readmitted",
-}
-
-// String implements fmt.Stringer.
-func (s ReplicaState) String() string {
-	if int(s) < len(stateNames) {
-		return stateNames[s]
-	}
-	return fmt.Sprintf("state(%d)", int(s))
-}
 
 // PoolConfig parameterizes a replica fleet. Model is required;
 // everything else has working defaults.
@@ -140,9 +102,6 @@ func (c *PoolConfig) withDefaults() PoolConfig {
 	if d.MinSamples <= 0 {
 		d.MinSamples = 3
 	}
-	if d.SuspectConfirm <= 0 {
-		d.SuspectConfirm = 2
-	}
 	if d.RebuildDelay <= 0 {
 		d.RebuildDelay = 4
 	}
@@ -152,18 +111,17 @@ func (c *PoolConfig) withDefaults() PoolConfig {
 	return d
 }
 
-// replica is one fleet member and its supervisor-side health state.
+// replica is one fleet member and its signal state; its place on the
+// health lattice is the Pool's Supervisor's, at index slot.
 type replica struct {
 	slot     int
 	eng      *core.Engine
 	inj      core.FaultInjector
 	expected float64 // watchdog baseline on the serving device
 
-	state   ReplicaState
 	latEWMA float64 // EWMA of observed/expected latency ratio
 	divEWMA float64 // EWMA of quorum disagreement (0/1 per vote)
 	samples int
-	strikes int // consecutive anomalous observations while suspect
 
 	quarantinedAt uint64
 	quarantines   int
@@ -171,104 +129,68 @@ type replica struct {
 	readmits      int
 }
 
-func (r *replica) activeState() bool {
-	switch r.state {
+// isActive reports whether r is in the dispatch set.
+func (p *Pool) isActive(r *replica) bool {
+	switch p.sup.State(r.slot) {
 	case StateHealthy, StateSuspect, StateReadmitted:
 		return true
 	}
 	return false
 }
 
-// Supervisor maintains per-replica health state from the latency
-// watchdog and divergence signals, records every state transition, and
-// keeps the deterministic transcript. It is owned by a Pool, which holds
-// the lock.
-type Supervisor struct {
-	cfg        PoolConfig
-	reps       []*replica
-	trans      metrics.Transitions
-	transcript []string
-}
-
-func newSupervisor(cfg PoolConfig) *Supervisor {
-	return &Supervisor{cfg: cfg}
-}
-
 // active returns the replicas currently in the dispatch set, in slot
 // order.
-func (s *Supervisor) active() []*replica {
-	out := make([]*replica, 0, len(s.reps))
-	for _, r := range s.reps {
-		if r.activeState() {
+func (p *Pool) active() []*replica {
+	out := make([]*replica, 0, len(p.reps))
+	for _, r := range p.reps {
+		if p.isActive(r) {
 			out = append(out, r)
 		}
 	}
 	return out
 }
 
-// transition moves a replica to a new state, counting the edge and
-// appending a transcript line.
-func (s *Supervisor) transition(req uint64, r *replica, to ReplicaState, detail string) {
-	from := r.state
-	s.trans.Add(from.String(), to.String())
-	r.state = to
-	line := fmt.Sprintf("req %d: replica %d (build %d) %s->%s", req, r.slot, r.eng.BuildID, from, to)
-	if detail != "" {
-		line += " " + detail
-	}
-	s.transcript = append(s.transcript, line)
-}
-
 // noteDivergence folds one quorum vote into a replica's divergence EWMA.
-func (s *Supervisor) noteDivergence(r *replica, disagreed bool) {
+func (p *Pool) noteDivergence(r *replica, disagreed bool) {
 	d := 0.0
 	if disagreed {
 		d = 1
 	}
-	r.divEWMA = s.cfg.EWMAAlpha*d + (1-s.cfg.EWMAAlpha)*r.divEWMA
+	r.divEWMA = p.cfg.EWMAAlpha*d + (1-p.cfg.EWMAAlpha)*r.divEWMA
 }
 
-// observe folds one served request into a replica's health state and
-// advances the state machine. errored marks a request the replica failed
-// outright (a strike without an EWMA update — the partial latency of a
-// failed run says nothing about the replica's speed). It reports whether
-// this observation raised a new suspicion and whether it quarantined the
-// replica.
-func (s *Supervisor) observe(req uint64, r *replica, latSec float64, errored bool) (detected, quarantined bool) {
+// observe folds one served request into a replica's signals and hands
+// the verdict to the supervisor, counting what it detected or
+// quarantined. errored marks a request the replica failed outright (a
+// strike without an EWMA update — the partial latency of a failed run
+// says nothing about the replica's speed). Callers hold p.mu.
+func (p *Pool) observe(req uint64, r *replica, latSec float64, errored bool) {
 	anomalous := errored
 	signal := "error"
 	if !errored {
 		if r.expected > 0 && latSec > 0 {
 			ratio := latSec / r.expected
-			r.latEWMA = s.cfg.EWMAAlpha*ratio + (1-s.cfg.EWMAAlpha)*r.latEWMA
+			r.latEWMA = p.cfg.EWMAAlpha*ratio + (1-p.cfg.EWMAAlpha)*r.latEWMA
 		}
 		r.samples++
-		if r.samples >= s.cfg.MinSamples && r.latEWMA > s.cfg.LatencyThreshold {
+		if r.samples >= p.cfg.MinSamples && r.latEWMA > p.cfg.LatencyThreshold {
 			anomalous = true
 			signal = fmt.Sprintf("lat-ewma=%.3f", r.latEWMA)
 		}
-		if r.samples >= s.cfg.MinSamples && r.divEWMA > s.cfg.DivergenceThreshold {
+		if r.samples >= p.cfg.MinSamples && r.divEWMA > p.cfg.DivergenceThreshold {
 			anomalous = true
 			signal = fmt.Sprintf("div-ewma=%.3f", r.divEWMA)
 		}
 	}
-	next, strikes, ev := HealthFSM{SuspectConfirm: s.cfg.SuspectConfirm}.Advance(r.state, r.strikes, anomalous)
-	r.strikes = strikes
-	switch ev {
-	case FSMDetected:
-		s.transition(req, r, next, signal)
-		detected = true
-	case FSMQuarantined:
+	detected, quarantined := p.sup.Observe(req, r.slot, anomalous, signal)
+	if detected {
+		p.stats.Detections++
+	}
+	if quarantined {
 		r.quarantinedAt = req
 		r.quarantines++
-		s.transition(req, r, next, signal)
-		quarantined = true
-	case FSMCleared:
-		s.transition(req, r, next, "cleared")
-	case FSMProbationPassed:
-		s.transition(req, r, next, "probation passed")
+		p.stats.Quarantines++
 	}
-	return detected, quarantined
 }
 
 // PoolStats are the fleet's cumulative counters.
@@ -357,7 +279,8 @@ type Pool struct {
 	// the mutex between its locked sections.
 	turn chan struct{}
 
-	mu    sync.Mutex // guards sup/rr/stats; never held across inference
+	mu    sync.Mutex // guards reps/sup/rr/stats; never held across inference
+	reps  []*replica
 	sup   *Supervisor
 	rr    int
 	stats PoolStats
@@ -389,7 +312,7 @@ func NewPool(reg *Registry, cfg PoolConfig) (*Pool, error) {
 	if err != nil {
 		return nil, err
 	}
-	sup := newSupervisor(c)
+	p := &Pool{cfg: c, reg: reg, fallback: fb, turn: make(chan struct{}, 1)}
 	for slot, e := range engines {
 		r := &replica{
 			slot:     slot,
@@ -400,9 +323,11 @@ func NewPool(reg *Registry, cfg PoolConfig) (*Pool, error) {
 		if c.ReplicaInjector != nil {
 			r.inj = c.ReplicaInjector(slot, e)
 		}
-		sup.reps = append(sup.reps, r)
+		p.reps = append(p.reps, r)
 	}
-	p := &Pool{cfg: c, reg: reg, fallback: fb, sup: sup, turn: make(chan struct{}, 1)}
+	p.sup = NewSupervisor("req", len(p.reps), c.SuspectConfirm, func(m int) string {
+		return fmt.Sprintf("replica %d (build %d)", m, p.reps[m].eng.BuildID)
+	})
 	p.turn <- struct{}{}
 	return p, nil
 }
@@ -419,14 +344,14 @@ func (p *Pool) Health() PoolHealth {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	h := PoolHealth{Model: p.cfg.Model, Transitions: p.sup.trans.Snapshot()}
-	for _, r := range p.sup.reps {
-		if r.activeState() {
+	for _, r := range p.reps {
+		if p.isActive(r) {
 			h.Active++
 		}
 		h.Replicas = append(h.Replicas, ReplicaHealth{
 			Slot:           r.slot,
 			BuildID:        r.eng.BuildID,
-			State:          r.state.String(),
+			State:          p.sup.State(r.slot).String(),
 			LatencyEWMA:    r.latEWMA,
 			DivergenceEWMA: r.divEWMA,
 			Samples:        r.samples,
@@ -444,8 +369,8 @@ func (p *Pool) Health() PoolHealth {
 func (p *Pool) Engines() []*core.Engine {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	out := make([]*core.Engine, len(p.sup.reps))
-	for i, r := range p.sup.reps {
+	out := make([]*core.Engine, len(p.reps))
+	for i, r := range p.reps {
 		out[i] = r.eng
 	}
 	return out
@@ -456,7 +381,7 @@ func (p *Pool) Engines() []*core.Engine {
 func (p *Pool) Transcript() []string {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return append([]string(nil), p.sup.transcript...)
+	return p.sup.Transcript()
 }
 
 // DoCtx serves one request through the fleet: hedged quorum dispatch with
@@ -512,17 +437,6 @@ func (p *Pool) serveFP32(x *tensor.Tensor, baseLat float64) (*PoolResult, error)
 	return res, nil
 }
 
-// countObservation folds an observe verdict into the stats. Callers
-// hold p.mu (observe mutates supervisor state under the same section).
-func (p *Pool) countObservation(detected, quarantined bool) {
-	if detected {
-		p.stats.Detections++
-	}
-	if quarantined {
-		p.stats.Quarantines++
-	}
-}
-
 // advanceRebuilds is the deterministic model of background healing: a
 // quarantined replica's rebuild lands RebuildDelay requests after the
 // quarantine. The rebuild goes through the registry — warm against the
@@ -530,12 +444,12 @@ func (p *Pool) countObservation(detected, quarantined bool) {
 // 0, identical plan bytes) — then must pass canary validation against
 // the FP32 reference before readmission.
 func (p *Pool) advanceRebuilds(req uint64) {
-	for _, r := range p.sup.reps {
-		if r.state != StateQuarantined || req < r.quarantinedAt+uint64(p.cfg.RebuildDelay) {
+	for _, r := range p.reps {
+		if p.sup.State(r.slot) != StateQuarantined || req < r.quarantinedAt+uint64(p.cfg.RebuildDelay) {
 			continue
 		}
 		p.locked(func() {
-			p.sup.transition(req, r, StateRebuilding, fmt.Sprintf("rebuild after %d quarantined requests", p.cfg.RebuildDelay))
+			p.sup.Move(req, r.slot, StateRebuilding, fmt.Sprintf("rebuild after %d quarantined requests", p.cfg.RebuildDelay))
 		})
 		// The build and the canary inferences run outside the state lock:
 		// both are long and both would otherwise hold p.mu across kernel
@@ -544,7 +458,7 @@ func (p *Pool) advanceRebuilds(req uint64) {
 		e, err := p.reg.Rebuild(p.cfg.Model)
 		if err != nil {
 			p.locked(func() {
-				p.sup.transition(req, r, StateQuarantined, "rebuild failed: "+err.Error())
+				p.sup.Move(req, r.slot, StateQuarantined, "rebuild failed: "+err.Error())
 				r.quarantinedAt = req
 			})
 			continue
@@ -563,17 +477,17 @@ func (p *Pool) advanceRebuilds(req uint64) {
 		if total > 0 && float64(agree) < p.cfg.CanaryAgreeFrac*float64(total) {
 			p.locked(func() {
 				p.stats.CanaryFailures++
-				p.sup.transition(req, r, StateQuarantined, fmt.Sprintf("canary %d/%d below threshold", agree, total))
+				p.sup.Move(req, r.slot, StateQuarantined, fmt.Sprintf("canary %d/%d below threshold", agree, total))
 				r.quarantinedAt = req
 			})
 			continue
 		}
 		p.locked(func() {
 			r.latEWMA, r.divEWMA = 1, 0
-			r.samples, r.strikes = 0, 0
+			r.samples = 0
 			r.readmits++
 			p.stats.Readmissions++
-			p.sup.transition(req, r, StateReadmitted, fmt.Sprintf("canary %d/%d", agree, total))
+			p.sup.Move(req, r.slot, StateReadmitted, fmt.Sprintf("canary %d/%d", agree, total))
 		})
 	}
 }

@@ -1,0 +1,133 @@
+package serve
+
+import (
+	"fmt"
+
+	"edgeinfer/internal/metrics"
+)
+
+// The health lattice shared by the replica Pool and the cluster
+// pipeline (internal/cluster): each member walks
+//
+//	healthy → suspect → quarantined → rebuilding → readmitted → healthy
+//
+// Observe takes the traffic-driven edges from the owner's anomaly
+// verdicts; recovery (rebuild, readmission, failover) is the owner's
+// repair machinery and takes its edges through Move.
+
+// ReplicaState is one stage of the supervisor's per-member state
+// machine.
+type ReplicaState int
+
+const (
+	// StateHealthy members serve traffic with no live anomaly signal.
+	StateHealthy ReplicaState = iota
+	// StateSuspect members serve traffic while an anomaly signal is
+	// being confirmed.
+	StateSuspect
+	// StateQuarantined members are out of the dispatch set, waiting for
+	// the rebuild (or restart) to land.
+	StateQuarantined
+	// StateRebuilding members are being rebuilt and canary-validated.
+	StateRebuilding
+	// StateReadmitted members are back in the dispatch set on
+	// probation: one clean observation away from healthy.
+	StateReadmitted
+
+	numStates
+)
+
+var stateNames = [numStates]string{
+	"healthy", "suspect", "quarantined", "rebuilding", "readmitted",
+}
+
+// String implements fmt.Stringer.
+func (s ReplicaState) String() string {
+	if int(s) < len(stateNames) {
+		return stateNames[s]
+	}
+	return fmt.Sprintf("state(%d)", int(s))
+}
+
+// Supervisor owns each member's health state by index, counts every
+// edge taken and keeps the transcript, one line per transition:
+//
+//	<unit> <at>: <label(m)> <from>-><to>[ <detail>]
+//
+// It does no locking: its owner serializes the calls.
+type Supervisor struct {
+	unit       string
+	label      func(m int) string
+	confirm    int
+	state      []ReplicaState
+	strikes    []int // consecutive anomalous observations while suspect
+	trans      metrics.Transitions
+	transcript []string
+}
+
+// NewSupervisor supervises n members, all healthy. unit names the clock
+// of the transcript ("req", "frame"); label renders member m at
+// transition time; suspectConfirm is how many consecutive anomalous
+// observations, the one that raised suspicion included, quarantine a
+// suspect (2 when not positive).
+func NewSupervisor(unit string, n, suspectConfirm int, label func(m int) string) *Supervisor {
+	if suspectConfirm <= 0 {
+		suspectConfirm = 2
+	}
+	return &Supervisor{
+		unit:    unit,
+		label:   label,
+		confirm: suspectConfirm,
+		state:   make([]ReplicaState, n),
+		strikes: make([]int, n),
+	}
+}
+
+// State returns member m's state.
+func (s *Supervisor) State(m int) ReplicaState { return s.state[m] }
+
+// Move takes member m to state to at clock at, counting the edge and
+// appending a transcript line; detail, when not empty, ends it.
+func (s *Supervisor) Move(at uint64, m int, to ReplicaState, detail string) {
+	from := s.state[m]
+	s.trans.Add(from.String(), to.String())
+	s.state[m] = to
+	line := fmt.Sprintf("%s %d: %s %s->%s", s.unit, at, s.label(m), from, to)
+	if detail != "" {
+		line += " " + detail
+	}
+	s.transcript = append(s.transcript, line)
+}
+
+// Observe folds one anomaly verdict into member m's state. An anomalous
+// observation turns a healthy or readmitted member suspect, and a
+// suspect's confirming strike quarantines it, both transcribed with
+// signal; a clean one clears a suspect or passes a readmitted member's
+// probation. Quarantined and rebuilding members are out of the
+// observation path: nothing changes. It reports whether the
+// observation raised a new suspicion and whether it quarantined m.
+func (s *Supervisor) Observe(at uint64, m int, anomalous bool, signal string) (detected, quarantined bool) {
+	switch st := s.state[m]; {
+	case anomalous && (st == StateHealthy || st == StateReadmitted):
+		s.strikes[m] = 1
+		s.Move(at, m, StateSuspect, signal)
+		return true, false
+	case anomalous && st == StateSuspect:
+		s.strikes[m]++
+		if s.strikes[m] >= s.confirm {
+			s.Move(at, m, StateQuarantined, signal)
+			return false, true
+		}
+	case !anomalous && st == StateSuspect:
+		s.strikes[m] = 0
+		s.Move(at, m, StateHealthy, "cleared")
+	case !anomalous && st == StateReadmitted:
+		s.Move(at, m, StateHealthy, "probation passed")
+	}
+	return false, false
+}
+
+// Transcript returns a copy of the transition log.
+func (s *Supervisor) Transcript() []string {
+	return append([]string(nil), s.transcript...)
+}
