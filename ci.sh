@@ -1,5 +1,5 @@
 #!/bin/sh
-# CI gate: the tier-1 checks (build + test) plus vet, the race detector
+# CI gate: the tier-1 checks (build + test) plus gofmt, vet, the race detector
 # (the serve/faults packages are exercised concurrently), the nested
 # benchmark module's own vet and tests (bench/), short fuzz
 # smokes over every untrusted decoder (engine plans, timing caches and
@@ -36,6 +36,8 @@
 # Run from the repo root.
 set -eux
 
+# Formatting is a gate: gofmt must list nothing.
+test -z "$(gofmt -l .)"
 go vet ./...
 go build ./...
 go test -race -timeout 20m ./...

@@ -87,3 +87,43 @@ func TestInferBatchSteadyStateAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestReferenceSteadyStateAllocs: the FP32 reference replays the compiled
+// schedule, so once its contexts exist an image costs what Engine.Infer
+// costs, where graph.Execute pays a name-keyed map and, per layer, an
+// input slice and a tensor.
+func TestReferenceSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; counts only hold without it")
+	}
+	for _, model := range []string{"vgg16", "alexnet", "resnet18"} {
+		g, err := models.BuildProxy(model, models.DefaultProxyOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := Reference(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := g.InputShape
+		x := tensor.New(s[0], s[1], s[2], s[3])
+		infer := func() {
+			if _, err := r.Infer(x); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 3; i++ { // create the contexts
+			infer()
+		}
+		allocs := testing.AllocsPerRun(20, infer)
+		execute := testing.AllocsPerRun(5, func() {
+			if _, err := g.Execute(x); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 4 {
+			t.Errorf("%s reference allocates %.1f objects per image in steady state, budget 4", model, allocs)
+		}
+		t.Logf("%s: reference %.1f allocs per image, graph.Execute %.1f", model, allocs, execute)
+	}
+}

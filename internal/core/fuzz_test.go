@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"edgeinfer/internal/gpusim"
+	"edgeinfer/internal/graph"
 	"edgeinfer/internal/kernels"
 	"edgeinfer/internal/models"
 	"edgeinfer/internal/tensor"
@@ -51,7 +52,23 @@ func FuzzLoad(f *testing.F) {
 	hostileCount := append([]byte(nil), smallPlan...)
 	binary.LittleEndian.PutUint32(hostileCount[12+hlen:], 0xffffffff)
 	f.Add(hostileCount)
+	// The first conv padded past its kernel: Load accepts it, and its
+	// border windows lie wholly in the padding.
+	f.Add(mutateHeader(f, smallPlan, hlen, func(h map[string]any) {
+		for _, l := range h["Layers"].([]any) {
+			if l := l.(map[string]any); l["Op"] == float64(graph.OpConv) {
+				conv := l["Conv"].(map[string]any)
+				conv["Pad"] = conv["Kernel"].(float64) + 1
+				return
+			}
+		}
+		f.Fatal("the plan has no conv")
+	}))
 
+	// An accepted plan reaches Engine.Infer on the serving path, where a
+	// panic on a kernel worker goroutine takes the process down: with two
+	// workers, it must answer or err.
+	defer kernels.SetWorkers(kernels.SetWorkers(2))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// cap pathological sizes the mutator may produce
 		if len(data) > 1<<22 {
@@ -61,7 +78,41 @@ func FuzzLoad(f *testing.F) {
 		if err == nil && e == nil {
 			t.Fatal("nil engine without error")
 		}
+		if err != nil || !e.Numeric || !fuzzSized(e.Graph) {
+			return
+		}
+		s := e.Graph.InputShape
+		_, _ = e.Infer(tensor.New(s[0], s[1], s[2], s[3])) // an error is an answer too
 	})
+}
+
+// fuzzSized reports whether one image through the plan stays small
+// enough for a fuzz worker: activations and conv/fc multiply-adds at the
+// declared input shape. Load bounds the input and every weight but no
+// activation, so a hostile padding or unit count could otherwise ask
+// Infer for any amount of memory.
+func fuzzSized(g *graph.Graph) bool {
+	const limit = 1 << 24
+	var acts, macs int64
+	for _, l := range g.Layers {
+		elems := int64(1)
+		for _, d := range l.OutShape {
+			if d < 1 || d > limit {
+				return false
+			}
+			if elems *= int64(d); elems > limit {
+				return false
+			}
+		}
+		acts += elems
+		if w := l.Weights["w"]; w != nil && (l.Op == graph.OpConv || l.Op == graph.OpFC) {
+			macs += elems * int64(w.Len()) / int64(max(l.OutShape[1], 1))
+		}
+		if acts > limit || macs > 4*limit {
+			return false
+		}
+	}
+	return true
 }
 
 // FuzzLoadTimingCache throws arbitrary bytes (seeded with real cache

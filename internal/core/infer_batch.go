@@ -129,12 +129,17 @@ func (e *Engine) execute(xs []*tensor.Tensor, o execOpts) ([][]*tensor.Tensor, e
 
 // run executes the step for one image: x is the image's input tensor, w
 // the step's (possibly corrupted) weights, c the image's context.
-// escapes says the output leaves the call, so no slot may hold it.
+// escapes says the output leaves the call, so no slot may hold it. A
+// reference step's conv or fc is an EvalLayerInto op like any other: it
+// reads the layer's own weights, so w does not reach it.
 func (s *step) run(c *execCtx, x, w *tensor.Tensor, escapes bool) (*tensor.Tensor, error) {
-	switch s.l.Op {
-	case graph.OpInput:
+	switch op := s.l.Op; {
+	case op == graph.OpInput:
+		if s.ref && x.Shape() != s.l.OutShape {
+			return nil, fmt.Errorf("input shape %v, want %v", x.Shape(), s.l.OutShape)
+		}
 		return x, nil
-	case graph.OpConv, graph.OpFC:
+	case (op == graph.OpConv || op == graph.OpFC) && !s.ref:
 		return s.kernel(c, w, escapes)
 	}
 	ins := c.ins[:len(s.ins)]

@@ -538,6 +538,26 @@ func TestScheduleHostilePlanErrorParity(t *testing.T) {
 		}},
 		{"fc-zero-units", nil, func(e *Engine) { layerOf(e, graph.OpFC).OutUnits = 0 }},
 		{"input-of-another-shape", tensor.New(2, 4, 11, 9), func(*Engine) {}},
+		// 1×1 convs padded by 2: the border windows lie wholly in the
+		// padding, on every side. That is an answer, not an error; the
+		// concat widens with them, so fc is given weights for its new input.
+		{"conv-pad-beyond-kernel", nil, func(e *Engine) {
+			for _, l := range e.Graph.Layers {
+				if l.Op == graph.OpConv && l.Conv.Kernel == 1 {
+					l.Conv.Pad = 2
+				}
+			}
+			if err := e.Graph.Finalize(); err != nil {
+				t.Fatal(err)
+			}
+			fc := layerOf(e, graph.OpFC)
+			in := e.Graph.Layer(fc.Inputs[0]).OutShape
+			w := tensor.NewVec(fc.OutUnits * in[1] * in[2] * in[3])
+			for i := range w.Data {
+				w.Data[i] = float32(i%7-3) / 8
+			}
+			fc.Weights["w"] = w
+		}},
 	}
 	for _, tc := range cases {
 		e, err := Build(tinyNet(t), nxCfg(1))
@@ -555,7 +575,12 @@ func TestScheduleHostilePlanErrorParity(t *testing.T) {
 		want, wantErr := refInfer(e, xs, wr, nil, 0, -1, nil)
 		got, gotErr := e.InferBatchCtx(nil, xs, gr, nil, 0)
 		sameRun(t, tc.name, got, want, gotErr, wantErr, gr, wr)
-		if tc.name != "input-of-another-shape" && wantErr == nil {
+		switch {
+		case tc.name == "conv-pad-beyond-kernel":
+			if wantErr != nil {
+				t.Fatalf("%s: %v, want an answer", tc.name, wantErr)
+			}
+		case tc.name != "input-of-another-shape" && wantErr == nil:
 			t.Fatalf("%s: the reference accepted the wrecked plan", tc.name)
 		}
 	}

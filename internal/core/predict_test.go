@@ -221,10 +221,10 @@ func TestParseTimingKeyRejectsMalformed(t *testing.T) {
 		"",
 		"no separators at all",
 		"only|three|segments",
-		"|" + valid[len("NX@1109MHz|"):],                      // empty device
-		"NX|hmma-conv.t64x64x32.sk0.nchw.a0|b1.ic64|p1",       // segment field counts wrong
+		"|" + valid[len("NX@1109MHz|"):], // empty device
+		"NX|hmma-conv.t64x64x32.sk0.nchw.a0|b1.ic64|p1", // segment field counts wrong
 		"NX|nosuchfam.t64x64x32.sk0.nchw.a0.p1|b1.ic64.s56x56-oc64.o56x56-k3.st1.g1|p1",
-		"NX|hmma-conv.t64x64.sk0.nchw.a0.p1|b1.ic64.s56x56-oc64.o56x56-k3.st1.g1|p1",   // 2-part tile
+		"NX|hmma-conv.t64x64.sk0.nchw.a0.p1|b1.ic64.s56x56-oc64.o56x56-k3.st1.g1|p1",     // 2-part tile
 		"NX|hmma-conv.t64x64x32.sk-1.nchw.a0.p1|b1.ic64.s56x56-oc64.o56x56-k3.st1.g1|p1", // signed int
 		"NX|hmma-conv.t64x64x32.sk0.nhcw.a0.p1|b1.ic64.s56x56-oc64.o56x56-k3.st1.g1|p1",  // bad layout
 		"NX|hmma-conv.t64x64x32.sk0.nchw.a2.p1|b1.ic64.s56x56-oc64.o56x56-k3.st1.g1|p1",  // act flag > 1

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"edgeinfer/internal/gpusim"
 	"edgeinfer/internal/graph"
 	"edgeinfer/internal/kernels"
@@ -198,8 +200,37 @@ func UnoptimizedRun(g *graph.Graph, dev *gpusim.Device) float64 {
 	return total + float64(layers)*perLayerSyncSec
 }
 
-// UnoptimizedInfer runs the un-optimized model numerically: the FP32
-// reference executor on the original (uncompressed, unpruned) graph.
+// UnoptimizedInfer runs the un-optimized model numerically on one image:
+// a Reference compiled for the call. A caller with more than one image
+// holds a Reference and replays it.
 func UnoptimizedInfer(g *graph.Graph, x *tensor.Tensor) ([]*tensor.Tensor, error) {
-	return g.Execute(x)
+	r, err := Reference(g)
+	if err != nil {
+		return nil, err
+	}
+	return r.Infer(x)
+}
+
+// Reference compiles g, un-built, onto the engine schedule: the FP32
+// reference executor of the paper's un-optimized baseline (Tables III,
+// IV and VII) on a built engine's liveness-planned slots, execution
+// contexts and escaping outputs. Every step is marked as the
+// reference's, so conv and fc run graph.EvalLayerInto's reference
+// operators like every other op and the outputs are g.Execute's bit for
+// bit; an input whose shape is not g.InputShape is an error, as there.
+// The reference is outside the accelerator fault domain: an injector
+// passed to InferBatchCtx sees every layer, but its weight corruption
+// does not reach conv or fc, which read the layer's own weights. g must
+// be finalized and must not change while the reference is in use. A
+// reference is never the same numeric program as a built engine.
+func Reference(g *graph.Graph) (*Engine, error) {
+	if g == nil || !g.Finalized() {
+		return nil, fmt.Errorf("core: reference of a graph that is not finalized")
+	}
+	e := &Engine{ModelName: g.Name, Platform: "host", Precision: tensor.FP32, Graph: g, Numeric: true}
+	e.plan = compile(e)
+	for i := range e.plan.steps {
+		e.plan.steps[i].ref = true
+	}
+	return e, nil
 }

@@ -208,6 +208,13 @@ func TestSameNumericsSeesEverySingleChange(t *testing.T) {
 			}
 		}),
 		variant("fused ReLU", true, func(v *kernels.Variant) { v.FusedAct = !v.FusedAct }),
+		{"the reference mark", true, func(s *step) func() {
+			if !kernel(s) {
+				return nil
+			}
+			s.ref = !s.ref
+			return func() { s.ref = !s.ref }
+		}},
 		{"a pool parameter", true, func(s *step) func() {
 			if s.l.Op != graph.OpMaxPool && s.l.Op != graph.OpAvgPool {
 				return nil
@@ -286,6 +293,32 @@ func TestSameNumericsSeesEverySingleChange(t *testing.T) {
 		if applied[mi] == 0 {
 			t.Errorf("no step of any model let the test change %s", mu.name)
 		}
+	}
+}
+
+// TestReferenceIsItsOwnProgram: two references of one graph are one
+// program, and a reference is never a built engine — not even an FP32,
+// unpruned build with the rewriting passes off, whose conv and fc read
+// the same weights through engine kernels.
+func TestReferenceIsItsOwnProgram(t *testing.T) {
+	g := tinyNet(t)
+	a, errA := Reference(g)
+	b, errB := Reference(g)
+	if errA != nil || errB != nil {
+		t.Fatal(errA, errB)
+	}
+	if !a.SameNumerics(b) {
+		t.Fatal("two references of one graph are different programs")
+	}
+	cfg := nxCfg(1)
+	cfg.Precision, cfg.PruneFrac = tensor.FP32, 0
+	cfg.DisablePasses = []string{PassDeadLayerRemoval, PassVerticalFusion, PassHorizontalMerge}
+	e, err := Build(g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.SameNumerics(e) || e.SameNumerics(a) {
+		t.Fatal("a reference is called the same program as a built engine")
 	}
 }
 

@@ -33,6 +33,10 @@ type step struct {
 	// view marks a flatten whose producer's buffer dies with it: out is
 	// the producer's slot, reshaped in place.
 	view bool
+	// ref marks a step of the FP32 reference (Reference): a conv or fc
+	// runs graph.EvalLayerInto's reference operator, not a kernel, and
+	// the input step holds the caller to the declared shape.
+	ref bool
 
 	// conv / fc only.
 	v      kernels.Variant // tuned variant, FusedAct resolved
@@ -264,10 +268,11 @@ func (c *execCtx) output(s *step, escapes bool) *tensor.Tensor {
 // whether their schedules compute bit-identical outputs on every input,
 // so an answer of one is an answer of the other (DESIGN §5, "Program
 // identity"). It compares, exactly and without hashing, everything
-// execute reads on a pristine device — per step the op, the operator
-// parameters, the producer positions, the variant's kernels.Numerics,
-// the fused epilogue, the INT8 input scale and the weights by shape and
-// bit pattern; then the graph outputs and the declared input shape.
+// execute reads on a pristine device — per step the op, whether it is a
+// Reference's, the operator parameters, the producer positions, the
+// variant's kernels.Numerics, the fused epilogue, the INT8 input scale
+// and the weights by shape and bit pattern; then the graph outputs and
+// the declared input shape.
 // Layer names, kernel family, TileM/TileN, layout, platform and build id
 // are not read by a reduction and are not compared. It errs only towards
 // false (the raw TileK is compared, not its clamp to the reduction
@@ -301,7 +306,7 @@ func (e *Engine) SameNumerics(o *Engine) bool {
 func (s *step) sameOp(t *step) bool {
 	a, b := s.l, t.l
 	bits := math.Float32bits
-	return a.Op == b.Op && slices.Equal(s.ins, t.ins) &&
+	return a.Op == b.Op && s.ref == t.ref && slices.Equal(s.ins, t.ins) &&
 		a.Conv == b.Conv && a.Pool == b.Pool && a.OutUnits == b.OutUnits && a.LRNSize == b.LRNSize &&
 		bits(a.Alpha) == bits(b.Alpha) && bits(a.LRNBeta) == bits(b.LRNBeta) && bits(a.LRNK) == bits(b.LRNK) &&
 		s.v.Numerics() == t.v.Numerics() &&

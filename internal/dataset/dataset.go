@@ -55,6 +55,27 @@ func Templates(seed string, classes int) []*tensor.Tensor {
 // from.
 const grid = 4
 
+// upsampleTap is where one row (or column) of a template samples the
+// coarse grid: the two cells it lies between and its fractional
+// distance from the first.
+type upsampleTap struct {
+	i0, i1 int
+	d      float64
+}
+
+// upsampleTaps are the bilinear coordinates of every row of a template
+// and, the image being square, of every column: the same for every
+// channel and class, so computed once.
+var upsampleTaps = func() (taps [ImgHW]upsampleTap) {
+	scale := float64(grid-1) / float64(ImgHW-1)
+	for i := range taps {
+		f := float64(i) * scale
+		i0 := int(f)
+		taps[i] = upsampleTap{i0, min(i0+1, grid-1), f - float64(i0)}
+	}
+	return taps
+}()
+
 // template builds one smooth pattern: a grid x grid random grid per
 // channel (mixed with the shared base grid when base is not nil; base
 // holds one standard normal per cell in channel, row, column order),
@@ -86,25 +107,15 @@ func template(key string, base []float64) *tensor.Tensor {
 		}
 	}
 	t := tensor.New(1, ImgC, ImgHW, ImgHW)
-	scale := float64(grid-1) / float64(ImgHW-1)
 	var sumsq float64
 	for ch := 0; ch < ImgC; ch++ {
-		for y := 0; y < ImgHW; y++ {
-			for x := 0; x < ImgHW; x++ {
-				fy, fx := float64(y)*scale, float64(x)*scale
-				y0, x0 := int(fy), int(fx)
-				y1, x1 := y0+1, x0+1
-				if y1 >= grid {
-					y1 = grid - 1
-				}
-				if x1 >= grid {
-					x1 = grid - 1
-				}
-				dy, dx := fy-float64(y0), fx-float64(x0)
-				v := coarse[ch][y0][x0]*(1-dy)*(1-dx) +
-					coarse[ch][y1][x0]*dy*(1-dx) +
-					coarse[ch][y0][x1]*(1-dy)*dx +
-					coarse[ch][y1][x1]*dy*dx
+		for y, ty := range upsampleTaps {
+			for x, tx := range upsampleTaps {
+				dy, dx := ty.d, tx.d
+				v := coarse[ch][ty.i0][tx.i0]*(1-dy)*(1-dx) +
+					coarse[ch][ty.i1][tx.i0]*dy*(1-dx) +
+					coarse[ch][ty.i0][tx.i1]*(1-dy)*dx +
+					coarse[ch][ty.i1][tx.i1]*dy*dx
 				t.Set(0, ch, y, x, float32(v))
 				sumsq += v * v
 			}

@@ -75,6 +75,7 @@ type Lab struct {
 
 	proxyMu sync.Mutex // held across a proxy build, so each model builds once
 	proxies map[string]*graph.Graph
+	refs    map[string]*core.Engine // each proxy compiled as the FP32 reference
 }
 
 // predKey names a cached prediction vector by what was computed: which
@@ -102,6 +103,7 @@ func NewLab(opts Options) *Lab {
 		tcaches:  map[int]*core.TimingCache{},
 		preds:    map[predKey][]int{},
 		proxies:  map[string]*graph.Graph{},
+		refs:     map[string]*core.Engine{},
 	}
 }
 
@@ -330,6 +332,26 @@ func (l *Lab) proxyGraph(model string) (*graph.Graph, error) {
 	return g, nil
 }
 
+// reference returns the model's proxy compiled as the FP32 reference
+// (core.Reference), once per Lab beside the graph it runs.
+func (l *Lab) reference(model string) (*core.Engine, error) {
+	g, err := l.proxyGraph(model)
+	if err != nil {
+		return nil, err
+	}
+	l.proxyMu.Lock()
+	defer l.proxyMu.Unlock()
+	if r, ok := l.refs[model]; ok {
+		return r, nil
+	}
+	r, err := core.Reference(g)
+	if err != nil {
+		return nil, err
+	}
+	l.refs[model] = r
+	return r, nil
+}
+
 // proxyEngineE builds (or returns cached) a numeric proxy engine,
 // surfacing build failures as errors.
 func (l *Lab) proxyEngineE(model, platform string, build int) (*core.Engine, error) {
@@ -460,13 +482,11 @@ func (l *Lab) classify(e *core.Engine, images []*tensor.Tensor) []int {
 // classifyUnoptE runs the un-optimized proxy over images, surfacing
 // build and inference failures as errors. Cached per (model, image set).
 func (l *Lab) classifyUnoptE(model string, images []*tensor.Tensor) ([]int, error) {
-	g, err := l.proxyGraph(model)
+	r, err := l.reference(model)
 	if err != nil {
 		return nil, err
 	}
-	p, err := l.predict(predKey{unopt: model}, images, func(x *tensor.Tensor) ([]*tensor.Tensor, error) {
-		return core.UnoptimizedInfer(g, x)
-	})
+	p, err := l.predict(predKey{unopt: model}, images, r.Infer)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: unoptimized %s: %w", model, err)
 	}

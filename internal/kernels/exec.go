@@ -195,21 +195,18 @@ func (c *convExec) chunk(s *execScratch, lo, hi int) {
 func (c *convExec) row(s *execScratch, n, i int) {
 	k, stride, pad := c.p.Kernel, c.p.Stride, c.p.Pad
 	ih0 := i*stride - pad
-	khLo, khHi := 0, k
-	if ih0 < 0 {
-		khLo = -ih0
-	}
-	if ih0+k > c.x.H {
-		khHi = c.x.H - ih0
-	}
+	khLo, khHi := tapRange(ih0, k, c.x.H)
 	for j := 0; j < c.ow; j++ {
 		iw0 := j*stride - pad
-		kwLo, kwHi := 0, k
-		if iw0 < 0 {
-			kwLo = -iw0
-		}
-		if iw0+k > c.x.W {
-			kwHi = c.x.W - iw0
+		kwLo, kwHi := tapRange(iw0, k, c.x.W)
+		if khLo == khHi || kwLo == kwHi {
+			// The window lies wholly in the padding (pad ≥ k): it reads
+			// nothing, and its element is the epilogue of +0 plus the
+			// bias — what tensor.Conv2D writes there.
+			for oc := 0; oc < c.p.OutC; oc++ {
+				c.store(n, oc, i, j, 0)
+			}
+			continue
 		}
 		interior := khLo == 0 && khHi == k && kwLo == 0 && kwHi == k
 		for g := 0; g < c.groups; g++ {
@@ -232,6 +229,14 @@ func (c *convExec) row(s *execScratch, n, i int) {
 			}
 		}
 	}
+}
+
+// tapRange returns the taps [lo, hi) of a k-wide window starting at input
+// position at that land inside an input of n positions; lo == hi when
+// none does.
+func tapRange(at, k, n int) (lo, hi int) {
+	lo, hi = max(-at, 0), min(k, n-at)
+	return lo, max(hi, lo)
 }
 
 // store applies bias, the variant's epilogue rounding and the fused

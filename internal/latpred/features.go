@@ -19,19 +19,19 @@ import (
 // without being handed the analytic answer (per-family efficiencies and
 // tile curves remain for it to infer from data).
 const (
-	featIntercept  = iota // 1
-	featLogFLOPs          // log FLOPs of the launch
-	featLogBytes          // log DRAM traffic
-	featLogCompute        // log(FLOPs / peak rate for the family's core type)
-	featLogStream         // log(MemBytes / DRAM bandwidth)
-	featAbsRoofline       // |logCompute - logStream|
-	featLogWaveEff        // log wave efficiency of the grid on this device
-	featLogL2Press        // log(working set / per-SM L2 share), floored at 0
-	featLogTileUtil       // log tile-slot utilization
-	featLogTileArea       // log(TileM * TileN)
-	featLogSplitK         // log split-K factor
-	featFusedAct          // epilogue-fused activation flag
-	featInt8              // IMMA-rate flag (INT8 on tensor cores)
+	featIntercept   = iota // 1
+	featLogFLOPs           // log FLOPs of the launch
+	featLogBytes           // log DRAM traffic
+	featLogCompute         // log(FLOPs / peak rate for the family's core type)
+	featLogStream          // log(MemBytes / DRAM bandwidth)
+	featAbsRoofline        // |logCompute - logStream|
+	featLogWaveEff         // log wave efficiency of the grid on this device
+	featLogL2Press         // log(working set / per-SM L2 share), floored at 0
+	featLogTileUtil        // log tile-slot utilization
+	featLogTileArea        // log(TileM * TileN)
+	featLogSplitK          // log split-K factor
+	featFusedAct           // epilogue-fused activation flag
+	featInt8               // IMMA-rate flag (INT8 on tensor cores)
 
 	// NumFeatures is the feature-vector width; serialized models record
 	// it and refuse to load under a different layout.

@@ -171,7 +171,7 @@ func (ex *Executor) doBatch(ctx *rtctx.Request, xs []*tensor.Tensor, runIndex in
 	ex.deadlineExceeded(res) // count the miss if the fallback pushed us over
 	outs := make([][]*tensor.Tensor, len(xs))
 	for i, x := range xs {
-		o, err := core.UnoptimizedInfer(ex.cfg.Fallback, x)
+		o, err := ex.ref.infer(x)
 		if err != nil {
 			return Result{}, nil, fmt.Errorf("serve: FP32 fallback failed: %w", err)
 		}
@@ -496,7 +496,7 @@ func (p *Pool) serveQuorumBatch(req uint64, xs []*tensor.Tensor, runIndex int, c
 		var refArg = -1
 		var refOuts []*tensor.Tensor
 		if x != nil && majArg < 0 && len(voters) > 0 {
-			outs, err := core.UnoptimizedInfer(p.fallback, x)
+			outs, err := p.ref.infer(x)
 			if err == nil && len(outs) > 0 {
 				refOuts = outs
 				refArg = argmax(outs[0])

@@ -43,7 +43,7 @@ func TestExecutorBatchMatchesDirect(t *testing.T) {
 }
 
 // Under a 100%-fault plan the batch drains to the FP32 tier and every
-// image's outputs match UnoptimizedInfer — never an error.
+// image's outputs match graph.Execute — never an error.
 func TestExecutorBatchTotalFaultServesFP32(t *testing.T) {
 	_, g, _, inputs := fixture(t)
 	ex := newExec(t, faults.Scenario("batch-total", 1).New("nx"), nil)
@@ -56,12 +56,12 @@ func TestExecutorBatchTotalFaultServesFP32(t *testing.T) {
 		t.Fatalf("served by %v under total faults, want fp32", br.Tier)
 	}
 	for i, x := range xs {
-		want, err := core.UnoptimizedInfer(g, x)
+		want, err := g.Execute(x)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !sameOutputs(br.Outputs[i], want) {
-			t.Fatalf("image %d fallback outputs differ from UnoptimizedInfer", i)
+			t.Fatalf("image %d fallback outputs differ from graph.Execute", i)
 		}
 	}
 }

@@ -23,7 +23,6 @@ import (
 
 	"edgeinfer/internal/core"
 	"edgeinfer/internal/gpusim"
-	"edgeinfer/internal/graph"
 	"edgeinfer/internal/rtctx"
 	"edgeinfer/internal/tensor"
 )
@@ -269,9 +268,9 @@ type PoolHealth struct {
 // an inference (the lockorder analyzer enforces this), so Health, Stats
 // and Transcript answer immediately even while a request is in flight.
 type Pool struct {
-	cfg      PoolConfig
-	reg      *Registry
-	fallback *graph.Graph
+	cfg PoolConfig
+	reg *Registry
+	ref reference // the FP32 tier, over the pristine fallback graph
 
 	// turn is the request ticket: exactly one token exists, and a request
 	// holds it end to end. The holder is the only goroutine mutating pool
@@ -312,7 +311,7 @@ func NewPool(reg *Registry, cfg PoolConfig) (*Pool, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &Pool{cfg: c, reg: reg, fallback: fb, turn: make(chan struct{}, 1)}
+	p := &Pool{cfg: c, reg: reg, ref: reference{g: fb}, turn: make(chan struct{}, 1)}
 	for slot, e := range engines {
 		r := &replica{
 			slot:     slot,
@@ -421,13 +420,13 @@ func (p *Pool) runCfg(runIndex int) core.RunConfig {
 // the replica fault domain. baseLat is latency already burned upstream.
 func (p *Pool) serveFP32(x *tensor.Tensor, baseLat float64) (*PoolResult, error) {
 	res := &PoolResult{
-		LatencySec: baseLat + core.UnoptimizedRun(p.fallback, p.cfg.Device),
+		LatencySec: baseLat + core.UnoptimizedRun(p.ref.g, p.cfg.Device),
 		Replica:    -1,
 		BuildID:    -1,
 		Fallback:   true,
 	}
 	if x != nil {
-		outs, err := core.UnoptimizedInfer(p.fallback, x)
+		outs, err := p.ref.infer(x)
 		if err != nil {
 			return nil, fmt.Errorf("serve: pool FP32 fallback: %w", err)
 		}
@@ -496,8 +495,8 @@ func (p *Pool) advanceRebuilds(req uint64) {
 // injector included) against the FP32 reference.
 func (p *Pool) canary(r *replica) (agree, total int) {
 	for _, x := range p.cfg.Canary {
-		ref, err := core.UnoptimizedInfer(p.fallback, x)
-		if err != nil || len(ref) == 0 {
+		want, err := p.ref.infer(x)
+		if err != nil || len(want) == 0 {
 			continue // reference path broken for this input: not the replica's fault
 		}
 		total++
@@ -505,7 +504,7 @@ func (p *Pool) canary(r *replica) (agree, total int) {
 		if err != nil || len(outs[0]) == 0 {
 			continue
 		}
-		if argmax(outs[0][0]) == argmax(ref[0]) {
+		if argmax(outs[0][0]) == argmax(want[0]) {
 			agree++
 		}
 	}

@@ -8,9 +8,9 @@
 //
 //	tuned engine  →  lower-batch engine  →  FP32 reference path
 //
-// The final tier runs the un-optimized model on the host
-// (core.UnoptimizedRun / core.UnoptimizedInfer), which the accelerator
-// fault plan cannot touch, so a correctly configured executor answers
+// The final tier runs the un-optimized model on the host (priced by
+// core.UnoptimizedRun, computed by a core.Reference compiled on first
+// use), which the accelerator fault plan cannot touch, so a correctly configured executor answers
 // every request — at degraded latency and baseline accuracy — even under
 // a 100%-fault plan. Every fault seen, retry issued, deadline missed and
 // fallback taken is counted.
@@ -193,6 +193,7 @@ type Health struct {
 // Executor is the resilient inference front end. Safe for concurrent use.
 type Executor struct {
 	cfg Config
+	ref reference // the FP32 tier, over cfg.Fallback
 
 	mu          sync.Mutex
 	rng         *fixrand.Source
@@ -220,8 +221,29 @@ func New(cfg Config) (*Executor, error) {
 	c := cfg.withDefaults()
 	return &Executor{
 		cfg: c,
+		ref: reference{g: c.Fallback},
 		rng: fixrand.NewKeyed("serve/" + c.Seed + "/" + c.Engine.Key()),
 	}, nil
+}
+
+// reference is the FP32 tier's numeric path: the pristine fallback graph
+// compiled onto the engine schedule (core.Reference) the first time a
+// request reaches the tier. A server that never degrades never builds
+// it; one that does replays it without allocating per layer.
+type reference struct {
+	g    *graph.Graph
+	once sync.Once
+	e    *core.Engine
+	err  error
+}
+
+// infer runs one image through the reference.
+func (r *reference) infer(x *tensor.Tensor) ([]*tensor.Tensor, error) {
+	r.once.Do(func() { r.e, r.err = core.Reference(r.g) })
+	if r.err != nil {
+		return nil, r.err
+	}
+	return r.e.Infer(x)
 }
 
 // Stats returns a snapshot of the degradation counters.

@@ -107,7 +107,7 @@ func TestZeroRateBitIdentical(t *testing.T) {
 }
 
 // Property: under a 100%-fault plan every request is still answered, via
-// the FP32 reference tier, with outputs identical to UnoptimizedInfer —
+// the FP32 reference tier, with outputs identical to graph.Execute —
 // never an error to the caller (issue satellite 4).
 func TestTotalFaultAlwaysServesFP32(t *testing.T) {
 	_, g, _, inputs := fixture(t)
@@ -121,12 +121,12 @@ func TestTotalFaultAlwaysServesFP32(t *testing.T) {
 		if res.Tier != serve.TierFP32 || !res.Degraded {
 			t.Fatalf("request %d served by %v, want fp32 fallback", i, res.Tier)
 		}
-		want, err := core.UnoptimizedInfer(g, x)
+		want, err := g.Execute(x)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !sameOutputs(res.Outputs, want) {
-			t.Fatalf("request %d fallback outputs differ from UnoptimizedInfer", i)
+			t.Fatalf("request %d fallback outputs differ from graph.Execute", i)
 		}
 	}
 	st := ex.Stats()
