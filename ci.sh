@@ -7,7 +7,9 @@
 # and the serving front door's request body and headers) plus one over
 # the FP32 reference convolution against its frozen per-element loop,
 # the byte comparison of benchtables -all / -ext, chaosbench and
-# faultbench with results/, the shared-timing-cache fleet-convergence
+# faultbench with results/ (-all twice: once on one OS thread, so the
+# per-image fan-out over every table's engines proves its answers do not
+# depend on the schedule), the shared-timing-cache fleet-convergence
 # audit (warm rebuilds must be byte-identical), the chaos smoke (a
 # short replica-fleet soak that must show zero wrong-answer escapes and
 # zero leaked quarantines),
@@ -60,6 +62,7 @@ done
 # numeric artifacts (Tables III-VI), and nothing else reads
 # results/extensions.txt.
 go run ./cmd/benchtables -all | cmp - results/alltables.txt
+GOMAXPROCS=1 go run ./cmd/benchtables -all | cmp - results/alltables.txt
 go run ./cmd/benchtables -ext | cmp - results/extensions.txt
 # The serving goldens: the replica-fleet chaos soak (its supervisor
 # transcripts included) and the fault-tolerance sweep, byte for byte.

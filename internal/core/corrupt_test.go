@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"strings"
 	"testing"
 
 	"edgeinfer/internal/gpusim"
@@ -184,14 +185,20 @@ func appendWeight(tb testing.TB, plan []byte, hlen int, rec graph.WeightRecord) 
 }
 
 // hostileHeaders are malformed topologies that graph.Add/Finalize would
-// panic on if the loader passed them through unvalidated — plus the one
-// hostile weight record with the same contract: a well-formed plan whose
-// extra record names the input layer, which holds no weight map.
+// panic on if the loader passed them through unvalidated, the one
+// hostile weight record with the same contract (a well-formed plan whose
+// extra record names the input layer, which holds no weight map), and
+// the activationBombs.
 func hostileHeaders(tb testing.TB, plan []byte, hlen int) map[string][]byte {
 	first := func(h map[string]any) map[string]any {
 		return h["Layers"].([]any)[0].(map[string]any)
 	}
+	bombs := activationBombs(tb, plan, hlen)
 	return map[string][]byte{
+		"conv-giant-pad":        bombs["conv-giant-pad"],
+		"fc-giant-units":        bombs["fc-giant-units"],
+		"upsample-chain":        bombs["upsample-chain"],
+		"slot-total":            bombs["slot-total"],
 		"weight-for-data-layer": appendWeight(tb, plan, hlen, graph.WeightRecord{Layer: "data", Key: "w"}),
 		"duplicate-layer": mutateHeader(tb, plan, hlen, func(h map[string]any) {
 			ls := h["Layers"].([]any)
@@ -218,6 +225,65 @@ func hostileHeaders(tb testing.TB, plan []byte, hlen int) map[string][]byte {
 		"giant-input-shape": mutateHeader(tb, plan, hlen, func(h map[string]any) {
 			h["InputShape"] = []any{float64(1 << 20), float64(1 << 20), float64(1 << 20), float64(1)}
 		}),
+	}
+}
+
+// activationBombs are well-formed numeric plans whose activations are
+// the hostile part: shapes Finalize accepts, which compile would size
+// context slots from, so that Infer asked for any amount of memory (or
+// panicked in makeslice on an overflowed size). Load rejects each.
+func activationBombs(tb testing.TB, plan []byte, hlen int) map[string][]byte {
+	firstOf := func(h map[string]any, op graph.OpType) map[string]any {
+		for _, l := range h["Layers"].([]any) {
+			if l := l.(map[string]any); l["Op"] == float64(op) {
+				return l
+			}
+		}
+		tb.Fatalf("the plan has no %s", op)
+		return nil
+	}
+	// chain appends n upsamples of from, named prefix0.., returning the last.
+	chain := func(h map[string]any, from, prefix string, n int) string {
+		for i := 0; i < n; i++ {
+			name := fmt.Sprintf("%s%d", prefix, i)
+			h["Layers"] = append(h["Layers"].([]any), map[string]any{
+				"Name": name, "Op": float64(graph.OpUpsample), "Inputs": []any{from},
+			})
+			from = name
+		}
+		return from
+	}
+	return map[string][]byte{
+		"conv-giant-pad": mutateHeader(tb, plan, hlen, func(h map[string]any) {
+			firstOf(h, graph.OpConv)["Conv"].(map[string]any)["Pad"] = float64(1e9)
+		}),
+		"fc-giant-units": mutateHeader(tb, plan, hlen, func(h map[string]any) {
+			firstOf(h, graph.OpFC)["OutUnits"] = float64(1 << 40)
+		}),
+		// 64 doublings overflow every dimension on the way.
+		"upsample-chain": mutateHeader(tb, plan, hlen, func(h map[string]any) {
+			chain(h, "data", "up", 64)
+		}),
+		// Two branches of 3×2048×2048 (12.6M elements each, in bounds)
+		// live at once: their slots add up past the bound.
+		"slot-total": mutateHeader(tb, plan, hlen, func(h map[string]any) {
+			a, b := chain(h, "data", "upa", 6), chain(h, "data", "upb", 6)
+			h["Layers"] = append(h["Layers"].([]any), map[string]any{
+				"Name": "join", "Op": float64(graph.OpAdd), "Inputs": []any{a, b},
+			})
+		}),
+	}
+}
+
+// TestLoadBoundsActivations: each activation bomb is refused for its
+// activations, not for some other fault of the plan.
+func TestLoadBoundsActivations(t *testing.T) {
+	plan, hlen := savedPlan(t)
+	for name, data := range activationBombs(t, plan, hlen) {
+		_, err := loadNoPanic(t, data)
+		if err == nil || !strings.Contains(err.Error(), "elements") {
+			t.Errorf("%s: %v, want an activation bound error", name, err)
+		}
 	}
 }
 

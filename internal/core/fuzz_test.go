@@ -88,9 +88,9 @@ func FuzzLoad(f *testing.F) {
 
 // fuzzSized reports whether one image through the plan stays small
 // enough for a fuzz worker: activations and conv/fc multiply-adds at the
-// declared input shape. Load bounds the input and every weight but no
-// activation, so a hostile padding or unit count could otherwise ask
-// Infer for any amount of memory.
+// declared input shape. Load bounds each activation and the planned
+// slots (maxPlanElems), but not their sum over the layers nor the
+// multiply-adds, and a plan at its bounds is too slow for a fuzz input.
 func fuzzSized(g *graph.Graph) bool {
 	const limit = 1 << 24
 	var acts, macs int64

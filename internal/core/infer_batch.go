@@ -42,18 +42,13 @@ type execOpts struct {
 //
 //rt:hotpath
 func (e *Engine) execute(xs []*tensor.Tensor, o execOpts) ([][]*tensor.Tensor, error) {
-	p := e.plan
-	if !e.Numeric || p == nil {
-		return nil, fmt.Errorf("core: engine %s is timing-only (no weights materialized)", e.Key())
+	if err := e.runnable(xs); err != nil {
+		return nil, err
 	}
 	if len(xs) == 0 {
 		return nil, nil
 	}
-	for i, x := range xs {
-		if x == nil {
-			return nil, fmt.Errorf("core: infer batch %s: input %d is nil", e.Key(), i)
-		}
-	}
+	p := e.plan
 	from, to := o.from, o.to
 	if to < 0 {
 		to = len(p.steps)
@@ -74,40 +69,8 @@ func (e *Engine) execute(xs []*tensor.Tensor, o execOpts) ([][]*tensor.Tensor, e
 			c = c.next
 		}
 	}
-	for li := from; li < to; li++ {
-		s := &p.steps[li]
-		isInput := s.l.Op == graph.OpInput
-		if o.guard != nil && !isInput {
-			if err := o.guard(li, s.l.Name); err != nil {
-				return nil, fmt.Errorf("core: infer %s: %w", e.Key(), err)
-			}
-		}
-		if o.fi != nil && !isInput {
-			if lf := o.fi.Launch(li, s.l.Name); lf.Fail {
-				return nil, fmt.Errorf("core: infer %s layer %s: %w", e.Key(), s.l.Name, ErrLaunchFailed)
-			}
-		}
-		w := s.w
-		if s.l.Op == graph.OpConv || s.l.Op == graph.OpFC {
-			if w == nil {
-				return nil, fmt.Errorf("core: infer %s layer %s: %s %s has no weights", e.Key(), s.l.Name, s.l.Op, s.l.Name)
-			}
-			if o.fi != nil {
-				w = o.fi.CorruptWeights(s.l.Name, "w", w)
-			}
-		}
-		c := head
-		for _, x := range xs {
-			y, err := s.run(c, x, w, s.escapes || li == last)
-			if err != nil {
-				return nil, fmt.Errorf("core: infer %s layer %s: %w", e.Key(), s.l.Name, err)
-			}
-			if o.fi != nil && !isInput && y != x {
-				o.fi.CorruptActivation(s.l.Name, y)
-			}
-			c.acts[li] = y
-			c = c.next
-		}
+	if err := e.runSteps(head, xs, from, to, last, o); err != nil {
+		return nil, err
 	}
 	// The boundary activation or the graph outputs: run wrote both fresh.
 	one := [1]int{last}
@@ -118,13 +81,77 @@ func (e *Engine) execute(xs []*tensor.Tensor, o execOpts) ([][]*tensor.Tensor, e
 	outs := make([][]*tensor.Tensor, len(xs))
 	c := head
 	for img := range outs {
-		outs[img] = make([]*tensor.Tensor, len(ret))
-		for i, li := range ret {
-			outs[img][i] = c.acts[li]
-		}
+		outs[img] = c.results(ret)
 		c = c.next
 	}
 	return outs, nil
+}
+
+// runnable returns the error execute gives before it runs a step: the
+// engine is timing-only, or an input is nil.
+func (e *Engine) runnable(xs []*tensor.Tensor) error {
+	if !e.Numeric || e.plan == nil {
+		return fmt.Errorf("core: engine %s is timing-only (no weights materialized)", e.Key())
+	}
+	for i, x := range xs {
+		if x == nil {
+			return fmt.Errorf("core: infer batch %s: input %d is nil", e.Key(), i)
+		}
+	}
+	return nil
+}
+
+// runSteps runs steps [from,to) of the schedule over a batch whose
+// contexts are chained from head; last is the step whose activation a
+// short range hands on (-1: none), so it is written fresh.
+func (e *Engine) runSteps(head *execCtx, xs []*tensor.Tensor, from, to, last int, o execOpts) error {
+	p := e.plan
+	for li := from; li < to; li++ {
+		s := &p.steps[li]
+		isInput := s.l.Op == graph.OpInput
+		if o.guard != nil && !isInput {
+			if err := o.guard(li, s.l.Name); err != nil {
+				return fmt.Errorf("core: infer %s: %w", e.Key(), err)
+			}
+		}
+		if o.fi != nil && !isInput {
+			if lf := o.fi.Launch(li, s.l.Name); lf.Fail {
+				return fmt.Errorf("core: infer %s layer %s: %w", e.Key(), s.l.Name, ErrLaunchFailed)
+			}
+		}
+		w := s.w
+		if s.l.Op == graph.OpConv || s.l.Op == graph.OpFC {
+			if w == nil {
+				return fmt.Errorf("core: infer %s layer %s: %s %s has no weights", e.Key(), s.l.Name, s.l.Op, s.l.Name)
+			}
+			if o.fi != nil {
+				w = o.fi.CorruptWeights(s.l.Name, "w", w)
+			}
+		}
+		c := head
+		for _, x := range xs {
+			y, err := s.run(c, x, w, s.escapes || li == last)
+			if err != nil {
+				return fmt.Errorf("core: infer %s layer %s: %w", e.Key(), s.l.Name, err)
+			}
+			if o.fi != nil && !isInput && y != x {
+				o.fi.CorruptActivation(s.l.Name, y)
+			}
+			c.acts[li] = y
+			c = c.next
+		}
+	}
+	return nil
+}
+
+// results returns the activations at positions ret: what a call hands
+// its caller for this image.
+func (c *execCtx) results(ret []int) []*tensor.Tensor {
+	out := make([]*tensor.Tensor, len(ret))
+	for i, li := range ret {
+		out[i] = c.acts[li]
+	}
+	return out
 }
 
 // run executes the step for one image: x is the image's input tensor, w

@@ -78,7 +78,15 @@ func VerifyPlanData(r io.Reader) []planlint.Issue {
 	// The plan IR is all VerifyPlan reads: this engine is never run.
 	ir := Engine{Graph: g, Precision: h.Precision, Numeric: h.Numeric,
 		Fusions: h.Fusions, Int8Ranges: h.Int8Ranges, Launches: h.Launches}
-	return append(issues, ir.VerifyPlan()...)
+	issues = append(issues, ir.VerifyPlan()...)
+	// Load's activation bound reads the shapes and the planned slots.
+	if !planlint.HasErrors(issues) && ir.Numeric && g.Finalize() == nil {
+		ir.plan = compile(&ir)
+		if err := ir.boundActivations(); err != nil {
+			issues = append(issues, planlint.Issue{Check: "shapes", Severity: planlint.Error, Message: err.Error()})
+		}
+	}
+	return issues
 }
 
 // VerifyPlanFile runs VerifyPlanData over a plan file on disk.

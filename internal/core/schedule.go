@@ -267,12 +267,9 @@ func (c *execCtx) output(s *step, escapes bool) *tensor.Tensor {
 // SameNumerics reports whether e and o are the same numeric program:
 // whether their schedules compute bit-identical outputs on every input,
 // so an answer of one is an answer of the other (DESIGN §5, "Program
-// identity"). It compares, exactly and without hashing, everything
-// execute reads on a pristine device — per step the op, whether it is a
-// Reference's, the operator parameters, the producer positions, the
-// variant's kernels.Numerics, the fused epilogue, the INT8 input scale
-// and the weights by shape and bit pattern; then the graph outputs and
-// the declared input shape.
+// identity"). It is true when their shared prefix (sharedPrefix) covers
+// every step and the graph outputs are equal: per step, exactly and
+// without hashing, everything execute reads on a pristine device.
 // Layer names, kernel family, TileM/TileN, layout, platform and build id
 // are not read by a reduction and are not compared. It errs only towards
 // false (the raw TileK is compared, not its clamp to the reduction
@@ -282,23 +279,35 @@ func (e *Engine) SameNumerics(o *Engine) bool {
 	if p == nil || q == nil {
 		return false
 	}
+	return p == q || len(p.steps) == len(q.steps) && slices.Equal(p.outs, q.outs) && e.sharedPrefix(o) == len(p.steps)
+}
+
+// sharedPrefix returns how many leading steps e and o run alike on any
+// input: 0 unless both are numeric with the same declared input shape,
+// else the length of the longest run of steps equal in the op, whether
+// it is a Reference's, the operator parameters, the producer positions,
+// the variant's kernels.Numerics, the fused epilogue, the INT8 input
+// scale and the weights by shape and bit pattern. The schedules'
+// activations then agree step for step over that prefix: it is the
+// per-step test of SameNumerics and of a Group's fork points.
+func (e *Engine) sharedPrefix(o *Engine) int {
+	p, q := e.plan, o.plan
+	if p == nil || q == nil || e.Graph.InputShape != o.Graph.InputShape {
+		return 0
+	}
 	if p == q {
-		return true
+		return len(p.steps)
 	}
-	if len(p.steps) != len(q.steps) || e.Graph.InputShape != o.Graph.InputShape || !slices.Equal(p.outs, q.outs) {
-		return false
+	n := 0 // structure first: it is cheap and differs early
+	for n < min(len(p.steps), len(q.steps)) && p.steps[n].sameOp(&q.steps[n]) {
+		n++
 	}
-	for i := range p.steps { // structure first: it is cheap and differs early
-		if !p.steps[i].sameOp(&q.steps[i]) {
-			return false
-		}
-	}
-	for i := range p.steps {
+	for i := range n {
 		if !p.steps[i].sameWeights(&q.steps[i]) {
-			return false
+			return i
 		}
 	}
-	return true
+	return n
 }
 
 // sameOp compares everything a step runs with except its weights.

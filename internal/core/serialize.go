@@ -23,6 +23,14 @@ const planMagic = "EDGERT01"
 // section's record and tensor bounds live with its codec in graph.
 const maxHeaderBytes = 64 << 20
 
+// maxPlanElems bounds the activation memory a loaded numeric plan may
+// ask Infer for, in FP32 elements (64 MiB): every layer's output shape,
+// and the total of the context slots compile plans. The largest numeric
+// graph in the repository, a classifier proxy, peaks at 3 072 elements
+// per activation and plans 6 144; the largest activation of full-scale
+// VGG-16 (64×224×224, 3.2M) would still load.
+const maxPlanElems = 1 << 24
+
 type planHeader struct {
 	ModelName      string
 	Platform       string
@@ -132,7 +140,49 @@ func Load(r io.Reader) (*Engine, error) {
 		MergedLaunches: h.MergedLaunches, Report: h.Report,
 	}
 	e.plan, e.charge = compile(e), chargeLayers(e)
+	if err := e.boundActivations(); err != nil {
+		return nil, err
+	}
 	return e, nil
+}
+
+// boundActivations rejects a numeric engine that would ask Infer for
+// more than maxPlanElems of activation memory: in one layer's output, or
+// in the context slots its schedule plans. compile only sums the sizes;
+// nothing is allocated until a context is checked out.
+func (e *Engine) boundActivations() error {
+	if e.plan == nil {
+		return nil
+	}
+	for _, l := range e.Graph.Layers {
+		if _, ok := boundedElems(l.OutShape); !ok {
+			return fmt.Errorf("core: plan layer %s: activation %v exceeds %d elements", l.Name, l.OutShape, maxPlanElems)
+		}
+	}
+	total := 0 // each slot holds a bounded activation: no overflow
+	for _, n := range e.plan.slotLen {
+		total += n
+	}
+	if total > maxPlanElems {
+		return fmt.Errorf("core: plan %s: activation slots total %d elements, over %d", e.Key(), total, maxPlanElems)
+	}
+	return nil
+}
+
+// boundedElems returns the element count of a shape whose every
+// dimension is positive and whose count is at most maxPlanElems; ok is
+// false otherwise. It never overflows, whatever the shape.
+func boundedElems(s [4]int) (n int, ok bool) {
+	n = 1
+	for _, d := range s {
+		if d < 1 || d > maxPlanElems {
+			return 0, false
+		}
+		if n *= d; n > maxPlanElems {
+			return 0, false
+		}
+	}
+	return n, true
 }
 
 // SaveFile writes the engine plan to a file path, crash-safely.

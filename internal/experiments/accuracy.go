@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"edgeinfer/internal/core"
 	"edgeinfer/internal/dataset"
 	"edgeinfer/internal/metrics"
 	"edgeinfer/internal/tensor"
@@ -29,20 +30,30 @@ func (l *Lab) Table3() []Table3Row {
 	for i, s := range set {
 		images[i], labels[i] = s.Image, s.Label
 	}
+	preds := l.classifyAll(l.accuracyEngines(), images)
 	out := make([]Table3Row, len(classifierModels))
-	l.fanModels(len(classifierModels), func(mi int) {
-		m := classifierModels[mi]
-		agx := l.classify(l.proxyEngine(m, "AGX", 1), images)
-		nx := l.classify(l.proxyEngine(m, "NX", 1), images)
-		un := l.classifyUnopt(m, images)
+	for mi, m := range classifierModels {
+		agx, nx, un := preds[3*mi], preds[3*mi+1], preds[3*mi+2]
 		out[mi] = Table3Row{
 			Model:      m,
 			AGXError:   metrics.Top1Error(agx, labels),
 			NXError:    metrics.Top1Error(nx, labels),
 			UnoptError: metrics.Top1Error(un, labels),
 		}
-	})
+	}
 	return out
+}
+
+// accuracyEngines are the engines Tables III and IV classify through,
+// three per classifier model: built on AGX, built on NX (build 1), and
+// the un-optimized reference. Builds run in this order, which the timing
+// caches of a TimingCacheDir see.
+func (l *Lab) accuracyEngines() []*core.Engine {
+	var es []*core.Engine
+	for _, m := range classifierModels {
+		es = append(es, l.proxyEngine(m, "AGX", 1), l.proxyEngine(m, "NX", 1), l.reference(m))
+	}
+	return es
 }
 
 // RenderTable3 formats Table III in the paper's layout.
@@ -84,12 +95,10 @@ func (l *Lab) Table4() []Table4Row {
 		return p, lb
 	}
 	sevs := []int{1, 5}
+	preds := l.classifyAll(l.accuracyEngines(), images)
 	out := make([]Table4Row, len(classifierModels)*len(sevs))
-	l.fanModels(len(classifierModels), func(mi int) {
-		m := classifierModels[mi]
-		agx := l.classify(l.proxyEngine(m, "AGX", 1), images)
-		nx := l.classify(l.proxyEngine(m, "NX", 1), images)
-		un := l.classifyUnopt(m, images)
+	for mi, m := range classifierModels {
+		agx, nx, un := preds[3*mi], preds[3*mi+1], preds[3*mi+2]
 		for si, sev := range sevs {
 			idx := bySev[sev]
 			pa, la := sub(agx, idx)
@@ -102,7 +111,7 @@ func (l *Lab) Table4() []Table4Row {
 				UnoptError: metrics.Top1Error(pu, lu),
 			}
 		}
-	})
+	}
 	return out
 }
 
@@ -140,29 +149,33 @@ type Table5Row struct {
 // engines built on NX and engines built on AGX, over the adversarial set.
 func (l *Lab) Table5() []Table5Row {
 	images := l.consistencyImages()
-	n := l.Opts.EnginesPerSide
-	if n > 3 {
-		n = 3
-	}
+	n := min(l.Opts.EnginesPerSide, 3)
+	preds := l.classifyAll(l.crossPlatformEngines(n), images)
 	out := make([]Table5Row, len(consistencyModels))
-	l.fanModels(len(consistencyModels), func(mi int) {
-		m := consistencyModels[mi]
-		var row Table5Row
-		row.Model = m
-		row.Total = len(images)
-		var nxPreds, agxPreds [3][]int
-		for i := 0; i < n; i++ {
-			nxPreds[i] = l.classify(l.proxyEngine(m, "NX", i+1), images)
-			agxPreds[i] = l.classify(l.proxyEngine(m, "AGX", i+1), images)
-		}
+	for mi, m := range consistencyModels {
+		row := Table5Row{Model: m, Total: len(images)}
+		nx := func(i int) []int { return preds[(mi*n+i)*2] }
+		agx := func(j int) []int { return preds[(mi*n+j)*2+1] }
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
-				row.Mismatches[i][j] = metrics.Mismatches(nxPreds[i], agxPreds[j])
+				row.Mismatches[i][j] = metrics.Mismatches(nx(i), agx(j))
 			}
 		}
 		out[mi] = row
-	})
+	}
 	return out
+}
+
+// crossPlatformEngines are Table V's engines: per consistency model and
+// build id 1..n, the engine built on NX, then the one built on AGX.
+func (l *Lab) crossPlatformEngines(n int) []*core.Engine {
+	var es []*core.Engine
+	for _, m := range consistencyModels {
+		for i := 1; i <= n; i++ {
+			es = append(es, l.proxyEngine(m, "NX", i), l.proxyEngine(m, "AGX", i))
+		}
+	}
+	return es
 }
 
 // RenderTable5 formats Table V.
@@ -202,21 +215,24 @@ func (l *Lab) Table6() []Table6Row {
 	cases := []struct{ platform, model string }{
 		{"NX", "resnet18"}, {"AGX", "vgg16"}, {"AGX", "inceptionv4"}, {"AGX", "resnet18"},
 	}
-	out := make([]Table6Row, len(cases))
-	l.fanModels(len(cases), func(ci int) {
-		c := cases[ci]
-		var preds [3][]int
-		for i := 0; i < 3; i++ {
-			preds[i] = l.classify(l.proxyEngine(c.model, c.platform, i+1), images)
+	var es []*core.Engine
+	for _, c := range cases {
+		for i := 1; i <= 3; i++ {
+			es = append(es, l.proxyEngine(c.model, c.platform, i))
 		}
+	}
+	preds := l.classifyAll(es, images)
+	out := make([]Table6Row, len(cases))
+	for ci, c := range cases {
+		p := preds[3*ci : 3*ci+3]
 		out[ci] = Table6Row{
 			Platform: c.platform, Model: c.model,
-			M12:   metrics.Mismatches(preds[0], preds[1]),
-			M23:   metrics.Mismatches(preds[1], preds[2]),
-			M13:   metrics.Mismatches(preds[0], preds[2]),
+			M12:   metrics.Mismatches(p[0], p[1]),
+			M23:   metrics.Mismatches(p[1], p[2]),
+			M13:   metrics.Mismatches(p[0], p[2]),
 			Total: len(images),
 		}
-	})
+	}
 	return out
 }
 

@@ -8,6 +8,7 @@ package experiments
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -39,11 +40,11 @@ type Options struct {
 	// across reruns and the tactic-timing cost is paid only once.
 	TimingCacheDir string
 
-	// Workers fans the per-image classification loops and the per-model
-	// accuracy-table loops across this many goroutines (0 = GOMAXPROCS).
-	// Results are deterministic for any worker count: outputs are placed
-	// by index and kernel execution is bit-identical regardless of
-	// parallelism. Set 1 to force the fully serial paths.
+	// Workers fans the per-image classification loops across this many
+	// goroutines (0 = GOMAXPROCS). Results are deterministic for any
+	// worker count: outputs are placed by index and kernel execution is
+	// bit-identical regardless of parallelism. Set 1 to force the fully
+	// serial paths.
 	Workers int
 }
 
@@ -80,16 +81,15 @@ type Lab struct {
 
 // predKey names a cached prediction vector by what was computed: which
 // numeric program ran — the representative of an engine's program (see
-// Lab.program), or the un-optimized proxy of a model — over which
-// images. An image set is identified by its first tensor and its length:
-// the Lab synthesizes each dataset once and every table slices it in
-// order, so equal keys are equal inputs. Tables that classify the same
+// Lab.program; a model's un-optimized reference is an engine too) — over
+// which images. An image set is identified by its first tensor and its
+// length: the Lab synthesizes each dataset once and every table slices
+// it in order, so equal keys are equal inputs. Tables that classify the same
 // program over the same set share one run whatever engine, platform or
 // build id they ask through: the six engines Tables V/VI build per model
 // are two programs (EXPERIMENTS.md, "Tables V & VI").
 type predKey struct {
 	engine *core.Engine // the program's representative
-	unopt  string
 	first  *tensor.Tensor
 	n      int
 }
@@ -113,19 +113,6 @@ func (l *Lab) workers() int {
 		return w
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-// modelWorkers is the fan-out width for per-model table loops. Cold
-// engine builds sharing a timing cache are order-sensitive (entries
-// inserted by one engine's tuning are visible to the next lookup, so
-// tactic choices depend on build order); model-level fan-out therefore
-// degrades to serial when a cache directory is configured. Per-image
-// fan-out never builds engines, so it stays parallel either way.
-func (l *Lab) modelWorkers() int {
-	if l.Opts.TimingCacheDir != "" {
-		return 1
-	}
-	return l.workers()
 }
 
 // forEach runs fn(i) for every i in [0,n) across up to workers
@@ -187,17 +174,6 @@ func forEach(workers, n int, fn func(i int) error) error {
 		}
 	}
 	return nil
-}
-
-// fanModels fans fn across model/case indices for the table generators,
-// whose static configurations fail only by panicking.
-func (l *Lab) fanModels(n int, fn func(i int)) {
-	if err := forEach(l.modelWorkers(), n, func(i int) error {
-		fn(i)
-		return nil
-	}); err != nil {
-		panic(err) // unreachable: fn signals failure only by panicking
-	}
 }
 
 // timingCachePath names one build id's cache file.
@@ -332,9 +308,9 @@ func (l *Lab) proxyGraph(model string) (*graph.Graph, error) {
 	return g, nil
 }
 
-// reference returns the model's proxy compiled as the FP32 reference
+// referenceE returns the model's proxy compiled as the FP32 reference
 // (core.Reference), once per Lab beside the graph it runs.
-func (l *Lab) reference(model string) (*core.Engine, error) {
+func (l *Lab) referenceE(model string) (*core.Engine, error) {
 	g, err := l.proxyGraph(model)
 	if err != nil {
 		return nil, err
@@ -350,6 +326,15 @@ func (l *Lab) reference(model string) (*core.Engine, error) {
 	}
 	l.refs[model] = r
 	return r, nil
+}
+
+// reference is referenceE for the paper-table generators.
+func (l *Lab) reference(model string) *core.Engine {
+	r, err := l.referenceE(model)
+	if err != nil {
+		panic(err)
+	}
+	return r
 }
 
 // proxyEngineE builds (or returns cached) a numeric proxy engine,
@@ -416,34 +401,6 @@ func (l *Lab) setPred(key predKey, p []int) {
 	l.mu.Unlock()
 }
 
-// predict returns infer's argmax over images, cached under key. Images
-// fan out across the lab's workers; predictions land by index and the
-// surfaced error is the lowest-indexed failure, so the result is
-// identical to the serial loop.
-func (l *Lab) predict(key predKey, images []*tensor.Tensor, infer func(*tensor.Tensor) ([]*tensor.Tensor, error)) ([]int, error) {
-	if len(images) == 0 {
-		return nil, nil
-	}
-	key.first, key.n = images[0], len(images)
-	if p, ok := l.cachedPred(key); ok {
-		return p, nil
-	}
-	out := make([]int, len(images))
-	err := forEach(l.workers(), len(images), func(i int) error {
-		o, err := infer(images[i])
-		if err != nil {
-			return fmt.Errorf("image %d: %w", i, err)
-		}
-		out[i] = o[0].Argmax()
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	l.setPred(key, out)
-	return out, nil
-}
-
 // program returns the representative of e's numeric program: the first
 // engine this Lab classified that computes exactly what e computes
 // (core.Engine.SameNumerics), e itself when none has.
@@ -459,47 +416,79 @@ func (l *Lab) program(e *core.Engine) *core.Engine {
 	return e
 }
 
-// classifyE runs an engine over images, surfacing inference failures as
-// errors. Predictions are cached per (numeric program, image set).
-func (l *Lab) classifyE(e *core.Engine, images []*tensor.Tensor) ([]int, error) {
-	p, err := l.predict(predKey{engine: l.program(e)}, images, e.Infer)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: %s: %w", e.Key(), err)
+// classifyAllE returns, by the index of es, each engine's argmax over
+// images; es may mix built engines and references. Predictions are
+// cached per (numeric program, image set), and the programs with no run
+// over images yet run as one core.Group, so a prefix they share runs
+// once per image. Images fan out across the lab's workers; predictions
+// land by index and the surfaced error is the lowest-indexed image's, so
+// the result is the serial loop's.
+func (l *Lab) classifyAllE(es []*core.Engine, images []*tensor.Tensor) ([][]int, error) {
+	out := make([][]int, len(es))
+	if len(images) == 0 {
+		return out, nil
 	}
-	return p, nil
+	if todo := l.pending(es, images); len(todo) > 0 {
+		g := core.NewGroup(todo...)
+		preds := make([][]int, len(todo))
+		for k := range preds {
+			preds[k] = make([]int, len(images))
+		}
+		err := forEach(l.workers(), len(images), func(i int) error {
+			o, err := g.Infer(images[i])
+			if err != nil {
+				return fmt.Errorf("experiments: image %d: %w", i, err)
+			}
+			for k, outs := range o {
+				preds[k][i] = outs[0].Argmax()
+			}
+			return nil
+		})
+		if err != nil {
+			return nil, err
+		}
+		for k, r := range todo {
+			l.setPred(predKey{r, images[0], len(images)}, preds[k])
+		}
+	}
+	for i, e := range es {
+		out[i], _ = l.cachedPred(predKey{l.program(e), images[0], len(images)})
+	}
+	return out, nil
 }
 
-// classify is classifyE for the paper-table generators, whose static
-// model/dataset combinations cannot fail inference.
-func (l *Lab) classify(e *core.Engine, images []*tensor.Tensor) []int {
-	p, err := l.classifyE(e, images)
+// pending returns the representatives of es' programs that have no
+// cached run over images, once each, in the order es first names them:
+// the members of the group classifyAllE runs.
+func (l *Lab) pending(es []*core.Engine, images []*tensor.Tensor) []*core.Engine {
+	var todo []*core.Engine
+	for _, e := range es {
+		r := l.program(e)
+		if _, ok := l.cachedPred(predKey{r, images[0], len(images)}); !ok && !slices.Contains(todo, r) {
+			todo = append(todo, r)
+		}
+	}
+	return todo
+}
+
+// classifyAll is classifyAllE for the paper-table generators, whose
+// static model/dataset combinations cannot fail inference.
+func (l *Lab) classifyAll(es []*core.Engine, images []*tensor.Tensor) [][]int {
+	p, err := l.classifyAllE(es, images)
 	if err != nil {
 		panic(err)
 	}
 	return p
 }
 
-// classifyUnoptE runs the un-optimized proxy over images, surfacing
-// build and inference failures as errors. Cached per (model, image set).
-func (l *Lab) classifyUnoptE(model string, images []*tensor.Tensor) ([]int, error) {
-	r, err := l.reference(model)
+// classifyE runs one engine over images, surfacing inference failures
+// as errors.
+func (l *Lab) classifyE(e *core.Engine, images []*tensor.Tensor) ([]int, error) {
+	p, err := l.classifyAllE([]*core.Engine{e}, images)
 	if err != nil {
 		return nil, err
 	}
-	p, err := l.predict(predKey{unopt: model}, images, r.Infer)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: unoptimized %s: %w", model, err)
-	}
-	return p, nil
-}
-
-// classifyUnopt is classifyUnoptE for the paper-table generators.
-func (l *Lab) classifyUnopt(model string, images []*tensor.Tensor) []int {
-	p, err := l.classifyUnoptE(model, images)
-	if err != nil {
-		panic(err)
-	}
-	return p
+	return p[0], nil
 }
 
 // table is a minimal text-table renderer for paper-style output.

@@ -522,9 +522,9 @@ next:
 // other's: 4 models × 3 builds × 2 platforms = 24 engines. Predictions
 // are keyed by (numeric program, image set), so the cache holds one run
 // per distinct program among those 24 — counted here with SameNumerics,
-// not pinned — plus IV's three un-optimized models, whichever table asks
-// first and whatever engine, platform or build id it asks through. Keyed
-// by engine it held 27.
+// not pinned — plus IV's three un-optimized references (engines of their
+// own program), whichever table asks first and whatever engine, platform
+// or build id it asks through. Keyed by engine it held 27.
 func TestPredictionsKeyedByEngineAndSet(t *testing.T) {
 	orders := [][]func(*Lab) string{
 		{(*Lab).RenderTable4, (*Lab).RenderTable5, (*Lab).RenderTable6},
@@ -553,20 +553,26 @@ func TestPredictionsKeyedByEngineAndSet(t *testing.T) {
 		if want >= 27 {
 			t.Errorf("order %d: %d engines are %d distinct programs: program identity shares nothing", oi, len(engines), len(programs))
 		}
-		if len(l.programs) != len(programs) {
-			t.Errorf("order %d: the Lab holds %d representatives for %d distinct programs", oi, len(l.programs), len(programs))
+		if len(l.programs) != want {
+			t.Errorf("order %d: the Lab holds %d representatives for %d distinct programs and %d references", oi, len(l.programs), len(programs), len(classifierModels))
 		}
 		adv := l.advSet()
 		for k := range l.preds {
 			if k.first != adv[0].Image || k.n != len(adv) {
 				t.Errorf("order %d: run keyed to %d images from %p, want the adversarial set", oi, k.n, k.first)
 			}
-			if (k.engine == nil) == (k.unopt == "") {
-				t.Errorf("order %d: key %+v names neither or both of engine and un-optimized model", oi, k)
-			}
-			if k.engine != nil && !slices.Contains(l.programs, k.engine) {
+			if !slices.Contains(l.programs, k.engine) {
 				t.Errorf("order %d: run keyed to engine %s, which represents no program", oi, k.engine.Key())
 			}
+		}
+		refs := 0
+		for _, r := range l.refs {
+			if _, ok := l.preds[predKey{r, adv[0].Image, len(adv)}]; ok {
+				refs++
+			}
+		}
+		if refs != len(classifierModels) {
+			t.Errorf("order %d: %d runs keyed to a reference, want one per classifier model (%d)", oi, refs, len(classifierModels))
 		}
 		if got := len(l.proxies); got != 4 {
 			t.Errorf("order %d: %d proxy graphs built, want one per model (4)", oi, got)

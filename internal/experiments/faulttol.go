@@ -60,7 +60,11 @@ func (l *Lab) FaultTolerance(model string, rates []float64, requests int) ([]Fau
 	var out []FaultTolRow
 	for _, platform := range faultTolPlatforms {
 		dev := latencyDevice(platform)
-		unoptPred, err := l.classifyUnoptE(model, images)
+		ref, err := l.referenceE(model)
+		if err != nil {
+			return nil, err
+		}
+		unoptPred, err := l.classifyE(ref, images)
 		if err != nil {
 			return nil, err
 		}

@@ -1,0 +1,81 @@
+package experiments
+
+import (
+	"fmt"
+	"slices"
+	"strings"
+	"testing"
+
+	"edgeinfer/internal/core"
+	"edgeinfer/internal/tensor"
+)
+
+// groupShape renders the prefix tree classifyAll would run over images
+// for es, one member per entry: "key<parent@from". It also returns the
+// steps one image costs in the tree and run program by program.
+func groupShape(l *Lab, es []*core.Engine, images []*tensor.Tensor) (members []string, steps, separate int) {
+	todo := l.pending(es, images)
+	g := core.NewGroup(todo...)
+	for i, e := range todo {
+		parent, from := g.Fork(i)
+		members = append(members, fmt.Sprintf("%s<%d@%d", e.Key(), parent, from))
+		n := len(e.Graph.Layers)
+		steps += n - from
+		separate += n
+	}
+	return members, steps, separate
+}
+
+// TestTableGroupsPinned pins the prefix trees the default Lab runs for
+// Tables III, IV and V in benchtables -all order: the members (each
+// program not yet classified on the table's image set, by the engine
+// that represents it), each one's parent and fork point, and the steps
+// one image costs. The separate counts are what the same programs cost
+// run one by one, as they were before groups. The options size only the
+// image sets; the engines are the default Lab's.
+func TestTableGroupsPinned(t *testing.T) {
+	l := NewLab(tinyOpts())
+	l.Opts.EnginesPerSide = Default().EnginesPerSide
+	var benign []*tensor.Tensor
+	for _, s := range l.benignSet() {
+		benign = append(benign, s.Image)
+	}
+	adv := l.consistencyImages()
+	accuracy := []string{ // Tables III and IV: the same engines, and no program cached on either set
+		"alexnet/AGX/build1<-1@0",  // alexnet's NX1 engine is this program
+		"alexnet/host/build0<-1@0", // a reference shares nothing with a built engine
+		"resnet18/AGX/build1<0@5",  // resnet18 and alexnet share their first 5 steps
+		"resnet18/NX/build1<2@7",   // the two builds of a model differ at fc_head
+		"resnet18/host/build0<1@5",
+		"vgg16/AGX/build1<0@2", // every proxy begins with the binomial stem
+		"vgg16/NX/build1<5@6",
+		"vgg16/host/build0<1@2",
+	}
+	cases := []struct {
+		name            string
+		before          func() // what benchtables -all classified before
+		es              []*core.Engine
+		images          []*tensor.Tensor
+		members         []string
+		steps, separate int
+	}{
+		{"III", func() {}, l.accuracyEngines(), benign, accuracy, 44, 71},
+		{"IV", func() { l.Table3() }, l.accuracyEngines(), adv, accuracy, 44, 71},
+		// Every other program among V's 24 engines ran in IV, on the same set.
+		{"V", func() { l.Table4() }, l.crossPlatformEngines(3), adv, []string{
+			"inceptionv4/NX/build1<-1@0",
+			"inceptionv4/NX/build2<0@7",
+			"alexnet/NX/build2<0@2",
+		}, 19, 28},
+	}
+	for _, tc := range cases {
+		tc.before()
+		members, steps, separate := groupShape(l, tc.es, tc.images)
+		if !slices.Equal(members, tc.members) {
+			t.Errorf("Table %s group:\n%s\nwant\n%s", tc.name, strings.Join(members, "\n"), strings.Join(tc.members, "\n"))
+		}
+		if steps != tc.steps || separate != tc.separate {
+			t.Errorf("Table %s: an image costs %d steps (%d run separately), want %d (%d)", tc.name, steps, separate, tc.steps, tc.separate)
+		}
+	}
+}

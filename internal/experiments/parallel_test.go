@@ -14,9 +14,9 @@ import (
 // execution is bit-identical under any worker count, so this is exact
 // equality, not tolerance.
 func TestWorkerCountInvariance(t *testing.T) {
-	// Smallest configuration that still walks both fan-out layers
-	// (fanModels + the per-image classify loops) end to end; the
-	// kernel-level bit-identity matrix lives in internal/kernels.
+	// Smallest configuration that still walks every table's group of
+	// engines through the per-image fan-out end to end; the kernel-level
+	// bit-identity matrix lives in internal/kernels.
 	opts := Options{
 		BenignPerClass: 1,
 		AdvPerClass:    1,
@@ -35,8 +35,14 @@ func TestWorkerCountInvariance(t *testing.T) {
 	if got, want := s.Table3(), f.Table3(); !reflect.DeepEqual(got, want) {
 		t.Errorf("Table3 differs between 1 and 4 workers:\n%+v\nvs\n%+v", got, want)
 	}
+	if got, want := s.Table4(), f.Table4(); !reflect.DeepEqual(got, want) {
+		t.Errorf("Table4 differs between 1 and 4 workers:\n%+v\nvs\n%+v", got, want)
+	}
 	if got, want := s.Table5(), f.Table5(); !reflect.DeepEqual(got, want) {
 		t.Errorf("Table5 differs between 1 and 4 workers:\n%+v\nvs\n%+v", got, want)
+	}
+	if got, want := s.Table6(), f.Table6(); !reflect.DeepEqual(got, want) {
+		t.Errorf("Table6 differs between 1 and 4 workers:\n%+v\nvs\n%+v", got, want)
 	}
 }
 
@@ -49,15 +55,9 @@ func TestWorkerKnobs(t *testing.T) {
 	if l.workers() != 3 {
 		t.Fatalf("workers() = %d, want 3", l.workers())
 	}
-	if l.modelWorkers() != 3 {
-		t.Fatalf("modelWorkers() = %d, want 3", l.modelWorkers())
-	}
-	// Cold builds sharing a timing cache are order-sensitive, so model
-	// fan-out must degrade to serial when a cache directory is set.
+	// Builds are serial, so a timing cache leaves the per-image fan-out
+	// alone.
 	l.Opts.TimingCacheDir = t.TempDir()
-	if l.modelWorkers() != 1 {
-		t.Fatalf("modelWorkers() with timing cache = %d, want 1", l.modelWorkers())
-	}
 	if l.workers() != 3 {
 		t.Fatalf("per-image workers with timing cache = %d, want 3", l.workers())
 	}
