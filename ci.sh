@@ -1,6 +1,7 @@
 #!/bin/sh
 # CI gate: the tier-1 checks (build + test) plus gofmt, vet, the race detector
-# (the serve/faults packages are exercised concurrently), the nested
+# (the serve/faults packages are exercised concurrently), one shuffled
+# run of the serving packages' tests, the nested
 # benchmark module's own vet and tests (bench/), short fuzz
 # smokes over every untrusted decoder (engine plans, timing caches and
 # their keys, predictor files, framework arch text and weight payloads,
@@ -43,6 +44,9 @@ test -z "$(gofmt -l .)"
 go vet ./...
 go build ./...
 go test -race -timeout 20m ./...
+# The serving tests share fixtures (engines, registries, fleets); a
+# shuffled order proves none depends on state another test left behind.
+go test -shuffle=on -count=1 ./internal/serve ./internal/cluster ./internal/netserve
 # bench/ is a module of its own that ./... neither builds nor tests, yet
 # it compiles against core and serve entry points: vet and test it here
 # so a deletion that breaks the benchmark fails this gate first.

@@ -25,9 +25,7 @@ import (
 // simulated inference, so holding any lock across them stalls the
 // process for a full request.
 var DefaultBlockingFuncs = []string{
-	"(*edgeinfer/internal/serve.Executor).DoCtx",
 	"(*edgeinfer/internal/serve.Executor).DoBatchCtx",
-	"(*edgeinfer/internal/serve.Pool).DoCtx",
 	"(*edgeinfer/internal/serve.Pool).DoBatchCtx",
 	// The cluster pipeline executor serializes a whole partitioned
 	// stream — frames × stages of simulated inference per call.

@@ -19,9 +19,7 @@ var DefaultPanicRoots = []string{
 	"(*edgeinfer/internal/core.Engine).Infer",
 	"(*edgeinfer/internal/core.Engine).InferBatchCtx",
 	"(*edgeinfer/internal/core.Engine).InferRangeCtx",
-	"(*edgeinfer/internal/serve.Executor).DoCtx",
 	"(*edgeinfer/internal/serve.Executor).DoBatchCtx",
-	"(*edgeinfer/internal/serve.Pool).DoCtx",
 	"(*edgeinfer/internal/serve.Pool).DoBatchCtx",
 	// The network front-end: the HTTP handler parses untrusted request
 	// bodies and the batcher goroutine serves them.

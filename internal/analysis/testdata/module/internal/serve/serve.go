@@ -1,10 +1,10 @@
-// Package serve is a lockorder and deadlineflow fixture. Executor.DoCtx
-// matches the seeded blocking entry points (DefaultBlockingFuncs), so
-// holding a mutex across it is flagged without any call-graph proof;
-// the other cases exercise direct blocking operations, transitive
-// blocking through a module callee, and the context-sibling rule. A
-// marker comment naming an analyzer means the line must produce exactly
-// one finding of it.
+// Package serve is a lockorder and deadlineflow fixture.
+// Executor.DoBatchCtx matches the seeded blocking entry points
+// (DefaultBlockingFuncs), so holding a mutex across it is flagged
+// without any call-graph proof; the other cases exercise direct
+// blocking operations, transitive blocking through a module callee, and
+// the context-sibling rule. A marker comment naming an analyzer means
+// the line must produce exactly one finding of it.
 package serve
 
 import (
@@ -18,8 +18,8 @@ import (
 // list resolves against this module.
 type Executor struct{ n int }
 
-// DoCtx matches "(*edgeinfer/internal/serve.Executor).DoCtx".
-func (ex *Executor) DoCtx(x int) int { return x + ex.n }
+// DoBatchCtx matches "(*edgeinfer/internal/serve.Executor).DoBatchCtx".
+func (ex *Executor) DoBatchCtx(x int) int { return x + ex.n }
 
 // Queue is the lock-discipline specimen.
 type Queue struct {
@@ -46,7 +46,7 @@ func (q *Queue) SleepUnderLock() {
 func (q *Queue) InferUnderLock(x int) int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return q.ex.DoCtx(x) // want:lockorder
+	return q.ex.DoBatchCtx(x) // want:lockorder
 }
 
 // DrainUnderLock blocks transitively: drain receives from a channel.

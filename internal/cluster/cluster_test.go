@@ -10,6 +10,7 @@ import (
 	"edgeinfer/internal/fixrand"
 	"edgeinfer/internal/gpusim"
 	"edgeinfer/internal/models"
+	"edgeinfer/internal/rtctx"
 	"edgeinfer/internal/tensor"
 )
 
@@ -312,17 +313,12 @@ func TestPipelineBudgetShedIsExplicit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := New(PipelineConfig{
-		Engine:         e,
-		Nodes:          threeNX(),
-		Links:          fastLinks(2),
-		FrameBudgetSec: probe.FillSec * 1e-3, // hopeless: no frame can finish
-	})
+	p, err := New(PipelineConfig{Engine: e, Nodes: threeNX(), Links: fastLinks(2)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	xs := frames(t, "cluster-budget", 5)
-	rep, err := p.Run(xs)
+	rep, err := p.RunCtx(rtctx.WithBudget(probe.FillSec*1e-3), xs) // hopeless: no frame can finish
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,11 +335,11 @@ func TestPipelineBudgetShedIsExplicit(t *testing.T) {
 	}
 
 	// A generous budget answers everything.
-	p2, err := New(PipelineConfig{Engine: e, Nodes: threeNX(), Links: fastLinks(2), FrameBudgetSec: probe.FillSec * 50})
+	p2, err := New(PipelineConfig{Engine: e, Nodes: threeNX(), Links: fastLinks(2)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep2, err := p2.Run(xs)
+	rep2, err := p2.RunCtx(rtctx.WithBudget(probe.FillSec*50), xs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,8 +12,21 @@ import (
 	"edgeinfer/internal/tensor"
 )
 
+// The pipeline's transfer and heartbeat policy. Its stage watchdog trips
+// at serve.LatencyThreshold and the supervisor confirms a suspect node
+// at its second consecutive anomalous heartbeat.
+const (
+	// maxTransferRetries bounds per-hop resends after a dropped payload.
+	maxTransferRetries = 3
+	// backoffBaseSec is the first resend's backoff, doubling per attempt
+	// and clamped to the frame's remaining budget.
+	backoffBaseSec = 0.5e-3
+	// heartbeatTimeoutSec is the cost of one missed stage heartbeat.
+	heartbeatTimeoutSec = 5e-3
+)
+
 // PipelineConfig parameterizes a partitioned pipeline run. Engine and
-// Nodes are required; everything else has working defaults.
+// Nodes are required; everything else is optional.
 type PipelineConfig struct {
 	// Engine is the numeric engine whose layer plan is partitioned.
 	Engine *core.Engine
@@ -29,47 +42,6 @@ type PipelineConfig struct {
 	Links []gpusim.Link
 	// Injector supplies cluster faults; nil runs fault-free.
 	Injector *faults.ClusterInjector
-	// FrameBudgetSec arms a per-frame rtctx budget (simulated seconds
-	// from frame arrival); 0 leaves frames unbounded unless RunCtx is
-	// given a budget-carrying template.
-	FrameBudgetSec float64
-	// ArrivalPeriodSec is the open-loop inter-frame gap; 0 paces
-	// arrivals at the partition's bottleneck (steady state, no queue
-	// growth).
-	ArrivalPeriodSec float64
-	// MaxTransferRetries bounds per-hop resends after a dropped
-	// payload (default 3).
-	MaxTransferRetries int
-	// BackoffBaseSec is the first retry backoff, doubling per attempt
-	// and clamped to the frame's remaining budget (default 0.5ms).
-	BackoffBaseSec float64
-	// HeartbeatTimeoutSec is the cost of one missed stage heartbeat
-	// (default 5ms).
-	HeartbeatTimeoutSec float64
-	// SuspectConfirm is how many consecutive anomalous heartbeats
-	// quarantine a node (default 2).
-	SuspectConfirm int
-	// LatencyThreshold is the stage watchdog trip point: observed over
-	// expected stage service time (default 1.4), catching hangs that
-	// never miss a heartbeat.
-	LatencyThreshold float64
-}
-
-func (c *PipelineConfig) withDefaults() PipelineConfig {
-	d := *c
-	if d.MaxTransferRetries <= 0 {
-		d.MaxTransferRetries = 3
-	}
-	if d.BackoffBaseSec <= 0 {
-		d.BackoffBaseSec = 0.5e-3
-	}
-	if d.HeartbeatTimeoutSec <= 0 {
-		d.HeartbeatTimeoutSec = 5e-3
-	}
-	if d.LatencyThreshold <= 0 {
-		d.LatencyThreshold = 1.4
-	}
-	return d
 }
 
 // FrameVerdict is one frame's outcome: outputs or an explicit shed,
@@ -121,7 +93,6 @@ type Report struct {
 // safe for concurrent Runs: the executor is deterministic simulated
 // time driven from one goroutine.
 type Pipeline struct {
-	cfg   PipelineConfig
 	eng   *core.Engine
 	nodes []Node // pipeline nodes then standbys; supervisor indexes this
 	links []gpusim.Link
@@ -140,8 +111,7 @@ type Pipeline struct {
 }
 
 // New partitions the engine across the nodes and builds the executor.
-func New(cfg PipelineConfig) (*Pipeline, error) {
-	c := cfg.withDefaults()
+func New(c PipelineConfig) (*Pipeline, error) {
 	if c.Engine == nil || len(c.Nodes) == 0 {
 		return nil, fmt.Errorf("cluster: pipeline needs an engine and at least one node")
 	}
@@ -154,11 +124,10 @@ func New(cfg PipelineConfig) (*Pipeline, error) {
 		return nil, err
 	}
 	nodes := append(append([]Node{}, c.Nodes...), c.Standby...)
-	sup := serve.NewSupervisor("frame", len(nodes), c.SuspectConfirm, func(m int) string {
+	sup := serve.NewSupervisor("frame", len(nodes), func(m int) string {
 		return fmt.Sprintf("node %d (%s)", m, nodes[m].Name)
 	})
 	p := &Pipeline{
-		cfg:         c,
 		eng:         c.Engine,
 		nodes:       nodes,
 		links:       links,
@@ -183,26 +152,21 @@ func (p *Pipeline) Partition() *Partition { return p.part }
 func (p *Pipeline) Transcript() []string { return p.sup.Transcript() }
 
 // Run streams the frames through the pipeline with no per-frame
-// budget beyond PipelineConfig.FrameBudgetSec.
+// budget: RunCtx(nil, xs).
 func (p *Pipeline) Run(xs []*tensor.Tensor) (*Report, error) {
 	return p.RunCtx(nil, xs)
 }
 
-// RunCtx streams the frames through the pipeline. ctx is the
-// per-frame budget template: every frame gets ctx's budget measured
-// from its own arrival, accounted hop by hop (queueing, heartbeat
-// waits, compute, transfer, backoff all charge it); a nil ctx falls
-// back to FrameBudgetSec. Every frame is answered or explicitly shed
-// — Report.Lost must be zero — and answered outputs are bit-identical
-// to a fault-free run regardless of failovers.
+// RunCtx streams the frames through the pipeline, arriving open-loop at
+// the partition's bottleneck period (steady state, no queue growth).
+// ctx is the per-frame budget template: every frame gets ctx's budget
+// measured from its own arrival, accounted hop by hop (queueing,
+// heartbeat waits, compute, transfer, backoff all charge it); a nil ctx
+// leaves frames unbounded. Every frame is answered or explicitly shed —
+// Report.Lost must be zero — and answered outputs are bit-identical to
+// a fault-free run regardless of failovers.
 func (p *Pipeline) RunCtx(ctx *rtctx.Request, xs []*tensor.Tensor) (*Report, error) {
-	if ctx == nil && p.cfg.FrameBudgetSec > 0 {
-		ctx = rtctx.WithBudget(p.cfg.FrameBudgetSec)
-	}
-	period := p.cfg.ArrivalPeriodSec
-	if period <= 0 {
-		period = p.part.BottleneckSec
-	}
+	period := p.part.BottleneckSec
 	rep := &Report{Partition: p.part, CrashDetectFrame: -1}
 	p.report = rep
 	firstClean := -1
@@ -261,12 +225,12 @@ func (p *Pipeline) runFrame(ctx *rtctx.Request, f int, arrival float64, x *tenso
 		// Stage heartbeat: a dead owner misses heartbeats until the
 		// supervisor confirms and failover re-routes the frame.
 		for p.inj != nil && st.Node == p.origOwner[si] && p.inj.NodeCrashed(si, f) {
-			t += p.cfg.HeartbeatTimeoutSec
+			t += heartbeatTimeoutSec
 			v.HeartbeatMisses++
 			if p.report.CrashDetectFrame < 0 {
 				p.report.CrashDetectFrame = f
 				p.crashedNode = st.Node
-				p.detectT = t - p.cfg.HeartbeatTimeoutSec
+				p.detectT = t - heartbeatTimeoutSec
 			}
 			if _, q := p.sup.Observe(uint64(f), st.Node, true, "heartbeat-miss"); q {
 				if !p.failover(f, si, t) {
@@ -296,7 +260,7 @@ func (p *Pipeline) runFrame(ctx *rtctx.Request, f int, arrival float64, x *tenso
 		}
 		t += st.ComputeSec
 		// Watchdog heartbeat: service time against the stage expectation.
-		anomalous := st.ComputeSec > 0 && (st.ComputeSec+hang)/st.ComputeSec > p.cfg.LatencyThreshold
+		anomalous := st.ComputeSec > 0 && (st.ComputeSec+hang)/st.ComputeSec > serve.LatencyThreshold
 		signal := ""
 		if anomalous {
 			signal = fmt.Sprintf("stage-lat=%.2fx", (st.ComputeSec+hang)/st.ComputeSec)
@@ -348,10 +312,10 @@ func (p *Pipeline) transfer(ctx *rtctx.Request, v *FrameVerdict, si, f int, arri
 			return true, t
 		}
 		v.Retries++
-		if attempt >= p.cfg.MaxTransferRetries {
+		if attempt >= maxTransferRetries {
 			return false, t
 		}
-		back := p.cfg.BackoffBaseSec * float64(int(1)<<attempt)
+		back := backoffBaseSec * float64(int(1)<<attempt)
 		if rem := ctx.RemainingBudgetSec(t - arrival); back > rem {
 			back = rem
 		}

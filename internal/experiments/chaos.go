@@ -157,11 +157,12 @@ func (l *Lab) chaosScenario(model string, sc chaosScenario, images []*tensor.Ten
 		return preds[idx], nil
 	}
 	row := ChaosRow{Scenario: sc.name, Requests: len(images)}
-	for i, x := range images {
-		res, err := pool.DoCtx(nil, x, i)
+	for i := range images {
+		br, err := pool.DoBatchCtx(nil, images[i:i+1], i)
 		if err != nil {
 			return ChaosRow{}, fmt.Errorf("experiments: chaos %s request %d: %w", sc.name, i, err)
 		}
+		res := br.Results[0]
 		if res.Fallback {
 			continue // the FP32 reference is the ground answer by definition
 		}

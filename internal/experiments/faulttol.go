@@ -96,12 +96,12 @@ func (l *Lab) FaultTolerance(model string, rates []float64, requests int) ([]Fau
 			}
 			preds := make([]int, requests)
 			lats := make([]float64, requests)
-			for i, img := range images {
-				res, err := ex.DoCtx(nil, img, i)
+			for i := range images {
+				res, err := ex.DoBatchCtx(nil, images[i:i+1], i)
 				if err != nil {
 					return nil, fmt.Errorf("experiments: fault sweep %s rate %.3f request %d: %w", platform, rate, i, err)
 				}
-				preds[i] = res.Outputs[0].Argmax()
+				preds[i] = res.Outputs[0][0].Argmax()
 				lats[i] = res.LatencySec
 			}
 			st := ex.Stats()

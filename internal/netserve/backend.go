@@ -49,9 +49,9 @@ type Backend interface {
 }
 
 // executorBackend serves through a resilient serve.Executor: the batch
-// context clamps through the executor's deadline machinery (retry
-// backoff clamped to the remaining budget, layer-boundary abort inside
-// the batched inference, typed ErrDeadlineExceeded on expiry).
+// context is the executor's deadline (retry backoff clamped to the
+// remaining budget, layer-boundary abort inside the batched inference,
+// typed ErrDeadlineExceeded on expiry).
 type executorBackend struct {
 	ex    *serve.Executor
 	shape [4]int

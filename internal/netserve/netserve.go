@@ -84,22 +84,24 @@ type Config struct {
 	// below the bound is shed 503 immediately — queueing it could only
 	// produce a 504. The bound is ModelConfig.WCETSec when set,
 	// otherwise certified through the registry (wcet.Measure over
-	// WCETRuns runs, inflated by WCETMargin).
+	// wcetRuns runs, inflated by wcetMargin).
 	WCETAdmission bool
-	// WCETRuns is the certification sample count (default 12).
-	WCETRuns int
-	// WCETMargin is the safety margin over the empirical maximum
-	// (default 0.2).
-	WCETMargin float64
 }
 
+// Registry WCET certification: the sample count and the safety margin
+// over the empirical maximum.
+const (
+	wcetRuns   = 12
+	wcetMargin = 0.2
+)
+
 // ModelConfig is one served model. With a nil Backend, Replicas >= 2
-// builds a serve.Pool fleet (quorum-votable, self-healing) and Replicas
-// <= 1 builds a single resilient serve.Executor from the registry.
+// builds a self-healing serve.Pool fleet that votes by quorum, and
+// Replicas <= 1 builds a single resilient serve.Executor from the
+// registry.
 type ModelConfig struct {
 	Name     string
 	Replicas int
-	Quorum   bool
 	Backend  Backend
 	// WCETSec is an explicit worst-case service bound in simulated
 	// seconds for WCET admission (required for custom backends when
@@ -126,12 +128,6 @@ func (c *Config) withDefaults() Config {
 	}
 	if d.MaxBodyBytes <= 0 {
 		d.MaxBodyBytes = 1 << 20
-	}
-	if d.WCETRuns <= 0 {
-		d.WCETRuns = 12
-	}
-	if d.WCETMargin <= 0 {
-		d.WCETMargin = 0.2
 	}
 	return d
 }
@@ -254,7 +250,7 @@ func New(cfg Config) (*Server, error) {
 					return nil, fmt.Errorf("netserve: model %q has WCET admission enabled but no WCETSec bound and no registry to certify one", mc.Name)
 				}
 				var err error
-				wcetSec, err = c.Registry.WCETBound(mc.Name, c.WCETRuns, c.WCETMargin)
+				wcetSec, err = c.Registry.WCETBound(mc.Name, wcetRuns, wcetMargin)
 				if err != nil {
 					return nil, fmt.Errorf("netserve: WCET certification of %q: %w", mc.Name, err)
 				}
@@ -287,7 +283,7 @@ func buildBackend(reg *serve.Registry, mc ModelConfig) (Backend, error) {
 		pool, err := serve.NewPool(reg, serve.PoolConfig{
 			Model:    mc.Name,
 			Replicas: mc.Replicas,
-			Quorum:   mc.Quorum,
+			Quorum:   true,
 		})
 		if err != nil {
 			return nil, err

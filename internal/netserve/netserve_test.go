@@ -707,7 +707,7 @@ func TestIntegrationPoolBackend(t *testing.T) {
 	reg := serve.NewRegistry(gpusim.XavierNX(), nil)
 	s, err := netserve.New(netserve.Config{
 		Registry: reg,
-		Models:   []netserve.ModelConfig{{Name: "resnet18", Replicas: 3, Quorum: true}},
+		Models:   []netserve.ModelConfig{{Name: "resnet18", Replicas: 3}},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -1,14 +1,12 @@
-// The serving bodies. The executor's degradation chain (doBatch) and the
-// fleet's dispatch (Pool.dispatch) are written once, over a batch, on
-// core.Engine.InferBatchCtx: one timed pass and one batched numeric
-// inference per attempt instead of one of each per image, so launch,
-// retry and voting overhead amortize across the batch. The four entry
-// points are adapters over them: DoBatchCtx requires at least one image;
-// DoCtx hands over one image as a batch of one, or no image at all for a
-// timed-only request — no numeric pass, one reference pass priced if the
-// FP32 tier serves, quorum as hedging without a vote. Per-image numerics
-// do not depend on the batch: on a pristine executor or fleet the batch
-// outputs are bit-identical to serving each image individually.
+// The serving bodies: each server's one entry point, DoBatchCtx — the
+// executor's degradation chain and the fleet's dispatch — written once,
+// over a batch, on core.Engine.InferBatchCtx: one timed pass and one
+// batched numeric inference per attempt instead of one of each per
+// image, so launch, retry and voting overhead amortize across the batch.
+// A batch holds at least one image and no nil one; a single request is a
+// batch of one. Per-image numerics do not depend on the batch: on a
+// pristine executor or fleet the batch outputs are bit-identical to
+// serving each image individually.
 package serve
 
 import (
@@ -34,7 +32,9 @@ type BatchResult struct {
 	Retries int
 	// Degraded reports the batch was not served by the tuned engine.
 	Degraded bool
-	// DeadlineMiss reports the accumulated latency exceeded the deadline.
+	// DeadlineMiss reports the accumulated latency exceeded the request
+	// context's budget (the batch is still answered, unless the context
+	// aborts).
 	DeadlineMiss bool
 }
 
@@ -43,14 +43,18 @@ type BatchResult struct {
 // context carries the tightest member deadline. Each tier attempt is a
 // single timed pass over the engine plan plus one batched inference; a
 // fault anywhere in the batch fails the whole attempt (the batch rides
-// one launch sequence). The context's budget clamps through the
-// configured DeadlineSec; an aborting context (rtctx.Request.Aborts)
-// abandons an expired batch with a wrapped ErrDeadlineExceeded before
-// the FP32 tier instead of answering late, and additionally arms the
-// layer-boundary guard (core.InferBatchCtx), so a batch whose burned
-// latency plus remaining expected schedule proves it hopeless stops
-// mid-graph with the same error. A nil context serves unbounded. On a
-// pristine executor, Outputs[i] is bit-identical to DoCtx on xs[i].
+// one launch sequence). The context's budget is the batch's deadline:
+// without Abort it only records misses and the batch is answered late;
+// an aborting context (rtctx.Request.Aborts) abandons an expired batch
+// with a wrapped ErrDeadlineExceeded before the FP32 tier instead, and
+// additionally arms the layer-boundary guard (core.InferBatchCtx), so a
+// batch whose burned latency plus remaining expected schedule proves it
+// hopeless stops mid-graph with the same error. A nil context serves
+// unbounded. With a nil context and a nil or zero-rate injector the
+// result is bit-identical to Engine.Run plus Engine.Infer per image;
+// under faults the batch degrades down the chain, and apart from a
+// deadline abort an error means the FP32 reference path itself cannot
+// serve (a configuration bug, not a device fault).
 func (ex *Executor) DoBatchCtx(ctx *rtctx.Request, xs []*tensor.Tensor, runIndex int) (*BatchResult, error) {
 	if len(xs) == 0 {
 		return nil, fmt.Errorf("serve: DoBatchCtx needs at least one input")
@@ -60,38 +64,8 @@ func (ex *Executor) DoBatchCtx(ctx *rtctx.Request, xs []*tensor.Tensor, runIndex
 			return nil, fmt.Errorf("serve: DoBatchCtx input %d is nil", i)
 		}
 	}
-	res, outs, err := ex.doBatch(ctx, xs, runIndex)
-	if err != nil {
-		return nil, err
-	}
-	return &BatchResult{
-		Outputs:      outs,
-		LatencySec:   res.LatencySec,
-		Tier:         res.Tier,
-		Retries:      res.Retries,
-		Degraded:     res.Degraded,
-		DeadlineMiss: res.DeadlineMiss,
-	}, nil
-}
-
-// doBatch is the one degradation chain. An empty xs is a timed-only
-// request: every tier is eligible (numeric or not), no inference runs,
-// and the FP32 tier prices a single reference pass. The request-level
-// verdicts come back in the Result (by value, so the batch path keeps it
-// off the heap); the per-image outputs ride beside it for the entry
-// point to shape.
-func (ex *Executor) doBatch(ctx *rtctx.Request, xs []*tensor.Tensor, runIndex int) (Result, [][]*tensor.Tensor, error) {
-	deadlineSec, abort := ex.effectiveDeadline(ctx.Budget()), ctx.Aborts()
 	ex.count(func(s *Stats) { s.Requests++ })
-	res := &Result{Tier: TierFP32, deadlineSec: deadlineSec}
-
-	// The normalized context the accelerated tiers dispatch through:
-	// armed only on the abort paths, so every other caller keeps its
-	// exact injector draw order and answer-late contract.
-	var cctx *rtctx.Request
-	if abort && deadlineSec > 0 {
-		cctx = rtctx.WithBudget(deadlineSec)
-	}
+	res := &BatchResult{Tier: TierFP32}
 
 	tryTuned := ex.admitTuned()
 	alloc, _ := ex.cfg.Injector.(Allocator)
@@ -102,15 +76,12 @@ func (ex *Executor) doBatch(ctx *rtctx.Request, xs []*tensor.Tensor, runIndex in
 		if tier == TierLowBatch {
 			eng = ex.cfg.LowBatch
 		}
-		if eng == nil || (tier == TierTuned && !tryTuned) {
+		// A timing-only engine cannot serve a numeric request
+		// (configuration mismatch, not a device fault).
+		if eng == nil || !eng.Numeric || (tier == TierTuned && !tryTuned) {
 			continue
 		}
-		// A numeric request needs a numeric engine; a timing-only tier
-		// cannot serve it (configuration mismatch, not a device fault).
-		if len(xs) > 0 && !eng.Numeric {
-			continue
-		}
-		if ex.deadlineExceeded(res) {
+		if ex.deadlineExceeded(res, ctx) {
 			break
 		}
 		// Memory-pressure admission: reserve the engine's per-thread
@@ -124,9 +95,8 @@ func (ex *Executor) doBatch(ctx *rtctx.Request, xs []*tensor.Tensor, runIndex in
 				continue // engine needs memory it cannot get: degrade
 			}
 		}
-		var outs [][]*tensor.Tensor
 		var ok bool
-		outs, ok, exhausted = ex.tryTierBatch(eng, cctx, xs, runIndex, res)
+		ok, exhausted = ex.tryTierBatch(eng, ctx, xs, runIndex, res)
 		if alloc != nil {
 			alloc.Free(eng.PerThreadMemBytes())
 		}
@@ -145,7 +115,7 @@ func (ex *Executor) doBatch(ctx *rtctx.Request, xs []*tensor.Tensor, runIndex in
 			res.Degraded = tier != TierTuned
 			ex.count(func(s *Stats) { s.TierServed[tier]++ })
 			ex.setLastTier(tier)
-			return *res, outs, nil
+			return res, nil
 		}
 		ex.count(func(s *Stats) { s.TierFailures[tier]++ })
 	}
@@ -156,98 +126,101 @@ func (ex *Executor) doBatch(ctx *rtctx.Request, xs []*tensor.Tensor, runIndex in
 			ex.count(func(s *Stats) { s.DeadlineMisses++ })
 		}
 		ex.count(func(s *Stats) { s.DeadlineAborts++ })
-		return Result{}, nil, fmt.Errorf("serve: batch abandoned mid-graph at %.3gs of a %.3gs budget: %w",
-			res.LatencySec, res.deadlineSec, ErrDeadlineExceeded)
+		return nil, fmt.Errorf("serve: batch abandoned mid-graph at %.3gs of a %.3gs budget: %w",
+			res.LatencySec, ctx.BudgetSec, ErrDeadlineExceeded)
 	}
 
 	// Terminal tier: the FP32 host path, outside the accelerator fault
 	// domain. UnoptimizedRun prices the framework's reference execution;
 	// it has no batched kernels — every image pays the full reference
-	// pass, and a timed-only request prices one.
-	if err := ex.abortLate(res, abort); err != nil {
-		return Result{}, nil, err
+	// pass.
+	if err := ex.abortLate(res, ctx); err != nil {
+		return nil, err
 	}
-	res.LatencySec += float64(max(len(xs), 1)) * core.UnoptimizedRun(ex.cfg.Fallback, ex.cfg.Device)
-	ex.deadlineExceeded(res) // count the miss if the fallback pushed us over
-	outs := make([][]*tensor.Tensor, len(xs))
+	res.LatencySec += float64(len(xs)) * core.UnoptimizedRun(ex.cfg.Fallback, ex.cfg.Device)
+	ex.deadlineExceeded(res, ctx) // count the miss if the fallback pushed us over
+	res.Outputs = make([][]*tensor.Tensor, len(xs))
 	for i, x := range xs {
 		o, err := ex.ref.infer(x)
 		if err != nil {
-			return Result{}, nil, fmt.Errorf("serve: FP32 fallback failed: %w", err)
+			return nil, fmt.Errorf("serve: FP32 fallback failed: %w", err)
 		}
-		outs[i] = o
+		res.Outputs[i] = o
 	}
 	res.Tier = TierFP32
 	res.Degraded = true
 	ex.count(func(s *Stats) { s.TierServed[TierFP32]++ })
 	ex.setLastTier(TierFP32)
-	return *res, outs, nil
+	return res, nil
 }
 
-// tryTierBatch makes up to MaxRetries+1 attempts on one engine — a timed
-// pass and, for a numeric request, one batched inference under the
-// normalized request context — accumulating latency (including failed
-// attempts and backoff) into res. ok reports whether the tier served the
-// request. The third result reports a mid-graph budget abort: the
+// tryTierBatch makes up to maxRetries+1 attempts on one engine — a timed
+// pass and one batched inference under the request context —
+// accumulating latency (including failed attempts and backoff) into res
+// and, on success, the outputs. ok reports whether the tier served the
+// request. The second result reports a mid-graph budget abort: the
 // layer-boundary guard proved the budget unmeetable, so retrying (or
 // degrading) cannot help. The aborted attempt still books its timed-pass
 // latency — the abort saves the remaining host-side numeric work, the
 // other tiers and the FP32 reference pass, not the already-priced launch
 // schedule.
-func (ex *Executor) tryTierBatch(eng *core.Engine, ctx *rtctx.Request, xs []*tensor.Tensor, runIndex int, res *Result) (outs [][]*tensor.Tensor, ok, exhausted bool) {
-	cfg := core.RunConfig{
-		Device:        ex.cfg.Device,
-		IncludeMemcpy: ex.cfg.IncludeMemcpy,
-		RunIndex:      runIndex,
-	}
-	for attempt := 0; attempt <= ex.cfg.MaxRetries; attempt++ {
-		if attempt > 0 && !ex.retryWait(attempt, res) {
-			return nil, false, false
+func (ex *Executor) tryTierBatch(eng *core.Engine, ctx *rtctx.Request, xs []*tensor.Tensor, runIndex int, res *BatchResult) (ok, exhausted bool) {
+	cfg := core.RunConfig{Device: ex.cfg.Device, RunIndex: runIndex}
+	for attempt := 0; attempt <= maxRetries; attempt++ {
+		if attempt > 0 && !ex.retryWait(attempt, res, ctx) {
+			return false, false
 		}
 		burned := res.LatencySec
 		run, err := eng.RunFaulty(cfg, ex.cfg.Injector)
 		res.LatencySec += run.LatencySec
-		if err == nil && len(xs) > 0 {
-			outs, err = eng.InferBatchCtx(ctx, xs, ex.cfg.Injector, ex.cfg.Device, burned)
-			if errors.Is(err, core.ErrBudgetExhausted) {
-				return nil, false, true
-			}
+		if err != nil {
+			continue
+		}
+		outs, err := eng.InferBatchCtx(ctx, xs, ex.cfg.Injector, ex.cfg.Device, burned)
+		if errors.Is(err, core.ErrBudgetExhausted) {
+			return false, true
 		}
 		if err == nil {
-			ex.deadlineExceeded(res) // served, but maybe late: keep the answer, record the miss
-			return outs, true, false
+			res.Outputs = outs
+			ex.deadlineExceeded(res, ctx) // served, but maybe late: keep the answer, record the miss
+			return true, false
 		}
 	}
-	return nil, false, false
+	return false, false
 }
 
 // PoolBatchResult is one batched fleet request.
 type PoolBatchResult struct {
-	// Results[i] is the per-image outcome — the same verdicts DoCtx would
-	// produce for xs[i] given identical replica answers.
+	// Results[i] is the per-image outcome — the same verdicts a batch of
+	// xs[i] alone would get, given identical replica answers.
 	Results []*PoolResult
 	// LatencySec is the batch release time: the latest per-image release.
 	LatencySec float64
 	// DeadlineMiss reports the batch release time overran the request
-	// context's budget: the fleet's own verdict, computed centrally in
-	// dispatch so every backend reports misses identically.
+	// context's budget: the fleet's own verdict, computed centrally here
+	// so every backend reports misses identically.
 	DeadlineMiss bool
 }
 
-// DoBatchCtx serves one batch through the fleet: the serving route the
-// network front-end's pool backend threads its batch budget through (the
-// deadlineflow analyzer enforces that choice). Each replica runs once
-// and answers with one batched inference; under quorum, majority voting
-// then happens per image over the batched outputs. With no injected
-// faults the per-image winners and outputs are bit-identical to serving
-// each image with DoCtx. The supervisor folds one latency observation
-// per replica (one run happened) and one divergence vote per image.
-// Under round-robin dispatch the context arms core.InferBatchCtx's
-// layer-boundary guard on every replica attempt, so a hopeless batch
-// aborts mid-graph; when the latency burned by failed replica attempts
-// already exceeds the budget, the batch is abandoned with a wrapped
-// ErrDeadlineExceeded instead of paying the per-image FP32 reference
-// passes nobody is waiting for. A nil context serves unbounded.
+// DoBatchCtx serves one batch through the fleet: hedged quorum dispatch
+// with majority voting when PoolConfig.Quorum is set, round-robin with
+// failover otherwise, and the FP32 reference tier when no replica can.
+// It is the serving route the network front-end's pool backend threads
+// its batch budget through (the deadlineflow analyzer enforces that
+// choice). Each replica runs once and answers with one batched
+// inference; under quorum, majority voting then happens per image over
+// the batched outputs. With no injected faults the outputs are
+// bit-identical to the serving replica's Engine.Infer per image. The
+// supervisor folds one latency observation per replica (one run
+// happened) and one divergence vote per image. Under round-robin
+// dispatch the context arms core.InferBatchCtx's layer-boundary guard on
+// every replica attempt, so a hopeless batch aborts mid-graph; when the
+// latency burned by failed replica attempts already exceeds the budget,
+// the batch is abandoned with a wrapped ErrDeadlineExceeded instead of
+// paying the per-image FP32 reference passes nobody is waiting for. A
+// nil context serves unbounded. Apart from a deadline abort, an error is
+// only possible from the FP32 reference path itself (a configuration
+// bug, not a device fault).
 func (p *Pool) DoBatchCtx(ctx *rtctx.Request, xs []*tensor.Tensor, runIndex int) (*PoolBatchResult, error) {
 	if len(xs) == 0 {
 		return nil, fmt.Errorf("serve: pool DoBatchCtx needs at least one input")
@@ -257,15 +230,6 @@ func (p *Pool) DoBatchCtx(ctx *rtctx.Request, xs []*tensor.Tensor, runIndex int)
 			return nil, fmt.Errorf("serve: pool DoBatchCtx input %d is nil", i)
 		}
 	}
-	return p.dispatch(ctx, xs, runIndex)
-}
-
-// dispatch is the one fleet serving body. An empty xs is a timed-only
-// request: replicas run their timed pass only and the result has a
-// single slot without outputs (see slots). The DeadlineMiss verdict is
-// computed here — once, against the context budget — so executor- and
-// pool-backed front-ends report misses identically.
-func (p *Pool) dispatch(ctx *rtctx.Request, xs []*tensor.Tensor, runIndex int) (*PoolBatchResult, error) {
 	<-p.turn
 	defer func() { p.turn <- struct{}{} }()
 	var req uint64
@@ -291,27 +255,13 @@ func (p *Pool) dispatch(ctx *rtctx.Request, xs []*tensor.Tensor, runIndex int) (
 	return br, nil
 }
 
-// slots is the per-result view of a request: its images, or — for a
-// timed-only request — one slot with no image.
-func slots(xs []*tensor.Tensor) []*tensor.Tensor {
-	if len(xs) == 0 {
-		return make([]*tensor.Tensor, 1)
-	}
-	return xs
-}
-
-// attempt is one replica's run of the request: the timed pass and, for a
-// numeric request, one batched inference under ctx's layer-boundary
-// guard (a nil ctx leaves it unarmed). outs holds one entry per slot; a
-// timed-only request's single slot has no outputs.
+// attempt is one replica's run of the request: the timed pass and one
+// batched inference under ctx's layer-boundary guard (a nil ctx leaves
+// it unarmed).
 func (p *Pool) attempt(r *replica, ctx *rtctx.Request, xs []*tensor.Tensor, runIndex int, burnedSec float64) (latSec float64, outs [][]*tensor.Tensor, err error) {
-	run, err := r.eng.RunFaulty(p.runCfg(runIndex), r.inj)
-	switch {
-	case err != nil:
-	case len(xs) == 0:
-		outs = make([][]*tensor.Tensor, 1)
-	default:
-		outs, err = r.eng.InferBatchCtx(ctx, xs, r.inj, p.cfg.Device, burnedSec)
+	run, err := r.eng.RunFaulty(core.RunConfig{Device: p.dev, RunIndex: runIndex}, r.inj)
+	if err == nil {
+		outs, err = r.eng.InferBatchCtx(ctx, xs, r.inj, p.dev, burnedSec)
 	}
 	return run.LatencySec, outs, err
 }
@@ -409,8 +359,9 @@ type bvote struct {
 // majority-confirmation time: the second-smallest latency among the
 // majority (the moment a second replica corroborates the answer). With
 // no strict majority the FP32 reference serves the image, after the
-// slowest voter has answered. The request context gates the
-// whole-fleet-errored FP32 fallback; the per-image no-majority fallback
+// slowest voter has answered; with no voter at all, after the slowest
+// replica has given up (the hedged replicas fail concurrently). The
+// request context gates that whole-fleet-errored FP32 fallback; the per-image no-majority fallback
 // still runs (the majority images already paid for their answers,
 // abandoning the stragglers would discard served work). The
 // layer-boundary guard is deliberately NOT armed inside the voters'
@@ -422,17 +373,16 @@ func (p *Pool) serveQuorumBatch(req uint64, xs []*tensor.Tensor, runIndex int, c
 	if len(active) == 0 {
 		return p.serveFP32Batch(xs, 0)
 	}
-	imgs := slots(xs)
 	votes := make([]bvote, 0, len(active))
-	var maxLat, burned float64
+	var maxLat, gaveUp float64 // slowest voter's answer, slowest replica's failure
 	for _, r := range active {
 		lat, outs, err := p.attempt(r, nil, xs, runIndex, 0)
-		v := bvote{r: r, lat: lat, outs: outs, errored: err != nil || len(outs) != len(imgs)}
+		v := bvote{r: r, lat: lat, outs: outs, errored: err != nil || len(outs) != len(xs)}
 		if v.errored {
 			p.locked(func() { p.stats.ReplicaFails++ })
-			burned += v.lat
-		} else if v.lat > maxLat {
-			maxLat = v.lat
+			gaveUp = max(gaveUp, v.lat)
+		} else {
+			maxLat = max(maxLat, v.lat)
 		}
 		votes = append(votes, v)
 	}
@@ -445,9 +395,10 @@ func (p *Pool) serveQuorumBatch(req uint64, xs []*tensor.Tensor, runIndex int, c
 		}
 	}
 	if len(voters) == 0 {
-		// Every replica errored: the batch is headed for the FP32 tier
-		// with nothing but burned hedge latency to show for it.
-		if err := p.batchBudgetExpired(burned, ctx); err != nil {
+		// Every replica errored: the batch is headed for the FP32 tier,
+		// which starts once the slowest replica has given up.
+		maxLat = gaveUp
+		if err := p.batchBudgetExpired(gaveUp, ctx); err != nil {
 			p.locked(func() {
 				for i := range votes {
 					v := &votes[i]
@@ -458,8 +409,8 @@ func (p *Pool) serveQuorumBatch(req uint64, xs []*tensor.Tensor, runIndex int, c
 		}
 	}
 
-	br := &PoolBatchResult{Results: make([]*PoolResult, len(imgs))}
-	for img, x := range imgs {
+	br := &PoolBatchResult{Results: make([]*PoolResult, len(xs))}
+	for img, x := range xs {
 		for _, v := range voters {
 			v.arg = -1
 			if o := v.outs[img]; len(o) > 0 {
@@ -468,8 +419,7 @@ func (p *Pool) serveQuorumBatch(req uint64, xs []*tensor.Tensor, runIndex int, c
 		}
 
 		// Strict-majority argmax; at most one can hold it, so first-found
-		// is the answer. With no numeric payload every voter's -1 agrees
-		// (hedging without voting).
+		// is the answer.
 		majArg, majority := -1, []*bvote(nil)
 		for _, v := range voters {
 			n := 0
@@ -494,11 +444,9 @@ func (p *Pool) serveQuorumBatch(req uint64, xs []*tensor.Tensor, runIndex int, c
 		// measured against the majority when one exists, else against
 		// the FP32 reference.
 		var refArg = -1
-		var refOuts []*tensor.Tensor
-		if x != nil && majArg < 0 && len(voters) > 0 {
+		if majArg < 0 && len(voters) > 0 {
 			outs, err := p.ref.infer(x)
 			if err == nil && len(outs) > 0 {
-				refOuts = outs
 				refArg = argmax(outs[0])
 			}
 		}
@@ -516,13 +464,11 @@ func (p *Pool) serveQuorumBatch(req uint64, xs []*tensor.Tensor, runIndex int, c
 		if len(majority) == 0 {
 			p.locked(func() { p.stats.NoMajority++ })
 			// The hedge failed: the fallback starts once the slowest
-			// voter has answered.
+			// voter has answered (or, with none, the slowest replica has
+			// given up).
 			res, err := p.serveFP32(x, maxLat)
 			if err != nil {
 				return nil, err
-			}
-			if res.Outputs == nil && refOuts != nil {
-				res.Outputs = refOuts
 			}
 			res.Voters = len(voters)
 			br.Results[img] = res
@@ -564,10 +510,10 @@ func (p *Pool) serveQuorumBatch(req uint64, xs []*tensor.Tensor, runIndex int, c
 	return br, nil
 }
 
-// serveFP32Batch serves every slot of the request from the FP32 tier.
+// serveFP32Batch serves every image of the request from the FP32 tier.
 func (p *Pool) serveFP32Batch(xs []*tensor.Tensor, baseLat float64) (*PoolBatchResult, error) {
 	br := &PoolBatchResult{}
-	for _, x := range slots(xs) {
+	for _, x := range xs {
 		res, err := p.serveFP32(x, baseLat)
 		if err != nil {
 			return nil, err

@@ -100,12 +100,12 @@ func TestPoolBatchQuorumMatchesPerImage(t *testing.T) {
 	if len(br.Results) != len(xs) {
 		t.Fatalf("batch results %d, want %d", len(br.Results), len(xs))
 	}
-	for i, x := range xs {
-		res, err := single.DoCtx(nil, x, 0)
+	for i := range xs {
+		sr, err := single.DoBatchCtx(nil, xs[i:i+1], 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := br.Results[i]
+		res, got := sr.Results[0], br.Results[i]
 		if got.Fallback || res.Fallback {
 			t.Fatalf("image %d fell back with zero faults (batch=%v single=%v)", i, got.Fallback, res.Fallback)
 		}
@@ -164,7 +164,6 @@ func TestPoolBatchUnderHavoc(t *testing.T) {
 	_, _, _, inputs := fixture(t)
 	p := newPool(t, func(c *serve.PoolConfig) {
 		c.Quorum = true
-		c.RebuildDelay = 1000
 		c.ReplicaInjector = func(slot int, e *core.Engine) core.FaultInjector {
 			return faults.ReplicaHavoc("batch-havoc", "").New(fmt.Sprintf("replica%d", slot))
 		}

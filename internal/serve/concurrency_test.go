@@ -60,7 +60,7 @@ func TestPoolHealthNotBlockedDuringInference(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		_, err := p.DoCtx(nil, inputs[0], 0)
+		_, err := p.DoBatchCtx(nil, inputs[:1], 0)
 		done <- err
 	}()
 
@@ -108,7 +108,7 @@ func TestPoolDoBatchDeadlineAborts(t *testing.T) {
 			t.Fatalf("quorum=%v DeadlineAborts = %d, want 1", quorum, st.DeadlineAborts)
 		}
 		// A single request is a batch of one: same abandon, same count.
-		if _, err := p.DoCtx(rtctx.WithBudget(1e-12), inputs[0], 1); !errors.Is(err, serve.ErrDeadlineExceeded) {
+		if _, err := p.DoBatchCtx(rtctx.WithBudget(1e-12), inputs[:1], 1); !errors.Is(err, serve.ErrDeadlineExceeded) {
 			t.Fatalf("quorum=%v single-request error %v is not serve.ErrDeadlineExceeded", quorum, err)
 		}
 		if st := p.Stats(); st.DeadlineAborts != 2 {
@@ -123,5 +123,46 @@ func TestPoolDoBatchDeadlineAborts(t *testing.T) {
 				t.Fatalf("quorum=%v image %d not served by FP32 tier: %+v", quorum, i, r)
 			}
 		}
+	}
+}
+
+// A quorum batch whose every replica errored degrades to the FP32 tier
+// once the slowest replica has given up: the replicas are hedged, so
+// they fail concurrently and the batch waits for the maximum of their
+// burned latencies, not for nothing and not for their sum. The abort
+// check compares that same instant against the budget.
+func TestPoolQuorumAllErroredWaitsForSlowest(t *testing.T) {
+	_, g, dev, inputs := fixture(t)
+	mk := func() *serve.Pool {
+		return newPool(t, func(c *serve.PoolConfig) {
+			c.Quorum = true
+			c.ReplicaInjector = func(int, *core.Engine) core.FaultInjector { return failInjector{} }
+		})
+	}
+	p := mk()
+	var slowest, sum float64
+	for _, e := range p.Engines() {
+		run, err := e.RunFaulty(core.RunConfig{Device: dev}, failInjector{})
+		if err == nil || run.LatencySec <= 0 {
+			t.Fatalf("failing replica run: latency %v, err %v", run.LatencySec, err)
+		}
+		slowest = max(slowest, run.LatencySec)
+		sum += run.LatencySec
+	}
+	br, err := p.DoBatchCtx(nil, inputs[:1], 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := br.Results[0]; !r.Fallback || r.LatencySec != slowest+core.UnoptimizedRun(g, dev) {
+		t.Fatalf("all-errored quorum released at %.12gs (fallback %v), want slowest give-up %.12gs + FP32 %.12gs",
+			r.LatencySec, r.Fallback, slowest, core.UnoptimizedRun(g, dev))
+	}
+	// A budget between the slowest give-up and the sum of the give-ups
+	// is still alive when the FP32 tier starts: answered late, not abandoned.
+	if _, err := mk().DoBatchCtx(rtctx.WithBudget((slowest+sum)/2), inputs[:1], 0); err != nil {
+		t.Fatalf("budget above the slowest give-up abandoned: %v", err)
+	}
+	if _, err := mk().DoBatchCtx(rtctx.WithBudget(slowest/2), inputs[:1], 0); !errors.Is(err, serve.ErrDeadlineExceeded) {
+		t.Fatalf("budget below the slowest give-up: error %v, want serve.ErrDeadlineExceeded", err)
 	}
 }

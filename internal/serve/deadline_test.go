@@ -27,13 +27,25 @@ func stallPlan(seed string) faults.Plan {
 	}
 }
 
-// A request whose per-request deadline expires before any tier serves is
-// abandoned with the typed error, never answered late and never an
-// untyped string.
+// A request whose budget expires before any tier serves is abandoned
+// with the typed error, never answered late and never an untyped string.
 func TestDoDeadlineAbortsWithTypedError(t *testing.T) {
+	abortsWithTypedError(t, "dl-abort", 1)
+}
+
+// A batch shares the abort contract.
+func TestDoBatchDeadlineAbortsWithTypedError(t *testing.T) {
+	abortsWithTypedError(t, "dl-batch-abort", 4)
+}
+
+// abortsWithTypedError serves n images under a 1µs aborting budget on a
+// fresh executor whose every attempt stalls and fails: one abort with
+// serve.ErrDeadlineExceeded, also counted as a miss.
+func abortsWithTypedError(t *testing.T, seed string, n int) {
+	t.Helper()
 	_, _, _, inputs := fixture(t)
-	ex := newExec(t, stallPlan("dl-abort").New("nx"), nil)
-	res, err := ex.DoCtx(rtctx.WithBudget(1e-6), inputs[0], 0)
+	ex := newExec(t, stallPlan(seed).New("nx"), nil)
+	res, err := ex.DoBatchCtx(rtctx.WithBudget(1e-6), inputs[:n], 0)
 	if err == nil {
 		t.Fatalf("expected deadline abort, got result %+v", res)
 	}
@@ -49,91 +61,54 @@ func TestDoDeadlineAbortsWithTypedError(t *testing.T) {
 	}
 }
 
-// DoBatchCtx shares the abort contract.
-func TestDoBatchDeadlineAbortsWithTypedError(t *testing.T) {
-	_, _, _, inputs := fixture(t)
-	ex := newExec(t, stallPlan("dl-batch-abort").New("nx"), nil)
-	_, err := ex.DoBatchCtx(rtctx.WithBudget(1e-6), inputs[:4], 0)
-	if !errors.Is(err, serve.ErrDeadlineExceeded) {
-		t.Fatalf("error %v is not serve.ErrDeadlineExceeded", err)
-	}
-	if got := ex.Stats().DeadlineAborts; got != 1 {
-		t.Fatalf("DeadlineAborts = %d, want 1", got)
-	}
-}
-
-// With a generous per-request deadline on a pristine executor, the
-// budgeted calls are bit-identical to the unbudgeted ones: same tier, same
-// latency, same outputs, no misses, no error.
+// With a generous budget on a pristine executor, the budgeted calls are
+// bit-identical to the unbudgeted ones: same tier, same latency, same
+// outputs, no misses, no error.
 func TestDoDeadlinePristineMatchesDo(t *testing.T) {
 	_, _, _, inputs := fixture(t)
 	ex := newExec(t, nil, nil)
-	want, err := ex.DoCtx(nil, inputs[0], 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := ex.DoCtx(rtctx.WithBudget(10), inputs[0], 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Tier != want.Tier || got.LatencySec != want.LatencySec || got.DeadlineMiss {
-		t.Fatalf("budgeted DoCtx %+v differs from unbudgeted %+v", got, want)
-	}
-	if !sameOutputs(got.Outputs, want.Outputs) {
-		t.Fatal("budgeted DoCtx outputs differ from unbudgeted")
-	}
-
-	wb, err := ex.DoBatchCtx(nil, inputs[:3], 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gb, err := ex.DoBatchCtx(rtctx.WithBudget(10), inputs[:3], 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gb.LatencySec != wb.LatencySec || gb.Tier != wb.Tier || gb.DeadlineMiss {
-		t.Fatalf("budgeted DoBatchCtx %+v differs from unbudgeted %+v", gb, wb)
-	}
-	for i := range wb.Outputs {
-		if !sameOutputs(gb.Outputs[i], wb.Outputs[i]) {
-			t.Fatalf("batch image %d outputs differ", i)
+	for _, n := range []int{1, 3} {
+		want, err := ex.DoBatchCtx(nil, inputs[:n], 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := ex.DoBatchCtx(rtctx.WithBudget(10), inputs[:n], 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Tier != want.Tier || got.LatencySec != want.LatencySec || got.DeadlineMiss {
+			t.Fatalf("%d images: budgeted %+v differs from unbudgeted %+v", n, got, want)
+		}
+		for i := range want.Outputs {
+			if !sameOutputs(got.Outputs[i], want.Outputs[i]) {
+				t.Fatalf("%d images: image %d outputs differ", n, i)
+			}
 		}
 	}
 }
 
-// The per-request budget clamps against the configured deadline: the
-// tighter of the two governs. A configured 1µs deadline must abort even
-// when the per-request budget is generous.
-func TestDoDeadlineClampsAgainstConfig(t *testing.T) {
-	_, _, _, inputs := fixture(t)
-	ex := newExec(t, stallPlan("dl-clamp").New("nx"), func(c *serve.Config) { c.DeadlineSec = 1e-6 })
-	if _, err := ex.DoCtx(rtctx.WithBudget(10), inputs[0], 0); !errors.Is(err, serve.ErrDeadlineExceeded) {
-		t.Fatalf("config deadline did not clamp the request budget: err=%v", err)
-	}
-}
-
-// A nil context keeps the answer-late contract even when the same
-// scenario would abort a budgeted request: every request is answered, via FP32,
-// with the miss recorded — never ErrDeadlineExceeded.
+// A budget without Abort keeps the answer-late contract even when the
+// same scenario would abort an aborting one: the request is answered,
+// via FP32, with the miss recorded — never ErrDeadlineExceeded.
 func TestDoStillAnswersLate(t *testing.T) {
 	_, _, _, inputs := fixture(t)
-	ex := newExec(t, stallPlan("dl-late").New("nx"), func(c *serve.Config) { c.DeadlineSec = 1e-6 })
-	res, err := ex.DoCtx(nil, inputs[0], 0)
+	ex := newExec(t, stallPlan("dl-late").New("nx"), nil)
+	res, err := ex.DoBatchCtx(&rtctx.Request{BudgetSec: 1e-6}, inputs[:1], 0)
 	if err != nil {
-		t.Fatalf("an unbudgeted request must not return deadline errors: %v", err)
+		t.Fatalf("a non-aborting budget must not return deadline errors: %v", err)
 	}
-	if res.Tier != serve.TierFP32 || !res.DeadlineMiss || res.Outputs == nil {
+	if res.Tier != serve.TierFP32 || !res.DeadlineMiss || res.Outputs[0] == nil {
 		t.Fatalf("late request not answered by FP32 with a recorded miss: %+v", res)
 	}
 	if got := ex.Stats().DeadlineAborts; got != 0 {
-		t.Fatalf("unbudgeted request counted %d deadline aborts", got)
+		t.Fatalf("non-aborting budget counted %d deadline aborts", got)
 	}
 }
 
 // A budget the expected launch schedule cannot meet stops a request at a
-// layer boundary — for a single image exactly as for a batch, since it
-// is a batch of one: the typed error, one abort counted per request, and
-// nothing booked against an engine or replica that did not fault.
+// layer boundary — one image or two alike: the typed error, one abort
+// counted per request, and nothing booked against an engine or replica
+// that did not fault.
 func TestBudgetAbortsMidGraph(t *testing.T) {
 	eng, _, dev, inputs := fixture(t)
 	ctx := rtctx.WithBudget(eng.ExpectedLatencySec(dev, false) / 2)
@@ -145,10 +120,10 @@ func TestBudgetAbortsMidGraph(t *testing.T) {
 	}
 
 	ex := newExec(t, nil, nil)
-	_, err := ex.DoCtx(ctx, inputs[0], 0)
-	midGraph("executor DoCtx", err)
-	_, err = ex.DoBatchCtx(ctx, inputs[:1], 0)
-	midGraph("executor DoBatchCtx", err)
+	_, err := ex.DoBatchCtx(ctx, inputs[:1], 0)
+	midGraph("executor, one image", err)
+	_, err = ex.DoBatchCtx(ctx, inputs[:2], 0)
+	midGraph("executor, two images", err)
 	st := ex.Stats()
 	if st.DeadlineAborts != 2 || st.DeadlineMisses != 2 || st.TierFailures[serve.TierTuned] != 0 || st.TierServed[serve.TierFP32] != 0 {
 		t.Fatalf("executor stats after two mid-graph aborts: %+v", st)
@@ -158,10 +133,10 @@ func TestBudgetAbortsMidGraph(t *testing.T) {
 	}
 
 	p := newPool(t, nil) // round-robin: quorum never truncates a ballot
-	_, err = p.DoCtx(ctx, inputs[0], 0)
-	midGraph("pool DoCtx", err)
 	_, err = p.DoBatchCtx(ctx, inputs[:1], 0)
-	midGraph("pool DoBatchCtx", err)
+	midGraph("pool, one image", err)
+	_, err = p.DoBatchCtx(ctx, inputs[:2], 0)
+	midGraph("pool, two images", err)
 	if pst := p.Stats(); pst.DeadlineAborts != 2 || pst.ReplicaFails != 0 || pst.FP32Served != 0 {
 		t.Fatalf("pool stats after two mid-graph aborts: %+v", pst)
 	}

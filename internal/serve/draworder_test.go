@@ -110,26 +110,26 @@ func diffDraws(t *testing.T, label string, got, want []string) {
 }
 
 // TestInjectorDrawOrder pins the fault-stream draw order every seeded
-// campaign depends on: one numeric request through Executor.DoCtx,
-// round-robin Pool.DoCtx and quorum Pool.DoCtx consults the injector in
-// exactly the protocol order, and DoBatchCtx on the same single image
-// draws the identical transcript — a single request is a batch of one.
+// campaign depends on: one numeric request through Executor.DoBatchCtx,
+// round-robin Pool.DoBatchCtx and quorum Pool.DoBatchCtx consults the
+// injector in exactly the protocol order, and so does a second request
+// on the same image.
 func TestInjectorDrawOrder(t *testing.T) {
 	eng, _, _, inputs := fixture(t)
-	x := inputs[0]
+	x := inputs[:1]
 
 	var log []string
 	ex := newExec(t, recordingFaults{"ex", &log}, nil)
-	if _, err := ex.DoCtx(nil, x, 0); err != nil {
+	if _, err := ex.DoBatchCtx(nil, x, 0); err != nil {
 		t.Fatal(err)
 	}
-	single := log
+	first := log
 	log = nil
-	if _, err := ex.DoBatchCtx(nil, []*tensor.Tensor{x}, 0); err != nil {
+	if _, err := ex.DoBatchCtx(nil, x, 0); err != nil {
 		t.Fatal(err)
 	}
-	diffDraws(t, "executor DoCtx", single, parentDraws)
-	diffDraws(t, "executor DoBatchCtx", log, parentDraws)
+	diffDraws(t, "executor request 1", first, parentDraws)
+	diffDraws(t, "executor request 2", log, parentDraws)
 	diffDraws(t, "wantDraws", wantDraws("ex", eng), parentDraws)
 
 	for _, quorum := range []bool{false, true} {
@@ -140,35 +140,35 @@ func TestInjectorDrawOrder(t *testing.T) {
 				return recordingFaults{fmt.Sprintf("r%d", slot), &log}
 			}
 		})
-		res, err := p.DoCtx(nil, x, 0)
+		br, err := p.DoBatchCtx(nil, x, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		single := log
+		first := log
 		log = nil
-		if _, err := p.DoBatchCtx(nil, []*tensor.Tensor{x}, 0); err != nil {
+		if _, err := p.DoBatchCtx(nil, x, 0); err != nil {
 			t.Fatal(err)
 		}
-		batch := log
+		second := log
 
 		// Round-robin rotates: request 1 rides replica 0, request 2
 		// replica 1. Quorum runs every replica, in slot order.
 		engines := p.Engines()
-		var want, wantBatch []string
+		var want, wantSecond []string
 		if quorum {
 			for slot, e := range engines {
 				want = append(want, wantDraws(fmt.Sprintf("r%d", slot), e)...)
 			}
-			wantBatch = want
+			wantSecond = want
 		} else {
-			if res.Replica != 0 {
-				t.Fatalf("first round-robin request served by replica %d, want 0", res.Replica)
+			if r := br.Results[0].Replica; r != 0 {
+				t.Fatalf("first round-robin request served by replica %d, want 0", r)
 			}
 			want = wantDraws("r0", engines[0])
-			wantBatch = wantDraws("r1", engines[1])
+			wantSecond = wantDraws("r1", engines[1])
 		}
 		label := map[bool]string{false: "round-robin", true: "quorum"}[quorum]
-		diffDraws(t, label+" DoCtx", single, want)
-		diffDraws(t, label+" DoBatchCtx", batch, wantBatch)
+		diffDraws(t, label+" request 1", first, want)
+		diffDraws(t, label+" request 2", second, wantSecond)
 	}
 }

@@ -23,12 +23,35 @@ import (
 
 	"edgeinfer/internal/core"
 	"edgeinfer/internal/gpusim"
-	"edgeinfer/internal/rtctx"
 	"edgeinfer/internal/tensor"
 )
 
+// The fleet's health policy. The latency watchdog trips at
+// LatencyThreshold (supervisor.go), and a suspect is confirmed by the
+// Supervisor's second consecutive strike.
+const (
+	// divergenceThreshold is the quorum-disagreement EWMA trip point:
+	// diverged builds legitimately disagree on a few percent of inputs,
+	// corrupted replicas on most.
+	divergenceThreshold = 0.45
+	// ewmaAlpha is the smoothing weight of both signals.
+	ewmaAlpha = 0.3
+	// minSamples gates both signals: no verdict before this many
+	// observations of a replica.
+	minSamples = 3
+	// rebuildDelay is how many requests a replica sits quarantined
+	// before its background rebuild lands (the deterministic model of
+	// rebuild time).
+	rebuildDelay = 4
+	// canaryAgreeFrac is the share of the canary set on which a rebuilt
+	// replica's argmax must match the FP32 reference: a canonical engine
+	// legitimately disagrees with FP32 on some inputs, per the paper's
+	// Tables V and VI.
+	canaryAgreeFrac = 0.5
+)
+
 // PoolConfig parameterizes a replica fleet. Model is required;
-// everything else has working defaults.
+// everything else is optional.
 type PoolConfig struct {
 	// Model names the served model (a models.Build/BuildProxy name).
 	Model string
@@ -40,74 +63,15 @@ type PoolConfig struct {
 	// fleet has no peers to disagree with, so silent corruption is
 	// invisible to it by construction).
 	Quorum bool
-	// Device the fleet serves on; nil defaults to the registry platform
-	// at its paper latency clock.
-	Device *gpusim.Device
-	// IncludeMemcpy counts the H2D weight copy in each replica run (and
-	// in the watchdog's expectation).
-	IncludeMemcpy bool
 	// ReplicaInjector, when non-nil, is consulted per replica — at fleet
 	// construction and again after every rebuild — so faults can target
 	// one build id and heal when the rebuild lands. Nil return means the
 	// replica runs pristine.
 	ReplicaInjector func(slot int, e *core.Engine) core.FaultInjector
-
-	// LatencyThreshold is the watchdog trip point: the EWMA of
-	// observed/expected latency above which a replica is anomalous
-	// (default 1.4 — run jitter is ~2%, so nothing natural gets close,
-	// while a sustained inflation clears it even on tiny proxy engines
-	// whose fixed launch overhead dilutes kernel-time slowdowns).
-	LatencyThreshold float64
-	// DivergenceThreshold is the quorum-disagreement EWMA trip point
-	// (default 0.45 — diverged builds legitimately disagree on a few
-	// percent of inputs, corrupted replicas on most).
-	DivergenceThreshold float64
-	// EWMAAlpha is the smoothing weight of both signals (default 0.3).
-	EWMAAlpha float64
-	// MinSamples gates both signals: no verdict before this many
-	// observations of a replica (default 3).
-	MinSamples int
-	// SuspectConfirm is how many consecutive anomalous observations
-	// (including the one that raised suspicion) quarantine a suspect
-	// (default 2).
-	SuspectConfirm int
-	// RebuildDelay is how many requests a replica sits quarantined
-	// before its background rebuild lands (the deterministic model of
-	// rebuild time; default 4).
-	RebuildDelay int
 	// Canary is the validation set a rebuilt replica must pass before
-	// readmission: its argmax must match the FP32 reference on at least
-	// CanaryAgreeFrac of the inputs (default 0.5 — a canonical engine
-	// legitimately disagrees with FP32 on some inputs, per the paper's
-	// Tables V and VI). An empty canary set skips validation.
-	Canary          []*tensor.Tensor
-	CanaryAgreeFrac float64
-}
-
-func (c *PoolConfig) withDefaults() PoolConfig {
-	d := *c
-	if d.Replicas <= 0 {
-		d.Replicas = 3
-	}
-	if d.LatencyThreshold <= 0 {
-		d.LatencyThreshold = 1.4
-	}
-	if d.DivergenceThreshold <= 0 {
-		d.DivergenceThreshold = 0.45
-	}
-	if d.EWMAAlpha <= 0 || d.EWMAAlpha > 1 {
-		d.EWMAAlpha = 0.3
-	}
-	if d.MinSamples <= 0 {
-		d.MinSamples = 3
-	}
-	if d.RebuildDelay <= 0 {
-		d.RebuildDelay = 4
-	}
-	if d.CanaryAgreeFrac <= 0 || d.CanaryAgreeFrac > 1 {
-		d.CanaryAgreeFrac = 0.5
-	}
-	return d
+	// readmission (see canaryAgreeFrac). An empty canary set skips
+	// validation.
+	Canary []*tensor.Tensor
 }
 
 // replica is one fleet member and its signal state; its place on the
@@ -155,7 +119,7 @@ func (p *Pool) noteDivergence(r *replica, disagreed bool) {
 	if disagreed {
 		d = 1
 	}
-	r.divEWMA = p.cfg.EWMAAlpha*d + (1-p.cfg.EWMAAlpha)*r.divEWMA
+	r.divEWMA = ewmaAlpha*d + (1-ewmaAlpha)*r.divEWMA
 }
 
 // observe folds one served request into a replica's signals and hands
@@ -169,14 +133,14 @@ func (p *Pool) observe(req uint64, r *replica, latSec float64, errored bool) {
 	if !errored {
 		if r.expected > 0 && latSec > 0 {
 			ratio := latSec / r.expected
-			r.latEWMA = p.cfg.EWMAAlpha*ratio + (1-p.cfg.EWMAAlpha)*r.latEWMA
+			r.latEWMA = ewmaAlpha*ratio + (1-ewmaAlpha)*r.latEWMA
 		}
 		r.samples++
-		if r.samples >= p.cfg.MinSamples && r.latEWMA > p.cfg.LatencyThreshold {
+		if r.samples >= minSamples && r.latEWMA > LatencyThreshold {
 			anomalous = true
 			signal = fmt.Sprintf("lat-ewma=%.3f", r.latEWMA)
 		}
-		if r.samples >= p.cfg.MinSamples && r.divEWMA > p.cfg.DivergenceThreshold {
+		if r.samples >= minSamples && r.divEWMA > divergenceThreshold {
 			anomalous = true
 			signal = fmt.Sprintf("div-ewma=%.3f", r.divEWMA)
 		}
@@ -216,7 +180,7 @@ type PoolStats struct {
 // PoolResult is one request served by the fleet.
 type PoolResult struct {
 	// Outputs are the winning replica's outputs (or the FP32
-	// reference's); nil for timed-only requests.
+	// reference's).
 	Outputs []*tensor.Tensor
 	// LatencySec is the request's modeled latency: the serving replica's
 	// run (plus failed predecessors under round-robin failover), the
@@ -232,10 +196,6 @@ type PoolResult struct {
 	Majority int
 	// Fallback reports the FP32 reference tier served the request.
 	Fallback bool
-	// DeadlineMiss reports the release time overran the request
-	// context's budget (DoCtx with a budget-carrying context only; a
-	// batch reports it once, on PoolBatchResult).
-	DeadlineMiss bool
 }
 
 // ReplicaHealth is one replica's view in the fleet health report.
@@ -270,7 +230,8 @@ type PoolHealth struct {
 type Pool struct {
 	cfg PoolConfig
 	reg *Registry
-	ref reference // the FP32 tier, over the pristine fallback graph
+	dev *gpusim.Device // the registry platform at its paper latency clock
+	ref reference      // the FP32 tier, over the pristine fallback graph
 
 	// turn is the request ticket: exactly one token exists, and a request
 	// holds it end to end. The holder is the only goroutine mutating pool
@@ -299,32 +260,37 @@ func NewPool(reg *Registry, cfg PoolConfig) (*Pool, error) {
 	if cfg.Model == "" {
 		return nil, fmt.Errorf("serve: pool config needs a model")
 	}
-	c := cfg.withDefaults()
-	if c.Device == nil {
-		c.Device = gpusim.NewDevice(reg.spec, gpusim.PaperLatencyClock(reg.spec))
+	if cfg.Replicas <= 0 {
+		cfg.Replicas = 3
 	}
-	fb, err := reg.Fallback(c.Model) // first: the replica builds borrow its graph
+	fb, err := reg.Fallback(cfg.Model) // first: the replica builds borrow its graph
 	if err != nil {
 		return nil, err
 	}
-	engines, err := reg.ReplicaEngines(c.Model, c.Replicas)
+	engines, err := reg.ReplicaEngines(cfg.Model, cfg.Replicas)
 	if err != nil {
 		return nil, err
 	}
-	p := &Pool{cfg: c, reg: reg, ref: reference{g: fb}, turn: make(chan struct{}, 1)}
+	p := &Pool{
+		cfg:  cfg,
+		reg:  reg,
+		dev:  gpusim.NewDevice(reg.spec, gpusim.PaperLatencyClock(reg.spec)),
+		ref:  reference{g: fb},
+		turn: make(chan struct{}, 1),
+	}
 	for slot, e := range engines {
 		r := &replica{
 			slot:     slot,
 			eng:      e,
-			expected: e.ExpectedLatencySec(c.Device, c.IncludeMemcpy),
+			expected: e.ExpectedLatencySec(p.dev, false),
 			latEWMA:  1,
 		}
-		if c.ReplicaInjector != nil {
-			r.inj = c.ReplicaInjector(slot, e)
+		if cfg.ReplicaInjector != nil {
+			r.inj = cfg.ReplicaInjector(slot, e)
 		}
 		p.reps = append(p.reps, r)
 	}
-	p.sup = NewSupervisor("req", len(p.reps), c.SuspectConfirm, func(m int) string {
+	p.sup = NewSupervisor("req", len(p.reps), func(m int) string {
 		return fmt.Sprintf("replica %d (build %d)", m, p.reps[m].eng.BuildID)
 	})
 	p.turn <- struct{}{}
@@ -383,72 +349,36 @@ func (p *Pool) Transcript() []string {
 	return p.sup.Transcript()
 }
 
-// DoCtx serves one request through the fleet: hedged quorum dispatch with
-// majority voting when cfg.Quorum is set, round-robin with failover
-// otherwise; the FP32 reference tier serves when no replica can. A nil
-// image is a timed-only request; one image is a batch of one through the
-// same dispatch as DoBatchCtx, so the budget, abort and
-// layer-boundary-guard rules are DoBatchCtx's, and the context's budget
-// records a DeadlineMiss verdict on the result when the release time
-// overruns it. With no injected faults the outputs are bit-identical to
-// calling the serving replica's Engine.Infer directly. Apart from a
-// deadline abort, an error is only possible from the FP32 reference
-// path itself (a configuration bug, not a device fault).
-func (p *Pool) DoCtx(ctx *rtctx.Request, x *tensor.Tensor, runIndex int) (*PoolResult, error) {
-	var xs []*tensor.Tensor
-	if x != nil {
-		xs = []*tensor.Tensor{x}
-	}
-	br, err := p.dispatch(ctx, xs, runIndex)
-	if err != nil {
-		return nil, err
-	}
-	res := br.Results[0]
-	res.DeadlineMiss = br.DeadlineMiss
-	return res, nil
-}
-
-func (p *Pool) runCfg(runIndex int) core.RunConfig {
-	return core.RunConfig{
-		Device:        p.cfg.Device,
-		IncludeMemcpy: p.cfg.IncludeMemcpy,
-		RunIndex:      runIndex,
-	}
-}
-
 // serveFP32 is the terminal tier: the un-optimized host path, outside
 // the replica fault domain. baseLat is latency already burned upstream.
 func (p *Pool) serveFP32(x *tensor.Tensor, baseLat float64) (*PoolResult, error) {
-	res := &PoolResult{
-		LatencySec: baseLat + core.UnoptimizedRun(p.ref.g, p.cfg.Device),
+	outs, err := p.ref.infer(x)
+	if err != nil {
+		return nil, fmt.Errorf("serve: pool FP32 fallback: %w", err)
+	}
+	p.locked(func() { p.stats.FP32Served++ })
+	return &PoolResult{
+		Outputs:    outs,
+		LatencySec: baseLat + core.UnoptimizedRun(p.ref.g, p.dev),
 		Replica:    -1,
 		BuildID:    -1,
 		Fallback:   true,
-	}
-	if x != nil {
-		outs, err := p.ref.infer(x)
-		if err != nil {
-			return nil, fmt.Errorf("serve: pool FP32 fallback: %w", err)
-		}
-		res.Outputs = outs
-	}
-	p.locked(func() { p.stats.FP32Served++ })
-	return res, nil
+	}, nil
 }
 
 // advanceRebuilds is the deterministic model of background healing: a
-// quarantined replica's rebuild lands RebuildDelay requests after the
+// quarantined replica's rebuild lands rebuildDelay requests after the
 // quarantine. The rebuild goes through the registry — warm against the
 // shared timing cache, so the replacement engine is canonical (build id
 // 0, identical plan bytes) — then must pass canary validation against
 // the FP32 reference before readmission.
 func (p *Pool) advanceRebuilds(req uint64) {
 	for _, r := range p.reps {
-		if p.sup.State(r.slot) != StateQuarantined || req < r.quarantinedAt+uint64(p.cfg.RebuildDelay) {
+		if p.sup.State(r.slot) != StateQuarantined || req < r.quarantinedAt+rebuildDelay {
 			continue
 		}
 		p.locked(func() {
-			p.sup.Move(req, r.slot, StateRebuilding, fmt.Sprintf("rebuild after %d quarantined requests", p.cfg.RebuildDelay))
+			p.sup.Move(req, r.slot, StateRebuilding, fmt.Sprintf("rebuild after %d quarantined requests", rebuildDelay))
 		})
 		// The build and the canary inferences run outside the state lock:
 		// both are long and both would otherwise hold p.mu across kernel
@@ -466,14 +396,14 @@ func (p *Pool) advanceRebuilds(req uint64) {
 		if p.cfg.ReplicaInjector != nil {
 			inj = p.cfg.ReplicaInjector(r.slot, e)
 		}
-		expected := e.ExpectedLatencySec(p.cfg.Device, p.cfg.IncludeMemcpy)
+		expected := e.ExpectedLatencySec(p.dev, false)
 		p.locked(func() {
 			r.eng, r.inj, r.expected = e, inj, expected
 			r.rebuilds++
 			p.stats.Rebuilds++
 		})
 		agree, total := p.canary(r)
-		if total > 0 && float64(agree) < p.cfg.CanaryAgreeFrac*float64(total) {
+		if total > 0 && float64(agree) < canaryAgreeFrac*float64(total) {
 			p.locked(func() {
 				p.stats.CanaryFailures++
 				p.sup.Move(req, r.slot, StateQuarantined, fmt.Sprintf("canary %d/%d below threshold", agree, total))

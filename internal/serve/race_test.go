@@ -12,7 +12,9 @@ import (
 	"edgeinfer/internal/core"
 	"edgeinfer/internal/faults"
 	"edgeinfer/internal/gpusim"
+	"edgeinfer/internal/rtctx"
 	"edgeinfer/internal/serve"
+	"edgeinfer/internal/tensor"
 )
 
 // Registry.Engine / ProxyEngine / Rebuild / Stats hammered in parallel:
@@ -67,12 +69,13 @@ func TestRegistryConcurrentEngineRebuild(t *testing.T) {
 	}
 }
 
-// Executor.DoCtx hammered from parallel goroutines under a mid-rate fault
-// plan while Stats/Health are polled concurrently.
+// Executor.DoBatchCtx hammered from parallel goroutines under a mid-rate
+// fault plan, each request on a non-aborting 1s budget, while
+// Stats/Health are polled concurrently.
 func TestExecutorConcurrentDoWithPolling(t *testing.T) {
 	_, _, _, inputs := fixture(t)
 	inj := faults.Scenario("race-exec", 0.3).New("nx")
-	ex := newExec(t, inj, func(c *serve.Config) { c.DeadlineSec = 1.0 })
+	ex := newExec(t, inj, nil)
 	const workers, perWorker = 8, 5
 	var wg sync.WaitGroup
 	errs := make(chan error, workers*perWorker)
@@ -94,7 +97,7 @@ func TestExecutorConcurrentDoWithPolling(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
 				x := inputs[(w+i)%len(inputs)]
-				if _, err := ex.DoCtx(nil, x, w*perWorker+i); err != nil {
+				if _, err := ex.DoBatchCtx(&rtctx.Request{BudgetSec: 1}, []*tensor.Tensor{x}, w*perWorker+i); err != nil {
 					errs <- err
 				}
 			}
@@ -111,7 +114,7 @@ func TestExecutorConcurrentDoWithPolling(t *testing.T) {
 	}
 }
 
-// Pool.DoCtx hammered in parallel under replica havoc while health and
+// Pool.DoBatchCtx hammered in parallel under replica havoc while health and
 // transcript are polled: the supervisor's bookkeeping must stay
 // consistent (requests serialize on the pool lock, pollers race it).
 func TestPoolConcurrentDo(t *testing.T) {
@@ -147,7 +150,7 @@ func TestPoolConcurrentDo(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				if _, err := p.DoCtx(nil, inputs[(w+i)%len(inputs)], w*perWorker+i); err != nil {
+				if _, err := p.DoBatchCtx(nil, []*tensor.Tensor{inputs[(w+i)%len(inputs)]}, w*perWorker+i); err != nil {
 					errs <- err
 				}
 			}
@@ -240,7 +243,7 @@ func TestPoolHealthInvariantsUnderChurn(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				if _, err := p.DoCtx(nil, inputs[(w+i)%len(inputs)], w*perWorker+i); err != nil {
+				if _, err := p.DoBatchCtx(nil, []*tensor.Tensor{inputs[(w+i)%len(inputs)]}, w*perWorker+i); err != nil {
 					errs <- err
 				}
 			}

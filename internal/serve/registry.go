@@ -226,9 +226,8 @@ func (r *Registry) proxyGraph(model string, keep bool) (*graph.Graph, error) {
 // Executor assembles a resilient executor for a model, drawing every
 // tier from the registry: the tuned tier is the shared numeric proxy
 // engine, the FP32 tier the pristine proxy graph. Fields the caller set
-// in cfg (injector, deadline, retry policy, device, a low-batch engine)
-// are preserved; a nil Device defaults to the platform at its paper
-// latency clock.
+// in cfg (injector, seed, device, a low-batch engine) are preserved; a
+// nil Device defaults to the platform at its paper latency clock.
 func (r *Registry) Executor(model string, cfg Config) (*Executor, error) {
 	fb, err := r.Fallback(model) // first: the engine build borrows its graph
 	if err != nil {

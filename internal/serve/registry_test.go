@@ -183,22 +183,18 @@ func TestRegistryExecutorServes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ex.DoCtx(nil, nil, 0)
+	// A numeric request through the shared proxy engine.
+	e, _ := r.ProxyEngine("vgg16")
+	shape := e.Graph.InputShape
+	x := tensor.New(shape[0], shape[1], shape[2], shape[3])
+	res, err := ex.DoBatchCtx(nil, []*tensor.Tensor{x}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Tier != TierTuned || res.LatencySec <= 0 {
 		t.Fatalf("pristine registry executor served %+v", res)
 	}
-	// A numeric request through the shared proxy engine.
-	e, _ := r.ProxyEngine("vgg16")
-	shape := e.Graph.InputShape
-	x := tensor.New(shape[0], shape[1], shape[2], shape[3])
-	nres, err := ex.DoCtx(nil, x, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(nres.Outputs) == 0 {
+	if len(res.Outputs) != 1 || len(res.Outputs[0]) == 0 {
 		t.Fatal("numeric request returned no outputs")
 	}
 	// Both executors for one model share the registry's single build.

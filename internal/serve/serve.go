@@ -15,11 +15,10 @@
 // a 100%-fault plan. Every fault seen, retry issued, deadline missed and
 // fallback taken is counted.
 //
-// There are four serving entry points — Executor.DoCtx/DoBatchCtx and
-// Pool.DoCtx/DoBatchCtx — over one degradation chain and one fleet
-// dispatch (batch.go), each written once over a batch: DoCtx with a nil
-// image is a timed-only request, with one image a batch of one. All take
-// a request context (nil = no deadline).
+// Each server has one entry point, DoBatchCtx — Executor.DoBatchCtx
+// over the degradation chain and Pool.DoBatchCtx over the fleet dispatch
+// (batch.go); a single request is a batch of one. Both take a request
+// context whose budget is the request's only deadline (nil = none).
 package serve
 
 import (
@@ -35,12 +34,12 @@ import (
 	"edgeinfer/internal/tensor"
 )
 
-// ErrDeadlineExceeded is the typed deadline error: the four entry points
-// (Executor/Pool DoCtx and DoBatchCtx) return it (wrapped, test with
-// errors.Is) under an aborting request context (rtctx.Request.Aborts)
-// when the deadline expires before any tier has produced an answer, so a
-// serving front-end can map deadline misses to a distinct status code
-// and metric instead of string-matching. Without an aborting context —
+// ErrDeadlineExceeded is the typed deadline error: Executor.DoBatchCtx
+// and Pool.DoBatchCtx return it (wrapped, test with errors.Is) under an
+// aborting request context (rtctx.Request.Aborts) when the deadline
+// expires before any tier has produced an answer, so a serving
+// front-end can map deadline misses to a distinct status code and
+// metric instead of string-matching. Without an aborting context —
 // nil, or a budget that only records misses — they never return it and
 // keep the answer-late-rather-than-never contract.
 var ErrDeadlineExceeded = errors.New("serve: request deadline exceeded")
@@ -78,8 +77,24 @@ type Allocator interface {
 	Free(bytes float64)
 }
 
+// The executor's retry and circuit-breaker policy.
+const (
+	// maxRetries bounds retries per accelerated tier: each tier makes at
+	// most maxRetries+1 attempts.
+	maxRetries = 2
+	// backoffBaseSec is the first retry's backoff; it doubles per retry
+	// with ±50% seeded jitter, capped at backoffMaxSec.
+	backoffBaseSec = 1e-3
+	backoffMaxSec  = 50e-3
+	// breakerThreshold consecutive primary-tier terminal failures trip
+	// the breaker, which then short-circuits the primary tier for
+	// breakerCooldown requests before a half-open probe.
+	breakerThreshold = 5
+	breakerCooldown  = 10
+)
+
 // Config parameterizes an Executor. Engine, Fallback and Device are
-// required; everything else has working defaults.
+// required; LowBatch and Injector are optional.
 type Config struct {
 	// Engine is the primary tuned engine.
 	Engine *core.Engine
@@ -93,71 +108,8 @@ type Config struct {
 	Device *gpusim.Device
 	// Injector is the fault plan to execute under (nil = pristine).
 	Injector core.FaultInjector
-	// IncludeMemcpy counts the H2D weight copy in each attempt.
-	IncludeMemcpy bool
-	// DeadlineSec bounds one request's accumulated simulated latency;
-	// exceeding it abandons the current tier and degrades (0 = none).
-	DeadlineSec float64
-	// MaxRetries bounds retries per accelerated tier (so each tier makes
-	// at most MaxRetries+1 attempts). Default 2.
-	MaxRetries int
-	// BackoffBaseSec is the first retry's backoff; it doubles per retry
-	// with ±50% seeded jitter, capped at BackoffMaxSec. Defaults 1ms/50ms.
-	BackoffBaseSec float64
-	BackoffMaxSec  float64
-	// BreakerThreshold trips the circuit breaker after this many
-	// consecutive primary-tier terminal failures (default 5).
-	BreakerThreshold int
-	// BreakerCooldown is how many requests the breaker stays open
-	// (short-circuiting the primary tier) before a half-open probe
-	// (default 10).
-	BreakerCooldown int
 	// Seed keys the backoff-jitter stream.
 	Seed string
-}
-
-func (c *Config) withDefaults() Config {
-	d := *c
-	if d.MaxRetries <= 0 {
-		d.MaxRetries = 2
-	}
-	if d.BackoffBaseSec <= 0 {
-		d.BackoffBaseSec = 1e-3
-	}
-	if d.BackoffMaxSec <= 0 {
-		d.BackoffMaxSec = 50e-3
-	}
-	if d.BreakerThreshold <= 0 {
-		d.BreakerThreshold = 5
-	}
-	if d.BreakerCooldown <= 0 {
-		d.BreakerCooldown = 10
-	}
-	return d
-}
-
-// Result is one served request.
-type Result struct {
-	// Outputs are the numeric outputs (nil for timed-only requests).
-	Outputs []*tensor.Tensor
-	// LatencySec is the end-to-end simulated latency: every attempt's
-	// run time (including the partial time of failed attempts), stalls,
-	// memcpy retries, and backoff waits.
-	LatencySec float64
-	// Tier that finally served the request.
-	Tier Tier
-	// Retries issued across all tiers.
-	Retries int
-	// Degraded reports the request was not served by the tuned engine.
-	Degraded bool
-	// DeadlineMiss reports the accumulated latency exceeded the deadline
-	// (the request is still answered, by a cheaper tier).
-	DeadlineMiss bool
-
-	// deadlineSec is this request's effective deadline: the config
-	// deadline clamped with the request context's budget, when it carries
-	// one. Zero means none.
-	deadlineSec float64
 }
 
 // Stats are the executor's cumulative degradation counters.
@@ -171,7 +123,7 @@ type Stats struct {
 	BreakerSkips   uint64 // requests that short-circuited the open breaker
 	TierFailures   [numTiers]uint64
 	// BackoffClamps counts retry backoffs truncated because the full
-	// jittered wait would have overshot the request deadline.
+	// jittered wait would have overshot the request budget.
 	BackoffClamps uint64
 	// DeadlineAborts counts requests abandoned with ErrDeadlineExceeded
 	// (aborting request contexts only; any other request is answered).
@@ -218,11 +170,10 @@ func New(cfg Config) (*Executor, error) {
 	if !cfg.Fallback.Finalized() {
 		return nil, fmt.Errorf("serve: fallback graph is not finalized")
 	}
-	c := cfg.withDefaults()
 	return &Executor{
-		cfg: c,
-		ref: reference{g: c.Fallback},
-		rng: fixrand.NewKeyed("serve/" + c.Seed + "/" + c.Engine.Key()),
+		cfg: cfg,
+		ref: reference{g: cfg.Fallback},
+		rng: fixrand.NewKeyed("serve/" + cfg.Seed + "/" + cfg.Engine.Key()),
 	}, nil
 }
 
@@ -301,12 +252,12 @@ func (ex *Executor) recordPrimary(ok bool) {
 	ex.consecFails++
 	if ex.open {
 		// Failed half-open probe: re-arm the cooldown.
-		ex.cooldown = ex.cfg.BreakerCooldown
+		ex.cooldown = breakerCooldown
 		return
 	}
-	if ex.consecFails >= ex.cfg.BreakerThreshold {
+	if ex.consecFails >= breakerThreshold {
 		ex.open = true
-		ex.cooldown = ex.cfg.BreakerCooldown
+		ex.cooldown = breakerCooldown
 		ex.stats.BreakerTrips++
 	}
 }
@@ -315,9 +266,9 @@ func (ex *Executor) recordPrimary(ok bool) {
 func (ex *Executor) backoff(attempt int) float64 {
 	ex.mu.Lock()
 	defer ex.mu.Unlock()
-	d := ex.cfg.BackoffBaseSec * float64(int(1)<<uint(attempt-1))
-	if d > ex.cfg.BackoffMaxSec {
-		d = ex.cfg.BackoffMaxSec
+	d := backoffBaseSec * float64(int(1)<<uint(attempt-1))
+	if d > backoffMaxSec {
+		d = backoffMaxSec
 	}
 	return d * (0.5 + ex.rng.Float64()) // ±50% jitter
 }
@@ -328,80 +279,40 @@ func (ex *Executor) count(f func(s *Stats)) {
 	ex.mu.Unlock()
 }
 
-// effectiveDeadline clamps the configured deadline with a per-request
-// budget; zero values mean "no bound" on that side.
-func (ex *Executor) effectiveDeadline(deadlineSec float64) float64 {
-	eff := ex.cfg.DeadlineSec
-	if deadlineSec > 0 && (eff <= 0 || deadlineSec < eff) {
-		eff = deadlineSec
-	}
-	return eff
-}
-
-// abortLate decides the terminal-tier fate of a deadline-expired request:
+// abortLate decides the terminal-tier fate of a budget-expired request:
 // answer late, or — under an aborting context — abandon with the typed
 // error. It must be called before the FP32 tier pays its reference pass,
 // so an abandoned request never burns the fallback's latency.
-func (ex *Executor) abortLate(res *Result, abort bool) error {
-	if !abort || !ex.deadlineExceeded(res) {
+func (ex *Executor) abortLate(res *BatchResult, ctx *rtctx.Request) error {
+	if !ctx.Aborts() || !ex.deadlineExceeded(res, ctx) {
 		return nil
 	}
 	ex.count(func(s *Stats) { s.DeadlineAborts++ })
 	return fmt.Errorf("serve: request abandoned at %.3gs of a %.3gs budget: %w",
-		res.LatencySec, res.deadlineSec, ErrDeadlineExceeded)
-}
-
-// DoCtx serves one request: a timed pass over the engine plan and — when
-// x is non-nil — a numeric inference whose outputs are returned. A nil
-// image is a timed-only request; one image is a batch of one through the
-// same degradation chain as DoBatchCtx (doBatch), so the budget, abort
-// and layer-boundary-guard rules are DoBatchCtx's. With a nil context
-// and a nil or zero-rate injector the result is bit-identical to calling
-// Engine.Run and Engine.Infer directly. Under faults it degrades down
-// the chain; apart from a deadline abort it returns an error only if the
-// FP32 reference path itself cannot serve (a configuration bug, not a
-// device fault).
-func (ex *Executor) DoCtx(ctx *rtctx.Request, x *tensor.Tensor, runIndex int) (*Result, error) {
-	var xs []*tensor.Tensor
-	if x != nil {
-		xs = []*tensor.Tensor{x}
-	}
-	res, outs, err := ex.doBatch(ctx, xs, runIndex)
-	if err != nil {
-		return nil, err
-	}
-	if len(outs) > 0 {
-		res.Outputs = outs[0]
-	}
-	return &res, nil
+		res.LatencySec, ctx.BudgetSec, ErrDeadlineExceeded)
 }
 
 // retryWait accounts one retry's backoff into res. The modeled wait
-// must not accumulate past the request deadline: sleeping beyond the
-// remaining budget cannot help the request, it only inflates the
-// recorded miss, so the wait is clamped to what is left (the
-// backoff-jitter stream still advances, so clamping never perturbs
-// later requests). Reports false when the deadline is already gone.
-func (ex *Executor) retryWait(attempt int, res *Result) bool {
+// must not accumulate past the request budget: sleeping beyond what is
+// left cannot help the request, it only inflates the recorded miss, so
+// the wait is clamped to the remainder (the backoff-jitter stream still
+// advances, so clamping never perturbs later requests). Reports false
+// when the budget is already gone.
+func (ex *Executor) retryWait(attempt int, res *BatchResult, ctx *rtctx.Request) bool {
 	res.Retries++
 	ex.count(func(s *Stats) { s.Retries++ })
 	wait := ex.backoff(attempt)
-	if res.deadlineSec > 0 {
-		if remain := res.deadlineSec - res.LatencySec; wait > remain {
-			if remain < 0 {
-				remain = 0
-			}
-			wait = remain
-			ex.count(func(s *Stats) { s.BackoffClamps++ })
-		}
+	if remain := ctx.RemainingBudgetSec(res.LatencySec); wait > remain {
+		wait = remain
+		ex.count(func(s *Stats) { s.BackoffClamps++ })
 	}
 	res.LatencySec += wait
-	return !ex.deadlineExceeded(res)
+	return !ex.deadlineExceeded(res, ctx)
 }
 
-// deadlineExceeded checks (and counts, once) the request deadline.
-func (ex *Executor) deadlineExceeded(res *Result) bool {
-	if res.deadlineSec <= 0 || res.LatencySec <= res.deadlineSec {
+// deadlineExceeded checks (and counts, once) the request budget.
+func (ex *Executor) deadlineExceeded(res *BatchResult, ctx *rtctx.Request) bool {
+	if b := ctx.Budget(); b <= 0 || res.LatencySec <= b {
 		return false
 	}
 	if !res.DeadlineMiss {

@@ -10,6 +10,7 @@ import (
 	"edgeinfer/internal/gpusim"
 	"edgeinfer/internal/graph"
 	"edgeinfer/internal/models"
+	"edgeinfer/internal/rtctx"
 	"edgeinfer/internal/serve"
 	"edgeinfer/internal/tensor"
 )
@@ -84,7 +85,7 @@ func TestZeroRateBitIdentical(t *testing.T) {
 		ex := newExec(t, inj, nil)
 		for run := 0; run < 3; run++ {
 			x := inputs[run]
-			got, err := ex.DoCtx(nil, x, run)
+			got, err := ex.DoBatchCtx(nil, inputs[run:run+1], run)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -96,12 +97,15 @@ func TestZeroRateBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !sameOutputs(got.Outputs, want) {
+			if !sameOutputs(got.Outputs[0], want) {
 				t.Fatalf("outputs differ from direct Infer (injector=%v)", inj != nil)
 			}
 			if got.Tier != serve.TierTuned || got.Degraded || got.Retries != 0 {
 				t.Fatalf("pristine request degraded: %+v", got)
 			}
+		}
+		if got, want := ex.Stats(), (serve.Stats{Requests: 3, TierServed: [3]uint64{serve.TierTuned: 3}}); got != want {
+			t.Fatalf("pristine stats %+v, want %+v (injector=%v)", got, want, inj != nil)
 		}
 	}
 }
@@ -114,7 +118,7 @@ func TestTotalFaultAlwaysServesFP32(t *testing.T) {
 	inj := faults.Scenario("total", 1).New("nx")
 	ex := newExec(t, inj, nil)
 	for i, x := range inputs {
-		res, err := ex.DoCtx(nil, x, i)
+		res, err := ex.DoBatchCtx(nil, inputs[i:i+1], i)
 		if err != nil {
 			t.Fatalf("request %d errored under total faults: %v", i, err)
 		}
@@ -125,7 +129,7 @@ func TestTotalFaultAlwaysServesFP32(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !sameOutputs(res.Outputs, want) {
+		if !sameOutputs(res.Outputs[0], want) {
 			t.Fatalf("request %d fallback outputs differ from graph.Execute", i)
 		}
 	}
@@ -142,17 +146,16 @@ func TestTotalFaultAlwaysServesFP32(t *testing.T) {
 }
 
 // With only launch failures enabled, every injected fault is one failed
-// attempt, so the injector and executor ledgers must reconcile exactly:
-// launch-fails == retries + terminal tier failures.
+// attempt — the timed pass fails at its first launch, so the numeric
+// pass never runs — and the injector and executor ledgers must
+// reconcile exactly: launch-fails == retries + terminal tier failures.
 func TestCountersAccountForEveryFault(t *testing.T) {
+	_, _, _, inputs := fixture(t)
 	inj := faults.Plan{Seed: "ledger", LaunchFailRate: 1}.New("nx")
-	ex := newExec(t, inj, func(c *serve.Config) {
-		c.BreakerThreshold = 3
-		c.BreakerCooldown = 4
-	})
+	ex := newExec(t, inj, nil)
 	const n = 40
 	for i := 0; i < n; i++ {
-		if _, err := ex.DoCtx(nil, nil, i); err != nil {
+		if _, err := ex.DoBatchCtx(nil, inputs[i%len(inputs):i%len(inputs)+1], i); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -181,18 +184,19 @@ func TestCountersAccountForEveryFault(t *testing.T) {
 	}
 }
 
-// The breaker must trip after BreakerThreshold consecutive primary
-// failures, short-circuit for BreakerCooldown requests, then probe.
+// The breaker must trip after 5 consecutive primary failures,
+// short-circuit for 10 requests, then probe.
 func TestCircuitBreakerLifecycle(t *testing.T) {
+	_, _, _, inputs := fixture(t)
+	x := inputs[:1]
 	inj := faults.Plan{Seed: "brk", LaunchFailRate: 1}.New("nx")
-	ex := newExec(t, inj, func(c *serve.Config) {
-		c.BreakerThreshold = 2
-		c.BreakerCooldown = 3
-		c.MaxRetries = 1
-	})
-	// Two failing requests trip the breaker.
-	for i := 0; i < 2; i++ {
-		if _, err := ex.DoCtx(nil, nil, i); err != nil {
+	ex := newExec(t, inj, nil)
+	// Five failing requests trip the breaker; four do not.
+	for i := 0; i < 5; i++ {
+		if st := ex.Health().State; st == "open" {
+			t.Fatalf("breaker open after %d failures, want 5", i)
+		}
+		if _, err := ex.DoBatchCtx(nil, x, i); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -202,23 +206,23 @@ func TestCircuitBreakerLifecycle(t *testing.T) {
 	if ex.Stats().BreakerTrips != 1 {
 		t.Fatalf("trips %d, want 1", ex.Stats().BreakerTrips)
 	}
-	// The next BreakerCooldown requests skip the primary entirely: no new
-	// launch faults are drawn for the tuned tier.
+	// The next 10 requests skip the primary entirely: no new launch
+	// faults are drawn for the tuned tier.
 	before := inj.Counters().Get(faults.KindLaunchFail)
-	for i := 0; i < 3; i++ {
-		if _, err := ex.DoCtx(nil, nil, 10+i); err != nil {
+	for i := 0; i < 10; i++ {
+		if _, err := ex.DoBatchCtx(nil, x, 10+i); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if got := inj.Counters().Get(faults.KindLaunchFail); got != before {
 		t.Fatalf("open breaker still reached the engine: %d new faults", got-before)
 	}
-	if ex.Stats().BreakerSkips != 3 {
-		t.Fatalf("skips %d, want 3", ex.Stats().BreakerSkips)
+	if ex.Stats().BreakerSkips != 10 {
+		t.Fatalf("skips %d, want 10", ex.Stats().BreakerSkips)
 	}
 	// Cooldown spent: the next request is a half-open probe that reaches
 	// the (still failing) engine and re-arms the cooldown.
-	if _, err := ex.DoCtx(nil, nil, 20); err != nil {
+	if _, err := ex.DoBatchCtx(nil, x, 20); err != nil {
 		t.Fatal(err)
 	}
 	if got := inj.Counters().Get(faults.KindLaunchFail); got == before {
@@ -245,7 +249,7 @@ func TestLowBatchTier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ex.DoCtx(nil, inputs[0], 0)
+	res, err := ex.DoBatchCtx(nil, inputs[:1], 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,18 +270,18 @@ func failingEngine(t *testing.T) *core.Engine {
 	return e
 }
 
-// Deadlines are recorded but never prevent an answer.
+// A budget that does not abort is recorded but never prevents an answer.
 func TestDeadlineMissStillServes(t *testing.T) {
-	ex := newExec(t, nil, func(c *serve.Config) { c.DeadlineSec = 1e-9 })
+	ex := newExec(t, nil, nil)
 	_, _, _, inputs := fixture(t)
-	res, err := ex.DoCtx(nil, inputs[0], 0)
+	res, err := ex.DoBatchCtx(&rtctx.Request{BudgetSec: 1e-9}, inputs[:1], 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.DeadlineMiss {
 		t.Fatal("1ns deadline not recorded as missed")
 	}
-	if res.Outputs == nil {
+	if res.Outputs[0] == nil {
 		t.Fatal("deadline miss dropped the answer")
 	}
 	if ex.Stats().DeadlineMisses != 1 {
@@ -291,7 +295,7 @@ func TestAllocPressureDegrades(t *testing.T) {
 	eng, _, _, inputs := fixture(t)
 	inj := faults.Plan{Seed: "mem", CapacityBytes: eng.PerThreadMemBytes() / 2}.New("nx")
 	ex := newExec(t, inj, nil)
-	res, err := ex.DoCtx(nil, inputs[0], 0)
+	res, err := ex.DoBatchCtx(nil, inputs[:1], 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +322,7 @@ func TestConcurrentRequests(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
 				x := inputs[(w*perWorker+i)%len(inputs)]
-				if _, err := ex.DoCtx(nil, x, w*perWorker+i); err != nil {
+				if _, err := ex.DoBatchCtx(nil, []*tensor.Tensor{x}, w*perWorker+i); err != nil {
 					errs <- err
 				}
 			}
@@ -342,44 +346,39 @@ func TestConcurrentRequests(t *testing.T) {
 	}
 }
 
-// Retry backoff must not accumulate past the request deadline: the
-// modeled wait is clamped to the remaining budget (and the clamp is
-// counted), so a deadlined request's latency is bounded by the deadline
-// plus real attempt/fallback work — never deadline plus a full
-// exponential backoff ladder (issue bug fix).
+// Retry backoff must not accumulate past the request budget: the
+// modeled wait is clamped to what is left (and the clamp is counted), so
+// a budgeted request's latency is bounded by the budget plus real
+// attempt/fallback work — never budget plus a full exponential backoff
+// ladder. The budget does not abort, so the request is answered late.
 func TestBackoffClampedByDeadline(t *testing.T) {
-	_, g, dev, _ := fixture(t)
-	const deadline = 0.5e-3
-	mk := func(dl float64) *serve.Executor {
-		return newExec(t, faults.Plan{Seed: "clamp", LaunchFailRate: 1}.New("nx"),
-			func(c *serve.Config) {
-				c.DeadlineSec = dl
-				c.MaxRetries = 4
-				c.BackoffBaseSec = 2e-3 // the first backoff alone overshoots the deadline
-			})
+	_, g, dev, inputs := fixture(t)
+	const budget = 0.2e-3 // the first backoff alone (0.5–1.5ms) overshoots it
+	mk := func() *serve.Executor {
+		return newExec(t, faults.Plan{Seed: "clamp", LaunchFailRate: 1}.New("nx"), nil)
 	}
-	clamped := mk(deadline)
-	res, err := clamped.DoCtx(nil, nil, 0)
+	clamped := mk()
+	res, err := clamped.DoBatchCtx(&rtctx.Request{BudgetSec: budget}, inputs[:1], 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st := clamped.Stats(); st.BackoffClamps == 0 {
 		t.Fatalf("no backoff clamps recorded: %+v", st)
 	}
-	// Bound: deadline + the burned time of failed attempts (each dies at
+	// Bound: budget + the burned time of failed attempts (each dies at
 	// its first launch, microseconds) + the FP32 fallback's serve cost.
-	bound := deadline + core.UnoptimizedRun(g, dev) + 0.3e-3
+	bound := budget + core.UnoptimizedRun(g, dev) + 0.3e-3
 	if res.LatencySec > bound {
-		t.Fatalf("latency %.6fs exceeds %.6fs: backoff accumulated past the deadline", res.LatencySec, bound)
+		t.Fatalf("latency %.6fs exceeds %.6fs: backoff accumulated past the budget", res.LatencySec, bound)
 	}
 	if !res.DeadlineMiss {
 		t.Fatal("deadline miss not recorded")
 	}
 
-	// Without a deadline the same fault sequence pays the full ladder,
+	// Without a budget the same fault sequence pays the full ladder,
 	// and the clamp counter must stay untouched.
-	free := mk(0)
-	res2, err := free.DoCtx(nil, nil, 0)
+	free := mk()
+	res2, err := free.DoBatchCtx(nil, inputs[:1], 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,7 +386,7 @@ func TestBackoffClampedByDeadline(t *testing.T) {
 		t.Fatalf("unclamped latency %.6fs not above clamped %.6fs", res2.LatencySec, res.LatencySec)
 	}
 	if free.Stats().BackoffClamps != 0 {
-		t.Fatal("clamp counted with no deadline configured")
+		t.Fatal("clamp counted with no budget")
 	}
 }
 

@@ -13,7 +13,20 @@ import (
 //
 // Observe takes the traffic-driven edges from the owner's anomaly
 // verdicts; recovery (rebuild, readmission, failover) is the owner's
-// repair machinery and takes its edges through Move.
+// repair machinery and takes its edges through Move. Both owners judge
+// latency by one rule: a member is anomalous once its observed service
+// time runs LatencyThreshold times its expectation — the Pool on an
+// EWMA of the ratio, the pipeline on each stage's service time.
+
+// LatencyThreshold is the latency watchdog's trip point: observed over
+// expected service time. Run jitter is about 2%, so nothing natural gets
+// close, while a sustained inflation clears it even on tiny proxy
+// engines whose fixed launch overhead dilutes kernel-time slowdowns.
+const LatencyThreshold = 1.4
+
+// suspectConfirm is how many consecutive anomalous observations, the one
+// that raised suspicion included, quarantine a suspect.
+const suspectConfirm = 2
 
 // ReplicaState is one stage of the supervisor's per-member state
 // machine.
@@ -58,7 +71,6 @@ func (s ReplicaState) String() string {
 type Supervisor struct {
 	unit       string
 	label      func(m int) string
-	confirm    int
 	state      []ReplicaState
 	strikes    []int // consecutive anomalous observations while suspect
 	trans      metrics.Transitions
@@ -67,17 +79,11 @@ type Supervisor struct {
 
 // NewSupervisor supervises n members, all healthy. unit names the clock
 // of the transcript ("req", "frame"); label renders member m at
-// transition time; suspectConfirm is how many consecutive anomalous
-// observations, the one that raised suspicion included, quarantine a
-// suspect (2 when not positive).
-func NewSupervisor(unit string, n, suspectConfirm int, label func(m int) string) *Supervisor {
-	if suspectConfirm <= 0 {
-		suspectConfirm = 2
-	}
+// transition time.
+func NewSupervisor(unit string, n int, label func(m int) string) *Supervisor {
 	return &Supervisor{
 		unit:    unit,
 		label:   label,
-		confirm: suspectConfirm,
 		state:   make([]ReplicaState, n),
 		strikes: make([]int, n),
 	}
@@ -114,7 +120,7 @@ func (s *Supervisor) Observe(at uint64, m int, anomalous bool, signal string) (d
 		return true, false
 	case anomalous && st == StateSuspect:
 		s.strikes[m]++
-		if s.strikes[m] >= s.confirm {
+		if s.strikes[m] >= suspectConfirm {
 			s.Move(at, m, StateQuarantined, signal)
 			return false, true
 		}
