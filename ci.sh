@@ -1,6 +1,7 @@
 #!/bin/sh
 # CI gate: the tier-1 checks (build + test) plus gofmt, vet, the race detector
-# (the serve/faults packages are exercised concurrently), one shuffled
+# (the serve/faults packages are exercised concurrently), the allocation
+# pins without the race detector (they skip under it), one shuffled
 # run of the serving packages' tests, the nested
 # benchmark module's own vet and tests (bench/), short fuzz
 # smokes over every untrusted decoder (engine plans, timing caches and
@@ -44,6 +45,9 @@ test -z "$(gofmt -l .)"
 go vet ./...
 go build ./...
 go test -race -timeout 20m ./...
+# The race detector's instrumentation allocates, so the allocation pins
+# (tests named ...Allocs) skip under it: run them once without it.
+go test -count=1 -run 'Allocs$' ./internal/core ./internal/kernels ./internal/fixrand
 # The serving tests share fixtures (engines, registries, fleets); a
 # shuffled order proves none depends on state another test left behind.
 go test -shuffle=on -count=1 ./internal/serve ./internal/cluster ./internal/netserve

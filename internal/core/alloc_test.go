@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"edgeinfer/internal/fixrand"
 	"edgeinfer/internal/gpusim"
 	"edgeinfer/internal/graph"
 	"edgeinfer/internal/kernels"
@@ -125,5 +126,97 @@ func TestReferenceSteadyStateAllocs(t *testing.T) {
 			t.Errorf("%s reference allocates %.1f objects per image in steady state, budget 4", model, allocs)
 		}
 		t.Logf("%s: reference %.1f allocs per image, graph.Execute %.1f", model, allocs, execute)
+	}
+}
+
+// A timing-cache hit allocates nothing: the tuner appends the key into a
+// stack buffer and indexes the map with it, so a warm build's tactic
+// search costs no garbage per candidate. The key string is built only to
+// insert a miss.
+func TestTunerCacheHitAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; counts only hold without it")
+	}
+	stats := &PassStats{}
+	tn := &tuner{
+		dev:    testDevice(),
+		noise:  fixrand.NewKeyed("tuner/alloc-test"),
+		sigma:  0.08,
+		devKey: "NX@1109MHz",
+		cache:  NewTimingCache(),
+		stats:  stats,
+		topK:   DefaultPredictTopK,
+	}
+	d := kernels.ConvDims{Batch: 1, InC: 256, H: 14, W: 14, OutC: 256, OutH: 14, OutW: 14, Kernel: 3, Stride: 1, Groups: 1}
+	var specs []kernels.LaunchSpec
+	for _, v := range kernels.ConvCandidates(d, tensor.FP16) {
+		specs = append(specs, kernels.PlanConv(v, d))
+	}
+	cold := make([]float64, len(specs))
+	for i, ls := range specs {
+		cold[i] = tn.measure("res4a_branch2b", d, ls)
+	}
+	if stats.CacheMisses != len(specs) || tn.cache.Len() != len(specs) {
+		t.Fatalf("cold pass: %d misses, %d entries; want %d", stats.CacheMisses, tn.cache.Len(), len(specs))
+	}
+	if n := testing.AllocsPerRun(20, func() {
+		for i, ls := range specs {
+			if tn.measure("res4a_branch2b", d, ls) != cold[i] {
+				t.Fatal("a hit returned another time than the miss stored")
+			}
+		}
+	}); n != 0 {
+		t.Fatalf("%d cache hits allocate %v times, want 0", len(specs), n)
+	}
+}
+
+// ParseTimingKey cuts a valid key without allocating: the predictor
+// parses every key of the cache it trains on.
+func TestParseTimingKeyAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; counts only hold without it")
+	}
+	v := kernels.Variant{Family: kernels.FamHMMAConv, TileM: 128, TileN: 64, TileK: 64, SplitK: 2, Precision: tensor.FP16, FusedAct: true, NHWC: true}
+	d := kernels.ConvDims{Batch: 1, InC: 512, H: 7, W: 7, OutC: 512, OutH: 7, OutW: 7, Kernel: 3, Stride: 1, Groups: 1}
+	key := TimingKey("dev|with|pipes@1109MHz", v, d, tensor.FP16)
+	if n := testing.AllocsPerRun(100, func() {
+		if _, _, _, _, err := ParseTimingKey(key); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("ParseTimingKey allocates %v times, want 0", n)
+	}
+}
+
+// TestWarmBuildAllocs pins what a fully warm build of resnet18 allocates:
+// every tactic comes from the cache, so what remains is the engine
+// itself — the cloned graph, the pass bookkeeping, the launch list and
+// the compiled schedule — and nothing per candidate. The count was 1 915
+// when every candidate rendered its kernel name and cache key and forked
+// two heap noise streams, and every fusion scan listed consumers per
+// layer.
+func TestWarmBuildAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; counts only hold without it")
+	}
+	g, err := models.Build("resnet18")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := nxCfg(1)
+	cfg.TimingCache = NewTimingCache()
+	if _, err := Build(g, cfg); err != nil {
+		t.Fatal(err)
+	}
+	cfg.BuildID, cfg.CanonicalWarmID = 2, true
+	n := testing.AllocsPerRun(10, func() {
+		e, err := Build(g, cfg)
+		if err != nil || !e.Report.WarmBuild {
+			t.Fatalf("warm build: err %v, warm %v", err, err == nil && e.Report.WarmBuild)
+		}
+	})
+	const pinned = 450
+	if n != pinned {
+		t.Fatalf("warm resnet18 build allocates %v times, pinned at %d", n, pinned)
 	}
 }

@@ -189,11 +189,16 @@ const (
 // systematic part is what makes rebuilt engines differ *coherently* (one
 // build shuns HMMA tiles everywhere), producing the paper's 10-35%
 // engine-to-engine latency spreads.
-func (t *tuner) measure(key string, d kernels.ConvDims, ls kernels.LaunchSpec) float64 {
-	var ck string
+//
+// The cache key is appended into a stack buffer and the map indexed with
+// string(b), which Go does without copying, so a hit allocates nothing;
+// the key string itself is built only on a miss, to insert it.
+func (t *tuner) measure(layer string, d kernels.ConvDims, ls kernels.LaunchSpec) float64 {
+	var buf [timingKeyBuf]byte
+	var ck []byte
 	if t.cache != nil {
-		ck = TimingKey(t.devKey, ls.V, d, ls.V.Precision)
-		if obs, ok := t.cache.Lookup(ck); ok {
+		ck = appendTimingKey(buf[:0], t.devKey, ls.V, d, ls.V.Precision)
+		if obs, ok := t.cache.lookupBytes(ck); ok {
 			// A cache hit is served, not timed: TacticsTimed counts only
 			// measurements that actually ran on the (simulated) device.
 			t.stats.CacheHits++
@@ -204,14 +209,9 @@ func (t *tuner) measure(key string, d kernels.ConvDims, ls kernels.LaunchSpec) f
 	t.stats.TacticsTimed++
 	base := ls.TimeSec(t.dev)
 	t.stats.TuneCostSec += tuneItersPerTactic*base + tuneOverheadSec
-	obs := base
-	if t.sigma > 0 {
-		sys := t.noise.Fork("family/" + ls.V.Family.String()).NormFloat64()
-		jit := t.noise.Fork(key + "/" + ls.Symbol).NormFloat64()
-		obs = base * math.Exp(sysSigma*sys+t.sigma*jit)
-	}
+	obs := base * t.noiseFactor(layer, ls)
 	if t.cache != nil {
-		t.cache.Insert(ck, obs)
+		t.cache.Insert(string(ck), obs)
 	}
 	return obs
 }
@@ -314,8 +314,8 @@ func (t *tuner) noiseFactor(layer string, ls kernels.LaunchSpec) float64 {
 	if t.sigma <= 0 {
 		return 1
 	}
-	sys := t.noise.Fork("family/" + ls.V.Family.String()).NormFloat64()
-	jit := t.noise.Fork(layer + "/" + ls.Symbol).NormFloat64()
+	sys := t.noise.Fork("family/", ls.V.Family.String()).NormFloat64()
+	jit := t.noise.Fork(layer, "/", ls.Symbol).NormFloat64()
 	return math.Exp(sysSigma*sys + t.sigma*jit)
 }
 
@@ -457,15 +457,16 @@ func simpleLaunch(g *graph.Graph, l *graph.Layer, prec tensor.Precision) (kernel
 func horizontalGroups(g *graph.Graph) (map[string]string, map[string][]string) {
 	leader := map[string]string{}
 	groups := map[string][]string{}
-	for _, src := range g.Layers {
-		var sibs []string
-		for _, cname := range g.Consumers(src.Name) {
-			c := g.Layer(cname)
-			if c.Op == graph.OpConv && c.Conv.Kernel == 1 && c.Conv.Stride == 1 &&
-				(c.Conv.Groups <= 1) && len(c.Inputs) == 1 {
-				sibs = append(sibs, cname)
-			}
+	// One pass collects the candidates under their (single) input.
+	byInput := map[string][]string{}
+	for _, c := range g.Layers {
+		if c.Op == graph.OpConv && c.Conv.Kernel == 1 && c.Conv.Stride == 1 &&
+			(c.Conv.Groups <= 1) && len(c.Inputs) == 1 {
+			byInput[c.Inputs[0]] = append(byInput[c.Inputs[0]], c.Name)
 		}
+	}
+	for _, src := range g.Layers {
+		sibs := byInput[src.Name]
 		if len(sibs) < 2 {
 			continue
 		}

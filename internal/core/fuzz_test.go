@@ -152,9 +152,10 @@ func FuzzLoadTimingCache(f *testing.F) {
 }
 
 // FuzzParseTimingKey: cache keys arrive from files on disk. Any string
-// either fails to parse or parses to fields whose rendering is a fixed
-// point — TimingKey of the parse re-parses to the same fields and
-// renders to itself — and never panics.
+// parses exactly as the frozen strings.Split parser does (same fields,
+// same error text), and either fails to parse or parses to fields whose
+// rendering is a fixed point — TimingKey of the parse re-parses to the
+// same fields and renders to itself — and never panics.
 func FuzzParseTimingKey(f *testing.F) {
 	d := kernels.ConvDims{Batch: 1, InC: 64, H: 56, W: 56, OutC: 64, OutH: 56, OutW: 56, Kernel: 3, Stride: 1, Groups: 1}
 	hmma := kernels.Variant{Family: kernels.FamHMMAConv, TileM: 64, TileN: 64, TileK: 32, FusedAct: true, Precision: tensor.FP16}
@@ -165,8 +166,17 @@ func FuzzParseTimingKey(f *testing.F) {
 	f.Add("NX@1109MHz|gemm.t007x1x1.sk0.nchw.a0.p0|b1.ic1.s1x1-oc1.o1x1-k1.st1.g1|p0") // non-canonical digits
 	f.Add("||||")
 	f.Add("")
+	f.Add("x|hmma-conv.t1x2x3x4.sk0.nchw.a0.p0|b1.ic1.s1x1-oc1-2.o1x1-k1.st1.g1|p0") // surplus separators
+	f.Add("x|.....|b1.ic1.s1x1-oc1.o1x1-k1.st1.g1|p9")
 	f.Fuzz(func(t *testing.T, key string) {
 		dev, v, d, prec, err := ParseTimingKey(key)
+		fdev, fv, fd, fprec, ferr := frozenParseTimingKey(key)
+		if (err == nil) != (ferr == nil) || err != nil && err.Error() != ferr.Error() {
+			t.Fatalf("key %q: error %v, frozen parser %v", key, err, ferr)
+		}
+		if dev != fdev || v != fv || d != fd || prec != fprec {
+			t.Fatalf("key %q: parsed (%q %+v %+v %v), frozen parser (%q %+v %+v %v)", key, dev, v, d, prec, fdev, fv, fd, fprec)
+		}
 		if err != nil {
 			return
 		}

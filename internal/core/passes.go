@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 
 	"edgeinfer/internal/graph"
 	"edgeinfer/internal/tensor"
@@ -88,8 +89,9 @@ func replaceIndex(g, ng *graph.Graph) *graph.Graph {
 func verticalFusion(g *graph.Graph) (map[string]Fusion, int) {
 	fusions := map[string]Fusion{}
 	absorbed := 0
+	uses := consumerIndex(g)
 	for {
-		fused := fuseOne(g, fusions)
+		fused := fuseOne(g, fusions, uses)
 		if fused == "" {
 			break
 		}
@@ -100,8 +102,11 @@ func verticalFusion(g *graph.Graph) (map[string]Fusion, int) {
 
 // fuseOne finds and applies a single fusion opportunity, returning the
 // name of the absorbed layer (or "" when no further fusion applies). One
-// mutation per scan keeps iteration over g.Layers safe.
-func fuseOne(g *graph.Graph, fusions map[string]Fusion) string {
+// mutation per scan keeps iteration over g.Layers safe. A declared
+// output is never fused into: its consumer would overwrite the tensor
+// the caller asked for, so TensorRT, too, does not fuse across a marked
+// output. uses is g's consumerIndex, kept current across the splice.
+func fuseOne(g *graph.Graph, fusions map[string]Fusion, uses map[string]consumerUse) string {
 	for _, l := range g.Layers {
 		if l.Op != graph.OpConv && l.Op != graph.OpFC {
 			continue
@@ -110,11 +115,11 @@ func fuseOne(g *graph.Graph, fusions map[string]Fusion) string {
 		if f.Act != ActNone {
 			continue // already fused an activation; chain complete
 		}
-		consumers := g.Consumers(l.Name)
-		if len(consumers) != 1 {
+		u := uses[l.Name]
+		if u.n != 1 || slices.Contains(g.Outputs, l.Name) {
 			continue
 		}
-		next := g.Layer(consumers[0])
+		next := u.last
 		switch next.Op {
 		case graph.OpBatchNorm, graph.OpScale:
 			if f.FoldedBN || l.Op != graph.OpConv {
@@ -136,9 +141,42 @@ func fuseOne(g *graph.Graph, fusions map[string]Fusion) string {
 		fusions[l.Name] = f
 		name := next.Name
 		g.Remove(name)
+		// next read only l, and l fed only next, so next's consumers now
+		// read l instead and none of them read l before.
+		if u, ok := uses[name]; ok {
+			uses[l.Name] = u
+		} else {
+			delete(uses, l.Name)
+		}
+		delete(uses, name)
 		return name
 	}
 	return ""
+}
+
+// consumerUse counts the layers that consume one layer's output and
+// keeps the last of them in layer order.
+type consumerUse struct {
+	n    int
+	last *graph.Layer
+}
+
+// consumerIndex maps each layer name to its consumers. A layer that
+// reads the same input twice (Add(x, x)) is one consumer of it.
+func consumerIndex(g *graph.Graph) map[string]consumerUse {
+	uses := make(map[string]consumerUse, len(g.Layers))
+	for _, l := range g.Layers {
+		for i, in := range l.Inputs {
+			if slices.Contains(l.Inputs[:i], in) {
+				continue
+			}
+			u := uses[in]
+			u.n++
+			u.last = l
+			uses[in] = u
+		}
+	}
+	return uses
 }
 
 // foldBN folds an inference-mode batch-norm (or scale) layer into the

@@ -5,7 +5,9 @@ import (
 	"reflect"
 	"testing"
 
+	"edgeinfer/internal/fixrand"
 	"edgeinfer/internal/graph"
+	"edgeinfer/internal/models"
 	"edgeinfer/internal/tensor"
 )
 
@@ -188,4 +190,101 @@ func TestDeadLayerRemovalKeepsLiveGraph(t *testing.T) {
 
 func close32(a, b float32) bool {
 	return math.Abs(float64(a-b)) <= 1e-5*(1+math.Abs(float64(b)))
+}
+
+// The consumer index counts each consuming layer once, however many of
+// its inputs name the producer.
+func TestConsumerIndex(t *testing.T) {
+	b := graph.NewBuilder("uses", [4]int{1, 4, 8, 8})
+	b.Conv("stem", 8, 3, 1, 1)
+	b.From("stem").Conv("b1", 8, 3, 1, 1)
+	b.From("stem").Conv("b2", 8, 1, 1, 0)
+	b.From("b1").AddJoin("res", "b2")
+	b.From("stem").Conv("c1", 8, 1, 1, 0)
+	b.From("c1").AddJoin("twice", "c1")
+	b.G.Outputs = []string{"res", "twice"}
+	g := b.Done()
+	uses := consumerIndex(g)
+	for name, want := range map[string]struct {
+		n    int
+		last string
+	}{"data": {1, "stem"}, "stem": {3, "c1"}, "b1": {1, "res"}, "b2": {1, "res"}, "c1": {1, "twice"}} {
+		if u := uses[name]; u.n != want.n || u.last == nil || u.last.Name != want.last {
+			t.Errorf("%s: %d uses, last %v; want %d, last %s", name, u.n, u.last, want.n, want.last)
+		}
+	}
+	if u, ok := uses["res"]; ok {
+		t.Errorf("sink res has uses %+v", u)
+	}
+}
+
+// verticalFusion keeps one consumer index across its scans; after every
+// splice it must equal an index built afresh from the graph.
+func TestConsumerIndexTracksFusion(t *testing.T) {
+	total := 0
+	for _, name := range models.List() {
+		src, err := models.Build(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := src.Clone()
+		if err := g.Finalize(); err != nil {
+			t.Fatal(err)
+		}
+		fusions := map[string]Fusion{}
+		uses := consumerIndex(g)
+		for fuseOne(g, fusions, uses) != "" {
+			total++
+			if fresh := consumerIndex(g); !reflect.DeepEqual(uses, fresh) {
+				t.Fatalf("%s: after %d fusions the kept index differs from a fresh one", name, total)
+			}
+		}
+	}
+	if total < 100 {
+		t.Fatalf("only %d fusions across the zoo", total)
+	}
+}
+
+// A conv whose output the caller declared keeps it: the ReLU after it is
+// a layer of its own, not an epilogue overwriting the declared tensor.
+func TestFusionKeepsDeclaredOutput(t *testing.T) {
+	b := graph.NewBuilder("declared", [4]int{1, 4, 8, 8})
+	b.Conv("c1", 8, 3, 1, 1).ReLU("r1").Conv("c2", 8, 3, 1, 1)
+	b.G.Outputs = []string{"c1", "c2"}
+	g := b.Done()
+	materialize(t, g)
+	cfg := nxCfg(1)
+	cfg.Precision, cfg.PruneFrac = tensor.FP32, 0
+	e, err := Build(g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f := e.Fusions["c1"]; f.Act != ActNone || len(f.Absorbed) != 0 {
+		t.Fatalf("declared output c1 absorbed %v", f.Absorbed)
+	}
+	x := tensor.New(1, 4, 8, 8)
+	src := fixrand.NewKeyed("declared-output")
+	for i := range x.Data {
+		x.Data[i] = float32(src.NormFloat64())
+	}
+	want, err := g.Execute(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := e.Infer(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	negative := false
+	for i, name := range g.Outputs {
+		for j, v := range want[i].Data {
+			negative = negative || name == "c1" && v < 0
+			if d := math.Abs(float64(got[i].Data[j] - v)); d > 1e-4 {
+				t.Fatalf("output %s[%d] = %v, reference %v", name, j, got[i].Data[j], v)
+			}
+		}
+	}
+	if !negative {
+		t.Fatal("c1 has no negative element, so the test cannot see a fused ReLU")
+	}
 }

@@ -40,10 +40,21 @@ func NewTimingCache() *TimingCache {
 // deliberately do not appear: entries must be shareable across builds.
 //
 // The grammar is
-// "device|family.tMxNxK.skS.layout.aA.pP|bB.icC.sHxW-ocOC.oOHxOW-kK.stST.gG|pP";
-// the key is appended field by field into a stack buffer rather than
-// formatted, since the tuner renders one per tactic it considers.
+// "device|family.tMxNxK.skS.layout.aA.pP|bB.icC.sHxW-ocOC.oOHxOW-kK.stST.gG|pP".
+// TimingKey allocates the returned string; the tuner, which renders a key
+// for every tactic it considers, appends it into a stack buffer with
+// appendTimingKey instead and converts only on a cache miss.
 func TimingKey(device string, v kernels.Variant, d kernels.ConvDims, prec tensor.Precision) string {
+	var buf [timingKeyBuf]byte
+	return string(appendTimingKey(buf[:0], device, v, d, prec))
+}
+
+// timingKeyBuf fits the key of every zoo layer on every platform with
+// room to spare; a longer key still renders, on the heap.
+const timingKeyBuf = 160
+
+// appendTimingKey appends the TimingKey rendering to b field by field.
+func appendTimingKey(b []byte, device string, v kernels.Variant, d kernels.ConvDims, prec tensor.Precision) []byte {
 	layout := "nchw"
 	if v.NHWC {
 		layout = "nhwc"
@@ -52,8 +63,7 @@ func TimingKey(device string, v kernels.Variant, d kernels.ConvDims, prec tensor
 	if v.FusedAct {
 		act = 1
 	}
-	var buf [160]byte
-	b := append(append(buf[:0], device...), '|')
+	b = append(append(b, device...), '|')
 	b = append(b, v.Family.String()...)
 	b = appendTag(b, ".t", v.TileM)
 	b = appendTag(b, "x", v.TileN)
@@ -72,8 +82,7 @@ func TimingKey(device string, v kernels.Variant, d kernels.ConvDims, prec tensor
 	b = appendTag(b, "-k", d.Kernel)
 	b = appendTag(b, ".st", d.Stride)
 	b = appendTag(b, ".g", d.Groups)
-	b = appendTag(b, "|p", int(prec))
-	return string(b)
+	return appendTag(b, "|p", int(prec))
 }
 
 // appendTag appends tag and then n in decimal.
@@ -91,17 +100,22 @@ func ParseTimingKey(key string) (device string, v kernels.Variant, d kernels.Con
 	fail := func(format string, args ...any) (string, kernels.Variant, kernels.ConvDims, tensor.Precision, error) {
 		return "", kernels.Variant{}, kernels.ConvDims{}, 0, fmt.Errorf("core: timing key %q: "+format, append([]any{key}, args...)...)
 	}
-	parts := strings.Split(key, "|")
-	if len(parts) < 4 {
-		return fail("want 4 |-separated segments, got %d", len(parts))
-	}
 	// The device string is caller-supplied and could itself contain '|';
 	// the three grammar segments are always the last three.
-	device = strings.Join(parts[:len(parts)-3], "|")
+	cut := len(key)
+	var segs [3]string
+	for i := len(segs) - 1; i >= 0; i-- {
+		j := strings.LastIndexByte(key[:cut], '|')
+		if j < 0 {
+			return fail("want 4 |-separated segments, got %d", strings.Count(key, "|")+1)
+		}
+		segs[i], cut = key[j+1:cut], j
+	}
+	device = key[:cut]
 	if device == "" {
 		return fail("empty device segment")
 	}
-	vseg, dseg, pseg := parts[len(parts)-3], parts[len(parts)-2], parts[len(parts)-1]
+	vseg, dseg, pseg := segs[0], segs[1], segs[2]
 
 	// Precision segment: "p%d".
 	p64, perr := parseTagInt(pseg, "p")
@@ -111,9 +125,9 @@ func ParseTimingKey(key string) (device string, v kernels.Variant, d kernels.Con
 	prec = tensor.Precision(p64)
 
 	// Variant segment: "family.tMxNxK.skS.layout.aA.pP".
-	vf := strings.Split(vseg, ".")
-	if len(vf) != 6 {
-		return fail("variant segment %q: want 6 fields, got %d", vseg, len(vf))
+	var vf [6]string
+	if n := splitInto(vf[:], vseg, '.'); n != len(vf) {
+		return fail("variant segment %q: want 6 fields, got %d", vseg, n)
 	}
 	fam, ok := kernels.ParseFamily(vf[0])
 	if !ok {
@@ -145,9 +159,9 @@ func ParseTimingKey(key string) (device string, v kernels.Variant, d kernels.Con
 	v.Precision = tensor.Precision(vp)
 
 	// Dims segment: "bB.icC.sHxW-ocOC.oOHxOW-kK.stST.gG".
-	df := strings.Split(dseg, ".")
-	if len(df) != 6 {
-		return fail("dims segment %q: want 6 fields, got %d", dseg, len(df))
+	var df [6]string
+	if n := splitInto(df[:], dseg, '.'); n != len(df) {
+		return fail("dims segment %q: want 6 fields, got %d", dseg, n)
 	}
 	if d.Batch, err = parseTagInt(df[0], "b"); err != nil {
 		return fail("dims batch %q: %v", df[0], err)
@@ -168,6 +182,28 @@ func ParseTimingKey(key string) (device string, v kernels.Variant, d kernels.Con
 		return fail("dims groups %q: %v", df[5], err)
 	}
 	return device, v, d, prec, nil
+}
+
+// splitInto is strings.Split(s, string(sep)) into a caller's array: it
+// returns the number of fields Split would return and stores the first
+// len(dst) of them.
+func splitInto(dst []string, s string, sep byte) int {
+	n := 0
+	for {
+		i := strings.IndexByte(s, sep)
+		if i < 0 {
+			break
+		}
+		if n < len(dst) {
+			dst[n] = s[:i]
+		}
+		n++
+		s = s[i+1:]
+	}
+	if n < len(dst) {
+		dst[n] = s
+	}
+	return n + 1
 }
 
 // parseTagInt parses "<tag><int>" (e.g. "sk2"), rejecting signs, spaces
@@ -197,9 +233,9 @@ func parseTriple(s, tag string) (a, b, c int, err error) {
 	if !strings.HasPrefix(s, tag) {
 		return 0, 0, 0, fmt.Errorf("missing %q tag", tag)
 	}
-	f := strings.Split(s[len(tag):], "x")
-	if len(f) != 3 {
-		return 0, 0, 0, fmt.Errorf("want 3 x-separated values, got %d", len(f))
+	var f [3]string
+	if n := splitInto(f[:], s[len(tag):], 'x'); n != len(f) {
+		return 0, 0, 0, fmt.Errorf("want 3 x-separated values, got %d", n)
 	}
 	if a, err = parseTagInt(f[0], ""); err != nil {
 		return 0, 0, 0, err
@@ -215,16 +251,16 @@ func parseTriple(s, tag string) (a, b, c int, err error) {
 
 // parsePairTag parses "<tag1>AxB-<tag2>C" (e.g. "s56x56-oc64").
 func parsePairTag(s, tag1, tag2 string) (a, b, c int, err error) {
-	halves := strings.Split(s, "-")
-	if len(halves) != 2 {
-		return 0, 0, 0, fmt.Errorf("want 2 '-'-separated halves, got %d", len(halves))
+	var halves [2]string
+	if n := splitInto(halves[:], s, '-'); n != len(halves) {
+		return 0, 0, 0, fmt.Errorf("want 2 '-'-separated halves, got %d", n)
 	}
 	if !strings.HasPrefix(halves[0], tag1) {
 		return 0, 0, 0, fmt.Errorf("missing %q tag", tag1)
 	}
-	f := strings.Split(halves[0][len(tag1):], "x")
-	if len(f) != 2 {
-		return 0, 0, 0, fmt.Errorf("want 2 x-separated values, got %d", len(f))
+	var f [2]string
+	if n := splitInto(f[:], halves[0][len(tag1):], 'x'); n != len(f) {
+		return 0, 0, 0, fmt.Errorf("want 2 x-separated values, got %d", n)
 	}
 	if a, err = parseTagInt(f[0], ""); err != nil {
 		return 0, 0, 0, err
@@ -243,6 +279,15 @@ func (c *TimingCache) Lookup(key string) (float64, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	v, ok := c.entries[key]
+	return v, ok
+}
+
+// lookupBytes is Lookup on a key held in a byte slice; indexing the map
+// with string(key) does not copy it.
+func (c *TimingCache) lookupBytes(key []byte) (float64, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	v, ok := c.entries[string(key)]
 	return v, ok
 }
 

@@ -28,16 +28,22 @@ func NewKeyed(key string) *Source {
 // HashString hashes a string to a 64-bit seed (FNV-1a followed by a
 // SplitMix64 finalizer to spread low-entropy inputs).
 func HashString(s string) uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
+	return mix(fnv1a(fnvOffset, s))
+}
+
+// FNV-1a parameters. The hash streams: folding a key's parts one after
+// another gives the hash of their concatenation.
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+func fnv1a(h uint64, s string) uint64 {
 	for i := 0; i < len(s); i++ {
 		h ^= uint64(s[i])
-		h *= prime
+		h *= fnvPrime
 	}
-	return mix(h)
+	return h
 }
 
 func mix(z uint64) uint64 {
@@ -103,9 +109,24 @@ func (s *Source) Shuffle(n int, swap func(i, j int)) {
 	}
 }
 
-// Fork derives an independent child stream labelled by key. The child is a
-// pure function of the parent's seed state at the time of the call and the
-// key, so forking does not disturb the parent sequence.
-func (s *Source) Fork(key string) *Source {
-	return New(mix(s.state ^ HashString(key)))
+// Fork derives an independent child stream labelled by the concatenation
+// of the key parts: Fork(a, b) is Fork(a + b) without building the
+// string. The child is a pure function of the parent's seed state at the
+// time of the call and the key, so forking does not disturb the parent
+// sequence. Fork is small enough to inline, so a child consumed on the
+// spot (s.Fork(k).NormFloat64()) stays on the caller's stack.
+func (s *Source) Fork(key ...string) *Source {
+	return &Source{state: s.forkSeed(key)}
+}
+
+// forkSeed is the child's seed. It stays out of line: inlined, its loop
+// would push Fork past the inliner's budget.
+//
+//go:noinline
+func (s *Source) forkSeed(key []string) uint64 {
+	h := uint64(fnvOffset)
+	for _, part := range key {
+		h = fnv1a(h, part)
+	}
+	return mix(s.state ^ mix(h))
 }

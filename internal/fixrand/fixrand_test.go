@@ -153,3 +153,43 @@ func TestShuffleKeepsElements(t *testing.T) {
 		t.Fatalf("shuffle lost elements, sum=%d", sum)
 	}
 }
+
+// frozenFork is Fork as it stood when it took one key string.
+func frozenFork(s *Source, key string) *Source {
+	return New(mix(s.state ^ HashString(key)))
+}
+
+// Fork over parts seeds exactly what the single-string Fork seeded for
+// their concatenation, however the key is cut.
+func TestForkPartsMatchConcatenation(t *testing.T) {
+	if err := quick.Check(func(seed uint64, a, b, c string) bool {
+		s := New(seed)
+		want := frozenFork(s, a+b+c).Uint64()
+		return s.Fork(a, b, c).Uint64() == want &&
+			s.Fork(a+b, c).Uint64() == want &&
+			s.Fork(a+b+c).Uint64() == want &&
+			s.Fork(a, "", b+c).Uint64() == want
+	}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if New(3).Fork().Uint64() != frozenFork(New(3), "").Uint64() {
+		t.Fatal("Fork() differs from Fork(\"\")")
+	}
+}
+
+// A child consumed on the spot stays on the caller's stack: the tuner
+// draws two such variates for every tactic it times.
+func TestForkNormFloat64Allocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; counts only hold without it")
+	}
+	s := NewKeyed("tuner/resnet18/NX/build1")
+	layer, symbol := "res2a_branch2a_plus_a_long_layer_name", "trt_volta_h884cudnn_128x64_ldg8_relu_exp_small_nhwc_tn_v1"
+	var sink float64
+	if n := testing.AllocsPerRun(100, func() {
+		sink += s.Fork(layer, "/", symbol).NormFloat64()
+	}); n != 0 {
+		t.Fatalf("Fork(...).NormFloat64() allocates %v times per call, want 0", n)
+	}
+	_ = sink
+}

@@ -200,28 +200,63 @@ func (g *Graph) sinks() []string {
 
 // topoSort returns the layers in topological order (Kahn's algorithm with
 // deterministic tie-breaking by insertion order) or an error on cycles.
+// Layers are numbered by position, names are resolved once, and the
+// dependents of each layer are kept in one flat (CSR) array. A name maps
+// to the first layer carrying it, so duplicate names share one
+// in-degree, as they share one name. An input that names no layer has
+// no edge to release it: its consumer never sorts and the graph fails as
+// a cycle.
 func (g *Graph) topoSort() ([]*Layer, error) {
-	indeg := map[string]int{}
-	dependents := map[string][]string{}
-	for _, l := range g.Layers {
-		indeg[l.Name] += 0
+	n := len(g.Layers)
+	idx := make(map[string]int32, n)
+	// One backing array for the per-layer integers. The queue needs at
+	// most n slots: a layer is queued at the start (no inputs) or when its
+	// last input is released, never both.
+	ints := make([]int32, 5*n+1)
+	node, indeg, start := ints[:n], ints[n:2*n], ints[2*n:3*n+1]
+	fill, queue := ints[3*n+1:4*n+1], ints[4*n+1:4*n+1]
+	for i, l := range g.Layers {
+		j, ok := idx[l.Name]
+		if !ok {
+			j = int32(i)
+			idx[l.Name] = j
+		}
+		node[i] = j
+	}
+	edges := 0
+	for i, l := range g.Layers {
 		for _, in := range l.Inputs {
-			indeg[l.Name]++
-			dependents[in] = append(dependents[in], l.Name)
+			indeg[node[i]]++
+			if p, ok := idx[in]; ok {
+				start[p+1]++
+				edges++
+			}
 		}
 	}
-	var queue []string
-	for _, l := range g.Layers { // insertion order keeps sort stable
-		if indeg[l.Name] == 0 {
-			queue = append(queue, l.Name)
+	for i := 0; i < n; i++ {
+		start[i+1] += start[i]
+	}
+	dependents := make([]int32, edges)
+	copy(fill, start[:n])
+	for i, l := range g.Layers {
+		for _, in := range l.Inputs {
+			if p, ok := idx[in]; ok {
+				dependents[fill[p]] = node[i]
+				fill[p]++
+			}
 		}
 	}
-	var sorted []*Layer
+	for i := range g.Layers { // insertion order keeps sort stable
+		if indeg[node[i]] == 0 {
+			queue = append(queue, node[i])
+		}
+	}
+	sorted := make([]*Layer, 0, n)
 	for len(queue) > 0 {
-		name := queue[0]
+		j := queue[0]
 		queue = queue[1:]
-		sorted = append(sorted, g.byName[name])
-		for _, d := range dependents[name] {
+		sorted = append(sorted, g.byName[g.Layers[j].Name])
+		for _, d := range dependents[start[j]:start[j+1]] {
 			indeg[d]--
 			if indeg[d] == 0 {
 				queue = append(queue, d)
@@ -232,21 +267,6 @@ func (g *Graph) topoSort() ([]*Layer, error) {
 		return nil, fmt.Errorf("graph %s: cycle detected (%d of %d layers sorted)", g.Name, len(sorted), len(g.Layers))
 	}
 	return sorted, nil
-}
-
-// Consumers returns the names of layers that consume the named layer's
-// output, in topological order.
-func (g *Graph) Consumers(name string) []string {
-	var out []string
-	for _, l := range g.Layers {
-		for _, in := range l.Inputs {
-			if in == name {
-				out = append(out, l.Name)
-				break
-			}
-		}
-	}
-	return out
 }
 
 // Clone deep-copies the graph, including weights. The clone is

@@ -112,14 +112,6 @@ func TestTopoSortOrder(t *testing.T) {
 	}
 }
 
-func TestConsumers(t *testing.T) {
-	g := branchNet()
-	cs := g.Consumers("stem")
-	if len(cs) != 3 {
-		t.Fatalf("stem consumers %v", cs)
-	}
-}
-
 func TestParamCount(t *testing.T) {
 	g := smallNet()
 	// conv1: 8*3*3*3 + 8 = 224

@@ -21,7 +21,9 @@ func ConvCandidates(d ConvDims, prec tensor.Precision) []Variant {
 			fallbackFP32(),
 		}
 	}
-	var out []Variant
+	// Room for every tile with its split-K sibling, two Winograd tiles
+	// and the fallback: the menu is built once per layer.
+	out := make([]Variant, 0, 2*len(hmmaTiles)+3)
 	if prec == tensor.FP16 || prec == tensor.INT8 {
 		for _, t := range hmmaTiles {
 			v := Variant{Family: FamHMMAConv, TileM: t[0], TileN: t[1], TileK: t[2],
@@ -50,7 +52,7 @@ func ConvCandidates(d ConvDims, prec tensor.Precision) []Variant {
 
 // GEMMCandidates enumerates fully-connected tactics.
 func GEMMCandidates(d ConvDims, prec tensor.Precision) []Variant {
-	var out []Variant
+	out := make([]Variant, 0, 2*3+1)
 	if prec == tensor.FP16 || prec == tensor.INT8 {
 		for _, t := range [][3]int{{64, 64, 32}, {128, 64, 64}, {128, 128, 128}} {
 			v := Variant{Family: FamGEMM, TileM: t[0], TileN: t[1], TileK: t[2],

@@ -29,7 +29,7 @@ import (
 // and NHWC cannot influence an output bit: two variants with equal
 // Numerics compute bit-identical results on equal operands. Comparable
 // with ==; core.Engine.SameNumerics is built on that, and a tactic family
-// with numerics of its own (ROADMAP item 3) has to enter through here.
+// with numerics of its own (ROADMAP item 2) has to enter through here.
 type Numerics struct {
 	TileK    int  // reduction tile: where partial sums are rounded
 	SplitK   bool // tile partials fold through two independent accumulators

@@ -12,7 +12,7 @@
 // Differing reduction tiles are what make independently tuned engines
 // produce different outputs on the same input, the paper's Finding 2;
 // per-family numerics (Winograd's transformed-tile rounding, NHWC's
-// reduction order) are ROADMAP item 3, and enter through Numerics.
+// reduction order) are ROADMAP item 2, and enter through Numerics.
 package kernels
 
 import (
@@ -102,23 +102,106 @@ type Variant struct {
 
 // SizeClass buckets the implicit-GEMM M dimension the way TensorRT's
 // kernel names do (small / medium / large / xlarge).
-func SizeClass(m int) string {
+func SizeClass(m int) string { return sizeClasses[sizeClass(m)] }
+
+var sizeClasses = [...]string{"small", "medium", "large", "xlarge"}
+
+// sizeClass is SizeClass as an index into sizeClasses.
+func sizeClass(m int) uint8 {
 	switch {
 	case m <= 4096:
-		return "small"
+		return 0
 	case m <= 32768:
-		return "medium"
+		return 1
 	case m <= 262144:
-		return "large"
+		return 2
 	default:
-		return "xlarge"
+		return 3
 	}
 }
 
 // Name renders the kernel symbol in the style nvprof reports for
 // TensorRT engines (paper Table XI), parameterized by the implicit-GEMM
-// M of the layer the variant is bound to.
+// M of the layer the variant is bound to. The names of the library's own
+// variants come from a table built at init; any other variant (one
+// parsed from a foreign timing cache or a hostile plan) is rendered.
 func (v Variant) Name(m int) string {
+	if s, ok := menuNames[nameKeyOf(v, m)]; ok {
+		return s
+	}
+	return v.render(m)
+}
+
+// nameKey holds every input of render: the fields a name shows and the
+// size class of M. Variants that differ elsewhere (tile K, split-K,
+// precision) share a name, and so share an entry.
+type nameKey struct {
+	fam          Family
+	act, nhwc    bool
+	class        uint8
+	tileM, tileN int
+}
+
+func nameKeyOf(v Variant, m int) nameKey {
+	return nameKey{v.Family, v.FusedAct, v.NHWC, sizeClass(m), v.TileM, v.TileN}
+}
+
+// menuNames holds the name of every variant menuVariants lists, in every
+// size class. The tuner names each candidate it plans, so a rendering
+// per candidate would dominate a build's allocations. The table is fixed
+// at init: a lazily filled cache would grow without bound on the
+// variants of untrusted timing-cache keys.
+var menuNames map[nameKey]string
+
+// init, not a variable initializer: listing the menu plans launches, and
+// planning names them.
+func init() {
+	menuNames = map[nameKey]string{}
+	interned := map[string]string{}
+	for _, v := range menuVariants() {
+		for _, m := range [...]int{1, 4097, 32769, 262145} { // one M per size class
+			s := v.render(m)
+			if t, ok := interned[s]; ok {
+				s = t
+			} else {
+				interned[s] = s
+			}
+			menuNames[nameKeyOf(v, m)] = s
+		}
+	}
+}
+
+// menuVariants lists every variant ConvCandidates, GEMMCandidates,
+// UnoptimizedConv, PlanSimple and PlanSort can emit.
+func menuVariants() []Variant {
+	var menu []Variant
+	// One shape per menu branch: depthwise; deep enough for split-K with
+	// Winograd eligible; shallow and large.
+	convs := []ConvDims{
+		{Batch: 1, InC: 8, H: 8, W: 8, OutC: 8, OutH: 8, OutW: 8, Kernel: 3, Stride: 1, Groups: 8},
+		{Batch: 1, InC: 512, H: 7, W: 7, OutC: 512, OutH: 7, OutW: 7, Kernel: 3, Stride: 1, Groups: 1},
+		{Batch: 1, InC: 64, H: 224, W: 224, OutC: 64, OutH: 224, OutW: 224, Kernel: 1, Stride: 1, Groups: 1},
+	}
+	fcs := []ConvDims{
+		{Batch: 1, InC: 8192, H: 1, W: 1, OutC: 1000, OutH: 1, OutW: 1, Kernel: 1, Stride: 1, Groups: 1},
+		{Batch: 1, InC: 256, H: 1, W: 1, OutC: 10, OutH: 1, OutW: 1, Kernel: 1, Stride: 1, Groups: 1},
+	}
+	for prec := tensor.FP32; prec <= tensor.INT8; prec++ {
+		for _, d := range convs {
+			menu = append(menu, ConvCandidates(d, prec)...)
+		}
+		for _, d := range fcs {
+			menu = append(menu, GEMMCandidates(d, prec)...)
+		}
+		for fam := FamHMMAConv; fam <= FamSort; fam++ {
+			menu = append(menu, PlanSimple(fam, prec, 1, 1, 0).V)
+		}
+	}
+	return append(menu, UnoptimizedConv(), PlanSort(1).V)
+}
+
+// render formats the name of any variant.
+func (v Variant) render(m int) string {
 	layout := "nchw"
 	if v.NHWC {
 		layout = "nhwc"
