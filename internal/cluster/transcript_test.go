@@ -28,11 +28,11 @@ func renderReport(rep *Report) string {
 }
 
 // TestTranscriptPinned holds the failover scenarios of this package's
-// tests, and the configuration cmd/clusterbench -smoke soaks, to their
-// exact transcripts and recovery accounting.
+// tests, and the cluster chaos soak, to their exact transcripts and
+// recovery accounting. The soak's row also holds the soak's gates.
 func TestTranscriptPinned(t *testing.T) {
 	e := proxyEngine(t)
-	smokeFrames := func() []*tensor.Tensor { // cmd/clusterbench's inputs at its default seed
+	smokeFrames := func() []*tensor.Tensor { // 60 frames from the soak's seed
 		src := fixrand.NewKeyed("clusterbench/clusterbench")
 		xs := make([]*tensor.Tensor, 60)
 		for i := range xs {
@@ -48,6 +48,7 @@ func TestTranscriptPinned(t *testing.T) {
 		cfg  func() PipelineConfig
 		xs   func() []*tensor.Tensor
 		want string
+		soak bool // also check soakGates
 	}{
 		{"crash-standby-restart", func() PipelineConfig {
 			plan := faults.NewClusterPlan("crash-standby")
@@ -60,7 +61,7 @@ frame 3: node 1 (nx-1) suspect->quarantined heartbeat-miss
 frame 3: node 3 (agx-sb) healthy->healthy takes over stage 1 [3:6)
 frame 3: node 1 (nx-1) quarantined->rebuilding restart pending
 frame 9: node 1 (nx-1) rebuilding->readmitted restarted as standby
-`},
+`, false},
 		{"crash-merge", func() PipelineConfig {
 			plan := faults.NewClusterPlan("crash-merge")
 			plan.CrashStage, plan.CrashAtFrame = 1, 2
@@ -69,7 +70,7 @@ frame 9: node 1 (nx-1) rebuilding->readmitted restarted as standby
 frame 2: node 1 (nx-1) healthy->suspect heartbeat-miss
 frame 2: node 1 (nx-1) suspect->quarantined heartbeat-miss
 frame 2: node 0 (nx-0) healthy->healthy absorbs stage 1 [3:6)
-`},
+`, false},
 		{"hang", func() PipelineConfig {
 			plan := faults.NewClusterPlan("hang")
 			plan.HangStage, plan.HangAtFrame, plan.HangFrames, plan.HangSec = 0, 2, 6, 0.5
@@ -79,7 +80,7 @@ frame 2: node 0 (nx-0) healthy->healthy absorbs stage 1 [3:6)
 frame 2: node 0 (nx-0) healthy->suspect stage-lat=25948.99x
 frame 3: node 0 (nx-0) suspect->quarantined stage-lat=25948.99x
 frame 3: node 3 (agx-sb) healthy->healthy takes over stage 0 [0:3)
-`},
+`, false},
 		{"chaos", func() PipelineConfig {
 			plan := faults.ClusterChaos("determinism", 1, 3)
 			return PipelineConfig{Engine: e, Nodes: threeNX(), Links: fastLinks(2),
@@ -89,7 +90,9 @@ frame 3: node 1 (nx-1) healthy->suspect heartbeat-miss
 frame 3: node 1 (nx-1) suspect->quarantined heartbeat-miss
 frame 3: node 3 (agx-sb) healthy->healthy takes over stage 1 [3:6)
 frame 3: node 1 (nx-1) quarantined->rebuilding restart pending
-`},
+`, false},
+		// The chaos soak: a heterogeneous pipeline with one standby, its
+		// middle stage killed at frame 15 under link noise.
 		{"clusterbench-smoke", func() PipelineConfig {
 			plan := faults.ClusterChaos("clusterbench", 1, 15)
 			return PipelineConfig{Engine: e,
@@ -103,7 +106,7 @@ frame 15: node 1 (nx-1) suspect->quarantined heartbeat-miss
 frame 15: node 3 (nx-standby) healthy->healthy takes over stage 1 [3:6)
 frame 15: node 1 (nx-1) quarantined->rebuilding restart pending
 frame 55: node 1 (nx-1) rebuilding->readmitted restarted as standby
-`},
+`, true},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -118,7 +121,50 @@ frame 55: node 1 (nx-1) rebuilding->readmitted restarted as standby
 			if got := renderReport(rep); got != c.want {
 				t.Errorf("report moved:\n--- got\n%s--- want\n%s", got, c.want)
 			}
+			if c.soak {
+				soakGates(t, c.cfg(), c.xs(), rep)
+			}
 		})
+	}
+}
+
+// soakGates holds a chaos soak to its robustness contract against a
+// fault-free baseline on the same topology: the baseline answers every
+// frame; the soak loses none silently (answered + shed == frames),
+// detects the crash and fails over or merges, recovers within 8
+// frames, and answers every answered frame bit-identically to the
+// baseline. It also pins the soak's counts: 60 answered, none shed.
+func soakGates(t *testing.T, cfg PipelineConfig, xs []*tensor.Tensor, rep *Report) {
+	t.Helper()
+	cfg.Injector = nil
+	p, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := p.Run(xs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := len(xs)
+	if base.Answered != n || base.Shed != 0 || base.Lost != 0 {
+		t.Errorf("fault-free baseline: answered %d shed %d lost %d of %d frames", base.Answered, base.Shed, base.Lost, n)
+	}
+	if rep.Lost != 0 || rep.Answered+rep.Shed != n {
+		t.Errorf("soak: answered %d + shed %d of %d frames, %d lost", rep.Answered, rep.Shed, n, rep.Lost)
+	}
+	if rep.Answered != 60 || rep.Shed != 0 {
+		t.Errorf("soak: answered %d shed %d, want 60 and 0", rep.Answered, rep.Shed)
+	}
+	if rep.CrashDetectFrame < 0 || rep.Failovers+rep.Merges < 1 {
+		t.Errorf("soak: crash detected at frame %d, %d failovers, %d merges", rep.CrashDetectFrame, rep.Failovers, rep.Merges)
+	}
+	if rep.RecoveryFrames > 8 {
+		t.Errorf("soak: recovery took %d frames, bound 8", rep.RecoveryFrames)
+	}
+	for f, v := range rep.Frames {
+		if !v.Shed && v.Outputs != nil {
+			sameBits(t, fmt.Sprintf("soak frame %d", f), v.Outputs, base.Frames[f].Outputs)
+		}
 	}
 }
 

@@ -145,7 +145,6 @@ func TestTunerCacheHitAllocs(t *testing.T) {
 		devKey: "NX@1109MHz",
 		cache:  NewTimingCache(),
 		stats:  stats,
-		topK:   DefaultPredictTopK,
 	}
 	d := kernels.ConvDims{Batch: 1, InC: 256, H: 14, W: 14, OutC: 256, OutH: 14, OutW: 14, Kernel: 3, Stride: 1, Groups: 1}
 	var specs []kernels.LaunchSpec

@@ -47,29 +47,21 @@ type BuildConfig struct {
 	TimingCache *TimingCache
 	// Predictor, when non-nil, pre-prunes the tuner's candidate menu: all
 	// candidates are ranked by predicted latency and only the best
-	// PredictTopK are actually timed on the device (MAPLE-Edge style).
+	// predictTopK are actually timed on the device (MAPLE-Edge style).
 	// Tactic choices are unchanged as long as the noisy winner ranks
-	// inside the kept set — the default k is pinned zoo-wide by test and
-	// by the cmd/predbench CI gate. A layer falls back to full timing
-	// when any of its candidates cannot be predicted (unknown family or
-	// the predictor's own confidence gate), counted in
-	// PassStats.PredictorFallbacks.
+	// inside the kept set — latpred.TestPrunedZooChoicesUnchanged pins
+	// that zoo-wide. A layer falls back to full timing when any of its
+	// candidates cannot be predicted (unknown family or the predictor's
+	// own confidence gate), counted in PassStats.PredictorFallbacks.
 	Predictor LatencyPredictor
-	// PredictTopK is the number of top-ranked candidates the pruned tuner
-	// still times per layer (0 selects DefaultPredictTopK). Ignored
-	// without a Predictor.
-	PredictTopK int
 	// CanonicalWarmID stamps BuildID 0 on engines whose every tactic
 	// came from the timing cache (see BuildReport.WarmBuild): warm
 	// rebuilds then serialize byte-identically. Off by default so that
 	// cache-assisted regeneration keeps stable build identities.
 	CanonicalWarmID bool
-	// DisablePasses names pipeline passes to skip (see DefaultPasses for
-	// the vocabulary). Skipped passes appear in the BuildReport flagged
-	// Disabled.
+	// DisablePasses names pipeline passes to skip (the Pass* constants).
+	// Skipped passes appear in the BuildReport flagged Disabled.
 	DisablePasses []string
-	// PassHook, when non-nil, observes each pass's stats as it completes.
-	PassHook func(PassStats)
 }
 
 // DefaultConfig returns the standard FP16 build configuration for a
@@ -82,18 +74,6 @@ func DefaultConfig(spec gpusim.DeviceSpec, buildID int) BuildConfig {
 		TunerNoise: 0.08,
 		PruneFrac:  0.60,
 	}
-}
-
-// Build runs the full optimization pipeline on a model graph and returns
-// a deployable engine. The input graph is not modified. It is the
-// default pass pipeline (DefaultPasses) honouring cfg.DisablePasses and
-// cfg.PassHook; custom pipelines go through NewPassManager directly.
-func Build(src *graph.Graph, cfg BuildConfig) (*Engine, error) {
-	pm := NewPassManager(DefaultPasses()...).Disable(cfg.DisablePasses...)
-	if cfg.PassHook != nil {
-		pm.Hook(cfg.PassHook)
-	}
-	return pm.Build(src, cfg)
 }
 
 // hasWeights reports whether any layer has materialized weight tensors.
@@ -119,15 +99,15 @@ type LatencyPredictor interface {
 	PredictSec(dev *gpusim.Device, ls kernels.LaunchSpec) (secs float64, ok bool)
 }
 
-// DefaultPredictTopK is the pruned tuner's default kept-candidate count.
-// It is chosen so that zoo-wide tactic choices match unpruned builds:
-// the tuner's noise streams are pure functions of (engine, layer,
-// candidate) — independent of which other candidates are timed — so
-// pruning preserves the choice exactly when the noisy winner ranks
-// inside the kept set. k=4 holds that across the 13-model zoo over the
-// pinned build ids (TestPrunedBuildChoicesUnchanged, cmd/predbench)
-// while cutting the modeled tactic-timing cost by well over half.
-const DefaultPredictTopK = 4
+// predictTopK is the pruned tuner's kept-candidate count. It is chosen
+// so that zoo-wide tactic choices match unpruned builds: the tuner's
+// noise streams are pure functions of (engine, layer, candidate) —
+// independent of which other candidates are timed — so pruning
+// preserves the choice exactly when the noisy winner ranks inside the
+// kept set. k=4 holds that across the 13-model zoo over the pinned
+// build ids (latpred.TestPrunedZooChoicesUnchanged) while cutting the
+// modeled tactic-timing cost by well over half.
+const predictTopK = 4
 
 // predictGuardBand widens the pruner's keep set past the top-k: any
 // candidate predicted within this factor of the k-th kept is timed
@@ -150,16 +130,11 @@ type tuner struct {
 	cache  *TimingCache // nil: always measure
 	stats  *PassStats   // kernel-tuning instrumentation sink
 	pred   LatencyPredictor
-	topK   int
 }
 
 // newTuner seeds the measurement-noise stream from the engine key, as
 // the original monolithic Build did, and binds the timing cache.
 func newTuner(dev *gpusim.Device, e *Engine, cfg BuildConfig, stats *PassStats) *tuner {
-	topK := cfg.PredictTopK
-	if topK <= 0 {
-		topK = DefaultPredictTopK
-	}
 	return &tuner{
 		dev:    dev,
 		noise:  fixrand.NewKeyed(fmt.Sprintf("tuner/%s", e.Key())),
@@ -168,7 +143,6 @@ func newTuner(dev *gpusim.Device, e *Engine, cfg BuildConfig, stats *PassStats) 
 		cache:  cfg.TimingCache,
 		stats:  stats,
 		pred:   cfg.Predictor,
-		topK:   topK,
 	}
 }
 
@@ -253,12 +227,12 @@ func (t *tuner) pick(layer string, d kernels.ConvDims, cands []kernels.Variant) 
 // scaled by this build session's measurement-noise factor, which the
 // tuner can reproduce exactly because its noise streams are pure
 // functions of (engine, family, layer, symbol) — and returns the
-// indices of the topK to time, in original menu order (ties in later
-// measurement resolve first-seen, as in the unpruned tuner). Ranking by
-// observed rather than base time matters: the per-build systematic
-// family bias (sysSigma) coherently reorders whole tactic classes, so a
-// base-time ranking would need a far larger k to keep the noisy winner
-// inside the kept set. Without a predictor — or when any candidate
+// indices of the candidates to time, in original menu order (ties in
+// later measurement resolve first-seen, as in the unpruned tuner).
+// Ranking by observed rather than base time matters: the per-build
+// systematic family bias (sysSigma) coherently reorders whole tactic
+// classes, so a base-time ranking would need a far larger k to keep the
+// noisy winner inside the kept set. Without a predictor — or when any candidate
 // cannot be predicted confidently — the full menu is returned: a
 // wrong-but-confident predictor can only reorder which tactics get
 // timed, never invent a measurement, so the failure mode of a bad model
@@ -268,7 +242,7 @@ func (t *tuner) prune(layer string, specs []kernels.LaunchSpec) []int {
 	for i := range specs {
 		all[i] = i
 	}
-	if t.pred == nil || len(specs) <= t.topK {
+	if t.pred == nil || len(specs) <= predictTopK {
 		return all
 	}
 	pred := make([]float64, len(specs))
@@ -289,8 +263,8 @@ func (t *tuner) prune(layer string, specs []kernels.LaunchSpec) []int {
 	// timed rather than trusted away. The band is what lets a small k
 	// stay byte-identical: the true winner is only ever lost when the
 	// model mis-ranks it *and* by a margin larger than its own error bar.
-	cut := t.topK
-	limit := pred[order[t.topK-1]] * predictGuardBand
+	cut := predictTopK
+	limit := pred[order[predictTopK-1]] * predictGuardBand
 	for cut < len(order) && pred[order[cut]] <= limit {
 		cut++
 	}

@@ -210,6 +210,11 @@ func hostileHeaders(tb testing.TB, plan []byte, hlen int) map[string][]byte {
 		"unknown-input-ref": mutateHeader(tb, plan, hlen, func(h map[string]any) {
 			first(h)["Inputs"] = []any{"no-such-layer"}
 		}),
+		// A back edge: the first layer consumes the second, which
+		// consumes it.
+		"cycle": mutateHeader(tb, plan, hlen, func(h map[string]any) {
+			first(h)["Inputs"] = []any{h["Layers"].([]any)[1].(map[string]any)["Name"]}
+		}),
 		"no-inputs": mutateHeader(tb, plan, hlen, func(h map[string]any) {
 			first(h)["Inputs"] = []any{}
 		}),

@@ -9,12 +9,14 @@ import (
 	"edgeinfer/internal/graph"
 	"edgeinfer/internal/kernels"
 	"edgeinfer/internal/models"
+	"edgeinfer/internal/planlint"
 	"edgeinfer/internal/tensor"
 )
 
 // FuzzLoad throws arbitrary bytes (seeded with real plan prefixes) at the
-// engine-plan loader: it must return an error or a valid engine, never
-// panic or hang.
+// engine-plan loader and the static verifier: Load must return an error
+// or a valid engine, never panic or hang, and VerifyPlanData must report
+// an error on every plan Load rejects.
 func FuzzLoad(f *testing.F) {
 	g, err := models.BuildProxy("vgg16", models.DefaultProxyOptions())
 	if err != nil {
@@ -41,9 +43,9 @@ func FuzzLoad(f *testing.F) {
 	f.Add(bad)
 	// Hostile topologies, weight records and length fields (the crashers
 	// the corruption tests pin down: duplicate layers, unknown input refs,
-	// a layer shadowing "data", a weight for the input layer, zero-stride
-	// convs, giant shapes over truncated streams) seed the mutator near
-	// the interesting paths.
+	// a cycle, a layer shadowing "data", a weight for the input layer,
+	// zero-stride convs, giant shapes over truncated streams) seed the
+	// mutator near the interesting paths.
 	smallPlan, hlen := savedPlan(f)
 	f.Add(smallPlan)
 	for _, hostile := range hostileHeaders(f, smallPlan, hlen) {
@@ -77,6 +79,10 @@ func FuzzLoad(f *testing.F) {
 		e, err := Load(bytes.NewReader(data))
 		if err == nil && e == nil {
 			t.Fatal("nil engine without error")
+		}
+		// The static verifier never passes what the loader rejects.
+		if issues := VerifyPlanData(bytes.NewReader(data)); err != nil && !planlint.HasErrors(issues) {
+			t.Fatalf("Load rejects (%v) but VerifyPlanData reports no error: %v", err, issues)
 		}
 		if err != nil || !e.Numeric || !fuzzSized(e.Graph) {
 			return

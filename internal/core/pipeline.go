@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"edgeinfer/internal/gpusim"
 	"edgeinfer/internal/graph"
@@ -9,10 +10,9 @@ import (
 	"edgeinfer/internal/tensor"
 )
 
-// The builder's optimization pipeline (paper Figure 2) as named,
-// reorderable, individually-disableable passes. Build wires the default
-// pipeline; NewPassManager lets ablations reorder or drop stages and
-// still get a deployable engine plus a per-pass BuildReport.
+// The builder's optimization pipeline (paper Figure 2): six named passes
+// in a fixed order, each individually disableable, each reporting its
+// PassStats into the engine's BuildReport.
 
 // PassStats instruments one pipeline stage. Fields are zero where a
 // counter does not apply to the pass.
@@ -77,8 +77,8 @@ type BuildReport struct {
 	ExpectedLatencySec float64 `json:",omitempty"`
 }
 
-// Pass returns the stats of a named pass, or nil if the pipeline did not
-// contain it.
+// Pass returns the stats of a named pass, or nil if the report has
+// none.
 func (r *BuildReport) Pass(name string) *PassStats {
 	for i := range r.Passes {
 		if r.Passes[i].Pass == name {
@@ -88,30 +88,8 @@ func (r *BuildReport) Pass(name string) *PassStats {
 	return nil
 }
 
-// PassContext is the mutable state a pass operates on: the engine under
-// construction (whose Graph the passes rewrite) and the artifacts passes
-// hand to later stages.
-type PassContext struct {
-	Cfg    BuildConfig
-	Engine *Engine
-
-	// MergeLeader/MergeGroups are produced by horizontal-merge and
-	// consumed by kernel-tuning (empty when the merge pass is disabled).
-	MergeLeader map[string]string
-	MergeGroups map[string][]string
-
-	// Int8Ranges are produced by int8-calibration and attached to the
-	// engine for the runtime's quantized numeric path.
-	Int8Ranges map[string]float32
-}
-
-// Pass is one named optimization stage of the builder pipeline.
-type Pass interface {
-	Name() string
-	Run(pc *PassContext) (PassStats, error)
-}
-
-// Canonical pass names (the Disable / DisablePasses vocabulary).
+// Canonical pass names: the BuildReport's labels and the DisablePasses
+// vocabulary.
 const (
 	PassDeadLayerRemoval = "dead-layer-removal"
 	PassVerticalFusion   = "vertical-fusion"
@@ -121,71 +99,44 @@ const (
 	PassKernelTuning     = "kernel-tuning"
 )
 
-// DefaultPasses returns the standard pipeline in the paper's Figure 2
-// order: dead-layer removal, vertical fusion, INT8 calibration (on the
-// still-FP32 fused graph), weight quantization, horizontal merging, and
-// timing-based kernel tuning.
-func DefaultPasses() []Pass {
-	return []Pass{
-		deadLayerPass{},
-		verticalFusionPass{},
-		calibrationPass{},
-		quantizePass{},
-		horizontalMergePass{},
-		kernelTuningPass{},
-	}
+// build is one engine under construction: the passes rewrite its graph,
+// and horizontal-merge hands its sibling groups to kernel-tuning (both
+// maps stay nil when merging is disabled).
+type build struct {
+	cfg    BuildConfig
+	e      *Engine
+	leader map[string]string
+	groups map[string][]string
 }
 
-// PassManager runs a pass pipeline over a model graph.
-type PassManager struct {
-	passes   []Pass
-	disabled map[string]bool
-	hook     func(PassStats)
+// pass is one named stage of the pipeline.
+type pass struct {
+	name string
+	run  func(*build) (PassStats, error)
 }
 
-// NewPassManager assembles a pipeline from the given passes, in order.
-func NewPassManager(passes ...Pass) *PassManager {
-	return &PassManager{passes: passes, disabled: map[string]bool{}}
-}
-
-// Disable marks passes to be skipped (they still appear in the
-// BuildReport, flagged Disabled). Unknown names error at Build time.
-func (pm *PassManager) Disable(names ...string) *PassManager {
-	for _, n := range names {
-		pm.disabled[n] = true
-	}
-	return pm
-}
-
-// Hook registers a function called with each pass's stats as it
-// completes (including disabled passes).
-func (pm *PassManager) Hook(fn func(PassStats)) *PassManager {
-	pm.hook = fn
-	return pm
-}
-
-// validate checks the pipeline against its disable set.
-func (pm *PassManager) validate() error {
-	known := map[string]bool{}
-	for _, p := range pm.passes {
-		if known[p.Name()] {
-			return fmt.Errorf("core: duplicate pass %q in pipeline", p.Name())
-		}
-		known[p.Name()] = true
-	}
-	for n := range pm.disabled {
-		if !known[n] {
-			return fmt.Errorf("core: cannot disable unknown pass %q", n)
-		}
-	}
-	return nil
+// pipeline is the builder in the paper's Figure 2 order: dead-layer
+// removal, vertical fusion, INT8 calibration (on the still-FP32 fused
+// graph), weight quantization, horizontal merging, and timing-based
+// kernel tuning.
+var pipeline = [...]pass{
+	{PassDeadLayerRemoval, (*build).removeDeadLayers},
+	{PassVerticalFusion, (*build).fuseVertically},
+	{PassInt8Calibration, (*build).calibrate},
+	{PassQuantization, (*build).quantize},
+	{PassHorizontalMerge, (*build).mergeHorizontally},
+	{PassKernelTuning, (*build).tuneKernels},
 }
 
 // Build runs the pipeline on a model graph and returns a deployable
-// engine with its BuildReport. The input graph is not modified.
-func (pm *PassManager) Build(src *graph.Graph, cfg BuildConfig) (*Engine, error) {
-	if err := pm.validate(); err != nil {
-		return nil, err
+// engine with its BuildReport. A pass named in cfg.DisablePasses is
+// skipped and reported Disabled; an unknown name is an error. The input
+// graph is not modified.
+func Build(src *graph.Graph, cfg BuildConfig) (*Engine, error) {
+	for _, n := range cfg.DisablePasses {
+		if !slices.ContainsFunc(pipeline[:], func(p pass) bool { return p.name == n }) {
+			return nil, fmt.Errorf("core: cannot disable unknown pass %q", n)
+		}
 	}
 	if !src.Finalized() {
 		return nil, fmt.Errorf("core: build of unfinalized graph %s", src.Name)
@@ -203,21 +154,17 @@ func (pm *PassManager) Build(src *graph.Graph, cfg BuildConfig) (*Engine, error)
 		Fusions:   map[string]Fusion{},
 		Numeric:   hasWeights(g),
 	}
+	b := &build{cfg: cfg, e: e}
 	report := &BuildReport{}
-	pc := &PassContext{Cfg: cfg, Engine: e}
-
-	for _, p := range pm.passes {
-		var stats PassStats
-		if pm.disabled[p.Name()] {
-			stats = PassStats{Pass: p.Name(), Disabled: true}
-		} else {
+	for _, p := range pipeline {
+		stats := PassStats{Disabled: true}
+		if !slices.Contains(cfg.DisablePasses, p.name) {
 			var err error
-			stats, err = p.Run(pc)
-			if err != nil {
+			if stats, err = p.run(b); err != nil {
 				return nil, err
 			}
-			stats.Pass = p.Name()
 		}
+		stats.Pass = p.name
 		report.Passes = append(report.Passes, stats)
 		report.TacticsConsidered += stats.TacticsConsidered
 		report.TacticsTimed += stats.TacticsTimed
@@ -227,9 +174,6 @@ func (pm *PassManager) Build(src *graph.Graph, cfg BuildConfig) (*Engine, error)
 		report.PredictedPrunes += stats.PredictedPrunes
 		report.PredictorFallbacks += stats.PredictorFallbacks
 		report.PrunedTuneCostSavedSec += stats.PrunedTuneCostSavedSec
-		if pm.hook != nil {
-			pm.hook(stats)
-		}
 	}
 
 	report.ExpectedLatencySec = e.ExpectedLatencySec(gpusim.NewDevice(cfg.Platform, cfg.ClockMHz), false)
@@ -248,92 +192,61 @@ func (pm *PassManager) Build(src *graph.Graph, cfg BuildConfig) (*Engine, error)
 	return e, nil
 }
 
-// --- the six standard passes ---
+// --- the six passes ---
 
-type deadLayerPass struct{}
-
-func (deadLayerPass) Name() string { return PassDeadLayerRemoval }
-
-func (deadLayerPass) Run(pc *PassContext) (PassStats, error) {
-	g := pc.Engine.Graph
-	removed := deadLayerRemoval(g)
-	if err := g.Finalize(); err != nil {
+func (b *build) removeDeadLayers() (PassStats, error) {
+	removed := deadLayerRemoval(b.e.Graph)
+	if err := b.e.Graph.Finalize(); err != nil {
 		return PassStats{}, fmt.Errorf("core: after dead-layer removal: %w", err)
 	}
-	pc.Engine.RemovedLayers = removed
+	b.e.RemovedLayers = removed
 	return PassStats{LayersRemoved: removed}, nil
 }
 
-type verticalFusionPass struct{}
-
-func (verticalFusionPass) Name() string { return PassVerticalFusion }
-
-func (verticalFusionPass) Run(pc *PassContext) (PassStats, error) {
-	g := pc.Engine.Graph
-	fusions, fused := verticalFusion(g)
-	if err := g.Finalize(); err != nil {
+func (b *build) fuseVertically() (PassStats, error) {
+	fusions, fused := verticalFusion(b.e.Graph)
+	if err := b.e.Graph.Finalize(); err != nil {
 		return PassStats{}, fmt.Errorf("core: after vertical fusion: %w", err)
 	}
-	pc.Engine.Fusions = fusions
-	pc.Engine.FusedLayers = fused
+	b.e.Fusions, b.e.FusedLayers = fusions, fused
 	return PassStats{LayersFused: fused}, nil
 }
 
-type calibrationPass struct{}
-
-func (calibrationPass) Name() string { return PassInt8Calibration }
-
-func (calibrationPass) Run(pc *PassContext) (PassStats, error) {
-	g := pc.Engine.Graph
-	// INT8 builds calibrate activation ranges on the still-FP32 fused
-	// graph before weights are quantized; other precisions skip.
-	if pc.Cfg.Precision != tensor.INT8 || !hasWeights(g) {
+// calibrate records INT8 activation ranges on the still-FP32 fused graph
+// before weights are quantized; other precisions skip it.
+func (b *build) calibrate() (PassStats, error) {
+	g := b.e.Graph
+	if b.cfg.Precision != tensor.INT8 || !hasWeights(g) {
 		return PassStats{}, nil
 	}
-	if pc.Cfg.Calibrator == nil {
-		return PassStats{}, fmt.Errorf("core: INT8 build of %s requires a Calibrator", pc.Engine.ModelName)
+	if b.cfg.Calibrator == nil {
+		return PassStats{}, fmt.Errorf("core: INT8 build of %s requires a Calibrator", b.e.ModelName)
 	}
-	ranges, err := pc.Cfg.Calibrator.Ranges(g)
+	ranges, err := b.cfg.Calibrator.Ranges(g)
 	if err != nil {
 		return PassStats{}, err
 	}
-	pc.Int8Ranges = ranges
-	pc.Engine.Int8Ranges = ranges
+	b.e.Int8Ranges = ranges
 	return PassStats{LayersCalibrated: len(ranges)}, nil
 }
 
-type quantizePass struct{}
-
-func (quantizePass) Name() string { return PassQuantization }
-
-func (quantizePass) Run(pc *PassContext) (PassStats, error) {
-	n := quantizeWeights(pc.Engine.Graph, pc.Cfg.Precision, pc.Cfg.PruneFrac)
+func (b *build) quantize() (PassStats, error) {
+	n := quantizeWeights(b.e.Graph, b.cfg.Precision, b.cfg.PruneFrac)
 	return PassStats{TensorsQuantized: n}, nil
 }
 
-type horizontalMergePass struct{}
-
-func (horizontalMergePass) Name() string { return PassHorizontalMerge }
-
-func (horizontalMergePass) Run(pc *PassContext) (PassStats, error) {
-	leader, groups := horizontalGroups(pc.Engine.Graph)
-	pc.MergeLeader, pc.MergeGroups = leader, groups
-	return PassStats{MergeGroups: len(groups)}, nil
+func (b *build) mergeHorizontally() (PassStats, error) {
+	b.leader, b.groups = horizontalGroups(b.e.Graph)
+	return PassStats{MergeGroups: len(b.groups)}, nil
 }
 
-type kernelTuningPass struct{}
-
-func (kernelTuningPass) Name() string { return PassKernelTuning }
-
-func (kernelTuningPass) Run(pc *PassContext) (PassStats, error) {
-	cfg := pc.Cfg
-	e := pc.Engine
-	dev := gpusim.NewDevice(cfg.Platform, cfg.ClockMHz)
+func (b *build) tuneKernels() (PassStats, error) {
+	dev := gpusim.NewDevice(b.cfg.Platform, b.cfg.ClockMHz)
 	var stats PassStats
-	tn := newTuner(dev, e, cfg, &stats)
-	if err := planLaunches(e, tn, cfg, pc.MergeLeader, pc.MergeGroups); err != nil {
+	tn := newTuner(dev, b.e, b.cfg, &stats)
+	if err := planLaunches(b.e, tn, b.cfg, b.leader, b.groups); err != nil {
 		return PassStats{}, err
 	}
-	stats.MergedLaunches = e.MergedLaunches
+	stats.MergedLaunches = b.e.MergedLaunches
 	return stats, nil
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"testing"
 
-	"edgeinfer/internal/gpusim"
 	"edgeinfer/internal/models"
 )
 
@@ -112,52 +111,6 @@ func TestDisableUnknownPassErrors(t *testing.T) {
 	cfg.DisablePasses = []string{"no-such-pass"}
 	if _, err := Build(tinyNet(t), cfg); err == nil {
 		t.Fatal("disabling an unknown pass did not error")
-	}
-}
-
-func TestPassHookObservesPipeline(t *testing.T) {
-	var seen []string
-	cfg := nxCfg(1)
-	cfg.DisablePasses = []string{PassQuantization}
-	cfg.PassHook = func(ps PassStats) { seen = append(seen, ps.Pass) }
-	if _, err := Build(tinyNet(t), cfg); err != nil {
-		t.Fatal(err)
-	}
-	if len(seen) != 6 {
-		t.Fatalf("hook saw %d passes, want 6: %v", len(seen), seen)
-	}
-	if seen[3] != PassQuantization {
-		t.Errorf("hook order wrong: %v", seen)
-	}
-}
-
-func TestCustomPipelineOrder(t *testing.T) {
-	// A pipeline without dead-layer removal, fusion first: still builds a
-	// runnable engine; the dead aux head survives into the plan.
-	pm := NewPassManager(verticalFusionPass{}, quantizePass{}, horizontalMergePass{}, kernelTuningPass{})
-	e, err := pm.Build(tinyNet(t), nxCfg(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.RemovedLayers != 0 {
-		t.Errorf("pipeline without dead-layer removal removed %d layers", e.RemovedLayers)
-	}
-	if e.Graph.Layer("aux_fc") == nil {
-		t.Errorf("aux head removed despite missing pass")
-	}
-	if len(e.Report.Passes) != 4 {
-		t.Errorf("report has %d passes, want 4", len(e.Report.Passes))
-	}
-	dev := gpusim.NewDevice(gpusim.XavierNX(), 0)
-	if lat := e.Run(RunConfig{Device: dev}).LatencySec; lat <= 0 {
-		t.Errorf("custom-pipeline engine does not run: latency %v", lat)
-	}
-}
-
-func TestDuplicatePassRejected(t *testing.T) {
-	pm := NewPassManager(deadLayerPass{}, deadLayerPass{})
-	if _, err := pm.Build(tinyNet(t), nxCfg(1)); err == nil {
-		t.Fatal("duplicate pass accepted")
 	}
 }
 

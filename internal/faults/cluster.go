@@ -67,9 +67,9 @@ func NewClusterPlan(seed string) ClusterPlan {
 	return ClusterPlan{Seed: seed, PartitionLink: -1, CrashStage: -1, HangStage: -1}
 }
 
-// ClusterChaos is the chaos-soak scenario cmd/clusterbench runs: mild
-// probabilistic link noise plus a mid-stream stage kill with a late
-// restart, the headline robustness case.
+// ClusterChaos is the cluster chaos-soak scenario: mild probabilistic
+// link noise plus a mid-stream stage kill with a late restart, the
+// headline robustness case (cluster.TestTranscriptPinned soaks it).
 func ClusterChaos(seed string, crashStage, crashAtFrame int) ClusterPlan {
 	p := NewClusterPlan(seed)
 	p.LinkDelayRate = 0.05

@@ -198,23 +198,46 @@ func (g *Graph) sinks() []string {
 	return out
 }
 
-// topoSort returns the layers in topological order (Kahn's algorithm with
-// deterministic tie-breaking by insertion order) or an error on cycles.
-// Layers are numbered by position, names are resolved once, and the
-// dependents of each layer are kept in one flat (CSR) array. A name maps
-// to the first layer carrying it, so duplicate names share one
-// in-degree, as they share one name. An input that names no layer has
-// no edge to release it: its consumer never sorts and the graph fails as
-// a cycle.
+// topoSort returns the layers in topological order or an error on
+// cycles.
 func (g *Graph) topoSort() ([]*Layer, error) {
+	order := g.kahn()
+	if len(order) != len(g.Layers) {
+		return nil, fmt.Errorf("graph %s: cycle detected (%d of %d layers sorted)", g.Name, len(order), len(g.Layers))
+	}
+	sorted := make([]*Layer, len(order))
+	for i, j := range order {
+		sorted[i] = g.byName[g.Layers[j].Name]
+	}
+	return sorted, nil
+}
+
+// Acyclic reports how many layers a topological sort orders, and whether
+// that is all of them: a layer on a cycle, or downstream of one, is
+// never ordered. It reads only the layers' names and inputs and leaves
+// the graph as it is, so a verifier may ask it of a graph it must not
+// change.
+func (g *Graph) Acyclic() (sorted int, ok bool) {
+	n := len(g.kahn())
+	return n, n == len(g.Layers)
+}
+
+// kahn runs Kahn's algorithm, breaking ties by insertion order, and
+// returns the order it reaches as positions in g.Layers. Layers are
+// numbered by position, names are resolved once, and the dependents of
+// each layer are kept in one flat (CSR) array. A name maps to the first
+// layer carrying it, so duplicate names share one in-degree, as they
+// share one name. An input that names no layer has no edge to release
+// it: its consumer is never reached and the graph fails as a cycle.
+func (g *Graph) kahn() []int32 {
 	n := len(g.Layers)
 	idx := make(map[string]int32, n)
-	// One backing array for the per-layer integers. The queue needs at
+	// One backing array for the per-layer integers. The order needs at
 	// most n slots: a layer is queued at the start (no inputs) or when its
 	// last input is released, never both.
 	ints := make([]int32, 5*n+1)
 	node, indeg, start := ints[:n], ints[n:2*n], ints[2*n:3*n+1]
-	fill, queue := ints[3*n+1:4*n+1], ints[4*n+1:4*n+1]
+	fill, order := ints[3*n+1:4*n+1], ints[4*n+1:4*n+1]
 	for i, l := range g.Layers {
 		j, ok := idx[l.Name]
 		if !ok {
@@ -248,25 +271,19 @@ func (g *Graph) topoSort() ([]*Layer, error) {
 	}
 	for i := range g.Layers { // insertion order keeps sort stable
 		if indeg[node[i]] == 0 {
-			queue = append(queue, node[i])
+			order = append(order, node[i])
 		}
 	}
-	sorted := make([]*Layer, 0, n)
-	for len(queue) > 0 {
-		j := queue[0]
-		queue = queue[1:]
-		sorted = append(sorted, g.byName[g.Layers[j].Name])
+	for h := 0; h < len(order); h++ {
+		j := order[h]
 		for _, d := range dependents[start[j]:start[j+1]] {
 			indeg[d]--
 			if indeg[d] == 0 {
-				queue = append(queue, d)
+				order = append(order, d)
 			}
 		}
 	}
-	if len(sorted) != len(g.Layers) {
-		return nil, fmt.Errorf("graph %s: cycle detected (%d of %d layers sorted)", g.Name, len(sorted), len(g.Layers))
-	}
-	return sorted, nil
+	return order
 }
 
 // Clone deep-copies the graph, including weights. The clone is

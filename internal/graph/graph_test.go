@@ -92,6 +92,12 @@ func TestCycleDetected(t *testing.T) {
 	g.Add(&Layer{Name: "b", Op: OpReLU, Inputs: []string{"a"}})
 	// introduce the cycle behind the API's back
 	g.Layer("a").Inputs = []string{"b"}
+	if sorted, ok := g.Acyclic(); ok || sorted != 1 {
+		t.Fatalf("Acyclic() = %d, %v; want 1 of 3 sorted, false", sorted, ok)
+	}
+	if g.Layers[1].Name != "a" || g.Layers[2].Name != "b" {
+		t.Fatal("Acyclic reordered the layers")
+	}
 	if err := g.Finalize(); err == nil {
 		t.Fatal("cycle not detected")
 	}

@@ -3,6 +3,7 @@ package latpred
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -105,13 +106,14 @@ func median(xs []float64) float64 {
 }
 
 // TestPrunedZooChoicesUnchanged is the acceptance pin for the learned
-// predictor at the default k: across the whole model zoo and several
-// build ids, pruned cold builds pick byte-identical tactics while
-// cutting the modeled tactic-timing cost by at least half.
+// predictor at the tuner's k: across the whole model zoo and build ids
+// 2-4, pruned cold builds pick byte-identical tactics while cutting the
+// modeled tactic-timing cost by at least half, and the zoo's tactic
+// counts and cut hold their exact values.
 func TestPrunedZooChoicesUnchanged(t *testing.T) {
 	m := trainNX(t)
 	var totalUn, totalPr float64
-	var totalPrunes, totalFallbacks int
+	var timedUn, timedPr, totalPrunes, totalFallbacks, engines int
 	for build := 2; build <= 4; build++ {
 		for _, name := range models.List() {
 			g := models.MustBuild(name)
@@ -135,8 +137,11 @@ func TestPrunedZooChoicesUnchanged(t *testing.T) {
 			}
 			totalUn += un.Report.TuneCostSec
 			totalPr += pr.Report.TuneCostSec
+			timedUn += un.Report.TacticsTimed
+			timedPr += pr.Report.TacticsTimed
 			totalPrunes += pr.Report.PredictedPrunes
 			totalFallbacks += pr.Report.PredictorFallbacks
+			engines++
 		}
 	}
 	cut := 1 - totalPr/totalUn
@@ -145,6 +150,13 @@ func TestPrunedZooChoicesUnchanged(t *testing.T) {
 	}
 	if totalPrunes == 0 {
 		t.Fatal("learned predictor pruned nothing")
+	}
+	// The zoo's exact totals: a change to the tuner, the noise streams,
+	// the training corpus or the fit moves at least one of them.
+	got := fmt.Sprintf("%d engines, tactics timed %d unpruned %d pruned, %d prunes, %d fallbacks, cut %.4f",
+		engines, timedUn, timedPr, totalPrunes, totalFallbacks, cut)
+	if want := "39 engines, tactics timed 10380 unpruned 6501 pruned, 3879 prunes, 0 fallbacks, cut 0.7454"; got != want {
+		t.Fatalf("zoo totals moved:\n got %s\nwant %s", got, want)
 	}
 	t.Logf("zoo cut %.1f%%, %d prunes, %d fallbacks", 100*cut, totalPrunes, totalFallbacks)
 }
@@ -280,20 +292,6 @@ func TestModelSerializationRoundTrip(t *testing.T) {
 		if a != b || aok != bok {
 			t.Fatalf("prediction changed across serialization: %v,%v vs %v,%v", a, aok, b, bok)
 		}
-	}
-}
-
-func TestModelFileRoundTrip(t *testing.T) {
-	m := trainNX(t)
-	path := t.TempDir() + "/model.bin"
-	if err := m.SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadFile(path); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadFile(t.TempDir() + "/absent.bin"); err == nil {
-		t.Fatal("missing file accepted")
 	}
 }
 

@@ -98,9 +98,3 @@ func Load(r io.Reader) (*Model, error) {
 }
 
 func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
-
-// SaveFile writes the model to a file path, crash-safely.
-func (m *Model) SaveFile(path string) error { return framed.SaveFile(path, m.Save) }
-
-// LoadFile reads a model from a file path.
-func LoadFile(path string) (*Model, error) { return framed.LoadFile(path, Load) }

@@ -3,6 +3,7 @@ package latpred
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -11,41 +12,38 @@ import (
 	"edgeinfer/internal/kernels"
 )
 
-// TrainOptions scopes and regularizes training.
+// TrainOptions scopes training.
 type TrainOptions struct {
-	// Lambda is the ridge strength (relative to row count). The default
-	// 1e-3 barely biases the fit but keeps collinear feature pairs (raw
-	// vs device-normalized work terms) numerically tame.
-	Lambda float64
-	// MinRowsPerFamily drops families with fewer usable rows than this;
-	// an under-determined fit would pass the residual gate on luck.
-	// Default 3*NumFeatures.
-	MinRowsPerFamily int
-	// MaxResidualLog is copied onto the model as its confidence gate
-	// (default 0.25: comfortably above the 0.13 tuner-noise floor,
-	// well below a mis-modeled family).
-	MaxResidualLog float64
 	// Devices restricts training rows to these platform shorts ("NX",
 	// "AGX"). Empty trains on everything — the transfer studies use the
 	// filter to hold a whole device profile out.
 	Devices []string
-	// MinClockMHz/MaxClockMHz restrict training rows to a clock band
-	// (0 = unbounded); the held-out-clock study trains below a ceiling
-	// and predicts above it.
-	MinClockMHz, MaxClockMHz float64
 }
 
-// DefaultTrainOptions returns the standard training configuration.
-func DefaultTrainOptions() TrainOptions {
-	return TrainOptions{Lambda: 1e-3, MinRowsPerFamily: 3 * NumFeatures, MaxResidualLog: 0.25}
-}
+// DefaultTrainOptions returns the standard training configuration: rows
+// from every device.
+func DefaultTrainOptions() TrainOptions { return TrainOptions{} }
+
+const (
+	// ridgeLambda is the ridge strength (relative to row count): it
+	// barely biases the fit but keeps collinear feature pairs (raw vs
+	// device-normalized work terms) numerically tame.
+	ridgeLambda = 1e-3
+	// minRowsPerFamily drops families with fewer usable rows: an
+	// under-determined fit would pass the residual gate on luck.
+	minRowsPerFamily = 3 * NumFeatures
+	// residualGate is copied onto the model as its confidence gate
+	// (Model.MaxResidualLog): comfortably above the 0.13 tuner-noise
+	// floor, well below a mis-modeled family.
+	residualGate = 0.25
+)
 
 // TrainStats reports what Train consumed.
 type TrainStats struct {
 	Rows        int // usable training rows
 	Skipped     int // cache entries filtered out or unparseable
 	RowsByFam   map[kernels.Family]int
-	DroppedFams []kernels.Family // families below MinRowsPerFamily
+	DroppedFams []kernels.Family // families below minRowsPerFamily, or degenerate
 }
 
 // Train fits per-family regressors from a timing cache: every entry is
@@ -53,17 +51,8 @@ type TrainStats struct {
 // launch is re-planned to recover its features, and the cached observed
 // seconds become the log-space target. Entries that fail to parse — a
 // shared cache may carry foreign keys — are skipped, not fatal; training
-// fails only when no family reaches MinRowsPerFamily.
+// fails only when no family reaches minRowsPerFamily.
 func Train(cache *core.TimingCache, opts TrainOptions) (*Model, TrainStats, error) {
-	if opts.Lambda <= 0 {
-		opts.Lambda = 1e-3
-	}
-	if opts.MinRowsPerFamily <= 0 {
-		opts.MinRowsPerFamily = 3 * NumFeatures
-	}
-	if opts.MaxResidualLog <= 0 {
-		opts.MaxResidualLog = 0.25
-	}
 	stats := TrainStats{RowsByFam: map[kernels.Family]int{}}
 	if cache == nil {
 		return nil, stats, fmt.Errorf("latpred: train on nil timing cache")
@@ -83,7 +72,7 @@ func Train(cache *core.TimingCache, opts TrainOptions) (*Model, TrainStats, erro
 			continue
 		}
 		dev, err := ParseDeviceKey(devStr)
-		if err != nil || !admitDevice(dev, opts) {
+		if err != nil || len(opts.Devices) > 0 && !slices.Contains(opts.Devices, dev.Spec.Short()) {
 			stats.Skipped++
 			continue
 		}
@@ -100,13 +89,13 @@ func Train(cache *core.TimingCache, opts TrainOptions) (*Model, TrainStats, erro
 		stats.RowsByFam[fam]++
 	}
 
-	m := &Model{MaxResidualLog: opts.MaxResidualLog, families: map[kernels.Family]*FamilyModel{}}
+	m := &Model{MaxResidualLog: residualGate, families: map[kernels.Family]*FamilyModel{}}
 	for fam, rows := range rowsByFam {
-		if len(rows) < opts.MinRowsPerFamily {
+		if len(rows) < minRowsPerFamily {
 			stats.DroppedFams = append(stats.DroppedFams, fam)
 			continue
 		}
-		fm, err := fitRidge(rows, ysByFam[fam], opts.Lambda)
+		fm, err := fitRidge(rows, ysByFam[fam], ridgeLambda)
 		if err != nil {
 			// A degenerate family (e.g. every row identical) is dropped,
 			// not fatal: PredictSec answers ok=false for it and the tuner
@@ -119,7 +108,7 @@ func Train(cache *core.TimingCache, opts TrainOptions) (*Model, TrainStats, erro
 	sortFams(stats.DroppedFams)
 	if len(m.families) == 0 {
 		return nil, stats, fmt.Errorf("latpred: no family reached %d training rows (usable rows %d, skipped %d)",
-			opts.MinRowsPerFamily, stats.Rows, stats.Skipped)
+			minRowsPerFamily, stats.Rows, stats.Skipped)
 	}
 	return m, stats, nil
 }
@@ -151,28 +140,6 @@ func ParseDeviceKey(s string) (*gpusim.Device, error) {
 // code can build filters that match what builds recorded.
 func DeviceKey(dev *gpusim.Device) string {
 	return fmt.Sprintf("%s@%.0fMHz", dev.Spec.Short(), dev.ClockMHz)
-}
-
-func admitDevice(dev *gpusim.Device, opts TrainOptions) bool {
-	if len(opts.Devices) > 0 {
-		found := false
-		for _, want := range opts.Devices {
-			if dev.Spec.Short() == want {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return false
-		}
-	}
-	if opts.MinClockMHz > 0 && dev.ClockMHz < opts.MinClockMHz {
-		return false
-	}
-	if opts.MaxClockMHz > 0 && dev.ClockMHz > opts.MaxClockMHz {
-		return false
-	}
-	return true
 }
 
 func sortFams(fams []kernels.Family) {

@@ -184,36 +184,9 @@ func checkStructure(g *graph.Graph) []Issue {
 	return issues
 }
 
-// checkAcyclic runs Kahn's algorithm over the layer DAG.
+// checkAcyclic reports a cycle in the layer DAG.
 func checkAcyclic(g *graph.Graph) []Issue {
-	indeg := map[string]int{}
-	dependents := map[string][]string{}
-	for _, l := range g.Layers {
-		indeg[l.Name] += 0
-		for _, in := range l.Inputs {
-			indeg[l.Name]++
-			dependents[in] = append(dependents[in], l.Name)
-		}
-	}
-	var queue []string
-	for _, l := range g.Layers {
-		if indeg[l.Name] == 0 {
-			queue = append(queue, l.Name)
-		}
-	}
-	sorted := 0
-	for len(queue) > 0 {
-		name := queue[0]
-		queue = queue[1:]
-		sorted++
-		for _, d := range dependents[name] {
-			indeg[d]--
-			if indeg[d] == 0 {
-				queue = append(queue, d)
-			}
-		}
-	}
-	if sorted != len(g.Layers) {
+	if sorted, ok := g.Acyclic(); !ok {
 		return []Issue{{Check: "topology", Severity: Error,
 			Message: fmt.Sprintf("cycle detected (%d of %d layers reachable)", sorted, len(g.Layers))}}
 	}

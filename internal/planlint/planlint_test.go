@@ -72,7 +72,11 @@ func TestCheckCycle(t *testing.T) {
 	p := validPlan(t)
 	// Rewire conv1 to consume relu1, closing conv1 -> relu1 -> conv1.
 	p.Graph.Layer("conv1").Inputs = []string{"relu1"}
-	wantError(t, Check(p), "cycle detected")
+	wantError(t, Check(p), "cycle detected (1 of 4 layers reachable)")
+	// Closing relu1 -> fc1 -> relu1 instead leaves data and conv1.
+	p = validPlan(t)
+	p.Graph.Layer("relu1").Inputs = []string{"fc1"}
+	wantError(t, Check(p), "cycle detected (2 of 4 layers reachable)")
 }
 
 func TestCheckStructuralDefects(t *testing.T) {
