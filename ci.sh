@@ -6,8 +6,9 @@
 # benchmark module's own vet and tests (bench/), short fuzz
 # smokes over every untrusted decoder (engine plans, timing caches and
 # their keys, predictor files, framework arch text and weight payloads,
-# and the serving front door's request body and headers) plus one over
-# the FP32 reference convolution against its frozen per-element loop,
+# and the serving front door's request body and headers) plus two over
+# the FP32 reference convolution and average pool against their frozen
+# per-element loops,
 # the byte comparison of benchtables -all / -ext, chaosbench and
 # faultbench with results/ (-all twice: once on one OS thread, so the
 # per-image fan-out over every table's engines proves its answers do not
@@ -38,7 +39,7 @@ go build ./...
 go test -race -timeout 20m ./...
 # The race detector's instrumentation allocates, so the allocation pins
 # (tests named ...Allocs) skip under it: run them once without it.
-go test -count=1 -run 'Allocs$' ./internal/core ./internal/kernels ./internal/fixrand
+go test -count=1 -run 'Allocs$' ./internal/core ./internal/kernels ./internal/fixrand ./internal/models
 # The serving tests share fixtures (engines, registries, fleets); a
 # shuffled order proves none depends on state another test left behind.
 go test -shuffle=on -count=1 ./internal/serve ./internal/cluster ./internal/netserve
@@ -46,14 +47,15 @@ go test -shuffle=on -count=1 ./internal/serve ./internal/cluster ./internal/nets
 # it compiles against core and serve entry points: vet and test it here
 # so a deletion that breaks the benchmark fails this gate first.
 (cd bench && go vet ./... && go test ./...)
-# One fuzz smoke per untrusted decoder, and the reference conv against
-# its frozen loop: package:fuzzer:seconds. Minimizing a new input is
-# skipped: by default it can spend a smoke's whole budget on one input.
+# One fuzz smoke per untrusted decoder, and the reference conv and
+# average pool against their frozen loops: package:fuzzer:seconds.
+# Minimizing a new input is skipped: by default it can spend a smoke's
+# whole budget on one input.
 for f in core:FuzzLoad:10 core:FuzzLoadTimingCache:5 core:FuzzParseTimingKey:5 \
   latpred:FuzzLoadModel:5 frameworks:FuzzImportWeights:5 \
   frameworks:FuzzImportCaffe:5 frameworks:FuzzImportDarknet:5 \
   netserve:FuzzDecodeRequest:5 netserve:FuzzHandleInfer:5 \
-  tensor:FuzzConv2DReference:5; do
+  tensor:FuzzConv2DReference:5 tensor:FuzzAvgPool2DReference:5; do
   pkg=${f%%:*} rest=${f#*:}
   go test -run='^$' -fuzz="^${rest%:*}\$" -fuzztime="${rest#*:}s" -fuzzminimizetime=0s "./internal/$pkg"
 done

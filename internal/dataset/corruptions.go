@@ -120,12 +120,14 @@ func Corrupt(img *tensor.Tensor, c Corruption, severity int, key string) *tensor
 			}
 		}
 	case Fog:
-		fog := template("fogfield/"+key, nil)
+		fog := tensor.New(1, ImgC, ImgHW, ImgHW)
+		template("fogfield/"+key, nil, fog.Data)
 		for i := range out.Data {
 			out.Data[i] = out.Data[i]*(1-float32(0.6*s)) + fog.Data[i]*float32(2.5*s)
 		}
 	case Frost:
-		frost := template("frostfield", nil)
+		frost := tensor.New(1, ImgC, ImgHW, ImgHW)
+		template("frostfield", nil, frost.Data)
 		for i := range out.Data {
 			out.Data[i] += frost.Data[i] * float32(2.2*s)
 		}

@@ -8,6 +8,7 @@ package dataset
 
 import (
 	"fmt"
+	"strconv"
 
 	"edgeinfer/internal/fixrand"
 	"edgeinfer/internal/tensor"
@@ -36,31 +37,58 @@ const templateCorrelation = 0.94
 // patterns generated from a coarse random grid, bilinearly upsampled,
 // all sharing a common base component (see templateCorrelation).
 // The same seed always yields byte-identical templates; classifier
-// proxies embed these in their final layer.
+// proxies embed these in their final layer. The templates are views of
+// one [classes, ImgC, ImgHW, ImgHW] batch that TemplatesInto fills.
 func Templates(seed string, classes int) []*tensor.Tensor {
-	// Every class mixes in the same base grid, so it is drawn once.
-	src := fixrand.NewKeyed(seed + "/base")
-	base := make([]float64, ImgC*grid*grid)
-	for i := range base {
-		base[i] = src.NormFloat64()
-	}
 	ts := make([]*tensor.Tensor, classes)
-	for c := 0; c < classes; c++ {
-		ts[c] = template(fmt.Sprintf("%s/class%d", seed, c), base)
+	if classes == 0 {
+		return ts
+	}
+	all := new(tensor.Tensor)
+	TemplatesInto(seed, 0, classes, all)
+	const size = ImgC * ImgHW * ImgHW
+	for c := range ts {
+		ts[c] = &tensor.Tensor{N: 1, C: ImgC, H: ImgHW, W: ImgHW, Data: all.Data[c*size : (c+1)*size : (c+1)*size]}
 	}
 	return ts
+}
+
+// TemplatesInto writes the templates of classes first, ..., first+n-1
+// (those Templates returns at the same indices) into y, Resized to
+// [n, ImgC, ImgHW, ImgHW], so a caller embedding templates a few at a
+// time reuses one batch tensor.
+func TemplatesInto(seed string, first, n int, y *tensor.Tensor) {
+	y.Resize(n, ImgC, ImgHW, ImgHW)
+	// Every class mixes in the same base grid, so it is drawn once.
+	src := fixrand.NewKeyed(seed + "/base")
+	var base coarseGrid
+	for ch := range base {
+		for i := range base[ch] {
+			for j := range base[ch][i] {
+				base[ch][i][j] = src.NormFloat64()
+			}
+		}
+	}
+	const size = ImgC * ImgHW * ImgHW
+	for i := 0; i < n; i++ {
+		template(seed+"/class"+strconv.Itoa(first+i), &base, y.Data[i*size:][:size])
+	}
 }
 
 // grid is the side of the coarse random grid a template is upsampled
 // from.
 const grid = 4
 
+// coarseGrid holds one value per channel, row and column of the coarse
+// grid.
+type coarseGrid [ImgC][grid][grid]float64
+
 // upsampleTap is where one row (or column) of a template samples the
-// coarse grid: the two cells it lies between and its fractional
-// distance from the first.
+// coarse grid: the two cells it lies between, its fractional distance d
+// from the first, and 1-d.
 type upsampleTap struct {
 	i0, i1 int
-	d      float64
+	d, e   float64
 }
 
 // upsampleTaps are the bilinear coordinates of every row of a template
@@ -71,24 +99,23 @@ var upsampleTaps = func() (taps [ImgHW]upsampleTap) {
 	for i := range taps {
 		f := float64(i) * scale
 		i0 := int(f)
-		taps[i] = upsampleTap{i0, min(i0+1, grid-1), f - float64(i0)}
+		d := f - float64(i0)
+		taps[i] = upsampleTap{i0, min(i0+1, grid-1), d, 1 - d}
 	}
 	return taps
 }()
 
-// template builds one smooth pattern: a grid x grid random grid per
-// channel (mixed with the shared base grid when base is not nil; base
-// holds one standard normal per cell in channel, row, column order),
-// bilinearly upsampled to ImgHW, normalized to unit RMS.
-func template(key string, base []float64) *tensor.Tensor {
+// template writes one smooth pattern into dst (ImgC×ImgHW×ImgHW values,
+// channel-major): a grid x grid random grid per channel (mixed with the
+// shared base grid when base is not nil), bilinearly upsampled to ImgHW,
+// normalized to unit RMS.
+func template(key string, base *coarseGrid, dst []float32) {
 	src := fixrand.NewKeyed(key)
 	rho := float64(templateCorrelation)
 	ownWeight := sqrt64(1 - rho*rho)
-	coarse := make([][][]float64, ImgC)
+	var coarse coarseGrid
 	for ch := range coarse {
-		coarse[ch] = make([][]float64, grid)
 		for i := range coarse[ch] {
-			coarse[ch][i] = make([]float64, grid)
 			for j := range coarse[ch][i] {
 				// The class-distinctive component is sparse: only some
 				// grid cells differ from the shared base (real object
@@ -100,36 +127,41 @@ func template(key string, base []float64) *tensor.Tensor {
 					v *= 1.58 // restore unit variance of the sparse part
 				}
 				if base != nil {
-					v = rho*base[(ch*grid+i)*grid+j] + ownWeight*v
+					v = rho*base[ch][i][j] + ownWeight*v
 				}
 				coarse[ch][i][j] = v
 			}
 		}
 	}
-	t := tensor.New(1, ImgC, ImgHW, ImgHW)
+	dst = dst[:ImgC*ImgHW*ImgHW]
 	var sumsq float64
-	for ch := 0; ch < ImgC; ch++ {
-		for y, ty := range upsampleTaps {
-			for x, tx := range upsampleTaps {
-				dy, dx := ty.d, tx.d
-				v := coarse[ch][ty.i0][tx.i0]*(1-dy)*(1-dx) +
-					coarse[ch][ty.i1][tx.i0]*dy*(1-dx) +
-					coarse[ch][ty.i0][tx.i1]*(1-dy)*dx +
-					coarse[ch][ty.i1][tx.i1]*dy*dx
-				t.Set(0, ch, y, x, float32(v))
+	for ch := range coarse {
+		cg := &coarse[ch]
+		for y, ty := range &upsampleTaps {
+			// A cell's bilinear weight is (its row weight)·(its column
+			// weight), multiplied in that order, so the row's products
+			// are formed once per row.
+			var top, bot [grid]float64
+			for i := range top {
+				top[i] = cg[ty.i0][i] * ty.e
+				bot[i] = cg[ty.i1][i] * ty.d
+			}
+			out := dst[(ch*ImgHW+y)*ImgHW:][:ImgHW]
+			for x, tx := range &upsampleTaps {
+				v := top[tx.i0]*tx.e + bot[tx.i0]*tx.e + top[tx.i1]*tx.d + bot[tx.i1]*tx.d
+				out[x] = float32(v)
 				sumsq += v * v
 			}
 		}
 	}
 	rms := float32(1)
 	if sumsq > 0 {
-		rms = float32(sumsq / float64(t.Len()))
+		rms = float32(sumsq / float64(len(dst)))
 	}
 	inv := 1 / sqrt32(rms)
-	for i := range t.Data {
-		t.Data[i] *= inv
+	for i := range dst {
+		dst[i] *= inv
 	}
-	return t
 }
 
 func sqrt64(v float64) float64 {

@@ -80,38 +80,26 @@ func BuildProxy(name string, opts ProxyOptions) (*graph.Graph, error) {
 	if opts.Classes == 0 {
 		opts.Classes = dataset.NumClasses
 	}
+	if opts.Classes < 0 {
+		return nil, fmt.Errorf("models: proxy %q with %d classes", name, opts.Classes)
+	}
 	if opts.Seed == "" {
 		opts.Seed = "imagenet-proxy"
 	}
-	// Extractor graph (shared weights for template embedding and the
-	// final proxy), taking every class template at once: images of a
-	// batch never mix, so each embedding has the bits a batch of one
-	// would give it.
-	extractor := buildExtractor(name+"-extractor", spec, opts.Classes)
-	if err := extractor.Finalize(); err != nil {
+	w, err := embedTemplates(name, spec, opts)
+	if err != nil {
 		return nil, err
 	}
-	templates := tensor.New(opts.Classes, dataset.ImgC, dataset.ImgHW, dataset.ImgHW)
-	for c, tpl := range dataset.Templates(opts.Seed, opts.Classes) {
-		copy(templates.Data[c*len(tpl.Data):], tpl.Data)
-	}
-	outs, err := extractor.Execute(templates)
-	if err != nil {
-		return nil, fmt.Errorf("models: embedding templates: %w", err)
-	}
-	feat := outs[0]
-	featDim := feat.C
+	featDim := w.C / opts.Classes
 
 	// Head weights: embedded class templates, centered by the mean
 	// embedding. Centering never changes the argmax (it shifts every
 	// class score by the same amount) but strips the shared-base
 	// component, leaving sparse discriminative weights — the structure
 	// magnitude pruning exploits.
-	w := tensor.New(1, opts.Classes*featDim, 1, 1)
-	copy(w.Data, feat.Data)
 	mean := make([]float32, featDim)
 	for c := 0; c < opts.Classes; c++ {
-		for i, v := range feat.Data[c*featDim : (c+1)*featDim] {
+		for i, v := range w.Data[c*featDim : (c+1)*featDim] {
 			mean[i] += v / float32(opts.Classes)
 		}
 	}
@@ -176,6 +164,47 @@ func BuildProxy(name string, opts ProxyOptions) (*graph.Graph, error) {
 		g.Framework = info.Framework
 	}
 	return g, nil
+}
+
+// embedChunk is how many class templates one extractor pass embeds:
+// four images' activations (48 KB for the first conv) stay in cache,
+// where a pass over all 100 streams 1.2 MB per layer through memory.
+const embedChunk = 4
+
+// embedTemplates returns every class template pushed through the
+// extractor, class after class, as a [1, classes·featDim, 1, 1] tensor.
+// The templates go through graph.Execute embedChunk at a time (the last
+// chunk through an extractor of its own size), written into one reused
+// input tensor. Images of a batch never mix, so each embedding has the
+// bits a batch of one would give it.
+func embedTemplates(name string, spec proxySpec, opts ProxyOptions) (*tensor.Tensor, error) {
+	extractors := map[int]*graph.Graph{}
+	in := new(tensor.Tensor)
+	var w *tensor.Tensor
+	for first := 0; first < opts.Classes; first += embedChunk {
+		n := min(embedChunk, opts.Classes-first)
+		extractor := extractors[n]
+		if extractor == nil {
+			// Extractor weights are built deterministically: every
+			// extractor, and the final proxy's, has the same bits.
+			extractor = buildExtractor(name+"-extractor", spec, n)
+			if err := extractor.Finalize(); err != nil {
+				return nil, err
+			}
+			extractors[n] = extractor
+		}
+		dataset.TemplatesInto(opts.Seed, first, n, in)
+		outs, err := extractor.Execute(in)
+		if err != nil {
+			return nil, fmt.Errorf("models: embedding templates: %w", err)
+		}
+		feat := outs[0]
+		if w == nil {
+			w = tensor.New(1, opts.Classes*feat.C, 1, 1)
+		}
+		copy(w.Data[first*feat.C:], feat.Data)
+	}
+	return w, nil
 }
 
 func sqrtf(v float64) float32 {

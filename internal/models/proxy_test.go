@@ -91,9 +91,39 @@ func TestHasProxy(t *testing.T) {
 	}
 }
 
-func TestProxyUnknownModel(t *testing.T) {
-	if _, err := BuildProxy("mtcnn", DefaultProxyOptions()); err == nil {
-		t.Fatal("mtcnn proxy should not exist")
+func TestBuildProxyErrors(t *testing.T) {
+	negative := DefaultProxyOptions()
+	negative.Classes = -1
+	for _, tc := range []struct {
+		row, model string
+		opts       ProxyOptions
+	}{
+		{"unknown model", "mtcnn", DefaultProxyOptions()},
+		{"negative class count", "resnet18", negative},
+	} {
+		if g, err := BuildProxy(tc.model, tc.opts); err == nil {
+			t.Errorf("%s: BuildProxy(%q, %+v) built %s, want an error", tc.row, tc.model, tc.opts, g.Name)
+		}
+	}
+}
+
+// TestBuildProxyAllocs pins what building each proxy allocates: the
+// templates are written into one reused input tensor, so the count is
+// graph.Execute's for each chunk of four plus the head's.
+func TestBuildProxyAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; counts only hold without it")
+	}
+	pinned := map[string]float64{"alexnet": 677, "googlenet": 587, "resnet18": 588, "inceptionv4": 588, "vgg16": 491}
+	for _, name := range []string{"alexnet", "googlenet", "resnet18", "inceptionv4", "vgg16"} {
+		n := testing.AllocsPerRun(10, func() {
+			if _, err := BuildProxy(name, DefaultProxyOptions()); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if n != pinned[name] {
+			t.Errorf("%s proxy build allocates %v times, pinned at %v", name, n, pinned[name])
+		}
 	}
 }
 

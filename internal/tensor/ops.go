@@ -35,7 +35,8 @@ func ConvOutDim(in, kernel, stride, pad int) int {
 // The loop nest runs a whole output row at a time — each tap is added
 // into the span of columns it reaches, with the span computed once per
 // tap — which changes which element is worked on when, never the order
-// of the operations any one element receives.
+// of the operations any one element receives. A stride-1 3×3 row over
+// one input channel goes to depthwise3Row, which keeps that order too.
 func Conv2D(x, w, b *Tensor, p ConvParams) *Tensor {
 	y := new(Tensor)
 	Conv2DInto(x, w, b, p, y)
@@ -76,9 +77,13 @@ func Conv2DInto(x, w, b *Tensor, p ConvParams, y *Tensor) {
 			}
 			for i := 0; i < oh; i++ {
 				row := y.Data[((n*p.OutC+oc)*oh+i)*ow:][:ow]
-				clear(row)
 				top := i*s - pad // input row of tap kh = 0
 				khLo, khHi := max(0, -top), min(k, x.H-top)
+				if k == 3 && s == 1 && icg == 1 && khLo == 0 && khHi == k {
+					depthwise3Row(row, xg[top*x.W:][:3*x.W], wo, bias, pad)
+					continue
+				}
+				clear(row)
 				for c := 0; c < icg; c++ {
 					for kh := khLo; kh < khHi; kh++ {
 						xrow := xg[c*plane+(top+kh)*x.W:][:x.W]
@@ -120,6 +125,78 @@ func Conv2DInto(x, w, b *Tensor, p ConvParams, y *Tensor) {
 			}
 		}
 	}
+}
+
+// depthwise3Row computes one output row of a stride-1 3×3 convolution
+// over a single input channel (a depthwise conv, as every numeric proxy's
+// smoothing conv is) whose three tap rows xs, each len(xs)/3 wide, all
+// lie inside the input. Each column whose window lies inside the row
+// sums its taps in a register: from +0 (not from the first product,
+// which would keep a −0 the row-span loop turns into +0), w·x in
+// (kh, kw) order, then the bias — the sequence the row-span loop gives
+// it. The nine weights stay in registers, and so do the window's first
+// two input columns, so a column loads one new value per tap row. The
+// columns reaching into the padding go to depthwise3Edge.
+//
+// A general kernel or stride gains nothing from a register loop: its
+// tap loop cannot be unrolled, and the row-span loop is as fast.
+//
+//rt:hotpath
+func depthwise3Row(row, xs, wk []float32, bias float32, pad int) {
+	w := len(xs) / 3
+	// Columns [ja, jb) have their window in [0, w): j-pad ≥ 0 and
+	// j-pad+3 ≤ w.
+	ja := min(pad, len(row))
+	jb := max(ja, min(len(row), w+pad-2))
+	if out := row[ja:jb]; len(out) > 0 {
+		wk = wk[:9]
+		w0, w1, w2, w3, w4, w5, w6, w7, w8 := wk[0], wk[1], wk[2], wk[3], wk[4], wk[5], wk[6], wk[7], wk[8]
+		x0, x1, x2 := xs[ja-pad:], xs[w+ja-pad:], xs[2*w+ja-pad:]
+		a0, a1, b0, b1, c0, c1 := x0[0], x0[1], x1[0], x1[1], x2[0], x2[1]
+		x0, x1, x2 = x0[2:][:len(out)], x1[2:][:len(out)], x2[2:][:len(out)]
+		for t, a2 := range x0 {
+			b2, c2 := x1[t], x2[t]
+			var acc float32
+			acc += w0 * a0
+			acc += w1 * a1
+			acc += w2 * a2
+			acc += w3 * b0
+			acc += w4 * b1
+			acc += w5 * b2
+			acc += w6 * c0
+			acc += w7 * c1
+			acc += w8 * c2
+			out[t] = acc + bias
+			a0, a1, b0, b1, c0, c1 = a1, a2, b1, b2, c1, c2
+		}
+	}
+	r0, r1, r2 := xs[:w], xs[w:][:w], xs[2*w:][:w]
+	for j := 0; j < ja; j++ {
+		row[j] = depthwise3Edge(r0, r1, r2, wk, bias, j-pad)
+	}
+	for j := jb; j < len(row); j++ {
+		row[j] = depthwise3Edge(r0, r1, r2, wk, bias, j-pad)
+	}
+}
+
+// depthwise3Edge is the output of depthwise3Row for a column whose
+// window, starting at column left of the tap rows r0, r1, r2, reaches
+// into the padding: the same sequence over the taps inside the row.
+//
+//rt:hotpath
+func depthwise3Edge(r0, r1, r2, wk []float32, bias float32, left int) float32 {
+	lo, hi := max(0, -left), min(3, len(r0)-left)
+	var acc float32
+	for kw := lo; kw < hi; kw++ {
+		acc += wk[kw] * r0[left+kw]
+	}
+	for kw := lo; kw < hi; kw++ {
+		acc += wk[3+kw] * r1[left+kw]
+	}
+	for kw := lo; kw < hi; kw++ {
+		acc += wk[6+kw] * r2[left+kw]
+	}
+	return acc + bias
 }
 
 // PoolParams describes a pooling window.
@@ -178,16 +255,38 @@ func AvgPool2D(x *Tensor, p PoolParams) *Tensor {
 // (padding at least as wide as the kernel) stores an explicit zero: on a
 // recycled y, skipping the store would leave a stale value behind.
 //
+// When the windows are 2×2 and every one lies wholly inside the input —
+// no padding, and the last window of each axis ends inside it (under
+// k2 s2 an odd side's last window hangs off the input: ConvOutDim(1, 2,
+// 2, 0) is 1) — each sums its four taps in (kh, kw) order, unrolled and
+// unclamped, and divides by 4. The numeric proxies pool this way; a
+// general k gains little, its tap loops being too short to run fast.
+//
 //rt:hotpath
 func AvgPool2DInto(x *Tensor, p PoolParams, y *Tensor) {
 	oh := ConvOutDim(x.H, p.Kernel, p.Stride, p.Pad)
 	ow := ConvOutDim(x.W, p.Kernel, p.Stride, p.Pad)
 	y.Resize(x.N, x.C, oh, ow)
 	plane := x.H * x.W
+	s := p.Stride
+	whole2 := p.Kernel == 2 && p.Pad == 0 && (oh-1)*s+2 <= x.H && (ow-1)*s+2 <= x.W
 	for nc := 0; nc < x.N*x.C; nc++ {
 		xp := x.Data[nc*plane:][:plane]
 		for i := 0; i < oh; i++ {
 			row := y.Data[(nc*oh+i)*ow:][:ow]
+			if whole2 {
+				r0, r1 := xp[i*s*x.W:][:x.W], xp[(i*s+1)*x.W:][:x.W]
+				for j := range row {
+					a, b := r0[j*s:][:2], r1[j*s:][:2]
+					var sum float32
+					sum += a[0]
+					sum += a[1]
+					sum += b[0]
+					sum += b[1]
+					row[j] = sum / 4
+				}
+				continue
+			}
 			top := i*p.Stride - p.Pad
 			khLo, khHi := max(0, -top), min(p.Kernel, x.H-top)
 			for j := range row {

@@ -208,21 +208,29 @@ func (cv refCoverage) require(t *testing.T, classes ...string) {
 
 // genConv draws one convolution: dense, grouped, depthwise or 1x1;
 // kernel 1-5, stride 1-3, padding 0..k+1; input 1-9 on a side (so often
-// narrower than the kernel), batch 1-3.
+// narrower than the kernel), batch 1-3. One draw in five is the proxies'
+// smoothing conv (depthwise k3 s1 p1) on an input of 1-4 a side, where
+// the rows whose taps all lie inside the input are few or none.
 func genConv(src *fixrand.Source, cv refCoverage) (x, w, b *Tensor, p ConvParams) {
 	for {
 		groups, icg, ocg := 1, 1+src.Intn(3), 1+src.Intn(3)
 		k := 1 + src.Intn(5)
-		switch kind := src.Intn(4); kind {
+		kind := src.Intn(5)
+		switch kind {
 		case 1:
 			groups = 2 + src.Intn(2)
 		case 2: // depthwise, channel multiplier 1 or 2
 			groups, icg, ocg = 1+src.Intn(4), 1, 1+src.Intn(2)
 		case 3:
 			k = 1
+		case 4:
+			groups, icg, ocg, k = 1+src.Intn(4), 1, 1, 3
 		}
 		p = ConvParams{OutC: groups * ocg, Kernel: k, Stride: 1 + src.Intn(3), Pad: src.Intn(k + 2), Groups: groups}
 		n, h, wd := 1+src.Intn(3), 1+src.Intn(9), 1+src.Intn(9)
+		if kind == 4 {
+			p.Stride, p.Pad, h, wd = 1, 1, 1+src.Intn(4), 1+src.Intn(4)
+		}
 		if ConvOutDim(h, k, p.Stride, p.Pad) <= 0 || ConvOutDim(wd, k, p.Stride, p.Pad) <= 0 {
 			continue
 		}
@@ -240,6 +248,15 @@ func genConv(src *fixrand.Source, cv refCoverage) (x, w, b *Tensor, p ConvParams
 		}
 		if k == 1 {
 			cv["1x1"]++
+		}
+		if icg == 1 {
+			// The first output row that needs no padding row, if any.
+			if i := (p.Pad + p.Stride - 1) / p.Stride; i < ConvOutDim(h, k, p.Stride, p.Pad) && i*p.Stride-p.Pad+k <= h {
+				cv["depthwise full-height row"]++
+			}
+			if k == 3 && p.Stride == 1 && p.Pad == 1 && h == 1 && wd <= 3 {
+				cv["depthwise k3s1p1 H=1 W<=3"]++
+			}
 		}
 		return x, w, b, p
 	}
@@ -260,16 +277,35 @@ func (cv refCoverage) note(x *Tensor, k, s, pad int) {
 	}
 }
 
+// genPool draws one pooling window over the same range of shapes as
+// genConv. One draw in five is the proxies' pool (k2 s2 p0) on an input
+// of 1-5 a side: on an odd side its last window hangs off the input
+// (ConvOutDim(1, 2, 2, 0) is 1), so the windows are not all whole.
 func genPool(src *fixrand.Source, cv refCoverage) (*Tensor, PoolParams) {
 	for {
 		k := 1 + src.Intn(5)
 		p := PoolParams{Kernel: k, Stride: 1 + src.Intn(3), Pad: src.Intn(k + 2)}
 		n, c, h, w := 1+src.Intn(3), 1+src.Intn(3), 1+src.Intn(9), 1+src.Intn(9)
-		if ConvOutDim(h, k, p.Stride, p.Pad) <= 0 || ConvOutDim(w, k, p.Stride, p.Pad) <= 0 {
+		if src.Intn(5) == 0 {
+			k, p, h, w = 2, PoolParams{Kernel: 2, Stride: 2}, 1+src.Intn(5), 1+src.Intn(5)
+		}
+		oh, ow := ConvOutDim(h, k, p.Stride, p.Pad), ConvOutDim(w, k, p.Stride, p.Pad)
+		if oh <= 0 || ow <= 0 {
 			continue
 		}
 		x := refTensor(src, n, c, h, w)
 		cv.note(x, k, p.Stride, p.Pad)
+		if k == 2 && p.Pad == 0 && (oh-1)*p.Stride+k <= h && (ow-1)*p.Stride+k <= w {
+			cv["whole 2x2 windows"]++
+		}
+		if p == (PoolParams{Kernel: 2, Stride: 2}) {
+			if h%2 == 1 || w%2 == 1 {
+				cv["k2s2p0 odd side"]++
+			}
+			if h == 1 || w == 1 {
+				cv["k2s2p0 side 1"]++
+			}
+		}
 		return x, p
 	}
 }
@@ -314,10 +350,63 @@ func TestReferenceMatchesFrozenLoops(t *testing.T) {
 			}
 			cv.require(t, "W<k padded", "pad>=k", "strided", "N>1")
 			if o.name == "Conv2DInto" {
-				cv.require(t, "depthwise", "grouped", "1x1")
+				cv.require(t, "depthwise", "grouped", "1x1", "depthwise full-height row", "depthwise k3s1p1 H=1 W<=3")
+			} else {
+				cv.require(t, "whole 2x2 windows", "k2s2p0 odd side", "k2s2p0 side 1")
 			}
 		})
 	}
+}
+
+// TestReferenceSignedZeros reruns the sweep's shapes with every operand a
+// signed zero. Every product is then ±0, so the output's sign is decided
+// by where its accumulator starts and in what order it adds: a sum
+// seeded with its first product, or with the bias, keeps a −0 the frozen
+// loop's +0 seed turns into +0. The random sweep all but never meets
+// such an element (one value in 200 is −0), so half the cases here are
+// the worst one: input −0, weights +0, bias −0, every product −0.
+func TestReferenceSignedZeros(t *testing.T) {
+	src := fixrand.NewKeyed("reference-signed-zeros")
+	negZero := float32(math.Copysign(0, -1))
+	fill := func(worst bool, x *Tensor, params ...*Tensor) {
+		for i := range x.Data {
+			x.Data[i] = negZero
+			if !worst && src.Intn(2) == 0 {
+				x.Data[i] = 0
+			}
+		}
+		for _, p := range params {
+			if p == nil {
+				continue
+			}
+			for i := range p.Data {
+				p.Data[i] = 0
+				if !worst && src.Intn(2) == 0 {
+					p.Data[i] = negZero
+				}
+			}
+		}
+	}
+	cv := refCoverage{}
+	for i := 0; i < 1000; i++ {
+		worst := i%2 == 0
+		x, w, b, p := genConv(src, cv)
+		fill(worst, x, w)
+		if b != nil {
+			fill(worst, b)
+		}
+		if diff := checkAgainstFrozen(func(y *Tensor) { Conv2DInto(x, w, b, p, y) },
+			func(y *Tensor) { frozenConv2DInto(x, w, b, p, y) }); diff != "" {
+			t.Fatalf("Conv2DInto %+v on %v: %s", p, x.Shape(), diff)
+		}
+		xp, pp := genPool(src, cv)
+		fill(worst, xp)
+		if diff := checkAgainstFrozen(func(y *Tensor) { AvgPool2DInto(xp, pp, y) },
+			func(y *Tensor) { frozenAvgPool2DInto(xp, pp, y) }); diff != "" {
+			t.Fatalf("AvgPool2DInto %+v on %v: %s", pp, xp.Shape(), diff)
+		}
+	}
+	cv.require(t, "depthwise full-height row", "whole 2x2 windows")
 }
 
 // FuzzConv2DReference holds Conv2DInto to the frozen loop on shapes and
@@ -356,6 +445,36 @@ func FuzzConv2DReference(f *testing.F) {
 		}
 		if diff := checkAgainstFrozen(func(y *Tensor) { Conv2DInto(x, wt, b, p, y) },
 			func(y *Tensor) { frozenConv2DInto(x, wt, b, p, y) }); diff != "" {
+			t.Fatalf("%+v on %v: %s", p, x.Shape(), diff)
+		}
+	})
+}
+
+// FuzzAvgPool2DReference holds AvgPool2DInto to the frozen loop on
+// shapes and raw float32 bit patterns taken from the fuzz input. geom's
+// bytes pick, in order: batch, channels, kernel, stride, padding, and the
+// input height (low nibble) and width (high nibble).
+func FuzzAvgPool2DReference(f *testing.F) {
+	f.Add(uint64(0x00_00_01_01_00_00), []byte{0, 0, 0x80, 0x3f, 0, 0, 0, 0xc0})
+	f.Add(uint64(0x42_00_01_01_01_01), []byte{0, 0, 0x80, 0x7f, 0, 0, 0x80, 0x80, 0, 0, 0xc0, 0x7f})
+	f.Add(uint64(0x88_02_00_02_02_00), []byte{1, 2, 3, 4, 5, 6, 7, 8, 9})
+	f.Fuzz(func(t *testing.T, geom uint64, data []byte) {
+		g := func(i int) int { return int(geom >> (8 * i) & 0xff) }
+		k := 1 + g(2)%5
+		p := PoolParams{Kernel: k, Stride: 1 + g(3)%3, Pad: g(4) % (k + 2)}
+		n, c, h, w := 1+g(0)%3, 1+g(1)%3, 1+(g(5)&15)%9, 1+(g(5)>>4)%9
+		if ConvOutDim(h, k, p.Stride, p.Pad) <= 0 || ConvOutDim(w, k, p.Stride, p.Pad) <= 0 {
+			return
+		}
+		x := New(n, c, h, w)
+		if len(data) >= 4 {
+			for i := range x.Data {
+				o := 4 * i % (len(data) - 3)
+				x.Data[i] = math.Float32frombits(uint32(data[o]) | uint32(data[o+1])<<8 | uint32(data[o+2])<<16 | uint32(data[o+3])<<24)
+			}
+		}
+		if diff := checkAgainstFrozen(func(y *Tensor) { AvgPool2DInto(x, p, y) },
+			func(y *Tensor) { frozenAvgPool2DInto(x, p, y) }); diff != "" {
 			t.Fatalf("%+v on %v: %s", p, x.Shape(), diff)
 		}
 	})
