@@ -23,12 +23,14 @@ import (
 
 // DefaultGoroutinePackages are the packages whose go statements are
 // audited: the serving, batching, kernel worker-pool and experiment
-// surfaces where a leaked goroutine outlives a request or a drain.
+// surfaces where a leaked goroutine outlives a request or a drain, and
+// the indexed fan-out that the experiments and dataset synthesis share.
 var DefaultGoroutinePackages = []string{
 	"edgeinfer/internal/serve",
 	"edgeinfer/internal/netserve",
 	"edgeinfer/internal/kernels",
 	"edgeinfer/internal/experiments",
+	"edgeinfer/internal/fanout",
 }
 
 // GoLeak returns the goroutine-stop-path analyzer scoped to the given

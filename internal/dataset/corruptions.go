@@ -269,30 +269,40 @@ type AdversarialSample struct {
 }
 
 // Adversarial synthesizes the corrupted dataset: for each type, severity
-// and class, PerClass corrupted benign images.
+// and class, PerClass corrupted benign images. The noisy benign image of
+// a (class, i) key is the same under every type and severity, so it is
+// drawn once and corrupted into each (Corrupt copies it). Both passes run
+// across GOMAXPROCS goroutines, each sample from its own keyed streams
+// into its own slot, so the set is the same on any number of cores. A
+// non-positive Classes or PerClass gives an empty set.
 func Adversarial(cfg AdversarialConfig) []AdversarialSample {
-	tpl := Templates(cfg.Seed, cfg.Classes)
-	var out []AdversarialSample
-	for _, ct := range cfg.Types {
-		for _, sv := range cfg.Severities {
-			for c := 0; c < cfg.Classes; c++ {
-				for i := 0; i < cfg.PerClass; i++ {
-					key := fmt.Sprintf("%s/adv/c%d/i%d", cfg.Seed, c, i)
-					src := fixrand.NewKeyed(key)
-					img := tpl[c].Clone()
-					for k := range img.Data {
-						img.Data[k] += float32(3.8 * src.NormFloat64())
-					}
-					img = Corrupt(img, ct, sv, key)
-					out = append(out, AdversarialSample{
-						Sample:   Sample{Image: img, Label: c},
-						Type:     ct,
-						Severity: sv,
-					})
-				}
-			}
-		}
+	if cfg.Classes <= 0 || cfg.PerClass <= 0 || len(cfg.Types) == 0 || len(cfg.Severities) == 0 {
+		return nil
 	}
+	tpl := Templates(cfg.Seed, cfg.Classes)
+	perSet := cfg.Classes * cfg.PerClass // samples per (type, severity)
+	keys := make([]string, perSet)
+	bases := make([]*tensor.Tensor, perSet)
+	synthesize(perSet, func(k int) {
+		c, i := k/cfg.PerClass, k%cfg.PerClass
+		keys[k] = fmt.Sprintf("%s/adv/c%d/i%d", cfg.Seed, c, i)
+		src := fixrand.NewKeyed(keys[k])
+		img := tpl[c].Clone()
+		for j := range img.Data {
+			img.Data[j] += float32(3.8 * src.NormFloat64())
+		}
+		bases[k] = img
+	})
+	out := make([]AdversarialSample, len(cfg.Types)*len(cfg.Severities)*perSet)
+	synthesize(len(out), func(k int) {
+		set, b := k/perSet, k%perSet
+		ct, sv := cfg.Types[set/len(cfg.Severities)], cfg.Severities[set%len(cfg.Severities)]
+		out[k] = AdversarialSample{
+			Sample:   Sample{Image: Corrupt(bases[b], ct, sv, keys[b]), Label: b / cfg.PerClass},
+			Type:     ct,
+			Severity: sv,
+		}
+	})
 	return out
 }
 

@@ -8,8 +8,10 @@ package dataset
 
 import (
 	"fmt"
+	"runtime"
 	"strconv"
 
+	"edgeinfer/internal/fanout"
 	"edgeinfer/internal/fixrand"
 	"edgeinfer/internal/tensor"
 )
@@ -201,19 +203,36 @@ func DefaultBenign(perClass int) BenignConfig {
 }
 
 // Benign synthesizes the benign dataset: per-class template plus i.i.d.
-// Gaussian observation noise.
+// Gaussian observation noise. Samples are drawn across GOMAXPROCS
+// goroutines, each from its own keyed stream into its own slot, so the
+// set is the same on any number of cores. A non-positive Classes or
+// PerClass gives an empty set.
 func Benign(cfg BenignConfig) []Sample {
-	tpl := Templates(cfg.Seed, cfg.Classes)
-	var out []Sample
-	for c := 0; c < cfg.Classes; c++ {
-		for i := 0; i < cfg.PerClass; i++ {
-			src := fixrand.NewKeyed(fmt.Sprintf("%s/benign/c%d/i%d", cfg.Seed, c, i))
-			img := tpl[c].Clone()
-			for k := range img.Data {
-				img.Data[k] += float32(cfg.NoiseSigma * src.NormFloat64())
-			}
-			out = append(out, Sample{Image: img, Label: c})
-		}
+	if cfg.Classes <= 0 || cfg.PerClass <= 0 {
+		return nil
 	}
+	tpl := Templates(cfg.Seed, cfg.Classes)
+	out := make([]Sample, cfg.Classes*cfg.PerClass)
+	synthesize(len(out), func(k int) {
+		c, i := k/cfg.PerClass, k%cfg.PerClass
+		src := fixrand.NewKeyed(fmt.Sprintf("%s/benign/c%d/i%d", cfg.Seed, c, i))
+		img := tpl[c].Clone()
+		for j := range img.Data {
+			img.Data[j] += float32(cfg.NoiseSigma * src.NormFloat64())
+		}
+		out[k] = Sample{Image: img, Label: c}
+	})
 	return out
+}
+
+// synthesize runs draw(k) for every k in [0,n) across GOMAXPROCS
+// goroutines. Each draw writes only its own slot.
+func synthesize(n int, draw func(k int)) {
+	err := fanout.ForEach(runtime.GOMAXPROCS(0), n, func(k int) error {
+		draw(k)
+		return nil
+	})
+	if err != nil {
+		panic(err) // no draw returns an error
+	}
 }

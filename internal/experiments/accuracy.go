@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"edgeinfer/internal/core"
 	"edgeinfer/internal/dataset"
@@ -80,10 +81,9 @@ type Table4Row struct {
 func (l *Lab) Table4() []Table4Row {
 	set := l.advSet()
 	bySev := map[int][]int{} // severity -> sample indices
-	images := make([]*tensor.Tensor, len(set))
 	labels := make([]int, len(set))
 	for i, s := range set {
-		images[i], labels[i] = s.Image, s.Label
+		labels[i] = s.Label
 		bySev[s.Severity] = append(bySev[s.Severity], i)
 	}
 	sub := func(pred []int, idx []int) ([]int, []int) {
@@ -95,7 +95,7 @@ func (l *Lab) Table4() []Table4Row {
 		return p, lb
 	}
 	sevs := []int{1, 5}
-	preds := l.classifyAll(l.accuracyEngines(), images)
+	preds := l.classifyAdv(l.accuracyEngines())
 	out := make([]Table4Row, len(classifierModels)*len(sevs))
 	for mi, m := range classifierModels {
 		agx, nx, un := preds[3*mi], preds[3*mi+1], preds[3*mi+2]
@@ -128,7 +128,7 @@ func (l *Lab) RenderTable4() string {
 }
 
 // consistencyImages returns the image set used by the consistency tables
-// (the paper uses the adversarial set's 60000 predictions).
+// (the paper uses the adversarial set's 60000 predictions) and Table IV.
 func (l *Lab) consistencyImages() []*tensor.Tensor {
 	set := l.advSet()
 	images := make([]*tensor.Tensor, len(set))
@@ -148,12 +148,12 @@ type Table5Row struct {
 // Table5 reproduces Table V: number of differing predictions between
 // engines built on NX and engines built on AGX, over the adversarial set.
 func (l *Lab) Table5() []Table5Row {
-	images := l.consistencyImages()
-	n := min(l.Opts.EnginesPerSide, 3)
-	preds := l.classifyAll(l.crossPlatformEngines(n), images)
+	n := l.crossPlatformBuilds()
+	preds := l.classifyAdv(l.crossPlatformEngines(n))
+	total := len(l.advSet())
 	out := make([]Table5Row, len(consistencyModels))
 	for mi, m := range consistencyModels {
-		row := Table5Row{Model: m, Total: len(images)}
+		row := Table5Row{Model: m, Total: total}
 		nx := func(i int) []int { return preds[(mi*n+i)*2] }
 		agx := func(j int) []int { return preds[(mi*n+j)*2+1] }
 		for i := 0; i < n; i++ {
@@ -165,6 +165,9 @@ func (l *Lab) Table5() []Table5Row {
 	}
 	return out
 }
+
+// crossPlatformBuilds is how many builds per platform Table V compares.
+func (l *Lab) crossPlatformBuilds() int { return min(l.Opts.EnginesPerSide, 3) }
 
 // crossPlatformEngines are Table V's engines: per consistency model and
 // build id 1..n, the engine built on NX, then the one built on AGX.
@@ -211,29 +214,55 @@ type Table6Row struct {
 // Table6 reproduces Table VI: mismatches across engines built on the
 // same platform.
 func (l *Lab) Table6() []Table6Row {
-	images := l.consistencyImages()
-	cases := []struct{ platform, model string }{
-		{"NX", "resnet18"}, {"AGX", "vgg16"}, {"AGX", "inceptionv4"}, {"AGX", "resnet18"},
-	}
-	var es []*core.Engine
-	for _, c := range cases {
-		for i := 1; i <= 3; i++ {
-			es = append(es, l.proxyEngine(c.model, c.platform, i))
-		}
-	}
-	preds := l.classifyAll(es, images)
-	out := make([]Table6Row, len(cases))
-	for ci, c := range cases {
+	preds := l.classifyAdv(l.samePlatformEngines())
+	total := len(l.advSet())
+	out := make([]Table6Row, len(samePlatformCases))
+	for ci, c := range samePlatformCases {
 		p := preds[3*ci : 3*ci+3]
 		out[ci] = Table6Row{
 			Platform: c.platform, Model: c.model,
 			M12:   metrics.Mismatches(p[0], p[1]),
 			M23:   metrics.Mismatches(p[1], p[2]),
 			M13:   metrics.Mismatches(p[0], p[2]),
-			Total: len(images),
+			Total: total,
 		}
 	}
 	return out
+}
+
+// samePlatformCases are Table VI's rows: a platform and a model.
+var samePlatformCases = []struct{ platform, model string }{
+	{"NX", "resnet18"}, {"AGX", "vgg16"}, {"AGX", "inceptionv4"}, {"AGX", "resnet18"},
+}
+
+// samePlatformEngines are Table VI's engines: per row, builds 1, 2 and 3.
+func (l *Lab) samePlatformEngines() []*core.Engine {
+	var es []*core.Engine
+	for _, c := range samePlatformCases {
+		for i := 1; i <= 3; i++ {
+			es = append(es, l.proxyEngine(c.model, c.platform, i))
+		}
+	}
+	return es
+}
+
+// classifyAdv returns, by the index of own, the predictions of one of
+// Tables IV, V and VI's engine lists over the adversarial set. The
+// three tables read that set through one group, over advEngines(own).
+// Whichever table comes first runs it, and the others find every
+// program cached.
+func (l *Lab) classifyAdv(own []*core.Engine) [][]int {
+	return l.classifyAll(l.advEngines(own), l.consistencyImages())[:len(own)]
+}
+
+// advEngines returns own, then every engine of Tables IV, V and VI in
+// that order (classifyAll runs each program once). Builds happen in the
+// same order, so in benchtables -all order every engine is built exactly
+// where it was when each table classified only its own, and a table
+// rendered alone builds its own engines first, as before, and the
+// others after; that is the order a TimingCacheDir sees.
+func (l *Lab) advEngines(own []*core.Engine) []*core.Engine {
+	return slices.Concat(own, l.accuracyEngines(), l.crossPlatformEngines(l.crossPlatformBuilds()), l.samePlatformEngines())
 }
 
 // RenderTable6 formats Table VI.

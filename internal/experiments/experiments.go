@@ -11,10 +11,10 @@ import (
 	"slices"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"edgeinfer/internal/core"
 	"edgeinfer/internal/dataset"
+	"edgeinfer/internal/fanout"
 	"edgeinfer/internal/gpusim"
 	"edgeinfer/internal/graph"
 	"edgeinfer/internal/models"
@@ -41,10 +41,11 @@ type Options struct {
 	TimingCacheDir string
 
 	// Workers fans the per-image classification loops across this many
-	// goroutines (0 = GOMAXPROCS). Results are deterministic for any
-	// worker count: outputs are placed by index and kernel execution is
-	// bit-identical regardless of parallelism. Set 1 to force the fully
-	// serial paths.
+	// goroutines (0 = GOMAXPROCS). Dataset synthesis does not read it: it
+	// always fans out across GOMAXPROCS. Results are deterministic for
+	// any worker count: outputs are placed by index and kernel execution
+	// is bit-identical regardless of parallelism. Workers 1 makes the
+	// classification loops serial; GOMAXPROCS=1 is the fully serial run.
 	Workers int
 }
 
@@ -70,9 +71,15 @@ type Lab struct {
 	building map[string]*buildCell
 	tcaches  map[int]*core.TimingCache
 	preds    map[predKey][]int
-	programs []*core.Engine // one representative per distinct numeric program classified
-	benign   []dataset.Sample
-	adv      []dataset.AdversarialSample
+	programs []*core.Engine                // one representative per distinct numeric program classified
+	repOf    map[*core.Engine]*core.Engine // program's answers: each engine asked about, to its representative
+
+	// The datasets are synthesized outside mu: synthesis waits on its
+	// own fan-out.
+	benignOnce sync.Once
+	benign     []dataset.Sample
+	advOnce    sync.Once
+	adv        []dataset.AdversarialSample
 
 	proxyMu sync.Mutex // held across a proxy build, so each model builds once
 	proxies map[string]*graph.Graph
@@ -102,6 +109,7 @@ func NewLab(opts Options) *Lab {
 		building: map[string]*buildCell{},
 		tcaches:  map[int]*core.TimingCache{},
 		preds:    map[predKey][]int{},
+		repOf:    map[*core.Engine]*core.Engine{},
 		proxies:  map[string]*graph.Graph{},
 		refs:     map[string]*core.Engine{},
 	}
@@ -113,67 +121,6 @@ func (l *Lab) workers() int {
 		return w
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-// forEach runs fn(i) for every i in [0,n) across up to workers
-// goroutines, handing out indices through an atomic cursor. The outcome
-// is deterministic for any worker count and schedule: callers write
-// results into their own slices by index, and the surfaced failure is
-// always the lowest-indexed one (a panic at that index takes precedence
-// and is re-raised on the calling goroutine).
-func forEach(workers, n int, fn func(i int) error) error {
-	if n <= 0 {
-		return nil
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	errs := make([]error, n)
-	panics := make([]any, n)
-	var next atomic.Int64
-	run := func() {
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= n {
-				return
-			}
-			func() {
-				defer func() {
-					if r := recover(); r != nil {
-						panics[i] = r
-					}
-				}()
-				errs[i] = fn(i)
-			}()
-		}
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers-1; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			run()
-		}()
-	}
-	run()
-	wg.Wait()
-	for i := 0; i < n; i++ {
-		if panics[i] != nil {
-			panic(panics[i])
-		}
-		if errs[i] != nil {
-			return errs[i]
-		}
-	}
-	return nil
 }
 
 // timingCachePath names one build id's cache file.
@@ -366,25 +313,21 @@ func (l *Lab) proxyEngine(model, platform string, build int) *core.Engine {
 	return e
 }
 
-// benignSet lazily synthesizes the benign dataset.
+// benignSet lazily synthesizes the benign dataset, once.
 func (l *Lab) benignSet() []dataset.Sample {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.benign == nil {
+	l.benignOnce.Do(func() {
 		l.benign = dataset.Benign(dataset.DefaultBenign(l.Opts.BenignPerClass))
-	}
+	})
 	return l.benign
 }
 
-// advSet lazily synthesizes the adversarial dataset.
+// advSet lazily synthesizes the adversarial dataset, once.
 func (l *Lab) advSet() []dataset.AdversarialSample {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.adv == nil {
+	l.advOnce.Do(func() {
 		cfg := dataset.DefaultAdversarial(l.Opts.AdvPerClass)
 		cfg.Types = l.Opts.AdvTypes
 		l.adv = dataset.Adversarial(cfg)
-	}
+	})
 	return l.adv
 }
 
@@ -403,17 +346,27 @@ func (l *Lab) setPred(key predKey, p []int) {
 
 // program returns the representative of e's numeric program: the first
 // engine this Lab classified that computes exactly what e computes
-// (core.Engine.SameNumerics), e itself when none has.
+// (core.Engine.SameNumerics), e itself when none has. The answer is
+// remembered: SameNumerics compares weights bit for bit, and each of
+// Tables IV–VI asks about all three tables' engines.
 func (l *Lab) program(e *core.Engine) *core.Engine {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	for _, r := range l.programs {
-		if r == e || r.SameNumerics(e) {
-			return r
+	if r, ok := l.repOf[e]; ok {
+		return r
+	}
+	r := e
+	for _, p := range l.programs {
+		if p.SameNumerics(e) {
+			r = p
+			break
 		}
 	}
-	l.programs = append(l.programs, e)
-	return e
+	if r == e {
+		l.programs = append(l.programs, e)
+	}
+	l.repOf[e] = r
+	return r
 }
 
 // classifyAllE returns, by the index of es, each engine's argmax over
@@ -434,7 +387,7 @@ func (l *Lab) classifyAllE(es []*core.Engine, images []*tensor.Tensor) ([][]int,
 		for k := range preds {
 			preds[k] = make([]int, len(images))
 		}
-		err := forEach(l.workers(), len(images), func(i int) error {
+		err := fanout.ForEach(l.workers(), len(images), func(i int) error {
 			o, err := g.Infer(images[i])
 			if err != nil {
 				return fmt.Errorf("experiments: image %d: %w", i, err)

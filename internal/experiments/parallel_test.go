@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"errors"
 	"reflect"
 	"testing"
 
@@ -14,15 +13,17 @@ import (
 // execution is bit-identical under any worker count, so this is exact
 // equality, not tolerance.
 func TestWorkerCountInvariance(t *testing.T) {
-	// Smallest configuration that still walks every table's group of
-	// engines through the per-image fan-out end to end; the kernel-level
-	// bit-identity matrix lives in internal/kernels.
+	// Smallest configuration that still walks every table's engines
+	// through the per-image fan-out end to end, with three engines per
+	// side so the adversarial set's group holds all of Tables IV–VI's
+	// programs, and two corruption types so the set is not one type's;
+	// the kernel-level bit-identity matrix lives in internal/kernels.
 	opts := Options{
 		BenignPerClass: 1,
 		AdvPerClass:    1,
-		AdvTypes:       []dataset.Corruption{dataset.GaussianNoise},
+		AdvTypes:       []dataset.Corruption{dataset.GaussianNoise, dataset.Fog},
 		Runs:           2,
-		EnginesPerSide: 1,
+		EnginesPerSide: 3,
 	}
 	serial := opts
 	serial.Workers = 1
@@ -60,33 +61,5 @@ func TestWorkerKnobs(t *testing.T) {
 	l.Opts.TimingCacheDir = t.TempDir()
 	if l.workers() != 3 {
 		t.Fatalf("per-image workers with timing cache = %d, want 3", l.workers())
-	}
-}
-
-func TestForEachSemantics(t *testing.T) {
-	// Indices are covered exactly once under any width.
-	for _, width := range []int{1, 4, 16} {
-		hits := make([]int, 37)
-		if err := forEach(width, len(hits), func(i int) error {
-			hits[i]++
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-		for i, n := range hits {
-			if n != 1 {
-				t.Fatalf("width %d: index %d ran %d times", width, i, n)
-			}
-		}
-	}
-	// An error from any index surfaces.
-	sentinel := errors.New("boom")
-	if err := forEach(4, 9, func(i int) error {
-		if i == 5 {
-			return sentinel
-		}
-		return nil
-	}); !errors.Is(err, sentinel) {
-		t.Fatalf("forEach swallowed the error: %v", err)
 	}
 }
