@@ -12,8 +12,7 @@
 //	rtlint -plancheck             build + serialize + verify every classifier plan
 //
 // Findings are suppressed per line with
-// `//rt:allow <analyzer> <justification>` (or, for several analyzers,
-// `//rt:allow <analyzer>, <analyzer> -- <justification>`); every
+// `//rt:allow <analyzer>[, <analyzer>...] -- <justification>`; every
 // suppression is printed with its justification so directives stay
 // auditable.
 package main

@@ -5,7 +5,6 @@
 // and reports Findings with exact positions. Findings can be suppressed
 // at a specific line with a
 //
-//	//rt:allow <analyzer> <justification>
 //	//rt:allow <analyzer>[, <analyzer>...] -- <justification>
 //
 // directive placed on the flagged line or on the line directly above it.

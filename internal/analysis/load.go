@@ -268,7 +268,6 @@ func (m *moduleImporter) Import(path string) (*types.Package, error) {
 
 // recordDirectives scans a file's comments for suppression directives:
 //
-//	//rt:allow <analyzer> <justification>
 //	//rt:allow <analyzer>[, <analyzer>...] -- <justification>
 //
 // A directive suppresses matching findings on its own line and on the
@@ -306,17 +305,12 @@ func (m *Module) recordDirectives(file *ast.File) {
 }
 
 // parseAllow splits a directive body into analyzer names and the
-// justification. A `--` separates a name list from free-form text;
-// without one the first token is the one analyzer and everything after
-// it is the reason.
+// justification: a name list, `--`, then free-form text. A body without
+// `--` names no analyzer.
 func parseAllow(text string) (names []string, reason string) {
 	before, after, ok := strings.Cut(text, "--")
 	if !ok {
-		fields := strings.Fields(text)
-		if len(fields) == 0 || !isAnalyzerName(fields[0]) {
-			return nil, ""
-		}
-		return fields[:1], strings.TrimSpace(strings.TrimPrefix(strings.TrimSpace(text), fields[0]))
+		return nil, ""
 	}
 	for _, f := range strings.FieldsFunc(before, func(r rune) bool { return r == ',' || r == ' ' || r == '\t' }) {
 		if !isAnalyzerName(f) {

@@ -57,5 +57,5 @@ func Fresh(n int) []float32 {
 //
 //rt:hotpath
 func Traced(x float32) {
-	trace = append(trace, x) //rt:allow hotalloc fixture proves hot-path suppression with a reason
+	trace = append(trace, x) //rt:allow hotalloc -- fixture proves hot-path suppression with a reason
 }

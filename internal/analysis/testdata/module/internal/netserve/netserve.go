@@ -59,7 +59,7 @@ func (b *Batcher) StartDrain() {
 // StartPinned is a sanctioned process-lifetime pump: suppressed, with
 // the reason surfaced in rtlint's output.
 func (b *Batcher) StartPinned() {
-	//rt:allow goleak fixture proves process-lifetime goroutines can be sanctioned
+	//rt:allow goleak -- fixture proves process-lifetime goroutines can be sanctioned
 	go func() {
 		for {
 			b.work <- 0

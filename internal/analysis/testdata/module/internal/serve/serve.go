@@ -82,7 +82,7 @@ func (q *Queue) PollUnderLock(v int) bool {
 func (q *Queue) AllowedSend(v int) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	q.ch <- v //rt:allow lockorder fixture proves compact-directive suppression
+	q.ch <- v //rt:allow lockorder -- fixture proves compact-directive suppression
 }
 
 // Run and RunCtx are the context-sibling pair.
@@ -108,5 +108,5 @@ func (q *Queue) ServeThreaded(ctx *rtctx.Request, x int) int {
 // ServeAllowed documents why the plain call is correct here.
 func (q *Queue) ServeAllowed(ctx *rtctx.Request, x int) int {
 	_ = ctx.Budget()
-	return q.Run(x) //rt:allow deadlineflow fixture: budget is checked before dispatch
+	return q.Run(x) //rt:allow deadlineflow -- fixture: budget is checked before dispatch
 }

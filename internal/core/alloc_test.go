@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"testing"
 
 	"edgeinfer/internal/fixrand"
@@ -217,5 +218,45 @@ func TestWarmBuildAllocs(t *testing.T) {
 	const pinned = 450
 	if n != pinned {
 		t.Fatalf("warm resnet18 build allocates %v times, pinned at %d", n, pinned)
+	}
+}
+
+// TestLoadAllocs pins what admitting resnet18's plans costs: decoding
+// the header and the weight section, attaching the weights, one
+// planlint pass over the plan IR, then finalizing, compiling and
+// charging the launches. Running planlint in Load added 42 allocations
+// to the timing-only plan's count and 34 to the proxy's.
+func TestLoadAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; counts only hold without it")
+	}
+	proxy, err := models.BuildProxy("resnet18", models.DefaultProxyOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		g      *graph.Graph
+		pinned float64
+	}{
+		{"timing-only", models.MustBuild("resnet18"), 650},
+		{"numeric proxy", proxy, 269},
+	} {
+		e, err := Build(tc.g, nxCfg(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var plan bytes.Buffer
+		if err := e.Save(&plan); err != nil {
+			t.Fatal(err)
+		}
+		n := testing.AllocsPerRun(10, func() {
+			if _, err := Load(bytes.NewReader(plan.Bytes())); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if n != tc.pinned {
+			t.Errorf("loading the %s resnet18 plan allocates %v times, pinned at %v", tc.name, n, tc.pinned)
+		}
 	}
 }

@@ -22,20 +22,16 @@ type layerGuard func(li int, name string) error
 
 // chargeLayers attributes each launch of the plan to the graph position
 // of its charging layer: the last of its source layers, so a
-// horizontally merged group charges when the group completes (-1 when
-// that layer is not in the graph). Build and Load store it as
-// Engine.charge, the one attribution LayerCostsSec and StageWeightBytes
-// read.
+// horizontally merged group charges when the group completes. Every
+// launch of a built or admitted plan names layers of its graph (planlint
+// rejects any other), so every launch is charged. Build and Load store it
+// as Engine.charge, the one attribution LayerCostsSec and
+// StageWeightBytes read.
 func chargeLayers(e *Engine) []int {
 	idx := layerIndex(e.Graph)
 	charge := make([]int, len(e.Launches))
 	for i, l := range e.Launches {
-		charge[i] = -1
-		if len(l.Layers) > 0 {
-			if li, ok := idx[l.Layers[len(l.Layers)-1]]; ok {
-				charge[i] = li
-			}
-		}
+		charge[i] = idx[l.Layers[len(l.Layers)-1]]
 	}
 	return charge
 }
@@ -50,9 +46,7 @@ func chargeLayers(e *Engine) []int {
 func (e *Engine) LayerCostsSec(dev *gpusim.Device) []float64 {
 	costs := make([]float64, len(e.Graph.Layers))
 	for i, li := range e.charge {
-		if li >= 0 {
-			costs[li] += e.Launches[i].Spec.TimeSec(dev)*overlapFactor + dev.LaunchOverheadSec()
-		}
+		costs[li] += e.Launches[i].Spec.TimeSec(dev)*overlapFactor + dev.LaunchOverheadSec()
 	}
 	return costs
 }

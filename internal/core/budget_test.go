@@ -1,10 +1,14 @@
 package core
 
 import (
+	"bytes"
 	"errors"
+	"math"
 	"testing"
 
 	"edgeinfer/internal/gpusim"
+	"edgeinfer/internal/graph"
+	"edgeinfer/internal/models"
 	"edgeinfer/internal/rtctx"
 )
 
@@ -98,5 +102,57 @@ func TestInferBatchCtxUnarmedMatchesFaulty(t *testing.T) {
 	// degrades to the plain path instead of guessing.
 	if _, err := e.InferBatchCtx(rtctx.WithBudget(1e-12), xs, nil, nil, 0); err != nil {
 		t.Fatalf("nil device must disable the guard: %v", err)
+	}
+}
+
+// TestLayerCostsAccountEveryLaunch: on every zoo model on both
+// platforms, and on the five classifier proxies, the per-layer table the
+// budget guard, the partitioner and the WCET bound read adds up to the
+// whole expected schedule — no launch is left uncharged (the detectors'
+// sort launches once were) — before and after a Save → Load round trip.
+func TestLayerCostsAccountEveryLaunch(t *testing.T) {
+	type plan struct {
+		name string
+		g    *graph.Graph
+		spec gpusim.DeviceSpec
+	}
+	var plans []plan
+	for _, spec := range gpusim.Platforms() {
+		for _, name := range models.List() {
+			plans = append(plans, plan{name, models.MustBuild(name), spec})
+		}
+	}
+	for _, name := range []string{"alexnet", "googlenet", "resnet18", "inceptionv4", "vgg16"} {
+		g, err := models.BuildProxy(name, models.DefaultProxyOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		plans = append(plans, plan{name + "-proxy", g, gpusim.XavierNX()})
+	}
+	for _, p := range plans {
+		built, err := Build(p.g, DefaultConfig(p.spec, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := built.Save(&buf); err != nil {
+			t.Fatalf("%s on %s: %v", p.name, p.spec.Name, err)
+		}
+		loaded, err := Load(&buf)
+		if err != nil {
+			t.Fatalf("%s on %s: %v", p.name, p.spec.Name, err)
+		}
+		dev := gpusim.NewDevice(p.spec, gpusim.PaperLatencyClock(p.spec))
+		for _, e := range []*Engine{built, loaded} {
+			var total float64
+			for _, c := range e.LayerCostsSec(dev) {
+				total += c
+			}
+			want := e.ExpectedLatencySec(dev, false)
+			if math.Abs(total-want) > 1e-9*want {
+				t.Errorf("%s on %s: layer costs sum %.6g ms, ExpectedLatencySec %.6g ms",
+					p.name, p.spec.Name, total*1e3, want*1e3)
+			}
+		}
 	}
 }

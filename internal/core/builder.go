@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"edgeinfer/internal/fixrand"
@@ -375,16 +376,21 @@ func planLaunches(e *Engine, tn *tuner, cfg BuildConfig, mergeLeader map[string]
 	if g.Task == "detection" {
 		// Output stage: segmented radix sort of candidate boxes (two cub
 		// kernel launches, as nvprof shows for the paper's detectors).
+		// Both name the outputs they rank, in graph order, so they charge
+		// to the latest output.
 		var boxes int64
-		for _, name := range g.Outputs {
-			s := g.Layer(name).OutShape
-			boxes += int64(s[1]) * int64(s[2]) * int64(s[3])
+		var outs []string
+		for _, l := range g.Layers {
+			if slices.Contains(g.Outputs, l.Name) {
+				outs = append(outs, l.Name)
+				boxes += int64(l.OutShape[1]) * int64(l.OutShape[2]) * int64(l.OutShape[3])
+			}
 		}
 		if boxes > 0 {
 			ls := kernels.PlanSort(boxes)
 			e.Launches = append(e.Launches,
-				Launch{Symbol: ls.Symbol + "1", Layers: []string{"nms"}, Spec: ls},
-				Launch{Symbol: ls.Symbol + "2", Layers: []string{"nms"}, Spec: ls})
+				Launch{Symbol: ls.Symbol + "1", Layers: outs, Spec: ls},
+				Launch{Symbol: ls.Symbol + "2", Layers: outs, Spec: ls})
 		}
 	}
 	return nil

@@ -25,11 +25,23 @@ import (
 // plan plus the parsed header length (the header spans [12, 12+hlen)).
 func savedPlan(tb testing.TB) (plan []byte, hlen int) {
 	tb.Helper()
+	return savedPlanWith(tb, DefaultConfig(gpusim.XavierNX(), 1))
+}
+
+// savedInt8Plan is savedPlan's engine built at INT8, calibrated on two
+// images: the plan whose quantization ranges the verifier checks.
+func savedInt8Plan(tb testing.TB) (plan []byte, hlen int) {
+	tb.Helper()
+	return savedPlanWith(tb, int8Config(1, MaxAbsCalibrator{Images: calibImages(2)}))
+}
+
+func savedPlanWith(tb testing.TB, cfg BuildConfig) (plan []byte, hlen int) {
+	tb.Helper()
 	g, err := models.BuildProxy("resnet18", models.DefaultProxyOptions())
 	if err != nil {
 		tb.Fatal(err)
 	}
-	e, err := Build(g, DefaultConfig(gpusim.XavierNX(), 1))
+	e, err := Build(g, cfg)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -187,14 +199,31 @@ func appendWeight(tb testing.TB, plan []byte, hlen int, rec graph.WeightRecord) 
 // hostileHeaders are malformed topologies that graph.Add/Finalize would
 // panic on if the loader passed them through unvalidated, the one
 // hostile weight record with the same contract (a well-formed plan whose
-// extra record names the input layer, which holds no weight map), and
-// the activationBombs.
+// extra record names the input layer, which holds no weight map), the
+// activationBombs, and plans that decode and finalize cleanly but that
+// the plan verifier rejects: an INT8 plan missing a calibrated range
+// (it would quantize against zero and answer wrongly without an error)
+// and launches the cost table could not charge.
 func hostileHeaders(tb testing.TB, plan []byte, hlen int) map[string][]byte {
 	first := func(h map[string]any) map[string]any {
 		return h["Layers"].([]any)[0].(map[string]any)
 	}
+	lastLaunch := func(h map[string]any) map[string]any {
+		ls := h["Launches"].([]any)
+		return ls[len(ls)-1].(map[string]any)
+	}
 	bombs := activationBombs(tb, plan, hlen)
+	int8Plan, int8Len := savedInt8Plan(tb)
 	return map[string][]byte{
+		"int8-missing-range": mutateHeader(tb, int8Plan, int8Len, func(h map[string]any) {
+			delete(h["Int8Ranges"].(map[string]any), "feat")
+		}),
+		"launch-missing-layer": mutateHeader(tb, plan, hlen, func(h map[string]any) {
+			lastLaunch(h)["Layers"] = []any{"no-such-layer"}
+		}),
+		"launch-no-layers": mutateHeader(tb, plan, hlen, func(h map[string]any) {
+			lastLaunch(h)["Layers"] = []any{}
+		}),
 		"conv-giant-pad":        bombs["conv-giant-pad"],
 		"fc-giant-units":        bombs["fc-giant-units"],
 		"upsample-chain":        bombs["upsample-chain"],
@@ -292,14 +321,38 @@ func TestLoadBoundsActivations(t *testing.T) {
 	}
 }
 
+// TestLoadHostileHeaders: Load refuses each hostile header, and its
+// error carries the first error the verifier reports on the same bytes.
 func TestLoadHostileHeaders(t *testing.T) {
 	plan, hlen := savedPlan(t)
 	for name, data := range hostileHeaders(t, plan, hlen) {
 		t.Run(name, func(t *testing.T) {
-			if _, err := loadNoPanic(t, data); err == nil {
+			_, err := loadNoPanic(t, data)
+			if err == nil {
 				t.Fatalf("hostile header %s accepted", name)
 			}
+			want := firstErrors(VerifyPlanData(bytes.NewReader(data)), 1)
+			if want == "" || !strings.Contains(err.Error(), want) {
+				t.Fatalf("Load error %q does not carry the verifier's %q", err, want)
+			}
 		})
+	}
+}
+
+// TestLoadRunsThePlanVerifier: the hostile plans only the verifier can
+// see are refused by Load for the verifier's reason.
+func TestLoadRunsThePlanVerifier(t *testing.T) {
+	plan, hlen := savedPlan(t)
+	hostile := hostileHeaders(t, plan, hlen)
+	for name, want := range map[string]string{
+		"int8-missing-range":   `quantization: layer "fc_head": INT8 engine has no calibrated range for input producer "feat"`,
+		"launch-missing-layer": `launches: layer "no-such-layer": launch 6 references a layer missing from the graph`,
+		"launch-no-layers":     "launches: launch 6 names no layer",
+	} {
+		_, err := loadNoPanic(t, hostile[name])
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: Load error %v, want one containing %q", name, err, want)
+		}
 	}
 }
 

@@ -15,8 +15,8 @@ import (
 
 // FuzzLoad throws arbitrary bytes (seeded with real plan prefixes) at the
 // engine-plan loader and the static verifier: Load must return an error
-// or a valid engine, never panic or hang, and VerifyPlanData must report
-// an error on every plan Load rejects.
+// or a valid engine, never panic or hang, and it must err exactly when
+// VerifyPlanData reports an error.
 func FuzzLoad(f *testing.F) {
 	g, err := models.BuildProxy("vgg16", models.DefaultProxyOptions())
 	if err != nil {
@@ -48,6 +48,10 @@ func FuzzLoad(f *testing.F) {
 	// mutator near the interesting paths.
 	smallPlan, hlen := savedPlan(f)
 	f.Add(smallPlan)
+	// A calibrated INT8 plan: the only seed that reaches the
+	// quantization-range check with ranges to mutate.
+	int8Plan, _ := savedInt8Plan(f)
+	f.Add(int8Plan)
 	for _, hostile := range hostileHeaders(f, smallPlan, hlen) {
 		f.Add(hostile)
 	}
@@ -80,9 +84,9 @@ func FuzzLoad(f *testing.F) {
 		if err == nil && e == nil {
 			t.Fatal("nil engine without error")
 		}
-		// The static verifier never passes what the loader rejects.
-		if issues := VerifyPlanData(bytes.NewReader(data)); err != nil && !planlint.HasErrors(issues) {
-			t.Fatalf("Load rejects (%v) but VerifyPlanData reports no error: %v", err, issues)
+		// One gate: the verifier flags exactly what the loader rejects.
+		if issues := VerifyPlanData(bytes.NewReader(data)); (err != nil) != planlint.HasErrors(issues) {
+			t.Fatalf("Load err %v, but VerifyPlanData reports %v", err, issues)
 		}
 		if err != nil || !e.Numeric || !fuzzSized(e.Graph) {
 			return

@@ -9,12 +9,12 @@ import (
 	"edgeinfer/internal/planlint"
 )
 
-// Static plan-IR verification. The builder refuses to serialize a plan
-// that fails these checks (see Engine.Save), and cmd/rtlint applies them
-// to plan files on disk — catching statically every malformed-plan class
-// the runtime loader rejects dynamically, plus semantic defects the
-// loader cannot see (illegal fusions, missing calibration ranges, dead
-// layers, launch/graph mismatches).
+// Plan-IR verification. The builder refuses to serialize a plan that
+// fails these checks (see Engine.Save), and admit runs them on every plan
+// Load deserializes: illegal fusions, missing calibration ranges, dead
+// layers and launch/graph mismatches are rejected on the way in as well
+// as on the way out. cmd/rtlint applies the same gate to plan files on
+// disk through VerifyPlanData.
 
 // planView adapts the engine to planlint's neutral plan representation.
 func (e *Engine) planView() planlint.Plan {
@@ -58,34 +58,11 @@ func firstErrors(issues []planlint.Issue, n int) string {
 	return strings.Join(parts, "; ")
 }
 
-// VerifyPlanData statically verifies a serialized plan stream without
-// constructing a runnable engine. Decode and topology failures are
-// reported as issues rather than errors, so a corrupt plan yields a
-// verdict instead of an exception — the static twin of Load's dynamic
-// rejection.
+// VerifyPlanData verifies a serialized plan stream through admit — the
+// gate Load applies — and returns every issue found: Load errs exactly
+// when one of them is error-severity.
 func VerifyPlanData(r io.Reader) []planlint.Issue {
-	h, g, weights, err := decodePlan(r)
-	if err != nil {
-		return []planlint.Issue{{Check: "decode", Severity: planlint.Error, Message: err.Error()}}
-	}
-	var issues []planlint.Issue
-	for _, w := range weights {
-		if err := g.AttachWeight(w); err != nil {
-			issues = append(issues, planlint.Issue{Check: "weights", Severity: planlint.Error,
-				Layer: w.Layer, Message: err.Error()})
-		}
-	}
-	// The plan IR is all VerifyPlan reads: this engine is never run.
-	ir := Engine{Graph: g, Precision: h.Precision, Numeric: h.Numeric,
-		Fusions: h.Fusions, Int8Ranges: h.Int8Ranges, Launches: h.Launches}
-	issues = append(issues, ir.VerifyPlan()...)
-	// Load's activation bound reads the shapes and the planned slots.
-	if !planlint.HasErrors(issues) && ir.Numeric && g.Finalize() == nil {
-		ir.plan = compile(&ir)
-		if err := ir.boundActivations(); err != nil {
-			issues = append(issues, planlint.Issue{Check: "shapes", Severity: planlint.Error, Message: err.Error()})
-		}
-	}
+	_, issues := admit(r)
 	return issues
 }
 

@@ -89,47 +89,49 @@ func (e *Engine) Save(w io.Writer) error {
 // enforcing every length and shape bound, and assembles the header's
 // graph through the error-returning record constructor; a malformed
 // topology surfaces as an error, never a panic. Weights are returned
-// unattached: the strict loader and the static verifier differ only in
-// what they do with a bad one.
+// unattached, for admit to attach one by one.
 func decodePlan(r io.Reader) (*planHeader, *graph.Graph, []graph.WeightRecord, error) {
 	fr := framed.NewReader(r)
 	fr.Magic(planMagic)
 	hb := fr.Bytes("plan header", maxHeaderBytes)
 	if err := fr.Err(); err != nil {
-		return nil, nil, nil, fmt.Errorf("core: read plan: %w", err)
+		return nil, nil, nil, fmt.Errorf("read plan: %w", err)
 	}
 	var h planHeader
 	if err := json.Unmarshal(hb, &h); err != nil {
-		return nil, nil, nil, fmt.Errorf("core: unmarshal plan header: %w", err)
+		return nil, nil, nil, fmt.Errorf("unmarshal plan header: %w", err)
 	}
 	g, err := graph.FromRecords(h.ModelName, h.InputShape, h.Layers)
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("core: plan topology: %w", err)
+		return nil, nil, nil, fmt.Errorf("plan topology: %w", err)
 	}
 	g.Framework, g.Task, g.Outputs = h.Framework, h.Task, h.Outputs
 	weights, err := graph.ReadWeights(fr)
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("core: read plan: %w", err)
+		return nil, nil, nil, fmt.Errorf("read plan: %w", err)
 	}
 	return &h, g, weights, nil
 }
 
-// Load deserializes an engine plan. Plan files are untrusted input:
-// truncated, bit-flipped or hostile plans return an error — never a
-// panic, and never an allocation driven by an unvalidated length field.
-func Load(r io.Reader) (*Engine, error) {
+// admit is the one gate a serialized plan passes to become an engine:
+// decode, attach the weights, verify the plan IR (VerifyPlan, the check
+// Save runs), then finalize, compile, charge the launches and bound the
+// activations. Every failure is an issue, so a corrupt plan yields a
+// verdict instead of an exception. The engine is nil exactly when an
+// issue is error-severity: Load and VerifyPlanData are two views of
+// this one verdict.
+func admit(r io.Reader) (*Engine, []planlint.Issue) {
 	h, g, weights, err := decodePlan(r)
 	if err != nil {
-		return nil, err
+		return nil, []planlint.Issue{{Check: "decode", Severity: planlint.Error, Message: err.Error()}}
 	}
+	var issues []planlint.Issue
 	// Weights are attached before Finalize so BN shape checks see them.
 	for _, w := range weights {
 		if err := g.AttachWeight(w); err != nil {
-			return nil, fmt.Errorf("core: plan weights: %w", err)
+			issues = append(issues, planlint.Issue{Check: "weights", Severity: planlint.Error,
+				Layer: w.Layer, Message: err.Error()})
 		}
-	}
-	if err := g.Finalize(); err != nil {
-		return nil, fmt.Errorf("core: finalize loaded plan: %w", err)
 	}
 	e := &Engine{
 		ModelName: h.ModelName, Platform: h.Platform, BuildID: h.BuildID,
@@ -139,9 +141,29 @@ func Load(r io.Reader) (*Engine, error) {
 		RemovedLayers: h.RemovedLayers, FusedLayers: h.FusedLayers,
 		MergedLaunches: h.MergedLaunches, Report: h.Report,
 	}
-	e.plan, e.charge = compile(e), chargeLayers(e)
-	if err := e.boundActivations(); err != nil {
-		return nil, err
+	if issues = append(issues, e.VerifyPlan()...); planlint.HasErrors(issues) {
+		return nil, issues
+	}
+	err = g.Finalize()
+	if err == nil {
+		e.plan, e.charge = compile(e), chargeLayers(e)
+		err = e.boundActivations()
+	}
+	if err != nil {
+		return nil, append(issues, planlint.Issue{Check: "shapes", Severity: planlint.Error, Message: err.Error()})
+	}
+	return e, issues
+}
+
+// Load deserializes an engine plan through admit. Plan files are
+// untrusted input: truncated, bit-flipped or hostile plans — and plans
+// the verifier rejects — return an error carrying the first
+// error-severity issue; never a panic, and never an allocation driven by
+// an unvalidated length field.
+func Load(r io.Reader) (*Engine, error) {
+	e, issues := admit(r)
+	if e == nil {
+		return nil, fmt.Errorf("core: plan rejected: %s", firstErrors(issues, 1))
 	}
 	return e, nil
 }
@@ -156,7 +178,7 @@ func (e *Engine) boundActivations() error {
 	}
 	for _, l := range e.Graph.Layers {
 		if _, ok := boundedElems(l.OutShape); !ok {
-			return fmt.Errorf("core: plan layer %s: activation %v exceeds %d elements", l.Name, l.OutShape, maxPlanElems)
+			return fmt.Errorf("plan layer %s: activation %v exceeds %d elements", l.Name, l.OutShape, maxPlanElems)
 		}
 	}
 	total := 0 // each slot holds a bounded activation: no overflow
@@ -164,7 +186,7 @@ func (e *Engine) boundActivations() error {
 		total += n
 	}
 	if total > maxPlanElems {
-		return fmt.Errorf("core: plan %s: activation slots total %d elements, over %d", e.Key(), total, maxPlanElems)
+		return fmt.Errorf("plan %s: activation slots total %d elements, over %d", e.Key(), total, maxPlanElems)
 	}
 	return nil
 }

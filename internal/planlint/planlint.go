@@ -2,9 +2,9 @@
 // graph, fusion metadata, quantization ranges and kernel-launch plan that
 // internal/core serializes as an engine file. The builder runs these
 // checks before serializing (a plan that fails IR verification is never
-// written), and cmd/rtlint runs them over plan files on disk — so every
-// malformed-plan class the runtime loader rejects dynamically is also
-// rejected statically, before an engine ever reaches a device.
+// written), the loader runs them before admitting a plan (one that fails
+// is never run), and cmd/rtlint runs them over plan files on disk through
+// that same admission gate.
 //
 // planlint never panics and never mutates the graph it is given: checks
 // that need shape inference run it on a scratch copy.
@@ -12,6 +12,7 @@ package planlint
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"edgeinfer/internal/graph"
@@ -90,6 +91,10 @@ func Check(p Plan) []Issue {
 	if p.Graph == nil {
 		return []Issue{{Check: "topology", Severity: Error, Message: "plan has no graph"}}
 	}
+	byName := make(map[string]*graph.Layer, len(p.Graph.Layers))
+	for _, l := range p.Graph.Layers {
+		byName[l.Name] = l
+	}
 	inShape := checkInputShape(p.Graph)
 	issues = append(issues, inShape...)
 	structural := checkStructure(p.Graph)
@@ -102,11 +107,11 @@ func Check(p Plan) []Issue {
 	}
 	if len(structural) == 0 && acyclic && len(inShape) == 0 {
 		issues = append(issues, checkShapes(p.Graph)...)
-		issues = append(issues, checkDead(p.Graph)...)
+		issues = append(issues, checkDead(p.Graph, byName)...)
 	}
-	issues = append(issues, checkFusions(p)...)
+	issues = append(issues, checkFusions(p, byName)...)
 	issues = append(issues, checkQuantRanges(p)...)
-	issues = append(issues, checkLaunches(p)...)
+	issues = append(issues, checkLaunches(p, byName)...)
 	sort.SliceStable(issues, func(i, j int) bool {
 		if issues[i].Check != issues[j].Check {
 			return issues[i].Check < issues[j].Check
@@ -138,7 +143,7 @@ func checkInputShape(g *graph.Graph) []Issue {
 // graph internals (the graph may have been assembled tolerantly).
 func checkStructure(g *graph.Graph) []Issue {
 	var issues []Issue
-	seen := map[string]bool{}
+	seen := make(map[string]bool, len(g.Layers))
 	inputs := 0
 	for _, l := range g.Layers {
 		if l.Name == "" {
@@ -199,13 +204,17 @@ func checkAcyclic(g *graph.Graph) []Issue {
 // Only called once structure and acyclicity hold.
 func checkShapes(g *graph.Graph) []Issue {
 	scratch := graph.New(g.Name, g.InputShape)
-	for _, l := range g.Layers {
+	scratch.Layers = slices.Grow(scratch.Layers, len(g.Layers))
+	// One array holds every copy; weights are shared read-only, and
+	// shape inference ignores them.
+	copies := make([]graph.Layer, len(g.Layers))
+	for i, l := range g.Layers {
 		if l.Op == graph.OpInput {
 			continue
 		}
-		nl := *l // weights are shared read-only; shape inference ignores them
-		nl.OutShape = [4]int{}
-		if err := scratch.AddLayer(&nl); err != nil {
+		copies[i] = *l
+		copies[i].OutShape = [4]int{}
+		if err := scratch.AddLayer(&copies[i]); err != nil {
 			return []Issue{{Check: "shapes", Severity: Error, Layer: l.Name, Message: err.Error()}}
 		}
 	}
@@ -218,16 +227,12 @@ func checkShapes(g *graph.Graph) []Issue {
 
 // checkDead flags layers that cannot reach a declared output and
 // training-only ops the dead-layer pass should have removed.
-func checkDead(g *graph.Graph) []Issue {
+func checkDead(g *graph.Graph, byName map[string]*graph.Layer) []Issue {
 	outputs := g.Outputs
 	if len(outputs) == 0 {
 		return nil // sinks become outputs at finalize; nothing is dead yet
 	}
-	byName := map[string]*graph.Layer{}
-	for _, l := range g.Layers {
-		byName[l.Name] = l
-	}
-	live := map[string]bool{}
+	live := make(map[string]bool, len(g.Layers))
 	var mark func(string)
 	mark = func(name string) {
 		if live[name] || byName[name] == nil {
@@ -259,12 +264,8 @@ func checkDead(g *graph.Graph) []Issue {
 // conv or FC layer, and every absorbed layer must have been spliced out
 // of the optimized graph (an absorbed layer still present would execute
 // twice).
-func checkFusions(p Plan) []Issue {
+func checkFusions(p Plan, byName map[string]*graph.Layer) []Issue {
 	var issues []Issue
-	byName := map[string]*graph.Layer{}
-	for _, l := range p.Graph.Layers {
-		byName[l.Name] = l
-	}
 	primaries := make([]string, 0, len(p.Fusions))
 	for primary := range p.Fusions {
 		primaries = append(primaries, primary)
@@ -316,25 +317,23 @@ func checkQuantRanges(p Plan) []Issue {
 }
 
 // checkLaunches verifies the kernel plan against the graph: every launch
-// must reference existing layers, and every tuned op (conv/FC) should be
-// covered by some launch.
-func checkLaunches(p Plan) []Issue {
+// must name at least one layer and only existing ones (the runtime
+// charges each launch to the last layer it names), and every tuned op
+// (conv/FC) should be covered by some launch.
+func checkLaunches(p Plan, byName map[string]*graph.Layer) []Issue {
 	if p.Launches == nil {
 		return nil
 	}
-	byName := map[string]*graph.Layer{}
-	for _, l := range p.Graph.Layers {
-		byName[l.Name] = l
-	}
-	covered := map[string]bool{}
+	covered := make(map[string]bool, len(p.Graph.Layers))
 	var issues []Issue
 	for i, layers := range p.Launches {
+		if len(layers) == 0 {
+			issues = append(issues, Issue{Check: "launches", Severity: Error,
+				Message: fmt.Sprintf("launch %d names no layer", i)})
+		}
 		for _, name := range layers {
 			covered[name] = true
-			// The detection output stage launches sort kernels under the
-			// synthetic "nms" label; any other unknown reference is a
-			// plan/graph mismatch.
-			if byName[name] == nil && name != "nms" {
+			if byName[name] == nil {
 				issues = append(issues, Issue{Check: "launches", Severity: Error, Layer: name,
 					Message: fmt.Sprintf("launch %d references a layer missing from the graph", i)})
 			}

@@ -227,12 +227,15 @@ func TestCheckLaunches(t *testing.T) {
 	p.Launches = [][]string{{"conv1", "ghost"}, {"fc1"}}
 	wantError(t, Check(p), "missing from the graph")
 
-	// The detection stage's synthetic sort-kernel label is exempt.
+	// No name is exempt: the runtime charges every launch to a layer.
 	p = validPlan(t)
 	p.Launches = [][]string{{"conv1", "relu1"}, {"fc1"}, {"nms"}}
-	if issues := Check(p); len(issues) != 0 {
-		t.Fatalf("nms launch flagged: %v", issues)
-	}
+	wantError(t, Check(p), "missing from the graph")
+
+	// Nor is a launch that names no layer at all.
+	p = validPlan(t)
+	p.Launches = [][]string{{"conv1", "relu1"}, {"fc1"}, {}}
+	wantError(t, Check(p), "names no layer")
 
 	// A tuned layer covered by no launch is a warning.
 	p = validPlan(t)
