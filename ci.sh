@@ -25,11 +25,14 @@
 # serving soak on a virtual clock (testing/synctest, behind
 # GOEXPERIMENT=synctest): a 2x-overload open-loop run of the netserve
 # front end over a real resnet18 executor, under both the FIFO baseline
-# and the EDF + WCET-admission discipline, whose exact outcome is
-# pinned and whose invariants (one terminal answer per request, Retry-
-# After on every shed, bounded depth, discipline order, clean drain,
-# same-seed determinism) are checked on every run — in full, and short
-# under the race detector.
+# and the EDF + WCET-admission discipline, plus a FIFO row that drains
+# at a seeded mid-run instant with a tenant on every arrival, whose
+# exact outcome is pinned and whose invariants (one terminal answer per
+# request, Retry-After on every shed, bounded depth, discipline order,
+# clean drain, same-seed determinism; in the drain row, 503 "draining"
+# for every later arrival, every earlier one answered before Drain
+# returns, every 200 echoing its own tenant) are checked on every run —
+# in full, and short under the race detector.
 # Run from the repo root.
 set -eux
 

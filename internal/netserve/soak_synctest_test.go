@@ -8,8 +8,10 @@
 //
 //	GOEXPERIMENT=synctest GODEBUG=asynctimerchan=0 go test -run TestVirtualSoak -v ./internal/netserve
 //
-// (-short runs 1 000 arrivals per discipline instead of 10 000). The
-// build tag keeps it out of a plain go test.
+// (-short runs 1 000 arrivals per row instead of 10 000). A third row
+// replays the FIFO scenario with a tenant on every arrival and a Drain
+// at a seeded instant in its middle. The build tag keeps it out of a
+// plain go test.
 package netserve_test
 
 import (
@@ -53,7 +55,7 @@ const (
 	soakDeadline = 250 * time.Millisecond
 )
 
-// soakPins are each discipline's exact outcome, captured once and
+// soakPins are each row's exact outcome, captured once and
 // expected of every later run: client-side counts by status, deadline
 // misses (504s plus 200s flagged late), the server's eviction and shed
 // counters, and a digest of every arrival's fate and every batch's
@@ -63,6 +65,10 @@ var soakPins = map[string]string{
 	"edf+wcet":       "200=4412 503=5588 504=0 gone=0 miss=0.0000 evicted=1680 edf_evictions=1680 wcet_shed=2500 batches=1103 max_depth=64 digest=420746a1042ff7ac",
 	"fifo/short":     "200=479 503=413 504=106 gone=2 miss=0.1440 evicted=78 edf_evictions=0 wcet_shed=0 batches=121 max_depth=64 digest=e385e1cb80301d12",
 	"edf+wcet/short": "200=498 503=502 504=0 gone=0 miss=0.0000 evicted=151 edf_evictions=151 wcet_shed=250 batches=125 max_depth=64 digest=166a940ffa70bfd2",
+
+	// The FIFO scenario with a tenant on every arrival and a mid-run Drain.
+	"fifo+drain":       "200=2665 503=6705 504=616 gone=14 miss=0.0835 evicted=563 edf_evictions=0 wcet_shed=0 batches=679 max_depth=64 digest=426c141ae7ffe337",
+	"fifo+drain/short": "200=306 503=621 504=71 gone=2 miss=0.0930 evicted=39 edf_evictions=0 wcet_shed=0 batches=78 max_depth=64 digest=a7933bdc39b16504",
 }
 
 func TestVirtualSoak(t *testing.T) {
@@ -93,24 +99,34 @@ func TestVirtualSoak(t *testing.T) {
 	tight := time.Duration(max(1, int(wcetSec*1e3/2))) * time.Millisecond
 	sc := soakScenario{reg: reg, shape: eng.Graph.InputShape, wcetSec: wcetSec, tight: tight, n: n}
 
-	for _, d := range []struct {
-		name string
-		edf  bool
-	}{{"fifo", false}, {"edf+wcet", true}} {
-		t.Run(d.name, func(t *testing.T) {
-			first := sc.run(d.edf)
+	for _, row := range []soakRow{
+		{name: "fifo"},
+		{name: "edf+wcet", edf: true},
+		{name: "fifo+drain", drain: true},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			first := sc.run(row)
 			for _, v := range first.violations {
 				t.Error(v)
 			}
-			if again := sc.run(d.edf); again.line != first.line {
+			if again := sc.run(row); again.line != first.line {
 				t.Errorf("same seed, different outcome:\n  %s\n  %s", first.line, again.line)
 			}
-			t.Logf("%s: %s", d.name, first.line)
-			if want := soakPins[d.name+suffix]; first.line != want {
+			t.Logf("%s: %s", row.name, first.line)
+			if want := soakPins[row.name+suffix]; first.line != want {
 				t.Errorf("outcome moved:\n  got  %s\n  want %s", first.line, want)
 			}
 		})
 	}
+}
+
+// soakRow is one pinned variant of the scenario: the queue discipline
+// (edf also arms WCET admission), and whether the server drains mid-run
+// while every arrival carries its own X-Tenant.
+type soakRow struct {
+	name  string
+	edf   bool
+	drain bool
 }
 
 type soakScenario struct {
@@ -129,6 +145,7 @@ type soakResult struct {
 // soakArrival is one request as its client saw it.
 type soakArrival struct {
 	high, gone bool // gone: drawn to hang up at half its budget
+	tenant     string
 	budget     time.Duration
 	arrival    time.Time // when the server finished reading the body
 	done       time.Time
@@ -136,6 +153,7 @@ type soakArrival struct {
 	status     int
 	retry      bool
 	reason     string
+	echo       string // the tenant a 200 reply names
 	miss       bool
 }
 
@@ -190,13 +208,13 @@ func (s *stampReader) Read(p []byte) (int, error) {
 
 // run plays the scenario once inside a fresh bubble. Results leave the
 // bubble through a channel only.
-func (sc soakScenario) run(edf bool) soakResult {
+func (sc soakScenario) run(row soakRow) soakResult {
 	out := make(chan soakResult, 1)
-	synctest.Run(func() { out <- sc.play(edf) })
+	synctest.Run(func() { out <- sc.play(row) })
 	return <-out
 }
 
-func (sc soakScenario) play(edf bool) soakResult {
+func (sc soakScenario) play(row soakRow) soakResult {
 	ex, err := sc.reg.Executor(soakModel, serve.Config{Seed: "soak/" + soakModel})
 	if err != nil {
 		return soakResult{violations: []string{err.Error()}}
@@ -208,8 +226,8 @@ func (sc soakScenario) play(edf bool) soakResult {
 		BatchWindow:     soakWindow,
 		QueueDepth:      soakDepth,
 		DefaultDeadline: soakDeadline,
-		EDF:             edf,
-		WCETAdmission:   edf,
+		EDF:             row.edf,
+		WCETAdmission:   row.edf,
 	})
 	if err != nil {
 		return soakResult{violations: []string{err.Error()}}
@@ -238,8 +256,30 @@ func (sc soakScenario) play(edf bool) soakResult {
 	arr := make([]soakArrival, sc.n)
 	var wg sync.WaitGroup
 	start := time.Now()
+
+	// The drain row drains at a seeded tick in the middle half of the
+	// run, three quarters into its slot: arrivals land in the first half
+	// of a slot, so none shares the drain's instant.
+	var dr soakDrain
+	drained := make(chan error, 1)
+	if row.drain {
+		ticks := sc.n * 20 / 23 // every 20th tick is a burst of 4
+		tick := ticks/4 + fixrand.NewKeyed("netserve/soak/drain").Intn(ticks/2)
+		dr.at = start.Add(time.Duration(tick)*interval + 3*interval/4)
+	}
 	for tick, i := 1, 0; i < sc.n; tick++ {
 		slot := start.Add(time.Duration(tick)*interval + time.Duration(jitter.Intn(int(interval/2))))
+		if row.drain && !dr.started && slot.After(dr.at) {
+			time.Sleep(time.Until(dr.at))
+			dr.started = true
+			go func() {
+				err := srv.Drain(context.Background())
+				dr.done = time.Now()
+				drained <- err
+			}()
+			// Let the drain close admission before the next arrival.
+			synctest.Wait()
+		}
 		for j, burst := 0, inj.Burst(tick); j < burst && i < sc.n; j, i = j+1, i+1 {
 			// A burst's members land a nanosecond apart: two slow uploads
 			// started on one instant would finish on one instant too.
@@ -248,6 +288,9 @@ func (sc soakScenario) play(edf bool) soakResult {
 			chunk, delay, slow := inj.SlowClient()
 			a.gone = inj.Disconnect()
 			a.high = i%5 == 0
+			if row.drain {
+				a.tenant = "t" + strconv.Itoa(i)
+			}
 			a.budget = soakDeadline * time.Duration(1+i%3)
 			if i%4 == 0 {
 				a.budget = sc.tight
@@ -267,11 +310,23 @@ func (sc soakScenario) play(edf bool) soakResult {
 		}
 	}
 	wg.Wait()
+	if dr.started {
+		if err := <-drained; err != nil {
+			return soakResult{violations: []string{err.Error()}}
+		}
+	}
 	if err := srv.Drain(context.Background()); err != nil {
 		return soakResult{violations: []string{err.Error()}}
 	}
 	st := srv.Stats()
-	return judge(edf, arr, be.batches, st)
+	return judge(row, arr, be.batches, st, dr)
+}
+
+// soakDrain is the drain row's mid-run Drain: the instant it was called
+// and the instant it returned.
+type soakDrain struct {
+	at, done time.Time
+	started  bool
 }
 
 // fire sends one request through the handler in-process and records
@@ -287,6 +342,9 @@ func fire(h http.Handler, a *soakArrival, body io.Reader) {
 	req.Header.Set("X-Deadline-Ms", strconv.Itoa(int(a.budget/time.Millisecond)))
 	if a.high {
 		req.Header.Set("X-Priority", "high")
+	}
+	if a.tenant != "" {
+		req.Header.Set("X-Tenant", a.tenant)
 	}
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, req)
@@ -305,12 +363,15 @@ func fire(h http.Handler, a *soakArrival, body io.Reader) {
 		a.reason = "unparseable reply"
 		return
 	}
-	a.reason, a.miss = rep.Reason, rep.DeadlineMiss
+	a.reason, a.echo, a.miss = rep.Reason, rep.Tenant, rep.DeadlineMiss
 }
 
 // judge checks the soak's invariants and condenses the outcome into the
-// pinned line.
-func judge(edf bool, arr []soakArrival, batches []soakBatch, st netserve.ServerStats) soakResult {
+// pinned line. Under a mid-run drain, every arrival after the drain
+// instant is shed 503 "draining", and every request that arrived before
+// it is answered no later than Drain returns (or hung up on).
+func judge(row soakRow, arr []soakArrival, batches []soakBatch, st netserve.ServerStats, dr soakDrain) soakResult {
+	edf := row.edf
 	var res soakResult
 	fail := func(format string, args ...any) {
 		if len(res.violations) < 8 {
@@ -319,10 +380,24 @@ func judge(edf bool, arr []soakArrival, batches []soakBatch, st netserve.ServerS
 	}
 	ms := st.Models[soakModel]
 	digest := fnv.New64a()
-	var ok, shed, expired, gone, misses int
+	var ok, shed, expired, gone, misses, late int
 	for i := range arr {
 		a := &arr[i]
 		fmt.Fprintf(digest, "%d %d %s %v %d;", i, a.status, a.reason, a.miss, a.done.UnixNano())
+		if dr.started {
+			after := a.arrival.After(dr.at)
+			if after {
+				late++
+			}
+			switch {
+			case after && (a.status != http.StatusServiceUnavailable || a.reason != "draining"):
+				fail("arrival %d after the drain: status %d %q, want 503 draining", i, a.status, a.reason)
+			case !after && a.reason == "draining":
+				fail("arrival %d before the drain was shed as draining", i)
+			case !after && a.answered && a.done.After(dr.done):
+				fail("arrival %d before the drain was answered after Drain returned", i)
+			}
+		}
 		switch {
 		case !a.answered:
 			gone++
@@ -339,6 +414,9 @@ func judge(edf bool, arr []soakArrival, batches []soakBatch, st netserve.ServerS
 			if a.done.After(a.arrival.Add(a.budget)) && !a.miss {
 				fail("arrival %d: answered 200 after its deadline without a miss flag", i)
 			}
+			if a.echo != a.tenant {
+				fail("arrival %d: 200 names tenant %q, want %q", i, a.echo, a.tenant)
+			}
 		case a.status == http.StatusServiceUnavailable:
 			shed++
 			if !a.retry {
@@ -350,6 +428,9 @@ func judge(edf bool, arr []soakArrival, batches []soakBatch, st netserve.ServerS
 		default:
 			fail("arrival %d: status %d outside {200, 503, 504}", i, a.status)
 		}
+	}
+	if row.drain && (late == 0 || late == len(arr)) {
+		fail("drain at %v split the %d arrivals %d/%d: not mid-run", dr.at, len(arr), len(arr)-late, late)
 	}
 	if ms.MaxQueueDepth > soakDepth {
 		fail("queue depth %d exceeded its bound %d", ms.MaxQueueDepth, soakDepth)
