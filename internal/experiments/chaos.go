@@ -118,7 +118,6 @@ func (l *Lab) chaosScenario(model string, sc chaosScenario, images []*tensor.Ten
 	var injectors []*faults.Injector
 	cfg := serve.PoolConfig{
 		Model:  model,
-		Quorum: true,
 		Canary: images[:min(4, len(images))],
 	}
 	if sc.plan != nil {

@@ -87,14 +87,13 @@ func (b *executorBackend) Ready() (bool, string) {
 }
 
 // poolBackend serves through a self-healing serve.Pool. The batch
-// context flows into the fleet dispatch (DoBatchCtx). Every pool
-// netserve builds votes by quorum, and a quorum pool never arms the
-// layer-boundary guard: a ballot needs every replica's whole answer. It
-// abandons a batch only before the FP32 tier, when every replica errored
-// and the burned latency is already past the budget. The miss verdict
-// is the fleet's own (PoolBatchResult.DeadlineMiss), so executor- and
-// pool-backed models report misses identically; readiness follows the
-// supervisor's active replica count.
+// context flows into the fleet dispatch (DoBatchCtx), which never arms
+// the layer-boundary guard: a ballot needs every replica's whole answer.
+// It abandons a batch only before the FP32 tier, when every replica
+// errored and the burned latency is already past the budget. The miss
+// verdict is the fleet's own (PoolBatchResult.DeadlineMiss), so
+// executor- and pool-backed models report misses identically; readiness
+// follows the supervisor's active replica count.
 type poolBackend struct {
 	pool  *serve.Pool
 	shape [4]int

@@ -1,11 +1,13 @@
 // Package netserve is the network serving front-end: a stdlib net/http
-// inference server in front of serve.Registry / serve.Pool whose
-// headline property is staying correct and bounded under hostile load.
+// inference server in front of serving backends (a serve.Pool or a
+// serve.Executor) whose headline property is staying correct and bounded
+// under hostile load.
 //
 // Per model it runs one bounded coalescing queue: concurrent requests
 // pack into Engine.InferBatchCtx windows triggered by batch size or a
 // deadline window, and a single batcher goroutine serves each window
-// through a Backend (a self-healing replica fleet or a resilient
+// through the Backend the model brings (NewPoolBackend over a
+// self-healing replica fleet, NewExecutorBackend over a resilient
 // executor). The queue is one ordered list whose sort key is the
 // discipline. Admission control is explicit — a full queue evicts its
 // tail for a newcomer that sorts before it and otherwise sheds the
@@ -21,12 +23,12 @@
 // a hopeless batch is abandoned with serve.ErrDeadlineExceeded mid-graph
 // instead of burning fallback latency. Config.EDF swaps the key for
 // earliest deadline first, which makes the same eviction rule drop-late,
-// and Config.WCETAdmission sheds any request whose budget a certified
-// worst-case bound proves unmeetable. Liveness (/healthz), readiness
-// (/readyz, wired to Pool.Health / Executor.Health) and a stats endpoint
-// (/statsz) make the server probeable, and Drain performs the graceful
-// exit: stop admitting, flush every in-flight batch, then shut the
-// listener down. Every admitted request is answered exactly once — a
+// and Config.WCETAdmission sheds any request whose budget the model's
+// worst-case bound (ModelConfig.WCETSec) proves unmeetable. Liveness
+// (/healthz), readiness (/readyz, wired to Pool.Health /
+// Executor.Health) and a stats endpoint (/statsz) make the server
+// probeable, and Drain performs the graceful exit: stop admitting, flush
+// every in-flight batch, then shut the listener down. Every admitted request is answered exactly once — a
 // result, a 503, or a 504 — never a hang.
 package netserve
 
@@ -35,6 +37,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
 	"strconv"
@@ -44,17 +47,12 @@ import (
 
 	"edgeinfer/internal/dataset"
 	"edgeinfer/internal/rtctx"
-	"edgeinfer/internal/serve"
 	"edgeinfer/internal/tensor"
 )
 
-// Config parameterizes a Server. Models is required; a nil Backend in a
-// ModelConfig needs Registry to build one. Everything else has working
-// defaults.
+// Config parameterizes a Server. Models is required, and each brings
+// its own Backend. Everything else has working defaults.
 type Config struct {
-	// Registry builds default backends for models that do not bring
-	// their own.
-	Registry *serve.Registry
 	// Models are the served models.
 	Models []ModelConfig
 	// MaxBatch is the coalescing window's size trigger (default 8).
@@ -79,33 +77,23 @@ type Config struct {
 	// the latest-deadline member goes for a more urgent arrival
 	// (drop-late).
 	EDF bool
-	// WCETAdmission gates admission on each model's certified
-	// worst-case-execution-time bound: a request whose whole budget is
-	// below the bound is shed 503 immediately — queueing it could only
-	// produce a 504. The bound is ModelConfig.WCETSec when set,
-	// otherwise certified through the registry (wcet.Measure over
-	// wcetRuns runs, inflated by wcetMargin).
+	// WCETAdmission gates admission on each model's worst-case
+	// execution time bound, ModelConfig.WCETSec: a request whose whole
+	// budget is below the bound is shed 503 immediately — queueing it
+	// could only produce a 504.
 	WCETAdmission bool
 }
 
-// Registry WCET certification: the sample count and the safety margin
-// over the empirical maximum.
-const (
-	wcetRuns   = 12
-	wcetMargin = 0.2
-)
-
-// ModelConfig is one served model. With a nil Backend, Replicas >= 2
-// builds a self-healing serve.Pool fleet that votes by quorum, and
-// Replicas <= 1 builds a single resilient serve.Executor from the
-// registry.
+// ModelConfig is one served model: its name in the request path and the
+// Backend that serves it (required; NewPoolBackend and
+// NewExecutorBackend wrap the serve package's servers).
 type ModelConfig struct {
-	Name     string
-	Replicas int
-	Backend  Backend
-	// WCETSec is an explicit worst-case service bound in simulated
-	// seconds for WCET admission (required for custom backends when
-	// Config.WCETAdmission is set; overrides registry certification).
+	Name    string
+	Backend Backend
+	// WCETSec is the model's worst-case service bound in simulated
+	// seconds, for instance serve.Registry.WCETBound's certification.
+	// Config.WCETAdmission requires it finite and positive; without
+	// admission it is ignored.
 	WCETSec float64
 }
 
@@ -217,10 +205,10 @@ type Server struct {
 	httpSrv  *http.Server
 }
 
-// New validates the config, builds one backend + coalescing queue per
-// model, and starts the batcher goroutines (idle until requests
-// arrive). The server is not listening yet: pass Handler to a test
-// server or call Start.
+// New validates the config, builds one coalescing queue per model, and
+// starts the batcher goroutines (idle until requests arrive). The
+// server is not listening yet: pass Handler to a test server or call
+// Start.
 func New(cfg Config) (*Server, error) {
 	if len(cfg.Models) == 0 {
 		return nil, fmt.Errorf("netserve: config needs at least one model")
@@ -234,29 +222,18 @@ func New(cfg Config) (*Server, error) {
 		if _, dup := s.queues[mc.Name]; dup {
 			return nil, fmt.Errorf("netserve: model %q configured twice", mc.Name)
 		}
-		be := mc.Backend
-		if be == nil {
-			var err error
-			be, err = buildBackend(c.Registry, mc)
-			if err != nil {
-				return nil, err
-			}
+		if mc.Backend == nil {
+			return nil, fmt.Errorf("netserve: model %q has no backend", mc.Name)
 		}
 		var wcetSec float64
 		if c.WCETAdmission {
-			wcetSec = mc.WCETSec
-			if wcetSec <= 0 {
-				if c.Registry == nil {
-					return nil, fmt.Errorf("netserve: model %q has WCET admission enabled but no WCETSec bound and no registry to certify one", mc.Name)
-				}
-				var err error
-				wcetSec, err = c.Registry.WCETBound(mc.Name, wcetRuns, wcetMargin)
-				if err != nil {
-					return nil, fmt.Errorf("netserve: WCET certification of %q: %w", mc.Name, err)
-				}
+			// A NaN bound would switch admission off unnoticed (no budget
+			// compares below it), and +Inf would shed every request.
+			if wcetSec = mc.WCETSec; !(wcetSec > 0) || math.IsInf(wcetSec, 1) {
+				return nil, fmt.Errorf("netserve: model %q has WCET admission enabled but WCETSec %v is not a finite positive bound", mc.Name, wcetSec)
 			}
 		}
-		s.queues[mc.Name] = newModelQueue(mc.Name, be, c.MaxBatch, c.BatchWindow, c.QueueDepth, c.EDF, wcetSec)
+		s.queues[mc.Name] = newModelQueue(mc.Name, mc.Backend, c.MaxBatch, c.BatchWindow, c.QueueDepth, c.EDF, wcetSec)
 	}
 	// Deterministic benign inputs for {"input": N} requests: one per
 	// class, same synthesis the experiments use.
@@ -273,32 +250,6 @@ func New(cfg Config) (*Server, error) {
 		go q.run(&s.wg)
 	}
 	return s, nil
-}
-
-func buildBackend(reg *serve.Registry, mc ModelConfig) (Backend, error) {
-	if reg == nil {
-		return nil, fmt.Errorf("netserve: model %q has no backend and no registry to build one", mc.Name)
-	}
-	if mc.Replicas >= 2 {
-		pool, err := serve.NewPool(reg, serve.PoolConfig{
-			Model:    mc.Name,
-			Replicas: mc.Replicas,
-			Quorum:   true,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return NewPoolBackend(pool), nil
-	}
-	ex, err := reg.Executor(mc.Name, serve.Config{Seed: "netserve/" + mc.Name})
-	if err != nil {
-		return nil, err
-	}
-	eng, err := reg.ProxyEngine(mc.Name)
-	if err != nil {
-		return nil, err
-	}
-	return NewExecutorBackend(ex, eng.Graph.InputShape), nil
 }
 
 // Handler returns the server's routing handler.

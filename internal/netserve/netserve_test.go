@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -623,14 +624,21 @@ func TestClientDisconnectMidRequest(t *testing.T) {
 	}
 }
 
-// End to end against the real stack: a registry-built executor backend
-// for resnet18 serves benign-index requests over a real listener, and
-// the reply carries an executor tier.
+// End to end against the real stack: an executor backend over a
+// registry-built resnet18 serves benign-index requests over a real
+// listener, and the reply carries an executor tier.
 func TestIntegrationExecutorBackend(t *testing.T) {
 	reg := serve.NewRegistry(gpusim.XavierNX(), nil)
+	ex, err := reg.Executor("resnet18", serve.Config{Seed: "netserve/resnet18"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := reg.ProxyEngine("resnet18")
+	if err != nil {
+		t.Fatal(err)
+	}
 	s, err := netserve.New(netserve.Config{
-		Registry: reg,
-		Models:   []netserve.ModelConfig{{Name: "resnet18"}},
+		Models:   []netserve.ModelConfig{{Name: "resnet18", Backend: netserve.NewExecutorBackend(ex, eng.Graph.InputShape)}},
 		MaxBatch: 4,
 	})
 	if err != nil {
@@ -700,14 +708,17 @@ func TestIntegrationExecutorBackend(t *testing.T) {
 	}
 }
 
-// End to end against a replica fleet: Replicas >= 2 routes through
+// End to end against a replica fleet: a pool backend routes through
 // serve.Pool, replies carry replica tiers, and readiness reports the
 // active count.
 func TestIntegrationPoolBackend(t *testing.T) {
 	reg := serve.NewRegistry(gpusim.XavierNX(), nil)
+	pool, err := serve.NewPool(reg, serve.PoolConfig{Model: "resnet18", Replicas: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
 	s, err := netserve.New(netserve.Config{
-		Registry: reg,
-		Models:   []netserve.ModelConfig{{Name: "resnet18", Replicas: 3}},
+		Models: []netserve.ModelConfig{{Name: "resnet18", Backend: netserve.NewPoolBackend(pool)}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -752,6 +763,46 @@ func TestIntegrationPoolBackend(t *testing.T) {
 	resp.Body.Close()
 	if !rep.Ready || !strings.Contains(rep.Models["resnet18"].Detail, "3/3") {
 		t.Fatalf("readyz %+v", rep)
+	}
+}
+
+// New refuses a config it cannot serve rather than starting a server
+// that misbehaves: every model needs a unique name and a backend, and
+// WCET admission needs a finite positive bound per model (a NaN bound
+// would admit everything unnoticed, +Inf would shed everything).
+func TestNewRejectsBadConfig(t *testing.T) {
+	be := newFakeBackend()
+	model := func(name string, wcet float64) netserve.ModelConfig {
+		return netserve.ModelConfig{Name: name, Backend: be, WCETSec: wcet}
+	}
+	admit := func(mc netserve.ModelConfig) netserve.Config {
+		return netserve.Config{Models: []netserve.ModelConfig{mc}, WCETAdmission: true}
+	}
+	for _, tc := range []struct {
+		name string
+		cfg  netserve.Config
+	}{
+		{"no models", netserve.Config{}},
+		{"empty name", netserve.Config{Models: []netserve.ModelConfig{model("", 0)}}},
+		{"duplicate name", netserve.Config{Models: []netserve.ModelConfig{model("m", 0), model("m", 0)}}},
+		{"nil backend", netserve.Config{Models: []netserve.ModelConfig{{Name: "m"}}}},
+		{"wcet 0", admit(model("m", 0))},
+		{"wcet -1", admit(model("m", -1))},
+		{"wcet NaN", admit(model("m", math.NaN()))},
+		{"wcet +Inf", admit(model("m", math.Inf(1)))},
+	} {
+		if s, err := netserve.New(tc.cfg); err == nil {
+			_ = s.Drain(context.Background())
+			t.Errorf("%s: config accepted", tc.name)
+		}
+	}
+	// The same shape with a sound bound is accepted.
+	s, err := netserve.New(admit(model("m", 1e-3)))
+	if err != nil {
+		t.Fatalf("sound config rejected: %v", err)
+	}
+	if err := s.Drain(context.Background()); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -203,24 +203,22 @@ type PoolBatchResult struct {
 }
 
 // DoBatchCtx serves one batch through the fleet: hedged quorum dispatch
-// with majority voting when PoolConfig.Quorum is set, round-robin with
-// failover otherwise, and the FP32 reference tier when no replica can.
+// with majority voting, and the FP32 reference tier when no replica can.
 // It is the serving route the network front-end's pool backend threads
 // its batch budget through (the deadlineflow analyzer enforces that
-// choice). Each replica runs once and answers with one batched
-// inference; under quorum, majority voting then happens per image over
-// the batched outputs. With no injected faults the outputs are
-// bit-identical to the serving replica's Engine.Infer per image. The
-// supervisor folds one latency observation per replica (one run
-// happened) and one divergence vote per image. Under round-robin
-// dispatch the context arms core.InferBatchCtx's layer-boundary guard on
-// every replica attempt, so a hopeless batch aborts mid-graph; when the
-// latency burned by failed replica attempts already exceeds the budget,
-// the batch is abandoned with a wrapped ErrDeadlineExceeded instead of
-// paying the per-image FP32 reference passes nobody is waiting for. A
-// nil context serves unbounded. Apart from a deadline abort, an error is
-// only possible from the FP32 reference path itself (a configuration
-// bug, not a device fault).
+// choice). Each active replica runs once and answers with one batched
+// inference; majority voting then happens per image over the batched
+// outputs. With no injected faults the outputs are bit-identical to the
+// serving replica's Engine.Infer per image. The supervisor folds one
+// latency observation per replica (one run happened) and one divergence
+// vote per image. The context's budget never truncates a ballot: a
+// batch past it is answered late with DeadlineMiss set, and abandoned
+// with a wrapped ErrDeadlineExceeded only when every replica errored and
+// the slowest one gave up after the budget, instead of paying the
+// per-image FP32 reference passes nobody is waiting for. A nil context
+// serves unbounded. Apart from a deadline abort, an error is only
+// possible from the FP32 reference path itself (a configuration bug,
+// not a device fault).
 func (p *Pool) DoBatchCtx(ctx *rtctx.Request, xs []*tensor.Tensor, runIndex int) (*PoolBatchResult, error) {
 	if len(xs) == 0 {
 		return nil, fmt.Errorf("serve: pool DoBatchCtx needs at least one input")
@@ -238,13 +236,7 @@ func (p *Pool) DoBatchCtx(ctx *rtctx.Request, xs []*tensor.Tensor, runIndex int)
 		req = p.stats.Requests
 	})
 	p.advanceRebuilds(req)
-	var br *PoolBatchResult
-	var err error
-	if p.cfg.Quorum {
-		br, err = p.serveQuorumBatch(req, xs, runIndex, ctx)
-	} else {
-		br, err = p.serveRRBatch(req, xs, runIndex, ctx)
-	}
+	br, err := p.serveQuorumBatch(req, xs, runIndex, ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -256,12 +248,12 @@ func (p *Pool) DoBatchCtx(ctx *rtctx.Request, xs []*tensor.Tensor, runIndex int)
 }
 
 // attempt is one replica's run of the request: the timed pass and one
-// batched inference under ctx's layer-boundary guard (a nil ctx leaves
-// it unarmed).
-func (p *Pool) attempt(r *replica, ctx *rtctx.Request, xs []*tensor.Tensor, runIndex int, burnedSec float64) (latSec float64, outs [][]*tensor.Tensor, err error) {
+// batched inference, whole — a ballot needs every voter's complete
+// answer, so no layer-boundary guard is armed.
+func (p *Pool) attempt(r *replica, xs []*tensor.Tensor, runIndex int) (latSec float64, outs [][]*tensor.Tensor, err error) {
 	run, err := r.eng.RunFaulty(core.RunConfig{Device: p.dev, RunIndex: runIndex}, r.inj)
 	if err == nil {
-		outs, err = r.eng.InferBatchCtx(ctx, xs, r.inj, p.dev, burnedSec)
+		outs, err = r.eng.InferBatchCtx(nil, xs, r.inj, nil, 0)
 	}
 	return run.LatencySec, outs, err
 }
@@ -278,73 +270,7 @@ func (p *Pool) batchBudgetExpired(burnedSec float64, ctx *rtctx.Request) error {
 		burnedSec, ctx.BudgetSec, ErrDeadlineExceeded)
 }
 
-// serveRRBatch dispatches the whole batch to the next active replica in
-// rotation, failing over to each remaining active replica once (their
-// burned latency accumulates) and finally to the FP32 tier. The request
-// context gates the terminal FP32 tier (an already-blown budget abandons
-// the batch) and arms the layer-boundary guard inside each replica's
-// batched inference, so a hopeless batch aborts mid-graph without trying
-// further replicas — every replica runs the same schedule against the
-// same spent budget.
-func (p *Pool) serveRRBatch(req uint64, xs []*tensor.Tensor, runIndex int, ctx *rtctx.Request) (*PoolBatchResult, error) {
-	active := p.active()
-	if len(active) == 0 {
-		return p.serveFP32Batch(xs, 0)
-	}
-	var start int
-	p.locked(func() {
-		start = p.rr
-		p.rr++
-	})
-	var total float64
-	for i := 0; i < len(active); i++ {
-		r := active[(start+i)%len(active)]
-		if !p.isActive(r) {
-			// Quarantined by its own observation earlier this request.
-			continue
-		}
-		lat, outs, err := p.attempt(r, ctx, xs, runIndex, total)
-		total += lat
-		if errors.Is(err, core.ErrBudgetExhausted) {
-			// The replica behaved — the budget ran out. Fold its
-			// latency observation without an error mark, then abandon.
-			p.locked(func() {
-				p.observe(req, r, lat, false)
-				p.stats.DeadlineAborts++
-				p.stats.DeadlineMisses++
-			})
-			return nil, fmt.Errorf("serve: pool batch abandoned mid-graph at %.3gs of a %.3gs budget: %w",
-				total, ctx.BudgetSec, ErrDeadlineExceeded)
-		}
-		errored := err != nil
-		p.locked(func() {
-			p.observe(req, r, lat, errored)
-			if errored {
-				p.stats.ReplicaFails++
-			} else {
-				p.stats.RoundRobin++
-			}
-		})
-		if !errored {
-			br := &PoolBatchResult{LatencySec: total}
-			for _, o := range outs {
-				br.Results = append(br.Results, &PoolResult{
-					Outputs:    o,
-					LatencySec: total,
-					Replica:    r.slot,
-					BuildID:    r.eng.BuildID,
-				})
-			}
-			return br, nil
-		}
-	}
-	if err := p.batchBudgetExpired(total, ctx); err != nil {
-		return nil, err
-	}
-	return p.serveFP32Batch(xs, total)
-}
-
-// bvote is one replica's answer to a quorum request.
+// bvote is one replica's answer to a request.
 type bvote struct {
 	r       *replica
 	lat     float64
@@ -361,13 +287,10 @@ type bvote struct {
 // no strict majority the FP32 reference serves the image, after the
 // slowest voter has answered; with no voter at all, after the slowest
 // replica has given up (the hedged replicas fail concurrently). The
-// request context gates that whole-fleet-errored FP32 fallback; the per-image no-majority fallback
-// still runs (the majority images already paid for their answers,
-// abandoning the stragglers would discard served work). The
-// layer-boundary guard is deliberately NOT armed inside the voters'
-// inferences: majority voting needs every replica's complete answer, so
-// the budget gates dispatch and the terminal tier instead of truncating
-// a ballot mid-graph.
+// request context gates that whole-fleet-errored FP32 fallback; the
+// per-image no-majority fallback still runs (the majority images already
+// paid for their answers, abandoning the stragglers would discard served
+// work).
 func (p *Pool) serveQuorumBatch(req uint64, xs []*tensor.Tensor, runIndex int, ctx *rtctx.Request) (*PoolBatchResult, error) {
 	active := p.active()
 	if len(active) == 0 {
@@ -376,7 +299,7 @@ func (p *Pool) serveQuorumBatch(req uint64, xs []*tensor.Tensor, runIndex int, c
 	votes := make([]bvote, 0, len(active))
 	var maxLat, gaveUp float64 // slowest voter's answer, slowest replica's failure
 	for _, r := range active {
-		lat, outs, err := p.attempt(r, nil, xs, runIndex, 0)
+		lat, outs, err := p.attempt(r, xs, runIndex)
 		v := bvote{r: r, lat: lat, outs: outs, errored: err != nil || len(outs) != len(xs)}
 		if v.errored {
 			p.locked(func() { p.stats.ReplicaFails++ })

@@ -91,8 +91,8 @@ func TestBatchValidation(t *testing.T) {
 func TestPoolBatchQuorumMatchesPerImage(t *testing.T) {
 	_, _, _, inputs := fixture(t)
 	xs := inputs[:6]
-	batch := newPool(t, func(c *serve.PoolConfig) { c.Quorum = true })
-	single := newPool(t, func(c *serve.PoolConfig) { c.Quorum = true })
+	batch := newPool(t, nil)
+	single := newPool(t, nil)
 	br, err := batch.DoBatchCtx(nil, xs, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -129,41 +129,11 @@ func TestPoolBatchQuorumMatchesPerImage(t *testing.T) {
 	}
 }
 
-// Round-robin batches ride one replica; the outputs must match that
-// replica's direct batched inference.
-func TestPoolBatchRoundRobin(t *testing.T) {
-	_, _, _, inputs := fixture(t)
-	xs := inputs[:4]
-	p := newPool(t, nil)
-	engines := p.Engines()
-	br, err := p.DoBatchCtx(nil, xs, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	slot := br.Results[0].Replica
-	if slot < 0 {
-		t.Fatalf("round-robin batch fell back with zero faults: %+v", br.Results[0])
-	}
-	want, err := engines[slot].InferBatchCtx(nil, xs, nil, nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range xs {
-		if br.Results[i].Replica != slot {
-			t.Fatalf("image %d served by replica %d, batch replica %d", i, br.Results[i].Replica, slot)
-		}
-		if !sameOutputs(br.Results[i].Outputs, want[i]) {
-			t.Fatalf("image %d differs from replica %d batched Infer", i, slot)
-		}
-	}
-}
-
 // A fleet under total havoc still answers batched requests (FP32 tier or
 // reference fill-in) — never an error to the caller.
 func TestPoolBatchUnderHavoc(t *testing.T) {
 	_, _, _, inputs := fixture(t)
 	p := newPool(t, func(c *serve.PoolConfig) {
-		c.Quorum = true
 		c.ReplicaInjector = func(slot int, e *core.Engine) core.FaultInjector {
 			return faults.ReplicaHavoc("batch-havoc", "").New(fmt.Sprintf("replica%d", slot))
 		}

@@ -91,36 +91,37 @@ func TestPoolHealthNotBlockedDuringInference(t *testing.T) {
 }
 
 // A deadline-carrying batch whose replicas all burned the budget is
-// abandoned with ErrDeadlineExceeded and counted, in both dispatch
-// modes; the deadline-free twin still degrades to FP32.
+// abandoned with ErrDeadlineExceeded and counted, by a fleet of three
+// and by a fleet of one alike; the deadline-free twin still degrades to
+// FP32.
 func TestPoolDoBatchDeadlineAborts(t *testing.T) {
 	_, _, _, inputs := fixture(t)
-	for _, quorum := range []bool{false, true} {
+	for _, k := range []int{1, 3} {
 		p := newPool(t, func(c *serve.PoolConfig) {
-			c.Quorum = quorum
+			c.Replicas = k
 			c.ReplicaInjector = func(int, *core.Engine) core.FaultInjector { return failInjector{} }
 		})
 		_, err := p.DoBatchCtx(rtctx.WithBudget(1e-12), inputs[:2], 0)
 		if !errors.Is(err, serve.ErrDeadlineExceeded) {
-			t.Fatalf("quorum=%v error %v is not serve.ErrDeadlineExceeded", quorum, err)
+			t.Fatalf("replicas=%d error %v is not serve.ErrDeadlineExceeded", k, err)
 		}
 		if st := p.Stats(); st.DeadlineAborts != 1 {
-			t.Fatalf("quorum=%v DeadlineAborts = %d, want 1", quorum, st.DeadlineAborts)
+			t.Fatalf("replicas=%d DeadlineAborts = %d, want 1", k, st.DeadlineAborts)
 		}
 		// A single request is a batch of one: same abandon, same count.
 		if _, err := p.DoBatchCtx(rtctx.WithBudget(1e-12), inputs[:1], 1); !errors.Is(err, serve.ErrDeadlineExceeded) {
-			t.Fatalf("quorum=%v single-request error %v is not serve.ErrDeadlineExceeded", quorum, err)
+			t.Fatalf("replicas=%d single-request error %v is not serve.ErrDeadlineExceeded", k, err)
 		}
 		if st := p.Stats(); st.DeadlineAborts != 2 {
-			t.Fatalf("quorum=%v DeadlineAborts = %d after the single request, want 2", quorum, st.DeadlineAborts)
+			t.Fatalf("replicas=%d DeadlineAborts = %d after the single request, want 2", k, st.DeadlineAborts)
 		}
 		br, err := p.DoBatchCtx(nil, inputs[:2], 2)
 		if err != nil {
-			t.Fatalf("quorum=%v deadline-free batch errored: %v", quorum, err)
+			t.Fatalf("replicas=%d deadline-free batch errored: %v", k, err)
 		}
 		for i, r := range br.Results {
 			if !r.Fallback {
-				t.Fatalf("quorum=%v image %d not served by FP32 tier: %+v", quorum, i, r)
+				t.Fatalf("replicas=%d image %d not served by FP32 tier: %+v", k, i, r)
 			}
 		}
 	}
@@ -135,7 +136,6 @@ func TestPoolQuorumAllErroredWaitsForSlowest(t *testing.T) {
 	_, g, dev, inputs := fixture(t)
 	mk := func() *serve.Pool {
 		return newPool(t, func(c *serve.PoolConfig) {
-			c.Quorum = true
 			c.ReplicaInjector = func(int, *core.Engine) core.FaultInjector { return failInjector{} }
 		})
 	}

@@ -105,10 +105,12 @@ func TestDoStillAnswersLate(t *testing.T) {
 	}
 }
 
-// A budget the expected launch schedule cannot meet stops a request at a
-// layer boundary — one image or two alike: the typed error, one abort
-// counted per request, and nothing booked against an engine or replica
-// that did not fault.
+// A budget the expected launch schedule cannot meet stops an executor
+// request at a layer boundary — one image or two alike: the typed error,
+// one abort counted per request, and nothing booked against an engine
+// that did not fault. A fleet never truncates a ballot: it answers the
+// same request late, with the miss recorded and nothing booked against a
+// replica.
 func TestBudgetAbortsMidGraph(t *testing.T) {
 	eng, _, dev, inputs := fixture(t)
 	ctx := rtctx.WithBudget(eng.ExpectedLatencySec(dev, false) / 2)
@@ -132,12 +134,14 @@ func TestBudgetAbortsMidGraph(t *testing.T) {
 		t.Fatalf("budget exhaustion counted against the breaker: %+v", h)
 	}
 
-	p := newPool(t, nil) // round-robin: quorum never truncates a ballot
-	_, err = p.DoBatchCtx(ctx, inputs[:1], 0)
-	midGraph("pool, one image", err)
-	_, err = p.DoBatchCtx(ctx, inputs[:2], 0)
-	midGraph("pool, two images", err)
-	if pst := p.Stats(); pst.DeadlineAborts != 2 || pst.ReplicaFails != 0 || pst.FP32Served != 0 {
-		t.Fatalf("pool stats after two mid-graph aborts: %+v", pst)
+	p := newPool(t, nil)
+	for _, n := range []int{1, 2} {
+		br, err := p.DoBatchCtx(ctx, inputs[:n], 0)
+		if err != nil || !br.DeadlineMiss {
+			t.Fatalf("pool, %d images: error %v, result %+v; want answered late", n, err, br)
+		}
+	}
+	if pst := p.Stats(); pst.DeadlineMisses != 2 || pst.DeadlineAborts != 0 || pst.ReplicaFails != 0 {
+		t.Fatalf("pool stats after two late answers: %+v", pst)
 	}
 }

@@ -110,10 +110,9 @@ func diffDraws(t *testing.T, label string, got, want []string) {
 }
 
 // TestInjectorDrawOrder pins the fault-stream draw order every seeded
-// campaign depends on: one numeric request through Executor.DoBatchCtx,
-// round-robin Pool.DoBatchCtx and quorum Pool.DoBatchCtx consults the
-// injector in exactly the protocol order, and so does a second request
-// on the same image.
+// campaign depends on: one numeric request through Executor.DoBatchCtx
+// and Pool.DoBatchCtx consults the injector in exactly the protocol
+// order, and so does a second request on the same image.
 func TestInjectorDrawOrder(t *testing.T) {
 	eng, _, _, inputs := fixture(t)
 	x := inputs[:1]
@@ -132,43 +131,26 @@ func TestInjectorDrawOrder(t *testing.T) {
 	diffDraws(t, "executor request 2", log, parentDraws)
 	diffDraws(t, "wantDraws", wantDraws("ex", eng), parentDraws)
 
-	for _, quorum := range []bool{false, true} {
-		log = nil
-		p := newPool(t, func(c *serve.PoolConfig) {
-			c.Quorum = quorum
-			c.ReplicaInjector = func(slot int, e *core.Engine) core.FaultInjector {
-				return recordingFaults{fmt.Sprintf("r%d", slot), &log}
-			}
-		})
-		br, err := p.DoBatchCtx(nil, x, 0)
-		if err != nil {
-			t.Fatal(err)
+	log = nil
+	p := newPool(t, func(c *serve.PoolConfig) {
+		c.ReplicaInjector = func(slot int, e *core.Engine) core.FaultInjector {
+			return recordingFaults{fmt.Sprintf("r%d", slot), &log}
 		}
-		first := log
-		log = nil
-		if _, err := p.DoBatchCtx(nil, x, 0); err != nil {
-			t.Fatal(err)
-		}
-		second := log
-
-		// Round-robin rotates: request 1 rides replica 0, request 2
-		// replica 1. Quorum runs every replica, in slot order.
-		engines := p.Engines()
-		var want, wantSecond []string
-		if quorum {
-			for slot, e := range engines {
-				want = append(want, wantDraws(fmt.Sprintf("r%d", slot), e)...)
-			}
-			wantSecond = want
-		} else {
-			if r := br.Results[0].Replica; r != 0 {
-				t.Fatalf("first round-robin request served by replica %d, want 0", r)
-			}
-			want = wantDraws("r0", engines[0])
-			wantSecond = wantDraws("r1", engines[1])
-		}
-		label := map[bool]string{false: "round-robin", true: "quorum"}[quorum]
-		diffDraws(t, label+" request 1", first, want)
-		diffDraws(t, label+" request 2", second, wantSecond)
+	})
+	if _, err := p.DoBatchCtx(nil, x, 0); err != nil {
+		t.Fatal(err)
 	}
+	first = log
+	log = nil
+	if _, err := p.DoBatchCtx(nil, x, 0); err != nil {
+		t.Fatal(err)
+	}
+
+	// The fleet runs every replica, in slot order, on every request.
+	var want []string
+	for slot, e := range p.Engines() {
+		want = append(want, wantDraws(fmt.Sprintf("r%d", slot), e)...)
+	}
+	diffDraws(t, "quorum request 1", first, want)
+	diffDraws(t, "quorum request 2", log, want)
 }

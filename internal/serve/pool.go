@@ -58,10 +58,9 @@ type PoolConfig struct {
 	// Replicas is the fleet size K (default 3). Replica 0 populates the
 	// registry's shared timing cache; the rest build cold and diverge.
 	Replicas int
-	// Quorum selects hedged dispatch with majority voting on argmax.
-	// False selects round-robin (latency watchdog only — a round-robin
-	// fleet has no peers to disagree with, so silent corruption is
-	// invisible to it by construction).
+	// Quorum is a no-op: every fleet dispatches hedged and votes on
+	// argmax by majority. It remains only because the benchmark harness
+	// still sets it, and goes once that harness stops.
 	Quorum bool
 	// ReplicaInjector, when non-nil, is consulted per replica — at fleet
 	// construction and again after every rebuild — so faults can target
@@ -159,7 +158,6 @@ func (p *Pool) observe(req uint64, r *replica, latSec float64, errored bool) {
 // PoolStats are the fleet's cumulative counters.
 type PoolStats struct {
 	Requests     uint64
-	RoundRobin   uint64 // requests served by round-robin dispatch
 	QuorumServed uint64 // requests served by a quorum majority
 	NoMajority   uint64 // quorum requests with no strict majority
 	FP32Served   uint64 // requests served by the FP32 reference tier
@@ -182,15 +180,15 @@ type PoolResult struct {
 	// Outputs are the winning replica's outputs (or the FP32
 	// reference's).
 	Outputs []*tensor.Tensor
-	// LatencySec is the request's modeled latency: the serving replica's
-	// run (plus failed predecessors under round-robin failover), the
-	// majority-confirmation time under quorum, or the FP32 path.
+	// LatencySec is the request's modeled latency: the
+	// majority-confirmation time, or, when the FP32 tier served, the
+	// moment the hedge failed plus the reference pass.
 	LatencySec float64
 	// Replica is the serving slot (-1 when the FP32 tier served).
 	Replica int
 	// BuildID of the serving replica's engine (-1 for FP32).
 	BuildID int
-	// Voters is how many replicas answered a quorum request.
+	// Voters is how many replicas answered the request.
 	Voters int
 	// Majority is the size of the agreeing majority (0 = none).
 	Majority int
@@ -239,10 +237,9 @@ type Pool struct {
 	// the mutex between its locked sections.
 	turn chan struct{}
 
-	mu    sync.Mutex // guards reps/sup/rr/stats; never held across inference
+	mu    sync.Mutex // guards reps/sup/stats; never held across inference
 	reps  []*replica
 	sup   *Supervisor
-	rr    int
 	stats PoolStats
 }
 

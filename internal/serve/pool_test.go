@@ -2,8 +2,6 @@ package serve_test
 
 import (
 	"fmt"
-	"hash/fnv"
-	"math"
 	"sort"
 	"strings"
 	"testing"
@@ -42,15 +40,15 @@ func newPool(t *testing.T, mut func(*serve.PoolConfig)) *serve.Pool {
 }
 
 // With no injected faults the fleet must be bit-identical to direct
-// Engine.Infer on the serving replica, in both dispatch modes, and the
-// supervisor must record no transitions (issue acceptance criterion).
-// Round-robin rotates from replica 0 and answers at the serving
-// replica's run latency; quorum hears all three voters and, when all
-// three agree, answers when the second-fastest does.
+// Engine.Infer on the serving replica, and the supervisor must record no
+// transitions (issue acceptance criterion). A fleet of three hears all
+// three voters and, when all three agree, answers when the second-fastest
+// does; a fleet of one is a one-voter quorum that answers at its
+// replica's run latency.
 func TestPoolZeroFaultBitIdentity(t *testing.T) {
 	_, _, dev, inputs := fixture(t)
-	for _, quorum := range []bool{false, true} {
-		p := newPool(t, func(c *serve.PoolConfig) { c.Quorum = quorum })
+	for _, k := range []int{1, 3} {
+		p := newPool(t, func(c *serve.PoolConfig) { c.Replicas = k })
 		engines := p.Engines()
 		for i := 0; i < 6; i++ {
 			x := inputs[i]
@@ -60,51 +58,40 @@ func TestPoolZeroFaultBitIdentity(t *testing.T) {
 			}
 			res := br.Results[0]
 			if res.Fallback || res.Replica < 0 {
-				t.Fatalf("quorum=%v req %d fell back with zero faults: %+v", quorum, i, res)
+				t.Fatalf("replicas=%d req %d fell back with zero faults: %+v", k, i, res)
 			}
 			want, err := engines[res.Replica].Infer(x)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !sameOutputs(res.Outputs, want) {
-				t.Fatalf("quorum=%v req %d outputs differ from replica %d direct Infer", quorum, i, res.Replica)
+				t.Fatalf("replicas=%d req %d outputs differ from replica %d direct Infer", k, i, res.Replica)
 			}
-			if quorum && (res.Voters != 3 || res.Majority < 2) {
-				t.Fatalf("req %d majority %d of %d voters with zero faults", i, res.Majority, res.Voters)
-			}
-			if !quorum && res.Replica != i%3 {
-				t.Fatalf("round-robin req %d served by replica %d, want %d", i, res.Replica, i%3)
+			if res.Voters != k || 2*res.Majority <= k {
+				t.Fatalf("replicas=%d req %d majority %d of %d voters with zero faults", k, i, res.Majority, res.Voters)
 			}
 			var lats []float64
 			for _, e := range engines {
 				lats = append(lats, e.Run(core.RunConfig{Device: dev, RunIndex: i}).LatencySec)
 			}
-			wantLat := lats[res.Replica]
-			if quorum {
-				sort.Float64s(lats)
-				wantLat = lats[1]
-			}
-			if (!quorum || res.Majority == 3) && res.LatencySec != wantLat {
-				t.Fatalf("quorum=%v req %d latency %v, want %v", quorum, i, res.LatencySec, wantLat)
+			sort.Float64s(lats)
+			if wantLat := lats[min(1, k-1)]; res.Majority == k && res.LatencySec != wantLat {
+				t.Fatalf("replicas=%d req %d latency %v, want %v", k, i, res.LatencySec, wantLat)
 			}
 		}
-		want := serve.PoolStats{Requests: 6, RoundRobin: 6}
-		if quorum {
-			want = serve.PoolStats{Requests: 6, QuorumServed: 6}
-		}
-		if got := p.Stats(); got != want {
-			t.Fatalf("quorum=%v stats %+v, want %+v", quorum, got, want)
+		if got, want := p.Stats(), (serve.PoolStats{Requests: 6, QuorumServed: 6}); got != want {
+			t.Fatalf("replicas=%d stats %+v, want %+v", k, got, want)
 		}
 		if lines := p.Transcript(); len(lines) != 0 {
-			t.Fatalf("quorum=%v transitions with zero faults: %v", quorum, lines)
+			t.Fatalf("replicas=%d transitions with zero faults: %v", k, lines)
 		}
 		h := p.Health()
-		if h.Active != 3 {
-			t.Fatalf("quorum=%v active %d, want 3", quorum, h.Active)
+		if h.Active != k {
+			t.Fatalf("replicas=%d active %d", k, h.Active)
 		}
 		for _, r := range h.Replicas {
 			if r.State != "healthy" {
-				t.Fatalf("quorum=%v replica %d state %s with zero faults", quorum, r.Slot, r.State)
+				t.Fatalf("replicas=%d replica %d state %s with zero faults", k, r.Slot, r.State)
 			}
 		}
 	}
@@ -144,7 +131,6 @@ func TestPoolQuarantineRebuildReadmit(t *testing.T) {
 	_, _, _, inputs := fixture(t)
 	const faultyBuild = 2 // slot 1 of a fresh registry (builds 1,2,3)
 	p := newPool(t, func(c *serve.PoolConfig) {
-		c.Quorum = true
 		c.ReplicaInjector = havocOn(faultyBuild, "lifecycle")
 		c.Canary = inputs[:4]
 	})
@@ -207,7 +193,6 @@ func TestPoolDeterministicTranscript(t *testing.T) {
 	_, _, _, inputs := fixture(t)
 	run := func() ([]string, serve.PoolStats) {
 		p := newPool(t, func(c *serve.PoolConfig) {
-			c.Quorum = true
 			c.ReplicaInjector = havocOn(2, "determinism")
 			c.Canary = inputs[:4]
 		})
@@ -238,7 +223,6 @@ func TestPoolDeterministicTranscript(t *testing.T) {
 func TestPoolDrainsToFP32WhenAllQuarantined(t *testing.T) {
 	_, g, dev, inputs := fixture(t)
 	p := newPool(t, func(c *serve.PoolConfig) {
-		c.Quorum = true
 		c.ReplicaInjector = func(slot int, e *core.Engine) core.FaultInjector {
 			return faults.ReplicaHavoc("all-bad", "").New(fmt.Sprintf("replica%d", slot))
 		}
@@ -284,9 +268,9 @@ func TestPoolDrainsToFP32WhenAllQuarantined(t *testing.T) {
 	}
 }
 
-// Round-robin dispatch has no peers to vote with: the latency watchdog
-// still catches an inflated replica.
-func TestPoolRoundRobinWatchdog(t *testing.T) {
+// The latency watchdog catches an inflated replica: its lat-ewma signal
+// reaches the transcript and the replica is quarantined.
+func TestPoolLatencyWatchdog(t *testing.T) {
 	_, _, _, inputs := fixture(t)
 	p := newPool(t, func(c *serve.PoolConfig) {
 		c.ReplicaInjector = havocOn(2, "rr-watchdog")
@@ -299,7 +283,7 @@ func TestPoolRoundRobinWatchdog(t *testing.T) {
 	}
 	st := p.Stats()
 	if st.Quarantines == 0 {
-		t.Fatalf("round-robin watchdog never quarantined the inflated replica: %+v\n%s",
+		t.Fatalf("watchdog never quarantined the inflated replica: %+v\n%s",
 			st, strings.Join(p.Transcript(), "\n"))
 	}
 	found := false
@@ -323,48 +307,5 @@ func TestPoolConfigValidation(t *testing.T) {
 	}
 	if _, err := reg.ReplicaEngines("resnet18", 0); err == nil {
 		t.Fatal("zero-replica fleet accepted")
-	}
-}
-
-// TestPoolRoundRobinPinned pins the round-robin fleet, the one dispatch
-// mode neither results/faulttol.txt nor results/chaos.txt reaches: a
-// replica-havoc build on slot 1 is detected by the latency watchdog,
-// quarantined, rebuilt warm, canary-validated and readmitted, and the
-// exact transcript, final counters and a digest of every answer —
-// serving slot, build id, latency bits — are pinned.
-func TestPoolRoundRobinPinned(t *testing.T) {
-	_, _, _, inputs := fixture(t)
-	p := newPool(t, func(c *serve.PoolConfig) {
-		c.ReplicaInjector = havocOn(2, "rr-pin") // slot 1 of a fresh registry
-		c.Canary = inputs[:4]
-	})
-	h := fnv.New64a()
-	for i := 0; i < 40; i++ {
-		br, err := p.DoBatchCtx(nil, inputs[i%len(inputs):i%len(inputs)+1], i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r := br.Results[0]
-		fmt.Fprintf(h, "%d %d %x\n", r.Replica, r.BuildID, math.Float64bits(r.LatencySec))
-	}
-	wantTranscript := []string{
-		"req 8: replica 1 (build 2) healthy->suspect lat-ewma=1.514",
-		"req 11: replica 1 (build 2) suspect->quarantined lat-ewma=1.592",
-		"req 15: replica 1 (build 2) quarantined->rebuilding rebuild after 4 quarantined requests",
-		"req 15: replica 1 (build 0) rebuilding->readmitted canary 4/4",
-		"req 17: replica 1 (build 0) readmitted->healthy probation passed",
-	}
-	if got := p.Transcript(); strings.Join(got, "\n") != strings.Join(wantTranscript, "\n") {
-		t.Errorf("transcript:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(wantTranscript, "\n"))
-	}
-	wantStats := serve.PoolStats{
-		Requests: 40, RoundRobin: 40,
-		Detections: 1, Quarantines: 1, Rebuilds: 1, Readmissions: 1,
-	}
-	if got := p.Stats(); got != wantStats {
-		t.Errorf("stats %#v, want %#v", got, wantStats)
-	}
-	if got, want := h.Sum64(), uint64(0x485a3f52aeb0a8f1); got != want {
-		t.Errorf("answer digest %#x, want %#x", got, want)
 	}
 }

@@ -122,7 +122,6 @@ func TestPoolConcurrentDo(t *testing.T) {
 	reg := serve.NewRegistry(gpusim.XavierNX(), nil)
 	p, err := serve.NewPool(reg, serve.PoolConfig{
 		Model:           "resnet18",
-		Quorum:          true,
 		ReplicaInjector: havocOn(2, "race-pool"),
 		Canary:          inputs[:2],
 	})
@@ -178,7 +177,6 @@ func TestPoolHealthInvariantsUnderChurn(t *testing.T) {
 	reg := serve.NewRegistry(gpusim.XavierNX(), nil)
 	p, err := serve.NewPool(reg, serve.PoolConfig{
 		Model:           "resnet18",
-		Quorum:          true,
 		ReplicaInjector: havocOn(2, "race-health"),
 		Canary:          inputs[:2],
 	})

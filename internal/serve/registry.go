@@ -112,29 +112,42 @@ func (r *Registry) ReplicaEngines(model string, k int) ([]*core.Engine, error) {
 	}
 	fleet := make([]*core.Engine, 0, k)
 	for slot := 0; slot < k; slot++ {
-		cfg := core.DefaultConfig(r.spec, r.nextBuild)
-		if slot == 0 {
-			cfg.TimingCache = r.cache
-			cfg.CanonicalWarmID = true
-		}
-		e, err := core.Build(g, cfg)
+		e, err := r.build(g, slot == 0)
 		if err != nil {
 			return nil, fmt.Errorf("serve: registry replica %d of %s: %w", slot, model, err)
-		}
-		r.nextBuild++
-		if rep := e.Report; rep != nil {
-			if rep.WarmBuild {
-				r.stats.WarmBuilds++
-			} else {
-				r.stats.ColdBuilds++
-			}
-			r.stats.CacheHits += rep.CacheHits
-			r.stats.CacheMisses += rep.CacheMisses
-			r.stats.TuneCostSec += rep.TuneCostSec
 		}
 		fleet = append(fleet, e)
 	}
 	return fleet, nil
+}
+
+// build is the registry's one engine build; r.mu is held. It takes the
+// next build id, and a shared build tunes against the registry's timing
+// cache with a canonical warm id (a warm rebuild reproduces it exactly).
+// The build report folds into RegistryStats; a failed build consumes no
+// id.
+func (r *Registry) build(g *graph.Graph, shared bool) (*core.Engine, error) {
+	cfg := core.DefaultConfig(r.spec, r.nextBuild)
+	if shared {
+		cfg.TimingCache = r.cache
+		cfg.CanonicalWarmID = true
+	}
+	e, err := core.Build(g, cfg)
+	if err != nil {
+		return nil, err
+	}
+	r.nextBuild++
+	if rep := e.Report; rep != nil {
+		if rep.WarmBuild {
+			r.stats.WarmBuilds++
+		} else {
+			r.stats.ColdBuilds++
+		}
+		r.stats.CacheHits += rep.CacheHits
+		r.stats.CacheMisses += rep.CacheMisses
+		r.stats.TuneCostSec += rep.TuneCostSec
+	}
+	return e, nil
 }
 
 func (r *Registry) engine(key, model string, proxy bool) (*core.Engine, error) {
@@ -153,23 +166,9 @@ func (r *Registry) engine(key, model string, proxy bool) (*core.Engine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serve: registry model %s: %w", model, err)
 	}
-	cfg := core.DefaultConfig(r.spec, r.nextBuild)
-	cfg.TimingCache = r.cache
-	cfg.CanonicalWarmID = true
-	e, err := core.Build(g, cfg)
+	e, err := r.build(g, true)
 	if err != nil {
 		return nil, fmt.Errorf("serve: registry build %s: %w", model, err)
-	}
-	r.nextBuild++
-	if rep := e.Report; rep != nil {
-		if rep.WarmBuild {
-			r.stats.WarmBuilds++
-		} else {
-			r.stats.ColdBuilds++
-		}
-		r.stats.CacheHits += rep.CacheHits
-		r.stats.CacheMisses += rep.CacheMisses
-		r.stats.TuneCostSec += rep.TuneCostSec
 	}
 	r.engines[key] = e
 	return e, nil
