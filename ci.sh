@@ -8,7 +8,8 @@
 # their keys, predictor files, framework arch text and weight payloads,
 # and the serving front door's request body and headers) plus two over
 # the FP32 reference convolution and average pool against their frozen
-# per-element loops,
+# per-element loops and one over the engine conv and fc kernels against
+# theirs,
 # the byte comparison of benchtables -all / -ext, chaosbench and
 # faultbench with results/ (-all twice: once on one OS thread, so the
 # per-image fan-out over every table's engines and the dataset synthesis
@@ -51,15 +52,17 @@ go test -shuffle=on -count=1 ./internal/serve ./internal/cluster ./internal/nets
 # it compiles against core and serve entry points: vet and test it here
 # so a deletion that breaks the benchmark fails this gate first.
 (cd bench && go vet ./... && go test ./...)
-# One fuzz smoke per untrusted decoder, and the reference conv and
-# average pool against their frozen loops: package:fuzzer:seconds.
+# One fuzz smoke per untrusted decoder, the reference conv and average
+# pool against their frozen loops, and the engine conv and fc kernels
+# against theirs: package:fuzzer:seconds.
 # Minimizing a new input is skipped: by default it can spend a smoke's
 # whole budget on one input.
 for f in core:FuzzLoad:10 core:FuzzLoadTimingCache:5 core:FuzzParseTimingKey:5 \
   latpred:FuzzLoadModel:5 frameworks:FuzzImportWeights:5 \
   frameworks:FuzzImportCaffe:5 frameworks:FuzzImportDarknet:5 \
   netserve:FuzzDecodeRequest:5 netserve:FuzzHandleInfer:5 \
-  tensor:FuzzConv2DReference:5 tensor:FuzzAvgPool2DReference:5; do
+  tensor:FuzzConv2DReference:5 tensor:FuzzAvgPool2DReference:5 \
+  kernels:FuzzKernelsMatchFrozenLoops:5; do
   pkg=${f%%:*} rest=${f#*:}
   go test -run='^$' -fuzz="^${rest%:*}\$" -fuzztime="${rest#*:}s" -fuzzminimizetime=0s "./internal/$pkg"
 done

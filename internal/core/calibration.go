@@ -75,7 +75,7 @@ func collectRanges(g *graph.Graph, images []*tensor.Tensor, reduce func([]float3
 	}
 	acc := map[string][]float32{}
 	for _, img := range images {
-		acts, err := executeAll(g, img)
+		acts, err := g.ExecuteAll(img)
 		if err != nil {
 			return nil, fmt.Errorf("core: calibration pass: %w", err)
 		}
@@ -92,30 +92,6 @@ func collectRanges(g *graph.Graph, images []*tensor.Tensor, reduce func([]float3
 		out[name] = r
 	}
 	return out, nil
-}
-
-// executeAll runs the reference executor and returns every layer's
-// activation tensor.
-func executeAll(g *graph.Graph, x *tensor.Tensor) (map[string]*tensor.Tensor, error) {
-	acts := map[string]*tensor.Tensor{}
-	for _, l := range g.Layers {
-		var y *tensor.Tensor
-		var err error
-		if l.Op == graph.OpInput {
-			y = x
-		} else {
-			ins := make([]*tensor.Tensor, len(l.Inputs))
-			for i, name := range l.Inputs {
-				ins[i] = acts[name]
-			}
-			y, err = graph.EvalLayer(l, ins)
-			if err != nil {
-				return nil, err
-			}
-		}
-		acts[l.Name] = y
-	}
-	return acts, nil
 }
 
 // fakeQuantActivation quantize-dequantizes an activation tensor with the

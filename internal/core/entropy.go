@@ -44,7 +44,7 @@ func (c EntropyCalibrator) Ranges(g *graph.Graph) (map[string]float32, error) {
 	// Second pass: histogram per layer.
 	hists := map[string][]float64{}
 	for _, img := range c.Images {
-		acts, err := executeAll(g, img)
+		acts, err := g.ExecuteAll(img)
 		if err != nil {
 			return nil, err
 		}

@@ -202,9 +202,11 @@ func (s *step) kernel(c *execCtx, w *tensor.Tensor, escapes bool) (*tensor.Tenso
 	var y *tensor.Tensor
 	var err error
 	if s.l.Op == graph.OpConv {
-		if oh, ow, ok := convOutShape(in, s.l.Conv); ok {
-			y = c.output(s, escapes)
-			y.Resize(in.N, s.l.Conv.OutC, oh, ow)
+		if in != nil {
+			if g, gerr := tensor.CheckConv(in.Shape(), nil, nil, s.l.Conv); gerr == nil {
+				y = c.output(s, escapes)
+				y.Resize(in.N, s.l.Conv.OutC, g.OH, g.OW)
+			}
 		}
 		err = kernels.ExecConvInto(s.v, in, w, s.b, s.l.Conv, y)
 	} else {
@@ -224,15 +226,4 @@ func (s *step) kernel(c *execCtx, w *tensor.Tensor, escapes bool) (*tensor.Tenso
 		tensor.SigmoidInto(y, y)
 	}
 	return y, nil
-}
-
-// convOutShape sizes a conv output, reporting false for degenerate
-// parameters (which the kernel rejects with the canonical error).
-func convOutShape(in *tensor.Tensor, p tensor.ConvParams) (oh, ow int, ok bool) {
-	if in == nil || p.Kernel < 1 || p.Stride < 1 || p.Pad < 0 || p.OutC < 1 {
-		return 0, 0, false
-	}
-	oh = tensor.ConvOutDim(in.H, p.Kernel, p.Stride, p.Pad)
-	ow = tensor.ConvOutDim(in.W, p.Kernel, p.Stride, p.Pad)
-	return oh, ow, oh >= 1 && ow >= 1
 }

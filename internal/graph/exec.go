@@ -25,28 +25,50 @@ func (g *Graph) Execute(x *tensor.Tensor) ([]*tensor.Tensor, error) {
 		return nil, fmt.Errorf("graph %s: input shape %v, want %v", g.Name, x.Shape(), want)
 	}
 	acts := map[string]*tensor.Tensor{}
-	for _, l := range g.Layers {
-		var y *tensor.Tensor
-		var err error
-		if l.Op == OpInput {
-			y = x
-		} else {
-			ins := make([]*tensor.Tensor, len(l.Inputs))
-			for i, name := range l.Inputs {
-				ins[i] = acts[name]
-			}
-			y, err = EvalLayer(l, ins)
-			if err != nil {
-				return nil, fmt.Errorf("graph %s, layer %s: %w", g.Name, l.Name, err)
-			}
-		}
-		acts[l.Name] = y
+	if err := g.walk(x, acts); err != nil {
+		return nil, err
 	}
 	outs := make([]*tensor.Tensor, len(g.Outputs))
 	for i, name := range g.Outputs {
 		outs[i] = acts[name]
 	}
 	return outs, nil
+}
+
+// ExecuteAll runs the layers in their order on input x with the
+// reference operators and returns every layer's activation by layer name
+// (the input layer's is x itself). It is Execute without the checks that
+// need a finalized graph: INT8 calibration walks the fused graph before
+// the builder finalizes it, so the layers must already be in
+// topological order.
+func (g *Graph) ExecuteAll(x *tensor.Tensor) (map[string]*tensor.Tensor, error) {
+	acts := map[string]*tensor.Tensor{}
+	if err := g.walk(x, acts); err != nil {
+		return nil, err
+	}
+	return acts, nil
+}
+
+// walk is the one layer walk under Execute and ExecuteAll: it stores
+// every layer's activation in acts, which the caller owns (Execute's
+// stays on its stack).
+func (g *Graph) walk(x *tensor.Tensor, acts map[string]*tensor.Tensor) error {
+	for _, l := range g.Layers {
+		if l.Op == OpInput {
+			acts[l.Name] = x
+			continue
+		}
+		ins := make([]*tensor.Tensor, len(l.Inputs))
+		for i, name := range l.Inputs {
+			ins[i] = acts[name]
+		}
+		y, err := EvalLayer(l, ins)
+		if err != nil {
+			return fmt.Errorf("graph %s, layer %s: %w", g.Name, l.Name, err)
+		}
+		acts[l.Name] = y
+	}
+	return nil
 }
 
 // EvalLayer evaluates a single layer on the given input tensors with the
@@ -98,14 +120,19 @@ func EvalLayerInto(l *Layer, ins []*tensor.Tensor, y *tensor.Tensor) (err error)
 		if w == nil {
 			return fmt.Errorf("conv has no weights materialized")
 		}
-		if err := checkConv(in, w, b, l.Conv); err != nil {
+		if _, err := tensor.CheckConv(in.Shape(), w, b, l.Conv); err != nil {
 			return err
 		}
 		tensor.Conv2DInto(in, w, b, l.Conv, y)
-	case OpMaxPool:
-		tensor.MaxPool2DInto(in, l.Pool, y)
-	case OpAvgPool:
-		tensor.AvgPool2DInto(in, l.Pool, y)
+	case OpMaxPool, OpAvgPool:
+		if _, _, err := tensor.CheckPool(in.Shape(), l.Pool); err != nil {
+			return err
+		}
+		if l.Op == OpMaxPool {
+			tensor.MaxPool2DInto(in, l.Pool, y)
+		} else {
+			tensor.AvgPool2DInto(in, l.Pool, y)
+		}
 	case OpGlobalAvgPool:
 		tensor.GlobalAvgPool2DInto(in, y)
 	case OpReLU:
@@ -119,14 +146,8 @@ func EvalLayerInto(l *Layer, ins []*tensor.Tensor, y *tensor.Tensor) (err error)
 		if w == nil {
 			return fmt.Errorf("fc has no weights materialized")
 		}
-		if l.OutUnits < 1 {
-			return fmt.Errorf("fc with OutUnits=%d", l.OutUnits)
-		}
-		if want := l.OutUnits * in.C * in.H * in.W; w.Len() != want {
-			return fmt.Errorf("fc weight len %d, want %d", w.Len(), want)
-		}
-		if b != nil && b.Len() < l.OutUnits {
-			return fmt.Errorf("fc bias len %d, want %d", b.Len(), l.OutUnits)
+		if _, err := tensor.CheckFC(in.Shape(), w, b, l.OutUnits); err != nil {
+			return err
 		}
 		tensor.FCInto(in, w, b, l.OutUnits, y)
 	case OpBatchNorm:
@@ -161,32 +182,6 @@ func EvalLayerInto(l *Layer, ins []*tensor.Tensor, y *tensor.Tensor) (err error)
 		tensor.FlattenInto(in, y)
 	default:
 		return fmt.Errorf("EvalLayer: unsupported op %v", l.Op)
-	}
-	return nil
-}
-
-// checkConv validates the conditions tensor.Conv2D would panic on, so a
-// corrupted plan produces an error instead.
-func checkConv(x, w, b *tensor.Tensor, p tensor.ConvParams) error {
-	if p.Kernel < 1 || p.Stride < 1 || p.Pad < 0 || p.OutC < 1 {
-		return fmt.Errorf("conv params k=%d s=%d p=%d outC=%d invalid", p.Kernel, p.Stride, p.Pad, p.OutC)
-	}
-	groups := p.Groups
-	if groups <= 0 {
-		groups = 1
-	}
-	if x.C%groups != 0 || p.OutC%groups != 0 {
-		return fmt.Errorf("conv groups %d do not divide channels in=%d out=%d", groups, x.C, p.OutC)
-	}
-	if want := p.OutC * (x.C / groups) * p.Kernel * p.Kernel; w.Len() != want {
-		return fmt.Errorf("conv weight len %d, want %d", w.Len(), want)
-	}
-	if b != nil && b.Len() < p.OutC {
-		return fmt.Errorf("conv bias len %d, want %d", b.Len(), p.OutC)
-	}
-	if tensor.ConvOutDim(x.H, p.Kernel, p.Stride, p.Pad) < 1 ||
-		tensor.ConvOutDim(x.W, p.Kernel, p.Stride, p.Pad) < 1 {
-		return fmt.Errorf("conv output not positive for input %v", x.Shape())
 	}
 	return nil
 }

@@ -30,36 +30,16 @@ func (g *Graph) layerOutShape(l *Layer) ([4]int, error) {
 		return g.InputShape, nil
 
 	case OpConv:
-		p := l.Conv
-		if p.Kernel < 1 || p.Stride < 1 || p.Pad < 0 || p.OutC < 1 {
-			return in, fmt.Errorf("conv params k=%d s=%d p=%d outC=%d invalid", p.Kernel, p.Stride, p.Pad, p.OutC)
+		g, err := tensor.CheckConv(in, nil, nil, l.Conv)
+		if err != nil {
+			return in, err
 		}
-		groups := p.Groups
-		if groups < 0 {
-			return in, fmt.Errorf("conv groups %d negative", groups)
-		}
-		if groups == 0 {
-			groups = 1
-		}
-		if in[1]%groups != 0 || p.OutC%groups != 0 {
-			return in, fmt.Errorf("groups %d do not divide channels %d->%d", groups, in[1], p.OutC)
-		}
-		oh := tensor.ConvOutDim(in[2], p.Kernel, p.Stride, p.Pad)
-		ow := tensor.ConvOutDim(in[3], p.Kernel, p.Stride, p.Pad)
-		if oh <= 0 || ow <= 0 {
-			return in, fmt.Errorf("non-positive output %dx%d from input %v", oh, ow, in)
-		}
-		return [4]int{in[0], p.OutC, oh, ow}, nil
+		return [4]int{in[0], l.Conv.OutC, g.OH, g.OW}, nil
 
 	case OpMaxPool, OpAvgPool:
-		p := l.Pool
-		if p.Kernel < 1 || p.Stride < 1 || p.Pad < 0 {
-			return in, fmt.Errorf("pool params k=%d s=%d p=%d invalid", p.Kernel, p.Stride, p.Pad)
-		}
-		oh := tensor.ConvOutDim(in[2], p.Kernel, p.Stride, p.Pad)
-		ow := tensor.ConvOutDim(in[3], p.Kernel, p.Stride, p.Pad)
-		if oh <= 0 || ow <= 0 {
-			return in, fmt.Errorf("non-positive pool output %dx%d from input %v", oh, ow, in)
+		oh, ow, err := tensor.CheckPool(in, l.Pool)
+		if err != nil {
+			return in, err
 		}
 		return [4]int{in[0], in[1], oh, ow}, nil
 
@@ -70,8 +50,8 @@ func (g *Graph) layerOutShape(l *Layer) ([4]int, error) {
 		return in, nil
 
 	case OpFC:
-		if l.OutUnits <= 0 {
-			return in, fmt.Errorf("fc with OutUnits=%d", l.OutUnits)
+		if _, err := tensor.CheckFC(in, nil, nil, l.OutUnits); err != nil {
+			return in, err
 		}
 		return [4]int{in[0], l.OutUnits, 1, 1}, nil
 

@@ -19,9 +19,9 @@ import (
 // output space is partitioned into contiguous row/unit ranges across the
 // shared worker pool (pool.go), workers write disjoint output regions,
 // and every output element's reduction runs in exactly the serial order —
-// tile partials in ascending channel order through dotTile/reduceEdge,
-// folded by Numerics.combine — so outputs are bit-identical to serial
-// execution for every variant, worker count and chunk placement.
+// tile partials in ascending channel order through reduce (conv) or
+// dotTile (fc), folded by Numerics.combine — so outputs are bit-identical
+// to serial execution for every variant, worker count and chunk placement.
 
 // Numerics is the projection of a Variant that reaches an add or a
 // rounding. Everything below ExecConv[Into]/ExecFC[Into] takes it in
@@ -83,33 +83,15 @@ func grainFor(unitMACs int) int {
 // validateConv checks conv inputs the way a hardened runtime must:
 // mismatched weights or degenerate parameters — the signature of a
 // corrupted engine plan — return an error rather than crashing.
-func validateConv(x, w, b *tensor.Tensor, p tensor.ConvParams) (oh, ow, groups, icg int, err error) {
+func validateConv(x, w, b *tensor.Tensor, p tensor.ConvParams) (tensor.ConvGeom, error) {
 	if x == nil || w == nil {
-		return 0, 0, 0, 0, fmt.Errorf("kernels: conv with nil input or weights")
+		return tensor.ConvGeom{}, fmt.Errorf("kernels: conv with nil input or weights")
 	}
-	if p.Kernel < 1 || p.Stride < 1 || p.Pad < 0 || p.OutC < 1 {
-		return 0, 0, 0, 0, fmt.Errorf("kernels: conv params k=%d s=%d p=%d outC=%d invalid", p.Kernel, p.Stride, p.Pad, p.OutC)
+	g, err := tensor.CheckConv(x.Shape(), w, b, p)
+	if err != nil {
+		return g, fmt.Errorf("kernels: %w", err)
 	}
-	groups = p.Groups
-	if groups <= 0 {
-		groups = 1
-	}
-	if x.C%groups != 0 || p.OutC%groups != 0 {
-		return 0, 0, 0, 0, fmt.Errorf("kernels: conv groups %d do not divide channels in=%d out=%d", groups, x.C, p.OutC)
-	}
-	icg = x.C / groups
-	if want := p.OutC * icg * p.Kernel * p.Kernel; w.Len() != want {
-		return 0, 0, 0, 0, fmt.Errorf("kernels: conv weight len %d, want %d", w.Len(), want)
-	}
-	if b != nil && b.Len() < p.OutC {
-		return 0, 0, 0, 0, fmt.Errorf("kernels: conv bias len %d, want %d", b.Len(), p.OutC)
-	}
-	oh = tensor.ConvOutDim(x.H, p.Kernel, p.Stride, p.Pad)
-	ow = tensor.ConvOutDim(x.W, p.Kernel, p.Stride, p.Pad)
-	if oh < 1 || ow < 1 {
-		return 0, 0, 0, 0, fmt.Errorf("kernels: conv output %dx%d not positive", oh, ow)
-	}
-	return oh, ow, groups, icg, nil
+	return g, nil
 }
 
 // ExecConv runs a convolution with variant-specific accumulation. The
@@ -117,12 +99,12 @@ func validateConv(x, w, b *tensor.Tensor, p tensor.ConvParams) (oh, ow, groups, 
 // degenerate parameters — the signature of a corrupted engine plan —
 // return an error rather than crashing the process.
 func ExecConv(v Variant, x, w, b *tensor.Tensor, p tensor.ConvParams) (*tensor.Tensor, error) {
-	oh, ow, groups, icg, err := validateConv(x, w, b, p)
+	g, err := validateConv(x, w, b, p)
 	if err != nil {
 		return nil, err
 	}
-	y := tensor.New(x.N, p.OutC, oh, ow)
-	execConv(v.Numerics(), x, w, b, p, y, oh, ow, groups, icg)
+	y := tensor.New(x.N, p.OutC, g.OH, g.OW)
+	execConv(v.Numerics(), x, w, b, p, y, g)
 	return y, nil
 }
 
@@ -133,14 +115,14 @@ func ExecConv(v Variant, x, w, b *tensor.Tensor, p tensor.ConvParams) (*tensor.T
 //
 //rt:hotpath
 func ExecConvInto(v Variant, x, w, b *tensor.Tensor, p tensor.ConvParams, y *tensor.Tensor) error {
-	oh, ow, groups, icg, err := validateConv(x, w, b, p)
+	g, err := validateConv(x, w, b, p)
 	if err != nil {
 		return err
 	}
-	if y == nil || y.N != x.N || y.C != p.OutC || y.H != oh || y.W != ow {
-		return fmt.Errorf("kernels: conv output buffer %v, want [%d %d %d %d]", y, x.N, p.OutC, oh, ow)
+	if y == nil || y.N != x.N || y.C != p.OutC || y.H != g.OH || y.W != g.OW {
+		return fmt.Errorf("kernels: conv output buffer %v, want [%d %d %d %d]", y, x.N, p.OutC, g.OH, g.OW)
 	}
-	execConv(v.Numerics(), x, w, b, p, y, oh, ow, groups, icg)
+	execConv(v.Numerics(), x, w, b, p, y, g)
 	return nil
 }
 
@@ -161,20 +143,19 @@ type convExec struct {
 var convExecPool = sync.Pool{New: func() any { return new(convExec) }}
 
 // execConv partitions the output by (batch, output row) across the
-// worker pool. Each row task computes every output channel of that row,
-// so the im2col patch gathered for one output pixel is reused across all
-// channels of its group. The descriptor is pooled: dispatching a conv
-// allocates nothing in the steady state.
-func execConv(nu Numerics, x, w, b *tensor.Tensor, p tensor.ConvParams, y *tensor.Tensor, oh, ow, groups, icg int) {
+// worker pool. Each row task computes every output channel of that row.
+// The descriptor is pooled: dispatching a conv allocates nothing in the
+// steady state.
+func execConv(nu Numerics, x, w, b *tensor.Tensor, p tensor.ConvParams, y *tensor.Tensor, g tensor.ConvGeom) {
 	c := convExecPool.Get().(*convExec)
 	*c = convExec{
 		nu: nu, x: x, w: w, b: b, p: p, y: y,
-		oh: oh, ow: ow, groups: groups, icg: icg,
-		ocg: p.OutC / groups, kk: p.Kernel * p.Kernel,
+		oh: g.OH, ow: g.OW, groups: g.Groups, icg: g.ICG,
+		ocg: p.OutC / g.Groups, kk: p.Kernel * p.Kernel,
 		tileC: nu.tileChannels(p.Kernel),
 	}
-	rows := x.N * oh
-	rowMACs := ow * p.OutC * icg * c.kk
+	rows := x.N * g.OH
+	rowMACs := g.OW * p.OutC * g.ICG * c.kk
 	parallelFor(rows, grainFor(rowMACs), c)
 	*c = convExec{} // drop tensor references before pooling
 	convExecPool.Put(c)
@@ -208,24 +189,9 @@ func (c *convExec) row(s *execScratch, n, i int) {
 			}
 			continue
 		}
-		interior := khLo == 0 && khHi == k && kwLo == 0 && kwHi == k
 		for g := 0; g < c.groups; g++ {
-			oc0 := g * c.ocg
-			if interior && c.ocg > 1 {
-				// Implicit-GEMM path: gather the input patch once and
-				// reuse it for every output channel of the group. The
-				// patch is laid out exactly in reduction order (channel,
-				// kh, kw), matching the weight layout, so each tile's dot
-				// product accumulates in the serial order.
-				patch := c.gather(s, n, g, ih0, iw0)
-				for oc := oc0; oc < oc0+c.ocg; oc++ {
-					wrow := c.w.Data[oc*c.icg*c.kk : (oc+1)*c.icg*c.kk]
-					c.store(n, oc, i, j, c.nu.reducePatch(s, patch, wrow, c.tileC, c.kk, c.icg))
-				}
-			} else {
-				for oc := oc0; oc < oc0+c.ocg; oc++ {
-					c.store(n, oc, i, j, c.reduceEdge(s, n, oc, g, ih0, iw0, khLo, khHi, kwLo, kwHi))
-				}
+			for oc := g * c.ocg; oc < (g+1)*c.ocg; oc++ {
+				c.store(n, oc, i, j, c.reduce(s, n, oc, g, ih0, iw0, khLo, khHi, kwLo, kwHi))
 			}
 		}
 	}
@@ -254,45 +220,10 @@ func (c *convExec) store(n, oc, i, j int, val float32) {
 	c.y.Data[((n*c.y.C+oc)*c.oh+i)*c.ow+j] = val
 }
 
-// gather copies the full kxk input window of group g at (ih0, iw0) into
-// the scratch patch buffer, in (channel, kh, kw) order. Only called for
-// interior pixels, where the whole window is in bounds.
-func (c *convExec) gather(s *execScratch, n, g, ih0, iw0 int) []float32 {
-	k := c.p.Kernel
-	patch := s.patchBuf(c.icg * c.kk)
-	pi := 0
-	for cc := 0; cc < c.icg; cc++ {
-		ic := g*c.icg + cc
-		off := ((n*c.x.C+ic)*c.x.H+ih0)*c.x.W + iw0
-		for kh := 0; kh < k; kh++ {
-			copy(patch[pi:pi+k], c.x.Data[off:off+k])
-			pi += k
-			off += c.x.W
-		}
-	}
-	return patch
-}
-
-// reducePatch accumulates one output element from a gathered patch:
-// channel tiles of tileC, each tile's partial rounded by dotTile, folded
-// by combine — the exact serial reduction order.
-func (nu Numerics) reducePatch(s *execScratch, patch, wrow []float32, tileC, kk, icg int) float32 {
-	partials := s.tiles((icg + tileC - 1) / tileC)
-	for c0 := 0; c0 < icg; c0 += tileC {
-		c1 := c0 + tileC
-		if c1 > icg {
-			c1 = icg
-		}
-		partials = append(partials, nu.dotTile(patch[c0*kk:c1*kk], wrow[c0*kk:c1*kk]))
-	}
-	s.partials = partials
-	return nu.combine(partials)
-}
-
 // dotTile computes one reduction tile's partial sum and rounds it to the
-// variant precision. Every multiply-accumulate of the patch path flows
-// through here, in ascending index order with w*x operand order — the
-// same sequence the per-element serial loop produced.
+// variant precision. Every multiply-accumulate of an fc flows through
+// here, in ascending index order with w*x operand order — the same
+// sequence the per-element serial loop produced.
 func (nu Numerics) dotTile(x, w []float32) float32 {
 	var acc float32
 	for i, xv := range x {
@@ -301,11 +232,12 @@ func (nu Numerics) dotTile(x, w []float32) float32 {
 	return nu.roundTo(acc)
 }
 
-// reduceEdge accumulates one output element the general way, iterating
-// only the in-bounds kernel taps (identical to the serial loop, which
-// skipped out-of-bounds taps). Row slices hoist the index arithmetic out
-// of the inner loop.
-func (c *convExec) reduceEdge(s *execScratch, n, oc, g, ih0, iw0, khLo, khHi, kwLo, kwHi int) float32 {
+// reduce accumulates output element oc of group g, iterating only the
+// in-bounds kernel taps [khLo, khHi) × [kwLo, kwHi) in (channel, kh, kw)
+// order — the serial loop's order, which skipped out-of-bounds taps. Each
+// reduction tile's partial is rounded, and the partials fold through
+// combine. Row slices hoist the index arithmetic out of the inner loop.
+func (c *convExec) reduce(s *execScratch, n, oc, g, ih0, iw0, khLo, khHi, kwLo, kwHi int) float32 {
 	k := c.p.Kernel
 	partials := s.tiles((c.icg + c.tileC - 1) / c.tileC)
 	for c0 := 0; c0 < c.icg; c0 += c.tileC {
@@ -362,15 +294,8 @@ func validateFC(x, w, b *tensor.Tensor, out int) (in int, err error) {
 	if x == nil || w == nil {
 		return 0, fmt.Errorf("kernels: fc with nil input or weights")
 	}
-	if out < 1 {
-		return 0, fmt.Errorf("kernels: fc with out=%d", out)
-	}
-	in = x.C * x.H * x.W
-	if w.Len() != out*in {
-		return 0, fmt.Errorf("kernels: fc weight len %d, want %d", w.Len(), out*in)
-	}
-	if b != nil && b.Len() < out {
-		return 0, fmt.Errorf("kernels: fc bias len %d, want %d", b.Len(), out)
+	if in, err = tensor.CheckFC(x.Shape(), w, b, out); err != nil {
+		return 0, fmt.Errorf("kernels: %w", err)
 	}
 	return in, nil
 }

@@ -32,12 +32,10 @@ import (
 
 // execScratch is one worker's reusable numeric workspace: the partial-sum
 // accumulator the variant's tile reduction fills (previously a fresh heap
-// allocation per output element) and the im2col patch buffer of the
-// cached-input-patch path. Scratches are pooled, so steady-state kernel
-// execution performs no heap allocation in the inner loops.
+// allocation per output element). Scratches are pooled, so steady-state
+// kernel execution performs no heap allocation in the inner loops.
 type execScratch struct {
 	partials []float32
-	patch    []float32
 }
 
 // tiles returns the partials buffer with capacity for n tile sums.
@@ -46,14 +44,6 @@ func (s *execScratch) tiles(n int) []float32 {
 		s.partials = make([]float32, 0, n)
 	}
 	return s.partials[:0]
-}
-
-// patchBuf returns the patch buffer resized to n elements.
-func (s *execScratch) patchBuf(n int) []float32 {
-	if cap(s.patch) < n {
-		s.patch = make([]float32, n)
-	}
-	return s.patch[:n]
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(execScratch) }}

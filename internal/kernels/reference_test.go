@@ -11,8 +11,9 @@ import (
 	"edgeinfer/internal/tensor"
 )
 
-// The frozen engine kernels: execConv — chunk's (batch, output row) loop
-// around row, with gather, reducePatch, dotTile, reduceEdge and store
+// The frozen engine kernels: execConv as it was frozen — chunk's (batch,
+// output row) loop around row, with the implicit-GEMM patch path
+// (gather, reducePatch) it then had, dotTile, reduceEdge and store
 // inlined — and fcExec.chunk, run serially and allocating as they
 // please. A rewrite of the kernels may change which element is computed
 // when, never the sequence of float32 operations and rounding points an
@@ -425,5 +426,46 @@ func TestKernelsMatchFrozenLoops(t *testing.T) {
 			})
 		})
 		cv.require(t, "depthwise", "grouped", "1x1", "pad=k+1", "N>1", "split across workers", "non-finite or -0 operand")
+	})
+}
+
+// FuzzKernelsMatchFrozenLoops is TestKernelsMatchFrozenLoops under the
+// fuzzer: seed feeds the sweep's own generators — a variant from
+// sweepVariant, a conv from sweepConv, then an fc drawn from the same
+// stream — and each case runs into a stale buffer on 1 + workers%4
+// workers, against the frozen loops.
+func FuzzKernelsMatchFrozenLoops(f *testing.F) {
+	for seed := uint64(0); seed < 8; seed++ {
+		f.Add(seed, uint8(seed))
+	}
+	defer SetWorkers(SetWorkers(1))
+	f.Fuzz(func(t *testing.T, seed uint64, workers uint8) {
+		SetWorkers(1 + int(workers%4))
+		src, cv := fixrand.New(seed), sweepCoverage{}
+		v := sweepVariant(src)
+		x, w, b, p := sweepConv(src, cv)
+		want := frozenExecConv(v, x, w, b, p)
+		y := staleOutput(want.N, want.C, want.H, want.W)
+		if err := ExecConvInto(v, x, w, b, p, y); err != nil {
+			t.Fatal(err)
+		}
+		if diff := firstDiff(y, want); diff != "" {
+			t.Fatalf("%+v, %+v on %v: %s", v.Numerics(), p, x.Shape(), diff)
+		}
+
+		n, c, h, wd, out := 1+src.Intn(3), 1+src.Intn(64), 1+src.Intn(4), 1+src.Intn(4), 1+src.Intn(12)
+		x = sweepTensor(src, cv, n, c, h, wd)
+		w, b = sweepTensor(src, cv, 1, out*c*h*wd, 1, 1), nil
+		if src.Intn(4) > 0 {
+			b = sweepTensor(src, cv, 1, out, 1, 1)
+		}
+		want = frozenExecFC(v, x, w, b, out)
+		y = staleOutput(n, out, 1, 1)
+		if err := ExecFCInto(v, x, w, b, out, y); err != nil {
+			t.Fatal(err)
+		}
+		if diff := firstDiff(y, want); diff != "" {
+			t.Fatalf("%+v, fc %d→%d on %v: %s", v.Numerics(), c*h*wd, out, x.Shape(), diff)
+		}
 	})
 }

@@ -17,6 +17,82 @@ func ConvOutDim(in, kernel, stride, pad int) int {
 	return (in+2*pad-kernel)/stride + 1
 }
 
+// The rules below are the one definition of which convolutions, pools
+// and fully-connected layers are legal. Shape inference, the reference
+// operators, the graph interpreter and the engine kernels all ask them
+// and prefix the error with where they were asked; the error bodies are
+// the rules' own. Each allocates only the error it returns. An input is
+// given by its NCHW shape, so shape inference can ask before a tensor
+// exists; a nil weight tensor leaves the weight length unchecked (shape
+// inference has no weights) and a nil bias is no bias. Geometry is
+// checked before weights, so a caller without weights reaches the same
+// verdict on every geometry fault.
+
+// ConvGeom is the geometry a legal convolution runs with.
+type ConvGeom struct {
+	OH, OW int // output height and width
+	Groups int // channel groups: ConvParams.Groups, with 0 meaning 1
+	ICG    int // input channels per group
+}
+
+// CheckConv is the rule for a convolution p over an input of shape in
+// with weights w ([OutC, in[1]/groups, k, k] flattened) and bias b (at
+// least OutC long).
+func CheckConv(in [4]int, w, b *Tensor, p ConvParams) (ConvGeom, error) {
+	if p.Kernel < 1 || p.Stride < 1 || p.Pad < 0 || p.OutC < 1 {
+		return ConvGeom{}, fmt.Errorf("conv params k=%d s=%d p=%d outC=%d invalid", p.Kernel, p.Stride, p.Pad, p.OutC)
+	}
+	if p.Groups < 0 {
+		return ConvGeom{}, fmt.Errorf("conv groups %d negative", p.Groups)
+	}
+	g := ConvGeom{Groups: max(p.Groups, 1)}
+	if in[1]%g.Groups != 0 || p.OutC%g.Groups != 0 {
+		return ConvGeom{}, fmt.Errorf("conv groups %d do not divide channels in=%d out=%d", g.Groups, in[1], p.OutC)
+	}
+	g.ICG = in[1] / g.Groups
+	g.OH, g.OW = ConvOutDim(in[2], p.Kernel, p.Stride, p.Pad), ConvOutDim(in[3], p.Kernel, p.Stride, p.Pad)
+	if g.OH < 1 || g.OW < 1 {
+		return ConvGeom{}, fmt.Errorf("conv output %dx%d not positive (input %dx%d)", g.OH, g.OW, in[2], in[3])
+	}
+	if want := p.OutC * g.ICG * p.Kernel * p.Kernel; w != nil && w.Len() != want {
+		return ConvGeom{}, fmt.Errorf("conv weight len %d, want %d", w.Len(), want)
+	}
+	if b != nil && b.Len() < p.OutC {
+		return ConvGeom{}, fmt.Errorf("conv bias len %d, want %d", b.Len(), p.OutC)
+	}
+	return g, nil
+}
+
+// CheckPool is the rule for a max or average pool p over an input of
+// shape in; it returns the output height and width.
+func CheckPool(in [4]int, p PoolParams) (oh, ow int, err error) {
+	if p.Kernel < 1 || p.Stride < 1 || p.Pad < 0 {
+		return 0, 0, fmt.Errorf("pool params k=%d s=%d p=%d invalid", p.Kernel, p.Stride, p.Pad)
+	}
+	oh, ow = ConvOutDim(in[2], p.Kernel, p.Stride, p.Pad), ConvOutDim(in[3], p.Kernel, p.Stride, p.Pad)
+	if oh < 1 || ow < 1 {
+		return 0, 0, fmt.Errorf("pool output %dx%d not positive (input %dx%d)", oh, ow, in[2], in[3])
+	}
+	return oh, ow, nil
+}
+
+// CheckFC is the rule for a fully-connected layer of out units over an
+// input of shape in, with weights w ([out, C*H*W] flattened) and bias b
+// (at least out long); it returns the reduction length C*H*W.
+func CheckFC(in [4]int, w, b *Tensor, out int) (int, error) {
+	if out < 1 {
+		return 0, fmt.Errorf("fc with out=%d", out)
+	}
+	n := in[1] * in[2] * in[3]
+	if w != nil && w.Len() != out*n {
+		return 0, fmt.Errorf("fc weight len %d, want %d", w.Len(), out*n)
+	}
+	if b != nil && b.Len() < out {
+		return 0, fmt.Errorf("fc bias len %d, want %d", b.Len(), out)
+	}
+	return n, nil
+}
+
 // Every operator below has two forms. The ...Into form writes into a
 // caller-provided y: it Resizes y to the output shape and overwrites
 // every element, so y may be a recycled buffer with stale contents (an
@@ -48,22 +124,11 @@ func Conv2D(x, w, b *Tensor, p ConvParams) *Tensor {
 //
 //rt:hotpath
 func Conv2DInto(x, w, b *Tensor, p ConvParams, y *Tensor) {
-	if p.Groups <= 0 {
-		p.Groups = 1
+	g, err := CheckConv(x.Shape(), w, b, p)
+	if err != nil {
+		panic("tensor: " + err.Error())
 	}
-	if x.C%p.Groups != 0 || p.OutC%p.Groups != 0 {
-		panic(fmt.Sprintf("tensor: conv groups %d do not divide channels in=%d out=%d", p.Groups, x.C, p.OutC))
-	}
-	icg := x.C / p.Groups // input channels per group
-	ocg := p.OutC / p.Groups
-	if want := p.OutC * icg * p.Kernel * p.Kernel; w.Len() != want {
-		panic(fmt.Sprintf("tensor: conv weight len %d, want %d", w.Len(), want))
-	}
-	oh := ConvOutDim(x.H, p.Kernel, p.Stride, p.Pad)
-	ow := ConvOutDim(x.W, p.Kernel, p.Stride, p.Pad)
-	if oh <= 0 || ow <= 0 {
-		panic(fmt.Sprintf("tensor: conv output %dx%d not positive (in %dx%d k=%d s=%d p=%d)", oh, ow, x.H, x.W, p.Kernel, p.Stride, p.Pad))
-	}
+	icg, ocg, oh, ow := g.ICG, p.OutC/g.Groups, g.OH, g.OW
 	y.Resize(x.N, p.OutC, oh, ow)
 	k, s, pad := p.Kernel, p.Stride, p.Pad
 	plane, taps := x.H*x.W, icg*k*k
@@ -216,8 +281,10 @@ func MaxPool2D(x *Tensor, p PoolParams) *Tensor {
 //
 //rt:hotpath
 func MaxPool2DInto(x *Tensor, p PoolParams, y *Tensor) {
-	oh := ConvOutDim(x.H, p.Kernel, p.Stride, p.Pad)
-	ow := ConvOutDim(x.W, p.Kernel, p.Stride, p.Pad)
+	oh, ow, err := CheckPool(x.Shape(), p)
+	if err != nil {
+		panic("tensor: " + err.Error())
+	}
 	y.Resize(x.N, x.C, oh, ow)
 	plane := x.H * x.W
 	for nc := 0; nc < x.N*x.C; nc++ {
@@ -264,8 +331,10 @@ func AvgPool2D(x *Tensor, p PoolParams) *Tensor {
 //
 //rt:hotpath
 func AvgPool2DInto(x *Tensor, p PoolParams, y *Tensor) {
-	oh := ConvOutDim(x.H, p.Kernel, p.Stride, p.Pad)
-	ow := ConvOutDim(x.W, p.Kernel, p.Stride, p.Pad)
+	oh, ow, err := CheckPool(x.Shape(), p)
+	if err != nil {
+		panic("tensor: " + err.Error())
+	}
 	y.Resize(x.N, x.C, oh, ow)
 	plane := x.H * x.W
 	s := p.Stride
@@ -406,9 +475,9 @@ func FC(x, w, b *Tensor, out int) *Tensor {
 //
 //rt:hotpath
 func FCInto(x, w, b *Tensor, out int, y *Tensor) {
-	in := x.C * x.H * x.W
-	if w.Len() != out*in {
-		panic(fmt.Sprintf("tensor: fc weight len %d, want %d (out=%d in=%d)", w.Len(), out*in, out, in))
+	in, err := CheckFC(x.Shape(), w, b, out)
+	if err != nil {
+		panic("tensor: " + err.Error())
 	}
 	y.Resize(x.N, out, 1, 1)
 	for n := 0; n < x.N; n++ {
