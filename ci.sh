@@ -4,9 +4,9 @@
 # pins without the race detector (they skip under it), one shuffled
 # run of the serving packages' tests, the nested
 # benchmark module's own vet and tests (bench/), short fuzz
-# smokes over every untrusted decoder (engine plans, timing caches and
-# their keys, predictor files, framework arch text and weight payloads,
-# and the serving front door's request body and headers) plus two over
+# smokes over all eight untrusted decoders (engine plans, timing caches
+# and their keys, framework arch text and weight payloads, and the
+# serving front door's request body and headers) plus two over
 # the FP32 reference convolution and average pool against their frozen
 # per-element loops and one over the engine conv and fc kernels against
 # theirs,
@@ -47,7 +47,7 @@ go test -race -timeout 20m ./...
 go test -count=1 -run 'Allocs$' ./internal/core ./internal/kernels ./internal/fixrand ./internal/models
 # The serving tests share fixtures (engines, registries, fleets); a
 # shuffled order proves none depends on state another test left behind.
-go test -shuffle=on -count=1 ./internal/serve ./internal/cluster ./internal/netserve
+go test -shuffle=on -count=1 ./internal/serve ./internal/netserve
 # bench/ is a module of its own that ./... neither builds nor tests, yet
 # it compiles against core and serve entry points: vet and test it here
 # so a deletion that breaks the benchmark fails this gate first.
@@ -58,7 +58,7 @@ go test -shuffle=on -count=1 ./internal/serve ./internal/cluster ./internal/nets
 # Minimizing a new input is skipped: by default it can spend a smoke's
 # whole budget on one input.
 for f in core:FuzzLoad:10 core:FuzzLoadTimingCache:5 core:FuzzParseTimingKey:5 \
-  latpred:FuzzLoadModel:5 frameworks:FuzzImportWeights:5 \
+  frameworks:FuzzImportWeights:5 \
   frameworks:FuzzImportCaffe:5 frameworks:FuzzImportDarknet:5 \
   netserve:FuzzDecodeRequest:5 netserve:FuzzHandleInfer:5 \
   tensor:FuzzConv2DReference:5 tensor:FuzzAvgPool2DReference:5 \

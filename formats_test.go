@@ -8,11 +8,10 @@ import (
 
 	"edgeinfer/internal/core"
 	"edgeinfer/internal/gpusim"
-	"edgeinfer/internal/latpred"
 	"edgeinfer/internal/models"
 )
 
-// TestFormatBytesPinned holds the three magic-tagged artefact formats to
+// TestFormatBytesPinned holds the two magic-tagged artefact formats to
 // the bytes they had before their codecs were moved onto the shared
 // framing layer (internal/framed): persisted timing caches, saved plans
 // and fleetcheck's shared-cache convergence all depend on a writer
@@ -35,12 +34,6 @@ func TestFormatBytesPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One zoo model's cache fits a single family (hmma-conv) — the
-	// smallest real predictor file.
-	predictor, _, err := latpred.Train(cache, latpred.DefaultTrainOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	for _, tc := range []struct {
 		name string
@@ -50,7 +43,6 @@ func TestFormatBytesPinned(t *testing.T) {
 		{"EDGERT01 timing-only resnet18 NX build 1", timed.Save, "d1dbef1da52063d77a9197ec4e58bba6dd0577c3d6e8a71e6a6188ffc1d0172f"},
 		{"EDGERT01 numeric resnet18 proxy", numeric.Save, "d8c7887a3cb68f05aa5469418115d3f9235b53a2ff5f6b44b230b1a5634d5e84"},
 		{"EDGETC01 cache of the timing-only build", cache.Save, "8786bf76e5ea803ada5ff5d93e4804b45fd5dbb3a3ea330e7935b3f080fdced7"},
-		{"EDGELP01 predictor trained from that cache", predictor.Save, "3af29f3628eadc0ae1c5aff9bf71e0d09e6498b6cefbc77f515034fd6f09c55d"},
 	} {
 		h := sha256.New()
 		if err := tc.save(h); err != nil {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -122,6 +123,35 @@ func TestSeededEntryPointsResolve(t *testing.T) {
 			if decls[id] == nil {
 				t.Errorf("%s names %s, which the module does not declare", list, id)
 			}
+		}
+	}
+}
+
+// TestEveryPackageIsImported runs over the real module: a package that
+// no non-test file of another package imports is code no binary
+// reaches, kept alive only by its own tests. Commands, examples and
+// bench/ count as importers; the module root is documentation.
+func TestEveryPackageIsImported(t *testing.T) {
+	m, err := LoadModule(filepath.Join("..", ".."))
+	if err != nil {
+		t.Fatal(err)
+	}
+	imported := map[string]bool{}
+	for _, p := range m.Packages {
+		for _, f := range p.Files {
+			for _, imp := range f.Imports {
+				if path, err := strconv.Unquote(imp.Path.Value); err == nil && path != p.Path {
+					imported[path] = true
+				}
+			}
+		}
+	}
+	for _, p := range m.Packages {
+		if p.Path == m.Path || p.Files[0].Name.Name == "main" {
+			continue
+		}
+		if !imported[p.Path] {
+			t.Errorf("%s is imported by no non-test file of another package", p.Path)
 		}
 	}
 }

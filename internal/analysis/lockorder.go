@@ -27,10 +27,6 @@ import (
 var DefaultBlockingFuncs = []string{
 	"(*edgeinfer/internal/serve.Executor).DoBatchCtx",
 	"(*edgeinfer/internal/serve.Pool).DoBatchCtx",
-	// The cluster pipeline executor serializes a whole partitioned
-	// stream — frames × stages of simulated inference per call.
-	"(*edgeinfer/internal/cluster.Pipeline).Run",
-	"(*edgeinfer/internal/cluster.Pipeline).RunCtx",
 }
 
 // LockOrder returns the lock-across-blocking analyzer. extraBlocking

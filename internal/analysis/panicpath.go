@@ -18,23 +18,15 @@ var DefaultPanicRoots = []string{
 	"edgeinfer/internal/core.VerifyPlanData",
 	"(*edgeinfer/internal/core.Engine).Infer",
 	"(*edgeinfer/internal/core.Engine).InferBatchCtx",
-	"(*edgeinfer/internal/core.Engine).InferRangeCtx",
 	"(*edgeinfer/internal/serve.Executor).DoBatchCtx",
 	"(*edgeinfer/internal/serve.Pool).DoBatchCtx",
 	// The network front-end: the HTTP handler parses untrusted request
 	// bodies and the batcher goroutine serves them.
 	"(*edgeinfer/internal/netserve.Server).handleInfer",
 	"(*edgeinfer/internal/netserve.modelQueue).run",
-	// The cluster pipeline executor: streams whole frames through a
-	// partitioned engine under fault injection — a panic here kills an
-	// entire soak mid-stream instead of shedding the offending frame.
-	"(*edgeinfer/internal/cluster.Pipeline).Run",
-	"(*edgeinfer/internal/cluster.Pipeline).RunCtx",
-	// The learned latency predictor: Load parses untrusted model files
-	// off disk, and PredictSec sits inside every pruned build's tuning
-	// loop — a panic in either turns a corrupt model file into a crashed
-	// build instead of a full-menu fallback.
-	"edgeinfer/internal/latpred.Load",
+	// The learned latency predictor: PredictSec sits inside every pruned
+	// build's tuning loop — a panic there turns a degenerate launch into
+	// a crashed build instead of a full-menu fallback.
 	"(*edgeinfer/internal/latpred.Model).PredictSec",
 }
 

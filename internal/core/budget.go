@@ -25,8 +25,7 @@ type layerGuard func(li int, name string) error
 // horizontally merged group charges when the group completes. Every
 // launch of a built or admitted plan names layers of its graph (planlint
 // rejects any other), so every launch is charged. Build and Load store it
-// as Engine.charge, the one attribution LayerCostsSec and
-// StageWeightBytes read.
+// as Engine.charge, the one attribution LayerCostsSec reads.
 func chargeLayers(e *Engine) []int {
 	idx := layerIndex(e.Graph)
 	charge := make([]int, len(e.Launches))
@@ -41,8 +40,7 @@ func chargeLayers(e *Engine) []int {
 // modeled time (with the steady-state overlap factor) plus launch
 // overhead, added in launch order to its charging layer. Layers without
 // a launch (inputs, folded ops) cost zero. The budget guard charges it,
-// and the cluster partitioner prices candidate stages with it, so
-// admission math and the mid-graph abort agree on what a stage costs.
+// so admission math and the mid-graph abort agree on what a layer costs.
 func (e *Engine) LayerCostsSec(dev *gpusim.Device) []float64 {
 	costs := make([]float64, len(e.Graph.Layers))
 	for i, li := range e.charge {
@@ -68,12 +66,12 @@ func (e *Engine) LayerCostsSec(dev *gpusim.Device) []float64 {
 // same results, same injector draw order, no allocation added to the hot
 // path. An empty batch returns (nil, nil); a nil input is an error.
 func (e *Engine) InferBatchCtx(ctx *rtctx.Request, xs []*tensor.Tensor, fi FaultInjector, dev *gpusim.Device, burnedSec float64) ([][]*tensor.Tensor, error) {
-	return e.execute(xs, execOpts{fi: fi, guard: e.budgetGuard(ctx, dev, burnedSec), to: -1})
+	return e.execute(xs, execOpts{fi: fi, guard: e.budgetGuard(ctx, dev, burnedSec)})
 }
 
 // budgetGuard builds the layer-boundary charging guard InferBatchCtx
-// and InferRangeCtx arm: nil (free) unless the context aborts and a
-// device prices the schedule.
+// arms: nil (free) unless the context aborts and a device prices the
+// schedule.
 func (e *Engine) budgetGuard(ctx *rtctx.Request, dev *gpusim.Device, burnedSec float64) layerGuard {
 	if !ctx.Aborts() || dev == nil {
 		return nil

@@ -94,18 +94,6 @@ func collectRanges(g *graph.Graph, images []*tensor.Tensor, reduce func([]float3
 	return out, nil
 }
 
-// fakeQuantActivation quantize-dequantizes an activation tensor with the
-// calibrated range — what INT8 inference does to every tensor flowing
-// between kernels.
-func fakeQuantActivation(t *tensor.Tensor, rangeMax float32) *tensor.Tensor {
-	if rangeMax <= 0 {
-		return t
-	}
-	out := new(tensor.Tensor)
-	fakeQuantInto(t, rangeMax/127, out)
-	return out
-}
-
 // fakeQuantInto writes t's INT8 round trip at scale into q (resized, every element overwritten).
 func fakeQuantInto(t *tensor.Tensor, scale float32, q *tensor.Tensor) {
 	q.Resize(t.N, t.C, t.H, t.W)

@@ -51,6 +51,13 @@ func TestOutputsAndInputsAreTheCallers(t *testing.T) {
 				t.Fatal(err)
 			}
 			idle := e.plan.checkout(len(e.plan.free))
+			for c := idle; c != nil; c = c.next {
+				for li, a := range c.acts {
+					if a != nil {
+						t.Fatalf("round %d: idle context still references layer %d's activation", round, li)
+					}
+				}
+			}
 			owned := func(o *tensor.Tensor) bool {
 				for c := idle; c != nil; c = c.next {
 					if c.owns(o) {
@@ -79,43 +86,6 @@ func TestOutputsAndInputsAreTheCallers(t *testing.T) {
 					if math.Float32bits(v) != math.Float32bits(snap[i][j]) {
 						t.Fatalf("round %d: the caller's input %d was written at %d", round, i, j)
 					}
-				}
-			}
-		}
-	}
-}
-
-// A stage that ends on a dropout returns its producer's activation, which
-// lives in a slot: it must leave as a copy, and an idle context must hold
-// no reference to anything the call was given or gave back.
-func TestStageBoundaryNeverReturnsASlot(t *testing.T) {
-	cfg := nxCfg(1)
-	cfg.DisablePasses = []string{PassDeadLayerRemoval}
-	e, err := Build(tinyNet(t), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	xs := batchInputs(t, "boundary-x", 2)
-	for to := 1; to <= len(e.Graph.Layers); to++ {
-		outs, err := e.InferRangeCtx(nil, xs, 0, to, nil, nil, 0)
-		if err != nil {
-			t.Fatalf("[0,%d): %v", to, err)
-		}
-		want, err := refRange(e, xs, nil, nil, 0, to)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameRun(t, fmt.Sprintf("[0,%d)", to), outs, want, nil, nil, nil, nil)
-		c := e.plan.checkout(2)
-		for ; c != nil; c = c.next {
-			for _, o := range outs {
-				if c.owns(o[0]) {
-					t.Fatalf("[0,%d) ending on %s returned a context slot", to, e.Graph.Layers[to-1].Name)
-				}
-			}
-			for li, a := range c.acts {
-				if a != nil {
-					t.Fatalf("idle context still references layer %d's activation", li)
 				}
 			}
 		}

@@ -16,8 +16,8 @@
 //
 // The runtime replays what the build resolved: a numeric engine is
 // compiled once, at the end of Build or Load, into a flat schedule with
-// planned activation memory (schedule.go), and Infer, InferBatchCtx and
-// InferRangeCtx execute it in per-image execution contexts.
+// planned activation memory (schedule.go), and Infer and InferBatchCtx
+// execute it in per-image execution contexts.
 package core
 
 import (

@@ -10,8 +10,8 @@ import (
 )
 
 // Fault-aware execution. RunFaulty (the timed pass; Run is RunFaulty
-// without an injector) and the compiled schedule behind
-// InferBatchCtx/InferRangeCtx consult a FaultInjector (implemented by
+// without an injector) and the compiled schedule behind InferBatchCtx
+// consult a FaultInjector (implemented by
 // internal/faults) at every point where a real deployment can go wrong —
 // the H2D weight copy, each kernel launch, and the numeric path's weights
 // and activations. A nil injector reproduces Run/Infer bit-for-bit: the

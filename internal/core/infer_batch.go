@@ -9,14 +9,14 @@ import (
 )
 
 // Numeric inference. execute is the one loop over the compiled schedule
-// (schedule.go); Infer (a batch of one on a pristine device),
-// InferBatchCtx (the serving path) and InferRangeCtx (a pipeline stage)
-// are adapters over it. Steps run in plan order and within a step every
-// image executes back to back — the software analogue of one batched
-// kernel launch: a layer's weights stay hot across the batch, and on the
-// fault path launch and weight-corruption verdicts are drawn once per
-// layer, the way one batched launch fails or corrupts, while activation
-// corruption draws per image. Each image runs in its own execution
+// (schedule.go); Infer (a batch of one on a pristine device) and
+// InferBatchCtx (the serving path) are adapters over it. Steps run in
+// plan order and within a step every image executes back to back — the
+// software analogue of one batched kernel launch: a layer's weights stay
+// hot across the batch, and on the fault path launch and
+// weight-corruption verdicts are drawn once per layer, the way one
+// batched launch fails or corrupts, while activation corruption draws
+// per image. Each image runs in its own execution
 // context, so N batches of one are bit-identical to one batch of N.
 
 // execOpts is what an entry point asks of execute beyond the inputs.
@@ -28,17 +28,11 @@ type execOpts struct {
 	// verdict; its error aborts the batch mid-graph without a draw for
 	// the aborted step. A nil guard is free.
 	guard layerGuard
-	// [from, to) is the layer range to run, to < 0 meaning the end of the
-	// graph, so a pipeline stage can run its slice on its own node
-	// (internal/cluster). For from > 0 each input is bound as layer
-	// from-1's activation; a range that stops short of the graph returns
-	// layer to-1's activation instead of the graph outputs.
-	from, to int
 }
 
 // execute runs the schedule over a batch. Everything it returns is the
-// caller's: graph outputs and a stage's boundary activation are written
-// to fresh tensors, never to a context slot.
+// caller's: graph outputs are written to fresh tensors, never to a
+// context slot.
 //
 //rt:hotpath
 func (e *Engine) execute(xs []*tensor.Tensor, o execOpts) ([][]*tensor.Tensor, error) {
@@ -49,39 +43,16 @@ func (e *Engine) execute(xs []*tensor.Tensor, o execOpts) ([][]*tensor.Tensor, e
 		return nil, nil
 	}
 	p := e.plan
-	from, to := o.from, o.to
-	if to < 0 {
-		to = len(p.steps)
-	}
-	if from < 0 || from > to || to > len(p.steps) {
-		return nil, fmt.Errorf("core: infer %s: bad layer range [%d,%d) of %d", e.Key(), from, to, len(p.steps))
-	}
-	last := -1 // the boundary layer a short range hands to the next stage
-	if to < len(p.steps) {
-		last = to - 1
-	}
 	head := p.checkout(len(xs))
 	defer p.checkin(head)
-	if from > 0 {
-		c := head
-		for _, x := range xs {
-			c.acts[from-1] = x
-			c = c.next
-		}
-	}
-	if err := e.runSteps(head, xs, from, to, last, o); err != nil {
+	if err := e.runSteps(head, xs, 0, len(p.steps), o); err != nil {
 		return nil, err
 	}
-	// The boundary activation or the graph outputs: run wrote both fresh.
-	one := [1]int{last}
-	ret := p.outs
-	if last >= 0 {
-		ret = one[:]
-	}
+	// The graph outputs: run wrote them fresh.
 	outs := make([][]*tensor.Tensor, len(xs))
 	c := head
 	for img := range outs {
-		outs[img] = c.results(ret)
+		outs[img] = c.results(p.outs)
 		c = c.next
 	}
 	return outs, nil
@@ -102,9 +73,8 @@ func (e *Engine) runnable(xs []*tensor.Tensor) error {
 }
 
 // runSteps runs steps [from,to) of the schedule over a batch whose
-// contexts are chained from head; last is the step whose activation a
-// short range hands on (-1: none), so it is written fresh.
-func (e *Engine) runSteps(head *execCtx, xs []*tensor.Tensor, from, to, last int, o execOpts) error {
+// contexts are chained from head.
+func (e *Engine) runSteps(head *execCtx, xs []*tensor.Tensor, from, to int, o execOpts) error {
 	p := e.plan
 	for li := from; li < to; li++ {
 		s := &p.steps[li]
@@ -130,7 +100,7 @@ func (e *Engine) runSteps(head *execCtx, xs []*tensor.Tensor, from, to, last int
 		}
 		c := head
 		for _, x := range xs {
-			y, err := s.run(c, x, w, s.escapes || li == last)
+			y, err := s.run(c, x, w, s.escapes)
 			if err != nil {
 				return fmt.Errorf("core: infer %s layer %s: %w", e.Key(), s.l.Name, err)
 			}

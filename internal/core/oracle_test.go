@@ -177,15 +177,6 @@ func refEpilogue(y *tensor.Tensor, f Fusion) *tensor.Tensor {
 	}
 }
 
-// refRange is InferRangeCtx's adapter over the reference.
-func refRange(e *Engine, xs []*tensor.Tensor, fi FaultInjector, guard layerGuard, from, to int) ([][]*tensor.Tensor, error) {
-	var outNames []string
-	if to < len(e.Graph.Layers) {
-		outNames = []string{e.Graph.Layers[to-1].Name}
-	}
-	return refInfer(e, xs, fi, guard, from, to, outNames)
-}
-
 // event is one injector consultation. Activations and weights carry a
 // digest of what the interpreter handed over, so the transcript compares
 // every intermediate tensor, not just the call order.
@@ -406,8 +397,8 @@ var oraclePrecisions = []oraclePrecision{
 }
 
 // TestScheduleMatchesFrozenInterpreter is ROADMAP 1(a)'s compiled leg:
-// model × precision × build id × workers × batch × stage chain ×
-// injector, execute against refInfer.
+// model × precision × build id × workers × batch × injector, execute
+// against refInfer.
 func TestScheduleMatchesFrozenInterpreter(t *testing.T) {
 	builds, batches := []int{1, 2, 3, 4}, []int{1, 2, 8, 9} // 9 > ctxCap
 	if testing.Short() || raceEnabled {
@@ -437,8 +428,6 @@ func TestScheduleMatchesFrozenInterpreter(t *testing.T) {
 
 func diffEngine(t *testing.T, label string, e *Engine, pool []*tensor.Tensor, batches []int) {
 	t.Helper()
-	n := len(e.Graph.Layers)
-	cuts := e.StageCuts()
 	for ii, mk := range injectors(label) {
 		// Whole graph, every batch size. The reference runs once; the
 		// schedule runs under one and two kernel workers.
@@ -451,32 +440,6 @@ func diffEngine(t *testing.T, label string, e *Engine, pool []*tensor.Tensor, ba
 				gr := mk()
 				got, gotErr := e.InferBatchCtx(nil, xs, asInjector(gr), nil, 0)
 				sameRun(t, fmt.Sprintf("%s inj%d batch%d workers%d", label, ii, bn, workers), got, want, gotErr, wantErr, gr, wr)
-			}
-		}
-		// Stage chains: every two-stage split, then the chain through
-		// every cut at once. One injector spans a chain, as one frame's
-		// fault stream spans the pipeline's hops.
-		chains := [][]int{}
-		for _, c := range cuts {
-			chains = append(chains, []int{0, c, n})
-		}
-		chains = append(chains, append(append([]int{0}, cuts...), n))
-		xs := batchOf(pool, 2)
-		for _, bounds := range chains {
-			wr, gr := mk(), mk()
-			wcur, gcur := xs, xs
-			for s := 0; s+1 < len(bounds); s++ {
-				from, to := bounds[s], bounds[s+1]
-				want, wantErr := refRange(e, wcur, asInjector(wr), nil, from, to)
-				got, gotErr := e.InferRangeCtx(nil, gcur, from, to, asInjector(gr), nil, 0)
-				sameRun(t, fmt.Sprintf("%s inj%d chain%v stage%d", label, ii, bounds, s), got, want, gotErr, wantErr, gr, wr)
-				if wantErr != nil || to == n {
-					break
-				}
-				wcur, gcur = make([]*tensor.Tensor, len(want)), make([]*tensor.Tensor, len(got))
-				for i := range want {
-					wcur[i], gcur[i] = want[i][0], got[i][0]
-				}
 			}
 		}
 	}
@@ -500,7 +463,7 @@ func TestScheduleGuardAbortParity(t *testing.T) {
 		}
 		wr, gr := newRecorder("guard"), newRecorder("guard")
 		want, wantErr := refInfer(e, xs, wr, guard, 0, -1, nil)
-		got, gotErr := e.execute(xs, execOpts{fi: gr, guard: guard, to: -1})
+		got, gotErr := e.execute(xs, execOpts{fi: gr, guard: guard})
 		sameRun(t, fmt.Sprintf("abort at %d", k), got, want, gotErr, wantErr, gr, wr)
 		if k > 0 && k < len(e.Graph.Layers) && !errors.Is(gotErr, ErrBudgetExhausted) {
 			t.Fatalf("abort at %d: err=%v, want ErrBudgetExhausted", k, gotErr)

@@ -153,7 +153,7 @@ func (e *Engine) StreamLoad(dev *gpusim.Device) gpusim.StreamLoad {
 // materialized weights) support this. It is a batch of one through
 // execute on a pristine device; the returned tensors are the caller's.
 func (e *Engine) Infer(x *tensor.Tensor) ([]*tensor.Tensor, error) {
-	outs, err := e.execute([]*tensor.Tensor{x}, execOpts{to: -1})
+	outs, err := e.execute([]*tensor.Tensor{x}, execOpts{})
 	if err != nil {
 		return nil, err
 	}

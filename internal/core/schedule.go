@@ -26,9 +26,8 @@ type step struct {
 	// owns no buffer (the input, dropout's alias, a graph output).
 	out int
 	// escapes marks a graph output: the caller keeps it after the call (a
-	// quorum replica still running after the vote, the netserve encoder,
-	// a downstream cluster stage), so it is written to a fresh tensor and
-	// never to a slot.
+	// quorum replica still running after the vote, the netserve encoder),
+	// so it is written to a fresh tensor and never to a slot.
 	escapes bool
 	// view marks a flatten whose producer's buffer dies with it: out is
 	// the producer's slot, reshaped in place.

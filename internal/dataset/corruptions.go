@@ -305,15 +305,3 @@ func Adversarial(cfg AdversarialConfig) []AdversarialSample {
 	})
 	return out
 }
-
-// DistortionEnergy measures the mean squared difference a corruption
-// introduces, used by property tests to verify severity monotonicity.
-func DistortionEnergy(img *tensor.Tensor, c Corruption, severity int, key string) float64 {
-	out := Corrupt(img, c, severity, key)
-	var sum float64
-	for i := range img.Data {
-		d := float64(out.Data[i] - img.Data[i])
-		sum += d * d
-	}
-	return sum / float64(img.Len())
-}

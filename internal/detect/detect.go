@@ -19,31 +19,6 @@ type Detection struct {
 	Confidence float64
 }
 
-// DecodeCoverage extracts candidate detections from a single-channel
-// coverage map: every cell above the threshold becomes a box of the
-// given size centered at the cell's receptive-field position.
-//
-// stride maps coverage cells back to image pixels; boxW/boxH are the
-// nominal object dimensions (DetectNet regresses these; the proxy uses
-// per-class nominal sizes after classification).
-func DecodeCoverage(cov *tensor.Tensor, stride, boxW, boxH int, threshold float64) []Detection {
-	var out []Detection
-	for y := 0; y < cov.H; y++ {
-		for x := 0; x < cov.W; x++ {
-			c := float64(cov.At(0, 0, y, x))
-			if c < threshold {
-				continue
-			}
-			cx, cy := x*stride, y*stride
-			out = append(out, Detection{
-				Rect:       metrics.Rect{X: cx - boxW/2, Y: cy - boxH/2, W: boxW, H: boxH},
-				Confidence: c,
-			})
-		}
-	}
-	return out
-}
-
 // NMS performs greedy non-maximum suppression: detections are ranked by
 // confidence (the sort stage of the engine plan) and any detection
 // overlapping a kept one above iouThresh is suppressed.

@@ -11,19 +11,6 @@ import (
 	"edgeinfer/internal/tensor"
 )
 
-func TestDecodeCoverageThreshold(t *testing.T) {
-	cov := tensor.New(1, 1, 4, 4)
-	cov.Set(0, 0, 1, 2, 0.9)
-	cov.Set(0, 0, 3, 3, 0.4)
-	dets := DecodeCoverage(cov, 8, 10, 10, 0.5)
-	if len(dets) != 1 {
-		t.Fatalf("%d detections, want 1", len(dets))
-	}
-	if dets[0].Rect.X != 2*8-5 || dets[0].Rect.Y != 1*8-5 {
-		t.Fatalf("box position %+v", dets[0].Rect)
-	}
-}
-
 func TestDecodeRegionsMergesComponents(t *testing.T) {
 	cov := tensor.New(1, 1, 8, 8)
 	// one 2x3 blob and one isolated cell

@@ -67,22 +67,6 @@ const (
 	// KindBurst is a network-layer fault: an open-loop arrival burst, a
 	// multiple of the nominal request rate landing in one tick.
 	KindBurst
-	// KindLinkDelay is a cluster-layer fault: a transfer across an
-	// inter-node link pays extra propagation delay.
-	KindLinkDelay
-	// KindLinkDrop is a cluster-layer fault: a transfer's payload is
-	// lost and must be resent.
-	KindLinkDrop
-	// KindLinkPartition is a cluster-layer fault: a link blackholes
-	// every transfer for a deterministic frame window.
-	KindLinkPartition
-	// KindNodeCrash is a cluster-layer fault: the node serving a
-	// pipeline stage dies mid-stream (optionally restarting later).
-	KindNodeCrash
-	// KindNodeHang is a cluster-layer fault: a node stalls each frame
-	// for a deterministic window without dying — the gray failure a
-	// heartbeat watchdog has to infer from latency.
-	KindNodeHang
 
 	nKinds
 )
@@ -92,7 +76,6 @@ var kindNames = [nKinds]string{
 	"memcpy-retry", "memcpy-fail", "alloc-fail", "bit-flip",
 	"latency-inflate", "stuck-kernel", "silent-corrupt",
 	"slow-client", "client-gone", "burst",
-	"link-delay", "link-drop", "link-partition", "node-crash", "node-hang",
 }
 
 // String implements fmt.Stringer.

@@ -1,7 +1,7 @@
 // Package framed is the one framing layer under every binary artefact
 // the tools write: engine plans (EDGERT01), timing caches (EDGETC01),
-// latency-predictor files (EDGELP01), rtexec's framework-model container
-// (EDGEMDL1) and the framework importers' weight payload. A format is a
+// rtexec's framework-model container (EDGEMDL1) and the framework
+// importers' weight payload. A format is a
 // magic tag followed by a straight-line list of the primitives here —
 // u8, little-endian u32, IEEE-754 float64 bits, u32-length-prefixed
 // bytes, raw little-endian float32 runs — so each codec states its

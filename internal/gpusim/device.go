@@ -149,27 +149,6 @@ func (d *Device) MemcpyH2DSec(bytes int64, chunks int) float64 {
 	return float64(chunks)*d.Spec.H2DSetupUS*1e-6 + float64(bytes)/(d.Spec.H2DBWGBs*1e9)
 }
 
-// Throttled returns a derived device whose GPU clock is scaled by the
-// given factor (clamped to (0, 1]); the DVFS governor stepping down under
-// a thermal or power event. Fault-injection and degradation paths use it
-// to price work on a throttled board without mutating the shared device.
-func (d *Device) Throttled(scale float64) *Device {
-	if scale <= 0 || scale > 1 {
-		scale = 1
-	}
-	return &Device{Spec: d.Spec, ClockMHz: d.ClockMHz * scale}
-}
-
-// ClockScale returns the ratio of this device's configured clock to a
-// reference clock in MHz — used to rescale timings between the latency
-// and concurrency experiment settings.
-func (d *Device) ClockScale(refMHz float64) float64 {
-	if refMHz <= 0 {
-		return 1
-	}
-	return d.ClockMHz / refMHz
-}
-
 // MaxConcurrentThreads bounds the number of concurrently sustainable
 // inference threads by DRAM bandwidth, following the paper's Eq. (1):
 // N = O(Fmem * Bwid / Bth) where Bth is the per-thread bandwidth demand

@@ -91,13 +91,6 @@ func (g *Graph) TotalFLOPs() int64 {
 	return total
 }
 
-// ActivationBytes returns the output activation size of layer l in bytes
-// at the given element width.
-func (l *Layer) ActivationBytes(elemBytes int) int64 {
-	s := l.OutShape
-	return int64(s[0]) * int64(s[1]) * int64(s[2]) * int64(s[3]) * int64(elemBytes)
-}
-
 // CountOps returns the number of layers of each op type, used to report
 // the "# Layers" column of Table II (e.g. "5 conv, 3 max pool").
 func (g *Graph) CountOps() map[OpType]int {

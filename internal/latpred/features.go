@@ -33,8 +33,7 @@ const (
 	featFusedAct           // epilogue-fused activation flag
 	featInt8               // IMMA-rate flag (INT8 on tensor cores)
 
-	// NumFeatures is the feature-vector width; serialized models record
-	// it and refuse to load under a different layout.
+	// NumFeatures is the feature-vector width.
 	NumFeatures
 )
 

@@ -13,10 +13,6 @@
 //   - the §VI-B extension study predicts engines on *unseen* device
 //     profiles (train on NX, predict AGX; train at one clock, predict
 //     another) as a learned rival to the paper's analytic BSP model.
-//
-// Models serialize with the same hardened magic-header discipline as
-// timing caches: files are untrusted input, and malformed bytes load as
-// errors, never panics or unbounded allocations.
 package latpred
 
 import (
@@ -54,7 +50,7 @@ type Model struct {
 }
 
 // NewModel assembles a model from per-family fits (primarily for tests;
-// Train and Load are the production constructors).
+// Train is the production constructor).
 func NewModel(maxResidualLog float64, families map[kernels.Family]*FamilyModel) *Model {
 	m := &Model{MaxResidualLog: maxResidualLog, families: map[kernels.Family]*FamilyModel{}}
 	for f, fm := range families {

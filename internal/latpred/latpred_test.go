@@ -1,8 +1,6 @@
 package latpred
 
 import (
-	"bytes"
-	"encoding/binary"
 	"fmt"
 	"math"
 	"reflect"
@@ -255,170 +253,6 @@ func TestDeviceKeyRoundTrip(t *testing.T) {
 			t.Errorf("malformed device key accepted: %q", bad)
 		}
 	}
-}
-
-func TestModelSerializationRoundTrip(t *testing.T) {
-	m := trainNX(t)
-	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Load(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.MaxResidualLog != m.MaxResidualLog || !reflect.DeepEqual(got.Families(), m.Families()) {
-		t.Fatal("round trip changed model shape")
-	}
-	for _, f := range m.Families() {
-		if !reflect.DeepEqual(mustFamily(t, got, f), mustFamily(t, m, f)) {
-			t.Fatalf("family %s coefficients changed", f)
-		}
-	}
-	// Canonical bytes, and predictions survive the trip bit-exactly.
-	var buf2 bytes.Buffer
-	if err := got.Save(&buf2); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
-		t.Fatal("model serialization is not canonical")
-	}
-	dev := gpusim.NewDevice(gpusim.XavierNX(), 0)
-	d := testDims()[0]
-	for _, v := range kernels.ConvCandidates(d, tensor.FP16) {
-		ls := kernels.PlanConv(v, d)
-		a, aok := m.PredictSec(dev, ls)
-		b, bok := got.PredictSec(dev, ls)
-		if a != b || aok != bok {
-			t.Fatalf("prediction changed across serialization: %v,%v vs %v,%v", a, aok, b, bok)
-		}
-	}
-}
-
-// hostileStream is one malformed predictor file.
-type hostileStream struct {
-	name string
-	data []byte
-}
-
-// hostileModelStreams returns a valid single-family predictor file and
-// the malformed variants of it that Load must reject — the shared corpus
-// of TestLoadHostileInput and FuzzLoadModel's seeds.
-func hostileModelStreams(t testing.TB) (valid []byte, cases []hostileStream) {
-	t.Helper()
-	fams := map[kernels.Family]*FamilyModel{}
-	fm := &FamilyModel{ResidualLog: 0.1, Rows: 50}
-	for i := range fm.Std {
-		fm.Std[i] = 1
-	}
-	fams[kernels.FamGEMM] = fm
-	var buf bytes.Buffer
-	if err := NewModel(0.25, fams).Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	valid = buf.Bytes()
-
-	u32 := func(v uint32) []byte {
-		b := make([]byte, 4)
-		binary.LittleEndian.PutUint32(b, v)
-		return b
-	}
-	f64 := func(v float64) []byte {
-		b := make([]byte, 8)
-		binary.LittleEndian.PutUint64(b, math.Float64bits(v))
-		return b
-	}
-	mutate := func(off int, repl []byte) []byte {
-		b := append([]byte(nil), valid...)
-		copy(b[off:], repl)
-		return b
-	}
-	const (
-		offGate  = 8           // after magic
-		offCount = offGate + 8 // family count
-		offFam   = offCount + 4
-		offRows  = offFam + 1
-		offRes   = offRows + 4
-		offWidth = offRes + 8
-		offVecs  = offWidth + 4
-	)
-	// A duplicated family entry must be rejected too.
-	dup := append([]byte(nil), valid...)
-	dup = append(dup, valid[offFam:]...)
-	copy(dup[offCount:], u32(2))
-	return valid, []hostileStream{
-		{"empty", nil},
-		{"bad magic", mutate(0, []byte("EDGETC01"))},
-		{"nan gate", mutate(offGate, f64(math.NaN()))},
-		{"negative gate", mutate(offGate, f64(-1))},
-		{"huge family count", mutate(offCount, u32(1<<30))},
-		{"count without families", mutate(offCount, u32(7))},
-		{"unknown family id", mutate(offFam, []byte{0xEE})},
-		{"nan residual", mutate(offRes, f64(math.NaN()))},
-		{"negative residual", mutate(offRes, f64(-0.5))},
-		{"foreign feature width", mutate(offWidth, u32(NumFeatures+3))},
-		{"nan weight", mutate(offVecs, f64(math.NaN()))},
-		{"inf mean", mutate(offVecs+8*NumFeatures, f64(math.Inf(1)))},
-		{"zero std", mutate(offVecs+16*NumFeatures, f64(0))},
-		{"duplicate family", dup},
-	}
-}
-
-// TestLoadHostileInput: model files are untrusted; malformed bytes must
-// error without panics or length-driven allocations.
-func TestLoadHostileInput(t *testing.T) {
-	valid, cases := hostileModelStreams(t)
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			if _, err := Load(bytes.NewReader(tc.data)); err == nil {
-				t.Fatalf("hostile input %q accepted", tc.name)
-			}
-		})
-	}
-	for n := 0; n < len(valid); n++ {
-		if _, err := Load(bytes.NewReader(valid[:n])); err == nil {
-			t.Fatalf("truncation to %d/%d bytes accepted", n, len(valid))
-		}
-	}
-	if _, err := Load(bytes.NewReader(valid)); err != nil {
-		t.Fatalf("valid stream rejected: %v", err)
-	}
-}
-
-// FuzzLoadModel throws arbitrary bytes (seeded with a trained model, its
-// prefixes and the hostile corpus) at the predictor loader: it must
-// return an error or a model that predicts without panicking, and a
-// model it accepts must re-serialize to a stream it accepts again.
-func FuzzLoadModel(f *testing.F) {
-	var trained bytes.Buffer
-	if err := trainNX(f).Save(&trained); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(trained.Bytes())
-	f.Add(trained.Bytes()[:trained.Len()/2])
-	valid, cases := hostileModelStreams(f)
-	f.Add(valid)
-	for _, tc := range cases {
-		f.Add(tc.data)
-	}
-	dev := gpusim.NewDevice(gpusim.XavierNX(), 0)
-	d := testDims()[0]
-	ls := kernels.PlanConv(kernels.ConvCandidates(d, tensor.FP16)[0], d)
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := Load(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		m.PredictSec(dev, ls)
-		var again bytes.Buffer
-		if err := m.Save(&again); err != nil {
-			t.Fatalf("accepted model does not re-serialize: %v", err)
-		}
-		if _, err := Load(bytes.NewReader(again.Bytes())); err != nil {
-			t.Fatalf("re-serialized model rejected: %v", err)
-		}
-	})
 }
 
 // TestTransferToUnseenDevice: a model trained purely on NX entries must

@@ -1,5 +1,5 @@
 // Package metrics implements the paper's evaluation metrics: top-1
-// classification error, IoU-based detection precision/recall, throughput
+// classification error, IoU overlap of detection boxes, throughput
 // (FPS), latency statistics over repeated runs, prediction-mismatch
 // counting between engines, and the three-case latency-anomaly
 // classification of Table VIII.
@@ -8,7 +8,6 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Top1Error returns the percentage of predictions that differ from the
@@ -64,40 +63,6 @@ func IoU(a, b Rect) float64 {
 	return inter / union
 }
 
-// PrecisionRecall matches predictions to ground truth greedily at the
-// given IoU threshold (the paper reports precision/recall at IoU 0.75)
-// and returns (precision, recall) percentages.
-func PrecisionRecall(pred, truth []Rect, iouThresh float64) (float64, float64) {
-	if len(pred) == 0 && len(truth) == 0 {
-		return 100, 100
-	}
-	matched := make([]bool, len(truth))
-	tp := 0
-	for _, p := range pred {
-		best, bi := 0.0, -1
-		for i, t := range truth {
-			if matched[i] {
-				continue
-			}
-			if iou := IoU(p, t); iou > best {
-				best, bi = iou, i
-			}
-		}
-		if bi >= 0 && best >= iouThresh {
-			matched[bi] = true
-			tp++
-		}
-	}
-	prec, rec := 100.0, 100.0
-	if len(pred) > 0 {
-		prec = 100 * float64(tp) / float64(len(pred))
-	}
-	if len(truth) > 0 {
-		rec = 100 * float64(tp) / float64(len(truth))
-	}
-	return prec, rec
-}
-
 // LatencyStats summarizes repeated latency measurements.
 type LatencyStats struct {
 	MeanMS, StdMS, MinMS, MaxMS float64
@@ -132,42 +97,6 @@ func Latencies(secs []float64) LatencyStats {
 // String renders "mean (std)" in the paper's table style.
 func (l LatencyStats) String() string {
 	return fmt.Sprintf("%.2f (%.2f)", l.MeanMS, l.StdMS)
-}
-
-// Percentile returns the p-th percentile (0 < p <= 100) of the samples
-// by the nearest-rank method: the smallest sample at or above rank
-// ceil(p/100 * n). Fleet-level serving reports tails this way — p999 of
-// an open-loop run is an actual observed latency, never an interpolated
-// value between two. Returns 0 for an empty set; p outside (0, 100]
-// clamps to the nearest bound. The input is not modified.
-func Percentile(samples []float64, p float64) float64 {
-	return Percentiles(samples, p)[0]
-}
-
-// Percentiles is Percentile over several ranks with one sort: the
-// p50/p99/p999 triple of a load run costs one O(n log n) pass.
-func Percentiles(samples []float64, ps ...float64) []float64 {
-	out := make([]float64, len(ps))
-	if len(samples) == 0 {
-		return out
-	}
-	sorted := append([]float64(nil), samples...)
-	sort.Float64s(sorted)
-	for i, p := range ps {
-		if p <= 0 {
-			out[i] = sorted[0]
-			continue
-		}
-		if p > 100 {
-			p = 100
-		}
-		rank := int(math.Ceil(p / 100 * float64(len(sorted))))
-		if rank < 1 {
-			rank = 1
-		}
-		out[i] = sorted[rank-1]
-	}
-	return out
 }
 
 // FPS converts a per-frame latency in seconds to frames per second.

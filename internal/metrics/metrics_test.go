@@ -66,28 +66,6 @@ func TestIoUProperties(t *testing.T) {
 	}
 }
 
-func TestPrecisionRecall(t *testing.T) {
-	truth := []Rect{{0, 0, 10, 10}, {50, 50, 10, 10}}
-	pred := []Rect{{0, 0, 10, 10}, {100, 100, 10, 10}}
-	p, r := PrecisionRecall(pred, truth, 0.75)
-	if p != 50 || r != 50 {
-		t.Fatalf("p=%v r=%v want 50/50", p, r)
-	}
-	p, r = PrecisionRecall(nil, nil, 0.75)
-	if p != 100 || r != 100 {
-		t.Fatal("empty case should be perfect")
-	}
-}
-
-func TestPrecisionRecallNoDoubleMatch(t *testing.T) {
-	truth := []Rect{{0, 0, 10, 10}}
-	pred := []Rect{{0, 0, 10, 10}, {0, 0, 10, 10}}
-	p, r := PrecisionRecall(pred, truth, 0.75)
-	if p != 50 || r != 100 {
-		t.Fatalf("p=%v r=%v; a truth box must match at most one prediction", p, r)
-	}
-}
-
 func TestLatencies(t *testing.T) {
 	s := Latencies([]float64{0.010, 0.012, 0.011})
 	if math.Abs(s.MeanMS-11) > 1e-9 {
@@ -143,62 +121,5 @@ func TestAnomalyCases(t *testing.T) {
 	m = mk(10, 11, 12, 11)
 	if got := m.AnomalyString(); got != "case 1, case 2, case 3" {
 		t.Fatalf("got %q", got)
-	}
-}
-
-func TestPercentileNearestRank(t *testing.T) {
-	samples := []float64{5, 1, 4, 2, 3} // sorted: 1 2 3 4 5
-	cases := []struct {
-		p    float64
-		want float64
-	}{
-		{50, 3}, {20, 1}, {21, 2}, {99, 5}, {100, 5}, {1, 1}, {0, 1}, {150, 5},
-	}
-	for _, c := range cases {
-		if got := Percentile(samples, c.p); got != c.want {
-			t.Fatalf("p%.0f = %v, want %v", c.p, got, c.want)
-		}
-	}
-	// Input untouched.
-	if samples[0] != 5 {
-		t.Fatal("Percentile sorted the caller's slice")
-	}
-}
-
-func TestPercentilesEmptyAndSingle(t *testing.T) {
-	for _, got := range Percentiles(nil, 50, 99, 99.9) {
-		t.Helper()
-		if got != 0 {
-			t.Fatalf("empty percentile %v, want 0", got)
-		}
-	}
-	for _, got := range Percentiles([]float64{7}, 50, 99, 99.9) {
-		if got != 7 {
-			t.Fatalf("singleton percentile %v, want 7", got)
-		}
-	}
-}
-
-// Every percentile of a set is a member of the set, and percentiles are
-// monotone in p.
-func TestPercentilesPropertyMembershipMonotone(t *testing.T) {
-	src := fixrand.NewKeyed("metrics/percentile")
-	samples := make([]float64, 200)
-	member := map[float64]bool{}
-	for i := range samples {
-		samples[i] = src.Float64() * 1e3
-		member[samples[i]] = true
-	}
-	ps := []float64{1, 10, 25, 50, 75, 90, 99, 99.9, 100}
-	got := Percentiles(samples, ps...)
-	prev := math.Inf(-1)
-	for i, v := range got {
-		if !member[v] {
-			t.Fatalf("p%v = %v is not an observed sample", ps[i], v)
-		}
-		if v < prev {
-			t.Fatalf("percentiles not monotone: p%v = %v < %v", ps[i], v, prev)
-		}
-		prev = v
 	}
 }

@@ -16,33 +16,12 @@ type Transitions struct {
 	counts map[string]uint64
 }
 
-// NewTransitions returns an empty transition counter.
-func NewTransitions() *Transitions {
-	return &Transitions{counts: map[string]uint64{}}
-}
-
-func transitionKey(from, to string) string { return from + "->" + to }
-
 // Add records one from→to transition.
 func (t *Transitions) Add(from, to string) {
 	if t.counts == nil {
 		t.counts = map[string]uint64{}
 	}
-	t.counts[transitionKey(from, to)]++
-}
-
-// Get returns the count of one from→to transition.
-func (t *Transitions) Get(from, to string) uint64 {
-	return t.counts[transitionKey(from, to)]
-}
-
-// Total returns the number of transitions recorded across all edges.
-func (t *Transitions) Total() uint64 {
-	var n uint64
-	for _, c := range t.counts {
-		n += c
-	}
-	return n
+	t.counts[from+"->"+to]++
 }
 
 // Snapshot returns a copy of the edge counts, keyed "from->to".

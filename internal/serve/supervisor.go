@@ -6,17 +6,15 @@ import (
 	"edgeinfer/internal/metrics"
 )
 
-// The health lattice shared by the replica Pool and the cluster
-// pipeline (internal/cluster): each member walks
+// The replica Pool's health lattice: each member walks
 //
 //	healthy → suspect → quarantined → rebuilding → readmitted → healthy
 //
 // Observe takes the traffic-driven edges from the owner's anomaly
-// verdicts; recovery (rebuild, readmission, failover) is the owner's
-// repair machinery and takes its edges through Move. Both owners judge
-// latency by one rule: a member is anomalous once its observed service
-// time runs LatencyThreshold times its expectation — the Pool on an
-// EWMA of the ratio, the pipeline on each stage's service time.
+// verdicts; recovery (rebuild, readmission) is the owner's repair
+// machinery and takes its edges through Move. A member is anomalous
+// once an EWMA of its observed over expected service time exceeds
+// LatencyThreshold.
 
 // LatencyThreshold is the latency watchdog's trip point: observed over
 // expected service time. Run jitter is about 2%, so nothing natural gets
@@ -78,7 +76,7 @@ type Supervisor struct {
 }
 
 // NewSupervisor supervises n members, all healthy. unit names the clock
-// of the transcript ("req", "frame"); label renders member m at
+// of the transcript ("req"); label renders member m at
 // transition time.
 func NewSupervisor(unit string, n int, label func(m int) string) *Supervisor {
 	return &Supervisor{

@@ -9,10 +9,10 @@ import (
 )
 
 // lattice lists every edge a member may take: Observe's traffic-driven
-// edges, then the repair edges the owners take through Move — the
-// Pool's rebuild, failed canary and readmission, and the cluster
-// pipeline's restart, takeover (an available node moved to healthy)
-// and merge (an available node moved to its own state).
+// edges, then the repair edges an owner may take through Move — the
+// Pool's rebuild, failed canary and readmission, plus a restart (a
+// readmitted member moved to healthy) and a move onto a member's own
+// state.
 var lattice = map[[2]ReplicaState]bool{
 	{StateHealthy, StateSuspect}:        true,
 	{StateReadmitted, StateSuspect}:     true,
