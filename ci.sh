@@ -6,7 +6,9 @@
 # benchmark module's own vet and tests (bench/), short fuzz
 # smokes over all eight untrusted decoders (engine plans, timing caches
 # and their keys, framework arch text and weight payloads, and the
-# serving front door's request body and headers) plus two over
+# serving front door's request body and headers), one holding the
+# request body's one-pass float conversion to strconv (FuzzScanFloat),
+# plus two over
 # the FP32 reference convolution and average pool against their frozen
 # per-element loops and one over the engine conv and fc kernels against
 # theirs,
@@ -52,15 +54,16 @@ go test -shuffle=on -count=1 ./internal/serve ./internal/netserve
 # it compiles against core and serve entry points: vet and test it here
 # so a deletion that breaks the benchmark fails this gate first.
 (cd bench && go vet ./... && go test ./...)
-# One fuzz smoke per untrusted decoder, the reference conv and average
-# pool against their frozen loops, and the engine conv and fc kernels
+# One fuzz smoke per untrusted decoder, the request body's float
+# conversion against strconv, the reference conv and average pool
+# against their frozen loops, and the engine conv and fc kernels
 # against theirs: package:fuzzer:seconds.
 # Minimizing a new input is skipped: by default it can spend a smoke's
 # whole budget on one input.
 for f in core:FuzzLoad:10 core:FuzzLoadTimingCache:5 core:FuzzParseTimingKey:5 \
   frameworks:FuzzImportWeights:5 \
   frameworks:FuzzImportCaffe:5 frameworks:FuzzImportDarknet:5 \
-  netserve:FuzzDecodeRequest:5 netserve:FuzzHandleInfer:5 \
+  netserve:FuzzDecodeRequest:5 netserve:FuzzHandleInfer:5 netserve:FuzzScanFloat:5 \
   tensor:FuzzConv2DReference:5 tensor:FuzzAvgPool2DReference:5 \
   kernels:FuzzKernelsMatchFrozenLoops:5; do
   pkg=${f%%:*} rest=${f#*:}

@@ -70,7 +70,7 @@ type ChaosRow struct {
 	// strict majority, or an empty dispatch set).
 	QuorumPct, FP32Pct float64
 
-	// Supervisor ledger.
+	// supervisor ledger.
 	Detections, Quarantines, Rebuilds, Readmissions, CanaryFailures uint64
 
 	// Escapes counts wrong answers that reached a caller: a served

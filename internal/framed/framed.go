@@ -3,7 +3,7 @@
 // rtexec's framework-model container (EDGEMDL1) and the framework
 // importers' weight payload. A format is a
 // magic tag followed by a straight-line list of the primitives here —
-// u8, little-endian u32, IEEE-754 float64 bits, u32-length-prefixed
+// little-endian u32, IEEE-754 float64 bits, u32-length-prefixed
 // bytes, raw little-endian float32 runs — so each codec states its
 // fields, its limits and its semantic checks, and nothing else.
 //
@@ -63,12 +63,6 @@ func (w *Writer) writeString(s string) {
 
 // Magic writes a format tag verbatim (no length prefix).
 func (w *Writer) Magic(tag string) { w.writeString(tag) }
-
-// U8 writes one byte.
-func (w *Writer) U8(v uint8) {
-	w.scratch[0] = v
-	w.write(w.scratch[:1])
-}
 
 // U32 writes a little-endian uint32.
 func (w *Writer) U32(v uint32) {
@@ -151,14 +145,6 @@ func (r *Reader) Magic(tag string) {
 	if r.full(got) && string(got) != tag {
 		r.err = fmt.Errorf("bad magic %q, want %q", got, tag)
 	}
-}
-
-// U8 reads one byte.
-func (r *Reader) U8() uint8 {
-	if !r.full(r.scratch[:1]) {
-		return 0
-	}
-	return r.scratch[0]
 }
 
 // U32 reads a little-endian uint32. A value that sizes an allocation

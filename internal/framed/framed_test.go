@@ -28,7 +28,6 @@ func sample(t *testing.T) (stream []byte, blob []byte, floats []float32) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
 	w.Magic("TESTMG01")
-	w.U8(0xab)
 	w.U32(0xdeadbeef)
 	w.F64(-1.5e-300)
 	w.String("key")
@@ -41,9 +40,9 @@ func sample(t *testing.T) (stream []byte, blob []byte, floats []float32) {
 	return buf.Bytes(), blob, floats
 }
 
-func readSample(r *Reader, nfloats int64) (u8 uint8, u32 uint32, f64 float64, key, empty, blob []byte, floats []float32) {
+func readSample(r *Reader, nfloats int64) (u32 uint32, f64 float64, key, empty, blob []byte, floats []float32) {
 	r.Magic("TESTMG01")
-	u8, u32, f64 = r.U8(), r.U32(), r.F64()
+	u32, f64 = r.U32(), r.F64()
 	key = r.Bytes("key", 16)
 	empty = r.Bytes("empty", 16)
 	blob = r.Bytes("blob", 4*chunk)
@@ -54,12 +53,12 @@ func readSample(r *Reader, nfloats int64) (u8 uint8, u32 uint32, f64 float64, ke
 func TestRoundTrip(t *testing.T) {
 	stream, blob, floats := sample(t)
 	r := NewReader(bytes.NewReader(stream))
-	u8, u32, f64, key, empty, gotBlob, gotFloats := readSample(r, int64(len(floats)))
+	u32, f64, key, empty, gotBlob, gotFloats := readSample(r, int64(len(floats)))
 	if err := r.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if u8 != 0xab || u32 != 0xdeadbeef || f64 != -1.5e-300 || string(key) != "key" || len(empty) != 0 {
-		t.Fatalf("scalars: %x %x %v %q %v", u8, u32, f64, key, empty)
+	if u32 != 0xdeadbeef || f64 != -1.5e-300 || string(key) != "key" || len(empty) != 0 {
+		t.Fatalf("scalars: %x %v %q %v", u32, f64, key, empty)
 	}
 	if !bytes.Equal(gotBlob, blob) {
 		t.Fatal("multi-chunk bytes differ")
@@ -73,11 +72,11 @@ func TestRoundTrip(t *testing.T) {
 		}
 	}
 	// Layout is little-endian with u32 length prefixes.
-	want := []byte("TESTMG01\xab\xef\xbe\xad\xde")
+	want := []byte("TESTMG01\xef\xbe\xad\xde")
 	if !bytes.HasPrefix(stream, want) {
 		t.Fatalf("stream starts % x", stream[:len(want)])
 	}
-	if got := stream[8+1+4+8:][:7]; !bytes.Equal(got, []byte("\x03\x00\x00\x00key")) {
+	if got := stream[8+4+8:][:7]; !bytes.Equal(got, []byte("\x03\x00\x00\x00key")) {
 		t.Fatalf("string framing % x", got)
 	}
 }
@@ -86,7 +85,7 @@ func TestRoundTrip(t *testing.T) {
 // later reads return zero values and the first error is kept.
 func TestTruncationIsSticky(t *testing.T) {
 	stream, _, floats := sample(t)
-	cuts := []int{0, 3, 8, 9, 12, 13, 20, 21, 25, 28, 32, 36, 36 + chunk, len(stream) - 4*len(floats) + 2, len(stream) - 1}
+	cuts := []int{0, 3, 8, 11, 12, 19, 20, 24, 27, 31, 35, 35 + chunk, len(stream) - 4*len(floats) + 2, len(stream) - 1}
 	for _, cut := range cuts {
 		r := NewReader(bytes.NewReader(stream[:cut]))
 		readSample(r, int64(len(floats)))

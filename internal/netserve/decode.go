@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"sync"
@@ -78,8 +79,11 @@ func readBody(r io.Reader, buf []byte, sizeHint int64) ([]byte, error) {
 // FuzzDecodeRequest): when scanRequest accepts, its inferRequest equals
 // encoding/json's on the same bytes, Float32bits for Float32bits, and it
 // never accepts what encoding/json rejects. Numbers are checked against
-// the JSON grammar here and converted by the strconv calls encoding/json
-// makes; like the stream decoder, nothing after the closing brace counts.
+// the JSON grammar here. Integers are converted by the strconv call
+// encoding/json makes; a data number is checked and converted in one
+// pass by float, exactly on its fast path and by that same strconv call
+// otherwise (TestScanFloatMatchesStrconv, FuzzScanFloat). Like the stream
+// decoder, nothing after the closing brace counts.
 func scanRequest(b []byte, want int) (inferRequest, bool) {
 	var req inferRequest
 	s := bodyScanner{b: b}
@@ -162,6 +166,7 @@ func (s *bodyScanner) digits() int {
 // and reports whether it stopped after the integer part; a nil token is
 // a decline. Tokens stop at 32 bytes (a float32 round-trips in 16) so
 // string(tok) stays in the runtime's stack buffer for the conversion.
+// float takes the same grammar and cap in its own pass.
 func (s *bodyScanner) number() (tok []byte, integer bool) {
 	neg := s.eat('-')
 	start := s.i
@@ -226,17 +231,120 @@ func (s *bodyScanner) floats(want int) ([]float32, bool) {
 		return data, true
 	}
 	for {
-		tok, _ := s.number()
-		if tok == nil || len(data) == want {
+		f, ok := s.float()
+		if !ok || len(data) == want {
 			return nil, false
 		}
-		f, err := strconv.ParseFloat(string(tok), 32)
-		if err != nil {
-			return nil, false
-		}
-		data = append(data, float32(f))
+		data = append(data, f)
 		if !s.eat(',') {
 			return data, s.eat(']')
 		}
 	}
+}
+
+// pow10 holds the powers of ten a float64 represents exactly.
+var pow10 = [...]float64{
+	1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11,
+	1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
+}
+
+// float consumes one token of number's grammar, under number's 32-byte
+// cap, and returns what strconv.ParseFloat(tok, 32) returns for it; a
+// token strconv rejects (one beyond float32's range) is a decline. The
+// grammar check and the conversion are one pass: each digit is read
+// once, into the significand m, with e the decimal exponent of m's last
+// digit.
+//
+// The exact path takes a nonzero token whose m has at most 15
+// significant digits (so m < 2^53) and whose e lies in [-22, 22]: m and
+// 10^|e| are then exact float64s, and f = m·10^e costs one correctly
+// rounded float64 operation. Narrowing f is the correctly rounded
+// float32 unless f sits exactly on a float32 halfway point (its low 29
+// significand bits are 1<<28): a halfway point is itself a float64 and
+// rounding is monotone, so f cannot lie across one from the token's
+// value. Such an f, and every token outside the window, goes to strconv
+// on the same bytes. The window keeps f within [1e-22, 1e37), inside
+// float32's normal range, so narrowing never underflows or overflows.
+// Every token whose digits are all zero is ±0 exactly. The sign comes
+// last, so -0 stays -0.
+func (s *bodyScanner) float() (float32, bool) {
+	neg := s.eat('-')
+	b, i := s.b, s.i
+	start := i
+	if neg {
+		start--
+	}
+	var m uint64  // wraps past 19 digits, and is used only up to 15
+	nd, e := 0, 0 // significant digits in m; decimal exponent of its last
+	j := i
+	for ; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
+		m = m*10 + uint64(b[i]-'0')
+	}
+	switch {
+	case i == j || b[j] == '0' && i > j+1:
+		return 0, false
+	case b[j] != '0':
+		nd = i - j
+	}
+	if i < len(b) && b[i] == '.' {
+		i++
+		j = i
+		if nd == 0 { // zeros ahead of the first nonzero digit do not count
+			for i < len(b) && b[i] == '0' {
+				i++
+			}
+		}
+		k := i
+		for ; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
+			m = m*10 + uint64(b[i]-'0')
+		}
+		if i == j {
+			return 0, false
+		}
+		nd += i - k
+		e = j - i
+	}
+	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
+		i++
+		eneg := i < len(b) && b[i] == '-'
+		if i < len(b) && (b[i] == '+' || b[i] == '-') {
+			i++
+		}
+		j = i
+		x := 0
+		for ; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
+			if x < 1e5 { // saturate: strconv gets anything this large
+				x = x*10 + int(b[i]-'0')
+			}
+		}
+		if i == j {
+			return 0, false
+		}
+		if eneg {
+			x = -x
+		}
+		e += x
+	}
+	s.i = i
+	if i-start > 32 {
+		return 0, false
+	}
+	var f float64 // stays 0 when every digit is 0
+	exact := nd == 0
+	if nd > 0 && nd <= 15 && -22 <= e && e <= 22 {
+		if f = float64(int64(m)); e < 0 {
+			f /= pow10[-e]
+		} else {
+			f *= pow10[e]
+		}
+		exact = math.Float64bits(f)&(1<<29-1) != 1<<28
+	}
+	if !exact {
+		f, err := strconv.ParseFloat(string(b[start:i]), 32)
+		return float32(f), err == nil
+	}
+	if neg {
+		f = -f
+	}
+	return float32(f), true
 }

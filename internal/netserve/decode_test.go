@@ -253,6 +253,175 @@ func FuzzDecodeRequest(f *testing.F) {
 	})
 }
 
+// --- the float converter against strconv ---
+
+// floatMismatch holds float to strconv on one input: it accepts exactly
+// when number's grammar takes a token that strconv.ParseFloat(tok, 32)
+// accepts, then with equal Float32bits and stopping where number stops.
+// It returns nil when they agree.
+func floatMismatch(b []byte) error {
+	s, g := bodyScanner{b: b}, bodyScanner{b: b}
+	got, ok := s.float()
+	tok, _ := g.number()
+	if tok == nil {
+		if ok {
+			return fmt.Errorf("%q: float accepted %v, the grammar rejects it", b, got)
+		}
+		return nil
+	}
+	want, err := strconv.ParseFloat(string(tok), 32)
+	switch {
+	case ok != (err == nil):
+		return fmt.Errorf("%q: float accepted=%v, strconv error %v", b, ok, err)
+	case ok && math.Float32bits(got) != math.Float32bits(float32(want)):
+		return fmt.Errorf("%q: float %v (%#08x), strconv %v (%#08x)", b, got, math.Float32bits(got), float32(want), math.Float32bits(float32(want)))
+	case ok && s.i != g.i:
+		return fmt.Errorf("%q: float stopped at %d, number at %d", b, s.i, g.i)
+	}
+	return nil
+}
+
+// bumpLast adds delta (±1) to the last significand digit of a positive
+// decimal token, carrying or borrowing through the digits: the
+// neighbour one unit in the last place away, with as many digits.
+func bumpLast(tok string, delta int) string {
+	b := []byte(tok)
+	end := bytes.IndexAny(b, "eE")
+	if end < 0 {
+		end = len(b)
+	}
+	for i := end - 1; i >= 0; i-- {
+		if b[i] == '.' {
+			continue
+		}
+		d := int(b[i]-'0') + delta
+		if 0 <= d && d <= 9 {
+			b[i] = byte('0' + d)
+			return string(b)
+		}
+		b[i] = byte('0' + (d+10)%10) // carry or borrow on
+	}
+	return "1" + string(b) // 9…9 + 1; a borrow past the first digit is never asked for
+}
+
+// halfwayTokens renders the float32 halfway point above a — exact in a
+// float64 — at each of the given significant-digit counts, with its two
+// neighbours one unit in the last place away, and once in float64's
+// shortest form, which reads back exactly onto the halfway point.
+func halfwayTokens(a float32, digits []int) []string {
+	up := math.Nextafter32(a, float32(math.Inf(1)))
+	h := (float64(a) + float64(up)) / 2
+	toks := []string{strconv.FormatFloat(h, 'g', -1, 64)}
+	for _, n := range digits {
+		at := strconv.FormatFloat(h, 'e', n-1, 64)
+		toks = append(toks, at, bumpLast(at, 1))
+		if strings.Trim(at[:strings.IndexByte(at, 'e')], "0.") != "1" {
+			toks = append(toks, bumpLast(at, -1))
+		}
+	}
+	return toks
+}
+
+var halfwayDigits = []int{9, 12, 15, 16, 17, 20, 25}
+
+// TestScanFloatMatchesStrconv holds the one-pass converter to strconv on
+// every kind of token its exact path could get wrong: float32 values in
+// their shortest and 9-digit renderings, tokens at and beside float32
+// halfway points (where a double rounding shows), significands just
+// under and over the exact path's 15 digits and exponents at its ±22
+// edges, zeros, subnormals and overflow.
+func TestScanFloatMatchesStrconv(t *testing.T) {
+	patterns, halfways := 1<<20, 1<<13
+	if raceEnabled { // one goroutine: nothing for the detector to see
+		patterns, halfways = 1<<16, 1<<9
+	}
+	var toks []string
+	src := fixrand.NewKeyed("netserve/scanfloat")
+	// A float32 of every magnitude, and one whose halfway points are
+	// short decimals (binary exponents 2^-8 .. 2^52).
+	anyFloat := func() float32 {
+		for {
+			if v := math.Float32frombits(uint32(src.Uint64())); !math.IsNaN(float64(v)) && !math.IsInf(float64(v), 0) {
+				return v
+			}
+		}
+	}
+	shortHalf := func() float32 {
+		return math.Float32frombits(uint32(119+src.Intn(61))<<23 | uint32(src.Uint64())&(1<<23-1))
+	}
+	for i := 0; i < halfways; i++ {
+		for _, a := range []float32{float32(math.Abs(float64(anyFloat()))), shortHalf()} {
+			if a < math.MaxFloat32 {
+				toks = append(toks, halfwayTokens(a, halfwayDigits)...)
+			}
+		}
+	}
+	for _, n := range []int{15, 16, 19, 20} {
+		for _, e := range []int{-23, -22, -21, -1, 0, 1, 21, 22, 23} {
+			for i := 0; i < 256; i++ {
+				d := []byte(strconv.FormatUint(src.Uint64()%9+1, 10))
+				for len(d) < n {
+					d = append(d, byte('0'+src.Intn(10)))
+				}
+				if i%8 == 0 { // trailing zeros: fewer significant digits
+					for j := n - 1 - src.Intn(n-1); j < n; j++ {
+						d[j] = '0'
+					}
+				}
+				// m·10^e as an integer with an exponent, and with the point
+				// after the first digit.
+				toks = append(toks,
+					string(d)+"e"+strconv.Itoa(e),
+					string(d[:1])+"."+string(d[1:])+"E"+strconv.Itoa(e+n-1))
+			}
+		}
+	}
+	toks = append(toks,
+		"0", "-0", "0.0", "-0.0e5", "0e999", "-0E-999", "0.00000000000000000000000000000",
+		"1."+strings.Repeat("0", 30), // 32 bytes; 33 with its sign, over the cap
+		"1e-45", "1.4e-45", "7e-46", "7.1e-46", "1e-40", "-1.1754942e-38", "1.17549435e-38",
+		"3.4028235e38", "3.4028236e38", "-3.4028236e38", "1e39", "1e38", "3.4028235677973366e38", "3.4028235677973367e38",
+		"16777217", "16777216.5", "16777217.000000001", "0.1", "1", "-1", "9007199254740993", "999999999999999e22",
+		"1e-22", "1e22", "1e23", "1e-23", "1e18446744073709551617", "0.5E+18446744073709551617", "01", "-", "1.", ".5", "1e", "1e+", "+1", "-a", "1.e5", "00",
+	)
+	var short, e8 []byte
+	for i := 0; i < patterns; i++ {
+		v := float64(anyFloat())
+		short = strconv.AppendFloat(short[:0], v, 'g', -1, 32)
+		e8 = strconv.AppendFloat(e8[:0], v, 'e', 8, 32)
+		for _, tok := range [][]byte{short, e8} {
+			if err := floatMismatch(tok); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, tok := range toks {
+		for _, b := range []string{tok, "-" + tok + "]"} {
+			if err := floatMismatch([]byte(b)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+func FuzzScanFloat(f *testing.F) {
+	// The last two have halfway tokens that a converter gets wrong
+	// without the halfway guard, and with its window widened to 10^23.
+	for _, a := range []float32{1, 16777216, 0x1p-20, 1.5e-10, 3.3895314e38, 0.0067764977, 2.0568617e+37} {
+		for _, tok := range halfwayTokens(a, halfwayDigits) {
+			f.Add([]byte(tok))
+		}
+	}
+	for _, tok := range []string{"-0", " 1.25e-3,", "1e-45", "3.4028236e38", "999999999999999e22", "1.e5", "01"} {
+		f.Add([]byte(tok))
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		if err := floatMismatch(b); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
 // --- the handler, end to end ---
 
 // probeBackend answers every batch at once with a fixed output and keeps

@@ -7,7 +7,7 @@
 // replica — a latency watchdog (observed run latency vs the replica's
 // own build-time plan expectation, EWMA-smoothed) and a divergence
 // score (EWMA of quorum disagreements). Their verdicts drive each
-// replica through the Supervisor's lattice (supervisor.go):
+// replica through the supervisor's lattice (supervisor.go):
 // quarantined replicas leave the dispatch set (traffic drains to the
 // remaining replicas, or to the FP32 reference tier when none remain),
 // are rebuilt in the background through the registry's shared timing
@@ -28,7 +28,7 @@ import (
 
 // The fleet's health policy. The latency watchdog trips at
 // LatencyThreshold (supervisor.go), and a suspect is confirmed by the
-// Supervisor's second consecutive strike.
+// supervisor's second consecutive strike.
 const (
 	// divergenceThreshold is the quorum-disagreement EWMA trip point:
 	// diverged builds legitimately disagree on a few percent of inputs,
@@ -74,7 +74,7 @@ type PoolConfig struct {
 }
 
 // replica is one fleet member and its signal state; its place on the
-// health lattice is the Pool's Supervisor's, at index slot.
+// health lattice is the Pool's supervisor's, at index slot.
 type replica struct {
 	slot     int
 	eng      *core.Engine
@@ -239,7 +239,7 @@ type Pool struct {
 
 	mu    sync.Mutex // guards reps/sup/stats; never held across inference
 	reps  []*replica
-	sup   *Supervisor
+	sup   *supervisor
 	stats PoolStats
 }
 
@@ -287,7 +287,7 @@ func NewPool(reg *Registry, cfg PoolConfig) (*Pool, error) {
 		}
 		p.reps = append(p.reps, r)
 	}
-	p.sup = NewSupervisor("req", len(p.reps), func(m int) string {
+	p.sup = newSupervisor(len(p.reps), func(m int) string {
 		return fmt.Sprintf("replica %d (build %d)", m, p.reps[m].eng.BuildID)
 	})
 	p.turn <- struct{}{}

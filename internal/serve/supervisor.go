@@ -37,7 +37,7 @@ const (
 	// being confirmed.
 	StateSuspect
 	// StateQuarantined members are out of the dispatch set, waiting for
-	// the rebuild (or restart) to land.
+	// the rebuild to land.
 	StateQuarantined
 	// StateRebuilding members are being rebuilt and canary-validated.
 	StateRebuilding
@@ -60,14 +60,14 @@ func (s ReplicaState) String() string {
 	return fmt.Sprintf("state(%d)", int(s))
 }
 
-// Supervisor owns each member's health state by index, counts every
-// edge taken and keeps the transcript, one line per transition:
+// supervisor owns each member's health state by index, counts every
+// edge taken and keeps the transcript, one line per transition, clocked
+// in requests:
 //
-//	<unit> <at>: <label(m)> <from>-><to>[ <detail>]
+//	req <at>: <label(m)> <from>-><to>[ <detail>]
 //
 // It does no locking: its owner serializes the calls.
-type Supervisor struct {
-	unit       string
+type supervisor struct {
 	label      func(m int) string
 	state      []ReplicaState
 	strikes    []int // consecutive anomalous observations while suspect
@@ -75,12 +75,10 @@ type Supervisor struct {
 	transcript []string
 }
 
-// NewSupervisor supervises n members, all healthy. unit names the clock
-// of the transcript ("req"); label renders member m at
-// transition time.
-func NewSupervisor(unit string, n int, label func(m int) string) *Supervisor {
-	return &Supervisor{
-		unit:    unit,
+// newSupervisor supervises n members, all healthy. label renders member
+// m at transition time.
+func newSupervisor(n int, label func(m int) string) *supervisor {
+	return &supervisor{
 		label:   label,
 		state:   make([]ReplicaState, n),
 		strikes: make([]int, n),
@@ -88,15 +86,15 @@ func NewSupervisor(unit string, n int, label func(m int) string) *Supervisor {
 }
 
 // State returns member m's state.
-func (s *Supervisor) State(m int) ReplicaState { return s.state[m] }
+func (s *supervisor) State(m int) ReplicaState { return s.state[m] }
 
 // Move takes member m to state to at clock at, counting the edge and
 // appending a transcript line; detail, when not empty, ends it.
-func (s *Supervisor) Move(at uint64, m int, to ReplicaState, detail string) {
+func (s *supervisor) Move(at uint64, m int, to ReplicaState, detail string) {
 	from := s.state[m]
 	s.trans.Add(from.String(), to.String())
 	s.state[m] = to
-	line := fmt.Sprintf("%s %d: %s %s->%s", s.unit, at, s.label(m), from, to)
+	line := fmt.Sprintf("req %d: %s %s->%s", at, s.label(m), from, to)
 	if detail != "" {
 		line += " " + detail
 	}
@@ -110,7 +108,7 @@ func (s *Supervisor) Move(at uint64, m int, to ReplicaState, detail string) {
 // probation. Quarantined and rebuilding members are out of the
 // observation path: nothing changes. It reports whether the
 // observation raised a new suspicion and whether it quarantined m.
-func (s *Supervisor) Observe(at uint64, m int, anomalous bool, signal string) (detected, quarantined bool) {
+func (s *supervisor) Observe(at uint64, m int, anomalous bool, signal string) (detected, quarantined bool) {
 	switch st := s.state[m]; {
 	case anomalous && (st == StateHealthy || st == StateReadmitted):
 		s.strikes[m] = 1
@@ -132,6 +130,6 @@ func (s *Supervisor) Observe(at uint64, m int, anomalous bool, signal string) (d
 }
 
 // Transcript returns a copy of the transition log.
-func (s *Supervisor) Transcript() []string {
+func (s *supervisor) Transcript() []string {
 	return append([]string(nil), s.transcript...)
 }

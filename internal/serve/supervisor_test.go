@@ -9,10 +9,9 @@ import (
 )
 
 // lattice lists every edge a member may take: Observe's traffic-driven
-// edges, then the repair edges an owner may take through Move — the
-// Pool's rebuild, failed canary and readmission, plus a restart (a
-// readmitted member moved to healthy) and a move onto a member's own
-// state.
+// edges (the readmitted->healthy one is "probation passed"), then the
+// Pool's repair edges through Move — rebuild, failed canary and
+// readmission.
 var lattice = map[[2]ReplicaState]bool{
 	{StateHealthy, StateSuspect}:        true,
 	{StateReadmitted, StateSuspect}:     true,
@@ -22,21 +21,16 @@ var lattice = map[[2]ReplicaState]bool{
 	{StateQuarantined, StateRebuilding}: true,
 	{StateRebuilding, StateQuarantined}: true,
 	{StateRebuilding, StateReadmitted}:  true,
-	{StateHealthy, StateHealthy}:        true,
-	{StateReadmitted, StateReadmitted}:  true,
 }
 
-// moveEdges are the lattice edges an owner takes through Move.
+// moveEdges are the lattice edges the Pool takes through Move.
 var moveEdges = map[[2]ReplicaState]bool{
 	{StateQuarantined, StateRebuilding}: true,
 	{StateRebuilding, StateQuarantined}: true,
 	{StateRebuilding, StateReadmitted}:  true,
-	{StateHealthy, StateHealthy}:        true,
-	{StateReadmitted, StateHealthy}:     true,
-	{StateReadmitted, StateReadmitted}:  true,
 }
 
-// supOp is one call on a Supervisor: Observe(m, anomalous) when move is
+// supOp is one call on a supervisor: Observe(m, anomalous) when move is
 // false, Move(m, to) otherwise.
 type supOp struct {
 	m         int
@@ -53,8 +47,8 @@ type supModel struct {
 }
 
 // step applies op to the model and returns the edge it predicts, whether
-// that edge is taken (a Move always is, even onto its own state; an
-// Observe only when the state changes) and Observe's two verdicts.
+// that edge is taken (a Move always is; an Observe only when the state
+// changes) and Observe's two verdicts.
 func (md *supModel) step(op supOp) (edge [2]ReplicaState, moved, detected, quarantined bool) {
 	from := md.state[op.m]
 	if op.move {
@@ -96,7 +90,7 @@ func parseState(t *testing.T, name string) ReplicaState {
 
 // TestSupervisorExhaustive runs every Observe/Move sequence up to
 // length 6 over 2 members — Observe either way on either member, and
-// every repair edge an owner may Move a member along — and checks each
+// every repair edge the Pool may Move a member along — and checks each
 // step against supModel: the state, Observe's verdicts, exactly one
 // transcript line per edge taken, each line parsing back to its clock,
 // member, edge and detail, every edge on the lattice, and the edge
@@ -116,7 +110,7 @@ func TestSupervisorExhaustive(t *testing.T) {
 	var walk func()
 	walk = func() {
 		sequences++
-		s := NewSupervisor("req", 2, label)
+		s := newSupervisor(2, label)
 		var md supModel
 		want := map[string]uint64{}
 		for at, op := range path {
