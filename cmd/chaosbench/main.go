@@ -38,13 +38,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	lab := experiments.NewLab(experiments.Default())
-	rows, err := lab.ChaosSoak(*model, *requests)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "chaosbench:", err)
-		os.Exit(1)
-	}
-	text, err := lab.RenderChaosSoakFor(*model, *requests)
+	text, rows, err := experiments.NewLab(experiments.Default()).RenderChaosSoakFor(*model, *requests)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "chaosbench:", err)
 		os.Exit(1)

@@ -51,12 +51,13 @@ func (e *Engine) LayerCostsSec(dev *gpusim.Device) []float64 {
 
 // InferBatchCtx is batched numeric inference under a fault injector and
 // a request context: the one inference path the serving tiers dispatch
-// through. burnedSec is the simulated latency the request has already
-// paid (failed attempts, backoff, this attempt's timed pass) before
-// this inference runs. When the context aborts (rtctx.Request.Aborts)
-// and a device is supplied, each layer boundary charges the layer's
-// modeled cost against the budget and aborts with a wrapped
-// ErrBudgetExhausted once burned-plus-charged exceeds it — the batch
+// through. burnedSec is the simulated latency the request paid before
+// this attempt (failed attempts, backoff); this attempt's own schedule
+// is what the guard charges. When the context aborts
+// (rtctx.Request.Aborts) and a device is supplied, each layer boundary
+// charges the layer's modeled cost against the budget and aborts with a
+// wrapped ErrBudgetExhausted once burned-plus-charged overruns it
+// (rtctx.Request.Overran) — the batch
 // stops mid-graph instead of completing an answer that can only be
 // late. The charge uses the noise-free expected schedule, not the
 // jittered run latency, so the abort is deterministic for a given
@@ -77,13 +78,12 @@ func (e *Engine) budgetGuard(ctx *rtctx.Request, dev *gpusim.Device, burnedSec f
 		return nil
 	}
 	costs := e.LayerCostsSec(dev)
-	budget := ctx.Budget()
 	charged := burnedSec
 	return func(li int, name string) error {
 		charged += costs[li]
-		if charged > budget {
+		if ctx.Overran(charged) {
 			return fmt.Errorf("layer %d (%s) would end at %.3gs of a %.3gs budget: %w",
-				li, name, charged, budget, ErrBudgetExhausted)
+				li, name, charged, ctx.BudgetSec, ErrBudgetExhausted)
 		}
 		return nil
 	}

@@ -200,19 +200,13 @@ func (l *Lab) chaosScenario(model string, sc chaosScenario, images []*tensor.Ten
 	return row, nil
 }
 
-// RenderChaosSoak formats the default soak: resnet18, 60 requests per
-// scenario, one faulty replica in a three-replica quorum fleet
-// (cmd/chaosbench's default table).
-func (l *Lab) RenderChaosSoak() (string, error) {
-	return l.RenderChaosSoakFor("resnet18", 60)
-}
-
-// RenderChaosSoakFor formats a parameterized soak: the scenario table
-// followed by each non-empty supervisor transcript.
-func (l *Lab) RenderChaosSoakFor(model string, requests int) (string, error) {
+// RenderChaosSoakFor runs a parameterized soak once and formats it: the
+// scenario table followed by each non-empty supervisor transcript. The
+// rows it rendered come back too, for gates that check them.
+func (l *Lab) RenderChaosSoakFor(model string, requests int) (string, []ChaosRow, error) {
 	rows, err := l.ChaosSoak(model, requests)
 	if err != nil {
-		return "", err
+		return "", nil, err
 	}
 	t := &table{
 		title: fmt.Sprintf("Chaos soak: %s on NX, 3-replica quorum fleet, slot-1 replica faulted (%d requests/scenario)", model, requests),
@@ -237,5 +231,5 @@ func (l *Lab) RenderChaosSoakFor(model string, requests int) (string, error) {
 			fmt.Fprintf(&b, "  %s\n", line)
 		}
 	}
-	return b.String(), nil
+	return b.String(), rows, nil
 }

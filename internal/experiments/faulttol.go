@@ -127,12 +127,6 @@ func (l *Lab) FaultTolerance(model string, rates []float64, requests int) ([]Fau
 	return out, nil
 }
 
-// RenderFaultTolerance formats the default sweep: resnet18 over fault
-// rates 0 → 1 on both platforms (cmd/faultbench's default table).
-func (l *Lab) RenderFaultTolerance() (string, error) {
-	return l.RenderFaultToleranceFor("resnet18", []float64{0, 0.01, 0.05, 0.2, 0.5, 1.0}, 100)
-}
-
 // RenderFaultToleranceFor formats a parameterized sweep.
 func (l *Lab) RenderFaultToleranceFor(model string, rates []float64, requests int) (string, error) {
 	t := &table{

@@ -176,7 +176,7 @@ func (q *modelQueue) admit(req *request) *response {
 		r := shedResp("draining")
 		return &r
 	}
-	if q.wcetSec > 0 && req.ctx.Budget() < q.wcetSec {
+	if req.ctx.Overran(q.wcetSec) {
 		q.stats.WCETShed++
 		q.countShed(req.high())
 		q.mu.Unlock()
@@ -421,7 +421,7 @@ func (q *modelQueue) serveBatch(batch []*request) {
 			}
 			arg := -1
 			if len(a.Outputs) > 0 {
-				arg = argmax(a.Outputs[0])
+				arg = a.Outputs[0].Argmax()
 			}
 			r.deliver(response{status: 200, reply: InferReply{
 				Model:        q.model,
@@ -457,19 +457,4 @@ func (q *modelQueue) noteClientGone() {
 	q.mu.Lock()
 	q.stats.ClientGone++
 	q.mu.Unlock()
-}
-
-// argmax returns the index of the largest element (lowest index wins
-// ties), or -1 for an empty tensor.
-func argmax(t *tensor.Tensor) int {
-	if t == nil || len(t.Data) == 0 {
-		return -1
-	}
-	best := 0
-	for i, v := range t.Data {
-		if v > t.Data[best] {
-			best = i
-		}
-	}
-	return best
 }

@@ -86,6 +86,15 @@ func (r *Request) Aborts() bool {
 	return r != nil && r.Abort && r.BudgetSec > 0
 }
 
+// Overran reports whether sec of simulated latency overran the budget:
+// a positive budget and sec strictly past it. Latency equal to the
+// budget is on time, and an unbounded context never overruns. It is the
+// one deadline verdict of the serving stack: misses, abandons, the
+// layer-boundary guard and WCET admission all ask it.
+func (r *Request) Overran(sec float64) bool {
+	return r != nil && r.BudgetSec > 0 && sec > r.BudgetSec
+}
+
 // Expired reports whether the wall-clock deadline has passed at now.
 // A context without a deadline never expires.
 func (r *Request) Expired(now time.Time) bool {
@@ -93,8 +102,8 @@ func (r *Request) Expired(now time.Time) bool {
 }
 
 // RemainingSec is the wall-clock budget left at now, negative once
-// expired. Without a deadline it reports +Inf worth of slack as 0
-// budget semantics don't apply — callers must check HasDeadline.
+// expired. Without a deadline it reports 0, which is not "no time
+// left": callers must check HasDeadline.
 func (r *Request) RemainingSec(now time.Time) float64 {
 	if r == nil || r.Deadline.IsZero() {
 		return 0
@@ -103,11 +112,9 @@ func (r *Request) RemainingSec(now time.Time) float64 {
 }
 
 // RemainingBudgetSec is the simulated budget left after burnedSec has
-// been spent — the per-hop accounting primitive for pipelined
-// execution: each hop charges its compute and transfer time against
-// the one request budget and clamps retry backoff to what remains.
-// Exhausted budgets floor at zero; unbounded contexts (nil, or no
-// budget) report +Inf so "clamp to remaining" never truncates them.
+// been spent: the executor clamps a retry's backoff to it. Exhausted
+// budgets floor at zero; unbounded contexts (nil, or no budget) report
+// +Inf so "clamp to remaining" never truncates them.
 func (r *Request) RemainingBudgetSec(burnedSec float64) float64 {
 	if r == nil || r.BudgetSec <= 0 {
 		return math.Inf(1)

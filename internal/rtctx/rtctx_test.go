@@ -99,3 +99,26 @@ func TestEarlierThanOrdering(t *testing.T) {
 		t.Fatal("request earlier than itself")
 	}
 }
+
+// Overran is the one deadline verdict: strictly past a positive budget.
+func TestOverran(t *testing.T) {
+	cases := []struct {
+		name string
+		r    *Request
+		sec  float64
+		want bool
+	}{
+		{"nil", nil, 1, false},
+		{"zero budget", &Request{}, 1, false},
+		{"zero budget, aborting", &Request{Abort: true}, 1, false},
+		{"below", WithBudget(0.25), 0.125, false},
+		{"equal", WithBudget(0.25), 0.25, false},
+		{"above", WithBudget(0.25), 0.375, true},
+		{"above, recording only", &Request{BudgetSec: 0.25}, 0.375, true},
+	}
+	for _, c := range cases {
+		if got := c.r.Overran(c.sec); got != c.want {
+			t.Errorf("%s: Overran(%v) = %v, want %v", c.name, c.sec, got, c.want)
+		}
+	}
+}

@@ -12,9 +12,10 @@ package serve
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"math"
 
 	"edgeinfer/internal/core"
+	"edgeinfer/internal/gpusim"
 	"edgeinfer/internal/rtctx"
 	"edgeinfer/internal/tensor"
 )
@@ -131,13 +132,11 @@ func (ex *Executor) DoBatchCtx(ctx *rtctx.Request, xs []*tensor.Tensor, runIndex
 	}
 
 	// Terminal tier: the FP32 host path, outside the accelerator fault
-	// domain. UnoptimizedRun prices the framework's reference execution;
-	// it has no batched kernels — every image pays the full reference
-	// pass.
+	// domain; every image pays the full reference pass.
 	if err := ex.abortLate(res, ctx); err != nil {
 		return nil, err
 	}
-	res.LatencySec += float64(len(xs)) * core.UnoptimizedRun(ex.cfg.Fallback, ex.cfg.Device)
+	res.LatencySec += float64(len(xs)) * ex.ref.sec
 	ex.deadlineExceeded(res, ctx) // count the miss if the fallback pushed us over
 	res.Outputs = make([][]*tensor.Tensor, len(xs))
 	for i, x := range xs {
@@ -165,18 +164,12 @@ func (ex *Executor) DoBatchCtx(ctx *rtctx.Request, xs []*tensor.Tensor, runIndex
 // other tiers and the FP32 reference pass, not the already-priced launch
 // schedule.
 func (ex *Executor) tryTierBatch(eng *core.Engine, ctx *rtctx.Request, xs []*tensor.Tensor, runIndex int, res *BatchResult) (ok, exhausted bool) {
-	cfg := core.RunConfig{Device: ex.cfg.Device, RunIndex: runIndex}
-	for attempt := 0; attempt <= maxRetries; attempt++ {
-		if attempt > 0 && !ex.retryWait(attempt, res, ctx) {
+	for try := 0; try <= maxRetries; try++ {
+		if try > 0 && !ex.retryWait(try, res, ctx) {
 			return false, false
 		}
-		burned := res.LatencySec
-		run, err := eng.RunFaulty(cfg, ex.cfg.Injector)
-		res.LatencySec += run.LatencySec
-		if err != nil {
-			continue
-		}
-		outs, err := eng.InferBatchCtx(ctx, xs, ex.cfg.Injector, ex.cfg.Device, burned)
+		lat, outs, err := attempt(eng, ex.cfg.Injector, ex.cfg.Device, ctx, xs, runIndex, res.LatencySec)
+		res.LatencySec += lat
 		if errors.Is(err, core.ErrBudgetExhausted) {
 			return false, true
 		}
@@ -187,6 +180,18 @@ func (ex *Executor) tryTierBatch(eng *core.Engine, ctx *rtctx.Request, xs []*ten
 		}
 	}
 	return false, false
+}
+
+// attempt is one run of a batch on one engine: the timed pass, then one
+// batched inference under ctx. burnedSec is the latency the request had
+// paid before this attempt; the layer guard an aborting ctx arms charges
+// from there. latSec is the timed pass's latency, also when it failed.
+func attempt(eng *core.Engine, inj core.FaultInjector, dev *gpusim.Device, ctx *rtctx.Request, xs []*tensor.Tensor, runIndex int, burnedSec float64) (latSec float64, outs [][]*tensor.Tensor, err error) {
+	run, err := eng.RunFaulty(core.RunConfig{Device: dev, RunIndex: runIndex}, inj)
+	if err == nil {
+		outs, err = eng.InferBatchCtx(ctx, xs, inj, dev, burnedSec)
+	}
+	return run.LatencySec, outs, err
 }
 
 // PoolBatchResult is one batched fleet request.
@@ -240,34 +245,11 @@ func (p *Pool) DoBatchCtx(ctx *rtctx.Request, xs []*tensor.Tensor, runIndex int)
 	if err != nil {
 		return nil, err
 	}
-	if b := ctx.Budget(); b > 0 && br.LatencySec > b {
+	if ctx.Overran(br.LatencySec) {
 		br.DeadlineMiss = true
 		p.locked(func() { p.stats.DeadlineMisses++ })
 	}
 	return br, nil
-}
-
-// attempt is one replica's run of the request: the timed pass and one
-// batched inference, whole — a ballot needs every voter's complete
-// answer, so no layer-boundary guard is armed.
-func (p *Pool) attempt(r *replica, xs []*tensor.Tensor, runIndex int) (latSec float64, outs [][]*tensor.Tensor, err error) {
-	run, err := r.eng.RunFaulty(core.RunConfig{Device: p.dev, RunIndex: runIndex}, r.inj)
-	if err == nil {
-		outs, err = r.eng.InferBatchCtx(nil, xs, r.inj, nil, 0)
-	}
-	return run.LatencySec, outs, err
-}
-
-// batchBudgetExpired decides the pre-FP32 abort: a deadline-carrying
-// batch whose burned latency has already consumed the budget is
-// abandoned rather than degraded.
-func (p *Pool) batchBudgetExpired(burnedSec float64, ctx *rtctx.Request) error {
-	if !ctx.Aborts() || burnedSec < ctx.BudgetSec {
-		return nil
-	}
-	p.locked(func() { p.stats.DeadlineAborts++ })
-	return fmt.Errorf("serve: pool batch abandoned at %.3gs of a %.3gs budget: %w",
-		burnedSec, ctx.BudgetSec, ErrDeadlineExceeded)
 }
 
 // bvote is one replica's answer to a request.
@@ -279,27 +261,27 @@ type bvote struct {
 	arg     int // argmax on the image being voted on (-1 = none)
 }
 
-// serveQuorumBatch runs every active replica once over the batch, then
-// votes image by image on the argmax of the first output and serves the
-// lowest-slot member of the strict majority. An image's latency is the
-// majority-confirmation time: the second-smallest latency among the
-// majority (the moment a second replica corroborates the answer). With
-// no strict majority the FP32 reference serves the image, after the
-// slowest voter has answered; with no voter at all, after the slowest
-// replica has given up (the hedged replicas fail concurrently). The
-// request context gates that whole-fleet-errored FP32 fallback; the
-// per-image no-majority fallback still runs (the majority images already
-// paid for their answers, abandoning the stragglers would discard served
-// work).
+// serveQuorumBatch runs every active replica once over the batch — the
+// whole run: a ballot needs every voter's complete answer, so no layer
+// guard is armed — then votes image by image on the argmax of the first
+// output and serves the lowest-slot member of the strict majority. An
+// image's latency is the majority-confirmation time: the second-smallest
+// latency among the majority (the moment a second replica corroborates
+// the answer). With no strict majority the FP32 reference serves the
+// image, after the slowest voter has answered; with no voter at all,
+// after the slowest replica has given up (the hedged replicas fail
+// concurrently), and at once when no replica is active. The request
+// context gates that voterless FP32 fallback; the per-image no-majority
+// fallback still runs (the majority images already paid for their
+// answers, abandoning the stragglers would discard served work).
 func (p *Pool) serveQuorumBatch(req uint64, xs []*tensor.Tensor, runIndex int, ctx *rtctx.Request) (*PoolBatchResult, error) {
-	active := p.active()
-	if len(active) == 0 {
-		return p.serveFP32Batch(xs, 0)
-	}
-	votes := make([]bvote, 0, len(active))
+	votes := make([]bvote, 0, len(p.reps))
 	var maxLat, gaveUp float64 // slowest voter's answer, slowest replica's failure
-	for _, r := range active {
-		lat, outs, err := p.attempt(r, xs, runIndex)
+	for _, r := range p.reps {
+		if !p.isActive(r) {
+			continue
+		}
+		lat, outs, err := attempt(r.eng, r.inj, p.reg.dev, nil, xs, runIndex, 0)
 		v := bvote{r: r, lat: lat, outs: outs, errored: err != nil || len(outs) != len(xs)}
 		if v.errored {
 			p.locked(func() { p.stats.ReplicaFails++ })
@@ -308,6 +290,12 @@ func (p *Pool) serveQuorumBatch(req uint64, xs []*tensor.Tensor, runIndex int, c
 			maxLat = max(maxLat, v.lat)
 		}
 		votes = append(votes, v)
+	}
+	// One latency observation per replica: the batch was one run each.
+	observeAll := func() {
+		for i := range votes {
+			p.observe(req, votes[i].r, votes[i].lat, votes[i].errored)
+		}
 	}
 	// Errored-ness is per replica, so the same voters (slot order) vote
 	// on every image.
@@ -318,17 +306,16 @@ func (p *Pool) serveQuorumBatch(req uint64, xs []*tensor.Tensor, runIndex int, c
 		}
 	}
 	if len(voters) == 0 {
-		// Every replica errored: the batch is headed for the FP32 tier,
-		// which starts once the slowest replica has given up.
+		// The batch is headed for the FP32 tier, which starts once the
+		// slowest replica has given up.
 		maxLat = gaveUp
-		if err := p.batchBudgetExpired(gaveUp, ctx); err != nil {
+		if ctx.Aborts() && ctx.Overran(gaveUp) {
 			p.locked(func() {
-				for i := range votes {
-					v := &votes[i]
-					p.observe(req, v.r, v.lat, v.errored)
-				}
+				observeAll()
+				p.stats.DeadlineAborts++
 			})
-			return nil, err
+			return nil, fmt.Errorf("serve: pool batch abandoned at %.3gs of a %.3gs budget: %w",
+				gaveUp, ctx.BudgetSec, ErrDeadlineExceeded)
 		}
 	}
 
@@ -337,13 +324,14 @@ func (p *Pool) serveQuorumBatch(req uint64, xs []*tensor.Tensor, runIndex int, c
 		for _, v := range voters {
 			v.arg = -1
 			if o := v.outs[img]; len(o) > 0 {
-				v.arg = argmax(o[0])
+				v.arg = o[0].Argmax()
 			}
 		}
 
-		// Strict-majority argmax; at most one can hold it, so first-found
-		// is the answer.
-		majArg, majority := -1, []*bvote(nil)
+		// Strict-majority argmax; at most one class can hold it, so the
+		// first voter found holding it is the winner: the lowest slot in
+		// the majority (voters are in slot order).
+		var winner *bvote
 		for _, v := range voters {
 			n := 0
 			for _, w := range voters {
@@ -352,27 +340,29 @@ func (p *Pool) serveQuorumBatch(req uint64, xs []*tensor.Tensor, runIndex int, c
 				}
 			}
 			if 2*n > len(voters) {
-				majArg = v.arg
-				for _, w := range voters {
-					if w.arg == majArg {
-						majority = append(majority, w)
-					}
-				}
+				winner = v
 				break
 			}
 		}
+		majArg := -1
+		if winner != nil {
+			majArg = winner.arg
+		}
 
-		// Divergence signal, per image in slot order (each image of the
-		// batch is one quorum vote's worth of evidence). Disagreement is
-		// measured against the majority when one exists, else against
-		// the FP32 reference.
-		var refArg = -1
-		if majArg < 0 && len(voters) > 0 {
-			outs, err := p.ref.infer(x)
-			if err == nil && len(outs) > 0 {
-				refArg = argmax(outs[0])
+		// When no majority names a class, the FP32 reference arbitrates
+		// the divergence vote and, with no majority at all, answers the
+		// image: one pass does both.
+		var ref []*tensor.Tensor
+		var refErr error
+		refArg := -1
+		if majArg < 0 {
+			if ref, refErr = p.ref.infer(x); refErr == nil && len(ref) > 0 {
+				refArg = ref[0].Argmax()
 			}
 		}
+		// Divergence signal, per image in slot order (each image of the
+		// batch is one quorum vote's worth of evidence), measured against
+		// the majority when one exists, else against the reference.
 		p.locked(func() {
 			for _, v := range voters {
 				switch {
@@ -384,67 +374,44 @@ func (p *Pool) serveQuorumBatch(req uint64, xs []*tensor.Tensor, runIndex int, c
 			}
 		})
 
-		if len(majority) == 0 {
-			p.locked(func() { p.stats.NoMajority++ })
-			// The hedge failed: the fallback starts once the slowest
-			// voter has answered (or, with none, the slowest replica has
-			// given up).
-			res, err := p.serveFP32(x, maxLat)
-			if err != nil {
-				return nil, err
+		res := &PoolResult{Voters: len(voters)}
+		if winner == nil {
+			if len(votes) > 0 {
+				p.locked(func() { p.stats.NoMajority++ })
 			}
-			res.Voters = len(voters)
-			br.Results[img] = res
+			if refErr != nil {
+				return nil, fmt.Errorf("serve: pool FP32 fallback: %w", refErr)
+			}
+			// The hedge failed: the reference answers once the slowest
+			// voter has (or, with none, the slowest replica has given up).
+			res.Outputs, res.LatencySec = ref, maxLat+p.ref.sec
+			res.Replica, res.BuildID, res.Fallback = -1, -1, true
+			p.locked(func() { p.stats.FP32Served++ })
 		} else {
-			// Winner: the lowest slot in the majority (voters are in slot
-			// order). Released at the majority-confirmation time.
-			winner := majority[0]
-			lats := make([]float64, len(majority))
-			for i, v := range majority {
-				lats[i] = v.lat
+			// Released when a second replica corroborates the answer: the
+			// second-smallest majority latency (a majority of one, at once).
+			first, second := math.Inf(1), math.Inf(1)
+			for _, v := range voters {
+				if v.arg != majArg {
+					continue
+				}
+				res.Majority++
+				if v.lat < first {
+					first, second = v.lat, first
+				} else if v.lat < second {
+					second = v.lat
+				}
 			}
-			sort.Float64s(lats)
-			release := lats[0]
-			if len(lats) > 1 {
-				release = lats[1]
+			res.Outputs, res.LatencySec = winner.outs[img], second
+			if res.Majority == 1 {
+				res.LatencySec = first
 			}
+			res.Replica, res.BuildID = winner.r.slot, winner.r.eng.BuildID
 			p.locked(func() { p.stats.QuorumServed++ })
-			br.Results[img] = &PoolResult{
-				Outputs:    winner.outs[img],
-				LatencySec: release,
-				Replica:    winner.r.slot,
-				BuildID:    winner.r.eng.BuildID,
-				Voters:     len(voters),
-				Majority:   len(majority),
-			}
 		}
-		if br.Results[img].LatencySec > br.LatencySec {
-			br.LatencySec = br.Results[img].LatencySec
-		}
+		br.Results[img] = res
+		br.LatencySec = max(br.LatencySec, res.LatencySec)
 	}
-
-	// One latency observation per replica: the batch was one run each.
-	p.locked(func() {
-		for i := range votes {
-			v := &votes[i]
-			p.observe(req, v.r, v.lat, v.errored)
-		}
-	})
-	return br, nil
-}
-
-// serveFP32Batch serves every image of the request from the FP32 tier.
-func (p *Pool) serveFP32Batch(xs []*tensor.Tensor, baseLat float64) (*PoolBatchResult, error) {
-	br := &PoolBatchResult{}
-	for _, x := range xs {
-		res, err := p.serveFP32(x, baseLat)
-		if err != nil {
-			return nil, err
-		}
-		br.Results = append(br.Results, res)
-		if res.LatencySec > br.LatencySec {
-			br.LatencySec = res.LatencySec
-		}
-	}
+	p.locked(observeAll)
 	return br, nil
 }

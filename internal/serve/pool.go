@@ -22,7 +22,6 @@ import (
 	"sync"
 
 	"edgeinfer/internal/core"
-	"edgeinfer/internal/gpusim"
 	"edgeinfer/internal/tensor"
 )
 
@@ -100,18 +99,6 @@ func (p *Pool) isActive(r *replica) bool {
 	return false
 }
 
-// active returns the replicas currently in the dispatch set, in slot
-// order.
-func (p *Pool) active() []*replica {
-	out := make([]*replica, 0, len(p.reps))
-	for _, r := range p.reps {
-		if p.isActive(r) {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
 // noteDivergence folds one quorum vote into a replica's divergence EWMA.
 func (p *Pool) noteDivergence(r *replica, disagreed bool) {
 	d := 0.0
@@ -169,7 +156,7 @@ type PoolStats struct {
 	CanaryFailures uint64 // rebuilds rejected by canary validation
 	Readmissions   uint64 // rebuilding → readmitted transitions
 
-	DeadlineAborts uint64 // batches abandoned (pre-FP32 or mid-graph) on an expired budget
+	DeadlineAborts uint64 // voterless batches abandoned before the FP32 tier on an overrun budget
 	// DeadlineMisses counts answered requests whose release time overran
 	// the request context's budget — the fleet's own miss verdict.
 	DeadlineMisses uint64
@@ -227,9 +214,8 @@ type PoolHealth struct {
 // and Transcript answer immediately even while a request is in flight.
 type Pool struct {
 	cfg PoolConfig
-	reg *Registry
-	dev *gpusim.Device // the registry platform at its paper latency clock
-	ref reference      // the FP32 tier, over the pristine fallback graph
+	reg *Registry // also owns the serving device, reg.dev
+	ref reference // the FP32 tier, over the pristine fallback graph
 
 	// turn is the request ticket: exactly one token exists, and a request
 	// holds it end to end. The holder is the only goroutine mutating pool
@@ -271,15 +257,14 @@ func NewPool(reg *Registry, cfg PoolConfig) (*Pool, error) {
 	p := &Pool{
 		cfg:  cfg,
 		reg:  reg,
-		dev:  gpusim.NewDevice(reg.spec, gpusim.PaperLatencyClock(reg.spec)),
-		ref:  reference{g: fb},
+		ref:  reference{g: fb, sec: core.UnoptimizedRun(fb, reg.dev)},
 		turn: make(chan struct{}, 1),
 	}
 	for slot, e := range engines {
 		r := &replica{
 			slot:     slot,
 			eng:      e,
-			expected: e.ExpectedLatencySec(p.dev, false),
+			expected: e.ExpectedLatencySec(p.reg.dev, false),
 			latEWMA:  1,
 		}
 		if cfg.ReplicaInjector != nil {
@@ -346,23 +331,6 @@ func (p *Pool) Transcript() []string {
 	return p.sup.Transcript()
 }
 
-// serveFP32 is the terminal tier: the un-optimized host path, outside
-// the replica fault domain. baseLat is latency already burned upstream.
-func (p *Pool) serveFP32(x *tensor.Tensor, baseLat float64) (*PoolResult, error) {
-	outs, err := p.ref.infer(x)
-	if err != nil {
-		return nil, fmt.Errorf("serve: pool FP32 fallback: %w", err)
-	}
-	p.locked(func() { p.stats.FP32Served++ })
-	return &PoolResult{
-		Outputs:    outs,
-		LatencySec: baseLat + core.UnoptimizedRun(p.ref.g, p.dev),
-		Replica:    -1,
-		BuildID:    -1,
-		Fallback:   true,
-	}, nil
-}
-
 // advanceRebuilds is the deterministic model of background healing: a
 // quarantined replica's rebuild lands rebuildDelay requests after the
 // quarantine. The rebuild goes through the registry — warm against the
@@ -393,7 +361,7 @@ func (p *Pool) advanceRebuilds(req uint64) {
 		if p.cfg.ReplicaInjector != nil {
 			inj = p.cfg.ReplicaInjector(r.slot, e)
 		}
-		expected := e.ExpectedLatencySec(p.dev, false)
+		expected := e.ExpectedLatencySec(p.reg.dev, false)
 		p.locked(func() {
 			r.eng, r.inj, r.expected = e, inj, expected
 			r.rebuilds++
@@ -431,24 +399,9 @@ func (p *Pool) canary(r *replica) (agree, total int) {
 		if err != nil || len(outs[0]) == 0 {
 			continue
 		}
-		if argmax(outs[0][0]) == argmax(want[0]) {
+		if outs[0][0].Argmax() == want[0].Argmax() {
 			agree++
 		}
 	}
 	return agree, total
-}
-
-// argmax returns the index of the largest element (lowest index wins
-// ties), or -1 for an empty tensor.
-func argmax(t *tensor.Tensor) int {
-	if t == nil || len(t.Data) == 0 {
-		return -1
-	}
-	best := 0
-	for i, v := range t.Data {
-		if v > t.Data[best] {
-			best = i
-		}
-	}
-	return best
 }

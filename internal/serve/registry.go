@@ -21,6 +21,7 @@ import (
 // "build once" guidance: the registry is the "once".
 type Registry struct {
 	spec  gpusim.DeviceSpec
+	dev   *gpusim.Device // spec at its paper latency clock: the serving device
 	cache *core.TimingCache
 
 	mu        sync.Mutex
@@ -53,6 +54,7 @@ func NewRegistry(spec gpusim.DeviceSpec, cache *core.TimingCache) *Registry {
 	}
 	return &Registry{
 		spec:      spec,
+		dev:       gpusim.NewDevice(spec, gpusim.PaperLatencyClock(spec)),
 		cache:     cache,
 		engines:   map[string]*core.Engine{},
 		fallbacks: map[string]*graph.Graph{},
@@ -185,9 +187,7 @@ func (r *Registry) WCETBound(model string, runs int, margin float64) (float64, e
 	if err != nil {
 		return 0, err
 	}
-	dev := gpusim.NewDevice(r.spec, gpusim.PaperLatencyClock(r.spec))
-	prof := wcet.Measure(e, dev, runs)
-	return prof.WCETSec(margin), nil
+	return wcet.Measure(e, r.dev, runs).WCETSec(margin), nil
 }
 
 // Fallback returns the pristine (un-built) numeric proxy graph for the
@@ -240,7 +240,7 @@ func (r *Registry) Executor(model string, cfg Config) (*Executor, error) {
 	cfg.Engine = e
 	cfg.Fallback = fb
 	if cfg.Device == nil {
-		cfg.Device = gpusim.NewDevice(r.spec, gpusim.PaperLatencyClock(r.spec))
+		cfg.Device = r.dev
 	}
 	return New(cfg)
 }

@@ -6,7 +6,7 @@
 // persistent primary-engine faults, health/heartbeat state, and a
 // graceful-degradation fallback chain:
 //
-//	tuned engine  →  lower-batch engine  →  FP32 reference path
+//	tuned engine  →  standby engine  →  FP32 reference path
 //
 // The final tier runs the un-optimized model on the host (priced by
 // core.UnoptimizedRun, computed by a core.Reference compiled on first
@@ -50,8 +50,8 @@ type Tier int
 const (
 	// TierTuned is the primary TRT-style engine.
 	TierTuned Tier = iota
-	// TierLowBatch is the optional reduced-batch engine (smaller memory
-	// footprint, shorter plan).
+	// TierLowBatch is the optional standby engine (Config.LowBatch),
+	// tried after the primary fails.
 	TierLowBatch
 	// TierFP32 is the un-optimized host reference path.
 	TierFP32
@@ -98,8 +98,8 @@ const (
 type Config struct {
 	// Engine is the primary tuned engine.
 	Engine *core.Engine
-	// LowBatch is an optional reduced-batch engine tried after the
-	// primary fails (nil skips the tier).
+	// LowBatch is an optional standby engine, such as a second build of
+	// the model, tried after the primary fails (nil skips the tier).
 	LowBatch *core.Engine
 	// Fallback is the pristine un-optimized graph for the FP32 tier. It
 	// must have materialized weights if numeric requests are served.
@@ -172,17 +172,21 @@ func New(cfg Config) (*Executor, error) {
 	}
 	return &Executor{
 		cfg: cfg,
-		ref: reference{g: cfg.Fallback},
+		ref: reference{g: cfg.Fallback, sec: core.UnoptimizedRun(cfg.Fallback, cfg.Device)},
 		rng: fixrand.NewKeyed("serve/" + cfg.Seed + "/" + cfg.Engine.Key()),
 	}, nil
 }
 
-// reference is the FP32 tier's numeric path: the pristine fallback graph
-// compiled onto the engine schedule (core.Reference) the first time a
-// request reaches the tier. A server that never degrades never builds
-// it; one that does replays it without allocating per layer.
+// reference is the FP32 tier of both servers: the pristine fallback
+// graph, compiled onto the engine schedule (core.Reference) the first
+// time a request reaches the tier, and its price. A server that never
+// degrades never compiles it; one that does replays it without
+// allocating per layer.
 type reference struct {
-	g    *graph.Graph
+	g *graph.Graph
+	// sec is one image's pass on the serving device (core.UnoptimizedRun):
+	// the host path has no batched kernels, so every image pays it.
+	sec  float64
 	once sync.Once
 	e    *core.Engine
 	err  error
@@ -312,7 +316,7 @@ func (ex *Executor) retryWait(attempt int, res *BatchResult, ctx *rtctx.Request)
 
 // deadlineExceeded checks (and counts, once) the request budget.
 func (ex *Executor) deadlineExceeded(res *BatchResult, ctx *rtctx.Request) bool {
-	if b := ctx.Budget(); b <= 0 || res.LatencySec <= b {
+	if !ctx.Overran(res.LatencySec) {
 		return false
 	}
 	if !res.DeadlineMiss {

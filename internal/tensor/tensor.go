@@ -10,10 +10,7 @@
 // characterized by the paper.
 package tensor
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Tensor is a dense 4-D tensor in NCHW layout. Lower-rank data uses
 // trailing singleton dimensions (a vector of length K is [1, K, 1, 1]).
@@ -86,16 +83,22 @@ func (t *Tensor) Fill(v float32) {
 	}
 }
 
-// Argmax returns the flat index of the maximum element (first occurrence
-// on ties) — the class decision for logit vectors.
+// Argmax returns the flat index of the maximum element — the class
+// decision for logit vectors, the one every server and experiment makes.
+// The first element is the initial best and only a strictly greater one
+// replaces it: ties go to the lowest index, and a NaN first element
+// wins. A nil or empty tensor gives -1.
 func (t *Tensor) Argmax() int {
-	best, bi := float32(math.Inf(-1)), 0
+	if t == nil || len(t.Data) == 0 {
+		return -1
+	}
+	best := 0
 	for i, v := range t.Data {
-		if v > best {
-			best, bi = v, i
+		if v > t.Data[best] {
+			best = i
 		}
 	}
-	return bi
+	return best
 }
 
 // MaxAbs returns the maximum absolute value, used for quantization

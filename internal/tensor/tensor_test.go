@@ -66,6 +66,37 @@ func TestArgmax(t *testing.T) {
 	}
 }
 
+// Argmax is the one class decision of the servers and the experiments:
+// -1 when there is nothing to decide, the first element as the initial
+// best (so a NaN there wins), ties to the lowest index.
+func TestArgmaxClassDecision(t *testing.T) {
+	nan, inf := float32(math.NaN()), float32(math.Inf(1))
+	vec := func(v ...float32) *Tensor {
+		x := NewVec(len(v))
+		copy(x.Data, v)
+		return x
+	}
+	cases := []struct {
+		name string
+		x    *Tensor
+		want int
+	}{
+		{"nil", nil, -1},
+		{"empty", &Tensor{}, -1},
+		{"NaN first", vec(nan, 1, 2), 0},
+		{"NaN later is never a maximum", vec(1, nan, 3, nan), 2},
+		{"ties go to the lowest index", vec(0, 4, 4, -1, 4), 1},
+		{"all equal", vec(2, 2, 2), 0},
+		{"all -Inf", vec(-inf, -inf, -inf), 0},
+		{"-Inf first, finite later", vec(-inf, -7, -inf), 1},
+	}
+	for _, c := range cases {
+		if got := c.x.Argmax(); got != c.want {
+			t.Errorf("%s: Argmax = %d, want %d", c.name, got, c.want)
+		}
+	}
+}
+
 func TestConvOutDim(t *testing.T) {
 	cases := []struct{ in, k, s, p, want int }{
 		{224, 11, 4, 2, 55}, // AlexNet conv1
