@@ -4,17 +4,15 @@
 // hotalloc, deadlineflow); error-severity findings fail the build.
 // Plan IR is checked statically too:
 //
-//	rtlint                        analyze the module's source
-//	rtlint -json                  machine-readable findings on stdout
-//	rtlint -baseline f.json       fail only on findings absent from the ledger
-//	rtlint -write-baseline f.json write the current findings as the ledger
-//	rtlint -plan file.plan        verify a serialized engine plan on disk
-//	rtlint -plancheck             build + serialize + verify every classifier plan
+//	rtlint                  analyze the module's source
+//	rtlint -json            machine-readable findings on stdout
+//	rtlint -plan file.plan  verify a serialized engine plan on disk
+//	rtlint -plancheck       build + serialize + verify every classifier plan
 //
-// Findings are suppressed per line with
-// `//rt:allow <analyzer>[, <analyzer>...] -- <justification>`; every
-// suppression is printed with its justification so directives stay
-// auditable.
+// A finding is silenced only by a directive on its line or the line
+// above, `//rt:allow <analyzer>[, <analyzer>...] -- <justification>`;
+// every suppression is printed with its justification so directives
+// stay auditable.
 package main
 
 import (
@@ -39,8 +37,6 @@ func main() {
 	planFile := flag.String("plan", "", "verify the serialized engine plan at this path instead of analyzing source")
 	planCheck := flag.Bool("plancheck", false, "build, serialize and statically verify every classifier model plan")
 	jsonOut := flag.Bool("json", false, "emit findings and suppressions as JSON")
-	baseline := flag.String("baseline", "", "compare findings against this ledger: new findings fail, grandfathered ones pass")
-	writeBaseline := flag.String("write-baseline", "", "write the current error findings to this ledger file and exit 0")
 	flag.Parse()
 
 	var exit int
@@ -50,7 +46,7 @@ func main() {
 	case *planCheck:
 		exit = runPlanCheck()
 	default:
-		exit = runSource(os.Stdout, *jsonOut, *baseline, *writeBaseline)
+		exit = runSource(os.Stdout, *jsonOut)
 	}
 	os.Exit(exit)
 }
@@ -72,7 +68,7 @@ func sourceAnalyzers() []*analysis.Analyzer {
 // runSource analyzes the module containing the working directory.
 // Positional package patterns ("./...") are accepted for familiarity but
 // the whole module is always analyzed.
-func runSource(w io.Writer, jsonOut bool, baselinePath, writeBaselinePath string) int {
+func runSource(w io.Writer, jsonOut bool) int {
 	root, err := findModuleRoot()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "rtlint:", err)
@@ -84,16 +80,7 @@ func runSource(w io.Writer, jsonOut bool, baselinePath, writeBaselinePath string
 		return 2
 	}
 	findings, suppressed := analysis.RunAll(m, sourceAnalyzers())
-	if writeBaselinePath != "" {
-		b := analysis.NewBaseline(m, findings)
-		if err := b.Write(writeBaselinePath); err != nil {
-			fmt.Fprintln(os.Stderr, "rtlint:", err)
-			return 2
-		}
-		fmt.Fprintf(w, "rtlint: wrote %d baseline entrie(s) to %s\n", len(b.Findings), writeBaselinePath)
-		return 0
-	}
-	return verdict(w, m, findings, suppressed, jsonOut, baselinePath)
+	return verdict(w, findings, suppressed, jsonOut)
 }
 
 // jsonReport is the machine-readable output shape of `rtlint -json`.
@@ -116,11 +103,9 @@ type jsonSuppression struct {
 	Reason string `json:"reason"`
 }
 
-// verdict renders the findings (text or JSON), applies the optional
-// baseline ledger, and decides the exit code. Pure with respect to its
-// inputs so baseline semantics are unit-testable.
-func verdict(w io.Writer, m *analysis.Module, findings []analysis.Finding,
-	suppressed []analysis.Suppression, jsonOut bool, baselinePath string) int {
+// verdict renders the findings (text or JSON) and decides the exit code:
+// 1 when any finding is error severity.
+func verdict(w io.Writer, findings []analysis.Finding, suppressed []analysis.Suppression, jsonOut bool) int {
 	if jsonOut {
 		rep := jsonReport{Findings: []jsonFinding{}, Suppressions: []jsonSuppression{}}
 		for _, f := range findings {
@@ -146,27 +131,8 @@ func verdict(w io.Writer, m *analysis.Module, findings []analysis.Finding,
 			fmt.Fprintln(w, s)
 		}
 	}
-	if baselinePath == "" {
-		if analysis.HasErrors(findings) {
-			fmt.Fprintf(os.Stderr, "rtlint: %d finding(s)\n", len(findings))
-			return 1
-		}
-		return 0
-	}
-	base, err := analysis.LoadBaseline(baselinePath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "rtlint:", err)
-		return 2
-	}
-	fresh, fixed := base.Diff(analysis.NewBaseline(m, findings))
-	for _, e := range fixed {
-		fmt.Fprintf(os.Stderr, "rtlint: baseline entry fixed, shrink %s: %s\n", baselinePath, e)
-	}
-	if len(fresh) > 0 {
-		for _, e := range fresh {
-			fmt.Fprintf(os.Stderr, "rtlint: new finding (not in baseline): %s\n", e)
-		}
-		fmt.Fprintf(os.Stderr, "rtlint: %d new finding group(s) vs %s\n", len(fresh), baselinePath)
+	if analysis.HasErrors(findings) {
+		fmt.Fprintf(os.Stderr, "rtlint: %d finding(s)\n", len(findings))
 		return 1
 	}
 	return 0

@@ -4,115 +4,30 @@ import (
 	"bytes"
 	"encoding/json"
 	"go/token"
-	"path/filepath"
 	"strings"
 	"testing"
 
 	"edgeinfer/internal/analysis"
 )
 
-// fakeModule gives verdict a module root so baseline paths resolve.
-func fakeModule(t *testing.T) *analysis.Module {
-	t.Helper()
-	return &analysis.Module{Path: "edgeinfer", Dir: t.TempDir()}
-}
-
-func finding(m *analysis.Module, analyzer, file, msg string, line int) analysis.Finding {
-	return analysis.Finding{
-		Analyzer: analyzer,
-		Severity: analysis.Error,
-		Pos:      token.Position{Filename: filepath.Join(m.Dir, file), Line: line, Column: 1},
-		Message:  msg,
-	}
-}
-
-func writeBaseline(t *testing.T, m *analysis.Module, findings []analysis.Finding) string {
-	t.Helper()
-	path := filepath.Join(t.TempDir(), "baseline.json")
-	if err := analysis.NewBaseline(m, findings).Write(path); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
-
-// A finding absent from the baseline fails the gate.
-func TestVerdictNewFindingFails(t *testing.T) {
-	m := fakeModule(t)
-	old := finding(m, "lockorder", "internal/serve/pool.go", "mu held across channel send", 10)
-	fresh := finding(m, "goleak", "internal/netserve/server.go", "goroutine has no stop path", 20)
-	base := writeBaseline(t, m, []analysis.Finding{old})
-	var out bytes.Buffer
-	if code := verdict(&out, m, []analysis.Finding{old, fresh}, nil, false, base); code != 1 {
-		t.Fatalf("new finding exits %d, want 1", code)
-	}
-}
-
-// Grandfathered findings pass: the ledger exists to track them.
-func TestVerdictGrandfatheredPasses(t *testing.T) {
-	m := fakeModule(t)
-	old := finding(m, "lockorder", "internal/serve/pool.go", "mu held across channel send", 10)
-	base := writeBaseline(t, m, []analysis.Finding{old})
-	var out bytes.Buffer
-	if code := verdict(&out, m, []analysis.Finding{old}, nil, false, base); code != 0 {
-		t.Fatalf("grandfathered finding exits %d, want 0", code)
-	}
-	// Line churn does not count as new: the ledger keys exclude lines.
-	moved := old
-	moved.Pos.Line = 99
-	if code := verdict(&out, m, []analysis.Finding{moved}, nil, false, base); code != 0 {
-		t.Fatalf("line-moved grandfathered finding exits %d, want 0", code)
-	}
-}
-
-// A fixed finding passes but is reported so the ledger shrinks.
-func TestVerdictFixedFindingPassesAndPrompts(t *testing.T) {
-	m := fakeModule(t)
-	old := finding(m, "hotalloc", "internal/core/infer.go", "allocation on hot path", 5)
-	base := writeBaseline(t, m, []analysis.Finding{old})
-	var out bytes.Buffer
-	if code := verdict(&out, m, nil, nil, false, base); code != 0 {
-		t.Fatalf("fixed finding exits %d, want 0", code)
-	}
-	cur := analysis.NewBaseline(m, nil)
-	prev, err := analysis.LoadBaseline(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh, fixed := prev.Diff(cur)
-	if len(fresh) != 0 || len(fixed) != 1 {
-		t.Fatalf("diff of a fixed finding = fresh %v, fixed %v; want 0 fresh, 1 fixed", fresh, fixed)
-	}
-	if !strings.Contains(fixed[0].String(), "hotalloc") {
-		t.Fatalf("fixed entry %s does not name the analyzer", fixed[0])
-	}
-}
-
-// An increased occurrence count of a grandfathered group is new.
-func TestVerdictCountGrowthFails(t *testing.T) {
-	m := fakeModule(t)
-	old := finding(m, "errcheck", "internal/serve/pool.go", "error discarded", 10)
-	twin := finding(m, "errcheck", "internal/serve/pool.go", "error discarded", 30)
-	base := writeBaseline(t, m, []analysis.Finding{old})
-	var out bytes.Buffer
-	if code := verdict(&out, m, []analysis.Finding{old, twin}, nil, false, base); code != 1 {
-		t.Fatalf("count growth exits %d, want 1", code)
-	}
-}
-
-// -json renders findings and suppressions machine-readably; without a
-// baseline, error findings still fail the gate.
+// -json renders findings and suppressions machine-readably; error
+// findings still fail the gate.
 func TestVerdictJSONOutput(t *testing.T) {
-	m := fakeModule(t)
-	f := finding(m, "deadlineflow", "internal/netserve/backend.go", "deadline dropped", 7)
+	f := analysis.Finding{
+		Analyzer: "deadlineflow",
+		Severity: analysis.Error,
+		Pos:      token.Position{Filename: "internal/netserve/backend.go", Line: 7, Column: 1},
+		Message:  "deadline dropped",
+	}
 	sup := analysis.Suppression{
 		Analyzer: "goleak",
 		Severity: analysis.Error,
-		Pos:      token.Position{Filename: filepath.Join(m.Dir, "internal/kernels/pool.go"), Line: 3, Column: 2},
+		Pos:      token.Position{Filename: "internal/kernels/pool.go", Line: 3, Column: 2},
 		Message:  "goroutine has no stop path",
 		Reason:   "process-lifetime pump",
 	}
 	var out bytes.Buffer
-	if code := verdict(&out, m, []analysis.Finding{f}, []analysis.Suppression{sup}, true, ""); code != 1 {
+	if code := verdict(&out, []analysis.Finding{f}, []analysis.Suppression{sup}, true); code != 1 {
 		t.Fatalf("json verdict with an error finding exits %d, want 1", code)
 	}
 	var rep jsonReport
@@ -127,12 +42,11 @@ func TestVerdictJSONOutput(t *testing.T) {
 	}
 }
 
-// An empty run with no baseline exits clean and renders empty JSON
-// arrays (not null), so downstream tooling can always range.
+// An empty run exits clean and renders empty JSON arrays (not null), so
+// downstream tooling can always range.
 func TestVerdictCleanJSON(t *testing.T) {
-	m := fakeModule(t)
 	var out bytes.Buffer
-	if code := verdict(&out, m, nil, nil, true, ""); code != 0 {
+	if code := verdict(&out, nil, nil, true); code != 0 {
 		t.Fatalf("clean run exits %d, want 0", code)
 	}
 	s := out.String()

@@ -96,15 +96,13 @@ type Reporter struct {
 func (r *Reporter) Report(sev Severity, pos token.Pos, format string, args ...any) {
 	p := r.module.Fset.Position(pos)
 	if ok, reason := r.module.Allowed(r.analyzer, p.Filename, p.Line); ok {
-		if r.suppressed != nil {
-			*r.suppressed = append(*r.suppressed, Suppression{
-				Analyzer: r.analyzer,
-				Severity: sev,
-				Pos:      p,
-				Message:  fmt.Sprintf(format, args...),
-				Reason:   reason,
-			})
-		}
+		*r.suppressed = append(*r.suppressed, Suppression{
+			Analyzer: r.analyzer,
+			Severity: sev,
+			Pos:      p,
+			Message:  fmt.Sprintf(format, args...),
+			Reason:   reason,
+		})
 		return
 	}
 	*r.findings = append(*r.findings, Finding{
@@ -132,12 +130,6 @@ func RunAll(m *Module, analyzers []*Analyzer) ([]Finding, []Suppression) {
 		return posLess(suppressed[i].Pos, suppressed[j].Pos, suppressed[i].Analyzer, suppressed[j].Analyzer)
 	})
 	return findings, suppressed
-}
-
-// RunAnalyzers is RunAll without the suppression report.
-func RunAnalyzers(m *Module, analyzers []*Analyzer) []Finding {
-	findings, _ := RunAll(m, analyzers)
-	return findings
 }
 
 // posLess is the canonical finding order: file, line, column, analyzer.

@@ -3,7 +3,6 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
-	"sort"
 	"strings"
 )
 
@@ -35,21 +34,15 @@ func DeadlineFlow() *Analyzer {
 }
 
 func runDeadlineFlow(m *Module, r *Reporter) {
-	decls := moduleFuncDecls(m)
-	ids := make([]string, 0, len(decls))
-	for id := range decls {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-
-	for _, id := range ids {
-		d := decls[id]
-		param := ctxParam(d.pkg.Info, d.fd)
+	ix := m.funcs()
+	for _, id := range ix.ids {
+		d := ix.decls[id]
+		info := d.pkg.Info
+		param := ctxParam(info, d.fd)
 		if param == "" {
 			continue
 		}
-		info := d.pkg.Info
-		inspectWithStack(d.fd.Body, func(n ast.Node, stack []ast.Node) bool {
+		ast.Inspect(d.fd.Body, func(n ast.Node) bool {
 			if _, ok := n.(*ast.GoStmt); ok {
 				return false
 			}
@@ -57,12 +50,12 @@ func runDeadlineFlow(m *Module, r *Reporter) {
 			if !ok {
 				return true
 			}
-			fn := resolvedCallee(info, call)
-			if fn == nil || !moduleFunc(m, fn) || strings.HasSuffix(fn.Name(), "Ctx") {
+			fn := calleeFunc(info, call)
+			if !moduleFunc(m, fn) || strings.HasSuffix(fn.Name(), "Ctx") {
 				return true
 			}
 			sibling := funcID(fn) + "Ctx"
-			if _, ok := decls[sibling]; ok {
+			if ix.decls[sibling] != nil {
 				r.Report(Error, call.Pos(),
 					"request context %q is dropped: %s has a context-aware sibling %s",
 					param, shortFuncID(funcID(fn)), shortFuncID(sibling))

@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 )
 
 // goleak proves every goroutine launched in the scoped packages has a
@@ -50,26 +49,18 @@ func runGoLeak(m *Module, pkgPaths []string, r *Reporter) {
 	for _, p := range pkgPaths {
 		scoped[p] = true
 	}
-	decls := moduleFuncDecls(m)
-	named := moduleNamedTypes(m)
+	ix := m.funcs()
 	closed := closedChannelObjs(m)
-
-	ids := make([]string, 0, len(decls))
-	for id := range decls {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-
 	direct := map[string]witness{}
 	callees := map[string][]string{}
-	for _, id := range ids {
-		d := decls[id]
+	for _, id := range ix.ids {
+		d := ix.decls[id]
 		if why, pos := spinSite(d.pkg.Info, d.fd.Body, closed); pos.IsValid() {
 			direct[id] = witness{why: why}
 		}
-		callees[id] = calleeEdges(m, d.pkg, d.fd.Body, named)
+		callees[id] = calleeEdges(m, d.pkg.Info, d.fd.Body)
 	}
-	spins := propagate(direct, callees)
+	spins := propagate(ix.ids, direct, callees)
 
 	for _, pkg := range m.Packages {
 		if len(pkgPaths) > 0 && !scoped[pkg.Path] {
@@ -82,7 +73,7 @@ func runGoLeak(m *Module, pkgPaths []string, r *Reporter) {
 				if !ok {
 					return true
 				}
-				checkGoStmt(m, p, g, named, closed, spins, r)
+				checkGoStmt(m, p, g, closed, spins, r)
 				return true
 			})
 		}
@@ -90,45 +81,28 @@ func runGoLeak(m *Module, pkgPaths []string, r *Reporter) {
 }
 
 // checkGoStmt reports a go statement whose goroutine provably spins.
-func checkGoStmt(m *Module, pkg *Package, g *ast.GoStmt, named []*types.Named,
+func checkGoStmt(m *Module, pkg *Package, g *ast.GoStmt,
 	closed map[types.Object]bool, spins map[string]witness, r *Reporter) {
 	if lit, ok := ast.Unparen(g.Call.Fun).(*ast.FuncLit); ok {
 		if why, pos := spinSite(pkg.Info, lit.Body, closed); pos.IsValid() {
 			r.Report(Error, g.Pos(), "goroutine has no stop path: %s", why)
 			return
 		}
-		for _, c := range calleeEdges(m, pkg, lit.Body, named) {
-			if w, ok := spins[c]; ok && (w.why != "" || w.next != "") {
+		for _, c := range calleeEdges(m, pkg.Info, lit.Body) {
+			if _, ok := spins[c]; ok {
 				r.Report(Error, g.Pos(), "goroutine has no stop path: %s", renderChain(spins, c))
 				return
 			}
 		}
 		return
 	}
-	if id := goTargetID(m, pkg, g.Call, named); id != "" {
-		if w, ok := spins[id]; ok && (w.why != "" || w.next != "") {
-			r.Report(Error, g.Pos(), "goroutine has no stop path: %s", renderChain(spins, id))
+	// A launch through an interface is followed only when exactly one
+	// module type implements the method.
+	if targets := m.callTargets(pkg.Info, g.Call); len(targets) == 1 {
+		if _, ok := spins[targets[0]]; ok {
+			r.Report(Error, g.Pos(), "goroutine has no stop path: %s", renderChain(spins, targets[0]))
 		}
 	}
-}
-
-// goTargetID resolves the function a go statement launches, following
-// interface dispatch to the single module implementation when unique.
-func goTargetID(m *Module, pkg *Package, call *ast.CallExpr, named []*types.Named) string {
-	if id := moduleCalleeID(m, pkg, call); id != "" {
-		return id
-	}
-	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-		if s, ok := pkg.Info.Selections[sel]; ok && s.Kind() == types.MethodVal {
-			if iface, ok := s.Recv().Underlying().(*types.Interface); ok {
-				impls := implementations(named, iface, s.Obj().Name())
-				if len(impls) == 1 {
-					return impls[0]
-				}
-			}
-		}
-	}
-	return ""
 }
 
 // spinSite finds the first provably endless construct in a function
@@ -262,17 +236,9 @@ func closedChannelObjs(m *Module) map[types.Object]bool {
 }
 
 // calleeEdges collects the unique, sorted module functions an extent
-// statically calls (interface calls resolve to every implementation).
-// Goroutine launches and stored closures are separate extents.
-func calleeEdges(m *Module, pkg *Package, body ast.Node, named []*types.Named) []string {
-	seen := map[string]bool{}
+// calls. Goroutine launches and stored closures are separate extents.
+func calleeEdges(m *Module, info *types.Info, body ast.Node) []string {
 	var edges []string
-	add := func(id string) {
-		if id != "" && !seen[id] {
-			seen[id] = true
-			edges = append(edges, id)
-		}
-	}
 	inspectWithStack(body, func(n ast.Node, stack []ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.GoStmt:
@@ -282,22 +248,9 @@ func calleeEdges(m *Module, pkg *Package, body ast.Node, named []*types.Named) [
 				return false
 			}
 		case *ast.CallExpr:
-			if id := moduleCalleeID(m, pkg, n); id != "" {
-				add(id)
-				return true
-			}
-			if sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr); ok {
-				if s, ok := pkg.Info.Selections[sel]; ok && s.Kind() == types.MethodVal {
-					if iface, ok := s.Recv().Underlying().(*types.Interface); ok {
-						for _, impl := range implementations(named, iface, s.Obj().Name()) {
-							add(impl)
-						}
-					}
-				}
-			}
+			edges = append(edges, m.callTargets(info, n)...)
 		}
 		return true
 	})
-	sort.Strings(edges)
-	return edges
+	return distinct(edges)
 }

@@ -3,27 +3,39 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 )
 
-// Shared machinery for the concurrency/performance analyzers (lockorder,
-// goleak, hotalloc, deadlineflow): an index of every function body in the
-// module, call-edge resolution, and a witness-chain renderer for
-// transitive diagnostics.
+// Shared machinery for the call-graph analyzers (panicpath, lockorder,
+// goleak, hotalloc, deadlineflow): one index of every function body in
+// the module, one call-target resolver, one breadth-first reachability
+// walk, and a witness-chain renderer for transitive diagnostics. Each
+// analyzer keeps its own per-function AST walk and its own extent rule.
 
 // declInfo is one declared function body plus the package context needed
 // to resolve identifiers inside it.
 type declInfo struct {
 	pkg *Package
 	fd  *ast.FuncDecl
-	id  string
 }
 
-// moduleFuncDecls indexes every function declaration in the module by
-// canonical funcID.
-func moduleFuncDecls(m *Module) map[string]*declInfo {
-	decls := map[string]*declInfo{}
+// funcIndex is the module's function index: every function declaration
+// with a body by canonical funcID, the ids in sorted order, and the
+// module's named types for interface dispatch.
+type funcIndex struct {
+	ids   []string
+	decls map[string]*declInfo
+	named []*types.Named
+}
+
+// funcs returns the module's function index, building it on first use.
+func (m *Module) funcs() *funcIndex {
+	if m.index != nil {
+		return m.index
+	}
+	ix := &funcIndex{decls: map[string]*declInfo{}}
 	for _, pkg := range m.Packages {
 		for _, file := range pkg.Files {
 			for _, decl := range file.Decls {
@@ -31,33 +43,77 @@ func moduleFuncDecls(m *Module) map[string]*declInfo {
 				if !ok || fd.Body == nil {
 					continue
 				}
-				obj, ok := pkg.Info.Defs[fd.Name].(*types.Func)
-				if !ok {
-					continue
+				if obj, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok {
+					ix.decls[funcID(obj)] = &declInfo{pkg: pkg, fd: fd}
 				}
-				id := funcID(obj)
-				decls[id] = &declInfo{pkg: pkg, fd: fd, id: id}
+			}
+		}
+		scope := pkg.Types.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || tn.IsAlias() {
+				continue
+			}
+			if n, ok := tn.Type().(*types.Named); ok {
+				ix.named = append(ix.named, n)
 			}
 		}
 	}
-	return decls
-}
-
-// resolvedCallee returns the *types.Func a call statically resolves to
-// (module or standard library), or nil for builtins, function values and
-// interface-method calls.
-func resolvedCallee(info *types.Info, call *ast.CallExpr) *types.Func {
-	return calleeFunc(info, call)
-}
-
-// moduleCalleeID returns the funcID of a call's target when it is a
-// module function with a body, else "".
-func moduleCalleeID(m *Module, pkg *Package, call *ast.CallExpr) string {
-	f := calleeFunc(pkg.Info, call)
-	if f == nil || !moduleFunc(m, f) {
-		return ""
+	for id := range ix.decls {
+		ix.ids = append(ix.ids, id)
 	}
-	return funcID(f)
+	sort.Strings(ix.ids)
+	m.index = ix
+	return ix
+}
+
+// callTargets resolves a call to the module functions it may run: every
+// module implementation of an interface method, in sorted order, or else
+// the static callee when it is a module function. Builtins, function
+// values and standard-library functions resolve to none.
+func (m *Module) callTargets(info *types.Info, call *ast.CallExpr) []string {
+	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
+		if s, ok := info.Selections[sel]; ok && s.Kind() == types.MethodVal {
+			if iface, ok := s.Recv().Underlying().(*types.Interface); ok {
+				return implementations(m.funcs().named, iface, s.Obj().Name())
+			}
+		}
+	}
+	if f := calleeFunc(info, call); moduleFunc(m, f) {
+		return []string{funcID(f)}
+	}
+	return nil
+}
+
+// walkFrom visits, breadth first, every function reachable from roots
+// along the edges visit returns, each exactly once and in discovery
+// order. parent maps each discovered function to the one that found it
+// first, so chain(parent, id) renders the path the walk took.
+func walkFrom(roots []string, visit func(id string, parent map[string]string) []string) {
+	parent := map[string]string{}
+	var queue []string
+	discover := func(id, from string) {
+		if _, ok := parent[id]; !ok {
+			parent[id] = from
+			queue = append(queue, id)
+		}
+	}
+	for _, id := range roots {
+		discover(id, "")
+	}
+	for len(queue) > 0 {
+		id := queue[0]
+		queue = queue[1:]
+		for _, e := range visit(id, parent) {
+			discover(e, id)
+		}
+	}
+}
+
+// distinct sorts ids and drops repeats.
+func distinct(ids []string) []string {
+	slices.Sort(ids)
+	return slices.Compact(ids)
 }
 
 // exprKey renders a lock receiver expression ("p.mu", "pool.mu") as a
@@ -108,21 +164,16 @@ func renderChain(witnesses map[string]witness, start string) string {
 }
 
 // propagate computes the transitive closure of a per-function property
-// over static call edges: any function calling a property-carrying
-// function carries it too, with the callee recorded as witness. direct
-// holds the seed set (witnesses with next == ""); callees the per-
-// function outgoing edges. The fixed point is deterministic: functions
-// and edges are visited in sorted order.
-func propagate(direct map[string]witness, callees map[string][]string) map[string]witness {
+// over call edges: any function calling a property-carrying function
+// carries it too, with the callee recorded as witness. direct holds the
+// seed set (witnesses with next == ""); callees the per-function
+// outgoing edges, visited in the sorted order of ids so the fixed point
+// is deterministic.
+func propagate(ids []string, direct map[string]witness, callees map[string][]string) map[string]witness {
 	out := make(map[string]witness, len(direct))
 	for id, w := range direct {
 		out[id] = w
 	}
-	ids := make([]string, 0, len(callees))
-	for id := range callees {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
 	for changed := true; changed; {
 		changed = false
 		for _, id := range ids {

@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 	"strings"
 )
 
@@ -47,47 +46,24 @@ func HotAlloc() *Analyzer {
 }
 
 func runHotAlloc(m *Module, r *Reporter) {
-	decls := moduleFuncDecls(m)
-	ids := make([]string, 0, len(decls))
-	for id := range decls {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-
+	ix := m.funcs()
 	var roots []string
-	for _, id := range ids {
-		if hotPathAnnotated(decls[id].fd) {
+	for _, id := range ix.ids {
+		if hotPathAnnotated(ix.decls[id].fd) {
 			roots = append(roots, id)
 		}
 	}
-
-	// Breadth-first walk of the static call graph from the annotated
-	// roots, keeping the discovery parent for chain diagnostics.
-	parent := map[string]string{}
-	visited := map[string]bool{}
-	queue := append([]string(nil), roots...)
-	for _, id := range roots {
-		visited[id] = true
-	}
-	for len(queue) > 0 {
-		id := queue[0]
-		queue = queue[1:]
-		d, ok := decls[id]
-		if !ok {
-			continue
+	walkFrom(roots, func(id string, parent map[string]string) []string {
+		d := ix.decls[id]
+		if d == nil {
+			return nil
 		}
 		allocs, edges := scanHot(m, d)
 		for _, a := range allocs {
 			r.Report(Error, a.pos, "allocation on hot path %s: %s", chain(parent, id), a.desc)
 		}
-		for _, e := range edges {
-			if !visited[e] {
-				visited[e] = true
-				parent[e] = id
-				queue = append(queue, e)
-			}
-		}
-	}
+		return edges
+	})
 }
 
 // hotPathAnnotated reports whether a declaration's doc comment carries
@@ -117,13 +93,6 @@ func scanHot(m *Module, d *declInfo) (allocs []hotSite, edges []string) {
 	info := d.pkg.Info
 	cold := coldBlocks(info, d.fd)
 	results := resultObjs(info, d.fd)
-	edgeSeen := map[string]bool{}
-	addEdge := func(id string) {
-		if id != "" && !edgeSeen[id] {
-			edgeSeen[id] = true
-			edges = append(edges, id)
-		}
-	}
 	inspectWithStack(d.fd.Body, func(n ast.Node, stack []ast.Node) bool {
 		if cold[n] {
 			return false
@@ -164,9 +133,9 @@ func scanHot(m *Module, d *declInfo) (allocs []hotSite, edges []string) {
 				}
 				return true
 			}
-			if fn := resolvedCallee(info, n); fn != nil {
+			if fn := calleeFunc(info, n); fn != nil {
 				if moduleFunc(m, fn) {
-					addEdge(funcID(fn))
+					edges = append(edges, funcID(fn))
 				} else if pkg := allocStdlibPkg(fn); pkg != "" &&
 					!allowedByFlow(info, n, stack, results) {
 					allocs = append(allocs, hotSite{n.Pos(),
@@ -176,8 +145,7 @@ func scanHot(m *Module, d *declInfo) (allocs []hotSite, edges []string) {
 		}
 		return true
 	})
-	sort.Strings(edges)
-	return allocs, edges
+	return allocs, distinct(edges)
 }
 
 // coldBlocks marks blocks whose last statement is recognizably an error
@@ -420,7 +388,7 @@ func trustedAppend(m *Module, info *types.Info, fd *ast.FuncDecl, call *ast.Call
 			case *ast.CallExpr:
 				if calleeBuiltin(info, rhs) == "make" {
 					trusted = true
-				} else if fn := resolvedCallee(info, rhs); fn != nil && moduleFunc(m, fn) {
+				} else if moduleFunc(m, calleeFunc(info, rhs)) {
 					trusted = true
 				}
 			}

@@ -29,6 +29,8 @@ type Module struct {
 	// allow maps file -> line -> analyzer name -> justification for
 	// findings suppressed by an `//rt:allow` directive on that line.
 	allow map[string]map[int]map[string]string
+	// index is the function index funcs builds on first use.
+	index *funcIndex
 }
 
 // Package is one type-checked package of the module. Test files

@@ -69,61 +69,40 @@ type lockFacts struct {
 }
 
 func runLockOrder(m *Module, extraBlocking []string, r *Reporter) {
-	decls := moduleFuncDecls(m)
-	named := moduleNamedTypes(m)
-
-	ids := make([]string, 0, len(decls))
-	for id := range decls {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-
+	ix := m.funcs()
 	facts := map[string]*lockFacts{}
 	direct := map[string]witness{}
 	callees := map[string][]string{}
 	for _, id := range extraBlocking {
 		direct[id] = witness{why: "serving entry point (serializes a full request)"}
 	}
-	for _, id := range ids {
-		d := decls[id]
-		f := scanLockFacts(m, d, named)
+	for _, id := range ix.ids {
+		f := scanLockFacts(m, ix.decls[id])
 		facts[id] = f
 		var edges []string
-		edgeSeen := map[string]bool{}
 		for _, it := range f.items {
-			if it.desc != "" {
-				if _, ok := direct[id]; !ok {
-					direct[id] = witness{why: it.desc}
-				}
-				continue
-			}
-			if !edgeSeen[it.callee] {
-				edgeSeen[it.callee] = true
+			if it.desc == "" {
 				edges = append(edges, it.callee)
+			} else if _, ok := direct[id]; !ok {
+				direct[id] = witness{why: it.desc}
 			}
 		}
-		sort.Strings(edges)
-		callees[id] = edges
+		callees[id] = distinct(edges)
 	}
-	blocking := propagate(direct, callees)
+	blocking := propagate(ix.ids, direct, callees)
 
-	for _, id := range ids {
+	for _, id := range ix.ids {
 		f := facts[id]
-		regions := lockRegions(f)
-		if len(regions) == 0 {
-			continue
-		}
 		reported := map[token.Pos]bool{}
-		for _, reg := range regions {
+		for _, reg := range lockRegions(f) {
 			for _, it := range f.items {
 				if it.pos <= reg.start || it.pos >= reg.end || reported[it.pos] {
 					continue
 				}
-				switch {
-				case it.desc != "":
+				if it.desc != "" {
 					reported[it.pos] = true
 					r.Report(Error, it.pos, "%s held across %s", reg.key, it.desc)
-				case blocking[it.callee].why != "" || blocking[it.callee].next != "":
+				} else if _, ok := blocking[it.callee]; ok {
 					reported[it.pos] = true
 					r.Report(Error, it.pos, "%s held across blocking call: %s",
 						reg.key, renderChain(blocking, it.callee))
@@ -137,7 +116,7 @@ func runLockOrder(m *Module, extraBlocking []string, r *Reporter) {
 // potentially blocking sites. Goroutine launches and stored closures run
 // outside the function's own extent and are skipped; immediately invoked
 // literals are part of it.
-func scanLockFacts(m *Module, d *declInfo, named []*types.Named) *lockFacts {
+func scanLockFacts(m *Module, d *declInfo) *lockFacts {
 	info := d.pkg.Info
 	f := &lockFacts{bodyEnd: d.fd.Body.End()}
 	commOp := map[ast.Node]bool{} // comm statements subsumed by their select's verdict
@@ -182,7 +161,7 @@ func scanLockFacts(m *Module, d *declInfo, named []*types.Named) *lockFacts {
 			recordDeferUnlocks(info, n, f)
 			return false
 		case *ast.CallExpr:
-			if fn := resolvedCallee(info, n); fn != nil {
+			if fn := calleeFunc(info, n); fn != nil {
 				if desc := blockingStdlibDesc(fn); desc != "" {
 					f.items = append(f.items, blockItem{pos: n.Pos(), desc: desc})
 					return true
@@ -191,20 +170,9 @@ func scanLockFacts(m *Module, d *declInfo, named []*types.Named) *lockFacts {
 					f.events = append(f.events, lockEvent{pos: n.Pos(), key: key, kind: kind})
 					return true
 				}
-				if moduleFunc(m, fn) {
-					f.items = append(f.items, blockItem{pos: n.Pos(), callee: funcID(fn)})
-				}
-				return true
 			}
-			// Interface-method calls resolve to every module implementation.
-			if sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr); ok {
-				if s, ok := info.Selections[sel]; ok && s.Kind() == types.MethodVal {
-					if iface, ok := s.Recv().Underlying().(*types.Interface); ok {
-						for _, impl := range implementations(named, iface, s.Obj().Name()) {
-							f.items = append(f.items, blockItem{pos: n.Pos(), callee: impl})
-						}
-					}
-				}
+			for _, id := range m.callTargets(info, n) {
+				f.items = append(f.items, blockItem{pos: n.Pos(), callee: id})
 			}
 		}
 		return true

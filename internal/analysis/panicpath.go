@@ -46,46 +46,22 @@ func PanicPath(roots []string) *Analyzer {
 	}
 }
 
-// funcNode is one function in the module's call graph.
-type funcNode struct {
-	id      string
-	panics  []token.Pos
-	callees []string
-	barrier bool // has a defer/recover barrier; panics below are caught
-}
-
 func runPanicPath(m *Module, roots []string, r *Reporter) {
-	nodes := buildCallGraph(m)
-	type visit struct{ id, parent string }
-	parent := map[string]string{}
-	var queue []visit
-	for _, root := range roots {
-		if _, ok := nodes[root]; ok {
-			queue = append(queue, visit{id: root})
+	decls := m.funcs().decls
+	walkFrom(roots, func(id string, parent map[string]string) []string {
+		d := decls[id]
+		if d == nil {
+			return nil
 		}
-	}
-	seen := map[string]bool{}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		if seen[v.id] {
-			continue
+		panics, callees, barrier := analyzeFunc(m, d)
+		if barrier {
+			return nil
 		}
-		seen[v.id] = true
-		parent[v.id] = v.parent
-		node := nodes[v.id]
-		if node == nil || node.barrier {
-			continue
+		for _, pos := range panics {
+			r.Report(Error, pos, "panic reachable from entry point: %s", chain(parent, id))
 		}
-		for _, pos := range node.panics {
-			r.Report(Error, pos, "panic reachable from entry point: %s", chain(parent, v.id))
-		}
-		for _, c := range node.callees {
-			if !seen[c] {
-				queue = append(queue, visit{id: c, parent: v.id})
-			}
-		}
-	}
+		return callees
+	})
 }
 
 // chain renders the call path root → ... → id for diagnostics.
@@ -117,71 +93,31 @@ func shortFuncID(id string) string {
 	return prefix + id[i+1:]
 }
 
-func buildCallGraph(m *Module) map[string]*funcNode {
-	nodes := map[string]*funcNode{}
-	ifaceTypes := moduleNamedTypes(m)
-	for _, pkg := range m.Packages {
-		for _, file := range pkg.Files {
-			for _, decl := range file.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				obj, ok := pkg.Info.Defs[fd.Name].(*types.Func)
-				if !ok {
-					continue
-				}
-				node := analyzeFunc(m, pkg, fd, ifaceTypes)
-				node.id = funcID(obj)
-				nodes[node.id] = node
-			}
-		}
-	}
-	return nodes
-}
-
-// analyzeFunc collects a function's panic sites, outgoing call edges and
-// recover barriers. Function-literal bodies are treated as part of the
-// enclosing function: deferred and stored closures may run within its
-// dynamic extent.
-func analyzeFunc(m *Module, pkg *Package, fd *ast.FuncDecl, named []*types.Named) *funcNode {
-	node := &funcNode{}
-	callees := map[string]bool{}
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
+// analyzeFunc collects a function's panic sites, its sorted outgoing
+// call edges and whether it installs a recover barrier (panics below a
+// barrier are caught). Function-literal bodies are treated as part of
+// the enclosing function: deferred and stored closures may run within
+// its dynamic extent.
+func analyzeFunc(m *Module, d *declInfo) (panics []token.Pos, callees []string, barrier bool) {
+	info := d.pkg.Info
+	ast.Inspect(d.fd.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.DeferStmt:
-			if deferRecovers(pkg.Info, n) {
-				node.barrier = true
+			if deferRecovers(info, n) {
+				barrier = true
 			}
 		case *ast.CallExpr:
-			fun := ast.Unparen(n.Fun)
-			if id, ok := fun.(*ast.Ident); ok {
-				if _, builtin := pkg.Info.Uses[id].(*types.Builtin); builtin && id.Name == "panic" {
-					node.panics = append(node.panics, n.Pos())
+			if id, ok := ast.Unparen(n.Fun).(*ast.Ident); ok {
+				if _, builtin := info.Uses[id].(*types.Builtin); builtin && id.Name == "panic" {
+					panics = append(panics, n.Pos())
 					return true
 				}
 			}
-			if sel, ok := fun.(*ast.SelectorExpr); ok {
-				if s, ok := pkg.Info.Selections[sel]; ok && s.Kind() == types.MethodVal {
-					if iface, ok := s.Recv().Underlying().(*types.Interface); ok {
-						for _, impl := range implementations(named, iface, s.Obj().Name()) {
-							callees[impl] = true
-						}
-						return true
-					}
-				}
-			}
-			if f := calleeFunc(pkg.Info, n); moduleFunc(m, f) {
-				callees[funcID(f)] = true
-			}
+			callees = append(callees, m.callTargets(info, n)...)
 		}
 		return true
 	})
-	for c := range callees {
-		node.callees = append(node.callees, c)
-	}
-	sort.Strings(node.callees)
-	return node
+	return panics, distinct(callees), barrier
 }
 
 // deferRecovers reports whether the defer statement installs a recover
@@ -210,25 +146,6 @@ func deferRecovers(info *types.Info, d *ast.DeferStmt) bool {
 		return !found
 	})
 	return found
-}
-
-// moduleNamedTypes lists every named type declared in the module, for
-// interface-implementation resolution.
-func moduleNamedTypes(m *Module) []*types.Named {
-	var out []*types.Named
-	for _, pkg := range m.Packages {
-		scope := pkg.Types.Scope()
-		for _, name := range scope.Names() {
-			tn, ok := scope.Lookup(name).(*types.TypeName)
-			if !ok || tn.IsAlias() {
-				continue
-			}
-			if n, ok := tn.Type().(*types.Named); ok {
-				out = append(out, n)
-			}
-		}
-	}
-	return out
 }
 
 // implementations resolves an interface method call to the concrete

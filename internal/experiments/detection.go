@@ -143,15 +143,8 @@ dusk scenes where the decoded detection sets differ: %d/%d
 `, r.Scenes, r.PrecisionAt50, r.RecallAt50, r.PrecisionAt75, r.RecallAt75,
 		r.ClassAccuracyPct,
 		r.CoverageCellsDiffering, r.CoverageCells,
-		100*float64(r.CoverageCellsDiffering)/float64(maxInt1(r.CoverageCells)),
+		100*float64(r.CoverageCellsDiffering)/float64(max(r.CoverageCells, 1)),
 		r.ScenesDiffering, r.DuskScenes)
-}
-
-func maxInt1(v int) int {
-	if v < 1 {
-		return 1
-	}
-	return v
 }
 
 // buildDetector constructs the scene-scale detection proxy.

@@ -287,7 +287,7 @@ func (l *Lab) Table13() Table13Result {
 			continue
 		}
 		a, b, c := st.Calls, c1[sym].Calls, c2[sym].Calls
-		spread := maxI(a, b, c) - minI(a, b, c)
+		spread := max(a, b, c) - min(a, b, c)
 		if spread > bestSpread {
 			best, bestSpread = sym, spread
 		}
@@ -326,24 +326,4 @@ func (l *Lab) RenderTable13() string {
 	}
 	fmt.Fprintf(&b, "%8d calls %5d calls %5d calls\n", r.Calls[0], r.Calls[1], r.Calls[2])
 	return b.String()
-}
-
-func maxI(vals ...int) int {
-	m := vals[0]
-	for _, v := range vals[1:] {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
-func minI(vals ...int) int {
-	m := vals[0]
-	for _, v := range vals[1:] {
-		if v < m {
-			m = v
-		}
-	}
-	return m
 }

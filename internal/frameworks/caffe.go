@@ -44,7 +44,7 @@ func caffeArch(h header, rs []graph.LayerRecord) ([]byte, error) {
 		switch r.Op {
 		case graph.OpConv:
 			fmt.Fprintf(&b, "  convolution_param { num_output: %d kernel_size: %d stride: %d pad: %d group: %d }\n",
-				r.Conv.OutC, r.Conv.Kernel, r.Conv.Stride, r.Conv.Pad, maxInt(r.Conv.Groups, 1))
+				r.Conv.OutC, r.Conv.Kernel, r.Conv.Stride, r.Conv.Pad, max(r.Conv.Groups, 1))
 		case graph.OpMaxPool:
 			fmt.Fprintf(&b, "  pooling_param { pool: MAX kernel_size: %d stride: %d pad: %d }\n",
 				r.Pool.Kernel, r.Pool.Stride, r.Pool.Pad)
@@ -234,11 +234,4 @@ func parseInlineParams(line string) params {
 func unquote(s string) string {
 	s = strings.TrimSpace(s)
 	return strings.Trim(s, `"`)
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -57,7 +57,7 @@ func darknetArch(h header, rs []graph.LayerRecord) ([]byte, error) {
 				fmt.Sprintf("size=%d", r.Conv.Kernel),
 				fmt.Sprintf("stride=%d", r.Conv.Stride),
 				fmt.Sprintf("pad=%d", r.Conv.Pad),
-				fmt.Sprintf("groups=%d", maxInt(r.Conv.Groups, 1)),
+				fmt.Sprintf("groups=%d", max(r.Conv.Groups, 1)),
 				"activation=linear")
 		case graph.OpMaxPool:
 			emit("maxpool", fmt.Sprintf("# name=%s", r.Name),

@@ -58,7 +58,7 @@ func pyTorchArch(h header, rs []graph.LayerRecord) ([]byte, error) {
 			mod.Args["kernel_size"] = float64(r.Conv.Kernel)
 			mod.Args["stride"] = float64(r.Conv.Stride)
 			mod.Args["padding"] = float64(r.Conv.Pad)
-			mod.Args["groups"] = float64(maxInt(r.Conv.Groups, 1))
+			mod.Args["groups"] = float64(max(r.Conv.Groups, 1))
 		case graph.OpMaxPool, graph.OpAvgPool:
 			mod.Args["kernel_size"] = float64(r.Pool.Kernel)
 			mod.Args["stride"] = float64(r.Pool.Stride)

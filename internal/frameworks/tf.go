@@ -57,7 +57,7 @@ func tfArch(h header, rs []graph.LayerRecord) ([]byte, error) {
 			n.Attr["ksize"] = float64(r.Conv.Kernel)
 			n.Attr["strides"] = float64(r.Conv.Stride)
 			n.Attr["padding"] = float64(r.Conv.Pad)
-			n.Attr["groups"] = float64(maxInt(r.Conv.Groups, 1))
+			n.Attr["groups"] = float64(max(r.Conv.Groups, 1))
 		case graph.OpMaxPool, graph.OpAvgPool:
 			n.Attr["ksize"] = float64(r.Pool.Kernel)
 			n.Attr["strides"] = float64(r.Pool.Stride)

@@ -161,17 +161,3 @@ func (m LatencyMatrix) AnomalyString() string {
 	}
 	return s
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -72,14 +72,6 @@ func WithBudget(sec float64) *Request {
 	return &Request{BudgetSec: sec, Abort: true}
 }
 
-// Budget is the nil-safe budget accessor.
-func (r *Request) Budget() float64 {
-	if r == nil {
-		return 0
-	}
-	return r.BudgetSec
-}
-
 // Aborts reports whether the abandon paths are armed: a non-nil
 // context with a positive budget and Abort set.
 func (r *Request) Aborts() bool {

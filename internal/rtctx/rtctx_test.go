@@ -7,8 +7,8 @@ import (
 
 func TestNilSafety(t *testing.T) {
 	var r *Request
-	if r.Budget() != 0 {
-		t.Fatalf("nil Budget = %v, want 0", r.Budget())
+	if r.Overran(1) {
+		t.Fatal("nil Overran = true")
 	}
 	if r.Aborts() {
 		t.Fatal("nil Aborts = true")
@@ -25,11 +25,11 @@ func TestNilSafety(t *testing.T) {
 }
 
 func TestConstructors(t *testing.T) {
-	if b := Background(); b.Aborts() || b.Budget() != 0 {
+	if b := Background(); b.Aborts() || b.BudgetSec != 0 {
 		t.Fatalf("Background = %+v, want no budget, no abort", b)
 	}
 	w := WithBudget(0.25)
-	if !w.Aborts() || w.Budget() != 0.25 {
+	if !w.Aborts() || w.BudgetSec != 0.25 {
 		t.Fatalf("WithBudget = %+v, want budget 0.25, aborting", w)
 	}
 	if WithBudget(0).Aborts() {
