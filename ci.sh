@@ -26,7 +26,7 @@
 # of every classifier engine the results are generated from. Then the
 # serving soak on a virtual clock (testing/synctest, behind
 # GOEXPERIMENT=synctest): a 2x-overload open-loop run of the netserve
-# front end over a real resnet18 executor, under both the FIFO baseline
+# front end over a real resnet18 Pool of one, under both the FIFO baseline
 # and the EDF + WCET-admission discipline, plus a FIFO row that drains
 # at a seeded mid-run instant with a tenant on every arrival, whose
 # exact outcome is pinned and whose invariants (one terminal answer per

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -26,13 +27,31 @@ func fixtureAnalyzers() []*Analyzer {
 	}
 }
 
-func loadFixture(t *testing.T) *Module {
-	t.Helper()
-	m, err := LoadModule(filepath.Join("testdata", "module"))
-	if err != nil {
-		t.Fatal(err)
+// Loading type-checks the standard library from source, the bulk of
+// this package's test time, so each module is loaded once per test
+// binary and shared: analyzers only read a Module (its function index is
+// built once, on first use), and these tests do not run in parallel.
+var (
+	// loadFixture returns the fixture module under testdata/module.
+	loadFixture = onceModule(filepath.Join("testdata", "module"))
+	// loadRepo returns this repository's module.
+	loadRepo = onceModule(filepath.Join("..", ".."))
+)
+
+// onceModule returns a loader that loads root on its first call and
+// hands every later caller the same Module, or the same error.
+func onceModule(root string) func(t *testing.T) *Module {
+	var once sync.Once
+	var m *Module
+	var err error
+	return func(t *testing.T) *Module {
+		t.Helper()
+		once.Do(func() { m, err = LoadModule(root) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
 	}
-	return m
 }
 
 // fixtureMarkers scans the fixture sources for `want:<analyzer>` line
@@ -110,10 +129,7 @@ func TestFixtureFindingsMatchMarkers(t *testing.T) {
 // rtlint's coverage without a finding. Every seeded name must be a
 // declared function.
 func TestSeededEntryPointsResolve(t *testing.T) {
-	m, err := LoadModule(filepath.Join("..", ".."))
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := loadRepo(t)
 	decls := m.funcs().decls
 	for list, ids := range map[string][]string{
 		"DefaultPanicRoots":    DefaultPanicRoots,
@@ -132,10 +148,7 @@ func TestSeededEntryPointsResolve(t *testing.T) {
 // reaches, kept alive only by its own tests. Commands, examples and
 // bench/ count as importers; the module root is documentation.
 func TestEveryPackageIsImported(t *testing.T) {
-	m, err := LoadModule(filepath.Join("..", ".."))
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := loadRepo(t)
 	imported := map[string]bool{}
 	for _, p := range m.Packages {
 		for _, f := range p.Files {

@@ -25,7 +25,6 @@ import (
 // simulated inference, so holding any lock across them stalls the
 // process for a full request.
 var DefaultBlockingFuncs = []string{
-	"(*edgeinfer/internal/serve.Executor).DoBatchCtx",
 	"(*edgeinfer/internal/serve.Pool).DoBatchCtx",
 }
 

@@ -18,7 +18,6 @@ var DefaultPanicRoots = []string{
 	"edgeinfer/internal/core.VerifyPlanData",
 	"(*edgeinfer/internal/core.Engine).Infer",
 	"(*edgeinfer/internal/core.Engine).InferBatchCtx",
-	"(*edgeinfer/internal/serve.Executor).DoBatchCtx",
 	"(*edgeinfer/internal/serve.Pool).DoBatchCtx",
 	// The network front-end: the HTTP handler parses untrusted request
 	// bodies and the batcher goroutine serves them.

@@ -28,7 +28,7 @@ var pinnedFixtureReport = []string{
 	"internal/netserve/netserve.go:28:2: error: [goleak] goroutine has no stop path: (*netserve.Batcher).pump: ranges over channel 'work' that no module code ever closes",
 	"internal/serve/serve.go:34:2: error: [lockorder] q.mu held across channel send",
 	"internal/serve/serve.go:42:2: error: [lockorder] q.mu held across time.Sleep",
-	"internal/serve/serve.go:49:9: error: [lockorder] q.mu held across blocking call: (*serve.Executor).DoBatchCtx: serving entry point (serializes a full request)",
+	"internal/serve/serve.go:49:9: error: [lockorder] q.mu held across blocking call: (*serve.Pool).DoBatchCtx: serving entry point (serializes a full request)",
 	"internal/serve/serve.go:56:2: error: [lockorder] q.mu held across blocking call: (*serve.Queue).drain: channel receive",
 	`internal/serve/serve.go:100:9: error: [deadlineflow] request context "ctx" is dropped: (*serve.Queue).Run has a context-aware sibling (*serve.Queue).RunCtx`,
 	"internal/util/util.go:18:2: error: [errcheck] util.Flush returns an error; result discarded",

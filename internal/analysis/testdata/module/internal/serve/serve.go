@@ -1,5 +1,5 @@
 // Package serve is a lockorder and deadlineflow fixture.
-// Executor.DoBatchCtx matches the seeded blocking entry points
+// Pool.DoBatchCtx matches the seeded blocking entry points
 // (DefaultBlockingFuncs), so holding a mutex across it is flagged
 // without any call-graph proof; the other cases exercise direct
 // blocking operations, transitive blocking through a module callee, and
@@ -14,18 +14,18 @@ import (
 	"edgeinfer/internal/rtctx"
 )
 
-// Executor mirrors the real serving executor so the seeded blocking
-// list resolves against this module.
-type Executor struct{ n int }
+// Pool mirrors the real serving pool so the seeded blocking list
+// resolves against this module.
+type Pool struct{ n int }
 
-// DoBatchCtx matches "(*edgeinfer/internal/serve.Executor).DoBatchCtx".
-func (ex *Executor) DoBatchCtx(x int) int { return x + ex.n }
+// DoBatchCtx matches "(*edgeinfer/internal/serve.Pool).DoBatchCtx".
+func (p *Pool) DoBatchCtx(x int) int { return x + p.n }
 
 // Queue is the lock-discipline specimen.
 type Queue struct {
-	mu sync.Mutex
-	ch chan int
-	ex *Executor
+	mu   sync.Mutex
+	ch   chan int
+	pool *Pool
 }
 
 // SendUnderLock holds the mutex across a channel send.
@@ -46,7 +46,7 @@ func (q *Queue) SleepUnderLock() {
 func (q *Queue) InferUnderLock(x int) int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return q.ex.DoBatchCtx(x) // want:lockorder
+	return q.pool.DoBatchCtx(x) // want:lockorder
 }
 
 // DrainUnderLock blocks transitively: drain receives from a channel.

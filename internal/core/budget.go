@@ -15,11 +15,6 @@ import (
 // abandon mid-graph instead of finishing a pass nobody is waiting for.
 var ErrBudgetExhausted = errors.New("core: request budget exhausted mid-graph")
 
-// layerGuard is consulted at each layer boundary of the batched
-// inference loop, before the layer executes. A non-nil error aborts the
-// batch there. A nil guard is free: the hot path never pays for it.
-type layerGuard func(li int, name string) error
-
 // chargeLayers attributes each launch of the plan to the graph position
 // of its charging layer: the last of its source layers, so a
 // horizontally merged group charges when the group completes. Every
@@ -52,8 +47,7 @@ func (e *Engine) LayerCostsSec(dev *gpusim.Device) []float64 {
 // InferBatchCtx is batched numeric inference under a fault injector and
 // a request context: the one inference path the serving tiers dispatch
 // through. burnedSec is the simulated latency the request paid before
-// this attempt (failed attempts, backoff); this attempt's own schedule
-// is what the guard charges. When the context aborts
+// this attempt; this attempt's own schedule is what the guard charges. When the context aborts
 // (rtctx.Request.Aborts) and a device is supplied, each layer boundary
 // charges the layer's modeled cost against the budget and aborts with a
 // wrapped ErrBudgetExhausted once burned-plus-charged overruns it
@@ -67,24 +61,51 @@ func (e *Engine) LayerCostsSec(dev *gpusim.Device) []float64 {
 // same results, same injector draw order, no allocation added to the hot
 // path. An empty batch returns (nil, nil); a nil input is an error.
 func (e *Engine) InferBatchCtx(ctx *rtctx.Request, xs []*tensor.Tensor, fi FaultInjector, dev *gpusim.Device, burnedSec float64) ([][]*tensor.Tensor, error) {
-	return e.execute(xs, execOpts{fi: fi, guard: e.budgetGuard(ctx, dev, burnedSec)})
+	if !ctx.Aborts() || dev == nil {
+		return e.execute(xs, fi, nil)
+	}
+	g := budgetGuard{ctx: ctx, costs: e.guardCostsSec(dev), charged: burnedSec}
+	return e.execute(xs, fi, &g)
 }
 
-// budgetGuard builds the layer-boundary charging guard InferBatchCtx
-// arms: nil (free) unless the context aborts and a device prices the
-// schedule.
-func (e *Engine) budgetGuard(ctx *rtctx.Request, dev *gpusim.Device, burnedSec float64) layerGuard {
-	if !ctx.Aborts() || dev == nil {
-		return nil
+// budgetGuard is the layer-boundary charging guard InferBatchCtx arms
+// when the context aborts and a device prices the schedule; execute
+// consults it at each layer boundary, before the layer runs, and an
+// error aborts the batch there. It lives on InferBatchCtx's stack, so
+// arming it allocates nothing.
+type budgetGuard struct {
+	ctx     *rtctx.Request
+	costs   []float64 // guardCostsSec on the serving device
+	charged float64   // burned latency plus every layer charged so far
+}
+
+// charge is the guard: it adds layer li's cost and fails once the
+// running total overruns the budget.
+func (b *budgetGuard) charge(li int, name string) error {
+	b.charged += b.costs[li]
+	if b.ctx.Overran(b.charged) {
+		return fmt.Errorf("layer %d (%s) would end at %.3gs of a %.3gs budget: %w",
+			li, name, b.charged, b.ctx.BudgetSec, ErrBudgetExhausted)
 	}
-	costs := e.LayerCostsSec(dev)
-	charged := burnedSec
-	return func(li int, name string) error {
-		charged += costs[li]
-		if ctx.Overran(charged) {
-			return fmt.Errorf("layer %d (%s) would end at %.3gs of a %.3gs budget: %w",
-				li, name, charged, ctx.BudgetSec, ErrBudgetExhausted)
-		}
-		return nil
+	return nil
+}
+
+// deviceCosts is one device's LayerCostsSec table.
+type deviceCosts struct {
+	dev gpusim.Device
+	sec []float64
+}
+
+// guardCostsSec is LayerCostsSec for the budget guard, computed once per
+// engine and device rather than on every armed call. The cache holds the
+// last device priced, compared by value; concurrent misses compute
+// identical tables, so whichever store lands is right. The table is
+// shared: callers only read it.
+func (e *Engine) guardCostsSec(dev *gpusim.Device) []float64 {
+	if c := e.guardCosts.Load(); c != nil && c.dev == *dev {
+		return c.sec
 	}
+	c := &deviceCosts{dev: *dev, sec: e.LayerCostsSec(dev)}
+	e.guardCosts.Store(c)
+	return c.sec
 }

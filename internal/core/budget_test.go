@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"edgeinfer/internal/gpusim"
@@ -41,6 +42,25 @@ func TestLayerCostsCoverExpectedLatency(t *testing.T) {
 	for i, li := range e.charge {
 		if li < 0 {
 			t.Fatalf("launch %d (%v) charged to a layer absent from optimized graph", i, e.Launches[i].Layers)
+		}
+	}
+}
+
+// The guard's cached table follows the device it is asked for: a
+// second device, or the same one at another clock, is priced afresh, and
+// each answer equals LayerCostsSec on that device.
+func TestGuardCostsFollowDevice(t *testing.T) {
+	e, err := Build(tinyNet(t), nxCfg(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	nx := testDevice()
+	slow := gpusim.NewDevice(nx.Spec, nx.ClockMHz/2)
+	agx := gpusim.NewDevice(gpusim.XavierAGX(), 0)
+	for _, dev := range []*gpusim.Device{nx, slow, nx, agx, agx, slow} {
+		got, want := e.guardCostsSec(dev), e.LayerCostsSec(dev)
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s@%.0f: guard costs %v, want %v", dev.Spec.Short(), dev.ClockMHz, got, want)
 		}
 	}
 }

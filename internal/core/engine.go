@@ -22,6 +22,7 @@ package core
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"edgeinfer/internal/graph"
 	"edgeinfer/internal/kernels"
@@ -101,6 +102,10 @@ type Engine struct {
 	// (chargeLayers, budget.go): derived by Build and Load, never
 	// serialized.
 	charge []int
+	// guardCosts is the budget guard's LayerCostsSec table for the last
+	// device it priced (guardCostsSec, budget.go): the plan is immutable,
+	// so one table serves every armed call on that device.
+	guardCosts atomic.Pointer[deviceCosts]
 }
 
 // WeightBytes returns the total engine-resident weight size in bytes.

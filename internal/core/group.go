@@ -131,13 +131,13 @@ func (g *Group) run(i int, ctxs []*execCtx, xs []*tensor.Tensor) error {
 	e, c := g.members[i], ctxs[i]
 	from := g.from[i]
 	for _, k := range g.forks[i] {
-		if err := e.runSteps(c, xs, from, g.from[k], execOpts{}); err != nil {
+		if err := e.runSteps(c, xs, from, g.from[k], nil, nil); err != nil {
 			return err
 		}
 		from = g.from[k]
 		ctxs[k].seed(&g.members[k].plan.steps[from-1], from-1, c.acts[from-1])
 	}
-	return e.runSteps(c, xs, from, len(e.plan.steps), execOpts{})
+	return e.runSteps(c, xs, from, len(e.plan.steps), nil, nil)
 }
 
 // seed writes a fork's boundary activation t as step li of this context

@@ -19,23 +19,17 @@ import (
 // per image. Each image runs in its own execution
 // context, so N batches of one are bit-identical to one batch of N.
 
-// execOpts is what an entry point asks of execute beyond the inputs.
-type execOpts struct {
-	// fi, when non-nil, is consulted per step in the order Launch →
-	// CorruptWeights → CorruptActivation (once per image).
-	fi FaultInjector
-	// guard, when non-nil, is consulted before each step's launch
-	// verdict; its error aborts the batch mid-graph without a draw for
-	// the aborted step. A nil guard is free.
-	guard layerGuard
-}
-
-// execute runs the schedule over a batch. Everything it returns is the
-// caller's: graph outputs are written to fresh tensors, never to a
-// context slot.
+// execute runs the schedule over a batch. fi, when non-nil, is consulted
+// per step in the order Launch → CorruptWeights → CorruptActivation (once
+// per image). guard, when non-nil, is charged before each step's launch
+// verdict; its error aborts the batch mid-graph without a draw for the
+// aborted step. A nil guard is free, and a separate parameter from fi so
+// that an armed one never escapes its caller's stack. Everything execute
+// returns is the caller's: graph outputs are written to fresh tensors,
+// never to a context slot.
 //
 //rt:hotpath
-func (e *Engine) execute(xs []*tensor.Tensor, o execOpts) ([][]*tensor.Tensor, error) {
+func (e *Engine) execute(xs []*tensor.Tensor, fi FaultInjector, guard *budgetGuard) ([][]*tensor.Tensor, error) {
 	if err := e.runnable(xs); err != nil {
 		return nil, err
 	}
@@ -45,7 +39,7 @@ func (e *Engine) execute(xs []*tensor.Tensor, o execOpts) ([][]*tensor.Tensor, e
 	p := e.plan
 	head := p.checkout(len(xs))
 	defer p.checkin(head)
-	if err := e.runSteps(head, xs, 0, len(p.steps), o); err != nil {
+	if err := e.runSteps(head, xs, 0, len(p.steps), fi, guard); err != nil {
 		return nil, err
 	}
 	// The graph outputs: run wrote them fresh.
@@ -74,18 +68,18 @@ func (e *Engine) runnable(xs []*tensor.Tensor) error {
 
 // runSteps runs steps [from,to) of the schedule over a batch whose
 // contexts are chained from head.
-func (e *Engine) runSteps(head *execCtx, xs []*tensor.Tensor, from, to int, o execOpts) error {
+func (e *Engine) runSteps(head *execCtx, xs []*tensor.Tensor, from, to int, fi FaultInjector, guard *budgetGuard) error {
 	p := e.plan
 	for li := from; li < to; li++ {
 		s := &p.steps[li]
 		isInput := s.l.Op == graph.OpInput
-		if o.guard != nil && !isInput {
-			if err := o.guard(li, s.l.Name); err != nil {
+		if guard != nil && !isInput {
+			if err := guard.charge(li, s.l.Name); err != nil {
 				return fmt.Errorf("core: infer %s: %w", e.Key(), err)
 			}
 		}
-		if o.fi != nil && !isInput {
-			if lf := o.fi.Launch(li, s.l.Name); lf.Fail {
+		if fi != nil && !isInput {
+			if lf := fi.Launch(li, s.l.Name); lf.Fail {
 				return fmt.Errorf("core: infer %s layer %s: %w", e.Key(), s.l.Name, ErrLaunchFailed)
 			}
 		}
@@ -94,8 +88,8 @@ func (e *Engine) runSteps(head *execCtx, xs []*tensor.Tensor, from, to int, o ex
 			if w == nil {
 				return fmt.Errorf("core: infer %s layer %s: %s %s has no weights", e.Key(), s.l.Name, s.l.Op, s.l.Name)
 			}
-			if o.fi != nil {
-				w = o.fi.CorruptWeights(s.l.Name, "w", w)
+			if fi != nil {
+				w = fi.CorruptWeights(s.l.Name, "w", w)
 			}
 		}
 		c := head
@@ -104,8 +98,8 @@ func (e *Engine) runSteps(head *execCtx, xs []*tensor.Tensor, from, to int, o ex
 			if err != nil {
 				return fmt.Errorf("core: infer %s layer %s: %w", e.Key(), s.l.Name, err)
 			}
-			if o.fi != nil && !isInput && y != x {
-				o.fi.CorruptActivation(s.l.Name, y)
+			if fi != nil && !isInput && y != x {
+				fi.CorruptActivation(s.l.Name, y)
 			}
 			c.acts[li] = y
 			c = c.next

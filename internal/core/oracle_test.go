@@ -11,6 +11,7 @@ import (
 	"edgeinfer/internal/graph"
 	"edgeinfer/internal/kernels"
 	"edgeinfer/internal/models"
+	"edgeinfer/internal/rtctx"
 	"edgeinfer/internal/tensor"
 )
 
@@ -23,7 +24,7 @@ import (
 // execute to it bit for bit — outputs, every intermediate activation the
 // injector sees, the injector's call transcript and error text.
 
-func refInfer(e *Engine, xs []*tensor.Tensor, fi FaultInjector, guard layerGuard, from, to int, outNames []string) ([][]*tensor.Tensor, error) {
+func refInfer(e *Engine, xs []*tensor.Tensor, fi FaultInjector, guard func(li int, name string) error, from, to int, outNames []string) ([][]*tensor.Tensor, error) {
 	if !e.Numeric {
 		return nil, fmt.Errorf("core: engine %s is timing-only (no weights materialized)", e.Key())
 	}
@@ -446,24 +447,25 @@ func diffEngine(t *testing.T, label string, e *Engine, pool []*tensor.Tensor, ba
 }
 
 // TestScheduleGuardAbortParity arms a guard that aborts at layer k, for
-// every k: same error text as the reference, and no injector draw for
-// the aborted layer or any after it.
+// every k: a budget of half a second and a cost table that charges one
+// second at layer k alone. Same error text as the reference, and no
+// injector draw for the aborted layer or any after it.
 func TestScheduleGuardAbortParity(t *testing.T) {
 	e, err := Build(tinyNet(t), nxCfg(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	xs := batchInputs(t, "oracle-guard-x", 3)
+	ctx := rtctx.WithBudget(0.5)
 	for k := 0; k <= len(e.Graph.Layers); k++ {
-		guard := func(li int, name string) error {
-			if li == k {
-				return fmt.Errorf("layer %d (%s) over budget: %w", li, name, ErrBudgetExhausted)
-			}
-			return nil
+		costs := make([]float64, len(e.Graph.Layers))
+		if k < len(costs) {
+			costs[k] = 1
 		}
+		ref, guard := budgetGuard{ctx: ctx, costs: costs}, budgetGuard{ctx: ctx, costs: costs}
 		wr, gr := newRecorder("guard"), newRecorder("guard")
-		want, wantErr := refInfer(e, xs, wr, guard, 0, -1, nil)
-		got, gotErr := e.execute(xs, execOpts{fi: gr, guard: guard})
+		want, wantErr := refInfer(e, xs, wr, ref.charge, 0, -1, nil)
+		got, gotErr := e.execute(xs, gr, &guard)
 		sameRun(t, fmt.Sprintf("abort at %d", k), got, want, gotErr, wantErr, gr, wr)
 		if k > 0 && k < len(e.Graph.Layers) && !errors.Is(gotErr, ErrBudgetExhausted) {
 			t.Fatalf("abort at %d: err=%v, want ErrBudgetExhausted", k, gotErr)

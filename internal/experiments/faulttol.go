@@ -14,11 +14,12 @@ import (
 // Fault-tolerance study (extension): the paper characterizes engines on
 // pristine, pinned devices; this experiment measures what a deployed
 // serving stack delivers when the device degrades. A seeded fault plan
-// (faults.Scenario) is swept over its base rate, and the resilient
-// executor (internal/serve) answers classification requests through its
-// degradation chain — tuned engine, standby engine, FP32 reference —
-// reporting top-1 error of the answers actually served, latency
-// percentiles, tier shares and the fault/retry ledger.
+// (faults.Scenario) is swept over its base rate, and a two-replica
+// serve.Pool per sweep point answers classification requests: replica 0
+// while the two builds agree, replica 1 when replica 0 failed (the
+// failover), and the FP32 reference when neither answered or the two
+// disagree. It reports top-1 error of the answers actually served,
+// latency percentiles, who answered and the fault/failover ledger.
 
 // faultTolPlatforms are the study's platforms.
 var faultTolPlatforms = []string{"NX", "AGX"}
@@ -28,25 +29,30 @@ type FaultTolRow struct {
 	Platform string
 	Rate     float64
 
-	// TRTErr is the top-1 error (%) of the answers the resilient
-	// executor served; UnoptErr is the un-optimized model's error on the
-	// same requests (the floor the FP32 tier degrades to).
+	// TRTErr is the top-1 error (%) of the answers the pool served;
+	// UnoptErr is the un-optimized model's error on the same requests
+	// (the floor the FP32 tier degrades to).
 	TRTErr, UnoptErr float64
 
 	// Latency percentiles of served requests (proxy-scale, ms) and the
 	// un-optimized reference latency on the same device.
 	P50Ms, P99Ms, UnoptMs float64
 
-	// Tier shares (%) of who answered.
-	TunedPct, StandbyPct, FP32Pct float64
+	// Shares (%) of who answered: replica 0, replica 1, the FP32 tier.
+	Replica0Pct, Replica1Pct, FP32Pct float64
 
-	// Ledger: faults injected, retries issued, breaker trips.
-	Faults, Retries, BreakerTrips uint64
+	// Ledger: faults injected, replica attempts that failed over to the
+	// other replica or the FP32 tier (PoolStats.ReplicaFails), and
+	// replicas quarantined.
+	Faults, Failovers, Quarantines uint64
 }
 
 // FaultTolerance sweeps the scenario base rate for one model, serving
-// `requests` benign samples per (platform, rate) point through a fresh
-// executor. Everything is seeded: same arguments, same table.
+// `requests` benign samples per (platform, rate) point through a
+// two-replica pool built fresh from its own registry, so every point
+// serves the same two builds and the rate is the only variable. Both
+// replicas run under the point's one injector: the faults are the
+// device's. Everything is seeded: same arguments, same table.
 func (l *Lab) FaultTolerance(model string, rates []float64, requests int) ([]FaultTolRow, error) {
 	set := l.benignSet()
 	if requests > len(set) {
@@ -75,52 +81,46 @@ func (l *Lab) FaultTolerance(model string, rates []float64, requests int) ([]Fau
 		unoptMs := core.UnoptimizedRun(g, dev) * 1e3
 		for _, rate := range rates {
 			inj := faults.Scenario(fmt.Sprintf("faultbench/%s/%.3f", model, rate), rate).New(platform)
-			tuned, err := l.proxyEngineE(model, platform, 1)
-			if err != nil {
-				return nil, err
-			}
-			standby, err := l.proxyEngineE(model, platform, 2) // standby build
-			if err != nil {
-				return nil, err
-			}
-			ex, err := serve.New(serve.Config{
-				Engine:   tuned,
-				LowBatch: standby,
-				Fallback: g,
-				Device:   dev,
-				Injector: inj,
-				Seed:     "faultbench",
+			pool, err := serve.NewPool(serve.NewRegistry(platformSpec(platform), nil), serve.PoolConfig{
+				Model:           model,
+				Replicas:        2,
+				ReplicaInjector: func(int, *core.Engine) core.FaultInjector { return inj },
 			})
 			if err != nil {
 				return nil, err
 			}
 			preds := make([]int, requests)
 			lats := make([]float64, requests)
+			var served [3]int // replica 0, replica 1, FP32
 			for i := range images {
-				res, err := ex.DoBatchCtx(nil, images[i:i+1], i)
+				br, err := pool.DoBatchCtx(nil, images[i:i+1], i)
 				if err != nil {
 					return nil, fmt.Errorf("experiments: fault sweep %s rate %.3f request %d: %w", platform, rate, i, err)
 				}
-				preds[i] = res.Outputs[0][0].Argmax()
+				res := br.Results[0]
+				preds[i] = res.Outputs[0].Argmax()
 				lats[i] = res.LatencySec
+				if res.Fallback {
+					served[2]++
+				} else {
+					served[res.Replica]++
+				}
 			}
-			st := ex.Stats()
-			share := func(t serve.Tier) float64 {
-				return 100 * float64(st.TierServed[t]) / float64(requests)
-			}
+			st := pool.Stats()
+			share := func(n int) float64 { return 100 * float64(n) / float64(requests) }
 			out = append(out, FaultTolRow{
 				Platform: platform, Rate: rate,
-				TRTErr:       metrics.Top1Error(preds, labels),
-				UnoptErr:     metrics.Top1Error(unoptPred, labels),
-				P50Ms:        percentile(lats, 0.50) * 1e3,
-				P99Ms:        percentile(lats, 0.99) * 1e3,
-				UnoptMs:      unoptMs,
-				TunedPct:     share(serve.TierTuned),
-				StandbyPct:   share(serve.TierLowBatch),
-				FP32Pct:      share(serve.TierFP32),
-				Faults:       inj.Counters().Total(),
-				Retries:      st.Retries,
-				BreakerTrips: st.BreakerTrips,
+				TRTErr:      metrics.Top1Error(preds, labels),
+				UnoptErr:    metrics.Top1Error(unoptPred, labels),
+				P50Ms:       percentile(lats, 0.50) * 1e3,
+				P99Ms:       percentile(lats, 0.99) * 1e3,
+				UnoptMs:     unoptMs,
+				Replica0Pct: share(served[0]),
+				Replica1Pct: share(served[1]),
+				FP32Pct:     share(served[2]),
+				Faults:      inj.Counters().Total(),
+				Failovers:   st.ReplicaFails,
+				Quarantines: st.Quarantines,
 			})
 		}
 	}
@@ -130,9 +130,9 @@ func (l *Lab) FaultTolerance(model string, rates []float64, requests int) ([]Fau
 // RenderFaultToleranceFor formats a parameterized sweep.
 func (l *Lab) RenderFaultToleranceFor(model string, rates []float64, requests int) (string, error) {
 	t := &table{
-		title: fmt.Sprintf("Fault tolerance: %s served through the degradation chain (%d requests/point, proxy-scale latency)", model, requests),
+		title: fmt.Sprintf("Fault tolerance: %s served by a two-replica pool (%d requests/point, proxy-scale latency)", model, requests),
 		header: []string{"Platform", "FaultRate", "Err(%) served", "Err(%) unopt",
-			"p50(ms)", "p99(ms)", "unopt(ms)", "tuned%", "standby%", "fp32%", "faults", "retries", "trips"},
+			"p50(ms)", "p99(ms)", "unopt(ms)", "replica0%", "replica1%", "fp32%", "faults", "failovers", "quarantines"},
 	}
 	rows, err := l.FaultTolerance(model, rates, requests)
 	if err != nil {
@@ -141,8 +141,8 @@ func (l *Lab) RenderFaultToleranceFor(model string, rates []float64, requests in
 	for _, r := range rows {
 		t.add(r.Platform, f2(r.Rate), f2(r.TRTErr), f2(r.UnoptErr),
 			f2(r.P50Ms), f2(r.P99Ms), f2(r.UnoptMs),
-			f1(r.TunedPct), f1(r.StandbyPct), f1(r.FP32Pct),
-			fmt.Sprintf("%d", r.Faults), fmt.Sprintf("%d", r.Retries), fmt.Sprintf("%d", r.BreakerTrips))
+			f1(r.Replica0Pct), f1(r.Replica1Pct), f1(r.FP32Pct),
+			fmt.Sprintf("%d", r.Faults), fmt.Sprintf("%d", r.Failovers), fmt.Sprintf("%d", r.Quarantines))
 	}
 	return t.String(), nil
 }

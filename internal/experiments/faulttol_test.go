@@ -12,13 +12,14 @@ func TestFaultToleranceEndpoints(t *testing.T) {
 		t.Fatalf("got %d rows", len(rows))
 	}
 	for _, r := range rows {
-		if r.TunedPct+r.StandbyPct+r.FP32Pct != 100 {
-			t.Fatalf("%s rate %.0f: tier shares sum to %.1f", r.Platform, r.Rate, r.TunedPct+r.StandbyPct+r.FP32Pct)
+		if r.Replica0Pct+r.Replica1Pct+r.FP32Pct != 100 {
+			t.Fatalf("%s rate %.0f: shares sum to %.1f", r.Platform, r.Rate, r.Replica0Pct+r.Replica1Pct+r.FP32Pct)
 		}
 		switch r.Rate {
 		case 0:
-			// Pristine: everything served by the tuned engine, no ledger.
-			if r.TunedPct != 100 || r.Faults != 0 || r.Retries != 0 {
+			// Pristine: the two builds agree on every image, so replica 0
+			// serves everything, and the ledger stays empty.
+			if r.Replica0Pct != 100 || r.Faults != 0 || r.Failovers != 0 || r.Quarantines != 0 {
 				t.Fatalf("%s rate 0 not pristine: %+v", r.Platform, r)
 			}
 		case 1:

@@ -10,8 +10,8 @@
 // of engine weights and activations — and an Injector replays that plan
 // from a fixrand stream, so every scenario is exactly reproducible.
 //
-// The Injector implements core.FaultInjector; internal/serve wraps an
-// engine plus an Injector into a resilient executor.
+// The Injector implements core.FaultInjector; internal/serve runs each
+// replica of a serve.Pool under one.
 package faults
 
 import (

@@ -2,6 +2,7 @@ package netserve
 
 import (
 	"fmt"
+	"strconv"
 
 	"edgeinfer/internal/rtctx"
 	"edgeinfer/internal/serve"
@@ -12,8 +13,8 @@ import (
 type Answer struct {
 	// Outputs are the numeric outputs for this input.
 	Outputs []*tensor.Tensor
-	// Tier names what served it: an executor tier ("tuned", "low-batch",
-	// "fp32") or a fleet slot ("replica-2", "fp32").
+	// Tier names what served it: a fleet slot ("replica-2") or the FP32
+	// reference ("fp32").
 	Tier string
 	// Degraded reports the primary serving path did not answer.
 	Degraded bool
@@ -27,8 +28,7 @@ type BatchAnswer struct {
 	// every member — the batch rides one launch sequence).
 	LatencySec float64
 	// DeadlineMiss reports the simulated service latency overran the
-	// batch's budget — the serving layer's own verdict, identical for
-	// executor- and pool-backed models.
+	// batch's budget — the serving layer's own verdict.
 	DeadlineMiss bool
 }
 
@@ -48,64 +48,38 @@ type Backend interface {
 	InputShape() [4]int
 }
 
-// executorBackend serves through a resilient serve.Executor: the batch
-// context is the executor's deadline (retry backoff clamped to the
-// remaining budget, layer-boundary abort inside the batched inference,
-// typed ErrDeadlineExceeded on expiry).
-type executorBackend struct {
-	ex    *serve.Executor
-	shape [4]int
-}
-
-// NewExecutorBackend wraps an executor whose engine consumes inputs of
-// the given shape.
-func NewExecutorBackend(ex *serve.Executor, shape [4]int) Backend {
-	return &executorBackend{ex: ex, shape: shape}
-}
-
-func (b *executorBackend) InputShape() [4]int { return b.shape }
-
-func (b *executorBackend) ServeBatch(ctx *rtctx.Request, xs []*tensor.Tensor, runIndex int) (*BatchAnswer, error) {
-	br, err := b.ex.DoBatchCtx(ctx, xs, runIndex)
-	if err != nil {
-		return nil, err
-	}
-	ba := &BatchAnswer{LatencySec: br.LatencySec, DeadlineMiss: br.DeadlineMiss}
-	ba.Results = make([]Answer, len(br.Outputs))
-	for i, out := range br.Outputs {
-		ba.Results[i] = Answer{Outputs: out, Tier: br.Tier.String(), Degraded: br.Degraded}
-	}
-	return ba, nil
-}
-
-func (b *executorBackend) Ready() (bool, string) {
-	h := b.ex.Health()
-	if h.State == "open" {
-		return false, "circuit breaker open"
-	}
-	return true, h.State
-}
-
-// poolBackend serves through a self-healing serve.Pool. The batch
-// context flows into the fleet dispatch (DoBatchCtx), which never arms
-// the layer-boundary guard: a ballot needs every replica's whole answer.
-// It abandons a batch only before the FP32 tier, when every replica
-// errored and the burned latency is already past the budget. The miss
-// verdict is the fleet's own (PoolBatchResult.DeadlineMiss), so
-// executor- and pool-backed models report misses identically; readiness
-// follows the supervisor's active replica count.
+// poolBackend serves through a serve.Pool, the one server: the batch
+// context flows into the fleet dispatch (DoBatchCtx), where an aborting
+// budget arms each replica's layer-boundary guard and abandons the batch
+// with serve.ErrDeadlineExceeded before the FP32 tier when it cannot be
+// met. The miss verdict is the fleet's own (PoolBatchResult.DeadlineMiss);
+// readiness follows the supervisor's active replica count.
 type poolBackend struct {
 	pool  *serve.Pool
 	shape [4]int
+	// tiers[slot] names replica slot's answers, built once per slot.
+	tiers []string
 }
 
-// NewPoolBackend wraps a replica fleet.
+// NewPoolBackend wraps a replica fleet; a fleet of one is the plain
+// resilient server.
 func NewPoolBackend(pool *serve.Pool) Backend {
-	var shape [4]int
-	if engines := pool.Engines(); len(engines) > 0 && engines[0].Graph != nil {
-		shape = engines[0].Graph.InputShape
+	b := &poolBackend{pool: pool}
+	engines := pool.Engines()
+	if len(engines) > 0 && engines[0].Graph != nil {
+		b.shape = engines[0].Graph.InputShape
 	}
-	return &poolBackend{pool: pool, shape: shape}
+	for slot := range engines {
+		b.tiers = append(b.tiers, "replica-"+strconv.Itoa(slot))
+	}
+	return b
+}
+
+// NewExecutorBackend serves a Pool of one; the pool's own engines give
+// the input shape, so shape is ignored. bench/ only; deleted with
+// serve.Executor.
+func NewExecutorBackend(ex *serve.Executor, shape [4]int) Backend {
+	return NewPoolBackend((*serve.Pool)(ex))
 }
 
 func (b *poolBackend) InputShape() [4]int { return b.shape }
@@ -121,9 +95,9 @@ func (b *poolBackend) ServeBatch(ctx *rtctx.Request, xs []*tensor.Tensor, runInd
 	}
 	ba.Results = make([]Answer, len(br.Results))
 	for i, pr := range br.Results {
-		tier := fmt.Sprintf("replica-%d", pr.Replica)
-		if pr.Fallback {
-			tier = "fp32"
+		tier := "fp32"
+		if !pr.Fallback {
+			tier = b.tiers[pr.Replica]
 		}
 		ba.Results[i] = Answer{Outputs: pr.Outputs, Tier: tier, Degraded: pr.Fallback}
 	}

@@ -5,8 +5,55 @@ import (
 	"testing"
 	"time"
 
+	"edgeinfer/internal/gpusim"
+	"edgeinfer/internal/kernels"
 	"edgeinfer/internal/rtctx"
+	"edgeinfer/internal/serve"
+	"edgeinfer/internal/tensor"
 )
+
+// poolOfOneAllocs pins what a Pool of one costs per served batch behind
+// the backend: resnet18, a batch of two, an aborting budget the schedule
+// fits. The executor backend this replaced allocated 24 per batch, its
+// guard pricing a fresh cost table and allocating its closure on every
+// call; the Pool of one's result carries a per-image pointer slice and
+// one block of per-image results, with its ballots on the stack, and
+// arming the guard allocates nothing.
+const poolOfOneAllocs = 23
+
+func TestPoolOfOneBackendAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; counts only hold without it")
+	}
+	defer kernels.SetWorkers(kernels.SetWorkers(1))
+	reg := serve.NewRegistry(gpusim.XavierNX(), nil)
+	pool, err := serve.NewPool(reg, serve.PoolConfig{Model: "resnet18", Replicas: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	be := NewPoolBackend(pool)
+	s := be.InputShape()
+	xs := []*tensor.Tensor{tensor.New(s[0], s[1], s[2], s[3]), tensor.New(s[0], s[1], s[2], s[3])}
+	spec := gpusim.XavierNX()
+	dev := gpusim.NewDevice(spec, gpusim.PaperLatencyClock(spec))
+	ctx := rtctx.WithBudget(pool.Engines()[0].ExpectedLatencySec(dev, false) * 10)
+	run := 0
+	serveOne := func() {
+		ans, err := be.ServeBatch(ctx, xs, run)
+		run++
+		if err != nil || len(ans.Results) != len(xs) || ans.Results[0].Tier != "replica-0" {
+			t.Fatalf("batch %d: %+v, %v", run, ans, err)
+		}
+	}
+	for i := 0; i < 3; i++ { // create the execution contexts and the guard's cost table
+		serveOne()
+	}
+	allocs := testing.AllocsPerRun(50, serveOne)
+	if allocs > poolOfOneAllocs {
+		t.Errorf("a Pool of one allocates %.1f objects per batch of two, pinned at %d", allocs, poolOfOneAllocs)
+	}
+	t.Logf("%.1f allocs per batch of two", allocs)
+}
 
 // --- parseDeadline clamping ---
 

@@ -1,15 +1,14 @@
 // Package netserve is the network serving front-end: a stdlib net/http
-// inference server in front of serving backends (a serve.Pool or a
-// serve.Executor) whose headline property is staying correct and bounded
-// under hostile load.
+// inference server in front of serving backends (a serve.Pool, a fleet
+// of one or more replicas) whose headline property is staying correct
+// and bounded under hostile load.
 //
 // Per model it runs one bounded coalescing queue: concurrent requests
 // pack into Engine.InferBatchCtx windows triggered by batch size or a
 // deadline window, and a single batcher goroutine serves each window
 // through the Backend the model brings (NewPoolBackend over a
-// self-healing replica fleet, NewExecutorBackend over a resilient
-// executor). The queue is one ordered list whose sort key is the
-// discipline. Admission control is explicit — a full queue evicts its
+// self-healing replica fleet). The queue is one ordered list whose sort
+// key is the discipline. Admission control is explicit — a full queue evicts its
 // tail for a newcomer that sorts before it and otherwise sheds the
 // newcomer, with 503 + Retry-After (under the default FIFO key, low
 // priority first: a high-priority arrival evicts the youngest queued
@@ -19,16 +18,16 @@
 // clamped to the server's bounds, and are stamped — with the X-Priority
 // band and X-Tenant id — into one rtctx.Request per arrival that every
 // layer below reads: the batch's serving budget flows through the
-// executor's deadline machinery down to core's layer-boundary guard, so
+// pool's deadline machinery down to core's layer-boundary guard, so
 // a hopeless batch is abandoned with serve.ErrDeadlineExceeded mid-graph
 // instead of burning fallback latency. Config.EDF swaps the key for
 // earliest deadline first, which makes the same eviction rule drop-late,
 // and Config.WCETAdmission sheds any request whose budget the model's
 // worst-case bound (ModelConfig.WCETSec) proves unmeetable. Liveness
-// (/healthz), readiness (/readyz, wired to Pool.Health /
-// Executor.Health) and a stats endpoint (/statsz) make the server
-// probeable, and Drain performs the graceful exit: stop admitting, flush
-// every in-flight batch, then shut the listener down. Every admitted request is answered exactly once — a
+// (/healthz), readiness (/readyz, wired to Pool.Health) and a stats
+// endpoint (/statsz) make the server probeable, and Drain performs the
+// graceful exit: stop admitting, flush every in-flight batch, then shut
+// the listener down. Every admitted request is answered exactly once — a
 // result, a 503, or a 504 — never a hang.
 package netserve
 
@@ -85,8 +84,8 @@ type Config struct {
 }
 
 // ModelConfig is one served model: its name in the request path and the
-// Backend that serves it (required; NewPoolBackend and
-// NewExecutorBackend wrap the serve package's servers).
+// Backend that serves it (required; NewPoolBackend wraps the serve
+// package's server).
 type ModelConfig struct {
 	Name    string
 	Backend Backend
@@ -131,11 +130,11 @@ type InferReply struct {
 	QueueMS float64 `json:"queue_ms"`
 	// BatchSize is how many requests shared the launch window.
 	BatchSize int `json:"batch_size"`
-	// Tier names the serving path (executor tier or fleet slot).
+	// Tier names the serving path (fleet slot or "fp32").
 	Tier string `json:"tier"`
 	// Tenant echoes the X-Tenant header the request carried.
 	Tenant string `json:"tenant,omitempty"`
-	// Degraded and DeadlineMiss mirror the executor/fleet verdicts.
+	// Degraded and DeadlineMiss mirror the fleet's verdicts.
 	Degraded     bool `json:"degraded,omitempty"`
 	DeadlineMiss bool `json:"deadline_miss,omitempty"`
 }
@@ -490,7 +489,7 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// One first-class request context per arrival: every layer below —
-	// queue ordering, WCET admission, the batch budget, the executor's
+	// queue ordering, WCET admission, the batch budget, the pool's
 	// deadline machinery, the layer-boundary guard — reads this value.
 	now := time.Now()
 	req := &request{

@@ -624,21 +624,17 @@ func TestClientDisconnectMidRequest(t *testing.T) {
 	}
 }
 
-// End to end against the real stack: an executor backend over a
-// registry-built resnet18 serves benign-index requests over a real
-// listener, and the reply carries an executor tier.
+// End to end against the real stack: the executor — a Pool of one over
+// a registry-built resnet18 — serves benign-index requests over a real
+// listener, and every reply names the replica or the FP32 tier.
 func TestIntegrationExecutorBackend(t *testing.T) {
 	reg := serve.NewRegistry(gpusim.XavierNX(), nil)
-	ex, err := reg.Executor("resnet18", serve.Config{Seed: "netserve/resnet18"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := reg.ProxyEngine("resnet18")
+	pool, err := serve.NewPool(reg, serve.PoolConfig{Model: "resnet18", Replicas: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	s, err := netserve.New(netserve.Config{
-		Models:   []netserve.ModelConfig{{Name: "resnet18", Backend: netserve.NewExecutorBackend(ex, eng.Graph.InputShape)}},
+		Models:   []netserve.ModelConfig{{Name: "resnet18", Backend: netserve.NewPoolBackend(pool)}},
 		MaxBatch: 4,
 	})
 	if err != nil {
@@ -683,7 +679,7 @@ func TestIntegrationExecutorBackend(t *testing.T) {
 		if r.infer.Tier == "" || r.infer.Argmax < 0 {
 			t.Fatalf("req %d: reply %+v", i, r.infer)
 		}
-		if !strings.Contains("tuned low-batch fp32", r.infer.Tier) {
+		if r.infer.Tier != "replica-0" && r.infer.Tier != "fp32" {
 			t.Fatalf("req %d: unexpected tier %q", i, r.infer.Tier)
 		}
 	}

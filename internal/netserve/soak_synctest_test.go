@@ -1,7 +1,7 @@
 //go:build goexperiment.synctest
 
 // The serving soak on a virtual clock: an open-loop overload run of the
-// front end over a real resnet18 executor, inside a testing/synctest
+// front end over a real resnet18 Pool of one, inside a testing/synctest
 // bubble, so every arrival, batch window, paced service time, client
 // disconnect and deadline falls on a simulated instant and the outcome of
 // each discipline is pinned exactly instead of gated loosely. Run it with
@@ -82,9 +82,6 @@ func TestVirtualSoak(t *testing.T) {
 	defer kernels.SetWorkers(kernels.SetWorkers(1))
 
 	reg := serve.NewRegistry(gpusim.XavierNX(), nil)
-	if _, err := reg.Executor(soakModel, serve.Config{Seed: "soak/" + soakModel}); err != nil {
-		t.Fatal(err)
-	}
 	eng, err := reg.ProxyEngine(soakModel)
 	if err != nil {
 		t.Fatal(err)
@@ -165,7 +162,7 @@ func (a *soakArrival) ctx() *rtctx.Request {
 	return &rtctx.Request{Band: band, Arrival: a.arrival, Deadline: a.arrival.Add(a.budget)}
 }
 
-// pacedBackend gives the real executor a fixed virtual service time per
+// pacedBackend gives the real Pool of one a fixed virtual service time per
 // batch and records who each batch served (Data[0] carries the arrival
 // index) and when it started.
 type pacedBackend struct {
@@ -215,11 +212,11 @@ func (sc soakScenario) run(row soakRow) soakResult {
 }
 
 func (sc soakScenario) play(row soakRow) soakResult {
-	ex, err := sc.reg.Executor(soakModel, serve.Config{Seed: "soak/" + soakModel})
+	pool, err := serve.NewPool(sc.reg, serve.PoolConfig{Model: soakModel, Replicas: 1})
 	if err != nil {
 		return soakResult{violations: []string{err.Error()}}
 	}
-	be := &pacedBackend{Backend: netserve.NewExecutorBackend(ex, sc.shape)}
+	be := &pacedBackend{Backend: netserve.NewPoolBackend(pool)}
 	srv, err := netserve.New(netserve.Config{
 		Models:          []netserve.ModelConfig{{Name: soakModel, Backend: be, WCETSec: sc.wcetSec}},
 		MaxBatch:        soakMaxBatch,

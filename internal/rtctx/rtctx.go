@@ -1,20 +1,17 @@
 // Package rtctx defines the first-class request context threaded
 // through every serving layer: netserve's HTTP handler stamps one
 // Request per arrival, the queue orders and sheds by it, the batcher
-// derives a batch context from its members, serve.Executor/Pool clamp
-// and account against its budget, and core.Engine.InferBatchCtx
-// consults it at layer boundaries to abort a hopeless batch mid-graph.
+// derives a batch context from its members, serve.Pool accounts against
+// its budget, and core.Engine.InferBatchCtx consults it at layer
+// boundaries to abort a hopeless batch mid-graph.
 //
-// The package is a leaf — it imports only time and math — so every
+// The package is a leaf — it imports only time — so every
 // layer can depend on it without cycles. A nil *Request means "no
 // real-time context": every accessor is nil-safe and reads as the zero
 // value, so callers without a deadline simply pass nil.
 package rtctx
 
-import (
-	"math"
-	"time"
-)
+import "time"
 
 // Band is the request's priority band. The zero value is BandLow, so
 // an unstamped request is low priority.
@@ -101,20 +98,6 @@ func (r *Request) RemainingSec(now time.Time) float64 {
 		return 0
 	}
 	return r.Deadline.Sub(now).Seconds()
-}
-
-// RemainingBudgetSec is the simulated budget left after burnedSec has
-// been spent: the executor clamps a retry's backoff to it. Exhausted
-// budgets floor at zero; unbounded contexts (nil, or no budget) report
-// +Inf so "clamp to remaining" never truncates them.
-func (r *Request) RemainingBudgetSec(burnedSec float64) float64 {
-	if r == nil || r.BudgetSec <= 0 {
-		return math.Inf(1)
-	}
-	if rem := r.BudgetSec - burnedSec; rem > 0 {
-		return rem
-	}
-	return 0
 }
 
 // HasDeadline reports whether a wall-clock deadline was stamped.

@@ -10,57 +10,62 @@ import (
 	"edgeinfer/internal/tensor"
 )
 
-// Executor.DoBatchCtx on a pristine executor must be bit-identical to direct
-// Engine.Infer per image, pay exactly one timed run for the whole batch,
-// and stay on the tuned tier.
+// The executor is a Pool of one. Differential: for batches of 1 to 4,
+// a pristine Pool of one must return outputs bit-identical to its
+// replica's Engine.Infer per image, pay exactly one timed run for the
+// whole batch — LatencySec equal to Engine.Run's — and never degrade.
 func TestExecutorBatchMatchesDirect(t *testing.T) {
-	eng, _, dev, inputs := fixture(t)
-	ex := newExec(t, nil, nil)
-	xs := inputs[:5]
-	br, err := ex.DoBatchCtx(nil, xs, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if br.Tier != serve.TierTuned || br.Degraded || br.Retries != 0 {
-		t.Fatalf("pristine batch degraded: %+v", br)
-	}
-	if len(br.Outputs) != len(xs) {
-		t.Fatalf("batch outputs %d, want %d", len(br.Outputs), len(xs))
-	}
-	for i, x := range xs {
-		want, err := eng.Infer(x)
+	_, _, dev, inputs := fixture(t)
+	for n := 1; n <= 4; n++ {
+		p := poolOfOne(t, nil)
+		eng := p.Engines()[0]
+		xs := inputs[n : 2*n]
+		br, err := p.DoBatchCtx(nil, xs, n)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !sameOutputs(br.Outputs[i], want) {
-			t.Fatalf("batch image %d differs from direct Infer", i)
+		if len(br.Results) != len(xs) {
+			t.Fatalf("batch of %d: %d results", n, len(br.Results))
 		}
-	}
-	direct := eng.Run(core.RunConfig{Device: dev, RunIndex: 3})
-	if br.LatencySec != direct.LatencySec {
-		t.Fatalf("batch latency %v, want one run %v", br.LatencySec, direct.LatencySec)
+		direct := eng.Run(core.RunConfig{Device: dev, RunIndex: n})
+		if br.LatencySec != direct.LatencySec || br.DeadlineMiss {
+			t.Fatalf("batch of %d: latency %v (miss %v), want one run %v", n, br.LatencySec, br.DeadlineMiss, direct.LatencySec)
+		}
+		for i, x := range xs {
+			want, err := eng.Infer(x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res := br.Results[i]
+			if res.Fallback || res.Replica != 0 || res.LatencySec != direct.LatencySec {
+				t.Fatalf("batch of %d, image %d degraded: %+v", n, i, res)
+			}
+			if !sameOutputs(res.Outputs, want) {
+				t.Fatalf("batch of %d, image %d differs from direct Infer", n, i)
+			}
+		}
 	}
 }
 
-// Under a 100%-fault plan the batch drains to the FP32 tier and every
-// image's outputs match graph.Execute — never an error.
+// Under a 100%-fault plan a batch on a Pool of one drains to the FP32
+// tier and every image's outputs match graph.Execute — never an error.
 func TestExecutorBatchTotalFaultServesFP32(t *testing.T) {
 	_, g, _, inputs := fixture(t)
-	ex := newExec(t, faults.Scenario("batch-total", 1).New("nx"), nil)
+	p := poolOfOne(t, faults.Scenario("batch-total", 1).New("nx"))
 	xs := inputs[:4]
-	br, err := ex.DoBatchCtx(nil, xs, 0)
+	br, err := p.DoBatchCtx(nil, xs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if br.Tier != serve.TierFP32 || !br.Degraded {
-		t.Fatalf("served by %v under total faults, want fp32", br.Tier)
-	}
 	for i, x := range xs {
+		if !br.Results[i].Fallback {
+			t.Fatalf("image %d served by replica %d under total faults, want fp32", i, br.Results[i].Replica)
+		}
 		want, err := g.Execute(x)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !sameOutputs(br.Outputs[i], want) {
+		if !sameOutputs(br.Results[i].Outputs, want) {
 			t.Fatalf("image %d fallback outputs differ from graph.Execute", i)
 		}
 	}
@@ -68,18 +73,11 @@ func TestExecutorBatchTotalFaultServesFP32(t *testing.T) {
 
 func TestBatchValidation(t *testing.T) {
 	_, _, _, inputs := fixture(t)
-	ex := newExec(t, nil, nil)
-	if _, err := ex.DoBatchCtx(nil, nil, 0); err == nil {
-		t.Fatal("empty executor batch accepted")
-	}
-	if _, err := ex.DoBatchCtx(nil, []*tensor.Tensor{inputs[0], nil}, 0); err == nil {
-		t.Fatal("nil executor batch input accepted")
-	}
 	p := newPool(t, nil)
 	if _, err := p.DoBatchCtx(nil, nil, 0); err == nil {
 		t.Fatal("empty pool batch accepted")
 	}
-	if _, err := p.DoBatchCtx(nil, []*tensor.Tensor{nil}, 0); err == nil {
+	if _, err := p.DoBatchCtx(nil, []*tensor.Tensor{inputs[0], nil}, 0); err == nil {
 		t.Fatal("nil pool batch input accepted")
 	}
 }

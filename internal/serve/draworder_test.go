@@ -63,8 +63,9 @@ func wantDraws(tag string, e *core.Engine) []string {
 // parentDraws is the transcript of one numeric Executor request on the
 // resnet18 proxy, captured at the commit that still had the per-request
 // interpreter and serving chain (through the since-deleted Executor.Do):
-// the batch-of-one path must reproduce it draw for draw, and wantDraws
-// must agree with it before it is trusted on the replica engines.
+// a Pool of one's batch of one must reproduce it draw for draw, and
+// wantDraws must agree with it before it is trusted on the replica
+// engines.
 var parentDraws = strings.Split(`ex launch 0 cuDepthwise::depthwiseConvHMMAPrefetchKernel
 ex launch 1 cuDepthwise::depthwiseConvHMMAPrefetchKernel
 ex launch 2 poolingForward_NCHW_kernel
@@ -110,15 +111,15 @@ func diffDraws(t *testing.T, label string, got, want []string) {
 }
 
 // TestInjectorDrawOrder pins the fault-stream draw order every seeded
-// campaign depends on: one numeric request through Executor.DoBatchCtx
-// and Pool.DoBatchCtx consults the injector in exactly the protocol
-// order, and so does a second request on the same image.
+// campaign depends on: one numeric request through a Pool of one (the
+// executor) and through a fleet consults the injector in exactly the
+// protocol order, and so does a second request on the same image.
 func TestInjectorDrawOrder(t *testing.T) {
 	eng, _, _, inputs := fixture(t)
 	x := inputs[:1]
 
 	var log []string
-	ex := newExec(t, recordingFaults{"ex", &log}, nil)
+	ex := poolOfOne(t, recordingFaults{"ex", &log})
 	if _, err := ex.DoBatchCtx(nil, x, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -130,6 +131,7 @@ func TestInjectorDrawOrder(t *testing.T) {
 	diffDraws(t, "executor request 1", first, parentDraws)
 	diffDraws(t, "executor request 2", log, parentDraws)
 	diffDraws(t, "wantDraws", wantDraws("ex", eng), parentDraws)
+	diffDraws(t, "wantDraws on the executor's replica", wantDraws("ex", ex.Engines()[0]), parentDraws)
 
 	log = nil
 	p := newPool(t, func(c *serve.PoolConfig) {

@@ -156,7 +156,10 @@ type PoolStats struct {
 	CanaryFailures uint64 // rebuilds rejected by canary validation
 	Readmissions   uint64 // rebuilding → readmitted transitions
 
-	DeadlineAborts uint64 // voterless batches abandoned before the FP32 tier on an overrun budget
+	// DeadlineAborts counts batches abandoned before the FP32 tier under
+	// an aborting context: every replica stopped by its layer guard, or
+	// none answered and the slowest gave up past the budget.
+	DeadlineAborts uint64
 	// DeadlineMisses counts answered requests whose release time overran
 	// the request context's budget — the fleet's own miss verdict.
 	DeadlineMisses uint64

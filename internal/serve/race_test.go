@@ -69,13 +69,13 @@ func TestRegistryConcurrentEngineRebuild(t *testing.T) {
 	}
 }
 
-// Executor.DoBatchCtx hammered from parallel goroutines under a mid-rate
-// fault plan, each request on a non-aborting 1s budget, while
+// A Pool of one (the executor) hammered from parallel goroutines under a
+// mid-rate fault plan, each request on a non-aborting 1s budget, while
 // Stats/Health are polled concurrently.
 func TestExecutorConcurrentDoWithPolling(t *testing.T) {
 	_, _, _, inputs := fixture(t)
 	inj := faults.Scenario("race-exec", 0.3).New("nx")
-	ex := newExec(t, inj, nil)
+	p := poolOfOne(t, inj)
 	const workers, perWorker = 8, 5
 	var wg sync.WaitGroup
 	errs := make(chan error, workers*perWorker)
@@ -86,8 +86,8 @@ func TestExecutorConcurrentDoWithPolling(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				ex.Stats()
-				ex.Health()
+				p.Stats()
+				p.Health()
 			}
 		}
 	}()
@@ -97,7 +97,7 @@ func TestExecutorConcurrentDoWithPolling(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
 				x := inputs[(w+i)%len(inputs)]
-				if _, err := ex.DoBatchCtx(&rtctx.Request{BudgetSec: 1}, []*tensor.Tensor{x}, w*perWorker+i); err != nil {
+				if _, err := p.DoBatchCtx(&rtctx.Request{BudgetSec: 1}, []*tensor.Tensor{x}, w*perWorker+i); err != nil {
 					errs <- err
 				}
 			}
@@ -109,7 +109,7 @@ func TestExecutorConcurrentDoWithPolling(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	if got := ex.Stats().Requests; got != workers*perWorker {
+	if got := p.Stats().Requests; got != workers*perWorker {
 		t.Fatalf("requests %d, want %d", got, workers*perWorker)
 	}
 }

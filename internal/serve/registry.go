@@ -15,7 +15,7 @@ import (
 // every build sharing a single timing cache. The first build of a layer
 // shape pays the tactic-timing cost; later builds — other models with
 // common shapes, or rebuilds after a process restart — take their
-// measurements from the cache, so a fleet of executors converges on
+// measurements from the cache, so a fleet of servers converges on
 // identical engines (warm rebuilds are canonical: build id 0, identical
 // plan bytes). This is the serving-side half of the paper's §VI-A
 // "build once" guidance: the registry is the "once".
@@ -221,26 +221,4 @@ func (r *Registry) proxyGraph(model string, keep bool) (*graph.Graph, error) {
 		r.fallbacks[model] = g
 	}
 	return g, nil
-}
-
-// Executor assembles a resilient executor for a model, drawing every
-// tier from the registry: the tuned tier is the shared numeric proxy
-// engine, the FP32 tier the pristine proxy graph. Fields the caller set
-// in cfg (injector, seed, device, a low-batch engine) are preserved; a
-// nil Device defaults to the platform at its paper latency clock.
-func (r *Registry) Executor(model string, cfg Config) (*Executor, error) {
-	fb, err := r.Fallback(model) // first: the engine build borrows its graph
-	if err != nil {
-		return nil, err
-	}
-	e, err := r.ProxyEngine(model)
-	if err != nil {
-		return nil, err
-	}
-	cfg.Engine = e
-	cfg.Fallback = fb
-	if cfg.Device == nil {
-		cfg.Device = r.dev
-	}
-	return New(cfg)
 }

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"edgeinfer/internal/faults"
 	"edgeinfer/internal/gpusim"
 	"edgeinfer/internal/tensor"
 )
@@ -122,11 +123,11 @@ func TestRegistryBuildsProxyGraphOnce(t *testing.T) {
 	}
 
 	r := NewRegistry(gpusim.XavierNX(), nil)
-	if _, err := r.Executor(model, Config{}); err != nil {
+	if _, err := NewPool(r, PoolConfig{Model: model, Replicas: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if got := proxyBuilds(r); got != 1 {
-		t.Fatalf("registry-built Executor built %d proxy graphs, want 1", got)
+		t.Fatalf("registry-built Pool of one built %d proxy graphs, want 1", got)
 	}
 	fb, err := r.Fallback(model)
 	if err != nil {
@@ -177,32 +178,48 @@ func TestRegistryPreloadedCacheMakesFirstBuildWarm(t *testing.T) {
 	}
 }
 
+// The executor adapter the benchmark harness compiles against: a Pool of
+// one whose Stats map PoolStats onto the executor's tiers.
 func TestRegistryExecutorServes(t *testing.T) {
 	r := NewRegistry(gpusim.XavierNX(), nil)
-	ex, err := r.Executor("vgg16", Config{})
+	ex, err := r.Executor("vgg16", Config{Seed: "ignored"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A numeric request through the shared proxy engine.
-	e, _ := r.ProxyEngine("vgg16")
-	shape := e.Graph.InputShape
+	p := (*Pool)(ex)
+	if n := len(p.Engines()); n != 1 {
+		t.Fatalf("executor has %d replicas, want 1", n)
+	}
+	shape := p.Engines()[0].Graph.InputShape
 	x := tensor.New(shape[0], shape[1], shape[2], shape[3])
-	res, err := ex.DoBatchCtx(nil, []*tensor.Tensor{x}, 1)
+	br, err := p.DoBatchCtx(nil, []*tensor.Tensor{x, x}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Tier != TierTuned || res.LatencySec <= 0 {
-		t.Fatalf("pristine registry executor served %+v", res)
+	if br.LatencySec <= 0 || len(br.Results) != 2 || len(br.Results[0].Outputs) == 0 {
+		t.Fatalf("pristine registry executor served %+v", br)
 	}
-	if len(res.Outputs) != 1 || len(res.Outputs[0]) == 0 {
-		t.Fatal("numeric request returned no outputs")
+	if got, want := ex.Stats(), (Stats{TierServed: [numTiers]uint64{TierTuned: 2}}); got != want {
+		t.Fatalf("pristine executor stats %+v, want %+v", got, want)
 	}
-	// Both executors for one model share the registry's single build.
+	// A second executor builds warm from the shared timing cache.
 	if _, err := r.Executor("vgg16", Config{}); err != nil {
 		t.Fatal(err)
 	}
 	if st := r.Stats(); st.ColdBuilds != 1 {
-		t.Fatalf("second executor rebuilt the engine: %+v", st)
+		t.Fatalf("second executor built cold: %+v", st)
+	}
+
+	// Under total faults the replica fails and the FP32 tier answers.
+	failing, err := r.Executor("vgg16", Config{Injector: faults.Plan{Seed: "adapter", LaunchFailRate: 1}.New("nx")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := (*Pool)(failing).DoBatchCtx(nil, []*tensor.Tensor{x}, 0); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := failing.Stats(), (Stats{TierServed: [numTiers]uint64{TierFP32: 1}, Retries: 1}); got != want {
+		t.Fatalf("failing executor stats %+v, want %+v", got, want)
 	}
 }
 
@@ -211,7 +228,7 @@ func TestRegistryUnknownModel(t *testing.T) {
 	if _, err := r.ProxyEngine("no-such-model"); err == nil {
 		t.Fatal("unknown model accepted")
 	}
-	if _, err := r.Executor("no-such-model", Config{}); err == nil {
-		t.Fatal("executor for unknown model accepted")
+	if _, err := NewPool(r, PoolConfig{Model: "no-such-model", Replicas: 1}); err == nil {
+		t.Fatal("pool for unknown model accepted")
 	}
 }

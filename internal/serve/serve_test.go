@@ -46,19 +46,22 @@ func fixture(t *testing.T) (*core.Engine, *graph.Graph, *gpusim.Device, []*tenso
 	return fixEngine, fixGraph, fixDevice, fixInputs
 }
 
-func newExec(t *testing.T, inj core.FaultInjector, mut func(*serve.Config)) *serve.Executor {
+// poolOfOne builds the plain resilient server, a Pool of one: one
+// registry-built resnet18 replica running under inj, and the FP32
+// reference behind it.
+func poolOfOne(t *testing.T, inj core.FaultInjector) *serve.Pool {
 	t.Helper()
-	eng, g, dev, _ := fixture(t)
-	cfg := serve.Config{Engine: eng, Fallback: g, Device: dev, Injector: inj, Seed: "test"}
-	if mut != nil {
-		mut(&cfg)
-	}
-	ex, err := serve.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ex
+	return newPool(t, func(c *serve.PoolConfig) {
+		c.Replicas = 1
+		if inj != nil {
+			c.ReplicaInjector = func(int, *core.Engine) core.FaultInjector { return inj }
+		}
+	})
 }
+
+// served counts the images the replica answered and those the FP32
+// tier did.
+func served(st serve.PoolStats) uint64 { return st.QuorumServed + st.FP32Served }
 
 func sameOutputs(a, b []*tensor.Tensor) bool {
 	if len(a) != len(b) {
@@ -77,34 +80,35 @@ func sameOutputs(a, b []*tensor.Tensor) bool {
 	return true
 }
 
-// At fault rate zero the executor must be bit-identical to calling
-// Engine.Run and Engine.Infer directly (issue acceptance criterion).
+// At fault rate zero a Pool of one must be bit-identical to calling its
+// replica's Engine.Run and Engine.Infer directly.
 func TestZeroRateBitIdentical(t *testing.T) {
-	eng, _, dev, inputs := fixture(t)
+	_, _, dev, inputs := fixture(t)
 	for _, inj := range []core.FaultInjector{nil, faults.Scenario("zr", 0).New("nx")} {
-		ex := newExec(t, inj, nil)
+		p := poolOfOne(t, inj)
+		eng := p.Engines()[0]
 		for run := 0; run < 3; run++ {
-			x := inputs[run]
-			got, err := ex.DoBatchCtx(nil, inputs[run:run+1], run)
+			br, err := p.DoBatchCtx(nil, inputs[run:run+1], run)
 			if err != nil {
 				t.Fatal(err)
 			}
+			got := br.Results[0]
 			direct := eng.Run(core.RunConfig{Device: dev, RunIndex: run})
-			if got.LatencySec != direct.LatencySec {
-				t.Fatalf("latency %v != direct %v (injector=%v)", got.LatencySec, direct.LatencySec, inj != nil)
+			if got.LatencySec != direct.LatencySec || br.LatencySec != direct.LatencySec {
+				t.Fatalf("latency %v (batch %v) != direct %v (injector=%v)", got.LatencySec, br.LatencySec, direct.LatencySec, inj != nil)
 			}
-			want, err := eng.Infer(x)
+			want, err := eng.Infer(inputs[run])
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !sameOutputs(got.Outputs[0], want) {
+			if !sameOutputs(got.Outputs, want) {
 				t.Fatalf("outputs differ from direct Infer (injector=%v)", inj != nil)
 			}
-			if got.Tier != serve.TierTuned || got.Degraded || got.Retries != 0 {
+			if got.Fallback || got.Replica != 0 || got.Voters != 1 || got.Majority != 1 {
 				t.Fatalf("pristine request degraded: %+v", got)
 			}
 		}
-		if got, want := ex.Stats(), (serve.Stats{Requests: 3, TierServed: [3]uint64{serve.TierTuned: 3}}); got != want {
+		if got, want := p.Stats(), (serve.PoolStats{Requests: 3, QuorumServed: 3}); got != want {
 			t.Fatalf("pristine stats %+v, want %+v (injector=%v)", got, want, inj != nil)
 		}
 	}
@@ -112,198 +116,135 @@ func TestZeroRateBitIdentical(t *testing.T) {
 
 // Property: under a 100%-fault plan every request is still answered, via
 // the FP32 reference tier, with outputs identical to graph.Execute —
-// never an error to the caller (issue satellite 4).
+// never an error to the caller.
 func TestTotalFaultAlwaysServesFP32(t *testing.T) {
 	_, g, _, inputs := fixture(t)
 	inj := faults.Scenario("total", 1).New("nx")
-	ex := newExec(t, inj, nil)
+	p := poolOfOne(t, inj)
 	for i, x := range inputs {
-		res, err := ex.DoBatchCtx(nil, inputs[i:i+1], i)
+		br, err := p.DoBatchCtx(nil, inputs[i:i+1], i)
 		if err != nil {
 			t.Fatalf("request %d errored under total faults: %v", i, err)
 		}
-		if res.Tier != serve.TierFP32 || !res.Degraded {
-			t.Fatalf("request %d served by %v, want fp32 fallback", i, res.Tier)
+		res := br.Results[0]
+		if !res.Fallback || res.Replica != -1 {
+			t.Fatalf("request %d served by replica %d, want fp32 fallback", i, res.Replica)
 		}
 		want, err := g.Execute(x)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !sameOutputs(res.Outputs[0], want) {
+		if !sameOutputs(res.Outputs, want) {
 			t.Fatalf("request %d fallback outputs differ from graph.Execute", i)
 		}
 	}
-	st := ex.Stats()
-	if st.TierServed[serve.TierFP32] != uint64(len(inputs)) {
-		t.Fatalf("fp32 served %d of %d", st.TierServed[serve.TierFP32], len(inputs))
+	st := p.Stats()
+	if st.FP32Served != uint64(len(inputs)) {
+		t.Fatalf("fp32 served %d of %d", st.FP32Served, len(inputs))
 	}
 	if inj.Counters().Total() == 0 {
 		t.Fatal("no faults counted under a rate-1 plan")
 	}
-	if ex.Health().State == "healthy" {
-		t.Fatal("health still reports healthy under total faults")
+	if st.Quarantines == 0 {
+		t.Fatalf("a replica failing every request was never quarantined: %+v", st)
 	}
 }
 
 // With only launch failures enabled, every injected fault is one failed
-// attempt — the timed pass fails at its first launch, so the numeric
-// pass never runs — and the injector and executor ledgers must
-// reconcile exactly: launch-fails == retries + terminal tier failures.
+// replica attempt — the timed pass fails at its first launch, so the
+// numeric pass never runs — and the injector and pool ledgers must
+// reconcile exactly: launch-fails == replica fails. A quarantined
+// replica is not attempted, so it draws no fault.
 func TestCountersAccountForEveryFault(t *testing.T) {
 	_, _, _, inputs := fixture(t)
 	inj := faults.Plan{Seed: "ledger", LaunchFailRate: 1}.New("nx")
-	ex := newExec(t, inj, nil)
+	p := poolOfOne(t, inj)
 	const n = 40
 	for i := 0; i < n; i++ {
-		if _, err := ex.DoBatchCtx(nil, inputs[i%len(inputs):i%len(inputs)+1], i); err != nil {
+		if _, err := p.DoBatchCtx(nil, inputs[i%len(inputs):i%len(inputs)+1], i); err != nil {
 			t.Fatal(err)
 		}
 	}
-	st := ex.Stats()
-	if st.Requests != n {
-		t.Fatalf("requests %d, want %d", st.Requests, n)
-	}
-	var served uint64
-	for _, c := range st.TierServed {
-		served += c
-	}
-	if served != n {
-		t.Fatalf("tier-served sum %d, want %d", served, n)
-	}
-	var tierFails uint64
-	for _, c := range st.TierFailures {
-		tierFails += c
+	st := p.Stats()
+	if st.Requests != n || served(st) != n || st.FP32Served != n {
+		t.Fatalf("requests %d, served %d (fp32 %d), want %d each", st.Requests, served(st), st.FP32Served, n)
 	}
 	launchFails := inj.Counters().Get(faults.KindLaunchFail)
-	if launchFails != st.Retries+tierFails {
-		t.Fatalf("ledger mismatch: %d launch faults vs %d retries + %d tier failures",
-			launchFails, st.Retries, tierFails)
+	if launchFails != st.ReplicaFails {
+		t.Fatalf("ledger mismatch: %d launch faults vs %d replica fails", launchFails, st.ReplicaFails)
 	}
-	if st.BreakerTrips == 0 || st.BreakerSkips == 0 {
-		t.Fatalf("breaker never engaged: %+v", st)
-	}
-}
-
-// The breaker must trip after 5 consecutive primary failures,
-// short-circuit for 10 requests, then probe.
-func TestCircuitBreakerLifecycle(t *testing.T) {
-	_, _, _, inputs := fixture(t)
-	x := inputs[:1]
-	inj := faults.Plan{Seed: "brk", LaunchFailRate: 1}.New("nx")
-	ex := newExec(t, inj, nil)
-	// Five failing requests trip the breaker; four do not.
-	for i := 0; i < 5; i++ {
-		if st := ex.Health().State; st == "open" {
-			t.Fatalf("breaker open after %d failures, want 5", i)
-		}
-		if _, err := ex.DoBatchCtx(nil, x, i); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if ex.Health().State != "open" {
-		t.Fatalf("breaker state %q after threshold failures, want open", ex.Health().State)
-	}
-	if ex.Stats().BreakerTrips != 1 {
-		t.Fatalf("trips %d, want 1", ex.Stats().BreakerTrips)
-	}
-	// The next 10 requests skip the primary entirely: no new launch
-	// faults are drawn for the tuned tier.
-	before := inj.Counters().Get(faults.KindLaunchFail)
-	for i := 0; i < 10; i++ {
-		if _, err := ex.DoBatchCtx(nil, x, 10+i); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := inj.Counters().Get(faults.KindLaunchFail); got != before {
-		t.Fatalf("open breaker still reached the engine: %d new faults", got-before)
-	}
-	if ex.Stats().BreakerSkips != 10 {
-		t.Fatalf("skips %d, want 10", ex.Stats().BreakerSkips)
-	}
-	// Cooldown spent: the next request is a half-open probe that reaches
-	// the (still failing) engine and re-arms the cooldown.
-	if _, err := ex.DoBatchCtx(nil, x, 20); err != nil {
-		t.Fatal(err)
-	}
-	if got := inj.Counters().Get(faults.KindLaunchFail); got == before {
-		t.Fatal("half-open probe never reached the engine")
-	}
-	if ex.Health().State != "open" {
-		t.Fatal("failed probe should leave the breaker open")
+	if st.Quarantines == 0 || st.ReplicaFails == n {
+		t.Fatalf("supervisor never took the failing replica out of dispatch: %+v", st)
 	}
 }
 
-// A lower-batch standby engine is tried before the FP32 tier.
+// The standby engine of the old low-batch tier is a second replica: when
+// replica 0 fails, replica 1 answers alone — a one-voter majority —
+// before the FP32 tier is needed.
 func TestLowBatchTier(t *testing.T) {
-	eng, g, dev, inputs := fixture(t)
-	// The primary cannot serve numeric requests (timing-only engine); the
-	// numeric standby should pick them up before the FP32 tier.
-	ex, err := serve.New(serve.Config{
-		Engine:   failingEngine(t),
-		LowBatch: eng,
-		Fallback: g,
-		Device:   dev,
-		Injector: nil,
-		Seed:     "lb",
+	_, _, _, inputs := fixture(t)
+	p := newPool(t, func(c *serve.PoolConfig) {
+		c.Replicas = 2
+		c.ReplicaInjector = func(slot int, e *core.Engine) core.FaultInjector {
+			if slot != 0 {
+				return nil
+			}
+			return faults.Plan{Seed: "standby", LaunchFailRate: 1}.New("nx")
+		}
 	})
+	br, err := p.DoBatchCtx(nil, inputs[:2], 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ex.DoBatchCtx(nil, inputs[:1], 0)
-	if err != nil {
-		t.Fatal(err)
+	for i, res := range br.Results {
+		if res.Fallback || res.Replica != 1 || res.Voters != 1 || res.Majority != 1 {
+			t.Fatalf("image %d: %+v, want replica 1 alone", i, res)
+		}
 	}
-	if res.Tier != serve.TierLowBatch || !res.Degraded {
-		t.Fatalf("served by %v, want low-batch", res.Tier)
+	if st := p.Stats(); st.ReplicaFails != 1 || st.QuorumServed != 2 || st.FP32Served != 0 {
+		t.Fatalf("stats %+v, want one failed replica attempt and two replica answers", st)
 	}
-}
-
-// failingEngine returns a timing-only engine: numeric requests cannot be
-// served by it (the numeric pass errors), forcing degradation without faults.
-func failingEngine(t *testing.T) *core.Engine {
-	t.Helper()
-	g := models.MustBuild("resnet18")
-	e, err := core.Build(g, core.DefaultConfig(gpusim.XavierNX(), 7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return e
 }
 
 // A budget that does not abort is recorded but never prevents an answer.
 func TestDeadlineMissStillServes(t *testing.T) {
-	ex := newExec(t, nil, nil)
+	p := poolOfOne(t, nil)
 	_, _, _, inputs := fixture(t)
-	res, err := ex.DoBatchCtx(&rtctx.Request{BudgetSec: 1e-9}, inputs[:1], 0)
+	br, err := p.DoBatchCtx(&rtctx.Request{BudgetSec: 1e-9}, inputs[:1], 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.DeadlineMiss {
+	if !br.DeadlineMiss {
 		t.Fatal("1ns deadline not recorded as missed")
 	}
-	if res.Outputs[0] == nil {
+	if br.Results[0].Outputs == nil {
 		t.Fatal("deadline miss dropped the answer")
 	}
-	if ex.Stats().DeadlineMisses != 1 {
-		t.Fatalf("deadline misses %d, want 1", ex.Stats().DeadlineMisses)
+	if p.Stats().DeadlineMisses != 1 {
+		t.Fatalf("deadline misses %d, want 1", p.Stats().DeadlineMisses)
 	}
 }
 
 // Memory-pressure admission: a capacity too small for the engine's
-// per-thread footprint pushes every request to the FP32 tier.
+// per-thread footprint fails the replica's attempt before any launch and
+// pushes the request to the FP32 tier.
 func TestAllocPressureDegrades(t *testing.T) {
-	eng, _, _, inputs := fixture(t)
+	eng, g, dev, inputs := fixture(t)
 	inj := faults.Plan{Seed: "mem", CapacityBytes: eng.PerThreadMemBytes() / 2}.New("nx")
-	ex := newExec(t, inj, nil)
-	res, err := ex.DoBatchCtx(nil, inputs[:1], 0)
+	p := poolOfOne(t, inj)
+	br, err := p.DoBatchCtx(nil, inputs[:1], 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Tier != serve.TierFP32 {
-		t.Fatalf("served by %v under memory pressure, want fp32", res.Tier)
+	if !br.Results[0].Fallback {
+		t.Fatalf("served by replica %d under memory pressure, want fp32", br.Results[0].Replica)
 	}
-	if ex.Stats().AllocRejects != 1 {
-		t.Fatalf("alloc rejects %d, want 1", ex.Stats().AllocRejects)
+	if got := inj.Counters().Get(faults.KindAllocFail); got != 1 || p.Stats().ReplicaFails != 1 {
+		t.Fatalf("alloc rejects %d, replica fails %d; want 1 each", got, p.Stats().ReplicaFails)
+	}
+	// Refused before any launch: the FP32 pass starts at once.
+	if got, want := br.LatencySec, core.UnoptimizedRun(g, dev); got != want {
+		t.Fatalf("latency %v, want the FP32 pass alone %v", got, want)
 	}
 }
 
@@ -312,7 +253,7 @@ func TestAllocPressureDegrades(t *testing.T) {
 func TestConcurrentRequests(t *testing.T) {
 	_, _, _, inputs := fixture(t)
 	inj := faults.Scenario("conc", 0.2).New("nx")
-	ex := newExec(t, inj, nil)
+	p := poolOfOne(t, inj)
 	const workers, perWorker = 8, 6
 	var wg sync.WaitGroup
 	errs := make(chan error, workers*perWorker)
@@ -322,7 +263,7 @@ func TestConcurrentRequests(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
 				x := inputs[(w*perWorker+i)%len(inputs)]
-				if _, err := ex.DoBatchCtx(nil, []*tensor.Tensor{x}, w*perWorker+i); err != nil {
+				if _, err := p.DoBatchCtx(nil, []*tensor.Tensor{x}, w*perWorker+i); err != nil {
 					errs <- err
 				}
 			}
@@ -333,72 +274,8 @@ func TestConcurrentRequests(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	st := ex.Stats()
-	if st.Requests != workers*perWorker {
-		t.Fatalf("requests %d, want %d", st.Requests, workers*perWorker)
-	}
-	var served uint64
-	for _, c := range st.TierServed {
-		served += c
-	}
-	if served != workers*perWorker {
-		t.Fatalf("tier-served sum %d, want %d", served, workers*perWorker)
-	}
-}
-
-// Retry backoff must not accumulate past the request budget: the
-// modeled wait is clamped to what is left (and the clamp is counted), so
-// a budgeted request's latency is bounded by the budget plus real
-// attempt/fallback work — never budget plus a full exponential backoff
-// ladder. The budget does not abort, so the request is answered late.
-func TestBackoffClampedByDeadline(t *testing.T) {
-	_, g, dev, inputs := fixture(t)
-	const budget = 0.2e-3 // the first backoff alone (0.5–1.5ms) overshoots it
-	mk := func() *serve.Executor {
-		return newExec(t, faults.Plan{Seed: "clamp", LaunchFailRate: 1}.New("nx"), nil)
-	}
-	clamped := mk()
-	res, err := clamped.DoBatchCtx(&rtctx.Request{BudgetSec: budget}, inputs[:1], 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := clamped.Stats(); st.BackoffClamps == 0 {
-		t.Fatalf("no backoff clamps recorded: %+v", st)
-	}
-	// Bound: budget + the burned time of failed attempts (each dies at
-	// its first launch, microseconds) + the FP32 fallback's serve cost.
-	bound := budget + core.UnoptimizedRun(g, dev) + 0.3e-3
-	if res.LatencySec > bound {
-		t.Fatalf("latency %.6fs exceeds %.6fs: backoff accumulated past the budget", res.LatencySec, bound)
-	}
-	if !res.DeadlineMiss {
-		t.Fatal("deadline miss not recorded")
-	}
-
-	// Without a budget the same fault sequence pays the full ladder,
-	// and the clamp counter must stay untouched.
-	free := mk()
-	res2, err := free.DoBatchCtx(nil, inputs[:1], 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.LatencySec <= res.LatencySec {
-		t.Fatalf("unclamped latency %.6fs not above clamped %.6fs", res2.LatencySec, res.LatencySec)
-	}
-	if free.Stats().BackoffClamps != 0 {
-		t.Fatal("clamp counted with no budget")
-	}
-}
-
-func TestConfigValidation(t *testing.T) {
-	eng, g, dev, _ := fixture(t)
-	for _, cfg := range []serve.Config{
-		{Fallback: g, Device: dev},
-		{Engine: eng, Device: dev},
-		{Engine: eng, Fallback: g},
-	} {
-		if _, err := serve.New(cfg); err == nil {
-			t.Fatalf("config %+v accepted", cfg)
-		}
+	st := p.Stats()
+	if st.Requests != workers*perWorker || served(st) != workers*perWorker {
+		t.Fatalf("requests %d, served %d, want %d each", st.Requests, served(st), workers*perWorker)
 	}
 }
