@@ -12,14 +12,14 @@
 # the FP32 reference convolution and average pool against their frozen
 # per-element loops and one over the engine conv and fc kernels against
 # theirs,
-# the byte comparison of benchtables -all / -ext, chaosbench and
-# faultbench with results/ (-all twice: once on one OS thread, so the
+# the byte comparison of benchtables -all / -ext / -faulttol / -chaos
+# with results/ (-all twice: once on one OS thread, so the
 # per-image fan-out over every table's engines and the dataset synthesis
 # prove their answers do not depend on the schedule; and Tables III-VI
 # once more, rendered one at a time), the shared-timing-cache
-# fleet-convergence audit (warm rebuilds must be byte-identical), the
-# chaos smoke (a short replica-fleet soak that must show zero
-# wrong-answer escapes and zero leaked quarantines),
+# fleet-convergence audit (warm rebuilds must be byte-identical), a
+# smoke of rtexec's profiler modes (GPU trace, chrome://tracing
+# timeline, tegrastats sample),
 # the rtlint static-analysis suite — all eight source analyzers over
 # the module (any finding an //rt:allow directive does not silence
 # fails the gate, so the tree must stay clean), then static plan-IR verification
@@ -84,10 +84,16 @@ rm -f "$one_at_a_time"
 go run ./cmd/benchtables -ext | cmp - results/extensions.txt
 # The serving goldens: the replica-fleet chaos soak (its supervisor
 # transcripts included) and the fault-tolerance sweep, byte for byte.
-go run ./cmd/chaosbench -out '' | cmp - results/chaos.txt
-go run ./cmd/faultbench -out '' | cmp - results/faulttol.txt
+go run ./cmd/benchtables -chaos | cmp - results/chaos.txt
+go run ./cmd/benchtables -faulttol | cmp - results/faulttol.txt
 go run ./cmd/fleetcheck -model resnet18 -sharedCache
-go run ./cmd/chaosbench -smoke -requests 30 -out ''
+# The profiler modes no other step runs: the GPU trace, the chrome
+# timeline (which must be written) and the tegrastats sample.
+chrome=$(mktemp)
+go run ./cmd/rtexec -model pednet -platform NX -runs 2 -profile -trace -chrome "$chrome"
+test -s "$chrome"
+rm -f "$chrome"
+go run ./cmd/rtexec -model tiny-yolov3 -platform AGX -tegrastats 36
 go run ./cmd/rtlint -json ./...
 go run ./cmd/rtlint -plancheck
 # Serving soak on a virtual clock: the synctest build of netserve must

@@ -1,13 +1,16 @@
 // Command benchtables regenerates the paper's evaluation artifacts —
 // every table (I-XVIII) and figure (3-4) — on the simulator and prints
-// them in the paper's layout.
+// them in the paper's layout, and renders the extension studies.
 //
 // Usage:
 //
 //	benchtables -all            # everything (default)
 //	benchtables -table 8        # one table
+//	benchtables -table 1        # the platforms, deviceQuery-style
 //	benchtables -figure 3       # one figure
 //	benchtables -ext            # extension experiments (precision/batch/energy/DVFS/detection/thermal)
+//	benchtables -faulttol       # serving under injected faults (results/faulttol.txt)
+//	benchtables -chaos          # self-healing replica fleet soak (results/chaos.txt)
 //	benchtables -csv DIR        # also export figure data as CSV
 //	benchtables -full           # paper-scale dataset sizes (slower)
 package main
@@ -24,6 +27,8 @@ import (
 func main() {
 	tableN := flag.Int("table", 0, "render one table (1-18)")
 	ext := flag.Bool("ext", false, "render the extension experiments (precision study)")
+	faulttol := flag.Bool("faulttol", false, "render the fault-tolerance and DVFS-throttling sweeps")
+	chaos := flag.Bool("chaos", false, "render the replica-fleet chaos soak and its supervisor transcripts")
 	figureN := flag.Int("figure", 0, "render one figure (3 or 4)")
 	all := flag.Bool("all", false, "render every table and figure")
 	full := flag.Bool("full", false, "paper-scale dataset sizes (slower)")
@@ -90,6 +95,26 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Println(transfer)
+	case *faulttol:
+		faults, err := lab.RenderFaultToleranceFor()
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "benchtables:", err)
+			os.Exit(1)
+		}
+		fmt.Println(faults)
+		throttle, err := lab.RenderThrottleSweep()
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "benchtables:", err)
+			os.Exit(1)
+		}
+		fmt.Println(throttle)
+	case *chaos:
+		soak, err := lab.RenderChaosSoakFor("resnet18", 60)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "benchtables:", err)
+			os.Exit(1)
+		}
+		fmt.Println(soak)
 	case *tableN != 0:
 		fn, ok := tables[*tableN]
 		if !ok {

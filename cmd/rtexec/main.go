@@ -1,7 +1,8 @@
 // Command rtexec is the trtexec-like workbench of the simulator: it
 // builds engines from zoo models (or framework files exported by this
-// tool), saves/loads serialized plans, and times inference on a chosen
-// platform.
+// tool), saves/loads serialized plans, times inference on a chosen
+// platform, and profiles it: the nvprof-like summary and GPU trace, a
+// chrome://tracing timeline, and a tegrastats-like utilization sample.
 //
 // Usage:
 //
@@ -11,9 +12,13 @@
 //	rtexec -model googlenet -platform AGX -export caffe -o googlenet.model
 //	rtexec -import googlenet.model -platform NX              # framework import
 //	rtexec -model pednet -platform NX -runs 10 -profile      # stats + profile
+//	rtexec -model pednet -platform NX -trace                 # + GPU trace of run 0
+//	rtexec -model resnet18 -chrome trace.json                # run 0 as a chrome://tracing timeline
+//	rtexec -model tiny-yolov3 -platform AGX -tegrastats 36   # utilization sample, 36 threads
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -38,6 +43,9 @@ func main() {
 	precision := flag.String("precision", "fp16", "engine precision: fp32, fp16 or int8")
 	runs := flag.Int("runs", 10, "timed runs")
 	prof := flag.Bool("profile", false, "attach the nvprof-like profiler and print a summary")
+	trace := flag.Bool("trace", false, "also print the GPU trace of run 0, every launch (implies -profile)")
+	chrome := flag.String("chrome", "", "write run 0 as a chrome://tracing JSON timeline to this path (implies -profile)")
+	tegra := flag.Int("tegrastats", 0, "print a tegrastats sample of this many concurrent inference threads at the max clock instead of timing (0 = off)")
 	memcpy := flag.Bool("memcpy", true, "include engine H2D copy in timing")
 	save := flag.String("save", "", "save the built engine plan to a file")
 	load := flag.String("load", "", "load an engine plan instead of building")
@@ -47,6 +55,13 @@ func main() {
 	dot := flag.String("dot", "", "write a Graphviz rendering of the model graph to this path")
 	tcPath := flag.String("timingCache", "", "timing-cache file: loaded if present, saved after the build (warm builds skip tactic re-timing)")
 	flag.Parse()
+	profile := *prof || *trace || *chrome != ""
+	if (*trace || *chrome != "") && *runs < 1 {
+		fail(errors.New("-trace and -chrome show run 0: need -runs of at least 1"))
+	}
+	if *tegra < 0 {
+		fail(fmt.Errorf("-tegrastats %d: need a thread count, or 0 for off", *tegra))
+	}
 
 	if *list {
 		for _, name := range models.List() {
@@ -142,6 +157,16 @@ func main() {
 		runSpec, err = gpusim.ByName(*run)
 		fail(err)
 	}
+	if *tegra > 0 {
+		// tegrastats observes the boost clock the paper's concurrency
+		// experiments ran at, whatever -clock says.
+		dev := gpusim.NewDevice(runSpec, gpusim.PaperMaxClock(runSpec))
+		load := e.StreamLoad(dev)
+		fmt.Println(profiler.Tegrastats(dev, load, *tegra).Render())
+		fmt.Printf("(per-thread FPS %.1f; platform saturates at %d threads)\n",
+			gpusim.ThreadFPS(dev, load, *tegra), gpusim.SaturationThreads(dev, load))
+		return
+	}
 	clk := *clock
 	if clk == 0 {
 		clk = gpusim.PaperLatencyClock(runSpec)
@@ -151,7 +176,7 @@ func main() {
 	var results []core.RunResult
 	secs := make([]float64, *runs)
 	for i := 0; i < *runs; i++ {
-		r := e.Run(core.RunConfig{Device: dev, IncludeMemcpy: *memcpy, Profile: *prof, RunIndex: i})
+		r := e.Run(core.RunConfig{Device: dev, IncludeMemcpy: *memcpy, Profile: profile, RunIndex: i})
 		secs[i] = r.LatencySec
 		results = append(results, r)
 	}
@@ -159,8 +184,17 @@ func main() {
 	fmt.Printf("ran %d inferences on %s @ %.0f MHz: %.2f ms mean (std %.2f, min %.2f, max %.2f)\n",
 		stats.N, runSpec.Short(), clk, stats.MeanMS, stats.StdMS, stats.MinMS, stats.MaxMS)
 	fmt.Printf("throughput: %.1f FPS\n", metrics.FPS(stats.MeanMS/1e3))
-	if *prof {
+	if profile {
 		fmt.Println(profiler.Summarize(results...).Render())
+	}
+	if *trace {
+		fmt.Print(profiler.Trace(results[0]))
+	}
+	if *chrome != "" {
+		doc, err := profiler.ChromeTrace(e.Key(), results[0])
+		fail(err)
+		fail(writeFile(*chrome, doc))
+		fmt.Printf("wrote %d trace events to %s (open in chrome://tracing)\n", len(results[0].Kernels)+1, *chrome)
 	}
 }
 

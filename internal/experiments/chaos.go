@@ -185,8 +185,8 @@ func (l *Lab) chaosScenario(model string, sc chaosScenario, images []*tensor.Ten
 	}
 	st := pool.Stats()
 	h := pool.Health()
-	row.QuorumPct = 100 * float64(st.QuorumServed) / float64(st.Requests)
-	row.FP32Pct = 100 * float64(st.FP32Served) / float64(st.Requests)
+	row.QuorumPct = 100 * float64(st.QuorumServed) / float64(row.Requests)
+	row.FP32Pct = 100 * float64(st.FP32Served) / float64(row.Requests)
 	row.Detections = st.Detections
 	row.Quarantines = st.Quarantines
 	row.Rebuilds = st.Rebuilds
@@ -201,12 +201,11 @@ func (l *Lab) chaosScenario(model string, sc chaosScenario, images []*tensor.Ten
 }
 
 // RenderChaosSoakFor runs a parameterized soak once and formats it: the
-// scenario table followed by each non-empty supervisor transcript. The
-// rows it rendered come back too, for gates that check them.
-func (l *Lab) RenderChaosSoakFor(model string, requests int) (string, []ChaosRow, error) {
+// scenario table followed by each non-empty supervisor transcript.
+func (l *Lab) RenderChaosSoakFor(model string, requests int) (string, error) {
 	rows, err := l.ChaosSoak(model, requests)
 	if err != nil {
-		return "", nil, err
+		return "", err
 	}
 	t := &table{
 		title: fmt.Sprintf("Chaos soak: %s on NX, 3-replica quorum fleet, slot-1 replica faulted (%d requests/scenario)", model, requests),
@@ -231,5 +230,5 @@ func (l *Lab) RenderChaosSoakFor(model string, requests int) (string, []ChaosRow
 			fmt.Fprintf(&b, "  %s\n", line)
 		}
 	}
-	return b.String(), rows, nil
+	return b.String(), nil
 }

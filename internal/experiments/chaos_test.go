@@ -44,11 +44,11 @@ func TestChaosSoakInvariants(t *testing.T) {
 // Same seed, same soak: the rendered study — table and transcripts — is
 // byte-identical across runs.
 func TestChaosSoakDeterministic(t *testing.T) {
-	a, _, err := NewLab(Default()).RenderChaosSoakFor("resnet18", 24)
+	a, err := NewLab(Default()).RenderChaosSoakFor("resnet18", 24)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := NewLab(Default()).RenderChaosSoakFor("resnet18", 24)
+	b, err := NewLab(Default()).RenderChaosSoakFor("resnet18", 24)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -80,6 +80,8 @@ func (l *Lab) FaultTolerance(model string, rates []float64, requests int) ([]Fau
 		}
 		unoptMs := core.UnoptimizedRun(g, dev) * 1e3
 		for _, rate := range rates {
+			// The seed strings key the fault streams results/faulttol.txt
+			// records: renaming them changes the golden.
 			inj := faults.Scenario(fmt.Sprintf("faultbench/%s/%.3f", model, rate), rate).New(platform)
 			pool, err := serve.NewPool(serve.NewRegistry(platformSpec(platform), nil), serve.PoolConfig{
 				Model:           model,
@@ -127,14 +129,15 @@ func (l *Lab) FaultTolerance(model string, rates []float64, requests int) ([]Fau
 	return out, nil
 }
 
-// RenderFaultToleranceFor formats a parameterized sweep.
-func (l *Lab) RenderFaultToleranceFor(model string, rates []float64, requests int) (string, error) {
+// RenderFaultToleranceFor formats the committed fault-rate sweep: resnet18,
+// 100 requests per point, rates 0 to 1.
+func (l *Lab) RenderFaultToleranceFor() (string, error) {
 	t := &table{
-		title: fmt.Sprintf("Fault tolerance: %s served by a two-replica pool (%d requests/point, proxy-scale latency)", model, requests),
+		title: "Fault tolerance: resnet18 served by a two-replica pool (100 requests/point, proxy-scale latency)",
 		header: []string{"Platform", "FaultRate", "Err(%) served", "Err(%) unopt",
 			"p50(ms)", "p99(ms)", "unopt(ms)", "replica0%", "replica1%", "fp32%", "faults", "failovers", "quarantines"},
 	}
-	rows, err := l.FaultTolerance(model, rates, requests)
+	rows, err := l.FaultTolerance("resnet18", []float64{0, 0.01, 0.05, 0.2, 0.5, 1}, 100)
 	if err != nil {
 		return "", err
 	}

@@ -145,8 +145,9 @@ type Plan struct {
 }
 
 // Scenario returns a plan in which every fault class fires at the given
-// base rate, with representative severities: the single-knob sweep used
-// by cmd/faultbench. Rate 0 is the pristine device.
+// base rate, with representative severities: the single-knob sweep of
+// the fault-tolerance study (benchtables -faulttol). Rate 0 is the
+// pristine device.
 func Scenario(seed string, rate float64) Plan {
 	return Plan{
 		Seed:             seed,
@@ -264,9 +265,6 @@ func (p Plan) New(scenario string) *Injector {
 
 // Injector implements the runtime's hook surface.
 var _ core.FaultInjector = (*Injector)(nil)
-
-// Plan returns the injector's plan.
-func (in *Injector) Plan() Plan { return in.plan }
 
 // Counters returns a snapshot of the fault tallies.
 func (in *Injector) Counters() Counters {

@@ -83,9 +83,6 @@ func (p NetPlan) NewNet(scenario string) *NetInjector {
 	}
 }
 
-// Plan returns the injector's plan.
-func (in *NetInjector) Plan() NetPlan { return in.plan }
-
 // Counters returns a snapshot of the fault tallies.
 func (in *NetInjector) Counters() Counters {
 	in.mu.Lock()

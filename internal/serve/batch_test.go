@@ -14,6 +14,8 @@ import (
 // a pristine Pool of one must return outputs bit-identical to its
 // replica's Engine.Infer per image, pay exactly one timed run for the
 // whole batch — LatencySec equal to Engine.Run's — and never degrade.
+// Its stats count the batch once in Requests and each image once among
+// the served.
 func TestExecutorBatchMatchesDirect(t *testing.T) {
 	_, _, dev, inputs := fixture(t)
 	for n := 1; n <= 4; n++ {
@@ -44,11 +46,16 @@ func TestExecutorBatchMatchesDirect(t *testing.T) {
 				t.Fatalf("batch of %d, image %d differs from direct Infer", n, i)
 			}
 		}
+		if st := p.Stats(); st.Requests != 1 || served(st) != uint64(n) {
+			t.Fatalf("batch of %d: %d requests, %d images served; want 1 and %d", n, st.Requests, served(st), n)
+		}
 	}
 }
 
 // Under a 100%-fault plan a batch on a Pool of one drains to the FP32
 // tier and every image's outputs match graph.Execute — never an error.
+// The one batch is one request and one failed replica attempt, its four
+// images four FP32 answers.
 func TestExecutorBatchTotalFaultServesFP32(t *testing.T) {
 	_, g, _, inputs := fixture(t)
 	p := poolOfOne(t, faults.Scenario("batch-total", 1).New("nx"))
@@ -68,6 +75,9 @@ func TestExecutorBatchTotalFaultServesFP32(t *testing.T) {
 		if !sameOutputs(br.Results[i].Outputs, want) {
 			t.Fatalf("image %d fallback outputs differ from graph.Execute", i)
 		}
+	}
+	if st := p.Stats(); st.Requests != 1 || st.ReplicaFails != 1 || st.FP32Served != 4 || st.QuorumServed != 0 {
+		t.Fatalf("stats %+v, want 1 request, 1 replica fail, 4 FP32 images", st)
 	}
 }
 

@@ -142,12 +142,16 @@ func (p *Pool) observe(req uint64, r *replica, latSec float64, errored bool) {
 	}
 }
 
-// PoolStats are the fleet's cumulative counters.
+// PoolStats are the fleet's cumulative counters. Each counts in one of
+// four units: batches (one DoBatchCtx call, whatever its size), images
+// (one input of a batch), replica attempts (one active replica's run
+// over one batch) or supervisor events. A batch of n images that is
+// answered adds 1 to Requests and n to QuorumServed + FP32Served.
 type PoolStats struct {
-	Requests     uint64
-	QuorumServed uint64 // requests served by a quorum majority
-	NoMajority   uint64 // quorum requests with no strict majority
-	FP32Served   uint64 // requests served by the FP32 reference tier
+	Requests     uint64 // batches dispatched, answered or not
+	QuorumServed uint64 // images served by a quorum majority
+	NoMajority   uint64 // images with an active replica but no strict-majority answer
+	FP32Served   uint64 // images served by the FP32 reference tier
 	ReplicaFails uint64 // replica attempts that errored outright
 
 	Detections     uint64 // healthy/readmitted → suspect transitions
@@ -160,8 +164,9 @@ type PoolStats struct {
 	// an aborting context: every replica stopped by its layer guard, or
 	// none answered and the slowest gave up past the budget.
 	DeadlineAborts uint64
-	// DeadlineMisses counts answered requests whose release time overran
-	// the request context's budget — the fleet's own miss verdict.
+	// DeadlineMisses counts answered batches whose release time (their
+	// slowest image's) overran the request context's budget — the
+	// fleet's own miss verdict.
 	DeadlineMisses uint64
 }
 
