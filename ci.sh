@@ -16,10 +16,9 @@
 # with results/ (-all twice: once on one OS thread, so the
 # per-image fan-out over every table's engines and the dataset synthesis
 # prove their answers do not depend on the schedule; and Tables III-VI
-# once more, rendered one at a time), the shared-timing-cache
-# fleet-convergence audit (warm rebuilds must be byte-identical), a
-# smoke of rtexec's profiler modes (GPU trace, chrome://tracing
-# timeline, tegrastats sample),
+# once more, rendered one at a time), a smoke of rtexec's profiler
+# modes (GPU trace, chrome://tracing timeline, tegrastats sample) and
+# its refusal of -runs below 1,
 # the rtlint static-analysis suite — all eight source analyzers over
 # the module (any finding an //rt:allow directive does not silence
 # fails the gate, so the tree must stay clean), then static plan-IR verification
@@ -86,7 +85,6 @@ go run ./cmd/benchtables -ext | cmp - results/extensions.txt
 # transcripts included) and the fault-tolerance sweep, byte for byte.
 go run ./cmd/benchtables -chaos | cmp - results/chaos.txt
 go run ./cmd/benchtables -faulttol | cmp - results/faulttol.txt
-go run ./cmd/fleetcheck -model resnet18 -sharedCache
 # The profiler modes no other step runs: the GPU trace, the chrome
 # timeline (which must be written) and the tegrastats sample.
 chrome=$(mktemp)
@@ -94,6 +92,11 @@ go run ./cmd/rtexec -model pednet -platform NX -runs 2 -profile -trace -chrome "
 test -s "$chrome"
 rm -f "$chrome"
 go run ./cmd/rtexec -model tiny-yolov3 -platform AGX -tegrastats 36
+# Timed runs need -runs of at least 1: 0 and -1 must fail. (A `!` command
+# does not trip set -e, hence the if.)
+for n in 0 -1; do
+  if go run ./cmd/rtexec -model pednet -runs "$n"; then exit 1; fi
+done
 go run ./cmd/rtlint -json ./...
 go run ./cmd/rtlint -plancheck
 # Serving soak on a virtual clock: the synctest build of netserve must

@@ -33,27 +33,13 @@ func main() {
 	all := flag.Bool("all", false, "render every table and figure")
 	full := flag.Bool("full", false, "paper-scale dataset sizes (slower)")
 	csvDir := flag.String("csv", "", "also write figure data as CSV files into this directory")
-	tcDir := flag.String("timingCache", "", "directory of per-build timing caches: loaded before and saved after regeneration, so repeated runs skip tactic re-timing")
 	flag.Parse()
 
 	opts := experiments.Default()
 	if *full {
 		opts = experiments.Full()
 	}
-	if *tcDir != "" {
-		if err := os.MkdirAll(*tcDir, 0o755); err != nil {
-			fmt.Fprintln(os.Stderr, "benchtables:", err)
-			os.Exit(1)
-		}
-		opts.TimingCacheDir = *tcDir
-	}
 	lab := experiments.NewLab(opts)
-	defer func() {
-		if err := lab.SaveTimingCaches(); err != nil {
-			fmt.Fprintln(os.Stderr, "benchtables:", err)
-			os.Exit(1)
-		}
-	}()
 
 	tables := map[int]func() string{
 		1: lab.RenderTable1, 2: lab.RenderTable2, 3: lab.RenderTable3,

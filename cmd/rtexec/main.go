@@ -18,7 +18,6 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -56,9 +55,6 @@ func main() {
 	tcPath := flag.String("timingCache", "", "timing-cache file: loaded if present, saved after the build (warm builds skip tactic re-timing)")
 	flag.Parse()
 	profile := *prof || *trace || *chrome != ""
-	if (*trace || *chrome != "") && *runs < 1 {
-		fail(errors.New("-trace and -chrome show run 0: need -runs of at least 1"))
-	}
 	if *tegra < 0 {
 		fail(fmt.Errorf("-tegrastats %d: need a thread count, or 0 for off", *tegra))
 	}
@@ -105,6 +101,9 @@ func main() {
 		return
 	}
 
+	if *tegra == 0 && *runs < 1 {
+		fail(fmt.Errorf("-runs %d: need at least 1 timed run", *runs))
+	}
 	spec, err := gpusim.ByName(*platform)
 	fail(err)
 	if e == nil {

@@ -14,10 +14,9 @@ import (
 // TestFormatBytesPinned holds the two magic-tagged artefact formats to
 // the bytes they had before their codecs were moved onto the shared
 // framing layer (internal/framed): persisted timing caches, saved plans
-// and fleetcheck's shared-cache convergence all depend on a writer
-// change never altering the stream. The digests were captured at the
-// commit preceding that refactor; cmd/rtexec pins the EDGEMDL1
-// container the same way.
+// and byte-identical warm rebuilds all depend on a writer change never
+// altering the stream. The digests were captured at the commit preceding
+// that refactor; cmd/rtexec pins the EDGEMDL1 container the same way.
 func TestFormatBytesPinned(t *testing.T) {
 	cache := core.NewTimingCache()
 	cfg := core.DefaultConfig(gpusim.XavierNX(), 1)

@@ -57,8 +57,8 @@ type BuildConfig struct {
 	Predictor LatencyPredictor
 	// CanonicalWarmID stamps BuildID 0 on engines whose every tactic
 	// came from the timing cache (see BuildReport.WarmBuild): warm
-	// rebuilds then serialize byte-identically. Off by default so that
-	// cache-assisted regeneration keeps stable build identities.
+	// rebuilds then serialize byte-identically. Off by default so that a
+	// warm build keeps the build id it was asked for (rtexec -timingCache).
 	CanonicalWarmID bool
 	// DisablePasses names pipeline passes to skip (the Pass* constants).
 	// Skipped passes appear in the BuildReport flagged Disabled.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"edgeinfer/internal/gpusim"
 	"edgeinfer/internal/models"
 )
 
@@ -114,67 +115,70 @@ func TestDisableUnknownPassErrors(t *testing.T) {
 	}
 }
 
-// TestWarmRebuildsByteIdentical is the §VI-A mechanism end to end: a cold
-// build populates a timing cache; two independent rebuilds with different
-// build ids and different noise settings take every tactic from the cache
-// and serialize to byte-identical plans, at a simulated build cost ≥2×
-// (in fact ≫2×) below the cold build's.
+// TestWarmRebuildsByteIdentical is the §VI-A mechanism end to end, on
+// each platform: a cold build populates a timing cache; two independent
+// rebuilds with different build ids and different noise settings take
+// every tactic from the cache and serialize to byte-identical plans, at
+// a simulated build cost ≥2× (in fact ≫2×) below the cold build's.
 func TestWarmRebuildsByteIdentical(t *testing.T) {
 	g, err := models.Build("resnet18")
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache := NewTimingCache()
+	for _, spec := range gpusim.Platforms() {
+		t.Run(spec.Short(), func(t *testing.T) {
+			cache := NewTimingCache()
+			cold := DefaultConfig(spec, 1)
+			cold.TimingCache = cache
+			ce, err := Build(g, cold)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ce.Report.CacheMisses == 0 || ce.Report.WarmBuild {
+				t.Fatalf("cold build did not miss: %+v", ce.Report)
+			}
 
-	cold := nxCfg(1)
-	cold.TimingCache = cache
-	ce, err := Build(g, cold)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ce.Report.CacheMisses == 0 || ce.Report.WarmBuild {
-		t.Fatalf("cold build did not miss: %+v", ce.Report)
-	}
-
-	warm := func(buildID int, noise float64) *Engine {
-		cfg := nxCfg(buildID)
-		cfg.TunerNoise = noise
-		cfg.TimingCache = cache
-		cfg.CanonicalWarmID = true
-		e, err := Build(g, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return e
-	}
-	w1, w2 := warm(7, 0.02), warm(9, 0.31)
-	for _, w := range []*Engine{w1, w2} {
-		if !w.Report.WarmBuild || w.Report.CacheMisses != 0 {
-			t.Fatalf("rebuild not warm: %+v", w.Report)
-		}
-		if w.BuildID != 0 {
-			t.Fatalf("warm canonical build id = %d, want 0", w.BuildID)
-		}
-	}
-	var b1, b2 bytes.Buffer
-	if err := w1.Save(&b1); err != nil {
-		t.Fatal(err)
-	}
-	if err := w2.Save(&b2); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(b1.Bytes(), b2.Bytes()) {
-		t.Fatalf("warm rebuilds differ: %d vs %d bytes", b1.Len(), b2.Len())
-	}
-	// Warm rebuilds select exactly the tactics the cold build measured.
-	for layer, v := range ce.Choices {
-		if w1.Choices[layer] != v {
-			t.Fatalf("warm rebuild diverged from cold tactics at %s", layer)
-		}
-	}
-	if w1.Report.TuneCostSec*2 > ce.Report.TuneCostSec {
-		t.Fatalf("warm build cost %.6fs not ≥2× below cold %.6fs",
-			w1.Report.TuneCostSec, ce.Report.TuneCostSec)
+			warm := func(buildID int, noise float64) *Engine {
+				cfg := DefaultConfig(spec, buildID)
+				cfg.TunerNoise = noise
+				cfg.TimingCache = cache
+				cfg.CanonicalWarmID = true
+				e, err := Build(g, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return e
+			}
+			w1, w2 := warm(7, 0.02), warm(9, 0.31)
+			for _, w := range []*Engine{w1, w2} {
+				if !w.Report.WarmBuild || w.Report.CacheMisses != 0 {
+					t.Fatalf("rebuild not warm: %+v", w.Report)
+				}
+				if w.BuildID != 0 {
+					t.Fatalf("warm canonical build id = %d, want 0", w.BuildID)
+				}
+			}
+			var b1, b2 bytes.Buffer
+			if err := w1.Save(&b1); err != nil {
+				t.Fatal(err)
+			}
+			if err := w2.Save(&b2); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(b1.Bytes(), b2.Bytes()) {
+				t.Fatalf("warm rebuilds differ: %d vs %d bytes", b1.Len(), b2.Len())
+			}
+			// Warm rebuilds select exactly the tactics the cold build measured.
+			for layer, v := range ce.Choices {
+				if w1.Choices[layer] != v {
+					t.Fatalf("warm rebuild diverged from cold tactics at %s", layer)
+				}
+			}
+			if w1.Report.TuneCostSec*2 > ce.Report.TuneCostSec {
+				t.Fatalf("warm build cost %.6fs not ≥2× below cold %.6fs",
+					w1.Report.TuneCostSec, ce.Report.TuneCostSec)
+			}
+		})
 	}
 }
 

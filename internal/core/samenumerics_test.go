@@ -12,11 +12,11 @@ import (
 )
 
 // SameNumerics is what lets a caller answer for one engine with another's
-// run (experiments.Lab, cmd/fleetcheck), so the error that matters is a
-// false "same". The tests hold it from both sides over the oracle's
-// model set: engines it calls equal are run and compared bit for bit,
-// intermediates included; and every single thing execution reads, changed
-// alone, must make it say "different".
+// run (experiments.Lab), so the error that matters is a false "same". The
+// tests hold it from both sides over the oracle's model set: engines it
+// calls equal are run and compared bit for bit, intermediates included;
+// and every single thing execution reads, changed alone, must make it say
+// "different".
 
 func flipBit(t *tensor.Tensor, i int) {
 	t.Data[i] = math.Float32frombits(math.Float32bits(t.Data[i]) ^ 1)

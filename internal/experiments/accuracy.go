@@ -47,8 +47,7 @@ func (l *Lab) Table3() []Table3Row {
 
 // accuracyEngines are the engines Tables III and IV classify through,
 // three per classifier model: built on AGX, built on NX (build 1), and
-// the un-optimized reference. Builds run in this order, which the timing
-// caches of a TimingCacheDir see.
+// the un-optimized reference.
 func (l *Lab) accuracyEngines() []*core.Engine {
 	var es []*core.Engine
 	for _, m := range classifierModels {
@@ -256,11 +255,10 @@ func (l *Lab) classifyAdv(own []*core.Engine) [][]int {
 }
 
 // advEngines returns own, then every engine of Tables IV, V and VI in
-// that order (classifyAll runs each program once). Builds happen in the
-// same order, so in benchtables -all order every engine is built exactly
-// where it was when each table classified only its own, and a table
-// rendered alone builds its own engines first, as before, and the
-// others after; that is the order a TimingCacheDir sees.
+// that order (classifyAll runs each program once). A table rendered
+// alone builds its own engines first and the others after. The order
+// sets the group's members and fork points, which TestTableGroupsPinned
+// pins.
 func (l *Lab) advEngines(own []*core.Engine) []*core.Engine {
 	return slices.Concat(own, l.accuracyEngines(), l.crossPlatformEngines(l.crossPlatformBuilds()), l.samePlatformEngines())
 }

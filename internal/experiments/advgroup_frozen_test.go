@@ -101,11 +101,10 @@ func frozenTable6(l *Lab) []Table6Row {
 // classify the adversarial set through one group over all their engines,
 // to the frozen tables that each classified only their own: every table
 // rendered alone on a fresh Lab, and III to VI in order on one Lab, with
-// one and three engines per side, with and without a cold timing cache
-// (a cache is shared per build id, so what a build picks depends on the
-// builds before it). Each Lab gets its own cache directory. Under the
-// race detector, which makes inference ≈ 15× slower, only the default
-// three engines per side run.
+// one and three engines per side. Every build is cold: a Lab has no
+// timing cache, and the subtest names say so. Under the race detector,
+// which makes inference ≈ 15× slower, only the default three engines per
+// side run.
 func TestAdvGroupMatchesFrozenTables(t *testing.T) {
 	type rows struct {
 		t3 []Table3Row
@@ -148,30 +147,24 @@ func TestAdvGroupMatchesFrozenTables(t *testing.T) {
 		if raceEnabled && perSide != Default().EnginesPerSide {
 			continue
 		}
-		for _, cached := range []bool{false, true} {
-			for _, tables := range renders {
-				name := fmt.Sprintf("side%d/cache=%t/tables%v", perSide, cached, tables)
-				t.Run(name, func(t *testing.T) {
-					lab := func() *Lab {
-						opts := Options{
-							BenignPerClass: 1,
-							AdvPerClass:    1,
-							AdvTypes:       []dataset.Corruption{dataset.GaussianNoise},
-							Runs:           2,
-							EnginesPerSide: perSide,
-						}
-						if cached {
-							opts.TimingCacheDir = t.TempDir()
-						}
-						return NewLab(opts)
-					}
-					want := frozen(lab(), tables)
-					got := grouped(lab(), tables)
-					if !reflect.DeepEqual(got, want) {
-						t.Errorf("rows differ from the per-table groups:\n%+v\nwant\n%+v", got, want)
-					}
-				})
-			}
+		for _, tables := range renders {
+			name := fmt.Sprintf("side%d/cache=false/tables%v", perSide, tables)
+			t.Run(name, func(t *testing.T) {
+				lab := func() *Lab {
+					return NewLab(Options{
+						BenignPerClass: 1,
+						AdvPerClass:    1,
+						AdvTypes:       []dataset.Corruption{dataset.GaussianNoise},
+						Runs:           2,
+						EnginesPerSide: perSide,
+					})
+				}
+				want := frozen(lab(), tables)
+				got := grouped(lab(), tables)
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("rows differ from the per-table groups:\n%+v\nwant\n%+v", got, want)
+				}
+			})
 		}
 	}
 }

@@ -32,14 +32,6 @@ type Options struct {
 	Runs           int // latency repetitions, paper: 10
 	EnginesPerSide int // engines per platform in consistency experiments, paper: 3
 
-	// TimingCacheDir, when set, persists per-build-id timing caches there
-	// and attaches them to every engine build. Caches are scoped per
-	// build id (never shared across ids) so the consistency experiments
-	// (Tables V/VI, XII/XIII) keep their build-to-build divergence; within
-	// one build id regeneration becomes warm — the tables are identical
-	// across reruns and the tactic-timing cost is paid only once.
-	TimingCacheDir string
-
 	// Workers fans the per-image classification loops across this many
 	// goroutines (0 = GOMAXPROCS). Dataset synthesis does not read it: it
 	// always fans out across GOMAXPROCS. Results are deterministic for
@@ -69,7 +61,6 @@ type Lab struct {
 	mu       sync.Mutex
 	engines  map[string]*core.Engine
 	building map[string]*buildCell
-	tcaches  map[int]*core.TimingCache
 	preds    map[predKey][]int
 	programs []*core.Engine                // one representative per distinct numeric program classified
 	repOf    map[*core.Engine]*core.Engine // program's answers: each engine asked about, to its representative
@@ -107,7 +98,6 @@ func NewLab(opts Options) *Lab {
 		Opts:     opts,
 		engines:  map[string]*core.Engine{},
 		building: map[string]*buildCell{},
-		tcaches:  map[int]*core.TimingCache{},
 		preds:    map[predKey][]int{},
 		repOf:    map[*core.Engine]*core.Engine{},
 		proxies:  map[string]*graph.Graph{},
@@ -121,43 +111,6 @@ func (l *Lab) workers() int {
 		return w
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-// timingCachePath names one build id's cache file.
-func timingCachePath(dir string, build int) string {
-	return fmt.Sprintf("%s/tc_build%d.bin", dir, build)
-}
-
-// timingCache returns the build id's shared cache (nil when caching is
-// off), loading a previously persisted file on first use.
-func (l *Lab) timingCache(build int) *core.TimingCache {
-	if l.Opts.TimingCacheDir == "" {
-		return nil
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if c, ok := l.tcaches[build]; ok {
-		return c
-	}
-	c, err := core.LoadTimingCacheFile(timingCachePath(l.Opts.TimingCacheDir, build))
-	if err != nil {
-		c = core.NewTimingCache() // absent or unreadable: start cold
-	}
-	l.tcaches[build] = c
-	return c
-}
-
-// SaveTimingCaches persists every build id's cache into TimingCacheDir.
-// A no-op when caching is off.
-func (l *Lab) SaveTimingCaches() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for build, c := range l.tcaches {
-		if err := c.SaveFile(timingCachePath(l.Opts.TimingCacheDir, build)); err != nil {
-			return fmt.Errorf("experiments: save timing cache for build %d: %w", build, err)
-		}
-	}
-	return nil
 }
 
 // platformSpec maps short names to specs.
@@ -228,9 +181,7 @@ func (l *Lab) engine(model, platform string, build int) *core.Engine {
 	key := fmt.Sprintf("full/%s/%s/%d", model, platform, build)
 	e, err := l.cachedEngine(key, func() (*core.Engine, error) {
 		g := models.MustBuild(model)
-		cfg := core.DefaultConfig(platformSpec(platform), build)
-		cfg.TimingCache = l.timingCache(build)
-		return core.Build(g, cfg)
+		return core.Build(g, core.DefaultConfig(platformSpec(platform), build))
 	})
 	if err != nil {
 		panic(fmt.Sprintf("experiments: build %s: %v", key, err))
@@ -293,9 +244,7 @@ func (l *Lab) proxyEngineE(model, platform string, build int) (*core.Engine, err
 		if err != nil {
 			return nil, err
 		}
-		cfg := core.DefaultConfig(platformSpec(platform), build)
-		cfg.TimingCache = l.timingCache(build)
-		e, err := core.Build(g, cfg)
+		e, err := core.Build(g, core.DefaultConfig(platformSpec(platform), build))
 		if err != nil {
 			return nil, fmt.Errorf("experiments: build %s: %w", key, err)
 		}

@@ -82,3 +82,40 @@ func TestTableGroupsPinned(t *testing.T) {
 		}
 	}
 }
+
+// TestProxyProgramsPinned pins which of each proxy's six engines (NX and
+// AGX, builds 1–3) are one numeric program (core.Engine.SameNumerics).
+// Engines of one program never disagree on an image, so these classes
+// bound what Tables V and VI can count, and their number is the count of
+// distinct programs a rebuilt fleet runs.
+func TestProxyProgramsPinned(t *testing.T) {
+	l := NewLab(tinyOpts())
+	for _, tc := range []struct{ model, classes string }{
+		{"resnet18", "{NX1 NX3} {NX2 AGX1 AGX2 AGX3}"},
+		{"vgg16", "{NX1 NX3 AGX2 AGX3} {NX2 AGX1}"},
+		{"inceptionv4", "{NX1 NX3 AGX1 AGX3} {NX2 AGX2}"},
+		{"alexnet", "{NX1 AGX1 AGX3} {NX2 NX3 AGX2}"},
+		{"googlenet", "{NX1 NX2 NX3 AGX2} {AGX1 AGX3}"},
+	} {
+		var reps []*core.Engine
+		var classes [][]string
+		for _, platform := range []string{"NX", "AGX"} {
+			for build := 1; build <= 3; build++ {
+				e := l.proxyEngine(tc.model, platform, build)
+				i := slices.IndexFunc(reps, e.SameNumerics)
+				if i < 0 {
+					i = len(reps)
+					reps, classes = append(reps, e), append(classes, nil)
+				}
+				classes[i] = append(classes[i], fmt.Sprintf("%s%d", platform, build))
+			}
+		}
+		var got []string
+		for _, c := range classes {
+			got = append(got, "{"+strings.Join(c, " ")+"}")
+		}
+		if g := strings.Join(got, " "); g != tc.classes {
+			t.Errorf("%s programs: %s, want %s", tc.model, g, tc.classes)
+		}
+	}
+}

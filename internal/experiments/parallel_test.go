@@ -56,10 +56,4 @@ func TestWorkerKnobs(t *testing.T) {
 	if l.workers() != 3 {
 		t.Fatalf("workers() = %d, want 3", l.workers())
 	}
-	// Builds are serial, so a timing cache leaves the per-image fan-out
-	// alone.
-	l.Opts.TimingCacheDir = t.TempDir()
-	if l.workers() != 3 {
-		t.Fatalf("per-image workers with timing cache = %d, want 3", l.workers())
-	}
 }

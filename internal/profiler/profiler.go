@@ -39,7 +39,7 @@ func (k KernelStat) AvgSec() float64 {
 type Summary struct {
 	Stats     []KernelStat
 	MemcpySec float64
-	TotalSec  float64
+	TotalSec  float64 // the runs' latencies: memcpy plus every kernel's duration
 	Runs      int
 }
 
@@ -81,19 +81,16 @@ func Summarize(results ...core.RunResult) Summary {
 	return s
 }
 
-// Render prints the summary in nvprof's summary-mode layout.
+// Render prints the summary in nvprof's summary-mode layout. Time(%) is
+// each row's share of TotalSec, so the column sums to 100.
 func (s Summary) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "==PROF== Profiling result (%d runs):\n", s.Runs)
 	fmt.Fprintf(&b, "%10s  %7s  %12s  %12s  %12s  %s\n",
 		"Time(%)", "Calls", "Avg", "Min", "Max", "Name")
-	gpuTotal := 0.0
-	for _, st := range s.Stats {
-		gpuTotal += st.TotalSec
-	}
 	for _, st := range s.Stats {
 		fmt.Fprintf(&b, "%9.2f%%  %7d  %10.3fus  %10.3fus  %10.3fus  %s\n",
-			100*st.TotalSec/gpuTotal, st.Calls,
+			100*st.TotalSec/s.TotalSec, st.Calls,
 			st.AvgSec()*1e6, st.MinSec*1e6, st.MaxSec*1e6, st.Symbol)
 	}
 	if s.MemcpySec > 0 {

@@ -2,6 +2,8 @@ package profiler
 
 import (
 	"encoding/json"
+	"math"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -59,6 +61,21 @@ func TestSummaryRender(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("summary output missing %q", want)
 		}
+	}
+	// Time(%) is one share of all GPU activity, memcpy row included: the
+	// column sums to 100, give or take each row's rounding.
+	sum, rows := 0.0, 0
+	for _, line := range strings.Split(strings.TrimSpace(out), "\n")[2:] {
+		pct, _ := strings.CutSuffix(strings.Fields(line)[0], "%")
+		v, err := strconv.ParseFloat(pct, 64)
+		if err != nil {
+			t.Fatalf("row %q: %v", line, err)
+		}
+		sum += v
+		rows++
+	}
+	if rows != len(Summarize(r).Stats)+1 || math.Abs(sum-100) > 0.01*float64(rows) {
+		t.Errorf("Time(%%) column over %d rows sums to %.2f, want 100:\n%s", rows, sum, out)
 	}
 }
 

@@ -13,8 +13,8 @@
 // are rebuilt in the background through the registry's shared timing
 // cache — a warm, canonical rebuild, the §VI-A "build once" mechanism —
 // re-validated against the FP32 reference on a canary set, and
-// readmitted. Every transition is counted (metrics.Transitions) and
-// appended to a transcript that is byte-identical across same-seed runs.
+// readmitted. Every transition is one line of a transcript that is
+// byte-identical across same-seed runs.
 package serve
 
 import (
@@ -209,9 +209,6 @@ type PoolHealth struct {
 	Model    string
 	Active   int // replicas currently in the dispatch set
 	Replicas []ReplicaHealth
-	// Transitions counts every supervisor state-machine edge taken,
-	// keyed "from->to".
-	Transitions map[string]uint64
 }
 
 // Pool is a self-healing fleet of engine replicas serving one model.
@@ -298,7 +295,7 @@ func (p *Pool) Stats() PoolStats {
 func (p *Pool) Health() PoolHealth {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	h := PoolHealth{Model: p.cfg.Model, Transitions: p.sup.trans.Snapshot()}
+	h := PoolHealth{Model: p.cfg.Model}
 	for _, r := range p.reps {
 		if p.isActive(r) {
 			h.Active++

@@ -181,9 +181,11 @@ func TestPoolQuarantineRebuildReadmit(t *testing.T) {
 	if healed.State != "healthy" {
 		t.Fatalf("healed replica state %s, want healthy", healed.State)
 	}
-	if h.Transitions["healthy->suspect"] == 0 || h.Transitions["suspect->quarantined"] == 0 ||
-		h.Transitions["quarantined->rebuilding"] == 0 || h.Transitions["rebuilding->readmitted"] == 0 {
-		t.Fatalf("missing state-machine edges: %v", h.Transitions)
+	transcript := strings.Join(p.Transcript(), "\n")
+	for _, edge := range []string{"healthy->suspect", "suspect->quarantined", "quarantined->rebuilding", "rebuilding->readmitted"} {
+		if !strings.Contains(transcript, ") "+edge+" ") {
+			t.Fatalf("missing state-machine edge %s:\n%s", edge, transcript)
+		}
 	}
 }
 

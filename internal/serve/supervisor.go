@@ -1,10 +1,6 @@
 package serve
 
-import (
-	"fmt"
-
-	"edgeinfer/internal/metrics"
-)
+import "fmt"
 
 // The replica Pool's health lattice: each member walks
 //
@@ -60,9 +56,8 @@ func (s ReplicaState) String() string {
 	return fmt.Sprintf("state(%d)", int(s))
 }
 
-// supervisor owns each member's health state by index, counts every
-// edge taken and keeps the transcript, one line per transition, clocked
-// in requests:
+// supervisor owns each member's health state by index and keeps the
+// transcript, one line per transition, clocked in requests:
 //
 //	req <at>: <label(m)> <from>-><to>[ <detail>]
 //
@@ -71,7 +66,6 @@ type supervisor struct {
 	label      func(m int) string
 	state      []ReplicaState
 	strikes    []int // consecutive anomalous observations while suspect
-	trans      metrics.Transitions
 	transcript []string
 }
 
@@ -88,11 +82,10 @@ func newSupervisor(n int, label func(m int) string) *supervisor {
 // State returns member m's state.
 func (s *supervisor) State(m int) ReplicaState { return s.state[m] }
 
-// Move takes member m to state to at clock at, counting the edge and
-// appending a transcript line; detail, when not empty, ends it.
+// Move takes member m to state to at clock at, appending a transcript
+// line; detail, when not empty, ends it.
 func (s *supervisor) Move(at uint64, m int, to ReplicaState, detail string) {
 	from := s.state[m]
-	s.trans.Add(from.String(), to.String())
 	s.state[m] = to
 	line := fmt.Sprintf("req %d: %s %s->%s", at, s.label(m), from, to)
 	if detail != "" {
