@@ -4,9 +4,10 @@
 # pins without the race detector (they skip under it), one shuffled
 # run of the serving packages' tests, the nested
 # benchmark module's own vet and tests (bench/), short fuzz
-# smokes over all eight untrusted decoders (engine plans, timing caches
-# and their keys, framework arch text and weight payloads, and the
-# serving front door's request body and headers), one holding the
+# smokes over all nine untrusted decoders (engine plans, timing caches
+# and their keys, the framework arch text of Caffe, Darknet and the
+# JSON codec's TensorFlow and PyTorch dialects, framework weight payloads,
+# and the serving front door's request body and headers), one holding the
 # request body's one-pass float conversion to strconv (FuzzScanFloat),
 # plus two over
 # the FP32 reference convolution and average pool against their frozen
@@ -17,8 +18,8 @@
 # per-image fan-out over every table's engines and the dataset synthesis
 # prove their answers do not depend on the schedule; and Tables III-VI
 # once more, rendered one at a time), a smoke of rtexec's profiler
-# modes (GPU trace, chrome://tracing timeline, tegrastats sample) and
-# its refusal of -runs below 1,
+# modes (GPU trace, chrome://tracing timeline, tegrastats sample), its
+# refusal of -runs below 1 and of -export / -dot on a loaded plan,
 # the rtlint static-analysis suite — all eight source analyzers over
 # the module (any finding an //rt:allow directive does not silence
 # fails the gate, so the tree must stay clean), then static plan-IR verification
@@ -60,7 +61,7 @@ go test -shuffle=on -count=1 ./internal/serve ./internal/netserve
 # whole budget on one input.
 for f in core:FuzzLoad:10 core:FuzzLoadTimingCache:5 core:FuzzParseTimingKey:5 \
   frameworks:FuzzImportWeights:5 \
-  frameworks:FuzzImportCaffe:5 frameworks:FuzzImportDarknet:5 \
+  frameworks:FuzzImportCaffe:5 frameworks:FuzzImportDarknet:5 frameworks:FuzzImportJSON:5 \
   netserve:FuzzDecodeRequest:5 netserve:FuzzHandleInfer:5 netserve:FuzzScanFloat:5 \
   tensor:FuzzConv2DReference:5 tensor:FuzzAvgPool2DReference:5 \
   kernels:FuzzKernelsMatchFrozenLoops:5; do
@@ -97,6 +98,16 @@ go run ./cmd/rtexec -model tiny-yolov3 -platform AGX -tegrastats 36
 for n in 0 -1; do
   if go run ./cmd/rtexec -model pednet -runs "$n"; then exit 1; fi
 done
+# A loaded plan carries no model graph: -export and -dot on one must
+# fail cleanly (no panic) before any run, and write no file.
+plan=$(mktemp) refused=$(mktemp -d)
+go run ./cmd/rtexec -model pednet -platform NX -runs 1 -save "$plan"
+for flags in "-export caffe -o $refused/out" "-dot $refused/out"; do
+  if go run ./cmd/rtexec -load "$plan" $flags 2>"$refused/stderr"; then exit 1; fi
+  if grep -q 'panic:' "$refused/stderr"; then exit 1; fi
+  test ! -e "$refused/out"
+done
+rm -rf "$plan" "$refused"
 go run ./cmd/rtlint -json ./...
 go run ./cmd/rtlint -plancheck
 # Serving soak on a virtual clock: the synctest build of netserve must

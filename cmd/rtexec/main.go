@@ -58,6 +58,9 @@ func main() {
 	if *tegra < 0 {
 		fail(fmt.Errorf("-tegrastats %d: need a thread count, or 0 for off", *tegra))
 	}
+	if *load != "" && (*export != "" || *dot != "") {
+		fail(fmt.Errorf("-export and -dot need -model or -import: a loaded plan carries no model graph"))
+	}
 
 	if *list {
 		for _, name := range models.List() {
@@ -86,7 +89,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	if *dot != "" && g != nil {
+	if *dot != "" {
 		fail(writeFile(*dot, []byte(g.DOT())))
 		fmt.Printf("wrote graph of %s to %s (render with: dot -Tsvg %s)\n", g.Name, *dot, *dot)
 		return

@@ -9,12 +9,12 @@ import (
 )
 
 // DefaultRestricted lists the packages whose output must be bit-for-bit
-// reproducible: the engine builder, the IR, the kernel library and the
-// GPU timing model — tables in the paper are regenerated from these, so
-// any nondeterminism shows up as diffs between runs — and every other
-// package that serializes an artefact (the framing layer, the predictor
-// file, the framework exporters), where it shows up as two saves of one
-// value differing byte for byte.
+// reproducible: the engine builder, the IR, the kernel library, the GPU
+// timing model and the latency predictor the builder prunes with —
+// tables in the paper are regenerated from these, so any nondeterminism
+// shows up as diffs between runs — and every other package that
+// serializes an artefact (the framing layer, the framework exporters),
+// where it shows up as two saves of one value differing byte for byte.
 var DefaultRestricted = []string{
 	"edgeinfer/internal/core",
 	"edgeinfer/internal/graph",

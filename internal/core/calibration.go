@@ -22,29 +22,10 @@ type Calibrator interface {
 	Ranges(g *graph.Graph) (map[string]float32, error)
 }
 
-// MaxAbsCalibrator calibrates each layer's range to the maximum absolute
-// activation observed over the calibration images (TensorRT's "legacy"
-// calibrator).
-type MaxAbsCalibrator struct {
-	Images []*tensor.Tensor
-}
-
-// Ranges implements Calibrator.
-func (c MaxAbsCalibrator) Ranges(g *graph.Graph) (map[string]float32, error) {
-	return collectRanges(g, c.Images, func(vals []float32) float32 {
-		var m float32
-		for _, v := range vals {
-			if a := abs32(v); a > m {
-				m = a
-			}
-		}
-		return m
-	})
-}
-
 // PercentileCalibrator clips each layer's range to the given percentile
 // of absolute activations (robust to outliers, like TensorRT's entropy
-// calibrator in effect).
+// calibrator in effect). Pct 100 keeps the maximum absolute activation,
+// TensorRT's "legacy" max-abs calibration.
 type PercentileCalibrator struct {
 	Images []*tensor.Tensor
 	Pct    float64 // e.g. 99.9

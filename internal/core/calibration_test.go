@@ -54,12 +54,13 @@ func TestInt8TimingOnlyNeedsNoCalibrator(t *testing.T) {
 	}
 }
 
+// TestMaxAbsCalibratorRanges: the 100th percentile is the max-abs range.
 func TestMaxAbsCalibratorRanges(t *testing.T) {
 	g, err := models.BuildProxy("vgg16", models.DefaultProxyOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	ranges, err := MaxAbsCalibrator{Images: calibImages(4)}.Ranges(g)
+	ranges, err := PercentileCalibrator{Images: calibImages(4), Pct: 100}.Ranges(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +80,7 @@ func TestPercentileBelowMaxAbs(t *testing.T) {
 		t.Fatal(err)
 	}
 	images := calibImages(4)
-	maxAbs, err := MaxAbsCalibrator{Images: images}.Ranges(g)
+	maxAbs, err := PercentileCalibrator{Images: images, Pct: 100}.Ranges(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +104,7 @@ func TestPercentileBelowMaxAbs(t *testing.T) {
 
 func TestCalibrationNeedsImages(t *testing.T) {
 	g, _ := models.BuildProxy("vgg16", models.DefaultProxyOptions())
-	if _, err := (MaxAbsCalibrator{}).Ranges(g); err == nil {
+	if _, err := (PercentileCalibrator{Pct: 100}).Ranges(g); err == nil {
 		t.Fatal("empty calibration set accepted")
 	}
 }
@@ -155,7 +156,7 @@ func TestInt8EngineAccuracyCloseToFP16(t *testing.T) {
 
 func TestInt8RangesSurviveSerialization(t *testing.T) {
 	g, _ := models.BuildProxy("resnet18", models.DefaultProxyOptions())
-	e, err := Build(g, int8Config(2, MaxAbsCalibrator{Images: calibImages(2)}))
+	e, err := Build(g, int8Config(2, PercentileCalibrator{Images: calibImages(2), Pct: 100}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,67 +242,4 @@ func clamp(v, lo, hi float32) float32 {
 		return hi
 	}
 	return v
-}
-
-func TestEntropyCalibratorRanges(t *testing.T) {
-	g, err := models.BuildProxy("resnet18", models.DefaultProxyOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	images := calibImages(4)
-	ent, err := EntropyCalibrator{Images: images}.Ranges(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	maxAbs, err := MaxAbsCalibrator{Images: images}.Ranges(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tighter := 0
-	for name, m := range maxAbs {
-		r := ent[name]
-		if r <= 0 || r > m+1e-4 {
-			t.Fatalf("layer %s: entropy range %v vs maxabs %v", name, r, m)
-		}
-		if r < m {
-			tighter++
-		}
-	}
-	if tighter == 0 {
-		t.Fatal("entropy calibration never clipped an outlier")
-	}
-}
-
-func TestEntropyCalibratorNeedsImages(t *testing.T) {
-	g, _ := models.BuildProxy("vgg16", models.DefaultProxyOptions())
-	if _, err := (EntropyCalibrator{}).Ranges(g); err == nil {
-		t.Fatal("empty calibration set accepted")
-	}
-}
-
-func TestInt8WithEntropyCalibration(t *testing.T) {
-	g, err := models.BuildProxy("resnet18", models.DefaultProxyOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := Build(g, int8Config(1, EntropyCalibrator{Images: calibImages(6)}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	set := dataset.Benign(dataset.BenignConfig{Seed: "imagenet-proxy", Classes: 50, PerClass: 2, NoiseSigma: 3.8})
-	correct := 0
-	for _, s := range set {
-		o, err := e.Infer(s.Image)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if o[0].Argmax() == s.Label {
-			correct++
-		}
-	}
-	// Entropy-calibrated INT8 should classify comparably to FP16
-	// (30-60% error regime, not collapsed).
-	if float64(correct)/float64(len(set)) < 0.30 {
-		t.Fatalf("entropy INT8 accuracy collapsed: %d/%d", correct, len(set))
-	}
 }

@@ -32,7 +32,7 @@ func savedPlan(tb testing.TB) (plan []byte, hlen int) {
 // images: the plan whose quantization ranges the verifier checks.
 func savedInt8Plan(tb testing.TB) (plan []byte, hlen int) {
 	tb.Helper()
-	return savedPlanWith(tb, int8Config(1, MaxAbsCalibrator{Images: calibImages(2)}))
+	return savedPlanWith(tb, int8Config(1, PercentileCalibrator{Images: calibImages(2), Pct: 100}))
 }
 
 func savedPlanWith(tb testing.TB, cfg BuildConfig) (plan []byte, hlen int) {

@@ -389,9 +389,6 @@ type oraclePrecision struct {
 var oraclePrecisions = []oraclePrecision{
 	{"fp32", func(c *BuildConfig, _ []*tensor.Tensor) { c.Precision = tensor.FP32 }},
 	{"fp16", func(c *BuildConfig, _ []*tensor.Tensor) { c.Precision = tensor.FP16 }},
-	{"int8-entropy", func(c *BuildConfig, calib []*tensor.Tensor) {
-		c.Precision, c.Calibrator = tensor.INT8, EntropyCalibrator{Images: calib}
-	}},
 	{"int8-percentile", func(c *BuildConfig, calib []*tensor.Tensor) {
 		c.Precision, c.Calibrator = tensor.INT8, PercentileCalibrator{Images: calib, Pct: 99.9}
 	}},

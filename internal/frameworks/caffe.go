@@ -22,6 +22,23 @@ var caffeTypes = map[graph.OpType]string{
 	graph.OpDropout: "Dropout", graph.OpScale: "Scale", graph.OpFlatten: "Flatten",
 }
 
+var caffeOps = invert(caffeTypes)
+
+// caffeMessages opens each op's inline parameter message, with the fixed
+// fields that tell apart the ops sharing a layer type.
+var caffeMessages = map[graph.OpType]string{
+	graph.OpConv: "convolution_param {", graph.OpMaxPool: "pooling_param { pool: MAX",
+	graph.OpAvgPool: "pooling_param { pool: AVE", graph.OpGlobalAvgPool: "pooling_param { pool: AVE global_pooling: true",
+	graph.OpFC: "inner_product_param {", graph.OpLRN: "lrn_param {",
+	graph.OpLeakyReLU: "relu_param {", graph.OpAdd: "eltwise_param { operation: SUM",
+}
+
+var caffeNames = map[string]string{
+	"out": "num_output", "kernel": "kernel_size", "stride": "stride", "pad": "pad",
+	"groups": "group", "units": "num_output", "slope": "negative_slope",
+	"size": "local_size", "alpha": "alpha", "beta": "beta", "k": "k",
+}
+
 func caffeArch(h header, rs []graph.LayerRecord) ([]byte, error) {
 	var b strings.Builder
 	fmt.Fprintf(&b, "name: %q\n", h.Name)
@@ -41,27 +58,12 @@ func caffeArch(h header, rs []graph.LayerRecord) ([]byte, error) {
 			fmt.Fprintf(&b, "  bottom: %q\n", in)
 		}
 		fmt.Fprintf(&b, "  top: %q\n", r.Name)
-		switch r.Op {
-		case graph.OpConv:
-			fmt.Fprintf(&b, "  convolution_param { num_output: %d kernel_size: %d stride: %d pad: %d group: %d }\n",
-				r.Conv.OutC, r.Conv.Kernel, r.Conv.Stride, r.Conv.Pad, max(r.Conv.Groups, 1))
-		case graph.OpMaxPool:
-			fmt.Fprintf(&b, "  pooling_param { pool: MAX kernel_size: %d stride: %d pad: %d }\n",
-				r.Pool.Kernel, r.Pool.Stride, r.Pool.Pad)
-		case graph.OpAvgPool:
-			fmt.Fprintf(&b, "  pooling_param { pool: AVE kernel_size: %d stride: %d pad: %d }\n",
-				r.Pool.Kernel, r.Pool.Stride, r.Pool.Pad)
-		case graph.OpGlobalAvgPool:
-			fmt.Fprintf(&b, "  pooling_param { pool: AVE global_pooling: true }\n")
-		case graph.OpFC:
-			fmt.Fprintf(&b, "  inner_product_param { num_output: %d }\n", r.OutUnits)
-		case graph.OpLRN:
-			fmt.Fprintf(&b, "  lrn_param { local_size: %d alpha: %g beta: %g k: %g }\n",
-				r.LRNSize, r.Alpha, r.LRNBeta, r.LRNK)
-		case graph.OpLeakyReLU:
-			fmt.Fprintf(&b, "  relu_param { negative_slope: %g }\n", r.Alpha)
-		case graph.OpAdd:
-			fmt.Fprintf(&b, "  eltwise_param { operation: SUM }\n")
+		if msg, ok := caffeMessages[r.Op]; ok {
+			b.WriteString("  " + msg)
+			for _, p := range params(&r) {
+				fmt.Fprintf(&b, " %s: %s", caffeNames[p.key], p)
+			}
+			b.WriteString(" }\n")
 		}
 		b.WriteString("}\n")
 	}
@@ -111,124 +113,61 @@ func (p *protoParser) next() string { s := p.lines[p.pos]; p.pos++; return s }
 func (p *protoParser) parseLayer() (graph.LayerRecord, error) {
 	var r graph.LayerRecord
 	var typ string
-	pooling := ""
-	globalPool := false
+	kv := map[string]string{} // every inline message's fields
 	for !p.done() {
 		line := strings.TrimSpace(p.next())
 		switch {
 		case line == "}":
-			return finishCaffeLayer(r, typ, pooling, globalPool)
+			return finishCaffeLayer(r, typ, kv)
 		case strings.HasPrefix(line, "name:"):
 			r.Name = unquote(line[5:])
 		case strings.HasPrefix(line, "type:"):
 			typ = unquote(line[5:])
 		case strings.HasPrefix(line, "bottom:"):
 			r.Inputs = append(r.Inputs, unquote(line[7:]))
-		case strings.HasPrefix(line, "convolution_param"):
-			kv := parseInlineParams(line)
-			r.Conv.OutC = kv.i("num_output")
-			r.Conv.Kernel = kv.i("kernel_size")
-			r.Conv.Stride = kv.i("stride")
-			r.Conv.Pad = kv.i("pad")
-			r.Conv.Groups = kv.i("group")
-		case strings.HasPrefix(line, "pooling_param"):
-			kv := parseInlineParams(line)
-			pooling = kv.s("pool")
-			r.Pool.Kernel = kv.i("kernel_size")
-			r.Pool.Stride = kv.i("stride")
-			r.Pool.Pad = kv.i("pad")
-			globalPool = kv.s("global_pooling") == "true"
-		case strings.HasPrefix(line, "inner_product_param"):
-			r.OutUnits = parseInlineParams(line).i("num_output")
-		case strings.HasPrefix(line, "lrn_param"):
-			kv := parseInlineParams(line)
-			r.LRNSize = kv.i("local_size")
-			r.Alpha = kv.f("alpha")
-			r.LRNBeta = kv.f("beta")
-			r.LRNK = kv.f("k")
-		case strings.HasPrefix(line, "relu_param"):
-			r.Alpha = parseInlineParams(line).f("negative_slope")
+		case strings.Contains(line, "_param {"):
+			parseInlineParams(line, kv)
 		}
 	}
 	return r, fmt.Errorf("frameworks: unterminated caffe layer %q", r.Name)
 }
 
-func finishCaffeLayer(r graph.LayerRecord, typ, pooling string, globalPool bool) (graph.LayerRecord, error) {
-	switch typ {
-	case "Convolution":
-		r.Op = graph.OpConv
-	case "Pooling":
-		switch {
-		case globalPool:
-			r.Op = graph.OpGlobalAvgPool
-		case pooling == "AVE":
-			r.Op = graph.OpAvgPool
-		default:
-			r.Op = graph.OpMaxPool
-		}
-	case "ReLU":
-		if r.Alpha != 0 {
-			r.Op = graph.OpLeakyReLU
-		} else {
-			r.Op = graph.OpReLU
-		}
-	case "Sigmoid":
-		r.Op = graph.OpSigmoid
-	case "InnerProduct":
-		r.Op = graph.OpFC
-	case "BatchNorm":
-		r.Op = graph.OpBatchNorm
-	case "LRN":
-		r.Op = graph.OpLRN
-	case "Softmax":
-		r.Op = graph.OpSoftmax
-	case "Eltwise":
-		r.Op = graph.OpAdd
-	case "Concat":
-		r.Op = graph.OpConcat
-	case "Upsample":
-		r.Op = graph.OpUpsample
-	case "Dropout":
-		r.Op = graph.OpDropout
-	case "Scale":
-		r.Op = graph.OpScale
-	case "Flatten":
-		r.Op = graph.OpFlatten
-	default:
+// finishCaffeLayer resolves the layer type to an op and reads the op's
+// parameters. "Pooling" and "ReLU" name several ops: caffeOps gives the
+// lowest (max pool, plain ReLU), and the message fields pick the others.
+func finishCaffeLayer(r graph.LayerRecord, typ string, kv map[string]string) (graph.LayerRecord, error) {
+	op, ok := caffeOps[typ]
+	if !ok {
 		return r, fmt.Errorf("frameworks: unknown caffe layer type %q", typ)
+	}
+	switch {
+	case typ == "Pooling" && kv["global_pooling"] == "true":
+		op = graph.OpGlobalAvgPool
+	case typ == "Pooling" && kv["pool"] == "AVE":
+		op = graph.OpAvgPool
+	case typ == "ReLU":
+		if v, _ := strconv.ParseFloat(kv["negative_slope"], 32); v != 0 {
+			op = graph.OpLeakyReLU
+		}
+	}
+	r.Op = op
+	for _, p := range params(&r) {
+		p.set(kv[caffeNames[p.key]])
 	}
 	return r, nil
 }
 
-// params is a flat key-value view of an inline proto message.
-type params map[string]string
-
-func (p params) i(k string) int {
-	v, _ := strconv.Atoi(p[k])
-	return v
-}
-
-func (p params) f(k string) float32 {
-	v, _ := strconv.ParseFloat(p[k], 32)
-	return float32(v)
-}
-
-func (p params) s(k string) string { return p[k] }
-
-// parseInlineParams parses `foo_param { a: 1 b: 2 }` into a map.
-func parseInlineParams(line string) params {
-	out := params{}
+// parseInlineParams adds the fields of `foo_param { a: 1 b: 2 }` to kv.
+func parseInlineParams(line string, kv map[string]string) {
 	open := strings.Index(line, "{")
 	close := strings.LastIndex(line, "}")
 	if open < 0 || close < open {
-		return out
+		return
 	}
 	fields := strings.Fields(line[open+1 : close])
 	for i := 0; i+1 < len(fields); i += 2 {
-		key := strings.TrimSuffix(fields[i], ":")
-		out[key] = fields[i+1]
+		kv[strings.TrimSuffix(fields[i], ":")] = fields[i+1]
 	}
-	return out
 }
 
 func unquote(s string) string {

@@ -13,6 +13,35 @@ import (
 // the shared weight payload. Faithful to Darknet's quirk that the graph
 // is a numbered list, not a named DAG.
 
+// darknetKinds names each op's section; route (concat) and shortcut
+// (add) are wiring the exporter writes by hand.
+var darknetKinds = map[graph.OpType]string{
+	graph.OpConv: "convolutional", graph.OpMaxPool: "maxpool", graph.OpAvgPool: "avgpool",
+	graph.OpGlobalAvgPool: "avgpool", graph.OpReLU: "activation",
+	graph.OpLeakyReLU: "activation", graph.OpSigmoid: "activation",
+	graph.OpFC: "connected", graph.OpBatchNorm: "batchnorm", graph.OpLRN: "lrn",
+	graph.OpSoftmax: "softmax", graph.OpDropout: "dropout", graph.OpUpsample: "upsample",
+	graph.OpFlatten: "flatten", graph.OpScale: "scale_channels",
+}
+
+var darknetOps = invert(darknetKinds)
+
+// darknetSettings is the fixed line each op's section ends with.
+var darknetSettings = map[graph.OpType]string{
+	graph.OpConv: "activation=linear", graph.OpGlobalAvgPool: "global=1",
+	graph.OpReLU: "activation=relu", graph.OpLeakyReLU: "activation=leaky",
+	graph.OpSigmoid: "activation=logistic", graph.OpDropout: "probability=0.5",
+	graph.OpUpsample: "stride=2",
+}
+
+// darknetNames follows Darknet's cfg keys: `padding` is the explicit
+// pixel count for both conv and pool (`pad=1` is Darknet's size/2 flag).
+var darknetNames = map[string]string{
+	"out": "filters", "kernel": "size", "stride": "stride", "pad": "padding",
+	"groups": "groups", "units": "output", "slope": "slope",
+	"size": "size", "alpha": "alpha", "beta": "beta", "k": "k",
+}
+
 func darknetArch(h header, rs []graph.LayerRecord) ([]byte, error) {
 	// name -> section index ("data" is -1, sections are 0-based).
 	index := map[string]int{"data": -1}
@@ -49,54 +78,8 @@ func darknetArch(h header, rs []graph.LayerRecord) ([]byte, error) {
 				sec++
 			}
 		}
+		lines := []string{"# name=" + r.Name}
 		switch r.Op {
-		case graph.OpConv:
-			emit("convolutional",
-				fmt.Sprintf("# name=%s", r.Name),
-				fmt.Sprintf("filters=%d", r.Conv.OutC),
-				fmt.Sprintf("size=%d", r.Conv.Kernel),
-				fmt.Sprintf("stride=%d", r.Conv.Stride),
-				fmt.Sprintf("pad=%d", r.Conv.Pad),
-				fmt.Sprintf("groups=%d", max(r.Conv.Groups, 1)),
-				"activation=linear")
-		case graph.OpMaxPool:
-			emit("maxpool", fmt.Sprintf("# name=%s", r.Name),
-				fmt.Sprintf("size=%d", r.Pool.Kernel),
-				fmt.Sprintf("stride=%d", r.Pool.Stride),
-				fmt.Sprintf("padding=%d", r.Pool.Pad))
-		case graph.OpAvgPool:
-			emit("avgpool", fmt.Sprintf("# name=%s", r.Name),
-				fmt.Sprintf("size=%d", r.Pool.Kernel),
-				fmt.Sprintf("stride=%d", r.Pool.Stride),
-				fmt.Sprintf("padding=%d", r.Pool.Pad))
-		case graph.OpGlobalAvgPool:
-			emit("avgpool", fmt.Sprintf("# name=%s", r.Name), "global=1")
-		case graph.OpReLU:
-			emit("activation", fmt.Sprintf("# name=%s", r.Name), "activation=relu")
-		case graph.OpLeakyReLU:
-			emit("activation", fmt.Sprintf("# name=%s", r.Name), "activation=leaky",
-				fmt.Sprintf("slope=%g", r.Alpha))
-		case graph.OpSigmoid:
-			emit("activation", fmt.Sprintf("# name=%s", r.Name), "activation=logistic")
-		case graph.OpFC:
-			emit("connected", fmt.Sprintf("# name=%s", r.Name),
-				fmt.Sprintf("output=%d", r.OutUnits))
-		case graph.OpBatchNorm:
-			emit("batchnorm", fmt.Sprintf("# name=%s", r.Name))
-		case graph.OpLRN:
-			emit("lrn", fmt.Sprintf("# name=%s", r.Name),
-				fmt.Sprintf("size=%d", r.LRNSize), fmt.Sprintf("alpha=%g", r.Alpha),
-				fmt.Sprintf("beta=%g", r.LRNBeta), fmt.Sprintf("k=%g", r.LRNK))
-		case graph.OpSoftmax:
-			emit("softmax", fmt.Sprintf("# name=%s", r.Name))
-		case graph.OpDropout:
-			emit("dropout", fmt.Sprintf("# name=%s", r.Name), "probability=0.5")
-		case graph.OpUpsample:
-			emit("upsample", fmt.Sprintf("# name=%s", r.Name), "stride=2")
-		case graph.OpFlatten:
-			emit("flatten", fmt.Sprintf("# name=%s", r.Name))
-		case graph.OpScale:
-			emit("scale_channels", fmt.Sprintf("# name=%s", r.Name))
 		case graph.OpConcat:
 			idxs := make([]string, len(r.Inputs))
 			for i, in := range r.Inputs {
@@ -106,8 +89,7 @@ func darknetArch(h header, rs []graph.LayerRecord) ([]byte, error) {
 				}
 				idxs[i] = strconv.Itoa(v)
 			}
-			emit("route", fmt.Sprintf("# name=%s", r.Name),
-				"layers="+strings.Join(idxs, ","))
+			emit("route", append(lines, "layers="+strings.Join(idxs, ","))...)
 		case graph.OpAdd:
 			if len(r.Inputs) != 2 {
 				return nil, fmt.Errorf("frameworks: darknet shortcut needs 2 inputs, layer %s has %d", r.Name, len(r.Inputs))
@@ -130,10 +112,19 @@ func darknetArch(h header, rs []graph.LayerRecord) ([]byte, error) {
 			if c == sec-1 {
 				from = a
 			}
-			emit("shortcut", fmt.Sprintf("# name=%s", r.Name),
-				fmt.Sprintf("from=%d", from), "activation=linear")
+			emit("shortcut", append(lines, fmt.Sprintf("from=%d", from), "activation=linear")...)
 		default:
-			return nil, fmt.Errorf("frameworks: darknet cannot express op %v", r.Op)
+			kind, ok := darknetKinds[r.Op]
+			if !ok {
+				return nil, fmt.Errorf("frameworks: darknet cannot express op %v", r.Op)
+			}
+			for _, p := range params(&r) {
+				lines = append(lines, darknetNames[p.key]+"="+p.String())
+			}
+			if set, ok := darknetSettings[r.Op]; ok {
+				lines = append(lines, set)
+			}
+			emit(kind, lines...)
 		}
 		index[r.Name] = sec
 		sec++
@@ -194,61 +185,23 @@ func parseDarknet(arch []byte) (header, []graph.LayerRecord, error) {
 
 func darknetRec(s cfgSection, name, prev string) (graph.LayerRecord, error) {
 	r := graph.LayerRecord{Name: name, Inputs: []string{prev}}
-	switch s.kind {
-	case "convolutional":
-		r.Op = graph.OpConv
-		r.Conv.OutC = atoi(s.kv["filters"])
-		r.Conv.Kernel = atoi(s.kv["size"])
-		r.Conv.Stride = atoi(s.kv["stride"])
-		r.Conv.Pad = atoi(s.kv["pad"])
-		r.Conv.Groups = atoi(s.kv["groups"])
-	case "maxpool":
-		r.Op = graph.OpMaxPool
-		r.Pool.Kernel = atoi(s.kv["size"])
-		r.Pool.Stride = atoi(s.kv["stride"])
-		r.Pool.Pad = atoi(s.kv["padding"])
-	case "avgpool":
-		if s.kv["global"] == "1" {
-			r.Op = graph.OpGlobalAvgPool
-		} else {
-			r.Op = graph.OpAvgPool
-			r.Pool.Kernel = atoi(s.kv["size"])
-			r.Pool.Stride = atoi(s.kv["stride"])
-			r.Pool.Pad = atoi(s.kv["padding"])
-		}
-	case "activation":
-		switch s.kv["activation"] {
-		case "leaky":
-			r.Op = graph.OpLeakyReLU
-			r.Alpha = atof(s.kv["slope"])
-		case "logistic":
-			r.Op = graph.OpSigmoid
-		default:
-			r.Op = graph.OpReLU
-		}
-	case "connected":
-		r.Op = graph.OpFC
-		r.OutUnits = atoi(s.kv["output"])
-	case "batchnorm":
-		r.Op = graph.OpBatchNorm
-	case "lrn":
-		r.Op = graph.OpLRN
-		r.LRNSize = atoi(s.kv["size"])
-		r.Alpha = atof(s.kv["alpha"])
-		r.LRNBeta = atof(s.kv["beta"])
-		r.LRNK = atof(s.kv["k"])
-	case "softmax":
-		r.Op = graph.OpSoftmax
-	case "dropout":
-		r.Op = graph.OpDropout
-	case "upsample":
-		r.Op = graph.OpUpsample
-	case "flatten":
-		r.Op = graph.OpFlatten
-	case "scale_channels":
-		r.Op = graph.OpScale
-	default:
+	op, ok := darknetOps[s.kind]
+	if !ok {
 		return r, fmt.Errorf("frameworks: unknown darknet section [%s]", s.kind)
+	}
+	// darknetOps gives the lowest op of a shared kind (average pool,
+	// plain ReLU); the section's settings pick the others.
+	switch {
+	case s.kind == "avgpool" && s.kv["global"] == "1":
+		op = graph.OpGlobalAvgPool
+	case s.kind == "activation" && s.kv["activation"] == "leaky":
+		op = graph.OpLeakyReLU
+	case s.kind == "activation" && s.kv["activation"] == "logistic":
+		op = graph.OpSigmoid
+	}
+	r.Op = op
+	for _, p := range params(&r) {
+		p.set(s.kv[darknetNames[p.key]])
 	}
 	return r, nil
 }
@@ -301,9 +254,4 @@ func splitCfg(cfg string) ([]cfgSection, map[string]string, error) {
 func atoi(s string) int {
 	v, _ := strconv.Atoi(s)
 	return v
-}
-
-func atof(s string) float32 {
-	v, _ := strconv.ParseFloat(s, 32)
-	return float32(v)
 }

@@ -1,15 +1,18 @@
 // Package frameworks implements serialized model formats in the style of
 // the four training frameworks the paper's model zoo spans — Caffe
-// (prototxt + binary blobs), TensorFlow (graph-def), Darknet (cfg +
-// weights) and PyTorch (state-dict manifest) — together with importers
-// that parse them back into the common graph IR. The inference-engine
-// builder consumes any of them, mirroring TensorRT's claim of supporting
-// the most input frameworks (paper §I, point 2).
+// (prototxt + binary blobs), Darknet (cfg + weights), and TensorFlow
+// (graph-def) and PyTorch (module manifest) as two dialects of one JSON
+// codec — together with importers that parse them back into the common
+// graph IR. The inference-engine builder consumes any of them, mirroring
+// TensorRT's claim of supporting the most input frameworks (paper §I,
+// point 2). Which record fields an op carries is stated once, in params;
+// each format only names them.
 package frameworks
 
 import (
 	"bytes"
 	"fmt"
+	"strconv"
 
 	"edgeinfer/internal/framed"
 	"edgeinfer/internal/graph"
@@ -29,8 +32,19 @@ const (
 // plus a binary weight payload (empty for timing-only graphs).
 type Model struct {
 	Format  Format
-	Arch    []byte // prototxt / graphdef / cfg / manifest
+	Arch    []byte // prototxt / cfg / JSON node list
 	Weights []byte
+}
+
+// codecs maps each format to its architecture renderer and parser.
+var codecs = map[Format]struct {
+	render func(header, []graph.LayerRecord) ([]byte, error)
+	parse  func([]byte) (header, []graph.LayerRecord, error)
+}{
+	Caffe:      {caffeArch, parseCaffe},
+	Darknet:    {darknetArch, parseDarknet},
+	TensorFlow: {tensorFlow.render, tensorFlow.parse},
+	PyTorch:    {pyTorch.render, pyTorch.parse},
 }
 
 // header carries graph-level metadata all formats need.
@@ -48,22 +62,12 @@ type header struct {
 // always exports to the same bytes. The payload is an unversioned
 // scratch artefact: no magic, no compatibility promise.
 func Export(g *graph.Graph, f Format) (Model, error) {
-	layers, weights := g.Records()
-	h := header{Name: g.Name, Task: g.Task, InputShape: g.InputShape, Outputs: g.Outputs}
-	var arch []byte
-	var err error
-	switch f {
-	case Caffe:
-		arch, err = caffeArch(h, layers)
-	case TensorFlow:
-		arch, err = tfArch(h, layers)
-	case Darknet:
-		arch, err = darknetArch(h, layers)
-	case PyTorch:
-		arch, err = pyTorchArch(h, layers)
-	default:
-		err = fmt.Errorf("frameworks: unknown format %q", f)
+	c, ok := codecs[f]
+	if !ok {
+		return Model{}, fmt.Errorf("frameworks: unknown format %q", f)
 	}
+	layers, weights := g.Records()
+	arch, err := c.render(header{Name: g.Name, Task: g.Task, InputShape: g.InputShape, Outputs: g.Outputs}, layers)
 	if err != nil {
 		return Model{}, err
 	}
@@ -87,20 +91,11 @@ func Import(m Model) (g *graph.Graph, err error) {
 			g, err = nil, fmt.Errorf("frameworks: malformed %s model: %v", m.Format, r)
 		}
 	}()
-	var h header
-	var layers []graph.LayerRecord
-	switch m.Format {
-	case Caffe:
-		h, layers, err = parseCaffe(m.Arch)
-	case TensorFlow:
-		h, layers, err = parseTF(m.Arch)
-	case Darknet:
-		h, layers, err = parseDarknet(m.Arch)
-	case PyTorch:
-		h, layers, err = parsePyTorch(m.Arch)
-	default:
+	c, ok := codecs[m.Format]
+	if !ok {
 		return nil, fmt.Errorf("frameworks: unknown format %q", m.Format)
 	}
+	h, layers, err := c.parse(m.Arch)
 	if err != nil {
 		return nil, err
 	}
@@ -129,6 +124,68 @@ func Import(m Model) (g *graph.Graph, err error) {
 		return nil, fmt.Errorf("frameworks: imported %s model is empty", m.Format)
 	}
 	return g, nil
+}
+
+// A param is one numeric field of a layer record, under a format-neutral
+// key each format maps to its own name. Exactly one of i and f is set.
+type param struct {
+	key string
+	i   *int
+	f   *float32
+}
+
+// params lists the fields r's op carries, in the order every format
+// writes them. It is the one place that says which record fields belong
+// to which op; exporters read through the pointers, importers write.
+func params(r *graph.LayerRecord) []param {
+	switch r.Op {
+	case graph.OpConv:
+		return []param{{key: "out", i: &r.Conv.OutC}, {key: "kernel", i: &r.Conv.Kernel},
+			{key: "stride", i: &r.Conv.Stride}, {key: "pad", i: &r.Conv.Pad}, {key: "groups", i: &r.Conv.Groups}}
+	case graph.OpMaxPool, graph.OpAvgPool:
+		return []param{{key: "kernel", i: &r.Pool.Kernel}, {key: "stride", i: &r.Pool.Stride}, {key: "pad", i: &r.Pool.Pad}}
+	case graph.OpFC:
+		return []param{{key: "units", i: &r.OutUnits}}
+	case graph.OpLeakyReLU:
+		return []param{{key: "slope", f: &r.Alpha}}
+	case graph.OpLRN:
+		return []param{{key: "size", i: &r.LRNSize}, {key: "alpha", f: &r.Alpha},
+			{key: "beta", f: &r.LRNBeta}, {key: "k", f: &r.LRNK}}
+	}
+	return nil
+}
+
+// String renders the field's value: shortest form, so a float32 reads
+// back bit for bit.
+func (p param) String() string {
+	if p.i != nil {
+		return strconv.Itoa(*p.i)
+	}
+	return strconv.FormatFloat(float64(*p.f), 'g', -1, 32)
+}
+
+// set parses s into the field. Text that does not parse stores zero, as
+// a missing key does.
+func (p param) set(s string) {
+	if p.i != nil {
+		*p.i, _ = strconv.Atoi(s)
+		return
+	}
+	v, _ := strconv.ParseFloat(s, 32)
+	*p.f = float32(v)
+}
+
+// invert maps a format's op names back to ops. A name several ops share
+// (Caffe's "Pooling") goes to the lowest of them; the codec tells the
+// others apart by the layer's settings.
+func invert(names map[graph.OpType]string) map[string]graph.OpType {
+	ops := make(map[string]graph.OpType, len(names))
+	for op, name := range names {
+		if prev, ok := ops[name]; !ok || op < prev {
+			ops[name] = op
+		}
+	}
+	return ops
 }
 
 // Native returns the framework format a zoo graph was trained in.

@@ -48,6 +48,37 @@ func FuzzImportDarknet(f *testing.F) {
 	})
 }
 
+// FuzzImportJSON mutates the JSON node list under either dialect with
+// the same contract. Any format string but "pytorch" selects TensorFlow,
+// so every input reaches a parser.
+func FuzzImportJSON(f *testing.F) {
+	tf, err := Export(models.MustBuild("mobilenetv1"), TensorFlow)
+	if err != nil {
+		f.Fatal(err)
+	}
+	pt, err := Export(models.MustBuild("fcn-resnet18-cityscapes"), PyTorch)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(string(TensorFlow), string(tf.Arch))
+	f.Add(string(PyTorch), string(pt.Arch))
+	f.Add(string(TensorFlow), "{broken")
+	f.Add(string(PyTorch), "")
+	f.Fuzz(func(t *testing.T, format, arch string) {
+		if len(arch) > 1<<20 {
+			t.Skip()
+		}
+		dialect := TensorFlow
+		if Format(format) == PyTorch {
+			dialect = PyTorch
+		}
+		g, err := Import(Model{Format: dialect, Arch: []byte(arch)})
+		if err == nil && !g.Finalized() {
+			t.Fatal("unfinalized graph returned without error")
+		}
+	})
+}
+
 // FuzzImportWeights mutates the binary weight payload of a real export
 // under its own, fixed arch text — the half of Import the two arch
 // fuzzers never reach: the importer must error or produce a finalized

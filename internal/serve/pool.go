@@ -26,8 +26,8 @@ import (
 )
 
 // The fleet's health policy. The latency watchdog trips at
-// LatencyThreshold (supervisor.go), and a suspect is confirmed by the
-// supervisor's second consecutive strike.
+// LatencyThreshold (supervisor.go), and a suspect is confirmed by its
+// next anomalous observation.
 const (
 	// divergenceThreshold is the quorum-disagreement EWMA trip point:
 	// diverged builds legitimately disagree on a few percent of inputs,

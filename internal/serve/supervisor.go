@@ -18,10 +18,6 @@ import "fmt"
 // engines whose fixed launch overhead dilutes kernel-time slowdowns.
 const LatencyThreshold = 1.4
 
-// suspectConfirm is how many consecutive anomalous observations, the one
-// that raised suspicion included, quarantine a suspect.
-const suspectConfirm = 2
-
 // ReplicaState is one stage of the supervisor's per-member state
 // machine.
 type ReplicaState int
@@ -65,7 +61,6 @@ func (s ReplicaState) String() string {
 type supervisor struct {
 	label      func(m int) string
 	state      []ReplicaState
-	strikes    []int // consecutive anomalous observations while suspect
 	transcript []string
 }
 
@@ -73,9 +68,8 @@ type supervisor struct {
 // m at transition time.
 func newSupervisor(n int, label func(m int) string) *supervisor {
 	return &supervisor{
-		label:   label,
-		state:   make([]ReplicaState, n),
-		strikes: make([]int, n),
+		label: label,
+		state: make([]ReplicaState, n),
 	}
 }
 
@@ -95,26 +89,21 @@ func (s *supervisor) Move(at uint64, m int, to ReplicaState, detail string) {
 }
 
 // Observe folds one anomaly verdict into member m's state. An anomalous
-// observation turns a healthy or readmitted member suspect, and a
-// suspect's confirming strike quarantines it, both transcribed with
-// signal; a clean one clears a suspect or passes a readmitted member's
-// probation. Quarantined and rebuilding members are out of the
+// observation turns a healthy or readmitted member suspect and a suspect
+// quarantined, both transcribed with signal: only Observe makes a member
+// suspect, so two anomalous observations in a row quarantine it. A clean
+// one clears a suspect or passes a readmitted member's probation. Quarantined and rebuilding members are out of the
 // observation path: nothing changes. It reports whether the
 // observation raised a new suspicion and whether it quarantined m.
 func (s *supervisor) Observe(at uint64, m int, anomalous bool, signal string) (detected, quarantined bool) {
 	switch st := s.state[m]; {
 	case anomalous && (st == StateHealthy || st == StateReadmitted):
-		s.strikes[m] = 1
 		s.Move(at, m, StateSuspect, signal)
 		return true, false
 	case anomalous && st == StateSuspect:
-		s.strikes[m]++
-		if s.strikes[m] >= suspectConfirm {
-			s.Move(at, m, StateQuarantined, signal)
-			return false, true
-		}
+		s.Move(at, m, StateQuarantined, signal)
+		return false, true
 	case !anomalous && st == StateSuspect:
-		s.strikes[m] = 0
 		s.Move(at, m, StateHealthy, "cleared")
 	case !anomalous && st == StateReadmitted:
 		s.Move(at, m, StateHealthy, "probation passed")
