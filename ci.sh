@@ -19,7 +19,8 @@
 # prove their answers do not depend on the schedule; and Tables III-VI
 # once more, rendered one at a time), a smoke of rtexec's profiler
 # modes (GPU trace, chrome://tracing timeline, tegrastats sample), its
-# refusal of -runs below 1 and of -export / -dot on a loaded plan,
+# refusal of -runs below 1, of -export / -dot on a loaded plan and of a
+# second engine source beside -load,
 # the rtlint static-analysis suite — all eight source analyzers over
 # the module (any finding an //rt:allow directive does not silence
 # fails the gate, so the tree must stay clean), then static plan-IR verification
@@ -46,6 +47,9 @@ go test -race -timeout 20m ./...
 # The race detector's instrumentation allocates, so the allocation pins
 # (tests named ...Allocs) skip under it: run them once without it.
 go test -count=1 -run 'Allocs$' ./internal/core ./internal/kernels ./internal/fixrand ./internal/models
+# A proxy embeds its class templates across GOMAXPROCS workers: its bits
+# must not depend on how many there are.
+go test -count=1 -cpu 1,2,3 -run 'TestProxyBitsPinned|TestBuildProxyMatchesFrozen' ./internal/models
 # The serving tests share fixtures (engines, registries, fleets); a
 # shuffled order proves none depends on state another test left behind.
 go test -shuffle=on -count=1 ./internal/serve ./internal/netserve
@@ -99,10 +103,11 @@ for n in 0 -1; do
   if go run ./cmd/rtexec -model pednet -runs "$n"; then exit 1; fi
 done
 # A loaded plan carries no model graph: -export and -dot on one must
-# fail cleanly (no panic) before any run, and write no file.
+# fail cleanly (no panic) before any run, and write no file. A plan is
+# also the engine's one source: -model beside it must fail the same way.
 plan=$(mktemp) refused=$(mktemp -d)
 go run ./cmd/rtexec -model pednet -platform NX -runs 1 -save "$plan"
-for flags in "-export caffe -o $refused/out" "-dot $refused/out"; do
+for flags in "-export caffe -o $refused/out" "-dot $refused/out" "-model resnet18"; do
   if go run ./cmd/rtexec -load "$plan" $flags 2>"$refused/stderr"; then exit 1; fi
   if grep -q 'panic:' "$refused/stderr"; then exit 1; fi
   test ! -e "$refused/out"

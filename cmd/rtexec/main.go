@@ -21,6 +21,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"edgeinfer/internal/core"
 	"edgeinfer/internal/frameworks"
@@ -58,6 +59,7 @@ func main() {
 	if *tegra < 0 {
 		fail(fmt.Errorf("-tegrastats %d: need a thread count, or 0 for off", *tegra))
 	}
+	fail(oneSource(*model, *load, *importPath))
 	if *load != "" && (*export != "" || *dot != "") {
 		fail(fmt.Errorf("-export and -dot need -model or -import: a loaded plan carries no model graph"))
 	}
@@ -209,6 +211,22 @@ func importModel(path string) *graph.Graph {
 	fail(err)
 	fmt.Printf("imported %s model %s (%d layers)\n", m.Format, g.Name, len(g.Layers))
 	return g
+}
+
+// oneSource refuses more than one of -model, -load and -import: each
+// names where the engine comes from, so none may silently win over
+// another.
+func oneSource(model, load, importPath string) error {
+	var given []string
+	for _, f := range []struct{ flag, value string }{{"-model", model}, {"-load", load}, {"-import", importPath}} {
+		if f.value != "" {
+			given = append(given, f.flag)
+		}
+	}
+	if len(given) > 1 {
+		return fmt.Errorf("%s each name the engine's source: give one", strings.Join(given, " and "))
+	}
+	return nil
 }
 
 func fail(err error) {

@@ -97,3 +97,23 @@ func TestFormatBytesPinned(t *testing.T) {
 		t.Errorf("EDGEMDL1 container: sha256 %s, want %s", got, want)
 	}
 }
+
+func TestOneSource(t *testing.T) {
+	for _, tc := range []struct {
+		model, load, importPath string
+		ok                      bool
+	}{
+		{"resnet18", "", "", true},
+		{"", "r18.plan", "", true},
+		{"", "", "r18.model", true},
+		{"", "", "", true}, // main reports the missing source itself
+		{"resnet18", "r18.plan", "", false},
+		{"resnet18", "", "r18.model", false},
+		{"", "r18.plan", "r18.model", false},
+		{"resnet18", "r18.plan", "r18.model", false},
+	} {
+		if err := oneSource(tc.model, tc.load, tc.importPath); (err == nil) != tc.ok {
+			t.Errorf("oneSource(%q, %q, %q) = %v, want ok %v", tc.model, tc.load, tc.importPath, err, tc.ok)
+		}
+	}
+}

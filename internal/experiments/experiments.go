@@ -72,7 +72,7 @@ type Lab struct {
 	advOnce    sync.Once
 	adv        []dataset.AdversarialSample
 
-	proxyMu sync.Mutex // held across a proxy build, so each model builds once
+	proxyMu sync.Mutex // guards proxies and refs; never held across BuildProxy
 	proxies map[string]*graph.Graph
 	refs    map[string]*core.Engine // each proxy compiled as the FP32 reference
 }
@@ -189,20 +189,30 @@ func (l *Lab) engine(model, platform string, build int) *core.Engine {
 	return e
 }
 
-// proxyGraph returns the model's numeric proxy, built once per Lab:
+// proxyGraph returns the model's numeric proxy, memoized per Lab:
 // BuildProxy embeds every class template through the extractor, and its
-// callers only read the result (core.Build clones its input).
+// callers only read the result (core.Build clones its input). The build
+// fans out across GOMAXPROCS, so it runs without proxyMu; the graph is
+// memoized only if no concurrent caller got there first, and every
+// caller gets the memoized one.
 func (l *Lab) proxyGraph(model string) (*graph.Graph, error) {
 	l.proxyMu.Lock()
-	defer l.proxyMu.Unlock()
-	if g, ok := l.proxies[model]; ok {
+	g, ok := l.proxies[model]
+	l.proxyMu.Unlock()
+	if ok {
 		return g, nil
 	}
 	g, err := models.BuildProxy(model, models.DefaultProxyOptions())
 	if err != nil {
 		return nil, err
 	}
-	l.proxies[model] = g
+	l.proxyMu.Lock()
+	if kept, ok := l.proxies[model]; ok {
+		g = kept
+	} else {
+		l.proxies[model] = g
+	}
+	l.proxyMu.Unlock()
 	return g, nil
 }
 

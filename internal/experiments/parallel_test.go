@@ -2,9 +2,11 @@ package experiments
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 
 	"edgeinfer/internal/dataset"
+	"edgeinfer/internal/graph"
 )
 
 // TestWorkerCountInvariance is the determinism gate for the parallel lab:
@@ -44,6 +46,39 @@ func TestWorkerCountInvariance(t *testing.T) {
 	}
 	if got, want := s.Table6(), f.Table6(); !reflect.DeepEqual(got, want) {
 		t.Errorf("Table6 differs between 1 and 4 workers:\n%+v\nvs\n%+v", got, want)
+	}
+}
+
+// The proxy graph is built without proxyMu, so callers racing on a
+// Lab's first use of a model may each build one; all of them must get
+// the one graph the Lab memoizes.
+func TestProxyGraphConcurrentFirstUse(t *testing.T) {
+	const model, callers = "resnet18", 8
+	l := NewLab(tinyOpts())
+	graphs := make([]*graph.Graph, callers)
+	errs := make([]error, callers)
+	var wg sync.WaitGroup
+	for i := range callers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			graphs[i], errs[i] = l.proxyGraph(model)
+		}()
+	}
+	wg.Wait()
+	for i := range callers {
+		if errs[i] != nil {
+			t.Fatalf("caller %d: %v", i, errs[i])
+		}
+		if graphs[i] != graphs[0] {
+			t.Fatalf("caller %d got proxy graph %p, caller 0 got %p", i, graphs[i], graphs[0])
+		}
+	}
+	l.proxyMu.Lock()
+	kept := l.proxies[model]
+	l.proxyMu.Unlock()
+	if kept != graphs[0] {
+		t.Fatalf("Lab memoized %p, callers got %p", kept, graphs[0])
 	}
 }
 

@@ -2,8 +2,10 @@ package models
 
 import (
 	"fmt"
+	"runtime"
 
 	"edgeinfer/internal/dataset"
+	"edgeinfer/internal/fanout"
 	"edgeinfer/internal/fixrand"
 	"edgeinfer/internal/graph"
 	"edgeinfer/internal/tensor"
@@ -173,36 +175,52 @@ const embedChunk = 4
 
 // embedTemplates returns every class template pushed through the
 // extractor, class after class, as a [1, classes·featDim, 1, 1] tensor.
-// The templates go through graph.Execute embedChunk at a time (the last
-// chunk through an extractor of its own size), written into one reused
-// input tensor. Images of a batch never mix, so each embedding has the
-// bits a batch of one would give it.
+// The chunks of embedChunk templates are split into contiguous ranges,
+// one per worker across GOMAXPROCS (the rule dataset synthesis fans out
+// by). A worker writes each chunk into one reused input tensor and runs
+// the extractor's layers through graph.EvalLayerInto into one reused
+// activation per layer, so a chunk after a worker's first allocates
+// nothing. Every chunk writes its own disjoint span of the result, and
+// images of a batch never mix, so each embedding has the bits a batch of
+// one would give it whatever the worker count and schedule.
 func embedTemplates(name string, spec proxySpec, opts ProxyOptions) (*tensor.Tensor, error) {
-	extractors := map[int]*graph.Graph{}
-	in := new(tensor.Tensor)
-	var w *tensor.Tensor
-	for first := 0; first < opts.Classes; first += embedChunk {
-		n := min(embedChunk, opts.Classes-first)
-		extractor := extractors[n]
-		if extractor == nil {
-			// Extractor weights are built deterministically: every
-			// extractor, and the final proxy's, has the same bits.
-			extractor = buildExtractor(name+"-extractor", spec, n)
-			if err := extractor.Finalize(); err != nil {
-				return nil, err
+	// Extractor weights are built deterministically: this extractor and
+	// the final proxy's have the same bits. EvalLayerInto sizes each
+	// activation from its input, so a batch-of-one extractor embeds a
+	// chunk of any size.
+	extractor := buildExtractor(name+"-extractor", spec, 1)
+	if err := extractor.Finalize(); err != nil {
+		return nil, err
+	}
+	featDim := extractor.OutputShapes()[0][1]
+	w := tensor.New(1, opts.Classes*featDim, 1, 1)
+	chunks := (opts.Classes + embedChunk - 1) / embedChunk
+	workers := min(runtime.GOMAXPROCS(0), chunks)
+	err := fanout.ForEach(workers, workers, func(k int) error {
+		in := new(tensor.Tensor)
+		acts := make([]tensor.Tensor, len(extractor.Layers))
+		ins := make([]*tensor.Tensor, 1)
+		for c := k * chunks / workers; c < (k+1)*chunks/workers; c++ {
+			first := c * embedChunk
+			n := min(embedChunk, opts.Classes-first)
+			dataset.TemplatesInto(opts.Seed, first, n, in)
+			x := in
+			for i, l := range extractor.Layers {
+				if l.Op == graph.OpInput {
+					continue
+				}
+				ins[0] = x
+				if err := graph.EvalLayerInto(l, ins, &acts[i]); err != nil {
+					return fmt.Errorf("models: embedding templates: layer %s: %w", l.Name, err)
+				}
+				x = &acts[i]
 			}
-			extractors[n] = extractor
+			copy(w.Data[first*featDim:(first+n)*featDim], x.Data)
 		}
-		dataset.TemplatesInto(opts.Seed, first, n, in)
-		outs, err := extractor.Execute(in)
-		if err != nil {
-			return nil, fmt.Errorf("models: embedding templates: %w", err)
-		}
-		feat := outs[0]
-		if w == nil {
-			w = tensor.New(1, opts.Classes*feat.C, 1, 1)
-		}
-		copy(w.Data[first*feat.C:], feat.Data)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return w, nil
 }

@@ -29,9 +29,11 @@ type Registry struct {
 	fallbacks map[string]*graph.Graph
 	nextBuild int
 	stats     RegistryStats
-	// proxyBuilds counts models.BuildProxy calls (≈ 9 ms each, the
+	// proxyBuilds counts models.BuildProxy calls (≈ 3.4 ms each, the
 	// build_zoo benchmark's core.build_proxy_ms_p50 on a 2-vCPU Xeon:
-	// every class template goes through the reference extractor).
+	// every class template goes through the reference extractor, fanned
+	// out across GOMAXPROCS). Callers that race on one model may each
+	// build; all of them are counted.
 	proxyBuilds int
 }
 
@@ -106,12 +108,12 @@ func (r *Registry) ReplicaEngines(model string, k int) ([]*core.Engine, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("serve: replica fleet of %s needs k >= 1, got %d", model, k)
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	g, err := r.proxyGraph(model, false)
 	if err != nil {
 		return nil, fmt.Errorf("serve: registry replica model %s: %w", model, err)
 	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	fleet := make([]*core.Engine, 0, k)
 	for slot := 0; slot < k; slot++ {
 		e, err := r.build(g, slot == 0)
@@ -152,10 +154,15 @@ func (r *Registry) build(g *graph.Graph, shared bool) (*core.Engine, error) {
 	return e, nil
 }
 
+// engine returns the engine memoized under key, building it on first
+// use. The model graph is made without r.mu (a proxy graph takes
+// milliseconds across every core); the engine build runs under it in
+// memoize.
 func (r *Registry) engine(key, model string, proxy bool) (*core.Engine, error) {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	if e, ok := r.engines[key]; ok {
+	e, ok := r.engines[key]
+	r.mu.Unlock()
+	if ok {
 		return e, nil
 	}
 	var g *graph.Graph
@@ -168,9 +175,25 @@ func (r *Registry) engine(key, model string, proxy bool) (*core.Engine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serve: registry model %s: %w", model, err)
 	}
-	e, err := r.build(g, true)
+	e, err = r.memoize(key, g)
 	if err != nil {
 		return nil, fmt.Errorf("serve: registry build %s: %w", model, err)
+	}
+	return e, nil
+}
+
+// memoize builds g's shared engine under key unless a concurrent caller
+// already did, in which case it returns that engine: each key is built
+// once, whoever made the graph.
+func (r *Registry) memoize(key string, g *graph.Graph) (*core.Engine, error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if e, ok := r.engines[key]; ok {
+		return e, nil
+	}
+	e, err := r.build(g, true)
+	if err != nil {
+		return nil, err
 	}
 	r.engines[key] = e
 	return e, nil
@@ -193,8 +216,6 @@ func (r *Registry) WCETBound(model string, runs int, margin float64) (float64, e
 // Fallback returns the pristine (un-built) numeric proxy graph for the
 // FP32 reference tier, memoized per model.
 func (r *Registry) Fallback(model string) (*graph.Graph, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	g, err := r.proxyGraph(model, true)
 	if err != nil {
 		return nil, fmt.Errorf("serve: registry fallback %s: %w", model, err)
@@ -202,23 +223,32 @@ func (r *Registry) Fallback(model string) (*graph.Graph, error) {
 	return g, nil
 }
 
-// proxyGraph returns the model's pristine proxy graph; r.mu is held. The
-// fallback tier memoizes it (keep), and an engine build borrows that
-// graph when it is there — core.Build clones its input — so a served
-// model's Rebuild costs the sub-millisecond warm build alone. A build
-// with no fallback to borrow makes a graph and lets it go: a registry
-// that only builds engines retains none.
+// proxyGraph returns the model's pristine proxy graph; r.mu must not be
+// held. The fallback tier memoizes it (keep), and an engine build
+// borrows that graph when it is there — core.Build clones its input — so
+// a served model's Rebuild costs the sub-millisecond warm build alone. A
+// build with no fallback to borrow makes a graph and lets it go: a
+// registry that only builds engines retains none. The graph is built
+// without r.mu and inserted only if no other caller memoized one
+// meanwhile, so every caller gets the first memoized graph.
 func (r *Registry) proxyGraph(model string, keep bool) (*graph.Graph, error) {
-	if g, ok := r.fallbacks[model]; ok {
+	r.mu.Lock()
+	g, ok := r.fallbacks[model]
+	r.mu.Unlock()
+	if ok {
 		return g, nil
 	}
 	g, err := models.BuildProxy(model, models.DefaultProxyOptions())
 	if err != nil {
 		return nil, err
 	}
+	r.mu.Lock()
 	r.proxyBuilds++
-	if keep {
+	if kept, ok := r.fallbacks[model]; ok {
+		g = kept
+	} else if keep {
 		r.fallbacks[model] = g
 	}
+	r.mu.Unlock()
 	return g, nil
 }

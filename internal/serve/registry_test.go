@@ -3,10 +3,13 @@ package serve
 import (
 	"bytes"
 	"reflect"
+	"sync"
 	"testing"
 
+	"edgeinfer/internal/core"
 	"edgeinfer/internal/faults"
 	"edgeinfer/internal/gpusim"
+	"edgeinfer/internal/graph"
 	"edgeinfer/internal/tensor"
 )
 
@@ -133,9 +136,7 @@ func TestRegistryBuildsProxyGraphOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.mu.Lock()
 	in, err := r.proxyGraph(model, false)
-	r.mu.Unlock()
 	if err != nil || in != fb {
 		t.Fatalf("engine builds start from %p (err %v), want the memoized fallback %p", in, err, fb)
 	}
@@ -158,6 +159,48 @@ func TestRegistryBuildsProxyGraphOnce(t *testing.T) {
 	}
 	if got := proxyBuilds(pr); got != 1 {
 		t.Fatalf("a Pool's Rebuild built a proxy graph (%d total, want 1)", got)
+	}
+}
+
+// The proxy graph is built without r.mu, so callers racing on a fresh
+// registry's first use of a model may each build one. Whichever order
+// they ask in, all of them must get the one memoized engine and the one
+// memoized fallback graph, and the engine is built once.
+func TestRegistryConcurrentFirstUseSharesEngineAndFallback(t *testing.T) {
+	const model, callers = "resnet18", 8
+	r := NewRegistry(gpusim.XavierNX(), nil)
+	engines := make([]*core.Engine, callers)
+	fallbacks := make([]*graph.Graph, callers)
+	errs := make([]error, callers)
+	var wg sync.WaitGroup
+	for i := range callers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var engErr, fbErr error
+			if i%2 == 0 {
+				engines[i], engErr = r.ProxyEngine(model)
+				fallbacks[i], fbErr = r.Fallback(model)
+			} else {
+				fallbacks[i], fbErr = r.Fallback(model)
+				engines[i], engErr = r.ProxyEngine(model)
+			}
+			if errs[i] = engErr; errs[i] == nil {
+				errs[i] = fbErr
+			}
+		}()
+	}
+	wg.Wait()
+	for i := range callers {
+		if errs[i] != nil {
+			t.Fatalf("caller %d: %v", i, errs[i])
+		}
+		if engines[i] != engines[0] || fallbacks[i] != fallbacks[0] {
+			t.Fatalf("caller %d got engine %p and fallback %p, caller 0 got %p and %p", i, engines[i], fallbacks[i], engines[0], fallbacks[0])
+		}
+	}
+	if st := r.Stats(); st.ColdBuilds+st.WarmBuilds != 1 {
+		t.Fatalf("%d callers built %d engines, want 1", callers, st.ColdBuilds+st.WarmBuilds)
 	}
 }
 
