@@ -20,7 +20,8 @@
 # once more, rendered one at a time), a smoke of rtexec's profiler
 # modes (GPU trace, chrome://tracing timeline, tegrastats sample), its
 # refusal of -runs below 1, of -export / -dot on a loaded plan and of a
-# second engine source beside -load,
+# second engine source beside -load, a saved plan loaded and run to the
+# same timed result, one run of each of the four examples,
 # the rtlint static-analysis suite — all eight source analyzers over
 # the module (any finding an //rt:allow directive does not silence
 # fails the gate, so the tree must stay clean), then static plan-IR verification
@@ -105,14 +106,23 @@ done
 # A loaded plan carries no model graph: -export and -dot on one must
 # fail cleanly (no panic) before any run, and write no file. A plan is
 # also the engine's one source: -model beside it must fail the same way.
+# The plan itself must load and run: its timed run on the build platform
+# prints the same "ran ..." line as the run that saved it.
 plan=$(mktemp) refused=$(mktemp -d)
-go run ./cmd/rtexec -model pednet -platform NX -runs 1 -save "$plan"
+go run ./cmd/rtexec -model pednet -platform NX -runs 1 -save "$plan" >"$refused/saved"
 for flags in "-export caffe -o $refused/out" "-dot $refused/out" "-model resnet18"; do
   if go run ./cmd/rtexec -load "$plan" $flags 2>"$refused/stderr"; then exit 1; fi
   if grep -q 'panic:' "$refused/stderr"; then exit 1; fi
   test ! -e "$refused/out"
 done
+go run ./cmd/rtexec -load "$plan" -platform NX -runs 1 >"$refused/loaded"
+grep -q '^ran ' "$refused/loaded"
+test "$(grep '^ran ' "$refused/saved")" = "$(grep '^ran ' "$refused/loaded")"
 rm -rf "$plan" "$refused"
+# The four examples run end to end.
+for example in quickstart adas intersection modelzoo; do
+  go run "./examples/$example" >/dev/null
+done
 go run ./cmd/rtlint -json ./...
 go run ./cmd/rtlint -plancheck
 # Serving soak on a virtual clock: the synctest build of netserve must

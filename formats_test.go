@@ -12,11 +12,14 @@ import (
 )
 
 // TestFormatBytesPinned holds the two magic-tagged artefact formats to
-// the bytes they had before their codecs were moved onto the shared
-// framing layer (internal/framed): persisted timing caches, saved plans
-// and byte-identical warm rebuilds all depend on a writer change never
-// altering the stream. The digests were captured at the commit preceding
-// that refactor; cmd/rtexec pins the EDGEMDL1 container the same way.
+// their bytes: persisted timing caches, saved plans and byte-identical
+// warm rebuilds all depend on a writer change never altering the stream.
+// The EDGETC01 digest was captured before its codec moved onto the
+// shared framing layer (internal/framed) and has not moved since. The
+// two plan digests were re-pinned once, when the plan header changed
+// from JSON text (EDGERT01) to framed primitives behind a string table
+// (EDGERT02); the weight section's bytes are unchanged. cmd/rtexec pins
+// the EDGEMDL1 container the same way.
 func TestFormatBytesPinned(t *testing.T) {
 	cache := core.NewTimingCache()
 	cfg := core.DefaultConfig(gpusim.XavierNX(), 1)
@@ -39,8 +42,8 @@ func TestFormatBytesPinned(t *testing.T) {
 		save func(io.Writer) error
 		want string
 	}{
-		{"EDGERT01 timing-only resnet18 NX build 1", timed.Save, "d1dbef1da52063d77a9197ec4e58bba6dd0577c3d6e8a71e6a6188ffc1d0172f"},
-		{"EDGERT01 numeric resnet18 proxy", numeric.Save, "d8c7887a3cb68f05aa5469418115d3f9235b53a2ff5f6b44b230b1a5634d5e84"},
+		{"EDGERT02 timing-only resnet18 NX build 1", timed.Save, "00305d1c17a8d1341bd539b6e17c7749ad778bf43bb14c353e42de16fede3990"},
+		{"EDGERT02 numeric resnet18 proxy", numeric.Save, "79ab4fa94f0f83bd3ef8922b87be1cf30c260dd8d1ab8caea8329af6b9320611"},
 		{"EDGETC01 cache of the timing-only build", cache.Save, "8786bf76e5ea803ada5ff5d93e4804b45fd5dbb3a3ea330e7935b3f080fdced7"},
 	} {
 		h := sha256.New()

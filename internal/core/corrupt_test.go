@@ -8,15 +8,17 @@ import (
 	"strings"
 	"testing"
 
+	"edgeinfer/internal/framed"
 	"edgeinfer/internal/gpusim"
 	"edgeinfer/internal/graph"
+	"edgeinfer/internal/kernels"
 	"edgeinfer/internal/models"
 	"edgeinfer/internal/tensor"
 )
 
 // Plan files are untrusted input (they cross machines, like serialized
 // TensorRT engines). These tests corrupt a real plan at every section
-// boundary — magic, header length, header JSON, weight count, record
+// boundary — magic, header length, header, weight count, record
 // length, record JSON, weight data — and assert Load always returns a
 // clean error or a usable engine, never a panic and never an allocation
 // driven by a hostile length field.
@@ -53,24 +55,36 @@ func savedPlanWith(tb testing.TB, cfg BuildConfig) (plan []byte, hlen int) {
 	return plan, int(binary.LittleEndian.Uint32(plan[8:12]))
 }
 
-// mutateHeader rebuilds the plan with the header JSON edited in place.
-func mutateHeader(tb testing.TB, plan []byte, hlen int, edit func(h map[string]any)) []byte {
+// headerOf decodes a saved plan's header.
+func headerOf(tb testing.TB, plan []byte, hlen int) *planHeader {
 	tb.Helper()
-	var h map[string]any
-	if err := json.Unmarshal(plan[12:12+hlen], &h); err != nil {
-		tb.Fatal(err)
-	}
-	edit(h)
-	hb, err := json.Marshal(h)
+	h, err := decodeHeader(plan[12 : 12+hlen])
 	if err != nil {
 		tb.Fatal(err)
 	}
+	return h
+}
+
+// withHeader returns the plan with its header bytes replaced by hb.
+func withHeader(plan []byte, hlen int, hb []byte) []byte {
 	out := make([]byte, 0, len(plan))
 	out = append(out, plan[:8]...)
 	out = binary.LittleEndian.AppendUint32(out, uint32(len(hb)))
 	out = append(out, hb...)
-	out = append(out, plan[12+hlen:]...)
-	return out
+	return append(out, plan[12+hlen:]...)
+}
+
+// mutateHeader rebuilds the plan with its decoded header edited and
+// re-encoded by the plan writer.
+func mutateHeader(tb testing.TB, plan []byte, hlen int, edit func(h *planHeader)) []byte {
+	tb.Helper()
+	h := headerOf(tb, plan, hlen)
+	edit(h)
+	hb, err := encodeHeader(h)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return withHeader(plan, hlen, hb)
 }
 
 // loadNoPanic runs Load and converts any panic into a test failure.
@@ -120,7 +134,7 @@ func TestLoadBitFlippedAtEveryBoundary(t *testing.T) {
 	}{
 		{"magic", 0, true},
 		{"hlen", 8, false},   // may grow or shrink the claimed header
-		{"header", 12, true}, // JSON with a flipped first byte
+		{"header", 12, true}, // the string table's count: the names no longer tile the table
 		{"wcount", 12 + hlen, false},
 		{"rlen", 12 + hlen + 4, false},
 		{"record", 12 + hlen + 8, false},
@@ -149,31 +163,33 @@ func TestLoadBitFlippedAtEveryBoundary(t *testing.T) {
 	}
 }
 
-func TestLoadHostileLengthFields(t *testing.T) {
-	plan, hlen := savedPlan(t)
+// hostileLengths are the plan's section length fields rewritten: each
+// must be refused, and none may drive an allocation of what it claims.
+func hostileLengths(plan []byte, hlen int) map[string][]byte {
 	patch := func(off int, v uint32) []byte {
 		bad := append([]byte(nil), plan...)
 		binary.LittleEndian.PutUint32(bad[off:], v)
 		return bad
 	}
-	cases := []struct {
-		name string
-		data []byte
-	}{
+	return map[string][]byte{
 		// Claims a header far past the limit: must be rejected up front.
-		{"hlen-over-limit", patch(8, 1<<30)},
+		"hlen-over-limit": patch(8, 1<<30),
 		// Claims a huge header within the limit over a truncated stream:
 		// must fail from missing bytes, not allocate 64MB first.
-		{"hlen-truncated", patch(8, maxHeaderBytes)},
+		"hlen-truncated": patch(8, maxHeaderBytes),
 		// Billions of weight records over an exhausted stream.
-		{"wcount-hostile", patch(12+hlen, 0xffffffff)},
+		"wcount-hostile": patch(12+hlen, 0xffffffff),
 		// First record claims a length past the record limit.
-		{"rlen-over-limit", patch(12+hlen+4, 0xffffffff)},
+		"rlen-over-limit": patch(12+hlen+4, 0xffffffff),
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			if _, err := loadNoPanic(t, tc.data); err == nil {
-				t.Fatalf("%s accepted", tc.name)
+}
+
+func TestLoadHostileLengthFields(t *testing.T) {
+	plan, hlen := savedPlan(t)
+	for name, data := range hostileLengths(plan, hlen) {
+		t.Run(name, func(t *testing.T) {
+			if _, err := loadNoPanic(t, data); err == nil {
+				t.Fatalf("%s accepted", name)
 			}
 		})
 	}
@@ -200,65 +216,106 @@ func appendWeight(tb testing.TB, plan []byte, hlen int, rec graph.WeightRecord) 
 // panic on if the loader passed them through unvalidated, the one
 // hostile weight record with the same contract (a well-formed plan whose
 // extra record names the input layer, which holds no weight map), the
-// activationBombs, and plans that decode and finalize cleanly but that
-// the plan verifier rejects: an INT8 plan missing a calibrated range
-// (it would quantize against zero and answer wrongly without an error)
-// and launches the cost table could not charge.
+// activationBombs, the headerLayout cases, and plans that decode and
+// finalize cleanly but that the plan verifier rejects: an INT8 plan
+// missing a calibrated range (it would quantize against zero and answer
+// wrongly without an error) and launches the cost table could not
+// charge.
 func hostileHeaders(tb testing.TB, plan []byte, hlen int) map[string][]byte {
-	first := func(h map[string]any) map[string]any {
-		return h["Layers"].([]any)[0].(map[string]any)
-	}
-	lastLaunch := func(h map[string]any) map[string]any {
-		ls := h["Launches"].([]any)
-		return ls[len(ls)-1].(map[string]any)
-	}
 	bombs := activationBombs(tb, plan, hlen)
 	int8Plan, int8Len := savedInt8Plan(tb)
-	return map[string][]byte{
-		"int8-missing-range": mutateHeader(tb, int8Plan, int8Len, func(h map[string]any) {
-			delete(h["Int8Ranges"].(map[string]any), "feat")
+	lastLaunch := func(h *planHeader) *Launch { return &h.Launches[len(h.Launches)-1] }
+	hostile := map[string][]byte{
+		"int8-missing-range": mutateHeader(tb, int8Plan, int8Len, func(h *planHeader) {
+			delete(h.Int8Ranges, "feat")
 		}),
-		"launch-missing-layer": mutateHeader(tb, plan, hlen, func(h map[string]any) {
-			lastLaunch(h)["Layers"] = []any{"no-such-layer"}
+		"launch-missing-layer": mutateHeader(tb, plan, hlen, func(h *planHeader) {
+			lastLaunch(h).Layers = []string{"no-such-layer"}
 		}),
-		"launch-no-layers": mutateHeader(tb, plan, hlen, func(h map[string]any) {
-			lastLaunch(h)["Layers"] = []any{}
+		"launch-no-layers": mutateHeader(tb, plan, hlen, func(h *planHeader) {
+			lastLaunch(h).Layers = nil
 		}),
 		"conv-giant-pad":        bombs["conv-giant-pad"],
 		"fc-giant-units":        bombs["fc-giant-units"],
 		"upsample-chain":        bombs["upsample-chain"],
 		"slot-total":            bombs["slot-total"],
 		"weight-for-data-layer": appendWeight(tb, plan, hlen, graph.WeightRecord{Layer: "data", Key: "w"}),
-		"duplicate-layer": mutateHeader(tb, plan, hlen, func(h map[string]any) {
-			ls := h["Layers"].([]any)
-			ls[1].(map[string]any)["Name"] = first(h)["Name"]
+		"duplicate-layer": mutateHeader(tb, plan, hlen, func(h *planHeader) {
+			h.Layers[1].Name = h.Layers[0].Name
 		}),
-		"layer-named-data": mutateHeader(tb, plan, hlen, func(h map[string]any) {
-			first(h)["Name"] = "data"
+		"layer-named-data": mutateHeader(tb, plan, hlen, func(h *planHeader) {
+			h.Layers[0].Name = "data"
 		}),
-		"unknown-input-ref": mutateHeader(tb, plan, hlen, func(h map[string]any) {
-			first(h)["Inputs"] = []any{"no-such-layer"}
+		"unknown-input-ref": mutateHeader(tb, plan, hlen, func(h *planHeader) {
+			h.Layers[0].Inputs = []string{"no-such-layer"}
 		}),
 		// A back edge: the first layer consumes the second, which
 		// consumes it.
-		"cycle": mutateHeader(tb, plan, hlen, func(h map[string]any) {
-			first(h)["Inputs"] = []any{h["Layers"].([]any)[1].(map[string]any)["Name"]}
+		"cycle": mutateHeader(tb, plan, hlen, func(h *planHeader) {
+			h.Layers[0].Inputs = []string{h.Layers[1].Name}
 		}),
-		"no-inputs": mutateHeader(tb, plan, hlen, func(h map[string]any) {
-			first(h)["Inputs"] = []any{}
+		"no-inputs": mutateHeader(tb, plan, hlen, func(h *planHeader) {
+			h.Layers[0].Inputs = nil
 		}),
-		"redeclared-input-op": mutateHeader(tb, plan, hlen, func(h map[string]any) {
-			first(h)["Op"] = float64(0) // graph.OpInput
+		"redeclared-input-op": mutateHeader(tb, plan, hlen, func(h *planHeader) {
+			h.Layers[0].Op = graph.OpInput
 		}),
-		"conv-zero-stride": mutateHeader(tb, plan, hlen, func(h map[string]any) {
-			first(h)["Conv"].(map[string]any)["Stride"] = float64(0)
+		"conv-zero-stride": mutateHeader(tb, plan, hlen, func(h *planHeader) {
+			h.Layers[0].Conv.Stride = 0
 		}),
-		"zero-input-shape": mutateHeader(tb, plan, hlen, func(h map[string]any) {
-			h["InputShape"] = []any{float64(0), float64(3), float64(32), float64(32)}
+		"zero-input-shape": mutateHeader(tb, plan, hlen, func(h *planHeader) {
+			h.InputShape = [4]int{0, 3, 32, 32}
 		}),
-		"giant-input-shape": mutateHeader(tb, plan, hlen, func(h map[string]any) {
-			h["InputShape"] = []any{float64(1 << 20), float64(1 << 20), float64(1 << 20), float64(1)}
+		"giant-input-shape": mutateHeader(tb, plan, hlen, func(h *planHeader) {
+			h.InputShape = [4]int{1 << 20, 1 << 20, 1 << 20, 1}
 		}),
+	}
+	for name, tc := range headerLayout(tb, plan, hlen) {
+		hostile[name] = tc.data
+	}
+	return hostile
+}
+
+// headerLayout are headers the plan writer cannot produce, each with the
+// decode error Load must report: the string table and the counts and
+// indices that point into it, rewritten in place.
+func headerLayout(tb testing.TB, plan []byte, hlen int) map[string]struct {
+	data []byte
+	want string
+} {
+	tb.Helper()
+	hb := plan[12 : 12+hlen]
+	names := binary.LittleEndian.Uint32(hb)
+	fields := 8 + int(binary.LittleEndian.Uint32(hb[4:])) + 4*int(names) // the first field: ModelName
+	patched := func(hb []byte, off int, v uint32) []byte {
+		hb = append([]byte(nil), hb...)
+		binary.LittleEndian.PutUint32(hb[off:], v)
+		return hb
+	}
+	// With no layers and nothing after them, a header ends in the layer,
+	// choice, fusion, range and launch counts and the report flag.
+	h := headerOf(tb, plan, hlen)
+	h.Layers, h.Choices, h.Fusions, h.Int8Ranges, h.Launches, h.Report = nil, nil, nil, nil, nil, nil
+	bare, err := encodeHeader(h)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	layers, launches := len(bare)-24, len(bare)-8
+	cut := bare[:launches+4]
+	return map[string]struct {
+		data []byte
+		want string
+	}{
+		"names-over-limit": {withHeader(plan, hlen, patched(hb, 0, 0xffffffff)),
+			fmt.Sprintf("plan names 4294967295 exceeds limit %d", hlen/nameBytes)},
+		"name-index-past-table": {withHeader(plan, hlen, patched(hb, fields, names)),
+			fmt.Sprintf("plan name index %d past a table of %d", names, names)},
+		"layer-count-over-limit": {withHeader(plan, hlen, patched(bare, layers, 0xffffffff)),
+			fmt.Sprintf("plan layers 4294967295 exceeds limit %d", len(bare)/layerBytes)},
+		// As many launches as the header's size allows, over a header
+		// that ends at their count.
+		"launch-count-truncated": {withHeader(plan, hlen, patched(cut, launches, uint32(len(cut)/launchBytes))),
+			"plan header: truncated"},
 	}
 }
 
@@ -267,44 +324,40 @@ func hostileHeaders(tb testing.TB, plan []byte, hlen int) map[string][]byte {
 // context slots from, so that Infer asked for any amount of memory (or
 // panicked in makeslice on an overflowed size). Load rejects each.
 func activationBombs(tb testing.TB, plan []byte, hlen int) map[string][]byte {
-	firstOf := func(h map[string]any, op graph.OpType) map[string]any {
-		for _, l := range h["Layers"].([]any) {
-			if l := l.(map[string]any); l["Op"] == float64(op) {
-				return l
+	firstOf := func(h *planHeader, op graph.OpType) *graph.LayerRecord {
+		for i := range h.Layers {
+			if h.Layers[i].Op == op {
+				return &h.Layers[i]
 			}
 		}
 		tb.Fatalf("the plan has no %s", op)
 		return nil
 	}
 	// chain appends n upsamples of from, named prefix0.., returning the last.
-	chain := func(h map[string]any, from, prefix string, n int) string {
+	chain := func(h *planHeader, from, prefix string, n int) string {
 		for i := 0; i < n; i++ {
 			name := fmt.Sprintf("%s%d", prefix, i)
-			h["Layers"] = append(h["Layers"].([]any), map[string]any{
-				"Name": name, "Op": float64(graph.OpUpsample), "Inputs": []any{from},
-			})
+			h.Layers = append(h.Layers, graph.LayerRecord{Name: name, Op: graph.OpUpsample, Inputs: []string{from}})
 			from = name
 		}
 		return from
 	}
 	return map[string][]byte{
-		"conv-giant-pad": mutateHeader(tb, plan, hlen, func(h map[string]any) {
-			firstOf(h, graph.OpConv)["Conv"].(map[string]any)["Pad"] = float64(1e9)
+		"conv-giant-pad": mutateHeader(tb, plan, hlen, func(h *planHeader) {
+			firstOf(h, graph.OpConv).Conv.Pad = 1e9
 		}),
-		"fc-giant-units": mutateHeader(tb, plan, hlen, func(h map[string]any) {
-			firstOf(h, graph.OpFC)["OutUnits"] = float64(1 << 40)
+		"fc-giant-units": mutateHeader(tb, plan, hlen, func(h *planHeader) {
+			firstOf(h, graph.OpFC).OutUnits = 1 << 40
 		}),
 		// 64 doublings overflow every dimension on the way.
-		"upsample-chain": mutateHeader(tb, plan, hlen, func(h map[string]any) {
+		"upsample-chain": mutateHeader(tb, plan, hlen, func(h *planHeader) {
 			chain(h, "data", "up", 64)
 		}),
 		// Two branches of 3×2048×2048 (12.6M elements each, in bounds)
 		// live at once: their slots add up past the bound.
-		"slot-total": mutateHeader(tb, plan, hlen, func(h map[string]any) {
+		"slot-total": mutateHeader(tb, plan, hlen, func(h *planHeader) {
 			a, b := chain(h, "data", "upa", 6), chain(h, "data", "upb", 6)
-			h["Layers"] = append(h["Layers"].([]any), map[string]any{
-				"Name": "join", "Op": float64(graph.OpAdd), "Inputs": []any{a, b},
-			})
+			h.Layers = append(h.Layers, graph.LayerRecord{Name: "join", Op: graph.OpAdd, Inputs: []string{a, b}})
 		}),
 	}
 }
@@ -336,6 +389,18 @@ func TestLoadHostileHeaders(t *testing.T) {
 				t.Fatalf("Load error %q does not carry the verifier's %q", err, want)
 			}
 		})
+	}
+}
+
+// TestLoadHostileHeaderLayout: each header the writer cannot produce is
+// refused for its layout fault, before any graph is assembled.
+func TestLoadHostileHeaderLayout(t *testing.T) {
+	plan, hlen := savedPlan(t)
+	for name, tc := range headerLayout(t, plan, hlen) {
+		_, err := loadNoPanic(t, tc.data)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Load error %v, want one containing %q", name, err, tc.want)
+		}
 	}
 }
 
@@ -410,5 +475,35 @@ func TestSaveLoadRoundTripNumeric(t *testing.T) {
 	x := tensor.New(1, e.Graph.InputShape[1], e.Graph.InputShape[2], e.Graph.InputShape[3])
 	if _, err := e.Infer(x); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPlanElementBytes holds the decoder's per-element byte floors to
+// what the writer emits for an element whose name lists are empty: a
+// floor above it would refuse real plans, one below it would let a
+// hostile count size more than the header could hold.
+func TestPlanElementBytes(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		write func(e *headerEncoder)
+		want  int
+	}{
+		{"name", func(e *headerEncoder) { e.name("") }, nameBytes},
+		{"layer", func(e *headerEncoder) { e.layer(&graph.LayerRecord{}) }, layerBytes},
+		{"choice", func(e *headerEncoder) { e.name(""); e.variant(kernels.Variant{}) }, choiceBytes},
+		{"fusion", func(e *headerEncoder) { e.name(""); e.fusion(Fusion{}) }, fusionBytes},
+		{"range", func(e *headerEncoder) { e.name(""); e.f32(0) }, rangeBytes},
+		{"launch", func(e *headerEncoder) { e.launch(&Launch{}) }, launchBytes},
+		{"pass", func(e *headerEncoder) { e.pass(&PassStats{}) }, passBytes},
+	} {
+		var buf bytes.Buffer
+		e := headerEncoder{w: framed.NewWriter(&buf), index: map[string]uint32{}}
+		tc.write(&e)
+		if err := e.w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if buf.Len() != tc.want {
+			t.Errorf("%s: the writer emits %d bytes, the decoder's floor is %d", tc.name, buf.Len(), tc.want)
+		}
 	}
 }

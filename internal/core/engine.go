@@ -90,8 +90,8 @@ type Engine struct {
 	FusedLayers    int
 	MergedLaunches int
 
-	// Report is the per-pass build instrumentation (nil on engines
-	// loaded from plans written before the report existed).
+	// Report is the per-pass build instrumentation. Build always sets
+	// it; a plan carries it, or its absence, as saved.
 	Report *BuildReport
 
 	// plan is the compiled schedule numeric inference replays, with its

@@ -33,7 +33,7 @@ func FuzzLoad(f *testing.F) {
 	plan := buf.Bytes()
 	f.Add(plan)
 	f.Add(plan[:len(plan)/2])
-	f.Add([]byte("EDGERT01"))
+	f.Add([]byte(planMagic))
 	f.Add([]byte{})
 	// corrupted header length
 	bad := append([]byte(nil), plan...)
@@ -41,11 +41,12 @@ func FuzzLoad(f *testing.F) {
 		bad[8], bad[9] = 0xff, 0xff
 	}
 	f.Add(bad)
-	// Hostile topologies, weight records and length fields (the crashers
-	// the corruption tests pin down: duplicate layers, unknown input refs,
-	// a cycle, a layer shadowing "data", a weight for the input layer,
-	// zero-stride convs, giant shapes over truncated streams) seed the
-	// mutator near the interesting paths.
+	// Hostile topologies, weight records, header layouts and length
+	// fields (the crashers the corruption tests pin down: duplicate
+	// layers, unknown input refs, a cycle, a layer shadowing "data", a
+	// weight for the input layer, zero-stride convs, name indices past
+	// the string table, giant shapes and counts over truncated streams)
+	// seed the mutator near the interesting paths.
 	smallPlan, hlen := savedPlan(f)
 	f.Add(smallPlan)
 	// A calibrated INT8 plan: the only seed that reaches the
@@ -55,16 +56,15 @@ func FuzzLoad(f *testing.F) {
 	for _, hostile := range hostileHeaders(f, smallPlan, hlen) {
 		f.Add(hostile)
 	}
-	hostileCount := append([]byte(nil), smallPlan...)
-	binary.LittleEndian.PutUint32(hostileCount[12+hlen:], 0xffffffff)
-	f.Add(hostileCount)
+	for _, hostile := range hostileLengths(smallPlan, hlen) {
+		f.Add(hostile)
+	}
 	// The first conv padded past its kernel: Load accepts it, and its
 	// border windows lie wholly in the padding.
-	f.Add(mutateHeader(f, smallPlan, hlen, func(h map[string]any) {
-		for _, l := range h["Layers"].([]any) {
-			if l := l.(map[string]any); l["Op"] == float64(graph.OpConv) {
-				conv := l["Conv"].(map[string]any)
-				conv["Pad"] = conv["Kernel"].(float64) + 1
+	f.Add(mutateHeader(f, smallPlan, hlen, func(h *planHeader) {
+		for i := range h.Layers {
+			if l := &h.Layers[i]; l.Op == graph.OpConv {
+				l.Conv.Pad = l.Conv.Kernel + 1
 				return
 			}
 		}

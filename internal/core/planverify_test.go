@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"encoding/binary"
 	"testing"
 
 	"edgeinfer/internal/gpusim"
@@ -64,18 +63,7 @@ func TestVerifyPlanDataTruncations(t *testing.T) {
 
 func TestVerifyPlanDataHostileLengthFields(t *testing.T) {
 	plan, hlen := savedPlan(t)
-	patch := func(off int, v uint32) []byte {
-		bad := append([]byte(nil), plan...)
-		binary.LittleEndian.PutUint32(bad[off:], v)
-		return bad
-	}
-	cases := map[string][]byte{
-		"hlen-over-limit": patch(8, 1<<30),
-		"hlen-truncated":  patch(8, maxHeaderBytes),
-		"wcount-hostile":  patch(12+hlen, 0xffffffff),
-		"rlen-over-limit": patch(12+hlen+4, 0xffffffff),
-	}
-	for name, data := range cases {
+	for name, data := range hostileLengths(plan, hlen) {
 		t.Run(name, func(t *testing.T) {
 			if issues := VerifyPlanData(bytes.NewReader(data)); !planlint.HasErrors(issues) {
 				t.Fatalf("%s verified clean: %v", name, issues)
@@ -88,9 +76,8 @@ func TestVerifyPlanDataHostileLengthFields(t *testing.T) {
 // a weight record pointing at a layer absent from the topology.
 func TestVerifyPlanDataOrphanWeights(t *testing.T) {
 	plan, hlen := savedPlan(t)
-	bad := mutateHeader(t, plan, hlen, func(h map[string]any) {
-		ls := h["Layers"].([]any)
-		h["Layers"] = ls[:len(ls)-1] // drop the last layer; its weights remain
+	bad := mutateHeader(t, plan, hlen, func(h *planHeader) {
+		h.Layers = h.Layers[:len(h.Layers)-1] // drop the last layer; its weights remain
 	})
 	issues := VerifyPlanData(bytes.NewReader(bad))
 	if !planlint.HasErrors(issues) {

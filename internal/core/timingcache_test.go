@@ -266,7 +266,7 @@ func TestLoadTimingCacheHostileInput(t *testing.T) {
 	}{
 		{"empty", nil},
 		{"bad magic", []byte("NOTCACHE\x00\x00\x00\x00")},
-		{"plan magic", []byte("EDGERT01\x00\x00\x00\x00")},
+		{"plan magic", []byte("EDGERT02\x00\x00\x00\x00")},
 		{"truncated magic", []byte("EDGETC")},
 		{"no count", []byte(timingCacheMagic)},
 		{"huge count", hdr(1 << 30)},

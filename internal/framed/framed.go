@@ -1,10 +1,11 @@
 // Package framed is the one framing layer under every binary artefact
-// the tools write: engine plans (EDGERT01), timing caches (EDGETC01),
+// the tools write: engine plans (EDGERT02), timing caches (EDGETC01),
 // rtexec's framework-model container (EDGEMDL1) and the framework
 // importers' weight payload. A format is a
 // magic tag followed by a straight-line list of the primitives here —
-// little-endian u32, IEEE-754 float64 bits, u32-length-prefixed
-// bytes, raw little-endian float32 runs — so each codec states its
+// little-endian u32, two's-complement little-endian i64, IEEE-754
+// float64 bits, u32-length-prefixed bytes, raw little-endian float32
+// runs — so each codec states its
 // fields, its limits and its semantic checks, and nothing else.
 //
 // Both ends carry a sticky error: after the first failure every call is
@@ -68,6 +69,12 @@ func (w *Writer) Magic(tag string) { w.writeString(tag) }
 func (w *Writer) U32(v uint32) {
 	binary.LittleEndian.PutUint32(w.scratch[:], v)
 	w.write(w.scratch[:4])
+}
+
+// I64 writes a little-endian two's-complement int64.
+func (w *Writer) I64(v int64) {
+	binary.LittleEndian.PutUint64(w.scratch[:], uint64(v))
+	w.write(w.scratch[:8])
 }
 
 // F64 writes a float64 as its little-endian IEEE-754 bits.
@@ -154,6 +161,15 @@ func (r *Reader) U32() uint32 {
 		return 0
 	}
 	return binary.LittleEndian.Uint32(r.scratch[:])
+}
+
+// I64 reads a little-endian two's-complement int64. Any value decodes;
+// bounding it is the codec's semantic check.
+func (r *Reader) I64() int64 {
+	if !r.full(r.scratch[:8]) {
+		return 0
+	}
+	return int64(binary.LittleEndian.Uint64(r.scratch[:]))
 }
 
 // F64 reads a float64 from its little-endian IEEE-754 bits. Any bit

@@ -34,31 +34,33 @@ func sample(t *testing.T) (stream []byte, blob []byte, floats []float32) {
 	w.Bytes(nil)
 	w.Bytes(blob)
 	w.Float32s(floats)
+	w.I64(math.MinInt64 + 3)
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes(), blob, floats
 }
 
-func readSample(r *Reader, nfloats int64) (u32 uint32, f64 float64, key, empty, blob []byte, floats []float32) {
+func readSample(r *Reader, nfloats int64) (u32 uint32, f64 float64, key, empty, blob []byte, floats []float32, i64 int64) {
 	r.Magic("TESTMG01")
 	u32, f64 = r.U32(), r.F64()
 	key = r.Bytes("key", 16)
 	empty = r.Bytes("empty", 16)
 	blob = r.Bytes("blob", 4*chunk)
 	floats = r.Float32s(nfloats)
+	i64 = r.I64()
 	return
 }
 
 func TestRoundTrip(t *testing.T) {
 	stream, blob, floats := sample(t)
 	r := NewReader(bytes.NewReader(stream))
-	u32, f64, key, empty, gotBlob, gotFloats := readSample(r, int64(len(floats)))
+	u32, f64, key, empty, gotBlob, gotFloats, i64 := readSample(r, int64(len(floats)))
 	if err := r.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if u32 != 0xdeadbeef || f64 != -1.5e-300 || string(key) != "key" || len(empty) != 0 {
-		t.Fatalf("scalars: %x %v %q %v", u32, f64, key, empty)
+	if u32 != 0xdeadbeef || f64 != -1.5e-300 || string(key) != "key" || len(empty) != 0 || i64 != math.MinInt64+3 {
+		t.Fatalf("scalars: %x %v %q %v %d", u32, f64, key, empty, i64)
 	}
 	if !bytes.Equal(gotBlob, blob) {
 		t.Fatal("multi-chunk bytes differ")
@@ -79,13 +81,16 @@ func TestRoundTrip(t *testing.T) {
 	if got := stream[8+4+8:][:7]; !bytes.Equal(got, []byte("\x03\x00\x00\x00key")) {
 		t.Fatalf("string framing % x", got)
 	}
+	if got := stream[len(stream)-8:]; !bytes.Equal(got, []byte("\x03\x00\x00\x00\x00\x00\x00\x80")) {
+		t.Fatalf("i64 framing % x", got)
+	}
 }
 
 // Every strict prefix of a valid stream fails, with the error sticking:
 // later reads return zero values and the first error is kept.
 func TestTruncationIsSticky(t *testing.T) {
 	stream, _, floats := sample(t)
-	cuts := []int{0, 3, 8, 11, 12, 19, 20, 24, 27, 31, 35, 35 + chunk, len(stream) - 4*len(floats) + 2, len(stream) - 1}
+	cuts := []int{0, 3, 8, 11, 12, 19, 20, 24, 27, 31, 35, 35 + chunk, len(stream) - 8 - 4*len(floats) + 2, len(stream) - 9, len(stream) - 1}
 	for _, cut := range cuts {
 		r := NewReader(bytes.NewReader(stream[:cut]))
 		readSample(r, int64(len(floats)))
