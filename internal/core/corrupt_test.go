@@ -276,13 +276,16 @@ func hostileHeaders(tb testing.TB, plan []byte, hlen int) map[string][]byte {
 	return hostile
 }
 
-// headerLayout are headers the plan writer cannot produce, each with the
-// decode error Load must report: the string table and the counts and
-// indices that point into it, rewritten in place.
-func headerLayout(tb testing.TB, plan []byte, hlen int) map[string]struct {
+// layoutCase is a plan and the decode error Load must report for it.
+type layoutCase struct {
 	data []byte
 	want string
-} {
+}
+
+// headerLayout are headers the plan writer cannot produce: the string
+// table and the counts and indices that point into it, rewritten in
+// place.
+func headerLayout(tb testing.TB, plan []byte, hlen int) map[string]layoutCase {
 	tb.Helper()
 	hb := plan[12 : 12+hlen]
 	names := binary.LittleEndian.Uint32(hb)
@@ -302,10 +305,7 @@ func headerLayout(tb testing.TB, plan []byte, hlen int) map[string]struct {
 	}
 	layers, launches := len(bare)-24, len(bare)-8
 	cut := bare[:launches+4]
-	return map[string]struct {
-		data []byte
-		want string
-	}{
+	return map[string]layoutCase{
 		"names-over-limit": {withHeader(plan, hlen, patched(hb, 0, 0xffffffff)),
 			fmt.Sprintf("plan names 4294967295 exceeds limit %d", hlen/nameBytes)},
 		"name-index-past-table": {withHeader(plan, hlen, patched(hb, fields, names)),

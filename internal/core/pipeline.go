@@ -18,30 +18,30 @@ import (
 // counter does not apply to the pass.
 type PassStats struct {
 	Pass     string
-	Disabled bool `json:",omitempty"`
+	Disabled bool
 
-	LayersRemoved    int `json:",omitempty"` // dead-layer-removal
-	LayersFused      int `json:",omitempty"` // vertical-fusion
-	LayersCalibrated int `json:",omitempty"` // int8-calibration
-	TensorsQuantized int `json:",omitempty"` // quantization
-	MergeGroups      int `json:",omitempty"` // horizontal-merge: sibling groups found
-	MergedLaunches   int `json:",omitempty"` // kernel-tuning: launches saved by merging
+	LayersRemoved    int // dead-layer-removal
+	LayersFused      int // vertical-fusion
+	LayersCalibrated int // int8-calibration
+	TensorsQuantized int // quantization
+	MergeGroups      int // horizontal-merge: sibling groups found
+	MergedLaunches   int // kernel-tuning: launches saved by merging
 
 	// Tactic-timing instrumentation (kernel-tuning pass). Every candidate
 	// entering tactic selection is considered; it is then either pruned
 	// by the latency predictor, served from the timing cache, or timed on
 	// the device: TacticsConsidered == PredictedPrunes + CacheHits +
 	// TacticsTimed (TestTunerStatsPartition pins the partition).
-	TacticsConsidered int     `json:",omitempty"` // candidates entering tactic selection
-	TacticsTimed      int     `json:",omitempty"` // measured on the device
-	CacheHits         int     `json:",omitempty"` // served from the timing cache
-	CacheMisses       int     `json:",omitempty"` // cache configured but entry absent
-	TuneCostSec       float64 `json:",omitempty"` // simulated device time spent timing tactics
+	TacticsConsidered int     // candidates entering tactic selection
+	TacticsTimed      int     // measured on the device
+	CacheHits         int     // served from the timing cache
+	CacheMisses       int     // cache configured but entry absent
+	TuneCostSec       float64 // simulated device time spent timing tactics
 
 	// Learned-predictor pruning instrumentation (kernel-tuning pass).
-	PredictedPrunes        int     `json:",omitempty"` // candidates skipped by predicted rank
-	PredictorFallbacks     int     `json:",omitempty"` // layers timed in full (low confidence)
-	PrunedTuneCostSavedSec float64 `json:",omitempty"` // modeled timing cost of skipped candidates
+	PredictedPrunes        int     // candidates skipped by predicted rank
+	PredictorFallbacks     int     // layers timed in full (low confidence)
+	PrunedTuneCostSavedSec float64 // modeled timing cost of skipped candidates
 }
 
 // BuildReport is the engine's build provenance: one PassStats per
@@ -61,9 +61,9 @@ type BuildReport struct {
 	TuneCostSec float64
 
 	// Learned-predictor pruning totals (see PassStats).
-	PredictedPrunes        int     `json:",omitempty"`
-	PredictorFallbacks     int     `json:",omitempty"`
-	PrunedTuneCostSavedSec float64 `json:",omitempty"`
+	PredictedPrunes        int
+	PredictorFallbacks     int
+	PrunedTuneCostSavedSec float64
 
 	// WarmBuild reports that a timing cache was configured and every
 	// tactic came from it: the engine is a pure function of (model,
@@ -74,7 +74,7 @@ type BuildReport struct {
 	// device at the build clock (Engine.ExpectedLatencySec at build
 	// time): the per-replica baseline a serving-side latency watchdog
 	// compares observed run latencies against.
-	ExpectedLatencySec float64 `json:",omitempty"`
+	ExpectedLatencySec float64
 }
 
 // Pass returns the stats of a named pass, or nil if the report has

@@ -157,7 +157,7 @@ func encodeHeader(h *planHeader) ([]byte, error) {
 		return nil, enc.err
 	}
 	var out bytes.Buffer
-	out.Grow(12 + len(enc.table) + 4*len(enc.lens) + fields.Len())
+	out.Grow(8 + len(enc.table) + 4*len(enc.lens) + fields.Len())
 	w := framed.NewWriter(&out)
 	w.U32(uint32(len(enc.lens)))
 	w.Bytes(enc.table)

@@ -30,13 +30,13 @@ type LayerRecord struct {
 	Name     string
 	Op       OpType
 	Inputs   []string
-	Conv     tensor.ConvParams `json:",omitempty"`
-	Pool     tensor.PoolParams `json:",omitempty"`
-	OutUnits int               `json:",omitempty"`
-	Alpha    float32           `json:",omitempty"`
-	LRNSize  int               `json:",omitempty"`
-	LRNBeta  float32           `json:",omitempty"`
-	LRNK     float32           `json:",omitempty"`
+	Conv     tensor.ConvParams
+	Pool     tensor.PoolParams
+	OutUnits int
+	Alpha    float32
+	LRNSize  int
+	LRNBeta  float32
+	LRNK     float32
 }
 
 // WeightRecord is one weight tensor: the JSON index entry of the weight
